@@ -1,30 +1,31 @@
 """Exact selective inference with Gaussian randomization.
 
-Randomized feature selection (lasso, marginal screening, sorted-l1), the
-closed-form exact pivot obtained by reducing the selection event to a
-bivariate truncated Gaussian, confidence intervals from pivot inversion, and
-a Monte-Carlo study harness with polyhedral, data-splitting, and
-response-splitting baselines.
+Randomized feature selection (lasso, marginal screening), the exact pivot
+obtained by reducing the selection event to a bivariate truncated Gaussian,
+confidence intervals from pivot inversion, and one selection-to-interval
+pipeline (``calibrate``, ``fit_method``) shared by a Monte-Carlo study
+harness with polyhedral, data-splitting, and response-splitting baselines,
+the uniformity check, and the command line.
 """
 
 from .conditioning import (
     ConditioningGeometry,
     TargetSpec,
-    a_eta,
     build_geometry,
     build_target,
-    conditional_variance_given_eta,
 )
 from .errors import ExactSIError
 from .inference import (
     IntervalEstimate,
     PivotParams,
+    PolyhedralBounds,
     carving_pivot_params,
     exact_pivot,
     invert_pivot,
     lambda_delta,
     pivot_params,
     plug_in_sigma2,
+    polyhedral_bounds,
     polyhedral_interval,
     polyhedral_pivot,
     split_inference,
@@ -45,21 +46,21 @@ from .selection import (
     LinearEventRep,
     RandomizationScheme,
     SelectionOutcome,
-    bootstrap_reporting_problem,
     lasso_event_rep,
-    lee_event_rep,
-    prox_sorted_l1,
     sample_randomization,
     solve_randomized_lasso,
     solve_randomized_screening,
-    solve_randomized_slope,
     tau2_from_split,
 )
 from .study import (
+    Calibration,
+    Fit,
     SimConfig,
     StudySummary,
+    calibrate,
     f1_score,
     fcr,
+    fit_method,
     generate_design,
     generate_response,
     run_study,
@@ -70,29 +71,31 @@ from .study import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Calibration",
     "ConditioningGeometry",
     "DEFAULT_QUADRATURE",
     "Dataset",
     "ExactSIError",
+    "Fit",
     "Interval",
     "IntervalEstimate",
     "LinearEventRep",
     "PivotParams",
+    "PolyhedralBounds",
     "QuadratureSpec",
     "RandomizationScheme",
     "SelectionOutcome",
     "SimConfig",
     "StudySummary",
     "TargetSpec",
-    "a_eta",
-    "bootstrap_reporting_problem",
     "build_geometry",
     "build_target",
+    "calibrate",
     "carving_pivot_params",
-    "conditional_variance_given_eta",
     "exact_pivot",
     "f1_score",
     "fcr",
+    "fit_method",
     "gaussian_cdf",
     "generate_design",
     "generate_response",
@@ -101,18 +104,16 @@ __all__ = [
     "invert_pivot",
     "lambda_delta",
     "lasso_event_rep",
-    "lee_event_rep",
     "log_truncation_prob",
     "pivot_params",
     "plug_in_sigma2",
+    "polyhedral_bounds",
     "polyhedral_interval",
     "polyhedral_pivot",
-    "prox_sorted_l1",
     "run_study",
     "sample_randomization",
     "solve_randomized_lasso",
     "solve_randomized_screening",
-    "solve_randomized_slope",
     "split_inference",
     "tau2_from_split",
     "true_projected_target",

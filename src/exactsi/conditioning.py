@@ -180,59 +180,3 @@ def build_geometry(
         s_minus=np.flatnonzero(neg),
         s_plus=np.flatnonzero(pos),
     )
-
-
-def a_eta(O: np.ndarray, Theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Complement of ``O`` after removing its component along ``eta``.
-
-    Decomposes ``O = (Theta eta / eta'Theta eta) * eta'O + A`` with
-    ``eta'A = 0``.
-    """
-    eta = np.asarray(eta, dtype=float)
-    O = np.asarray(O, dtype=float)
-    if not eta.any():
-        raise InvalidArgumentError("eta must be nonzero")
-    quad = float(eta @ Theta @ eta)
-    if not quad > 0:
-        raise InvalidArgumentError("eta'Theta eta must be positive")
-    return O - (Theta @ eta) * (eta @ O) / quad
-
-
-def conditional_variance_given_eta(
-    rep: LinearEventRep,
-    Omega: np.ndarray,
-    target: TargetSpec,
-    sigma: float,
-    eta: np.ndarray,
-) -> float:
-    """Variance of the target estimate after also fixing the eta-complement.
-
-    Works in the explicit joint Gaussian (truncation ignored): the target
-    estimate is N(., sigma^2 ||c||^2) and the free block given the subgradient
-    is Gaussian with covariance Theta and a mean shifted by -Theta rj per unit
-    of the estimate.  Conditioning on the complement uses a full-rank basis
-    obtained by dropping the coordinate of largest |eta| and a Schur
-    complement.
-    """
-    eta = np.asarray(eta, dtype=float)
-    theta, _, rj = theta_and_direction(rep, Omega, target)
-    q = theta.shape[0]
-    if eta.shape != (q,):
-        raise InvalidArgumentError("eta has the wrong length")
-    if not eta.any():
-        raise InvalidArgumentError("eta must be nonzero")
-    s2 = sigma**2 * target.norm2
-    if q == 1:
-        return s2
-    quad = float(eta @ theta @ eta)
-    if not quad > 0:
-        raise InvalidArgumentError("eta'Theta eta must be positive")
-    proj = np.eye(q) - np.outer(theta @ eta, eta) / quad
-    keep = np.ones(q, dtype=bool)
-    keep[int(np.argmax(np.abs(eta)))] = False
-    basis = proj[keep]  # (q-1) x q, full row rank
-    u = basis @ (theta @ rj)
-    cov_b = s2 * np.outer(u, u) + basis @ theta @ basis.T
-    cross = -s2 * u
-    explained = float(cross @ _solve_spd(cov_b, cross, "complement covariance"))
-    return s2 - explained

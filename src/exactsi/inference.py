@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtri
 
-from .conditioning import ConditioningGeometry, TargetSpec, theta_and_direction
+from .conditioning import ConditioningGeometry, TargetSpec
 from .errors import (
     GeometryInconsistencyError,
     InvalidArgumentError,
@@ -115,17 +115,14 @@ def pivot_params(
     geom: ConditioningGeometry,
     target: TargetSpec,
     sigma: float,
-    U: np.ndarray | None = None,
 ) -> PivotParams:
     """Assemble the pivot constants for one target from a fitted representation."""
     if not sigma > 0:
         raise InvalidArgumentError("sigma must be positive")
-    if U is None:
-        U = rep.sub
     c = target.contrast
     beta_hat = float(c @ data.y)
     gamma = data.y - c * (beta_hat / target.norm2)
-    lam_val, delta = lambda_delta(gamma, U, rep, Omega, geom)
+    lam_val, delta = lambda_delta(gamma, rep.sub, rep, Omega, geom)
     r_delta = float(geom.rj @ delta)
     vartheta2 = float(geom.rj @ geom.Theta @ geom.rj)
     omega = Omega[np.ix_(rep.order, rep.order)]
@@ -261,21 +258,35 @@ def invert_pivot(
     )
 
 
-def _polyhedral_bounds(
+@dataclass(frozen=True)
+class PolyhedralBounds:
+    """Truncation of the non-randomized lasso event for one target.
+
+    Given the selected set and signs, and the residual off the target contrast,
+    the estimate ``beta_hat`` is Gaussian with standard deviation ``sd``
+    truncated to ``[lower, upper]``.
+    """
+
+    lower: float
+    upper: float
+    beta_hat: float
+    sd: float
+
+
+def polyhedral_bounds(
     data: Dataset,
     E0: np.ndarray,
     S0: np.ndarray,
     target: TargetSpec,
+    sigma: float,
     lam: float,
-    include_inactive: bool = True,
-) -> tuple[float, float, float]:
+) -> PolyhedralBounds:
     """One-dimensional truncation bounds of the lasso selection event.
 
     The event {selected set, signs} is affine in the response; at fixed
     residual off the target contrast it becomes an interval for the estimate.
-    ``include_inactive`` keeps the inactive subgradient box constraints, which
-    is what makes the conditional law exactly the truncated Gaussian; dropping
-    them conditions on a strictly larger event.
+    The inactive subgradient box constraints are kept, which is what makes the
+    conditional law exactly the truncated Gaussian.
     """
     X, y = data.X, data.y
     E0 = np.asarray(E0, dtype=int)
@@ -290,15 +301,14 @@ def _polyhedral_bounds(
     ginv_s = cho_solve(factor, S0)
     rows = [-(S0[:, None] * M1)]
     rhs = [-lam * S0 * ginv_s]
-    if include_inactive:
-        inactive = np.setdiff1d(np.arange(data.p), E0)
-        if inactive.size:
-            Xi = X[:, inactive]
-            cross = Xi.T @ XE
-            proj_rows = (Xi.T - cross @ M1) / lam
-            base = cross @ ginv_s
-            rows.extend([proj_rows, -proj_rows])
-            rhs.extend([1.0 - base, 1.0 + base])
+    inactive = np.setdiff1d(np.arange(data.p), E0)
+    if inactive.size:
+        Xi = X[:, inactive]
+        cross = Xi.T @ XE
+        proj_rows = (Xi.T - cross @ M1) / lam
+        base = cross @ ginv_s
+        rows.extend([proj_rows, -proj_rows])
+        rhs.extend([1.0 - base, 1.0 + base])
     G = np.vstack(rows)
     h = np.concatenate(rhs)
 
@@ -323,24 +333,18 @@ def _polyhedral_bounds(
             f"observed estimate {beta_hat} outside its selection interval "
             f"[{lower}, {upper}]"
         )
-    return lower, upper, beta_hat
-
-
-def polyhedral_pivot(
-    data: Dataset,
-    E0: np.ndarray,
-    S0: np.ndarray,
-    target: TargetSpec,
-    sigma: float,
-    lam: float,
-    beta0: float,
-    include_inactive: bool = True,
-) -> float:
-    """Truncated-Gaussian CDF pivot of the non-randomized lasso event."""
-    lower, upper, beta_hat = _polyhedral_bounds(
-        data, E0, S0, target, lam, include_inactive
+    return PolyhedralBounds(
+        lower=lower, upper=upper, beta_hat=beta_hat, sd=sigma * math.sqrt(target.norm2)
     )
-    sd = sigma * math.sqrt(target.norm2)
+
+
+def polyhedral_pivot(bounds: PolyhedralBounds, beta0: float) -> float:
+    """Truncated-Gaussian CDF of the estimate at its observed value, given ``beta0``.
+
+    When the truncation interval carries no representable mass at ``beta0``,
+    the limit is returned: 0 for ``beta0`` above the estimate, 1 below it.
+    """
+    lower, upper, beta_hat, sd = bounds.lower, bounds.upper, bounds.beta_hat, bounds.sd
     if beta_hat <= lower:
         return 0.0
     if beta_hat >= upper:
@@ -348,58 +352,51 @@ def polyhedral_pivot(
     log_num = log_truncation_prob(Interval(lower, beta_hat), beta0, sd)
     log_den = log_truncation_prob(Interval(lower, upper), beta0, sd)
     if log_den == -math.inf:
-        raise NumericalDegeneracyError("selection event has no mass at this beta0")
+        return 0.0 if beta0 > beta_hat else 1.0
     return float(min(max(math.exp(log_num - log_den), 0.0), 1.0))
 
 
 def polyhedral_interval(
-    data: Dataset,
-    E0: np.ndarray,
-    S0: np.ndarray,
-    target: TargetSpec,
-    sigma: float,
-    lam: float,
-    alpha: float,
-    target_label: int = -1,
-    include_inactive: bool = True,
+    bounds: PolyhedralBounds, alpha: float, target_label: int = -1
 ) -> IntervalEstimate:
     """Invert the polyhedral pivot; huge endpoints are clipped and flagged.
 
-    Truncated-Gaussian intervals can be effectively infinite; endpoints are
-    clipped at ``beta_hat +- 50 sd`` and the estimate flagged when that
-    happens.
+    Truncated-Gaussian intervals can be effectively infinite; an endpoint
+    beyond ``beta_hat +- 50 sd`` is clipped there and the estimate flagged.
+    When both endpoints lie beyond the same side of that window (the estimate
+    sits almost on a truncation bound), clipping one would put it past the
+    other, so both are returned unclipped.
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
-    lower_b, upper_b, beta_hat = _polyhedral_bounds(
-        data, E0, S0, target, lam, include_inactive
-    )
-    sd = sigma * math.sqrt(target.norm2)
+    beta_hat = bounds.beta_hat
+    p_lower, p_upper = 1.0 - alpha / 2.0, alpha / 2.0
 
     def pivot_at(b):
-        if beta_hat <= lower_b:
-            return 0.0
-        log_num = log_truncation_prob(Interval(lower_b, beta_hat), b, sd)
-        log_den = log_truncation_prob(Interval(lower_b, upper_b), b, sd)
-        if log_den == -math.inf:
-            return 0.0 if b > beta_hat else 1.0
-        return float(min(max(math.exp(log_num - log_den), 0.0), 1.0))
+        return polyhedral_pivot(bounds, b)
 
-    clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * sd
-    clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * sd
+    clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * bounds.sd
+    clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * bounds.sd
+    below, above = Interval(clip_lo, beta_hat), Interval(beta_hat, clip_hi)
+    at_lo, at_hi = pivot_at(clip_lo), pivot_at(clip_hi)
     clipped = False
-    if pivot_at(clip_lo) < 1.0 - alpha / 2.0:
-        lower = clip_lo
-        clipped = True
+    if at_lo < p_upper:  # both endpoints below the window
+        upper = invert_monotone(pivot_at, p_upper, above)
+        lower = invert_monotone(pivot_at, p_lower, below)
+    elif at_hi > p_lower:  # both endpoints above the window
+        lower = invert_monotone(pivot_at, p_lower, below)
+        upper = invert_monotone(pivot_at, p_upper, above)
     else:
-        lower = invert_monotone(
-            pivot_at, 1.0 - alpha / 2.0, Interval(clip_lo, beta_hat)
-        )
-    if pivot_at(clip_hi) > alpha / 2.0:
-        upper = clip_hi
-        clipped = True
-    else:
-        upper = invert_monotone(pivot_at, alpha / 2.0, Interval(beta_hat, clip_hi))
+        if at_lo < p_lower:
+            lower = clip_lo
+            clipped = True
+        else:
+            lower = invert_monotone(pivot_at, p_lower, below)
+        if at_hi > p_upper:
+            upper = clip_hi
+            clipped = True
+        else:
+            upper = invert_monotone(pivot_at, p_upper, above)
     return IntervalEstimate(
         lower=lower,
         upper=upper,
@@ -484,7 +481,6 @@ def split_inference(
     rho: float,
     lam: float,
     alpha: float,
-    model: str,
     seed: int,
 ) -> list[IntervalEstimate]:
     """Data splitting: lasso on a random ``round(rho * n)`` subsample, then
@@ -515,17 +511,14 @@ def uv_inference(
     f: float,
     lam: float,
     alpha: float,
-    model: str,
+    sigma2: float,
     seed: int,
 ) -> list[IntervalEstimate]:
-    """Response splitting: select on ``y + w`` with ``w ~ N(0, sigma^2 f I)``,
+    """Response splitting: select on ``y + w`` with ``w ~ N(0, sigma2 f I)``,
     infer from the independent ``y - w/f`` whose noise variance is
-    ``sigma^2 (1 + 1/f)``."""
+    ``sigma2 (1 + 1/f)``; ``sigma2`` is the response noise variance."""
     if not f > 0:
         raise InvalidArgumentError("f must be positive")
-    sigma2 = data.sigma**2 if data.sigma is not None else plug_in_sigma2(
-        data, np.arange(data.p), model if model == "full" else "full"
-    )
     w = np.random.default_rng(seed).standard_normal(data.n) * math.sqrt(sigma2 * f)
     u_data = Dataset(y=data.y + w, X=data.X)
     out = solve_randomized_lasso(u_data, lam=lam, epsilon=0.0, w=np.zeros(data.p))

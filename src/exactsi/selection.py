@@ -12,8 +12,7 @@ active-first; the permutation is stored on the representation.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +61,7 @@ class Dataset:
 
 @dataclass
 class RandomizationScheme:
-    """Gaussian randomization covariance: isotropic, carving-calibrated, or explicit.
+    """Gaussian randomization covariance: isotropic or carving-calibrated.
 
     ``carving`` uses ``tau2 * X'X``; a diagonal jitter of ``1e-8 * tr(X'X)/p``
     is added only when the Gram matrix is numerically rank deficient, so that
@@ -71,15 +70,10 @@ class RandomizationScheme:
 
     kind: str
     tau2: float = 1.0
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("isotropic", "carving", "explicit"):
+        if self.kind not in ("isotropic", "carving"):
             raise InvalidSchemeError(f"unknown randomization kind {self.kind!r}")
-        if self.kind == "explicit":
-            if self.matrix is None:
-                raise InvalidSchemeError("explicit scheme needs a covariance matrix")
-            self.matrix = np.asarray(self.matrix, dtype=float)
         if self.tau2 < 0 or (self.tau2 == 0 and self.kind != "isotropic"):
             raise InvalidSchemeError("tau2 must be positive")
 
@@ -87,20 +81,10 @@ class RandomizationScheme:
         p = X.shape[1]
         if self.kind == "isotropic":
             return self.tau2 * np.eye(p)
-        if self.kind == "carving":
-            gram = X.T @ X
-            if not _is_pd(gram):
-                gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
-            return self.tau2 * gram
-        omega = self.matrix
-        if omega.shape != (p, p):
-            raise InvalidSchemeError("explicit covariance has the wrong shape")
-        if not np.allclose(omega, omega.T, atol=1e-10 * max(1.0, abs(omega).max())):
-            raise InvalidSchemeError("explicit covariance must be symmetric")
-        omega = 0.5 * (omega + omega.T)
-        if not _is_pd(omega):
-            raise InvalidSchemeError("explicit covariance must be positive definite")
-        return omega
+        gram = X.T @ X
+        if not _is_pd(gram):
+            gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
+        return self.tau2 * gram
 
 
 def _is_pd(mat: np.ndarray) -> bool:
@@ -109,15 +93,6 @@ def _is_pd(mat: np.ndarray) -> bool:
         return True
     except np.linalg.LinAlgError:
         return False
-
-
-@dataclass
-class SlopeClusters:
-    """Cluster structure of a sorted-l1 solution: index sets with one shared magnitude."""
-
-    indices: list[np.ndarray]
-    magnitudes: np.ndarray
-    dropped_subgradient: np.ndarray
 
 
 @dataclass
@@ -130,7 +105,6 @@ class SelectionOutcome:
     inactive_subgradient: np.ndarray
     randomization: np.ndarray
     algorithm: str
-    slope_clusters: SlopeClusters | None = None
 
 
 @dataclass
@@ -351,50 +325,6 @@ def lasso_event_rep(
     return _check_rep(rep, "lasso event")
 
 
-def lee_event_rep(
-    data: Dataset, outcome: SelectionOutcome, lam: float, epsilon: float
-) -> LinearEventRep:
-    """Alternate representation conditioning on the selected set and signs only.
-
-    All p optimization variables (active solution stacked over the inactive
-    subgradient) stay free, constrained by the sign cone and the unit box.
-    """
-    X, p = data.X, data.p
-    E = outcome.selected
-    q = E.size
-    order, inactive = _active_first_order(p, E)
-    XE = X[:, E]
-    Q = np.block(
-        [
-            [XE.T @ XE + epsilon * np.eye(q), np.zeros((q, p - q))],
-            [X[:, inactive].T @ XE, lam * np.eye(p - q)],
-        ]
-    )
-    T = np.concatenate([lam * outcome.signs, np.zeros(p - q)])
-    L = np.vstack(
-        [
-            np.hstack([-np.diag(outcome.signs), np.zeros((q, p - q))]),
-            np.hstack([np.zeros((p - q, q)), np.eye(p - q)]),
-            np.hstack([np.zeros((p - q, q)), -np.eye(p - q)]),
-        ]
-    )
-    M = np.concatenate([np.zeros(q), np.ones(2 * (p - q))])
-    rep = LinearEventRep(
-        P=-X[:, order].T,
-        Q=Q,
-        R=np.zeros((p, 0)),
-        T=T,
-        L=L,
-        M=M,
-        stat=data.y,
-        opt=np.concatenate([outcome.active_solution, outcome.inactive_subgradient]),
-        sub=np.zeros(0),
-        order=order,
-        randomization=outcome.randomization[order],
-    )
-    return _check_rep(rep, "sign-event")
-
-
 def solve_randomized_screening(
     data: Dataset, threshold: float, w: np.ndarray
 ) -> tuple[SelectionOutcome, LinearEventRep]:
@@ -438,188 +368,3 @@ def solve_randomized_screening(
         randomization=w[order],
     )
     return outcome, _check_rep(rep, "screening event")
-
-
-def prox_sorted_l1(v: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Prox of the sorted-l1 penalty via the stack-based nonincreasing projection."""
-    v = np.asarray(v, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    signs = np.sign(v)
-    mags = np.abs(v)
-    order = np.argsort(-mags, kind="stable")
-    z = mags[order] - lams
-    vals: list[float] = []
-    counts: list[int] = []
-    for zi in z:
-        cur_v, cur_c = float(zi), 1
-        while vals and vals[-1] <= cur_v:
-            pv, pc = vals.pop(), counts.pop()
-            cur_v = (pv * pc + cur_v * cur_c) / (pc + cur_c)
-            cur_c += pc
-        vals.append(cur_v)
-        counts.append(cur_c)
-    x = np.repeat(vals, counts)
-    np.maximum(x, 0.0, out=x)
-    out = np.empty_like(x)
-    out[order] = x
-    return signs * out
-
-
-def solve_randomized_slope(
-    data: Dataset,
-    lambdas: np.ndarray,
-    w: np.ndarray,
-    max_iters: int = 50_000,
-    tol: float = 1e-10,
-    cluster_rtol: float = 1e-8,
-) -> tuple[SelectionOutcome, LinearEventRep]:
-    """Solve the linearly-perturbed sorted-l1 regression
-
-        min_b 0.5 ||y - X b||^2 + sum_j lambdas_j |b|_(j) - w'b
-
-    by accelerated proximal gradient with fixed step 1/||X'X||_2, stopping on
-    the prox fixed-point residual.  Nonzero magnitudes are grouped into
-    clusters with relative tolerance ``cluster_rtol``; one subgradient entry
-    per cluster (its smallest) moves into the constant of the stationarity
-    identity, the rest stay free.
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    w = np.asarray(w, dtype=float)
-    p = data.p
-    if lambdas.shape != (p,):
-        raise InvalidArgumentError("need one tuning value per feature")
-    if not (np.diff(lambdas) < 0).all() or not (lambdas > 0).all():
-        raise InvalidArgumentError("tuning values must be strictly decreasing and positive")
-    if w.shape != (p,):
-        raise InvalidArgumentError("w has the wrong length")
-    X, y = data.X, data.y
-    gram = X.T @ X
-    lip = float(np.linalg.eigvalsh(gram)[-1])
-    if lip <= 0:
-        raise InvalidArgumentError("design has no signal direction")
-    step = 1.0 / lip
-    c = X.T @ y + w
-
-    def grad(vec):
-        return gram @ vec - c
-
-    def fix_point_resid(vec) -> float:
-        return float(np.max(np.abs(vec - prox_sorted_l1(vec - step * grad(vec), step * lambdas))))
-
-    b = np.zeros(p)
-    z = b.copy()
-    t_acc = 1.0
-    converged = False
-    for _ in range(max_iters):
-        b_new = prox_sorted_l1(z - step * grad(z), step * lambdas)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = b_new + ((t_acc - 1.0) / t_new) * (b_new - b)
-        b, t_acc = b_new, t_new
-        if fix_point_resid(b) <= tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"proximal gradient did not converge in {max_iters} iterations",
-            residual=fix_point_resid(b),
-        )
-
-    selected = np.flatnonzero(b)
-    signs_full = np.sign(b)
-    mags = np.abs(b)
-    # group distinct nonzero magnitudes, largest first
-    sel_sorted = selected[np.argsort(-mags[selected], kind="stable")]
-    clusters: list[list[int]] = []
-    cluster_mags: list[float] = []
-    for j in sel_sorted:
-        m = mags[j]
-        if clusters and cluster_mags[-1] - m <= cluster_rtol * cluster_mags[-1]:
-            clusters[-1].append(int(j))
-        else:
-            clusters.append([int(j)])
-            cluster_mags.append(float(m))
-    q = len(clusters)
-    O = np.array([float(np.mean(mags[idx])) for idx in clusters])
-    cluster_idx = [np.sort(np.array(idx, dtype=int)) for idx in clusters]
-
-    X0 = np.column_stack(
-        [X[:, idx] @ signs_full[idx] for idx in cluster_idx]
-    ) if q else np.zeros((data.n, 0))
-    g = w + X.T @ (y - X0 @ O) if q else w + X.T @ y
-
-    dropped_rows = []
-    free_rows = []
-    dropped_vals = []
-    for idx in cluster_idx:
-        vals = g[idx]
-        k = int(np.argmin(vals))
-        dropped_rows.append(int(idx[k]))
-        dropped_vals.append(float(vals[k]))
-        free_rows.extend(int(j) for j in idx if j != idx[k])
-    unselected = np.setdiff1d(np.arange(p), selected)
-    free_rows.extend(int(j) for j in unselected)
-    order = np.array(dropped_rows + free_rows, dtype=int)
-
-    S_prime = np.array(dropped_vals)
-    U = g[np.array(free_rows, dtype=int)] if free_rows else np.zeros(0)
-    L = np.zeros((q, q))
-    for i in range(q - 1):
-        L[i, i] = -1.0
-        L[i, i + 1] = 1.0
-    if q:
-        L[q - 1, q - 1] = -1.0
-    rep = LinearEventRep(
-        P=-X[:, order].T,
-        Q=X[:, order].T @ X0,
-        R=np.vstack([np.zeros((q, p - q)), np.eye(p - q)]),
-        T=np.concatenate([S_prime, np.zeros(p - q)]),
-        L=L,
-        M=np.zeros(q),
-        stat=y,
-        opt=O,
-        sub=U,
-        order=order,
-        randomization=w[order],
-    )
-    outcome = SelectionOutcome(
-        selected=selected,
-        active_solution=O,
-        signs=signs_full[selected],
-        inactive_subgradient=U,
-        randomization=w,
-        algorithm="slope",
-        slope_clusters=SlopeClusters(
-            indices=cluster_idx, magnitudes=O, dropped_subgradient=S_prime
-        ),
-    )
-    return outcome, _check_rep(rep, "sorted-l1 event")
-
-
-def bootstrap_reporting_problem(
-    beta_hat: np.ndarray, Sigma: np.ndarray, beta_boot: np.ndarray, alpha: float
-) -> tuple[Dataset, RandomizationScheme, np.ndarray]:
-    """Rewrite selective reporting from a bootstrap draw as a randomized lasso.
-
-    Whitening by the estimator covariance turns the penalized reporting
-    problem into a lasso on ``y = Sigma^{-1/2} beta_hat, X = Sigma^{-1/2}``
-    with randomization ``alpha * Sigma^{-1} (beta_boot - beta_hat)`` whose
-    covariance is ``alpha^2 * Sigma^{-1}``.
-    """
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    beta_boot = np.asarray(beta_boot, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    if not alpha > 0:
-        raise InvalidArgumentError("alpha must be positive")
-    if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
-        raise InvalidArgumentError("Sigma must be square")
-    if not np.allclose(Sigma, Sigma.T, atol=1e-10 * max(1.0, abs(Sigma).max())):
-        raise InvalidArgumentError("Sigma must be symmetric")
-    eigval, eigvec = np.linalg.eigh(0.5 * (Sigma + Sigma.T))
-    if eigval.min() <= 1e-12 * max(eigval.max(), 1.0):
-        raise InvalidArgumentError("Sigma must be positive definite")
-    inv_half = (eigvec / np.sqrt(eigval)) @ eigvec.T
-    inv_full = (eigvec / eigval) @ eigvec.T
-    data = Dataset(y=inv_half @ beta_hat, X=inv_half, sigma=1.0)
-    w = alpha * inv_full @ (beta_boot - beta_hat)
-    scheme = RandomizationScheme(kind="explicit", tau2=1.0, matrix=alpha**2 * inv_full)
-    return data, scheme, w

@@ -1,30 +1,57 @@
-"""Monte-Carlo study harness.
+"""The selection-to-interval pipeline and the Monte-Carlo study built on it.
 
-Generates sparse Gaussian regressions on an AR(1)-correlated design, runs the
-exact randomized method next to the polyhedral, data-splitting, and
-response-splitting baselines, and aggregates false-coverage rates, interval
-lengths, and selection F1 scores with Monte-Carlo standard errors.  Replicate
-randomness derives from (master seed, replicate index), so worker scheduling
-cannot change results.
+The pipeline is the one path from a dataset to per-target inference, shared
+by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
+``infer``:
+
+1. ``calibrate`` checks that each method has the options it needs and
+   resolves the tuning constants of a dataset once: the noise variance
+   (known if given, else the full-model plug-in when n > p, else var(y)),
+   the penalty and the ridge term.
+2. ``fit_method`` runs one method's selection.  For the exact method it
+   draws the randomization (its variance given, or matched to a subsample
+   split), solves the randomized lasso and builds the event
+   representation (``randomized_selection``); for the polyhedral baseline it
+   solves the plain lasso; split and uv produce their intervals whole, with
+   penalties ``rho * lam`` and ``sqrt(1 + f) * lam`` matched to the carving
+   calibration.
+3. The returned ``Fit`` yields per-target constants (``PivotParams`` or
+   ``PolyhedralBounds``), from which callers take an interval or a pivot
+   value and apply their own error policy.
+
+The study generates sparse Gaussian regressions on an AR(1)-correlated
+design, runs the exact randomized method next to the polyhedral,
+data-splitting, and response-splitting baselines, and aggregates
+false-coverage rates, interval lengths, and selection F1 scores with
+Monte-Carlo standard errors.  Replicate randomness derives from (master
+seed, replicate index), so worker scheduling cannot change results.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import kstest
 
 from .conditioning import build_geometry, build_target
-from .errors import ExactSIError, InsufficientSampleError, InvalidArgumentError
+from .errors import (
+    ExactSIError,
+    InsufficientSampleError,
+    InvalidArgumentError,
+    SingularDesignError,
+)
 from .inference import (
     IntervalEstimate,
+    PivotParams,
+    PolyhedralBounds,
     exact_pivot,
     invert_pivot,
     pivot_params,
     plug_in_sigma2,
+    polyhedral_bounds,
     polyhedral_interval,
     polyhedral_pivot,
     split_inference,
@@ -32,7 +59,10 @@ from .inference import (
 )
 from .selection import (
     Dataset,
+    LinearEventRep,
     RandomizationScheme,
+    SelectionOutcome,
+    default_epsilon,
     lasso_event_rep,
     sample_randomization,
     solve_randomized_lasso,
@@ -121,10 +151,13 @@ class StudySummary:
 
 @dataclass(frozen=True)
 class UniformityReport:
+    """KS test of pooled pivots; ``n_failed`` counts pivots that raised."""
+
     method: str
     statistic: float
     p_value: float
     n_pooled: int
+    n_failed: int
 
 
 def _seed_for(master: int, rep: int, stream: int) -> int:
@@ -207,8 +240,6 @@ def true_projected_target(
     try:
         return np.linalg.solve(XE.T @ XE, XE.T @ mean)
     except np.linalg.LinAlgError as exc:
-        from .errors import SingularDesignError
-
         raise SingularDesignError("selected design is rank deficient") from exc
 
 
@@ -219,62 +250,174 @@ def theory_lambda(X: np.ndarray, sigma_hat: float, kappa: float = 1.0) -> float:
     return kappa * sigma_hat * math.sqrt(2.0 * math.log(p)) * mean_norm
 
 
-def _base_lambda(config: SimConfig, X: np.ndarray, sigma_hat: float) -> float:
-    if config.lambda_rule == "theory":
-        return theory_lambda(X, sigma_hat)
-    return float(config.lambda_rule)
+@dataclass(frozen=True)
+class Calibration:
+    """Tuning constants of one dataset, shared by every method run on it.
+
+    ``sigma2`` is the pre-selection noise variance and ``known_sigma`` says
+    whether it was given rather than estimated; ``epsilon`` is the ridge term
+    of the randomized lasso.  The carving randomization variance is ``tau2``
+    if given, else ``randomized_selection`` matches it to selection on a
+    ``round(rho * n)`` subsample.
+    """
+
+    sigma2: float
+    known_sigma: bool
+    lam: float
+    epsilon: float
+    rho: float | None
+    tau2: float | None
 
 
-def _exact_intervals(
-    config: SimConfig, data: Dataset, lam: float, sigma2_pre: float, rep_seed: int
-) -> tuple[list[IntervalEstimate], np.ndarray]:
-    tau2 = tau2_from_split(sigma2_pre, config.n, int(round(config.rho * config.n)))
+def calibrate(
+    data: Dataset,
+    methods,
+    lam: float | None = None,
+    rho: float | None = None,
+    tau2: float | None = None,
+    epsilon: float | None = None,
+) -> Calibration:
+    """Check the options ``methods`` need and resolve the constants of ``data``.
+
+    An exact method needs exactly one of ``rho`` and ``tau2``; split and uv
+    need ``rho``.  The noise variance is ``data.sigma ** 2`` if set, else the
+    full-model plug-in when n > p, else var(y).  The penalty defaults to
+    ``theory_lambda`` at that noise scale and the ridge term to
+    ``default_epsilon``.
+    """
+    for method in methods:
+        if method == "exact":
+            if (tau2 is None) == (rho is None):
+                raise InvalidArgumentError("give exactly one of --rho or --tau2")
+            if tau2 is not None and not tau2 > 0:
+                raise InvalidArgumentError("--tau2 must be positive")
+        elif method in ("split", "uv") and rho is None:
+            raise InvalidArgumentError(f"{method} inference needs --rho")
+    known = data.sigma is not None
+    if known:
+        sigma2 = data.sigma**2
+    elif data.n > data.p:
+        sigma2 = plug_in_sigma2(data, np.arange(data.p), "full")
+    else:
+        sigma2 = float(np.var(data.y, ddof=1))
+    if lam is None:
+        lam = theory_lambda(data.X, math.sqrt(sigma2))
+    if epsilon is None:
+        epsilon = default_epsilon(data)
+    return Calibration(
+        sigma2=sigma2, known_sigma=known, lam=lam, epsilon=epsilon, rho=rho, tau2=tau2
+    )
+
+
+def randomized_selection(
+    data: Dataset, cal: Calibration, seed: int
+) -> tuple[RandomizationScheme, SelectionOutcome, LinearEventRep | None]:
+    """Carving-randomized lasso and its event representation (None if empty)."""
+    tau2 = cal.tau2
+    if tau2 is None:
+        tau2 = tau2_from_split(cal.sigma2, data.n, int(round(cal.rho * data.n)))
     scheme = RandomizationScheme(kind="carving", tau2=tau2)
-    w = sample_randomization(scheme, data.X, seed=rep_seed)
-    outcome = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=w)
-    E = outcome.selected
-    if E.size == 0:
-        return [], E
-    rep = lasso_event_rep(data, outcome, lam=lam, epsilon=0.0)
-    omega = scheme.covariance(data.X)
-    sigma = math.sqrt(
-        data.sigma**2 if data.sigma is not None else plug_in_sigma2(data, E, config.model)
-    )
-    out = []
-    for j in range(E.size):
-        target = build_target(data, outcome, config.model, j)
-        geom = build_geometry(rep, omega, target, outcome)
-        params = pivot_params(data, rep, omega, geom, target, sigma=sigma)
-        out.append(invert_pivot(params, config.alpha, target_label=int(E[j])))
-    return out, E
+    w = sample_randomization(scheme, data.X, seed=seed)
+    outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=cal.epsilon, w=w)
+    rep = None
+    if outcome.selected.size:
+        rep = lasso_event_rep(data, outcome, lam=cal.lam, epsilon=cal.epsilon)
+    return scheme, outcome, rep
 
 
-def _polyhedral_intervals(
-    config: SimConfig, data: Dataset, lam: float
-) -> tuple[list[IntervalEstimate], np.ndarray]:
-    outcome = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=np.zeros(data.p))
-    E = outcome.selected
-    if E.size == 0:
-        return [], E
-    sigma = math.sqrt(
-        data.sigma**2 if data.sigma is not None else plug_in_sigma2(data, E, config.model)
-    )
-    out = []
-    for j in range(E.size):
-        target = build_target(data, outcome, config.model, j)
-        out.append(
-            polyhedral_interval(
-                data,
-                E,
-                outcome.signs,
-                target,
-                sigma,
-                lam,
-                config.alpha,
-                target_label=int(E[j]),
-            )
+@dataclass
+class Fit:
+    """One method's selection on one dataset, ready for per-target inference.
+
+    ``selected`` lists the selected features.  For the exact and polyhedral
+    methods, ``constants(j)`` builds the pivot constants of the j-th selected
+    coordinate, and ``interval(j)`` and ``pivot(j, beta0)`` invert or
+    evaluate them.  Split and uv intervals come whole from their held-out
+    fits and are only read back by ``interval(j)``.
+    """
+
+    method: str
+    alpha: float
+    selected: np.ndarray
+    data: Dataset | None = None
+    model: str = "selected"
+    outcome: SelectionOutcome | None = None
+    rep: LinearEventRep | None = None
+    omega: np.ndarray | None = None
+    sigma: float = math.nan  # post-selection noise sd
+    lam: float = math.nan
+    estimates: list[IntervalEstimate] = field(default_factory=list)
+
+    def constants(self, j: int) -> PivotParams | PolyhedralBounds:
+        target = build_target(self.data, self.outcome, self.model, j)
+        if self.method == "exact":
+            geom = build_geometry(self.rep, self.omega, target, self.outcome)
+            return pivot_params(self.data, self.rep, self.omega, geom, target, sigma=self.sigma)
+        return polyhedral_bounds(
+            self.data, self.selected, self.outcome.signs, target, self.sigma, self.lam
         )
-    return out, E
+
+    def interval(self, j: int) -> IntervalEstimate:
+        if self.method in ("split", "uv"):
+            return self.estimates[j]
+        label = int(self.selected[j])
+        if self.method == "exact":
+            return invert_pivot(self.constants(j), self.alpha, target_label=label)
+        return polyhedral_interval(self.constants(j), self.alpha, target_label=label)
+
+    def pivot(self, j: int, beta0: float) -> float:
+        if self.method == "exact":
+            return exact_pivot(self.constants(j), beta0)
+        return polyhedral_pivot(self.constants(j), beta0)
+
+
+def _post_sigma(data: Dataset, cal: Calibration, model: str, E: np.ndarray) -> float:
+    """Noise sd for inference after selecting ``E``: the selected-model plug-in
+    unless the noise is known or the full model is the target."""
+    if cal.known_sigma or model != "selected":
+        return math.sqrt(cal.sigma2)
+    return math.sqrt(plug_in_sigma2(data, E, "selected"))
+
+
+def fit_method(
+    data: Dataset, cal: Calibration, method: str, model: str, alpha: float, seed: int
+) -> Fit:
+    """Run ``method``'s selection on ``data``; ``seed`` drives its randomness."""
+    if method == "exact":
+        scheme, outcome, rep = randomized_selection(data, cal, seed)
+        E = outcome.selected
+        if E.size == 0:
+            return Fit(method, alpha, E)
+        omega = scheme.covariance(data.X)
+        return Fit(
+            method, alpha, E, data, model, outcome, rep, omega,
+            sigma=_post_sigma(data, cal, model, E),
+        )
+    if method == "polyhedral":
+        outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=0.0, w=np.zeros(data.p))
+        E = outcome.selected
+        if E.size == 0:
+            return Fit(method, alpha, E)
+        return Fit(
+            method, alpha, E, data, model, outcome,
+            sigma=_post_sigma(data, cal, model, E), lam=cal.lam,
+        )
+    if method == "split":
+        # subsample penalty matched to the carving calibration
+        ests = split_inference(data, cal.rho, cal.rho * cal.lam, alpha, seed)
+    elif method == "uv":
+        # selection noise is inflated by (1+f): scale the penalty along
+        f = (1.0 - cal.rho) / cal.rho
+        ests = uv_inference(data, f, math.sqrt(1.0 + f) * cal.lam, alpha, cal.sigma2, seed)
+    else:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    E = np.array([e.target_label for e in ests], dtype=int)
+    return Fit(method, alpha, E, estimates=ests)
+
+
+# Seed stream of each method's randomness within a replicate; the polyhedral
+# baseline draws none.
+_STREAMS = {"exact": 2, "split": 3, "uv": 4}
 
 
 def _run_replicate(config: SimConfig, rep_idx: int) -> tuple[list[dict], dict[str, str]]:
@@ -285,44 +428,20 @@ def _run_replicate(config: SimConfig, rep_idx: int) -> tuple[list[dict], dict[st
         X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 1)
     )
     data = Dataset(y=y, X=X, sigma=None)
-    sigma2_pre = plug_in_sigma2(data, np.arange(config.p), "full")
-    lam = _base_lambda(config, X, math.sqrt(sigma2_pre))
+    lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
+    # the study's randomized lasso has no ridge term, whatever the shape
+    cal = calibrate(data, config.methods, lam=lam, rho=config.rho, epsilon=0.0)
     rows: list[dict] = []
     status: dict[str, str] = {}
-    f_uv = (1.0 - config.rho) / config.rho
     for method in config.methods:
+        seed = _seed_for(config.seed, rep_idx, _STREAMS[method]) if method in _STREAMS else 0
         try:
-            if method == "exact":
-                ints, E = _exact_intervals(
-                    config, data, lam, sigma2_pre, _seed_for(config.seed, rep_idx, 2)
-                )
-            elif method == "polyhedral":
-                ints, E = _polyhedral_intervals(config, data, lam)
-            elif method == "split":
-                # subsample penalty matched to the carving calibration
-                ints = split_inference(
-                    data,
-                    config.rho,
-                    config.rho * lam,
-                    config.alpha,
-                    config.model,
-                    _seed_for(config.seed, rep_idx, 3),
-                )
-                E = np.array([e.target_label for e in ints], dtype=int)
-            else:
-                # selection noise is inflated by (1+f): scale the penalty along
-                ints = uv_inference(
-                    data,
-                    f_uv,
-                    math.sqrt(1.0 + f_uv) * lam,
-                    config.alpha,
-                    config.model,
-                    _seed_for(config.seed, rep_idx, 4),
-                )
-                E = np.array([e.target_label for e in ints], dtype=int)
+            fit = fit_method(data, cal, method, config.model, config.alpha, seed)
+            ints = [fit.interval(j) for j in range(fit.selected.size)]
         except ExactSIError as exc:
             status[method] = f"failed: {exc}"
             continue
+        E = fit.selected
         f1 = f1_score(E, support)
         if not ints:
             status[method] = "empty"
@@ -432,72 +551,47 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     return StudySummary(config=config, methods=summaries, rows=all_rows)
 
 
-def validate_pivot_uniformity(
-    config: SimConfig, target_shift_sds: float = 0.0
-) -> dict[str, UniformityReport]:
+def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
     """Pool pivots at the true projected targets and test them against Unif(0,1).
 
     The design stays fixed across replicates; response and randomization are
     redrawn, and the noise level is taken as known so the check isolates the
     pivot itself.  Requires the exact method; also reports the polyhedral
-    pivot when listed.  ``target_shift_sds`` displaces the evaluation point by
-    that many pivot standard deviations (a power sanity knob: shifted targets
-    must break uniformity).
+    pivot when listed.  A target whose pivot raises is counted in
+    ``n_failed`` and the rest of its replicate is still pooled; a fit that
+    raises before any target counts once.
     """
     if "exact" not in config.methods:
         raise InvalidArgumentError("uniformity validation requires the exact method")
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 10))
     support = support_indices(config.p, config.sparsity)
     sigma = math.sqrt(config.sigma2)
-    n1 = int(round(config.rho * config.n))
-    tau2 = tau2_from_split(config.sigma2, config.n, n1)
-    scheme = RandomizationScheme(kind="carving", tau2=tau2)
-    omega = scheme.covariance(X)
-    lam_fixed = (
-        theory_lambda(X, sigma) if config.lambda_rule == "theory" else float(config.lambda_rule)
-    )
-    pooled: dict[str, list[float]] = {m: [] for m in config.methods if m in ("exact", "polyhedral")}
+    tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
+    lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
+    methods = [m for m in config.methods if m in ("exact", "polyhedral")]
+    pooled: dict[str, list[float]] = {m: [] for m in methods}
+    failed = dict.fromkeys(methods, 0)
     for rep_idx in range(config.n_reps):
         y, beta = generate_response(
             X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 11)
         )
         data = Dataset(y=y, X=X, sigma=sigma)
-        if "exact" in pooled:
-            w = sample_randomization(scheme, X, seed=_seed_for(config.seed, rep_idx, 12))
+        cal = calibrate(data, methods, lam=lam, tau2=tau2, epsilon=0.0)
+        for method in methods:
             try:
-                outcome = solve_randomized_lasso(data, lam=lam_fixed, epsilon=0.0, w=w)
-                E = outcome.selected
-                if E.size:
-                    rep = lasso_event_rep(data, outcome, lam=lam_fixed, epsilon=0.0)
-                    truths = true_projected_target(X, E, support, beta, config.model)
-                    for j in range(E.size):
-                        target = build_target(data, outcome, config.model, j)
-                        geom = build_geometry(rep, omega, target, outcome)
-                        params = pivot_params(data, rep, omega, geom, target, sigma=sigma)
-                        at = float(truths[j]) + target_shift_sds * math.sqrt(params.sigma_j2)
-                        pooled["exact"].append(exact_pivot(params, at))
-            except ExactSIError:
-                pass
-        if "polyhedral" in pooled:
-            try:
-                outcome = solve_randomized_lasso(
-                    data, lam=lam_fixed, epsilon=0.0, w=np.zeros(config.p)
+                fit = fit_method(
+                    data, cal, method, config.model, config.alpha,
+                    _seed_for(config.seed, rep_idx, 12),
                 )
-                E = outcome.selected
-                if E.size:
-                    truths = true_projected_target(X, E, support, beta, config.model)
-                    for j in range(E.size):
-                        target = build_target(data, outcome, config.model, j)
-                        at = float(truths[j]) + target_shift_sds * sigma * math.sqrt(
-                            target.norm2
-                        )
-                        pooled["polyhedral"].append(
-                            polyhedral_pivot(
-                                data, E, outcome.signs, target, sigma, lam_fixed, at
-                            )
-                        )
+                truths = true_projected_target(X, fit.selected, support, beta, config.model)
             except ExactSIError:
-                pass
+                failed[method] += 1
+                continue
+            for j, truth in enumerate(truths):
+                try:
+                    pooled[method].append(fit.pivot(j, float(truth)))
+                except ExactSIError:
+                    failed[method] += 1
     reports = {}
     for method, vals in pooled.items():
         if len(vals) < 200:
@@ -506,6 +600,10 @@ def validate_pivot_uniformity(
             )
         stat, pval = kstest(np.asarray(vals), "uniform")
         reports[method] = UniformityReport(
-            method=method, statistic=float(stat), p_value=float(pval), n_pooled=len(vals)
+            method=method,
+            statistic=float(stat),
+            p_value=float(pval),
+            n_pooled=len(vals),
+            n_failed=failed[method],
         )
     return reports

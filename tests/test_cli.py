@@ -7,6 +7,14 @@ import pytest
 
 from exactsi.cli import main, parse_config_file, read_csv_dataset
 from exactsi.errors import InvalidArgumentError
+from exactsi.study import (
+    SimConfig,
+    _seed_for,
+    generate_design,
+    generate_response,
+    run_study,
+    support_indices,
+)
 
 
 def write_csv(path, header, rows):
@@ -182,6 +190,36 @@ class TestInfer:
         )
         methods = {r["method"] for r in rows}
         assert "exact" in methods and "split" in methods
+
+
+def test_infer_matches_study_replicate(tmp_path):
+    """``infer`` on a replicate's data gives the study's intervals bit for bit."""
+    cfg = SimConfig(
+        n=120, p=20, sparsity=4, corr=0.5, n_reps=1, methods=("exact", "polyhedral"), seed=1
+    )
+    summary = run_study(cfg)
+    X = generate_design(cfg.n, cfg.p, cfg.corr, _seed_for(cfg.seed, 0, 0))
+    y, _ = generate_response(
+        X, support_indices(cfg.p, cfg.sparsity), cfg.signal_fraction, cfg.sigma2,
+        _seed_for(cfg.seed, 0, 1),
+    )
+    path = tmp_path / "rep.csv"
+    np.savetxt(path, np.column_stack([y, X]), fmt="%.17g", delimiter=",",
+               header=",".join(["y"] + [f"x{j}" for j in range(cfg.p)]), comments="")
+    code = main(
+        [
+            "infer", "--input", str(path), "--rho", "0.8",
+            "--seed", str(_seed_for(cfg.seed, 0, 2)),
+            "--method", "exact", "--method", "polyhedral",
+            "--out", str(tmp_path / "inf"),
+        ]
+    )
+    assert code == 0
+    rows = json.loads((tmp_path / "inf.json").read_text())["rows"]
+    got = [(r["method"], r["index"], r["lower"], r["upper"], r["error"]) for r in rows]
+    want = [(r["method"], r["coordinate"], r["lower"], r["upper"], "") for r in summary.rows]
+    assert {r[0] for r in want} == {"exact", "polyhedral"}
+    assert got == want
 
 
 class TestSimulateValidate:

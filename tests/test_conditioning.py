@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exactsi.conditioning import (
-    a_eta,
-    build_geometry,
-    build_target,
-    conditional_variance_given_eta,
-    theta_and_direction,
-)
+from exactsi.conditioning import build_geometry, build_target, theta_and_direction
 from exactsi.errors import GeometryInconsistencyError, InvalidArgumentError
 from exactsi.selection import (
     Dataset,
@@ -157,59 +151,12 @@ class TestBuildGeometry:
 
 
 class TestAEta:
-    def test_coordinate_projection(self):
-        O = np.array([1.5, -2.0, 0.7])
-        out = a_eta(O, np.eye(3), np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(out, [0.0, -2.0, 0.7])
-
-    def test_reconstruction_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            q = rng.integers(1, 6)
-            A = rng.standard_normal((q, q))
-            theta = A @ A.T + 0.3 * np.eye(q)
-            O = rng.standard_normal(q)
-            eta = rng.standard_normal(q)
-            comp = a_eta(O, theta, eta)
-            assert abs(eta @ comp) < 1e-10 * max(np.linalg.norm(O), 1.0)
-            recon = (theta @ eta) / (eta @ theta @ eta) * (eta @ O) + comp
-            assert np.allclose(recon, O, atol=1e-12 * max(1, np.linalg.norm(O)))
-
     def test_matches_geometry_complement(self):
+        # A_eta = O - Theta eta (eta'O) / (eta'Theta eta) at eta = rj
         rng = np.random.default_rng(6)
         data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
         t = build_target(data, out, "selected", 1)
         g = build_geometry(rep, omega, t, out)
-        assert np.allclose(a_eta(rep.opt, g.Theta, g.rj), g.A_obs, atol=1e-10)
-
-    def test_zero_eta_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            a_eta(np.ones(2), np.eye(2), np.zeros(2))
-
-
-class TestConditionalVariance:
-    def test_target_direction_attains_unconditional(self):
-        rng = np.random.default_rng(7)
-        data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
-        t = build_target(data, out, "selected", 0)
-        _, _, rj = theta_and_direction(rep, omega, t)
-        v = conditional_variance_given_eta(rep, omega, t, sigma=1.0, eta=rj)
-        assert v == pytest.approx(t.norm2, rel=1e-9)
-
-    def test_single_active_coordinate(self):
-        data, out, rep, omega = toy_fit()
-        t = build_target(data, out, "selected", 0)
-        for eta in ([1.0], [-3.2], [0.4]):
-            v = conditional_variance_given_eta(rep, omega, t, 1.0, np.array(eta))
-            assert v == pytest.approx(t.norm2, rel=1e-12)
-
-    def test_maximality_sweep(self):
-        rng = np.random.default_rng(8)
-        data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
-        t = build_target(data, out, "selected", 0)
-        _, _, rj = theta_and_direction(rep, omega, t)
-        best = conditional_variance_given_eta(rep, omega, t, 1.0, rj)
-        for _ in range(50):
-            eta = rng.standard_normal(out.selected.size)
-            v = conditional_variance_given_eta(rep, omega, t, 1.0, eta)
-            assert v <= best + 1e-9
+        eta = g.rj
+        comp = rep.opt - (g.Theta @ eta) * (eta @ rep.opt) / float(eta @ g.Theta @ eta)
+        assert np.allclose(comp, g.A_obs, atol=1e-10)

@@ -10,12 +10,14 @@ from exactsi.errors import GeometryInconsistencyError, InvalidArgumentError
 from exactsi.inference import (
     IntervalEstimate,
     PivotParams,
+    PolyhedralBounds,
     carving_pivot_params,
     exact_pivot,
     invert_pivot,
     lambda_delta,
     pivot_params,
     plug_in_sigma2,
+    polyhedral_bounds,
     polyhedral_interval,
     polyhedral_pivot,
     split_inference,
@@ -246,19 +248,19 @@ class TestPolyhedral:
         for beta0 in (0.0, 1.0, 2.5):
             want_num = ndtr((beta_hat - beta0) / sd) - ndtr((h_minus - beta0) / sd)
             want_den = 1.0 - ndtr((h_minus - beta0) / sd)
-            got = polyhedral_pivot(data, out.selected, out.signs, target, 1.0, lam, beta0)
+            bounds = polyhedral_bounds(data, out.selected, out.signs, target, 1.0, lam)
+            got = polyhedral_pivot(bounds, beta0)
             assert got == pytest.approx(want_num / want_den, abs=1e-10)
 
     def test_interval_self_consistency(self):
         rng = np.random.default_rng(7)
         data, out, lam = standard_lasso_fit(rng)
         target = build_target(data, out, "selected", 0)
-        est = polyhedral_interval(
-            data, out.selected, out.signs, target, 1.0, lam, alpha=0.1, target_label=0
-        )
+        bounds = polyhedral_bounds(data, out.selected, out.signs, target, 1.0, lam)
+        est = polyhedral_interval(bounds, alpha=0.1, target_label=0)
         if not est.clipped:
-            lo_p = polyhedral_pivot(data, out.selected, out.signs, target, 1.0, lam, est.lower)
-            hi_p = polyhedral_pivot(data, out.selected, out.signs, target, 1.0, lam, est.upper)
+            lo_p = polyhedral_pivot(bounds, est.lower)
+            hi_p = polyhedral_pivot(bounds, est.upper)
             assert lo_p == pytest.approx(0.95, abs=1e-6)
             assert hi_p == pytest.approx(0.05, abs=1e-6)
 
@@ -268,7 +270,22 @@ class TestPolyhedral:
         target = build_target(data, out, "selected", 0)
         bad_signs = -out.signs
         with pytest.raises(GeometryInconsistencyError):
-            polyhedral_pivot(data, out.selected, bad_signs, target, 1.0, lam, 0.0)
+            polyhedral_bounds(data, out.selected, bad_signs, target, 1.0, lam)
+
+    def test_estimate_on_a_bound_gives_ordered_unclipped_interval(self):
+        # beta_hat 1e-3 sd above its lower bound: both endpoints lie more than
+        # 50 sd below beta_hat, so clipping the lower one would put it above
+        # the upper one
+        bounds = PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0)
+        est = polyhedral_interval(bounds, alpha=0.1)
+        assert est.lower < est.upper < bounds.beta_hat - 50.0
+        assert not est.clipped
+        assert polyhedral_pivot(bounds, est.lower) == pytest.approx(0.95, abs=1e-6)
+        assert polyhedral_pivot(bounds, est.upper) == pytest.approx(0.05, abs=1e-6)
+        mirror = PolyhedralBounds(lower=-math.inf, upper=0.0, beta_hat=-1e-3, sd=1.0)
+        est = polyhedral_interval(mirror, alpha=0.1)
+        assert mirror.beta_hat + 50.0 < est.lower < est.upper
+        assert not est.clipped
 
 
 class TestSplitInference:
@@ -280,8 +297,8 @@ class TestSplitInference:
         y = X @ beta + rng.standard_normal(80)
         data = Dataset(y=y, X=X, sigma=1.0)
         lam = 0.8 * math.sqrt(2 * math.log(10) * 64)
-        a = split_inference(data, rho=0.8, lam=lam, alpha=0.1, model="selected", seed=3)
-        b = split_inference(data, rho=0.8, lam=lam, alpha=0.1, model="selected", seed=3)
+        a = split_inference(data, rho=0.8, lam=lam, alpha=0.1, seed=3)
+        b = split_inference(data, rho=0.8, lam=lam, alpha=0.1, seed=3)
         assert [e.target_label for e in a] == [e.target_label for e in b]
         assert all(ea.lower == eb.lower and ea.upper == eb.upper for ea, eb in zip(a, b))
         assert all(0 <= e.target_label < 10 for e in a)
@@ -291,7 +308,7 @@ class TestSplitInference:
         rng = np.random.default_rng(10)
         data = Dataset(y=rng.standard_normal(10), X=rng.standard_normal((10, 2)))
         with pytest.raises(InvalidArgumentError):
-            split_inference(data, rho=1.5, lam=1.0, alpha=0.1, model="selected", seed=0)
+            split_inference(data, rho=1.5, lam=1.0, alpha=0.1, seed=0)
 
 
 class TestUVInference:
@@ -312,8 +329,8 @@ class TestUVInference:
         y = X @ beta + rng.standard_normal(90)
         data = Dataset(y=y, X=X, sigma=1.0)
         lam = math.sqrt(2 * math.log(8) * 90)
-        a = uv_inference(data, f=0.25, lam=lam, alpha=0.1, model="selected", seed=7)
-        b = uv_inference(data, f=0.25, lam=lam, alpha=0.1, model="selected", seed=7)
+        a = uv_inference(data, f=0.25, lam=lam, alpha=0.1, sigma2=1.0, seed=7)
+        b = uv_inference(data, f=0.25, lam=lam, alpha=0.1, sigma2=1.0, seed=7)
         assert [e.target_label for e in a] == [e.target_label for e in b]
         assert all(ea.lower == eb.lower and ea.upper == eb.upper for ea, eb in zip(a, b))
         assert all(e.method == "uv" for e in a)

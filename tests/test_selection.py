@@ -1,23 +1,15 @@
 import numpy as np
 import pytest
 
-from exactsi.errors import (
-    InconsistentOutcomeError,
-    InvalidArgumentError,
-    InvalidSchemeError,
-)
+from exactsi.errors import InconsistentOutcomeError, InvalidArgumentError
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
-    bootstrap_reporting_problem,
     default_epsilon,
     lasso_event_rep,
-    lee_event_rep,
-    prox_sorted_l1,
     sample_randomization,
     solve_randomized_lasso,
     solve_randomized_screening,
-    solve_randomized_slope,
     tau2_from_split,
 )
 
@@ -83,13 +75,6 @@ class TestRandomization:
         a = sample_randomization(scheme, X, seed=42)
         b = sample_randomization(scheme, X, seed=42)
         assert np.array_equal(a, b)
-
-    def test_explicit_requires_pd(self):
-        with pytest.raises(InvalidSchemeError):
-            RandomizationScheme(kind="explicit", matrix=None)
-        bad = RandomizationScheme(kind="explicit", matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(InvalidSchemeError):
-            bad.covariance(np.eye(2))
 
     def test_rank_deficient_gram_gets_jitter(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
@@ -213,29 +198,6 @@ class TestLassoEventRep:
             lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
 
 
-class TestLeeEventRep:
-    def test_toy_single_feature(self):
-        data = toy_dataset()
-        out = solve_randomized_lasso(data, lam=1.0, epsilon=0.0, w=np.array([0.5]))
-        rep = lee_event_rep(data, out, lam=1.0, epsilon=0.0)
-        assert rep.opt.tolist() == [1.5]
-        assert rep.L.shape == (1, 1) and rep.L[0, 0] == -1.0
-        assert rep.M[0] == 0.0
-        assert (rep.L @ rep.opt < rep.M).all()
-
-    def test_shapes_and_feasibility(self):
-        rng = np.random.default_rng(8)
-        data = random_dataset(rng)
-        lam = 2.0
-        w = rng.standard_normal(data.p)
-        out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=w)
-        rep = lee_event_rep(data, out, lam=lam, epsilon=0.0)
-        q = out.selected.size
-        assert rep.L.shape == (q + 2 * (data.p - q), data.p)
-        assert rep.reconstruction_residual() <= 1e-6
-        assert (rep.constraint_slack() > 0).all()
-
-
 class TestScreening:
     def test_direct_comparison(self):
         data = Dataset(y=np.array([2.0, 0.1]), X=np.eye(2))
@@ -260,152 +222,6 @@ class TestScreening:
             assert rep.reconstruction_residual() <= 1e-6
             if rep.L.size:
                 assert (rep.constraint_slack() > 0).all()
-
-
-def brute_prox_sorted_l1(v, lams):
-    """Exhaustive contiguous-partition search for the sorted-l1 prox (p <= 4)."""
-    v = np.asarray(v, float)
-    p = v.size
-    signs = np.sign(v)
-    mags = np.abs(v)
-    order = np.argsort(-mags, kind="stable")
-    z = mags[order] - lams
-    best, best_obj = None, np.inf
-    for mask in range(2 ** (p - 1)):
-        cuts = [0] + [i + 1 for i in range(p - 1) if (mask >> i) & 1] + [p]
-        x = np.empty(p)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            x[a:b] = np.maximum(np.mean(z[a:b]), 0.0)
-        if np.all(np.diff(x) <= 1e-12):
-            obj = 0.5 * np.sum((x - z) ** 2)
-            if obj < best_obj:
-                best, best_obj = x, obj
-    out = np.empty(p)
-    out[order] = best
-    return signs * out
-
-
-class TestSlope:
-    def test_prox_against_partition_search(self):
-        rng = np.random.default_rng(10)
-        for _ in range(200):
-            p = rng.integers(1, 5)
-            v = rng.standard_normal(p) * 3
-            lams = np.sort(rng.uniform(0.1, 2.0, size=p))[::-1]
-            lams += np.arange(p, 0, -1) * 1e-3  # enforce strict decrease
-            assert np.allclose(
-                prox_sorted_l1(v, lams), brute_prox_sorted_l1(v, lams), atol=1e-10
-            )
-
-    def test_single_feature_matches_lasso(self):
-        rng = np.random.default_rng(11)
-        data = random_dataset(rng, n=20, p=1)
-        w = rng.standard_normal(1)
-        lam = 1.3
-        out_l = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=w)
-        out_s, _ = solve_randomized_slope(data, lambdas=np.array([lam]), w=w)
-        b_l = np.zeros(1)
-        b_l[out_l.selected] = out_l.active_solution
-        b_s = np.zeros(1)
-        if out_s.selected.size:
-            b_s[out_s.selected] = out_s.active_solution * out_s.signs
-        assert np.allclose(b_l, b_s, atol=1e-8)
-
-    def test_orthonormal_matches_prox(self):
-        rng = np.random.default_rng(12)
-        X, _ = np.linalg.qr(rng.standard_normal((10, 4)))
-        y = rng.standard_normal(10) * 2
-        lams = np.array([1.2, 0.9, 0.5, 0.2])
-        out, rep = solve_randomized_slope(Dataset(y=y, X=X), lambdas=lams, w=np.zeros(4))
-        want = prox_sorted_l1(X.T @ y, lams)
-        got = np.zeros(4)
-        for idx, mag in zip(out.slope_clusters.indices, out.slope_clusters.magnitudes):
-            got[idx] = mag * np.sign(want[idx])
-        assert np.allclose(got, want, atol=1e-8)
-
-    def test_cluster_extraction(self):
-        # engineered tie: solution is (3, -3, 1) exactly
-        data = Dataset(y=np.array([4.4, -4.1, 1.5]), X=np.eye(3))
-        lams = np.array([1.5, 1.0, 0.5])
-        out, rep = solve_randomized_slope(data, lambdas=lams, w=np.zeros(3))
-        cl = out.slope_clusters
-        assert len(cl.indices) == 2
-        assert np.allclose(cl.magnitudes, [3.0, 1.0], atol=1e-7)
-        assert cl.indices[0].tolist() == [0, 1]
-        assert rep.reconstruction_residual() < 1e-8
-        assert (rep.constraint_slack() > 0).all()
-
-    def test_nonunique_lambdas_rejected(self):
-        data = toy_dataset()
-        with pytest.raises(InvalidArgumentError):
-            solve_randomized_slope(
-                Dataset(y=np.zeros(3), X=np.eye(3)), np.array([1.0, 1.0, 0.5]), np.zeros(3)
-            )
-        del data
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            data = random_dataset(rng, n=30, p=5)
-            lams = np.sort(rng.uniform(0.5, 4.0, size=5))[::-1]
-            lams += np.arange(5, 0, -1) * 1e-2
-            w = rng.standard_normal(5)
-            out, rep = solve_randomized_slope(data, lambdas=lams, w=w)
-            assert rep.reconstruction_residual() <= 1e-6
-            if rep.L.size:
-                assert (rep.constraint_slack() > 0).all()
-
-
-class TestBootstrapReporting:
-    def test_identity_covariance(self):
-        beta_hat = np.array([1.0, -2.0, 0.5])
-        beta_boot = np.array([1.2, -1.7, 0.4])
-        data, scheme, w = bootstrap_reporting_problem(beta_hat, np.eye(3), beta_boot, 1.0)
-        assert np.allclose(data.y, beta_hat)
-        assert np.allclose(data.X, np.eye(3))
-        assert np.allclose(w, beta_boot - beta_hat)
-        assert np.allclose(scheme.covariance(data.X), np.eye(3))
-
-    def test_objective_equivalence_on_grid(self):
-        rng = np.random.default_rng(14)
-        A = rng.standard_normal((3, 3))
-        Sigma = A @ A.T + 0.5 * np.eye(3)
-        beta_hat = rng.standard_normal(3)
-        beta_boot = beta_hat + rng.standard_normal(3) * 0.3
-        alpha = 0.7
-        lam = 0.9
-        data, scheme, w = bootstrap_reporting_problem(beta_hat, Sigma, beta_boot, alpha)
-        Sigma_inv = np.linalg.inv(Sigma)
-        beta_tilde = beta_hat + alpha * (beta_boot - beta_hat)
-
-        def reporting_objective(b):
-            d = beta_tilde - b
-            return 0.5 * d @ Sigma_inv @ d + lam * np.sum(np.abs(b))
-
-        def lasso_objective(b):
-            return (
-                0.5 * np.sum((data.y - data.X @ b) ** 2)
-                + lam * np.sum(np.abs(b))
-                - w @ b
-            )
-
-        grid = rng.standard_normal((40, 3))
-        diffs = [reporting_objective(b) - lasso_objective(b) for b in grid]
-        assert np.ptp(diffs) < 1e-9
-
-    def test_v_estimator_split_identity(self):
-        beta_hat = np.array([0.3, -1.1])
-        beta_boot = np.array([0.8, -0.6])
-        _, _, w = bootstrap_reporting_problem(beta_hat, np.eye(2), beta_boot, 1.0)
-        assert np.allclose(w, beta_boot - beta_hat)
-        v_est = 2 * beta_hat - beta_boot
-        assert np.allclose(beta_hat - w, v_est)
-
-    def test_singular_sigma_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            bootstrap_reporting_problem(
-                np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2), 1.0
-            )
 
 
 def test_default_epsilon():

@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from exactsi.errors import InsufficientSampleError, InvalidArgumentError
+from exactsi import study
+from exactsi.errors import (
+    InsufficientSampleError,
+    InvalidArgumentError,
+    NumericalDegeneracyError,
+)
 from exactsi.inference import IntervalEstimate
+from exactsi.selection import Dataset
 from exactsi.study import (
     SimConfig,
+    _run_replicate,
+    calibrate,
     f1_score,
     fcr,
     generate_design,
@@ -189,6 +197,22 @@ class TestRunStudy:
                 assert 0.0 <= ms.coverage <= 1.0
                 assert ms.length > 0
 
+    def test_polyhedral_estimate_on_a_bound_keeps_its_replicate(self):
+        # replicate 42 of this cell has polyhedral targets whose estimate sits
+        # within ~1e-3 sd of a truncation bound, so that both interval
+        # endpoints lie more than 50 sd beyond the estimate on one side
+        rows, status = _run_replicate(SimConfig(seed=12345, methods=("polyhedral",)), 42)
+        assert status == {"polyhedral": "ok"}
+        assert all(r["lower"] < r["upper"] for r in rows)
+        assert any(r["length"] > 100.0 and not r["clipped"] for r in rows)
+
+    def test_unmatchable_split_fails_only_the_exact_method(self):
+        # round(0.99 * 20) = n leaves no held-out rows to match tau2 to
+        cfg = quick_config(n=20, p=5, rho=0.99, n_reps=2, methods=("exact", "polyhedral"))
+        summary = run_study(cfg)
+        assert summary.methods["exact"].n_failed == 2
+        assert summary.methods["polyhedral"].n_failed == 0
+
     def test_config_validation(self):
         with pytest.raises(InvalidArgumentError):
             quick_config(rho=1.2)
@@ -209,6 +233,26 @@ class TestValidateUniformity:
         assert a["exact"].statistic == b["exact"].statistic
         assert 0.0 <= a["exact"].p_value <= 1.0
 
+    def test_failed_target_is_counted_and_the_rest_pooled(self, monkeypatch):
+        cfg = quick_config(
+            n=80, p=10, sparsity=2, n_reps=90, methods=("exact",), signal_fraction=1.5
+        )
+        clean = validate_pivot_uniformity(cfg)["exact"]
+        real = study.exact_pivot
+        calls = []
+
+        def flaky(params, beta0):
+            calls.append(beta0)
+            if len(calls) == 3:
+                raise NumericalDegeneracyError("injected")
+            return real(params, beta0)
+
+        monkeypatch.setattr(study, "exact_pivot", flaky)
+        got = validate_pivot_uniformity(cfg)["exact"]
+        assert clean.n_failed == 0
+        assert got.n_failed == 1
+        assert got.n_pooled == clean.n_pooled - 1
+
     def test_requires_exact(self):
         cfg = quick_config(methods=("polyhedral",))
         with pytest.raises(InvalidArgumentError):
@@ -218,6 +262,37 @@ class TestValidateUniformity:
         cfg = quick_config(n_reps=2, methods=("exact",))
         with pytest.raises(InsufficientSampleError):
             validate_pivot_uniformity(cfg)
+
+
+def test_study_and_validate_solve_without_ridge_on_wide_designs(monkeypatch):
+    seen = []
+    for name in ("solve_randomized_lasso", "lasso_event_rep"):
+        real = getattr(study, name)
+
+        def record(*args, _real=real, **kwargs):
+            seen.append(kwargs["epsilon"])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(study, name, record)
+    cfg = quick_config(n=30, p=40, n_reps=2, methods=("exact", "polyhedral"))
+    _run_replicate(cfg, 0)
+    with pytest.raises(InsufficientSampleError):
+        validate_pivot_uniformity(cfg)
+    assert seen and set(seen) == {0.0}
+
+
+def test_calibrate_checks_method_options():
+    rng = np.random.default_rng(1)
+    data = Dataset(y=rng.standard_normal(30), X=rng.standard_normal((30, 4)))
+    with pytest.raises(InvalidArgumentError, match="exactly one of --rho or --tau2"):
+        calibrate(data, ("exact",))
+    with pytest.raises(InvalidArgumentError, match="exactly one of --rho or --tau2"):
+        calibrate(data, ("exact",), rho=0.8, tau2=1.0)
+    with pytest.raises(InvalidArgumentError, match="--tau2 must be positive"):
+        calibrate(data, ("exact",), tau2=0.0)
+    with pytest.raises(InvalidArgumentError, match="uv inference needs --rho"):
+        calibrate(data, ("polyhedral", "uv"))
+    assert calibrate(data, ("polyhedral",)).tau2 is None
 
 
 def test_theory_lambda_scale():
