@@ -1,12 +1,13 @@
 """Stable scalar Gaussian primitives.
 
-Everything downstream reduces to four operations: the standard normal CDF,
-truncation probabilities of a univariate Gaussian over an interval (with
-infinite endpoints allowed), log-space quadrature of density-times-weight
-products, and monotone root finding.  Tail quantities are computed through
-``log_ndtr`` (scaled complementary error function under the hood) so that
-differences of far-tail CDFs never cancel to zero while the true value is
-representable.
+The standard normal CDF, truncation probabilities of a univariate Gaussian
+over an interval (with infinite endpoints allowed), and monotone root
+finding.  Tail quantities are computed through ``log_ndtr`` (scaled
+complementary error function under the hood) so that differences of far-tail
+CDFs never cancel to zero while the true value is representable.  The
+log-space Simpson quadrature of density-times-weight products here is not on
+the pivot path (the exact pivot is closed form); it remains for numerical
+checks.
 """
 
 from __future__ import annotations

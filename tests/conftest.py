@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from scipy.special import log_ndtr, logsumexp
 
 from exactsi.selection import (
     Dataset,
@@ -45,3 +46,49 @@ def carving_fit(rng, n=40, p=8, tau2=0.7, lam=None, min_selected=1):
             rep = lasso_event_rep(data, out, lam=lam_use, epsilon=0.0)
             return data, out, rep, scheme.covariance(X), lam_use, tau2
     raise AssertionError("could not generate a nonempty selection")
+
+
+def oracle_pivot(params, beta0, nodes=4001, drop=60.0):
+    """The exact pivot by a log-space Simpson rule over the weight variable.
+
+    An independent check of ``exact_pivot``: the estimate X ~ N(m, s^2) with
+    m = lambda_j beta0 + zeta_j, and the combination Y = theta(X) + vartheta e
+    conditioned to the truncation interval, are standardized to U and V.  The
+    pivot is int phi(v) P(U <= u | V = v) dv over the truncation interval,
+    normalized by its complement's integral plus its own.  Simpson panels
+    cover the part of the interval within ``drop`` log-units of V's largest
+    density there, split around the steep part of P(U <= u | V = v).
+    """
+    s = math.sqrt(params.sigma_j2)
+    vt2 = params.vartheta2
+    m = params.lambda_j * beta0 + params.zeta_j
+    sd_y = math.sqrt(vt2 * vt2 * params.sigma_j2 + vt2)
+    rho = -vt2 * params.sigma_j2 / (s * sd_y)  # cov(X, Y) / (sd_x sd_y)
+    cond_sd = math.sqrt(1.0 - rho * rho)
+    u = (params.beta_hat_j - m) / s
+    mu_y = params.theta_intercept + params.theta_slope * m
+    a = (params.interval.lower - mu_y) / sd_y
+    b = (params.interval.upper - mu_y) / sd_y
+    nearest = min(max(0.0, a), b)
+    reach = math.sqrt(nearest * nearest + 2.0 * drop)
+    lo, hi = max(a, -reach), min(b, reach)
+    # P(U <= u | V = v) = Phi((u - rho v) / cond_sd) turns over near v = u / rho
+    turn, width = u / rho, 12.0 * cond_sd / abs(rho)
+    cuts = sorted({lo, hi, *(min(max(c, lo), hi) for c in (turn - width, turn + width))})
+    log_below, log_above = [], []
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        if right <= left:
+            continue
+        v = np.linspace(left, right, nodes)
+        w = np.full(nodes, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        logw = np.log(w * (right - left) / (3.0 * (nodes - 1))) - 0.5 * v * v
+        z = (u - rho * v) / cond_sd
+        log_below.append(logw + log_ndtr(z))
+        log_above.append(logw + log_ndtr(-z))
+    lb = logsumexp(np.concatenate(log_below))
+    la = logsumexp(np.concatenate(log_above))
+    if lb <= la:
+        return float(1.0 / (1.0 + np.exp(min(la - lb, 700.0))))
+    return float(1.0 - 1.0 / (1.0 + np.exp(min(lb - la, 700.0))))

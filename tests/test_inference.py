@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import carving_fit, toy_fit
+from conftest import carving_fit, oracle_pivot, toy_fit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from exactsi.conditioning import build_geometry, build_target
@@ -23,12 +25,21 @@ from exactsi.inference import (
     split_inference,
     uv_inference,
 )
-from exactsi.numerics import FULL_LINE, Interval, QuadratureSpec
+from exactsi.numerics import FULL_LINE, Interval
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
     lasso_event_rep,
     solve_randomized_lasso,
+)
+from exactsi.study import (
+    SimConfig,
+    _seed_for,
+    calibrate,
+    fit_method,
+    generate_design,
+    generate_response,
+    support_indices,
 )
 
 
@@ -172,20 +183,122 @@ class TestExactPivot:
             interior = (vals[:-1] > 1e-9) & (vals[1:] < 1 - 1e-9)
             assert (diffs[interior] < -1e-12).all()
 
-    def test_quadrature_doubling_stability(self):
+    def test_agrees_with_log_space_oracle(self):
         rng = np.random.default_rng(5)
-        fine = QuadratureSpec(n_points=8193)
         for _ in range(10):
             data, out, rep, omega, _, _ = carving_fit(rng)
             target = build_target(data, out, "selected", 0)
             geom = build_geometry(rep, omega, target, out)
             params = pivot_params(data, rep, omega, geom, target, sigma=1.0)
             sd = math.sqrt(params.sigma_j2)
-            for shift in (-2.0, -0.5, 0.0, 0.5, 2.0):
+            for shift in (-8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0):
                 b0 = params.beta_hat_j + shift * sd
-                assert abs(
-                    exact_pivot(params, b0) - exact_pivot(params, b0, fine)
-                ) < 1e-8
+                assert abs(exact_pivot(params, b0) - oracle_pivot(params, b0)) < 1e-9
+
+    def test_lower_endpoint_in_tilted_tail(self):
+        # replicate 3 of SimConfig(seed=12345), coordinate 56: the lower
+        # endpoint lies 8.6 sd below the estimate, where the truncation weight
+        # has pushed the conditional law outside +-8.5 sd of the untilted one
+        config = SimConfig(seed=12345)
+        X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 3, 0))
+        y, _ = generate_response(
+            X,
+            support_indices(config.p, config.sparsity),
+            config.signal_fraction,
+            config.sigma2,
+            _seed_for(config.seed, 3, 1),
+        )
+        data = Dataset(y=y, X=X)
+        cal = calibrate(data, ("exact",), rho=config.rho, epsilon=0.0)
+        fit = fit_method(
+            data, cal, "exact", config.model, config.alpha, _seed_for(config.seed, 3, 2)
+        )
+        j = int(np.flatnonzero(fit.selected == 56)[0])
+        params = fit.constants(j)
+        est = fit.interval(j)
+        assert oracle_pivot(params, est.lower) == pytest.approx(0.95, abs=1e-9)
+        assert oracle_pivot(params, est.upper) == pytest.approx(0.05, abs=1e-9)
+        assert est.lower == pytest.approx(-0.99109, abs=1e-5)
+
+
+@st.composite
+def model_pivot_params(draw):
+    """PivotParams of the model's form (theta_slope = -vartheta2, so the
+    estimate and the conditioned combination are negatively correlated) with
+    a two-sided, one-sided or full-line truncation interval."""
+    sigma_j2 = 10.0 ** draw(st.floats(-4.0, 2.0))
+    ts = 10.0 ** draw(st.floats(-1.3, 1.3))  # vartheta * sigma_j
+    vartheta2 = ts * ts / sigma_j2
+    lambda_j = draw(st.floats(0.3, 3.0))
+    zeta_j = draw(st.floats(-3.0, 3.0))
+    theta_intercept = draw(st.floats(-50.0, 50.0))
+    beta_hat = draw(st.floats(-5.0, 5.0))
+    sd_y = math.sqrt(vartheta2 * (1.0 + ts * ts))
+    # place the interval relative to the combination's mean at beta0 = beta_hat
+    center = theta_intercept - vartheta2 * (lambda_j * beta_hat + zeta_j)
+    edge = center + sd_y * draw(st.floats(-10.0, 10.0))
+    width = sd_y * 10.0 ** draw(st.floats(-6.0, 1.5))
+    interval = draw(
+        st.sampled_from(
+            [
+                Interval(edge, edge + width),
+                Interval(edge, math.inf),
+                Interval(-math.inf, edge),
+                FULL_LINE,
+            ]
+        )
+    )
+    return PivotParams(
+        vartheta2=vartheta2,
+        sigma_j2=sigma_j2,
+        lambda_j=lambda_j,
+        zeta_j=zeta_j,
+        theta_intercept=theta_intercept,
+        theta_slope=-vartheta2,
+        interval=interval,
+        beta_hat_j=beta_hat,
+    )
+
+
+def beta0_at(params, shift_sds):
+    return params.beta_hat_j + shift_sds * math.sqrt(params.sigma_j2) / params.lambda_j
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+class TestExactPivotProperties:
+    @PROPERTY_SETTINGS
+    @given(model_pivot_params(), st.floats(-1e6, 1e6))
+    def test_in_unit_interval(self, params, shift):
+        value = exact_pivot(params, beta0_at(params, shift))
+        assert 0.0 <= value <= 1.0
+
+    @PROPERTY_SETTINGS
+    @given(model_pivot_params())
+    def test_decreasing_in_beta0(self, params):
+        grid = [beta0_at(params, k) for k in np.linspace(-25, 25, 201)]
+        vals = np.array([exact_pivot(params, b0) for b0 in grid])
+        diffs = np.diff(vals)
+        assert (diffs <= 0).all()
+        interior = (vals[:-1] > 1e-9) & (vals[1:] < 1 - 1e-9)
+        assert (diffs[interior] < 0).all()
+
+    @PROPERTY_SETTINGS
+    @given(model_pivot_params(), st.lists(st.floats(-25.0, 25.0), min_size=3, max_size=3))
+    def test_agrees_with_oracle(self, params, shifts):
+        for k in shifts:
+            b0 = beta0_at(params, k)
+            assert abs(exact_pivot(params, b0) - oracle_pivot(params, b0)) < 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(model_pivot_params())
+    def test_far_tail_limits(self, params):
+        # the truncation slows the conditional law's drift in beta0 by up to
+        # 1 + vartheta^2 sigma_j^2, so the shift is 1e3 sd of that drift
+        shift = 1e3 * (1.0 + params.vartheta2 * params.sigma_j2)
+        assert exact_pivot(params, beta0_at(params, shift)) == pytest.approx(0.0, abs=1e-12)
+        assert exact_pivot(params, beta0_at(params, -shift)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInvertPivot:
