@@ -120,7 +120,7 @@ def cmd_select(args) -> int:
     cal = calibrate(
         data, ("exact",), lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon
     )
-    scheme, outcome, rep = randomized_selection(data, cal, args.seed)
+    scheme, _, outcome, rep = randomized_selection(data, cal, args.seed)
     report = {
         "command": "select",
         "input": args.input,

@@ -1,11 +1,19 @@
-"""Conditioning geometry for one target coordinate.
+"""Conditioning geometry of a randomized fit, built once per fit.
 
 Given the affine stationarity representation of a randomized fit and the
 randomization covariance, the selection constraints on the free optimization
 block reduce, once a complementary statistic is held fixed, to a single
-interval constraint on one linear combination of that block.  This module
-builds that reduction: the conditional covariance of the free block, the
-combination direction, the complementary statistic, and the interval.
+interval constraint on one linear combination of that block.
+
+What does not depend on the target is built once per fit.
+``target_basis`` checks and factors the design Gram that the target contrasts
+solve against.  ``factor_randomization`` checks and factors the randomization
+covariance Omega, forms Omega^{-1} Q, and from the checked free-block
+precision Q' Omega^{-1} Q forms the conditional covariance Theta of the free
+block.  Per target, ``build_target`` solves for one contrast with the cached
+Gram factor, and ``build_geometry`` takes the target's direction
+``Pj = P c / ||c||^2``, ``rj = (Omega^{-1} Q)' Pj``, the complementary
+statistic, and the interval.
 """
 
 from __future__ import annotations
@@ -53,91 +61,109 @@ class ConditioningGeometry:
     s_plus: np.ndarray
 
 
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve an SPD system through a symmetric factorization, never inversion."""
+@dataclass(frozen=True)
+class TargetBasis:
+    """The design Gram factor that one fit's target contrasts solve against.
+
+    The j-th selected coordinate's contrast is ``design @ G^{-1} e`` with G
+    the design's Gram and e the unit vector of design column ``columns[j]``:
+    the selected columns under ``selected``, all columns under ``full``.
+    """
+
+    model: str
+    design: np.ndarray
+    columns: np.ndarray
+    factor: tuple
+
+
+@dataclass(frozen=True)
+class RandomizationFactor:
+    """Target-independent conditioning state of one randomized fit.
+
+    ``omega_factor`` is the Cholesky factor of the randomization covariance
+    Omega, permuted to the representation's active-first order;
+    ``omega_inv_Q`` is Omega^{-1} Q and ``Theta = (Q' Omega^{-1} Q)^{-1}`` the
+    conditional covariance of the free block.
+    """
+
+    rep: LinearEventRep
+    omega_factor: tuple
+    omega_inv_Q: np.ndarray
+    Theta: np.ndarray
+
+
+def _factor_spd(mat: np.ndarray, what: str) -> tuple:
+    """Check an SPD matrix's conditioning and factor it; it is never inverted."""
     mat = 0.5 * (mat + mat.T)
     if mat.size and np.linalg.cond(mat) > _COND_LIMIT:
         raise NumericalDegeneracyError(
             f"{what} is ill-conditioned (cond > {_COND_LIMIT:.0e})"
         )
     try:
-        return cho_solve(cho_factor(mat), rhs)
+        return cho_factor(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(f"{what} is not positive definite") from exc
 
 
-def build_target(
-    data: Dataset, outcome: SelectionOutcome, model: str, j: int
-) -> TargetSpec:
-    """Contrast vector for the j-th selected coordinate under the chosen model.
+def target_basis(data: Dataset, outcome: SelectionOutcome, model: str) -> TargetBasis:
+    """Factor the Gram that the targets of the chosen model solve against.
 
-    ``selected`` targets the partial regression coefficient among the selected
-    columns; ``full`` targets the corresponding coordinate of the all-columns
-    coefficient vector.
+    ``selected`` targets the partial regression coefficients among the
+    selected columns; ``full`` targets the corresponding coordinates of the
+    all-columns coefficient vector.
     """
     if model not in ("selected", "full"):
         raise InvalidArgumentError(f"unknown model {model!r}")
     E = outcome.selected
-    if not 0 <= j < E.size:
-        raise InvalidArgumentError(f"target index {j} outside the selected set")
-    X = data.X
     if model == "selected":
-        XE = X[:, E]
-        gram = XE.T @ XE
-        basis = np.zeros(E.size)
-        basis[j] = 1.0
-        try:
-            coefs = _solve_spd(gram, basis, "selected-design Gram")
-        except NumericalDegeneracyError as exc:
-            raise SingularDesignError(str(exc)) from exc
-        contrast = XE @ coefs
+        design, columns, what = data.X[:, E], np.arange(E.size), "selected-design Gram"
     else:
-        gram = X.T @ X
-        basis = np.zeros(data.p)
-        basis[E[j]] = 1.0
-        try:
-            coefs = _solve_spd(gram, basis, "full-design Gram")
-        except NumericalDegeneracyError as exc:
-            raise SingularDesignError(str(exc)) from exc
-        contrast = X @ coefs
+        design, columns, what = data.X, E, "full-design Gram"
+    try:
+        factor = _factor_spd(design.T @ design, what)
+    except NumericalDegeneracyError as exc:
+        raise SingularDesignError(str(exc)) from exc
+    return TargetBasis(model=model, design=design, columns=columns, factor=factor)
+
+
+def build_target(basis: TargetBasis, j: int) -> TargetSpec:
+    """Contrast vector for the j-th selected coordinate."""
+    if not 0 <= j < basis.columns.size:
+        raise InvalidArgumentError(f"target index {j} outside the selected set")
+    unit = np.zeros(basis.design.shape[1])
+    unit[basis.columns[j]] = 1.0
+    contrast = basis.design @ cho_solve(basis.factor, unit)
     return TargetSpec(
-        model=model, j=j, contrast=contrast, norm2=float(contrast @ contrast)
+        model=basis.model, j=j, contrast=contrast, norm2=float(contrast @ contrast)
     )
 
 
-def theta_and_direction(
-    rep: LinearEventRep, Omega: np.ndarray, target: TargetSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional covariance of the free block and the target's direction in it.
+def factor_randomization(rep: LinearEventRep, Omega: np.ndarray) -> RandomizationFactor:
+    """Factor Omega and form the free block's conditional covariance.
 
-    Returns ``(Theta, Pj, rj)`` where ``Theta = (Q' Omega^{-1} Q)^{-1}``,
-    ``Pj = P c / ||c||^2`` and ``rj = Q' Omega^{-1} Pj``.  ``Omega`` arrives in
-    the original feature order and is aligned to the representation's
-    active-first row permutation here.
+    ``Omega`` arrives in the original feature order and is aligned to the
+    representation's active-first row permutation here.
     """
-    Omega = Omega[np.ix_(rep.order, rep.order)]
-    Pj = rep.P @ target.contrast / target.norm2
-    omega_inv_Q = _solve_spd(Omega, rep.Q, "randomization covariance")
+    factor = _factor_spd(Omega[np.ix_(rep.order, rep.order)], "randomization covariance")
+    omega_inv_Q = cho_solve(factor, rep.Q)
     gram = rep.Q.T @ omega_inv_Q
-    q = gram.shape[0]
-    theta = _solve_spd(gram, np.eye(q), "conditional precision of the free block")
-    rj = omega_inv_Q.T @ Pj
-    return theta, Pj, rj
+    precision = _factor_spd(gram, "conditional precision of the free block")
+    theta = cho_solve(precision, np.eye(gram.shape[0]))
+    return RandomizationFactor(
+        rep=rep, omega_factor=factor, omega_inv_Q=omega_inv_Q, Theta=theta
+    )
 
 
-def build_geometry(
-    rep: LinearEventRep,
-    Omega: np.ndarray,
-    target: TargetSpec,
-    outcome: SelectionOutcome | None = None,
-) -> ConditioningGeometry:
+def build_geometry(cond: RandomizationFactor, target: TargetSpec) -> ConditioningGeometry:
     """Reduce ``L @ opt < M`` to an interval on ``rj' opt`` at fixed complement.
 
     Constraint rows whose coefficient on the free combination vanishes must
     hold on their own; a violation there, or an observed statistic outside
     the interval, signals an upstream inconsistency rather than data.
     """
-    theta, Pj, rj = theta_and_direction(rep, Omega, target)
+    rep, theta = cond.rep, cond.Theta
+    Pj = rep.P @ target.contrast / target.norm2
+    rj = cond.omega_inv_Q.T @ Pj
     theta_r = theta @ rj
     vartheta2 = float(rj @ theta_r)
     if not vartheta2 > 0:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import log_ndtr, ndtr, ndtri, owens_t
 
-from .conditioning import ConditioningGeometry, TargetSpec
+from .conditioning import ConditioningGeometry, RandomizationFactor, TargetSpec
 from .errors import (
     GeometryInconsistencyError,
     InvalidArgumentError,
@@ -32,7 +32,7 @@ from .numerics import (
     invert_monotone,
     log_truncation_prob,
 )
-from .selection import Dataset, LinearEventRep, SelectionOutcome, solve_randomized_lasso
+from .selection import Dataset, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
 # (bench/spans.py, PATCHES) still wrap this name on this module; drop the
@@ -109,20 +109,19 @@ class IntervalEstimate:
 def lambda_delta(
     v: np.ndarray,
     U: np.ndarray,
-    rep: LinearEventRep,
-    Omega: np.ndarray,
+    cond: RandomizationFactor,
     geom: ConditioningGeometry,
 ) -> tuple[float, np.ndarray]:
     """Affine pieces of the conditional mean of the free block.
 
     ``core = P v + R U + T``; returns ``(-Pj' Omega^{-1} core,
-    -Theta Q' Omega^{-1} core)``.
+    -Theta Q' Omega^{-1} core)``, solving with the fit's cached factor of Omega.
     """
-    omega = Omega[np.ix_(rep.order, rep.order)]
+    rep = cond.rep
     core = rep.P @ v + rep.T
     if rep.R.shape[1]:
         core = core + rep.R @ U
-    omega_inv_core = cho_solve(cho_factor(0.5 * (omega + omega.T)), core)
+    omega_inv_core = cho_solve(cond.omega_factor, core)
     lam = -float(geom.Pj @ omega_inv_core)
     delta = -(geom.Theta @ (rep.Q.T @ omega_inv_core))
     return lam, delta
@@ -130,8 +129,7 @@ def lambda_delta(
 
 def pivot_params(
     data: Dataset,
-    rep: LinearEventRep,
-    Omega: np.ndarray,
+    cond: RandomizationFactor,
     geom: ConditioningGeometry,
     target: TargetSpec,
     sigma: float,
@@ -142,11 +140,10 @@ def pivot_params(
     c = target.contrast
     beta_hat = float(c @ data.y)
     gamma = data.y - c * (beta_hat / target.norm2)
-    lam_val, delta = lambda_delta(gamma, rep.sub, rep, Omega, geom)
+    lam_val, delta = lambda_delta(gamma, cond.rep.sub, cond, geom)
     r_delta = float(geom.rj @ delta)
     vartheta2 = float(geom.rj @ geom.Theta @ geom.rj)
-    omega = Omega[np.ix_(rep.order, rep.order)]
-    pj_quad = float(geom.Pj @ cho_solve(cho_factor(0.5 * (omega + omega.T)), geom.Pj))
+    pj_quad = float(geom.Pj @ cho_solve(cond.omega_factor, geom.Pj))
     inv_s2 = 1.0 / (sigma**2 * target.norm2) + pj_quad - vartheta2
     if not inv_s2 > 0:
         raise NumericalDegeneracyError(
@@ -164,61 +161,6 @@ def pivot_params(
         theta_slope=-vartheta2,
         interval=geom.interval,
         beta_hat_j=beta_hat,
-    )
-
-
-def carving_pivot_params(
-    data: Dataset,
-    outcome: SelectionOutcome,
-    target: TargetSpec,
-    sigma: float,
-    tau2: float,
-    lam: float,
-) -> PivotParams:
-    """Closed-form pivot constants for the carving covariance with no ridge.
-
-    Independent of the generic route: no randomization-covariance solves, only
-    the selected-design Gram.  Used to cross-check the generic constants.
-    """
-    E = outcome.selected
-    XE = data.X[:, E]
-    q = E.size
-    gram = XE.T @ XE
-    factor = cho_factor(gram)
-    gram_inv = cho_solve(factor, np.eye(q))
-    j = target.j
-    norm2 = target.norm2
-    vartheta2 = 1.0 / (tau2 * norm2)
-    sigma_j2 = sigma**2 * norm2
-    theta_intercept = float(lam * (gram_inv @ outcome.signs)[j] / (tau2 * norm2))
-
-    # interval on rj'O with rj = -e_j/(tau2*norm2), Theta = tau2 * gram_inv
-    O = outcome.active_solution
-    qj = -tau2 * gram_inv[:, j]
-    r_obs = -O[j] / (tau2 * norm2)
-    A = O - qj * r_obs
-    lower, upper = -math.inf, math.inf
-    for k in range(q):
-        coef = -outcome.signs[k] * qj[k]
-        bound = outcome.signs[k] * A[k] / coef if coef != 0 else math.nan
-        if coef > 0:
-            upper = min(upper, bound)
-        elif coef < 0:
-            lower = max(lower, bound)
-        elif -outcome.signs[k] * A[k] >= 0:
-            raise GeometryInconsistencyError("sign constraint violated off-direction")
-    interval = Interval(lower, upper)
-    if not interval.contains(r_obs):
-        raise GeometryInconsistencyError("observed combination outside closed-form interval")
-    return PivotParams(
-        vartheta2=vartheta2,
-        sigma_j2=sigma_j2,
-        lambda_j=1.0,
-        zeta_j=0.0,
-        theta_intercept=theta_intercept,
-        theta_slope=-vartheta2,
-        interval=interval,
-        beta_hat_j=float(target.contrast @ data.y),
     )
 
 
@@ -412,22 +354,29 @@ class PolyhedralBounds:
     sd: float
 
 
-def polyhedral_bounds(
-    data: Dataset,
-    E0: np.ndarray,
-    S0: np.ndarray,
-    target: TargetSpec,
-    sigma: float,
-    lam: float,
-) -> PolyhedralBounds:
-    """One-dimensional truncation bounds of the lasso selection event.
+@dataclass(frozen=True)
+class LassoPolyhedron:
+    """The lasso selection event {selected set, signs} as ``G y < h``.
 
-    The event {selected set, signs} is affine in the response; at fixed
-    residual off the target contrast it becomes an interval for the estimate.
-    The inactive subgradient box constraints are kept, which is what makes the
-    conditional law exactly the truncated Gaussian.
+    It depends on the design, the selected set, its signs and the penalty,
+    not on the target, so a fit builds it once; ``row_norms`` holds the
+    Euclidean norms of the rows of ``G``.
     """
-    X, y = data.X, data.y
+
+    G: np.ndarray
+    h: np.ndarray
+    row_norms: np.ndarray
+
+
+def lasso_polyhedron(
+    data: Dataset, E0: np.ndarray, S0: np.ndarray, lam: float
+) -> LassoPolyhedron:
+    """Affine constraints on the response of the non-randomized lasso event.
+
+    The inactive subgradient box constraints are kept, which is what makes the
+    conditional law of each target exactly the truncated Gaussian.
+    """
+    X = data.X
     E0 = np.asarray(E0, dtype=int)
     S0 = np.asarray(S0, dtype=float)
     XE = X[:, E0]
@@ -449,14 +398,24 @@ def polyhedral_bounds(
         rows.extend([proj_rows, -proj_rows])
         rhs.extend([1.0 - base, 1.0 + base])
     G = np.vstack(rows)
-    h = np.concatenate(rhs)
+    return LassoPolyhedron(G=G, h=np.concatenate(rhs), row_norms=np.linalg.norm(G, axis=1))
 
+
+def polyhedral_bounds(
+    data: Dataset, poly: LassoPolyhedron, target: TargetSpec, sigma: float
+) -> PolyhedralBounds:
+    """One-dimensional truncation bounds of the lasso selection event.
+
+    The event is affine in the response; at fixed residual off the target
+    contrast it becomes an interval for the estimate.
+    """
+    y = data.y
     direction = target.contrast / target.norm2
     beta_hat = float(target.contrast @ y)
     gamma = y - target.contrast * (beta_hat / target.norm2)
-    coefs = G @ direction
-    slack = h - G @ gamma
-    scale = 1e-12 * np.linalg.norm(G, axis=1) * np.linalg.norm(direction)
+    coefs = poly.G @ direction
+    slack = poly.h - poly.G @ gamma
+    scale = 1e-12 * poly.row_norms * np.linalg.norm(direction)
     zero = np.abs(coefs) <= scale
     if (slack[zero] <= 0).any():
         raise GeometryInconsistencyError("off-direction selection constraint violated")

@@ -150,9 +150,8 @@ def _check_rep(rep: LinearEventRep, what: str) -> LinearEventRep:
     return rep
 
 
-def sample_randomization(scheme: RandomizationScheme, X: np.ndarray, seed: int) -> np.ndarray:
-    """Draw one N(0, Omega) vector; deterministic in ``seed``."""
-    omega = scheme.covariance(X)
+def sample_randomization(omega: np.ndarray, seed: int) -> np.ndarray:
+    """Draw one N(0, omega) vector; deterministic in ``seed``."""
     p = omega.shape[0]
     z = np.random.default_rng(seed).standard_normal(p)
     if not omega.any():

@@ -32,11 +32,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import kstest
 
-from .conditioning import build_geometry, build_target
+from .conditioning import build_geometry, build_target, factor_randomization, target_basis
 from .errors import (
     ExactSIError,
     InsufficientSampleError,
@@ -49,6 +50,7 @@ from .inference import (
     PolyhedralBounds,
     exact_pivot,
     invert_pivot,
+    lasso_polyhedron,
     pivot_params,
     plug_in_sigma2,
     polyhedral_bounds,
@@ -311,18 +313,23 @@ def calibrate(
 
 def randomized_selection(
     data: Dataset, cal: Calibration, seed: int
-) -> tuple[RandomizationScheme, SelectionOutcome, LinearEventRep | None]:
-    """Carving-randomized lasso and its event representation (None if empty)."""
+) -> tuple[RandomizationScheme, np.ndarray, SelectionOutcome, LinearEventRep | None]:
+    """Carving-randomized lasso and its event representation (None if empty).
+
+    Returns the scheme, its covariance Omega, the outcome and the
+    representation.
+    """
     tau2 = cal.tau2
     if tau2 is None:
         tau2 = tau2_from_split(cal.sigma2, data.n, int(round(cal.rho * data.n)))
     scheme = RandomizationScheme(kind="carving", tau2=tau2)
-    w = sample_randomization(scheme, data.X, seed=seed)
+    omega = scheme.covariance(data.X)
+    w = sample_randomization(omega, seed=seed)
     outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=cal.epsilon, w=w)
     rep = None
     if outcome.selected.size:
         rep = lasso_event_rep(data, outcome, lam=cal.lam, epsilon=cal.epsilon)
-    return scheme, outcome, rep
+    return scheme, omega, outcome, rep
 
 
 @dataclass
@@ -334,6 +341,20 @@ class Fit:
     coordinate, and ``interval(j)`` and ``pivot(j, beta0)`` invert or
     evaluate them.  Split and uv intervals come whole from their held-out
     fits and are only read back by ``interval(j)``.
+
+    What does not depend on the target is built once per fit, lazily, by
+    the first ``constants(j)`` that needs it: the Gram factor the target
+    contrasts solve against (``target_basis``); for the exact method the
+    factor of Omega with Omega^{-1} Q and Theta (``factor_randomization``);
+    for the polyhedral method the constraint system of the lasso event
+    (``lasso_polyhedron``).  Per target there remain a contrast solve, a few
+    matrix-vector products and triangular solves with the cached factors.
+
+    A failed build is not cached: every later ``constants(j)`` runs it again
+    and raises the same exception class and message, so a failure stays an
+    error of each target, as the callers' error policies expect, and the
+    checks raise in the per-target order: the contrast Gram, then Omega,
+    then the free-block precision.
     """
 
     method: str
@@ -348,14 +369,24 @@ class Fit:
     lam: float = math.nan
     estimates: list[IntervalEstimate] = field(default_factory=list)
 
+    @cached_property
+    def _basis(self):
+        return target_basis(self.data, self.outcome, self.model)
+
+    @cached_property
+    def _randomization(self):
+        return factor_randomization(self.rep, self.omega)
+
+    @cached_property
+    def _polyhedron(self):
+        return lasso_polyhedron(self.data, self.selected, self.outcome.signs, self.lam)
+
     def constants(self, j: int) -> PivotParams | PolyhedralBounds:
-        target = build_target(self.data, self.outcome, self.model, j)
+        target = build_target(self._basis, j)
         if self.method == "exact":
-            geom = build_geometry(self.rep, self.omega, target, self.outcome)
-            return pivot_params(self.data, self.rep, self.omega, geom, target, sigma=self.sigma)
-        return polyhedral_bounds(
-            self.data, self.selected, self.outcome.signs, target, self.sigma, self.lam
-        )
+            geom = build_geometry(self._randomization, target)
+            return pivot_params(self.data, self._randomization, geom, target, sigma=self.sigma)
+        return polyhedral_bounds(self.data, self._polyhedron, target, self.sigma)
 
     def interval(self, j: int) -> IntervalEstimate:
         if self.method in ("split", "uv"):
@@ -384,11 +415,10 @@ def fit_method(
 ) -> Fit:
     """Run ``method``'s selection on ``data``; ``seed`` drives its randomness."""
     if method == "exact":
-        scheme, outcome, rep = randomized_selection(data, cal, seed)
+        _, omega, outcome, rep = randomized_selection(data, cal, seed)
         E = outcome.selected
         if E.size == 0:
             return Fit(method, alpha, E)
-        omega = scheme.covariance(data.X)
         return Fit(
             method, alpha, E, data, model, outcome, rep, omega,
             sigma=_post_sigma(data, cal, model, E),

@@ -1,8 +1,12 @@
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import log_ndtr, logsumexp
 
+from exactsi.errors import GeometryInconsistencyError
+from exactsi.inference import PivotParams
+from exactsi.numerics import Interval
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
@@ -38,13 +42,14 @@ def carving_fit(rng, n=40, p=8, tau2=0.7, lam=None, min_selected=1):
         beta[rng.choice(p, size=k, replace=False)] = rng.uniform(1, 3, size=k)
         y = X @ beta + rng.standard_normal(n)
         scheme = RandomizationScheme(kind="carving", tau2=tau2)
-        w = sample_randomization(scheme, X, seed=int(rng.integers(1 << 30)))
+        omega = scheme.covariance(X)
+        w = sample_randomization(omega, seed=int(rng.integers(1 << 30)))
         lam_use = lam if lam is not None else 1.2 * math.sqrt(2 * math.log(p) * n) / 2
         data = Dataset(y=y, X=X, sigma=1.0)
         out = solve_randomized_lasso(data, lam=lam_use, epsilon=0.0, w=w)
         if out.selected.size >= min_selected:
             rep = lasso_event_rep(data, out, lam=lam_use, epsilon=0.0)
-            return data, out, rep, scheme.covariance(X), lam_use, tau2
+            return data, out, rep, omega, lam_use, tau2
     raise AssertionError("could not generate a nonempty selection")
 
 
@@ -92,3 +97,51 @@ def oracle_pivot(params, beta0, nodes=4001, drop=60.0):
     if lb <= la:
         return float(1.0 / (1.0 + np.exp(min(la - lb, 700.0))))
     return float(1.0 - 1.0 / (1.0 + np.exp(min(lb - la, 700.0))))
+
+
+def carving_pivot_params(data, outcome, target, sigma, tau2, lam):
+    """Closed-form pivot constants for the carving covariance with no ridge.
+
+    Independent of the generic route: no randomization-covariance solves, only
+    the selected-design Gram.  The oracle for the generic constants.
+    """
+    E = outcome.selected
+    XE = data.X[:, E]
+    q = E.size
+    gram = XE.T @ XE
+    factor = cho_factor(gram)
+    gram_inv = cho_solve(factor, np.eye(q))
+    j = target.j
+    norm2 = target.norm2
+    vartheta2 = 1.0 / (tau2 * norm2)
+    sigma_j2 = sigma**2 * norm2
+    theta_intercept = float(lam * (gram_inv @ outcome.signs)[j] / (tau2 * norm2))
+
+    # interval on rj'O with rj = -e_j/(tau2*norm2), Theta = tau2 * gram_inv
+    O = outcome.active_solution
+    qj = -tau2 * gram_inv[:, j]
+    r_obs = -O[j] / (tau2 * norm2)
+    A = O - qj * r_obs
+    lower, upper = -math.inf, math.inf
+    for k in range(q):
+        coef = -outcome.signs[k] * qj[k]
+        bound = outcome.signs[k] * A[k] / coef if coef != 0 else math.nan
+        if coef > 0:
+            upper = min(upper, bound)
+        elif coef < 0:
+            lower = max(lower, bound)
+        elif -outcome.signs[k] * A[k] >= 0:
+            raise GeometryInconsistencyError("sign constraint violated off-direction")
+    interval = Interval(lower, upper)
+    if not interval.contains(r_obs):
+        raise GeometryInconsistencyError("observed combination outside closed-form interval")
+    return PivotParams(
+        vartheta2=vartheta2,
+        sigma_j2=sigma_j2,
+        lambda_j=1.0,
+        zeta_j=0.0,
+        theta_intercept=theta_intercept,
+        theta_slope=-vartheta2,
+        interval=interval,
+        beta_hat_j=float(target.contrast @ data.y),
+    )

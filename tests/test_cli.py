@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
+from exactsi import conditioning
 from exactsi.cli import main, parse_config_file, read_csv_dataset
 from exactsi.errors import InvalidArgumentError
 from exactsi.study import (
     SimConfig,
+    _run_replicate,
     _seed_for,
     generate_design,
     generate_response,
@@ -192,10 +195,12 @@ class TestInfer:
         assert "exact" in methods and "split" in methods
 
 
-def test_infer_matches_study_replicate(tmp_path):
+@pytest.mark.parametrize("model", ["selected", "full"])
+def test_infer_matches_study_replicate(tmp_path, model):
     """``infer`` on a replicate's data gives the study's intervals bit for bit."""
     cfg = SimConfig(
-        n=120, p=20, sparsity=4, corr=0.5, n_reps=1, methods=("exact", "polyhedral"), seed=1
+        n=120, p=20, sparsity=4, corr=0.5, n_reps=1, methods=("exact", "polyhedral"),
+        model=model, seed=1,
     )
     summary = run_study(cfg)
     X = generate_design(cfg.n, cfg.p, cfg.corr, _seed_for(cfg.seed, 0, 0))
@@ -210,7 +215,7 @@ def test_infer_matches_study_replicate(tmp_path):
         [
             "infer", "--input", str(path), "--rho", "0.8",
             "--seed", str(_seed_for(cfg.seed, 0, 2)),
-            "--method", "exact", "--method", "polyhedral",
+            "--method", "exact", "--method", "polyhedral", "--model", model,
             "--out", str(tmp_path / "inf"),
         ]
     )
@@ -220,6 +225,41 @@ def test_infer_matches_study_replicate(tmp_path):
     want = [(r["method"], r["coordinate"], r["lower"], r["upper"], "") for r in summary.rows]
     assert {r[0] for r in want} == {"exact", "polyhedral"}
     assert got == want
+
+
+def test_per_fit_failure_is_an_error_of_every_target(tmp_path, monkeypatch):
+    """A check that fails once per fit still fails each target on its own.
+
+    The selected columns of this design are orthogonal with equal norms, so
+    their Gram passes a condition limit of 1 and the randomization covariance
+    (all columns, unequal norms, condition number 4) is the first check to fail.
+    """
+    X = hadamard(64).astype(float)[:, 1:9]
+    X[:, 7] *= 0.5
+    rng = np.random.default_rng(0)
+    y = 4.0 * X[:, 0] - 4.0 * X[:, 1] + 3.0 * X[:, 2] + rng.standard_normal(64)
+    path = tmp_path / "orth.csv"
+    write_csv(path, ["y"] + [f"x{j}" for j in range(8)], np.column_stack([y, X]).tolist())
+    common = ["--input", str(path), "--rho", "0.8", "--seed", "0"]
+    assert main(["select", *common, "--out", str(tmp_path / "sel.json")]) == 0
+    selected = json.loads((tmp_path / "sel.json").read_text())["selected_indices"]
+    assert len(selected) >= 2
+
+    monkeypatch.setattr(conditioning, "_COND_LIMIT", 1.0)
+    assert main(["infer", *common, "--out", str(tmp_path / "inf")]) == 0
+    report = json.loads((tmp_path / "inf.json").read_text())
+    message = "randomization covariance is ill-conditioned (cond > 1e+00)"
+    assert [(r["index"], r["error"]) for r in report["rows"]] == [
+        (j, message) for j in selected
+    ]
+    with open(tmp_path / "inf.csv", newline="") as fh:
+        assert [r["error"] for r in csv.DictReader(fh)] == [message] * len(selected)
+    assert report["methods"]["exact"]["errors"] == len(selected)
+
+    cfg = SimConfig(n=60, p=12, sparsity=2, signal_fraction=2.0, n_reps=1, seed=7)
+    _, status = _run_replicate(cfg, 0)
+    assert status["exact"].startswith("failed: ")
+    assert "ill-conditioned (cond > 1e+00)" in status["exact"]
 
 
 class TestSimulateValidate:

@@ -2,49 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from conftest import carving_fit, toy_fit
 
-from exactsi.conditioning import build_geometry, build_target, theta_and_direction
-from exactsi.errors import GeometryInconsistencyError, InvalidArgumentError
-from exactsi.selection import (
-    Dataset,
-    RandomizationScheme,
-    lasso_event_rep,
-    sample_randomization,
-    solve_randomized_lasso,
+from exactsi.conditioning import (
+    build_geometry,
+    build_target,
+    factor_randomization,
+    target_basis,
 )
-
-
-def toy_fit():
-    data = Dataset(y=np.array([2.0, 0.0]), X=np.array([[1.0], [0.0]]), sigma=1.0)
-    out = solve_randomized_lasso(data, lam=1.0, epsilon=0.0, w=np.array([0.5]))
-    rep = lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
-    omega = RandomizationScheme(kind="carving", tau2=1.0).covariance(data.X)
-    return data, out, rep, omega
-
-
-def carving_fit(rng, n=40, p=8, tau2=0.7, lam=None, min_selected=1):
-    """A random carving-randomized lasso fit with a nonempty selection."""
-    for _ in range(50):
-        X = rng.standard_normal((n, p))
-        beta = np.zeros(p)
-        k = max(1, p // 4)
-        beta[rng.choice(p, size=k, replace=False)] = rng.uniform(1, 3, size=k)
-        y = X @ beta + rng.standard_normal(n)
-        scheme = RandomizationScheme(kind="carving", tau2=tau2)
-        w = sample_randomization(scheme, X, seed=int(rng.integers(1 << 30)))
-        lam_use = lam if lam is not None else 1.2 * math.sqrt(2 * math.log(p) * n) / 2
-        data = Dataset(y=y, X=X, sigma=1.0)
-        out = solve_randomized_lasso(data, lam=lam_use, epsilon=0.0, w=w)
-        if out.selected.size >= min_selected:
-            rep = lasso_event_rep(data, out, lam=lam_use, epsilon=0.0)
-            return data, out, rep, scheme.covariance(X), lam_use, tau2
-    raise AssertionError("could not generate a nonempty selection")
+from exactsi.errors import GeometryInconsistencyError, InvalidArgumentError
+from exactsi.selection import Dataset, solve_randomized_lasso
 
 
 class TestBuildTarget:
     def test_toy_contrast(self):
         data, out, _, _ = toy_fit()
-        t = build_target(data, out, "selected", 0)
+        t = build_target(target_basis(data, out, "selected"), 0)
         assert np.allclose(t.contrast, [1.0, 0.0])
         assert t.norm2 == pytest.approx(1.0)
 
@@ -55,7 +28,7 @@ class TestBuildTarget:
         data = Dataset(y=y, X=X)
         out = solve_randomized_lasso(data, lam=0.5, epsilon=0.0, w=np.zeros(4))
         for j in range(out.selected.size):
-            t = build_target(data, out, "selected", j)
+            t = build_target(target_basis(data, out, "selected"), j)
             assert np.allclose(t.contrast, X[:, out.selected[j]], atol=1e-10)
 
     def test_full_and_selected_agree_when_everything_selected(self):
@@ -66,21 +39,21 @@ class TestBuildTarget:
         out = solve_randomized_lasso(data, lam=0.4, epsilon=0.0, w=np.zeros(3))
         assert out.selected.size == 3
         for j in range(3):
-            a = build_target(data, out, "selected", j)
-            b = build_target(data, out, "full", j)
+            a = build_target(target_basis(data, out, "selected"), j)
+            b = build_target(target_basis(data, out, "full"), j)
             assert np.allclose(a.contrast, b.contrast, atol=1e-10)
 
     def test_bad_index(self):
         data, out, _, _ = toy_fit()
         with pytest.raises(InvalidArgumentError):
-            build_target(data, out, "selected", 5)
+            build_target(target_basis(data, out, "selected"), 5)
 
 
 class TestBuildGeometry:
     def test_toy_hand_values(self):
         data, out, rep, omega = toy_fit()
-        t = build_target(data, out, "selected", 0)
-        g = build_geometry(rep, omega, t, out)
+        t = build_target(target_basis(data, out, "selected"), 0)
+        g = build_geometry(factor_randomization(rep, omega), t)
         assert g.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert g.rj[0] == pytest.approx(-1.0, abs=1e-10)
         assert g.Qj[0] == pytest.approx(-1.0, abs=1e-10)
@@ -91,8 +64,8 @@ class TestBuildGeometry:
 
     def test_single_feature_positive_sign_cone(self):
         data, out, rep, omega = toy_fit()
-        t = build_target(data, out, "selected", 0)
-        g = build_geometry(rep, omega, t, out)
+        t = build_target(target_basis(data, out, "selected"), 0)
+        g = build_geometry(factor_randomization(rep, omega), t)
         # translate the interval on rj'O back to the O1 axis: strictly positive
         assert g.rj[0] < 0
         lo = g.interval.upper / g.rj[0]
@@ -103,8 +76,8 @@ class TestBuildGeometry:
         rng = np.random.default_rng(2)
         for _ in range(20):
             data, out, rep, omega, _, _ = carving_fit(rng)
-            t = build_target(data, out, "selected", 0)
-            g = build_geometry(rep, omega, t, out)
+            t = build_target(target_basis(data, out, "selected"), 0)
+            g = build_geometry(factor_randomization(rep, omega), t)
             assert abs(g.rj @ g.Qj - 1.0) < 1e-10
             assert abs(g.rj @ g.A_obs) < 1e-8 * max(np.linalg.norm(rep.opt), 1.0)
             observed = float(g.rj @ rep.opt)
@@ -116,9 +89,11 @@ class TestBuildGeometry:
             data, out, rep, omega, lam, tau2 = carving_fit(rng)
             XE = data.X[:, out.selected]
             theta_cf = tau2 * np.linalg.inv(XE.T @ XE)
+            cond = factor_randomization(rep, omega)
+            basis = target_basis(data, out, "selected")
             for j in range(out.selected.size):
-                t = build_target(data, out, "selected", j)
-                theta, _, rj = theta_and_direction(rep, omega, t)
+                t = build_target(basis, j)
+                theta, rj = cond.Theta, build_geometry(cond, t).rj
                 assert np.allclose(theta, theta_cf, rtol=1e-8, atol=1e-10)
                 rj_cf = np.zeros(out.selected.size)
                 rj_cf[j] = -1.0 / (tau2 * t.norm2)
@@ -129,8 +104,8 @@ class TestBuildGeometry:
         for _ in range(10):
             data, out, rep, omega, _, _ = carving_fit(rng)
             j = int(rng.integers(out.selected.size))
-            t = build_target(data, out, "selected", j)
-            g = build_geometry(rep, omega, t, out)
+            t = build_target(target_basis(data, out, "selected"), j)
+            g = build_geometry(factor_randomization(rep, omega), t)
             observed = float(g.rj @ rep.opt)
             span = 4.0 * (abs(observed) + 1.0)
             zs = rng.uniform(observed - span, observed + span, size=1000)
@@ -144,10 +119,10 @@ class TestBuildGeometry:
 
     def test_tampered_solution_detected(self):
         data, out, rep, omega = toy_fit()
-        t = build_target(data, out, "selected", 0)
+        t = build_target(target_basis(data, out, "selected"), 0)
         rep.opt = np.array([-0.5])  # violates its own sign constraint
         with pytest.raises(GeometryInconsistencyError):
-            build_geometry(rep, omega, t, out)
+            build_geometry(factor_randomization(rep, omega), t)
 
 
 class TestAEta:
@@ -155,8 +130,8 @@ class TestAEta:
         # A_eta = O - Theta eta (eta'O) / (eta'Theta eta) at eta = rj
         rng = np.random.default_rng(6)
         data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
-        t = build_target(data, out, "selected", 1)
-        g = build_geometry(rep, omega, t, out)
+        t = build_target(target_basis(data, out, "selected"), 1)
+        g = build_geometry(factor_randomization(rep, omega), t)
         eta = g.rj
         comp = rep.opt - (g.Theta @ eta) * (eta @ rep.opt) / float(eta @ g.Theta @ eta)
         assert np.allclose(comp, g.A_obs, atol=1e-10)

@@ -2,21 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from conftest import carving_fit, oracle_pivot, toy_fit
+from conftest import carving_fit, carving_pivot_params, oracle_pivot, toy_fit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from exactsi.conditioning import build_geometry, build_target
+from exactsi.conditioning import (
+    build_geometry,
+    build_target,
+    factor_randomization,
+    target_basis,
+)
 from exactsi.errors import GeometryInconsistencyError, InvalidArgumentError
 from exactsi.inference import (
     IntervalEstimate,
     PivotParams,
     PolyhedralBounds,
-    carving_pivot_params,
     exact_pivot,
     invert_pivot,
     lambda_delta,
+    lasso_polyhedron,
     pivot_params,
     plug_in_sigma2,
     polyhedral_bounds,
@@ -45,38 +50,40 @@ from exactsi.study import (
 
 def toy_pivot_setup():
     data, out, rep, omega = toy_fit()
-    target = build_target(data, out, "selected", 0)
-    geom = build_geometry(rep, omega, target, out)
-    params = pivot_params(data, rep, omega, geom, target, sigma=1.0)
-    return data, out, rep, omega, target, geom, params
+    cond = factor_randomization(rep, omega)
+    target = build_target(target_basis(data, out, "selected"), 0)
+    geom = build_geometry(cond, target)
+    params = pivot_params(data, cond, geom, target, sigma=1.0)
+    return data, out, rep, cond, target, geom, params
 
 
 class TestLambdaDelta:
     def test_toy_theta_intercept(self):
-        data, out, rep, omega, target, geom, params = toy_pivot_setup()
+        data, out, rep, cond, target, geom, params = toy_pivot_setup()
         gamma = np.zeros(2)
-        lam_val, delta = lambda_delta(gamma, rep.sub, rep, omega, geom)
+        lam_val, delta = lambda_delta(gamma, rep.sub, cond, geom)
         assert float(geom.rj @ delta) == pytest.approx(1.0, abs=1e-10)
         assert lam_val == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_inputs_zero_output(self):
-        data, out, rep, omega, target, geom, _ = toy_pivot_setup()
+        data, out, rep, cond, target, geom, _ = toy_pivot_setup()
         rep.T = np.zeros_like(rep.T)
-        lam_val, delta = lambda_delta(np.zeros(2), rep.sub, rep, omega, geom)
+        lam_val, delta = lambda_delta(np.zeros(2), rep.sub, cond, geom)
         assert lam_val == 0.0
         assert np.allclose(delta, 0.0)
 
     def test_affine_in_response(self):
         rng = np.random.default_rng(0)
         data, out, rep, omega, _, _ = carving_fit(rng)
-        target = build_target(data, out, "selected", 0)
-        geom = build_geometry(rep, omega, target, out)
+        cond = factor_randomization(rep, omega)
+        target = build_target(target_basis(data, out, "selected"), 0)
+        geom = build_geometry(cond, target)
         v1 = rng.standard_normal(data.n)
         v2 = rng.standard_normal(data.n)
-        l0, d0 = lambda_delta(np.zeros(data.n), rep.sub, rep, omega, geom)
-        l1, d1 = lambda_delta(v1, rep.sub, rep, omega, geom)
-        l2, d2 = lambda_delta(v2, rep.sub, rep, omega, geom)
-        l12, d12 = lambda_delta(v1 + v2, rep.sub, rep, omega, geom)
+        l0, d0 = lambda_delta(np.zeros(data.n), rep.sub, cond, geom)
+        l1, d1 = lambda_delta(v1, rep.sub, cond, geom)
+        l2, d2 = lambda_delta(v2, rep.sub, cond, geom)
+        l12, d12 = lambda_delta(v1 + v2, rep.sub, cond, geom)
         assert l12 + l0 == pytest.approx(l1 + l2, rel=1e-10, abs=1e-12)
         assert np.allclose(d12 + d0, d1 + d2, atol=1e-10)
 
@@ -96,10 +103,12 @@ class TestPivotParams:
         rng = np.random.default_rng(1)
         for _ in range(20):
             data, out, rep, omega, lam, tau2 = carving_fit(rng)
+            cond = factor_randomization(rep, omega)
+            basis = target_basis(data, out, "selected")
             for j in range(out.selected.size):
-                target = build_target(data, out, "selected", j)
-                geom = build_geometry(rep, omega, target, out)
-                generic = pivot_params(data, rep, omega, geom, target, sigma=1.0)
+                target = build_target(basis, j)
+                geom = build_geometry(cond, target)
+                generic = pivot_params(data, cond, geom, target, sigma=1.0)
                 closed = carving_pivot_params(data, out, target, 1.0, tau2, lam)
                 assert generic.vartheta2 == pytest.approx(closed.vartheta2, rel=1e-8)
                 assert generic.sigma_j2 == pytest.approx(closed.sigma_j2, rel=1e-8)
@@ -127,9 +136,10 @@ class TestPivotParams:
         out = solve_randomized_lasso(data, lam=0.5, epsilon=eps, w=w)
         rep = lasso_event_rep(data, out, lam=0.5, epsilon=eps)
         omega = RandomizationScheme(kind="isotropic", tau2=tau2).covariance(X)
-        target = build_target(data, out, "selected", 0)
-        geom = build_geometry(rep, omega, target, out)
-        params = pivot_params(data, rep, omega, geom, target, sigma=1.0)
+        cond = factor_randomization(rep, omega)
+        target = build_target(target_basis(data, out, "selected"), 0)
+        geom = build_geometry(cond, target)
+        params = pivot_params(data, cond, geom, target, sigma=1.0)
         # hand algebra at p=1 with ||x|| = 1: Theta = tau2/(1+eps)^2,
         # r = -(1+eps)/tau2, so the weight variance is exactly 1/tau2
         assert params.vartheta2 == pytest.approx(1.0 / tau2, rel=1e-10)
@@ -170,9 +180,10 @@ class TestExactPivot:
         for _ in range(10):
             data, out, rep, omega, _, _ = carving_fit(rng)
             j = int(rng.integers(out.selected.size))
-            target = build_target(data, out, "selected", j)
-            geom = build_geometry(rep, omega, target, out)
-            params = pivot_params(data, rep, omega, geom, target, sigma=1.0)
+            cond = factor_randomization(rep, omega)
+            target = build_target(target_basis(data, out, "selected"), j)
+            geom = build_geometry(cond, target)
+            params = pivot_params(data, cond, geom, target, sigma=1.0)
             sd = math.sqrt(params.sigma_j2)
             grid = params.beta_hat_j + sd * np.linspace(-8, 8, 161)
             vals = np.array([exact_pivot(params, float(b)) for b in grid])
@@ -187,9 +198,10 @@ class TestExactPivot:
         rng = np.random.default_rng(5)
         for _ in range(10):
             data, out, rep, omega, _, _ = carving_fit(rng)
-            target = build_target(data, out, "selected", 0)
-            geom = build_geometry(rep, omega, target, out)
-            params = pivot_params(data, rep, omega, geom, target, sigma=1.0)
+            cond = factor_randomization(rep, omega)
+            target = build_target(target_basis(data, out, "selected"), 0)
+            geom = build_geometry(cond, target)
+            params = pivot_params(data, cond, geom, target, sigma=1.0)
             sd = math.sqrt(params.sigma_j2)
             for shift in (-8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0):
                 b0 = params.beta_hat_j + shift * sd
@@ -354,22 +366,24 @@ class TestPolyhedral:
         lam = 3.0
         out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=np.zeros(1))
         assert out.selected.size == 1
-        target = build_target(data, out, "selected", 0)
+        target = build_target(target_basis(data, out, "selected"), 0)
         beta_hat = float(target.contrast @ y)
         h_minus = lam / float(x @ x)
         sd = math.sqrt(target.norm2)
+        poly = lasso_polyhedron(data, out.selected, out.signs, lam)
         for beta0 in (0.0, 1.0, 2.5):
             want_num = ndtr((beta_hat - beta0) / sd) - ndtr((h_minus - beta0) / sd)
             want_den = 1.0 - ndtr((h_minus - beta0) / sd)
-            bounds = polyhedral_bounds(data, out.selected, out.signs, target, 1.0, lam)
+            bounds = polyhedral_bounds(data, poly, target, 1.0)
             got = polyhedral_pivot(bounds, beta0)
             assert got == pytest.approx(want_num / want_den, abs=1e-10)
 
     def test_interval_self_consistency(self):
         rng = np.random.default_rng(7)
         data, out, lam = standard_lasso_fit(rng)
-        target = build_target(data, out, "selected", 0)
-        bounds = polyhedral_bounds(data, out.selected, out.signs, target, 1.0, lam)
+        target = build_target(target_basis(data, out, "selected"), 0)
+        poly = lasso_polyhedron(data, out.selected, out.signs, lam)
+        bounds = polyhedral_bounds(data, poly, target, 1.0)
         est = polyhedral_interval(bounds, alpha=0.1, target_label=0)
         if not est.clipped:
             lo_p = polyhedral_pivot(bounds, est.lower)
@@ -380,10 +394,10 @@ class TestPolyhedral:
     def test_tampered_signs_detected(self):
         rng = np.random.default_rng(8)
         data, out, lam = standard_lasso_fit(rng)
-        target = build_target(data, out, "selected", 0)
-        bad_signs = -out.signs
+        target = build_target(target_basis(data, out, "selected"), 0)
+        poly = lasso_polyhedron(data, out.selected, -out.signs, lam)
         with pytest.raises(GeometryInconsistencyError):
-            polyhedral_bounds(data, out.selected, bad_signs, target, 1.0, lam)
+            polyhedral_bounds(data, poly, target, 1.0)
 
     def test_estimate_on_a_bound_gives_ordered_unclipped_interval(self):
         # beta_hat 1e-3 sd above its lower bound: both endpoints lie more than

@@ -40,7 +40,7 @@ class TestDataset:
 class TestRandomization:
     def test_zero_tau_isotropic_gives_zero_vector(self):
         scheme = RandomizationScheme(kind="isotropic", tau2=0.0)
-        w = sample_randomization(scheme, np.eye(3), seed=5)
+        w = sample_randomization(scheme.covariance(np.eye(3)), seed=5)
         assert np.array_equal(w, np.zeros(3))
 
     def test_carving_identity_gram(self):
@@ -60,7 +60,7 @@ class TestRandomization:
         scheme = RandomizationScheme(kind="carving", tau2=0.5)
         omega = scheme.covariance(X)
         draws = np.stack(
-            [sample_randomization(scheme, X, seed=s) for s in range(10_000)]
+            [sample_randomization(omega, seed=s) for s in range(10_000)]
         )
         emp = draws.T @ draws / draws.shape[0]
         # entrywise 5 standard errors; Cov of a product of Gaussians
@@ -72,8 +72,9 @@ class TestRandomization:
     def test_deterministic_in_seed(self):
         X = np.random.default_rng(1).standard_normal((20, 4))
         scheme = RandomizationScheme(kind="carving", tau2=2.0)
-        a = sample_randomization(scheme, X, seed=42)
-        b = sample_randomization(scheme, X, seed=42)
+        omega = scheme.covariance(X)
+        a = sample_randomization(omega, seed=42)
+        b = sample_randomization(omega, seed=42)
         assert np.array_equal(a, b)
 
     def test_rank_deficient_gram_gets_jitter(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exactsi import study
+from exactsi import conditioning, inference, study
 from exactsi.errors import (
     InsufficientSampleError,
     InvalidArgumentError,
@@ -14,9 +14,11 @@ from exactsi.selection import Dataset
 from exactsi.study import (
     SimConfig,
     _run_replicate,
+    _seed_for,
     calibrate,
     f1_score,
     fcr,
+    fit_method,
     generate_design,
     generate_response,
     run_study,
@@ -279,6 +281,47 @@ def test_study_and_validate_solve_without_ridge_on_wide_designs(monkeypatch):
     with pytest.raises(InsufficientSampleError):
         validate_pivot_uniformity(cfg)
     assert seen and set(seen) == {0.0}
+
+
+def test_one_factorization_per_fit(monkeypatch):
+    """Every target of a fit shares its factorizations: all targets make as
+    many condition checks and Cholesky factorizations as one does."""
+    config = SimConfig()
+    X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 0))
+    y, _ = generate_response(
+        X, support_indices(config.p, config.sparsity), config.signal_fraction,
+        config.sigma2, _seed_for(config.seed, 0, 1),
+    )
+    data = Dataset(y=y, X=X)
+    cal = calibrate(data, ("exact", "polyhedral"), rho=config.rho, epsilon=0.0)
+    calls = []
+
+    def counted(name, real):
+        def call(mat, *args, **kwargs):
+            calls.append((name, np.shape(mat)))
+            return real(mat, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
+    for module in (conditioning, inference):
+        monkeypatch.setattr(module, "cho_factor", counted("cho_factor", module.cho_factor))
+
+    def factorizations(method, all_targets):
+        seed = _seed_for(config.seed, 0, 2)
+        fit = fit_method(data, cal, method, config.model, config.alpha, seed)
+        assert fit.selected.size >= 2
+        calls.clear()
+        for j in range(fit.selected.size if all_targets else 1):
+            fit.interval(j)
+        return list(calls)
+
+    p_by_p = (config.p, config.p)
+    for method in ("exact", "polyhedral"):
+        one, every = factorizations(method, False), factorizations(method, True)
+        assert one and every == one
+        big = [name for name, shape in every if shape == p_by_p]
+        assert big == (["cond", "cho_factor"] if method == "exact" else [])
 
 
 def test_calibrate_checks_method_options():
