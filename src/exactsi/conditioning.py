@@ -18,7 +18,6 @@ statistic, and the interval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import Interval
+from .numerics import Interval, line_interval
 from .selection import Dataset, LinearEventRep, SelectionOutcome
 
 _ZERO_ROW_RTOL = 1e-12
@@ -41,7 +40,6 @@ _COND_LIMIT = 1e12
 class TargetSpec:
     """A linear contrast of the mean response selected for inference."""
 
-    model: str
     j: int
     contrast: np.ndarray
     norm2: float
@@ -51,14 +49,11 @@ class TargetSpec:
 class ConditioningGeometry:
     """Interval reduction of the selection constraints for one target."""
 
-    Theta: np.ndarray
     Pj: np.ndarray
     rj: np.ndarray
     Qj: np.ndarray
     A_obs: np.ndarray
     interval: Interval
-    s_minus: np.ndarray
-    s_plus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,6 @@ class TargetBasis:
     the selected columns under ``selected``, all columns under ``full``.
     """
 
-    model: str
     design: np.ndarray
     columns: np.ndarray
     factor: tuple
@@ -123,7 +117,7 @@ def target_basis(data: Dataset, outcome: SelectionOutcome, model: str) -> Target
         factor = _factor_spd(design.T @ design, what)
     except NumericalDegeneracyError as exc:
         raise SingularDesignError(str(exc)) from exc
-    return TargetBasis(model=model, design=design, columns=columns, factor=factor)
+    return TargetBasis(design=design, columns=columns, factor=factor)
 
 
 def build_target(basis: TargetBasis, j: int) -> TargetSpec:
@@ -133,9 +127,7 @@ def build_target(basis: TargetBasis, j: int) -> TargetSpec:
     unit = np.zeros(basis.design.shape[1])
     unit[basis.columns[j]] = 1.0
     contrast = basis.design @ cho_solve(basis.factor, unit)
-    return TargetSpec(
-        model=basis.model, j=j, contrast=contrast, norm2=float(contrast @ contrast)
-    )
+    return TargetSpec(j=j, contrast=contrast, norm2=float(contrast @ contrast))
 
 
 def factor_randomization(rep: LinearEventRep, Omega: np.ndarray) -> RandomizationFactor:
@@ -161,10 +153,10 @@ def build_geometry(cond: RandomizationFactor, target: TargetSpec) -> Conditionin
     hold on their own; a violation there, or an observed statistic outside
     the interval, signals an upstream inconsistency rather than data.
     """
-    rep, theta = cond.rep, cond.Theta
+    rep = cond.rep
     Pj = rep.P @ target.contrast / target.norm2
     rj = cond.omega_inv_Q.T @ Pj
-    theta_r = theta @ rj
+    theta_r = cond.Theta @ rj
     vartheta2 = float(rj @ theta_r)
     if not vartheta2 > 0:
         raise NumericalDegeneracyError("target direction has no conditional variance")
@@ -173,20 +165,8 @@ def build_geometry(cond: RandomizationFactor, target: TargetSpec) -> Conditionin
     observed = float(rj @ O)
     A_obs = O - Qj * observed
 
-    coefs = rep.L @ Qj if rep.L.size else np.zeros(0)
-    slack = rep.M - rep.L @ A_obs if rep.L.size else np.zeros(0)
     scale = _ZERO_ROW_RTOL * np.linalg.norm(rep.L, axis=1) * np.linalg.norm(theta_r)
-    zero_rows = np.abs(coefs) <= scale
-    if (slack[zero_rows] <= 0).any():
-        raise GeometryInconsistencyError(
-            "a constraint orthogonal to the target direction is violated"
-        )
-    neg = (~zero_rows) & (coefs < 0)
-    pos = (~zero_rows) & (coefs > 0)
-    bounds = np.full_like(coefs, np.nan)
-    np.divide(slack, coefs, out=bounds, where=~zero_rows)
-    lower = float(np.max(bounds[neg])) if neg.any() else -math.inf
-    upper = float(np.min(bounds[pos])) if pos.any() else math.inf
+    lower, upper = line_interval(rep.L @ Qj, rep.M - rep.L @ A_obs, scale)
     if not lower < upper:
         raise GeometryInconsistencyError(
             f"empty truncation interval [{lower}, {upper}]"
@@ -196,13 +176,4 @@ def build_geometry(cond: RandomizationFactor, target: TargetSpec) -> Conditionin
         raise GeometryInconsistencyError(
             f"observed statistic {observed} outside its own interval {interval}"
         )
-    return ConditioningGeometry(
-        Theta=theta,
-        Pj=Pj,
-        rj=rj,
-        Qj=Qj,
-        A_obs=A_obs,
-        interval=interval,
-        s_minus=np.flatnonzero(neg),
-        s_plus=np.flatnonzero(pos),
-    )
+    return ConditioningGeometry(Pj=Pj, rj=rj, Qj=Qj, A_obs=A_obs, interval=interval)

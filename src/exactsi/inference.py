@@ -27,11 +27,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import (
-    Interval,
-    invert_monotone,
-    log_truncation_prob,
-)
+from .numerics import Interval, invert_monotone, line_interval, log_truncation_prob
 from .selection import Dataset, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
@@ -48,8 +44,8 @@ class PivotParams:
     """Constants of the exact pivot for one target coordinate.
 
     The estimate is X ~ N(lambda_j beta0 + zeta_j, sigma_j2), and the
-    conditioned combination is Y = theta_intercept + theta_slope X +
-    vartheta e with e ~ N(0, 1) independent and ``theta_slope = -vartheta2``.
+    conditioned combination is Y = theta_intercept - vartheta2 X + vartheta e
+    with e ~ N(0, 1) independent.
     The pivot at ``beta0`` is P(X <= beta_hat_j | Y in interval).
     Standardizing X and Y to U and V gives sd_Y^2 = vartheta^4 sigma_j2 +
     vartheta^2 and corr(U, V) = r = -vartheta sigma_j / sqrt(1 + vartheta^2
@@ -72,15 +68,12 @@ class PivotParams:
     lambda_j: float
     zeta_j: float
     theta_intercept: float
-    theta_slope: float
     interval: Interval
     beta_hat_j: float
 
     def __post_init__(self):
         if not self.sigma_j2 > 0:
             raise NumericalDegeneracyError("sigma_j2 must be positive")
-        if self.theta_slope != -self.vartheta2:
-            raise InvalidArgumentError("theta_slope must equal -vartheta2")
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,7 @@ def lambda_delta(
         core = core + rep.R @ U
     omega_inv_core = cho_solve(cond.omega_factor, core)
     lam = -float(geom.Pj @ omega_inv_core)
-    delta = -(geom.Theta @ (rep.Q.T @ omega_inv_core))
+    delta = -(cond.Theta @ (rep.Q.T @ omega_inv_core))
     return lam, delta
 
 
@@ -142,7 +135,7 @@ def pivot_params(
     gamma = data.y - c * (beta_hat / target.norm2)
     lam_val, delta = lambda_delta(gamma, cond.rep.sub, cond, geom)
     r_delta = float(geom.rj @ delta)
-    vartheta2 = float(geom.rj @ geom.Theta @ geom.rj)
+    vartheta2 = float(geom.rj @ cond.Theta @ geom.rj)
     pj_quad = float(geom.Pj @ cho_solve(cond.omega_factor, geom.Pj))
     inv_s2 = 1.0 / (sigma**2 * target.norm2) + pj_quad - vartheta2
     if not inv_s2 > 0:
@@ -158,7 +151,6 @@ def pivot_params(
         lambda_j=lambda_j,
         zeta_j=zeta_j,
         theta_intercept=r_delta,
-        theta_slope=-vartheta2,
         interval=geom.interval,
         beta_hat_j=beta_hat,
     )
@@ -292,7 +284,7 @@ def exact_pivot(params: PivotParams, beta0: float) -> float:
     s = 1.0 / spread  # sqrt(1 - r^2)
     mean = params.lambda_j * beta0 + params.zeta_j
     u = (params.beta_hat_j - mean) / sd
-    mean_y = params.theta_intercept + params.theta_slope * mean
+    mean_y = params.theta_intercept - params.vartheta2 * mean
     a = (params.interval.lower - mean_y) / sd_y
     b = (params.interval.upper - mean_y) / sd_y
     limit = 0.0 if beta0 > params.beta_hat_j else 1.0
@@ -413,18 +405,8 @@ def polyhedral_bounds(
     direction = target.contrast / target.norm2
     beta_hat = float(target.contrast @ y)
     gamma = y - target.contrast * (beta_hat / target.norm2)
-    coefs = poly.G @ direction
-    slack = poly.h - poly.G @ gamma
     scale = 1e-12 * poly.row_norms * np.linalg.norm(direction)
-    zero = np.abs(coefs) <= scale
-    if (slack[zero] <= 0).any():
-        raise GeometryInconsistencyError("off-direction selection constraint violated")
-    with np.errstate(divide="ignore"):
-        bounds = np.where(zero, np.nan, slack / np.where(zero, 1.0, coefs))
-    neg = (~zero) & (coefs < 0)
-    pos = (~zero) & (coefs > 0)
-    lower = float(np.max(bounds[neg])) if neg.any() else -math.inf
-    upper = float(np.min(bounds[pos])) if pos.any() else math.inf
+    lower, upper = line_interval(poly.G @ direction, poly.h - poly.G @ gamma, scale)
     width_scale = 1e-8 * max(1.0, abs(beta_hat))
     if not lower - width_scale <= beta_hat <= upper + width_scale:
         raise GeometryInconsistencyError(

@@ -1,13 +1,13 @@
 """Stable scalar Gaussian primitives.
 
-The standard normal CDF, truncation probabilities of a univariate Gaussian
-over an interval (with infinite endpoints allowed), and monotone root
-finding.  Tail quantities are computed through ``log_ndtr`` (scaled
-complementary error function under the hood) so that differences of far-tail
-CDFs never cancel to zero while the true value is representable.  The
-log-space Simpson quadrature of density-times-weight products here is not on
-the pivot path (the exact pivot is closed form); it remains for numerical
-checks.
+Log truncation probabilities of a univariate Gaussian over an interval (with
+infinite endpoints allowed), the slice of a polyhedron along a line, and
+monotone root finding.  Tail quantities are computed through ``log_ndtr``
+(scaled complementary error function under the hood) so that differences of
+far-tail CDFs never cancel to zero while the true value is representable.
+The log-space Simpson quadrature of density-times-weight products here is on
+no pipeline path (the exact pivot is closed form); it stays only because the
+benchmark's trace hooks still wrap it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,14 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import log_ndtr, logsumexp
 
-from .errors import EmptyMassError, InvalidArgumentError, NoRootError
+from .errors import (
+    EmptyMassError,
+    GeometryInconsistencyError,
+    InvalidArgumentError,
+    NoRootError,
+)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -47,10 +52,6 @@ class Interval:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @property
-    def is_full_line(self) -> bool:
-        return math.isinf(self.lower) and math.isinf(self.upper)
-
     def contains(self, x: float) -> bool:
         return self.lower < x < self.upper
 
@@ -73,14 +74,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def gaussian_cdf(x: float) -> float:
-    """Standard normal CDF, exact limits at +/-inf, error on NaN."""
-    x = float(x)
-    if math.isnan(x):
-        raise InvalidArgumentError("gaussian_cdf: NaN input")
-    return float(ndtr(x))
 
 
 def _log1mexp(d):
@@ -123,19 +116,6 @@ def log_truncation_prob(interval: Interval, theta, vartheta: float):
     return out
 
 
-def truncation_prob(interval: Interval, theta: float, vartheta: float) -> float:
-    """Probability that N(theta, vartheta^2) falls in ``interval``.
-
-    For finite intervals the true value is strictly below 1; when rounding
-    saturates, the largest double below 1 is returned instead.
-    """
-    p = float(np.exp(log_truncation_prob(interval, theta, vartheta)))
-    if p >= 1.0 and not interval.is_full_line:
-        if math.isfinite(interval.lower) and math.isfinite(interval.upper):
-            return math.nextafter(1.0, 0.0)
-    return min(p, 1.0)
-
-
 def integrate_weighted_gaussian(
     mean: float,
     sd: float,
@@ -175,6 +155,28 @@ def integrate_weighted_gaussian(
     simpson[0] = simpson[-1] = 1.0
     step = (hi - lo) / (n - 1)
     return float(logsumexp(logf + np.log(simpson * (step / 3.0))))
+
+
+def line_interval(coefs: np.ndarray, slack: np.ndarray, scale) -> tuple[float, float]:
+    """Slice the constraints ``coefs * t < slack`` (one per row) along t.
+
+    A row with ``|coefs| <= scale`` does not involve t and must hold on its
+    own; a violated one signals an upstream inconsistency.  The others bound
+    t below (negative coefficients) or above (positive ones) by ``slack /
+    coefs``; a side no row bounds is infinite.  ``(lower, upper)`` may be empty.
+    """
+    zero = np.abs(coefs) <= scale
+    if (slack[zero] <= 0).any():
+        raise GeometryInconsistencyError(
+            "a constraint orthogonal to the target direction is violated"
+        )
+    bounds = np.full_like(coefs, np.nan)
+    np.divide(slack, coefs, out=bounds, where=~zero)
+    neg = (~zero) & (coefs < 0)
+    pos = (~zero) & (coefs > 0)
+    lower = float(np.max(bounds[neg])) if neg.any() else -math.inf
+    upper = float(np.min(bounds[pos])) if pos.any() else math.inf
+    return lower, upper
 
 
 def invert_monotone(

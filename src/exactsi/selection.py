@@ -24,6 +24,8 @@ from .errors import (
 )
 
 RECONSTRUCTION_TOL = 1e-6
+_CD_MAX_SWEEPS = 50_000
+_CD_TOL = 1e-10
 
 
 @dataclass
@@ -61,26 +63,21 @@ class Dataset:
 
 @dataclass
 class RandomizationScheme:
-    """Gaussian randomization covariance: isotropic or carving-calibrated.
+    """Carving-calibrated Gaussian randomization covariance ``tau2 * X'X``.
 
-    ``carving`` uses ``tau2 * X'X``; a diagonal jitter of ``1e-8 * tr(X'X)/p``
-    is added only when the Gram matrix is numerically rank deficient, so that
-    full-rank closed-form identities stay exact.
+    A diagonal jitter of ``1e-8 * tr(X'X)/p`` is added only when the Gram
+    matrix is numerically rank deficient, so that full-rank closed-form
+    identities stay exact.
     """
 
-    kind: str
     tau2: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("isotropic", "carving"):
-            raise InvalidSchemeError(f"unknown randomization kind {self.kind!r}")
-        if self.tau2 < 0 or (self.tau2 == 0 and self.kind != "isotropic"):
+        if not self.tau2 > 0:
             raise InvalidSchemeError("tau2 must be positive")
 
     def covariance(self, X: np.ndarray) -> np.ndarray:
         p = X.shape[1]
-        if self.kind == "isotropic":
-            return self.tau2 * np.eye(p)
         gram = X.T @ X
         if not _is_pd(gram):
             gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
@@ -104,7 +101,6 @@ class SelectionOutcome:
     signs: np.ndarray
     inactive_subgradient: np.ndarray
     randomization: np.ndarray
-    algorithm: str
 
 
 @dataclass
@@ -152,10 +148,7 @@ def _check_rep(rep: LinearEventRep, what: str) -> LinearEventRep:
 
 def sample_randomization(omega: np.ndarray, seed: int) -> np.ndarray:
     """Draw one N(0, omega) vector; deterministic in ``seed``."""
-    p = omega.shape[0]
-    z = np.random.default_rng(seed).standard_normal(p)
-    if not omega.any():
-        return np.zeros(p)
+    z = np.random.default_rng(seed).standard_normal(omega.shape[0])
     try:
         chol = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError as exc:
@@ -192,8 +185,6 @@ def solve_randomized_lasso(
     lam: float,
     epsilon: float,
     w: np.ndarray,
-    max_sweeps: int = 50_000,
-    tol: float = 1e-10,
 ) -> SelectionOutcome:
     """Solve the linearly-perturbed lasso
 
@@ -202,7 +193,8 @@ def solve_randomized_lasso(
     by cyclic coordinate descent with exact soft-threshold updates, so the
     active set needs no thresholding heuristic.  Full sweeps alternate with
     sweeps restricted to the current support until the maximum coordinate
-    change drops below ``tol`` and the stationarity residual is tiny.
+    change drops below ``_CD_TOL`` and the stationarity residual is tiny, or
+    raises ``ConvergenceError`` after ``_CD_MAX_SWEEPS`` sweeps.
     """
     if not lam > 0:
         raise InvalidArgumentError("lam must be positive")
@@ -253,16 +245,16 @@ def solve_randomized_lasso(
     sweeps = 0
     converged = False
     all_idx = range(p)
-    while sweeps < max_sweeps:
+    while sweeps < _CD_MAX_SWEEPS:
         change = sweep(all_idx)
         sweeps += 1
         s = gram @ b  # reset incremental drift at each full pass
-        if change <= tol and kkt_residual() <= 1e-9:
+        if change <= _CD_TOL and kkt_residual() <= 1e-9:
             converged = True
             break
         active = np.flatnonzero(b)
-        while sweeps < max_sweeps and active.size:
-            if sweep(active) <= tol:
+        while sweeps < _CD_MAX_SWEEPS and active.size:
+            if sweep(active) <= _CD_TOL:
                 break
             sweeps += 1
     if not converged:
@@ -270,7 +262,7 @@ def solve_randomized_lasso(
         resid = kkt_residual()
         if resid > 1e-9:
             raise ConvergenceError(
-                f"coordinate descent did not converge in {max_sweeps} sweeps",
+                f"coordinate descent did not converge in {_CD_MAX_SWEEPS} sweeps",
                 residual=resid,
             )
 
@@ -286,7 +278,6 @@ def solve_randomized_lasso(
         signs=signs,
         inactive_subgradient=sub,
         randomization=w,
-        algorithm="lasso",
     )
 
 
@@ -351,7 +342,6 @@ def solve_randomized_screening(
         signs=signs,
         inactive_subgradient=sub,
         randomization=w,
-        algorithm="screening",
     )
     rep = LinearEventRep(
         P=-data.X[:, order].T,

@@ -21,7 +21,7 @@ def toy_fit():
     data = Dataset(y=np.array([2.0, 0.0]), X=np.array([[1.0], [0.0]]), sigma=1.0)
     out = solve_randomized_lasso(data, lam=1.0, epsilon=0.0, w=np.array([0.5]))
     rep = lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
-    omega = RandomizationScheme(kind="carving", tau2=1.0).covariance(data.X)
+    omega = RandomizationScheme(tau2=1.0).covariance(data.X)
     return data, out, rep, omega
 
 
@@ -41,7 +41,7 @@ def carving_fit(rng, n=40, p=8, tau2=0.7, lam=None, min_selected=1):
         k = max(1, p // 4)
         beta[rng.choice(p, size=k, replace=False)] = rng.uniform(1, 3, size=k)
         y = X @ beta + rng.standard_normal(n)
-        scheme = RandomizationScheme(kind="carving", tau2=tau2)
+        scheme = RandomizationScheme(tau2=tau2)
         omega = scheme.covariance(X)
         w = sample_randomization(omega, seed=int(rng.integers(1 << 30)))
         lam_use = lam if lam is not None else 1.2 * math.sqrt(2 * math.log(p) * n) / 2
@@ -71,7 +71,7 @@ def oracle_pivot(params, beta0, nodes=4001, drop=60.0):
     rho = -vt2 * params.sigma_j2 / (s * sd_y)  # cov(X, Y) / (sd_x sd_y)
     cond_sd = math.sqrt(1.0 - rho * rho)
     u = (params.beta_hat_j - m) / s
-    mu_y = params.theta_intercept + params.theta_slope * m
+    mu_y = params.theta_intercept - vt2 * m
     a = (params.interval.lower - mu_y) / sd_y
     b = (params.interval.upper - mu_y) / sd_y
     nearest = min(max(0.0, a), b)
@@ -141,7 +141,6 @@ def carving_pivot_params(data, outcome, target, sigma, tau2, lam):
         lambda_j=1.0,
         zeta_j=0.0,
         theta_intercept=theta_intercept,
-        theta_slope=-vartheta2,
         interval=interval,
         beta_hat_j=float(target.contrast @ data.y),
     )

@@ -7,7 +7,13 @@ import pytest
 from scipy.linalg import hadamard
 
 from exactsi import conditioning
-from exactsi.cli import main, parse_config_file, read_csv_dataset
+from exactsi.cli import (
+    build_parser,
+    build_sim_config,
+    main,
+    parse_config_file,
+    read_csv_dataset,
+)
 from exactsi.errors import InvalidArgumentError
 from exactsi.study import (
     SimConfig,
@@ -67,6 +73,14 @@ class TestReadCsv:
         path.write_text("y,x0\n1.0,2.0\n3.0,oops\n")
         with pytest.raises(InvalidArgumentError, match="row 3.*x0"):
             read_csv_dataset(str(path))
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffy,x0\n1.0,2.0\n3.0,4.0\n".encode("utf-8"))
+        data, names = read_csv_dataset(str(path))
+        assert names == ["x0"]
+        assert data.y.tolist() == [1.0, 3.0]
+        assert data.X.tolist() == [[2.0], [4.0]]
 
     def test_missing_response(self, tmp_path):
         path = tmp_path / "no_y.csv"
@@ -358,6 +372,47 @@ class TestSimulateValidate:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 3\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sigma2", "-1"], "sigma2 must be positive"),
+            (["--p", "0", "--sparsity", "0"], "p must be at least 1"),
+            (["--signal-fraction", "-1"], "signal_fraction must be nonnegative"),
+        ],
+    )
+    def test_bad_config_values_are_errors(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s"
+        assert main(["simulate", "--n-reps", "1", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s.json").exists()
+
+    def test_every_flag_beats_the_file(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(
+            "n = 50\np = 6\nsparsity = 2\nsignal_fraction = 2.0\nrho = 0.7\n"
+            "corr = 0.1\nsigma2 = 2.0\nn_reps = 2\nmethods = exact, uv\n"
+            "model = selected\nlambda_rule = 30\nseed = 5\nalpha = 0.2\n"
+        )
+        parser = build_parser()
+        from_file = build_sim_config(parser.parse_args(["simulate", "--config", str(cfg)]))
+        assert from_file == SimConfig(
+            n=50, p=6, sparsity=2, signal_fraction=2.0, rho=0.7, corr=0.1, sigma2=2.0,
+            n_reps=2, methods=("exact", "uv"), model="selected", lambda_rule=30.0,
+            seed=5, alpha=0.2,
+        )
+        flags = [
+            "--n", "40", "--p", "5", "--sparsity", "1", "--signal-fraction", "1.0",
+            "--rho", "0.6", "--corr", "0.2", "--sigma2", "1.5", "--n-reps", "3",
+            "--method", "polyhedral", "--model", "full", "--lambda", "7",
+            "--seed", "8", "--alpha", "0.05",
+        ]
+        args = parser.parse_args(["simulate", "--config", str(cfg), *flags])
+        assert build_sim_config(args) == SimConfig(
+            n=40, p=5, sparsity=1, signal_fraction=1.0, rho=0.6, corr=0.2, sigma2=1.5,
+            n_reps=3, methods=("polyhedral",), model="full", lambda_rule=7.0,
+            seed=8, alpha=0.05,
+        )
 
 
 def test_parse_config_file(tmp_path):

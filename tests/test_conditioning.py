@@ -53,8 +53,9 @@ class TestBuildGeometry:
     def test_toy_hand_values(self):
         data, out, rep, omega = toy_fit()
         t = build_target(target_basis(data, out, "selected"), 0)
-        g = build_geometry(factor_randomization(rep, omega), t)
-        assert g.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
+        cond = factor_randomization(rep, omega)
+        g = build_geometry(cond, t)
+        assert cond.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert g.rj[0] == pytest.approx(-1.0, abs=1e-10)
         assert g.Qj[0] == pytest.approx(-1.0, abs=1e-10)
         assert g.A_obs[0] == pytest.approx(0.0, abs=1e-12)
@@ -131,7 +132,8 @@ class TestAEta:
         rng = np.random.default_rng(6)
         data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
         t = build_target(target_basis(data, out, "selected"), 1)
-        g = build_geometry(factor_randomization(rep, omega), t)
-        eta = g.rj
-        comp = rep.opt - (g.Theta @ eta) * (eta @ rep.opt) / float(eta @ g.Theta @ eta)
+        cond = factor_randomization(rep, omega)
+        g = build_geometry(cond, t)
+        eta, theta = g.rj, cond.Theta
+        comp = rep.opt - (theta @ eta) * (eta @ rep.opt) / float(eta @ theta @ eta)
         assert np.allclose(comp, g.A_obs, atol=1e-10)

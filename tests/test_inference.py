@@ -96,7 +96,6 @@ class TestPivotParams:
         assert params.lambda_j == pytest.approx(1.0, abs=1e-10)
         assert params.zeta_j == pytest.approx(0.0, abs=1e-10)
         assert params.theta_intercept == pytest.approx(1.0, abs=1e-10)
-        assert params.theta_slope == pytest.approx(-1.0, abs=1e-10)
         assert params.beta_hat_j == pytest.approx(2.0)
 
     def test_generic_matches_carving_closed_form(self):
@@ -135,7 +134,8 @@ class TestPivotParams:
         w = np.array([0.25])
         out = solve_randomized_lasso(data, lam=0.5, epsilon=eps, w=w)
         rep = lasso_event_rep(data, out, lam=0.5, epsilon=eps)
-        omega = RandomizationScheme(kind="isotropic", tau2=tau2).covariance(X)
+        # carving covariance tau2 * x'x on a unit-norm x: the scalar tau2
+        omega = RandomizationScheme(tau2=tau2).covariance(X)
         cond = factor_randomization(rep, omega)
         target = build_target(target_basis(data, out, "selected"), 0)
         geom = build_geometry(cond, target)
@@ -154,7 +154,6 @@ class TestExactPivot:
             lambda_j=params.lambda_j,
             zeta_j=params.zeta_j,
             theta_intercept=params.theta_intercept,
-            theta_slope=params.theta_slope,
             interval=FULL_LINE,
             beta_hat_j=params.beta_hat_j,
         )
@@ -235,9 +234,9 @@ class TestExactPivot:
 
 @st.composite
 def model_pivot_params(draw):
-    """PivotParams of the model's form (theta_slope = -vartheta2, so the
-    estimate and the conditioned combination are negatively correlated) with
-    a two-sided, one-sided or full-line truncation interval."""
+    """PivotParams (the estimate and the conditioned combination are
+    negatively correlated) with a two-sided, one-sided or full-line truncation
+    interval."""
     sigma_j2 = 10.0 ** draw(st.floats(-4.0, 2.0))
     ts = 10.0 ** draw(st.floats(-1.3, 1.3))  # vartheta * sigma_j
     vartheta2 = ts * ts / sigma_j2
@@ -266,7 +265,6 @@ def model_pivot_params(draw):
         lambda_j=lambda_j,
         zeta_j=zeta_j,
         theta_intercept=theta_intercept,
-        theta_slope=-vartheta2,
         interval=interval,
         beta_hat_j=beta_hat,
     )
@@ -322,7 +320,6 @@ class TestInvertPivot:
             lambda_j=1.0,
             zeta_j=0.0,
             theta_intercept=params.theta_intercept,
-            theta_slope=-params.vartheta2,
             interval=FULL_LINE,
             beta_hat_j=2.0,
         )

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from exactsi.errors import EmptyMassError, InvalidArgumentError, NoRootError
+from exactsi.errors import (
+    EmptyMassError,
+    GeometryInconsistencyError,
+    InvalidArgumentError,
+    NoRootError,
+)
 from exactsi.numerics import (
     DEFAULT_QUADRATURE,
     FULL_LINE,
     Interval,
     QuadratureSpec,
-    gaussian_cdf,
     integrate_weighted_gaussian,
     invert_monotone,
+    line_interval,
     log_truncation_prob,
-    truncation_prob,
 )
 
 # Frozen with mpmath at 50 digits (erf series, independent of scipy):
@@ -26,6 +30,16 @@ PHI_1959964 = 0.9750000009035576
 TWO_PHI_1_MINUS_1 = 0.6826894921370859
 LOG_TP_10_11 = -53.23131022558312
 Z_975 = 1.959963984540054
+
+
+def prob(interval, theta, vartheta):
+    """Probability of ``interval`` under N(theta, vartheta^2), from its log."""
+    return math.exp(log_truncation_prob(interval, theta, vartheta))
+
+
+def std_normal_cdf(x):
+    """The standard normal CDF as the probability of a half-line."""
+    return prob(Interval(-math.inf, x), 0.0, 1.0)
 
 
 class TestInterval:
@@ -40,7 +54,7 @@ class TestInterval:
             Interval(math.nan, 1.0)
 
     def test_infinite_endpoints_ok(self):
-        assert FULL_LINE.is_full_line
+        assert FULL_LINE.contains(-1e308) and FULL_LINE.contains(1e308)
         assert Interval(0.0, math.inf).contains(5.0)
 
 
@@ -56,34 +70,35 @@ class TestQuadratureSpec:
 
 class TestGaussianCdf:
     def test_symmetry_point(self):
-        assert gaussian_cdf(0.0) == 0.5
+        assert std_normal_cdf(0.0) == 0.5
 
     def test_limits(self):
-        assert gaussian_cdf(-math.inf) == 0.0
-        assert gaussian_cdf(math.inf) == 1.0
+        # a half-line 1e100 sd away from the mean carries mass 0 or 1 exactly
+        assert prob(Interval(-math.inf, 0.0), 1e100, 1.0) == 0.0
+        assert prob(Interval(-math.inf, 0.0), -1e100, 1.0) == 1.0
 
     def test_erf_series_oracle(self):
-        assert abs(gaussian_cdf(1.959964) - PHI_1959964) < 1e-12
-        assert abs(gaussian_cdf(1.959964) - 0.975) < 1e-8
+        assert abs(std_normal_cdf(1.959964) - PHI_1959964) < 1e-12
+        assert abs(std_normal_cdf(1.959964) - 0.975) < 1e-8
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            gaussian_cdf(math.nan)
+            log_truncation_prob(Interval(-math.inf, 0.0), math.nan, 1.0)
 
     def test_complement_identity(self):
         for x in np.linspace(-8, 8, 401):
-            assert abs(gaussian_cdf(x) + gaussian_cdf(-x) - 1.0) < 1e-14
+            assert abs(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0) < 1e-14
 
 
 class TestTruncationProb:
     def test_full_support(self):
-        assert truncation_prob(FULL_LINE, theta=3.7, vartheta=2.0) == 1.0
+        assert prob(FULL_LINE, theta=3.7, vartheta=2.0) == 1.0
 
     def test_half_line_symmetry(self):
-        assert abs(truncation_prob(Interval(0, math.inf), 0.0, 1.0) - 0.5) < 1e-15
+        assert abs(prob(Interval(0, math.inf), 0.0, 1.0) - 0.5) < 1e-15
 
     def test_central_interval_cdf_oracle(self):
-        tp = truncation_prob(Interval(-1, 1), 0.0, 1.0)
+        tp = prob(Interval(-1, 1), 0.0, 1.0)
         assert abs(tp - TWO_PHI_1_MINUS_1) < 1e-14
 
     def test_matches_direct_difference_centrally(self):
@@ -95,24 +110,25 @@ class TestTruncationProb:
             theta = rng.normal() * 2
             vt = rng.uniform(0.2, 3.0)
             direct = ndtr((b - theta) / vt) - ndtr((a - theta) / vt)
-            tp = truncation_prob(Interval(a, b), theta, vt)
-            assert 0.0 < tp < 1.0
+            tp = prob(Interval(a, b), theta, vt)
+            # exp of the log probability may round to 1 on a finite interval
+            assert 0.0 < tp <= 1.0
             # the plain difference itself cancels at ~1e-16 absolute
             assert abs(tp - direct) <= 1e-13 * direct + 5e-16
 
     def test_far_tail_does_not_cancel(self):
         # true value ~ 7e-306: a plain CDF difference returns exactly 0 here
-        tp = truncation_prob(Interval(37.0, 38.0), 0.0, 1.0)
+        tp = prob(Interval(37.0, 38.0), 0.0, 1.0)
         assert tp > 0.0
         assert tp < 1e-290
 
     def test_degenerate_interval_error(self):
         with pytest.raises(InvalidArgumentError):
-            truncation_prob(Interval(1.0, 1.0), 0.0, 1.0)
+            prob(Interval(1.0, 1.0), 0.0, 1.0)
 
     def test_bad_vartheta(self):
         with pytest.raises(InvalidArgumentError):
-            truncation_prob(Interval(0, 1), 0.0, 0.0)
+            prob(Interval(0, 1), 0.0, 0.0)
 
 
 class TestLogTruncationProb:
@@ -142,11 +158,12 @@ class TestLogTruncationProb:
                 continue
             theta = rng.normal() * 3
             vt = rng.uniform(0.1, 4.0)
-            tp = truncation_prob(Interval(a, b), theta, vt)
+            za, zb = (a - theta) / vt, (b - theta) / vt
+            direct = float(ndtr(zb) - ndtr(za))
             lt = log_truncation_prob(Interval(a, b), theta, vt)
             assert lt <= 0.0
-            if tp >= 1e-10:
-                assert abs(math.exp(lt) - tp) <= 1e-12 * tp
+            # the plain difference itself cancels at ~1e-16 absolute
+            assert abs(math.exp(lt) - direct) <= 1e-12 * direct + 5e-16
 
     def test_vectorized_over_theta(self):
         thetas = np.linspace(-5, 5, 17)
@@ -215,13 +232,39 @@ class TestIntegrateWeightedGaussian:
         assert val == -math.inf
 
 
+class TestLineInterval:
+    def test_zero_row_that_holds_is_ignored(self):
+        coefs = np.array([0.0, -1.0, 2.0, 1e-15])
+        slack = np.array([1.0, 3.0, 4.0, 0.5])
+        assert line_interval(coefs, slack, 1e-12) == (-3.0, 2.0)
+
+    def test_violated_zero_row_raises(self):
+        coefs = np.array([-(2.0**-50), 1.0])
+        slack = np.array([-0.5, 1.0])
+        with pytest.raises(GeometryInconsistencyError):
+            line_interval(coefs, slack, 1e-12)
+        # the tolerance is per row: under a smaller scale the row bounds t
+        assert line_interval(coefs, slack, np.array([1e-20, 1e-12])) == (2.0**49, 1.0)
+
+    def test_unbounded_side_is_infinite(self):
+        assert line_interval(np.array([2.0]), np.array([4.0]), 1e-12) == (-math.inf, 2.0)
+        assert line_interval(np.array([-2.0]), np.array([4.0]), 1e-12) == (-2.0, math.inf)
+        empty = np.zeros(0)
+        assert line_interval(empty, empty, empty) == (-math.inf, math.inf)
+
+    def test_bounds_are_tightest_rows(self):
+        coefs = np.array([-1.0, -2.0, 1.0, 4.0])
+        slack = np.array([1.0, 1.0, 3.0, 4.0])
+        assert line_interval(coefs, slack, 1e-12) == (-0.5, 1.0)
+
+
 class TestInvertMonotone:
     def test_identity(self):
         x = invert_monotone(lambda t: t, 0.3, Interval(-1, 1))
         assert abs(x - 0.3) < 1e-10
 
     def test_gaussian_quantile_oracle(self):
-        x = invert_monotone(gaussian_cdf, 0.975, Interval(0, 1))
+        x = invert_monotone(std_normal_cdf, 0.975, Interval(0, 1))
         assert abs(x - Z_975) < 1e-8
 
     def test_cube_root_with_expansion(self):

@@ -38,14 +38,9 @@ class TestDataset:
 
 
 class TestRandomization:
-    def test_zero_tau_isotropic_gives_zero_vector(self):
-        scheme = RandomizationScheme(kind="isotropic", tau2=0.0)
-        w = sample_randomization(scheme.covariance(np.eye(3)), seed=5)
-        assert np.array_equal(w, np.zeros(3))
-
     def test_carving_identity_gram(self):
         X = np.eye(2)
-        scheme = RandomizationScheme(kind="carving", tau2=1.0)
+        scheme = RandomizationScheme(tau2=1.0)
         assert np.allclose(scheme.covariance(X), np.eye(2), atol=1e-7)
 
     def test_carving_tau2_arithmetic(self):
@@ -57,7 +52,7 @@ class TestRandomization:
     def test_empirical_covariance_matches(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((50, 3))
-        scheme = RandomizationScheme(kind="carving", tau2=0.5)
+        scheme = RandomizationScheme(tau2=0.5)
         omega = scheme.covariance(X)
         draws = np.stack(
             [sample_randomization(omega, seed=s) for s in range(10_000)]
@@ -71,7 +66,7 @@ class TestRandomization:
 
     def test_deterministic_in_seed(self):
         X = np.random.default_rng(1).standard_normal((20, 4))
-        scheme = RandomizationScheme(kind="carving", tau2=2.0)
+        scheme = RandomizationScheme(tau2=2.0)
         omega = scheme.covariance(X)
         a = sample_randomization(omega, seed=42)
         b = sample_randomization(omega, seed=42)
@@ -79,7 +74,7 @@ class TestRandomization:
 
     def test_rank_deficient_gram_gets_jitter(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
-        scheme = RandomizationScheme(kind="carving", tau2=1.0)
+        scheme = RandomizationScheme(tau2=1.0)
         omega = scheme.covariance(X)
         assert np.linalg.eigvalsh(omega).min() > 0
 

@@ -9,7 +9,6 @@ from exactsi.errors import (
     InvalidArgumentError,
     NumericalDegeneracyError,
 )
-from exactsi.inference import IntervalEstimate
 from exactsi.selection import Dataset
 from exactsi.study import (
     SimConfig,
@@ -17,7 +16,6 @@ from exactsi.study import (
     _seed_for,
     calibrate,
     f1_score,
-    fcr,
     fit_method,
     generate_design,
     generate_response,
@@ -96,30 +94,6 @@ class TestF1:
 
     def test_both_empty(self):
         assert f1_score([], []) == 1.0
-
-
-def _iv(lo, hi):
-    return IntervalEstimate(lower=lo, upper=hi, level=0.9, target_label=0, method="exact")
-
-
-class TestFCR:
-    def test_all_covered(self):
-        assert fcr([_iv(-1, 1), _iv(0, 3)], [0.0, 2.0]) == 0.0
-
-    def test_none_covered(self):
-        ints = [_iv(-1, 1)] * 4
-        assert fcr(ints, [5.0, 5.0, 5.0, 5.0]) == 1.0
-
-    def test_partial(self):
-        ints = [_iv(-1, 1)] * 5
-        assert fcr(ints, [0.0, 0.0, 0.0, 0.0, 9.0]) == pytest.approx(0.2)
-
-    def test_empty_selection(self):
-        assert fcr([], []) == 0.0
-
-    def test_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            fcr([_iv(-1, 1)], [0.0, 1.0])
 
 
 class TestTrueProjectedTarget:
