@@ -40,7 +40,6 @@ _COND_LIMIT = 1e12
 class TargetSpec:
     """A linear contrast of the mean response selected for inference."""
 
-    j: int
     contrast: np.ndarray
     norm2: float
 
@@ -127,7 +126,7 @@ def build_target(basis: TargetBasis, j: int) -> TargetSpec:
     unit = np.zeros(basis.design.shape[1])
     unit[basis.columns[j]] = 1.0
     contrast = basis.design @ cho_solve(basis.factor, unit)
-    return TargetSpec(j=j, contrast=contrast, norm2=float(contrast @ contrast))
+    return TargetSpec(contrast=contrast, norm2=float(contrast @ contrast))
 
 
 def factor_randomization(rep: LinearEventRep, Omega: np.ndarray) -> RandomizationFactor:

@@ -82,7 +82,6 @@ class IntervalEstimate:
 
     lower: float
     upper: float
-    level: float
     target_label: int
     method: str
     clipped: bool = False
@@ -325,7 +324,6 @@ def invert_pivot(
     return IntervalEstimate(
         lower=lower,
         upper=upper,
-        level=1.0 - alpha,
         target_label=target_label,
         method="exact",
     )
@@ -480,7 +478,6 @@ def polyhedral_interval(
     return IntervalEstimate(
         lower=lower,
         upper=upper,
-        level=1.0 - alpha,
         target_label=target_label,
         method="polyhedral",
         clipped=clipped,
@@ -548,7 +545,6 @@ def _ls_z_intervals(
             IntervalEstimate(
                 lower=float(coef[k] - half),
                 upper=float(coef[k] + half),
-                level=1.0 - alpha,
                 target_label=int(jcol),
                 method=method,
             )

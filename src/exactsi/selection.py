@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .errors import (
     ConvergenceError,
@@ -26,6 +27,8 @@ from .errors import (
 RECONSTRUCTION_TOL = 1e-6
 _CD_MAX_SWEEPS = 50_000
 _CD_TOL = 1e-10
+_AS_MAX_STEPS = 1_000
+_KKT_TOL = 1e-9
 
 
 @dataclass
@@ -180,39 +183,89 @@ def _soft(z: float, lam: float) -> float:
     return 0.0
 
 
-def solve_randomized_lasso(
-    data: Dataset,
-    lam: float,
-    epsilon: float,
-    w: np.ndarray,
-) -> SelectionOutcome:
-    """Solve the linearly-perturbed lasso
+def _kkt_residual(
+    s: np.ndarray, c: np.ndarray, b: np.ndarray, lam: float, epsilon: float
+) -> float:
+    """Largest stationarity violation at ``b``, given ``s = X'X b``."""
+    active = b != 0
+    resid = 0.0
+    if active.any():
+        stat = s[active] - c[active] + epsilon * b[active] + lam * np.sign(b[active])
+        resid = float(np.max(np.abs(stat)))
+    if (~active).any():
+        slack = np.abs(c[~active] - s[~active]) - lam
+        resid = max(resid, float(max(np.max(slack), 0.0)))
+    return resid
 
-        min_b 0.5 ||y - X b||^2 + 0.5 * epsilon ||b||^2 + lam ||b||_1 - w'b
 
-    by cyclic coordinate descent with exact soft-threshold updates, so the
-    active set needs no thresholding heuristic.  Full sweeps alternate with
-    sweeps restricted to the current support until the maximum coordinate
-    change drops below ``_CD_TOL`` and the stationarity residual is tiny, or
-    raises ``ConvergenceError`` after ``_CD_MAX_SWEEPS`` sweeps.
+def _active_set_lasso(
+    gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float
+) -> np.ndarray | None:
+    """Feature-sign search on ``0.5 b'Hb - c'b + lam ||b||_1``, ``H = gram + eps I``.
+
+    Returns the solution, or None when it cannot be certified: a restricted
+    Gram that is not positive definite, more than ``_AS_MAX_STEPS`` restricted
+    solves, or a KKT residual above ``_KKT_TOL``.
     """
-    if not lam > 0:
-        raise InvalidArgumentError("lam must be positive")
-    if epsilon < 0:
-        raise InvalidArgumentError("epsilon must be nonnegative")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (data.p,):
-        raise InvalidArgumentError("w has the wrong length")
-    X, y, p = data.X, data.y, data.p
-    gram = X.T @ X
-    diag = np.diag(gram).copy()
-    c = X.T @ y + w
-    if (diag + epsilon <= 0).any():
-        bad = int(np.argmin(diag + epsilon))
-        if abs(c[bad]) > lam:
-            raise InvalidArgumentError(
-                f"column {bad} has zero norm and epsilon=0: objective unbounded"
+    b = np.zeros(c.size)
+    A = np.zeros(0, dtype=int)  # active coordinates
+    theta = np.zeros(0)  # their signs
+    g = c.copy()  # c - X'X b, which is c - H b off the support
+    steps = 0
+    while True:
+        slack = np.abs(g)
+        slack[A] = 0.0
+        j = int(np.argmax(slack))
+        if not slack[j] > lam:
+            break
+        A = np.append(A, j)
+        theta = np.append(theta, np.sign(g[j]))
+        while A.size:
+            steps += 1
+            if steps > _AS_MAX_STEPS:
+                return None
+            H_AA = gram[A[:, None], A] + epsilon * np.eye(A.size)
+            _, new, info = dposv(H_AA, c[A] - lam * theta)  # Cholesky solve
+            if info:
+                return None
+            if (np.sign(new) == theta).all():
+                b[A] = new
+                break
+            # Discrete line search over the zero crossings of old -> new.  Up to
+            # the first crossing the signs agree with theta, where the objective
+            # is the restricted quadratic that decreases towards new, so the
+            # best candidate lowers the objective.
+            old = b[A]
+            cross = np.flatnonzero((np.sign(new) != theta) & (old != 0))
+            t = np.minimum(old[cross] / (old[cross] - new[cross]), 1.0)
+            points = old + t[:, None] * (new - old)
+            points[np.arange(cross.size), cross] = 0.0
+            points = np.vstack([points, new])
+            objective = (
+                0.5 * np.einsum("ki,ij,kj->k", points, H_AA, points)
+                - points @ c[A]
+                + lam * np.abs(points).sum(axis=1)
             )
+            best = points[int(np.argmin(objective))]
+            b[A] = best
+            keep = best != 0
+            A, theta = A[keep], np.sign(best[keep])
+        g = c - gram[:, A] @ b[A]
+    if _kkt_residual(gram @ b, c, b, lam, epsilon) > _KKT_TOL:
+        return None
+    return b
+
+
+def _cd_lasso(gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
+    """Cyclic coordinate descent with exact soft-threshold updates.
+
+    Full sweeps alternate with sweeps restricted to the current support until
+    the maximum coordinate change drops below ``_CD_TOL`` and the KKT residual
+    is below ``_KKT_TOL``, or raises ``ConvergenceError`` after
+    ``_CD_MAX_SWEEPS`` sweeps.
+    """
+    p = c.size
+    diag = np.diag(gram).copy()
     b = np.zeros(p)
     s = np.zeros(p)  # s = gram @ b, maintained incrementally
 
@@ -231,17 +284,6 @@ def solve_randomized_lasso(
                 change = max(change, abs(new - old))
         return change
 
-    def kkt_residual() -> float:
-        active = b != 0
-        resid = 0.0
-        if active.any():
-            stat = s[active] - c[active] + epsilon * b[active] + lam * np.sign(b[active])
-            resid = float(np.max(np.abs(stat)))
-        if (~active).any():
-            slack = np.abs(c[~active] - s[~active]) - lam
-            resid = max(resid, float(max(np.max(slack), 0.0)))
-        return resid
-
     sweeps = 0
     converged = False
     all_idx = range(p)
@@ -249,7 +291,7 @@ def solve_randomized_lasso(
         change = sweep(all_idx)
         sweeps += 1
         s = gram @ b  # reset incremental drift at each full pass
-        if change <= _CD_TOL and kkt_residual() <= 1e-9:
+        if change <= _CD_TOL and _kkt_residual(s, c, b, lam, epsilon) <= _KKT_TOL:
             converged = True
             break
         active = np.flatnonzero(b)
@@ -259,12 +301,67 @@ def solve_randomized_lasso(
             sweeps += 1
     if not converged:
         s = gram @ b
-        resid = kkt_residual()
-        if resid > 1e-9:
+        resid = _kkt_residual(s, c, b, lam, epsilon)
+        if resid > _KKT_TOL:
             raise ConvergenceError(
                 f"coordinate descent did not converge in {_CD_MAX_SWEEPS} sweeps",
                 residual=resid,
             )
+    return b
+
+
+def solve_randomized_lasso(
+    data: Dataset,
+    lam: float,
+    epsilon: float,
+    w: np.ndarray,
+) -> SelectionOutcome:
+    """Solve the linearly-perturbed lasso
+
+        min_b 0.5 ||y - X b||^2 + 0.5 * epsilon ||b||^2 + lam ||b||_1 - w'b
+
+    exactly, by feature-sign search (Lee, Battle, Raina & Ng 2007).  With
+    ``H = X'X + epsilon I`` and ``c = X'y + w``, the KKT conditions read
+    ``c_j - (Hb)_j = lam sign(b_j)`` on the support and
+    ``|c_j - (Hb)_j| <= lam`` off it, so once the support A and its signs
+    theta are known the solution is the linear solve
+    ``H_AA b_A = c_A - lam theta_A``.  The search finds A and theta: it adds
+    the inactive coordinate with the largest ``|c_j - (Hb)_j| > lam``, with
+    that sign; solves for ``b_A`` by Cholesky; when the solve disagrees with
+    theta, moves instead to the best of the zero crossings on the way there
+    (a strict decrease of the objective) and drops the coordinates that
+    reached zero, then solves again; and stops when no inactive coordinate
+    violates its bound.  No (A, theta) pair repeats, so it ends after finitely
+    many solves, typically about |A|; the solution is a linear solve away
+    from the KKT conditions, not a tolerance away like an iterative method.
+
+    The answer is accepted only if its KKT residual is at most ``_KKT_TOL``.
+    When the search cannot certify it (a restricted Gram ``H_AA`` that is not
+    positive definite, as with p > n and epsilon = 0, more than
+    ``_AS_MAX_STEPS`` solves, or a failed residual check), cyclic coordinate
+    descent (``_cd_lasso``) solves the problem instead and raises
+    ``ConvergenceError`` if it does not converge.
+    """
+    if not lam > 0:
+        raise InvalidArgumentError("lam must be positive")
+    if epsilon < 0:
+        raise InvalidArgumentError("epsilon must be nonnegative")
+    w = np.asarray(w, dtype=float)
+    if w.shape != (data.p,):
+        raise InvalidArgumentError("w has the wrong length")
+    X, y, p = data.X, data.y, data.p
+    gram = X.T @ X
+    diag = np.diag(gram)
+    c = X.T @ y + w
+    if (diag + epsilon <= 0).any():
+        bad = int(np.argmin(diag + epsilon))
+        if abs(c[bad]) > lam:
+            raise InvalidArgumentError(
+                f"column {bad} has zero norm and epsilon=0: objective unbounded"
+            )
+    b = _active_set_lasso(gram, c, lam, epsilon)
+    if b is None:
+        b = _cd_lasso(gram, c, lam, epsilon)
 
     selected = np.flatnonzero(b)
     inactive = np.setdiff1d(np.arange(p), selected)

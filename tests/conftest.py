@@ -99,7 +99,7 @@ def oracle_pivot(params, beta0, nodes=4001, drop=60.0):
     return float(1.0 - 1.0 / (1.0 + np.exp(min(lb - la, 700.0))))
 
 
-def carving_pivot_params(data, outcome, target, sigma, tau2, lam):
+def carving_pivot_params(data, outcome, target, j, sigma, tau2, lam):
     """Closed-form pivot constants for the carving covariance with no ridge.
 
     Independent of the generic route: no randomization-covariance solves, only
@@ -111,7 +111,6 @@ def carving_pivot_params(data, outcome, target, sigma, tau2, lam):
     gram = XE.T @ XE
     factor = cho_factor(gram)
     gram_inv = cho_solve(factor, np.eye(q))
-    j = target.j
     norm2 = target.norm2
     vartheta2 = 1.0 / (tau2 * norm2)
     sigma_j2 = sigma**2 * norm2

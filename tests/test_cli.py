@@ -33,6 +33,15 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def strict_json(path):
+    """Parse as RFC 8259 JSON: a bare NaN or Infinity fails the test."""
+
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def make_regression_csv(path, rng, n=50, p=5, signal=4.0):
     X = rng.standard_normal((n, p))
     y = X[:, 0] * signal - X[:, 1] * signal + rng.standard_normal(n)
@@ -208,6 +217,22 @@ class TestInfer:
         methods = {r["method"] for r in rows}
         assert "exact" in methods and "split" in methods
 
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_is_rejected(self, tmp_path, capsys, alpha):
+        rng = np.random.default_rng(7)
+        path = make_regression_csv(tmp_path / "d.csv", rng, n=60, p=6)
+        out = tmp_path / "inf"
+        code = main(
+            [
+                "infer", "--input", str(path), "--rho", "0.8", "--alpha", alpha,
+                "--method", "exact", "--method", "polyhedral", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: alpha must lie in (0, 1)\n"
+        assert not (tmp_path / "inf.json").exists()
+        assert not (tmp_path / "inf.csv").exists()
+
 
 @pytest.mark.parametrize("model", ["selected", "full"])
 def test_infer_matches_study_replicate(tmp_path, model):
@@ -261,14 +286,19 @@ def test_per_fit_failure_is_an_error_of_every_target(tmp_path, monkeypatch):
 
     monkeypatch.setattr(conditioning, "_COND_LIMIT", 1.0)
     assert main(["infer", *common, "--out", str(tmp_path / "inf")]) == 0
-    report = json.loads((tmp_path / "inf.json").read_text())
+    # error rows have no endpoints and the method no mean length: JSON null
+    report = strict_json(tmp_path / "inf.json")
     message = "randomization covariance is ill-conditioned (cond > 1e+00)"
-    assert [(r["index"], r["error"]) for r in report["rows"]] == [
-        (j, message) for j in selected
+    assert [(r["index"], r["lower"], r["upper"], r["error"]) for r in report["rows"]] == [
+        (j, None, None, message) for j in selected
     ]
     with open(tmp_path / "inf.csv", newline="") as fh:
-        assert [r["error"] for r in csv.DictReader(fh)] == [message] * len(selected)
+        csv_rows = list(csv.DictReader(fh))
+    assert [(r["lower"], r["upper"], r["error"]) for r in csv_rows] == [
+        ("", "", message)
+    ] * len(selected)
     assert report["methods"]["exact"]["errors"] == len(selected)
+    assert report["methods"]["exact"]["mean_length"] is None
 
     cfg = SimConfig(n=60, p=12, sparsity=2, signal_fraction=2.0, n_reps=1, seed=7)
     _, status = _run_replicate(cfg, 0)
@@ -332,6 +362,9 @@ class TestSimulateValidate:
             rows = list(csv.DictReader(fh))
         reps = {r["rep"] for r in rows}
         assert reps <= {"0"}
+        # one replicate has no standard error: JSON null, not a bare NaN
+        summary = strict_json(tmp_path / "one.json")
+        assert summary["methods"]["exact"]["coverage_se"] is None
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "study.cfg"

@@ -108,7 +108,7 @@ class TestPivotParams:
                 target = build_target(basis, j)
                 geom = build_geometry(cond, target)
                 generic = pivot_params(data, cond, geom, target, sigma=1.0)
-                closed = carving_pivot_params(data, out, target, 1.0, tau2, lam)
+                closed = carving_pivot_params(data, out, target, j, 1.0, tau2, lam)
                 assert generic.vartheta2 == pytest.approx(closed.vartheta2, rel=1e-8)
                 assert generic.sigma_j2 == pytest.approx(closed.sigma_j2, rel=1e-8)
                 assert generic.lambda_j == pytest.approx(1.0, rel=1e-8)
@@ -473,4 +473,4 @@ class TestPlugInSigma:
 
     def test_interval_estimate_validation(self):
         with pytest.raises(InvalidArgumentError):
-            IntervalEstimate(lower=1.0, upper=0.0, level=0.9, target_label=0, method="exact")
+            IntervalEstimate(lower=1.0, upper=0.0, target_label=0, method="exact")

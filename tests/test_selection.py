@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
 
+from exactsi import selection
 from exactsi.errors import InconsistentOutcomeError, InvalidArgumentError
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
+    _active_set_lasso,
+    _cd_lasso,
+    _kkt_residual,
     default_epsilon,
     lasso_event_rep,
     sample_randomization,
     solve_randomized_lasso,
     solve_randomized_screening,
     tau2_from_split,
+)
+from exactsi.study import (
+    generate_design,
+    generate_response,
+    support_indices,
+    theory_lambda,
 )
 
 
@@ -153,6 +163,63 @@ class TestRandomizedLasso:
                 else:
                     assert abs(grad[j]) <= lam + 1e-8
             assert np.max(np.abs(out.inactive_subgradient), initial=0.0) < 1.0
+
+    @pytest.mark.parametrize(
+        "n, p, eps_scale, lam_scale, seed",
+        [
+            (300, 100, 0.0, 1.0, 21),
+            (300, 100, 0.0, 1.0, 22),
+            (300, 100, 0.0, 0.25, 25),  # two line searches over sign changes
+            (300, 100, 0.01, 1.0, 23),
+            (60, 150, 1e-4, 1.0, 24),  # p > n, one line search
+        ],
+    )
+    def test_active_set_matches_coordinate_descent(self, n, p, eps_scale, lam_scale, seed):
+        """AR(0.9) designs with w != 0: both solvers find the same lasso solution,
+        and the active-set one meets the stationarity conditions to rounding."""
+        X = generate_design(n, p, 0.9, seed)
+        y, _ = generate_response(X, support_indices(p, 5), 0.75, 3.0, seed + 100)
+        gram = X.T @ X
+        eps = eps_scale * float(np.mean(np.diag(gram)))
+        w = np.random.default_rng(seed).standard_normal(p) * np.sqrt(0.75 * np.diag(gram))
+        c = X.T @ y + w
+        lam = lam_scale * theory_lambda(X, np.sqrt(3.0))
+        fast = _active_set_lasso(gram, c, lam, eps)
+        slow = _cd_lasso(gram, c, lam, eps)
+        assert fast is not None
+        assert np.flatnonzero(fast).size >= 2
+        assert np.array_equal(np.flatnonzero(fast), np.flatnonzero(slow))
+        assert np.array_equal(np.sign(fast), np.sign(slow))
+        assert np.max(np.abs(fast - slow)) < 1e-8
+        assert _kkt_residual(gram @ fast, c, fast, lam, eps) <= 1e-10
+        out = solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=eps, w=w)
+        assert np.array_equal(out.active_solution, fast[out.selected])
+
+    def test_singular_restricted_gram_falls_back_to_coordinate_descent(self, monkeypatch):
+        """p > n with no ridge: the search adds a 21st active column of a rank-20
+        design, whose restricted Gram is singular, and coordinate descent solves
+        the problem instead."""
+        rng = np.random.default_rng(98)
+        X = rng.standard_normal((20, 60))
+        y = rng.standard_normal(20)
+        lam = rng.uniform(0.05, 2.0)
+        w = np.zeros(60)
+        assert _active_set_lasso(X.T @ X, X.T @ y, lam, 0.0) is None
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _cd_lasso(*args)
+
+        monkeypatch.setattr(selection, "_cd_lasso", counted)
+        out = solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=0.0, w=w)
+        assert len(calls) == 1
+        b = np.zeros(60)
+        b[out.selected] = out.active_solution
+        grad = X.T @ (y - X @ b)
+        assert out.selected.size >= 2
+        assert np.max(np.abs(grad[out.selected] - lam * out.signs)) <= 1e-9
+        assert np.max(np.abs(out.inactive_subgradient), initial=0.0) <= 1.0 + 1e-9
 
 
 class TestLassoEventRep:
