@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes; pin BLAS to one thread per worker "
         "(OPENBLAS_NUM_THREADS=1): on 2 cores, 2 workers ran 100 replicates "
-        "in 8.2 s at the default BLAS threads and in 2.0 s at one",
+        "in 6.8-8.8 s at the default BLAS threads and in 1.8 s at one",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

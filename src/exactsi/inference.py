@@ -9,21 +9,30 @@ log-space Gauss-Legendre rule where the truncation mass or the pivot's
 smaller tail is too small for that (see ``PivotParams``).  Baselines: the
 polyhedral (non-randomized) truncated Gaussian pivot, data splitting, and
 response-splitting with synthetic noise.
+
+Both pivots are evaluated on arrays: of hypothesized values for one target,
+or of values paired with the constants of several targets.  A fit's
+intervals come from one vectorized inversion (``invert_pivot``,
+``polyhedral_interval``) that brackets and solves every endpoint of every
+target together; each target keeps its own error.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import log_ndtr, ndtr, ndtri, owens_t
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri, owens_t
 
 from .conditioning import ConditioningGeometry, RandomizationFactor, TargetSpec
 from .errors import (
+    ExactSIError,
     GeometryInconsistencyError,
     InvalidArgumentError,
+    NoRootError,
     NumericalDegeneracyError,
     SingularDesignError,
 )
@@ -74,6 +83,30 @@ class PivotParams:
     def __post_init__(self):
         if not self.sigma_j2 > 0:
             raise NumericalDegeneracyError("sigma_j2 must be positive")
+
+
+@dataclass(frozen=True)
+class PivotBatch:
+    """The exact-pivot constants of several targets, as aligned arrays.
+
+    Entry i holds the fields of the i-th ``PivotParams``, its truncation
+    interval split into ``lower`` and ``upper``; ``exact_pivot`` evaluates
+    all entries in one array call.
+    """
+
+    vartheta2: np.ndarray
+    sigma_j2: np.ndarray
+    lambda_j: np.ndarray
+    zeta_j: np.ndarray
+    theta_intercept: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    beta_hat_j: np.ndarray
+
+    @classmethod
+    def of(cls, params: Sequence[PivotParams]) -> PivotBatch:
+        rows = [_pivot_columns(p) for p in params]
+        return cls(*np.array(rows, dtype=float).reshape(-1, 8).T)
 
 
 @dataclass(frozen=True)
@@ -172,161 +205,248 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LOG_GL_WEIGHTS = np.log(_GL_WEIGHTS)
 
 
-def _owen_term(h: float, k: float, rho: float, s: float) -> float:
-    """``T(h, (k - rho h) / (h s))``, with its h -> 0+ limit at ``h = 0``."""
-    if h == 0.0:
-        return math.copysign(0.25, k)
-    return float(owens_t(h, (k - rho * h) / (h * s)))
+def _upper_orthant(u, k, rho, s):
+    """P(U > u, V > k) for standard normals with correlation ``rho``, elementwise.
 
-
-def _bvn_cdf(h: float, k: float, rho: float, s: float) -> float:
-    """P(U <= h, V <= k) for standard normals with correlation ``rho``.
-
-    Owen's (1956) reduction to two T functions; ``s = sqrt(1 - rho^2)``.
+    Owen's (1956) reduction of the orthant P(U <= h, V <= k') at h = -u,
+    k' = -k to the two T functions ``T(h, (k' - rho h) / (h s))`` and
+    ``T(k', (h - rho k') / (k' s))``, each at its h -> 0+ limit where its
+    first argument is 0; ``s = sqrt(1 - rho^2)``.
     """
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
-    out = 0.5 * float(ndtr(h) + ndtr(k))
-    out -= _owen_term(h, k, rho, s) + _owen_term(k, h, rho, s)
-    if (h < 0.0) != (k < 0.0):
-        out -= 0.5
+    first, second = np.stack([-u, -k]), np.stack([-k, -u])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = owens_t(first, (second - rho * first) / (first * s))
+        out = 0.5 * (ndtr(-u) + ndtr(-k))
+    out -= np.where(first == 0.0, np.copysign(0.25, second), t).sum(axis=0)
+    out -= 0.5 * ((u > 0.0) != (k > 0.0))
+    out = np.where((u == 0.0) & (k == 0.0), 0.25 + np.arcsin(rho) / (2.0 * math.pi), out)
+    return np.where(k == math.inf, 0.0, np.where(k == -math.inf, ndtr(-u), out))
+
+
+def _slope_curvature(v, c, d):
+    """Slope and minus the curvature bound of ``-v^2/2 + log Phi(c + d v)``."""
+    z = c + d * v
+    far = z < -1e4
+    with np.errstate(over="ignore", invalid="ignore"):
+        mills = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z))
+        # far in the left tail the exponent cancels (a relative error of
+        # ~1e-16 z^2); there phi / Phi = sqrt(2 / pi) / erfcx(-z / sqrt 2)
+        mills[far] = math.sqrt(2.0 / math.pi) / erfcx(-z[far] / math.sqrt(2.0))
+        # mills (z + mills) lies in (0, 1) and tends to 1 as z -> -inf, where
+        # the product cancels
+        shrink = np.where(far, 1.0, np.clip(mills * (z + mills), 0.0, 1.0))
+    return -v + d * mills, 1.0 + d * d * shrink
+
+
+def _log_cdf_weighted_integral(c, d, a, b):
+    """Log of ``int_a^b exp(-v^2/2) Phi(c + d v) dv`` for ``a < b``, elementwise.
+
+    The integrand is log-concave.  Its mode v0 (safeguarded Newton, run on
+    all elements at once, each stopping at its own tolerance) and the slope
+    g there bound the log-integrand by its tangent minus ``(v - v0)^2 / 2``,
+    which fixes a window outside which it is below ``exp(-_WINDOW_DROP)``
+    times its value at v0.  Gauss-Legendre panels cover the window, with
+    breakpoints on the mode's local scale and across the turn of Phi.  The
+    panels of all elements form one flat node array, summed per element in
+    log space (a segmented log-sum-exp), so tiny integrals keep their
+    relative accuracy.
+    """
+    # start at the point of {w <= c + d v} nearest the origin
+    v0 = np.clip(-d * np.minimum(c, 0.0) / (1.0 + d * d), a, b)
+    lo, hi = a.copy(), b.copy()  # bracket the mode
+    todo = np.arange(v0.size)
+    for _ in range(_NEWTON_STEPS):
+        x = v0[todo]
+        g, curv = _slope_curvature(x, c[todo], d[todo])
+        up = g > 0
+        lo[todo[up]] = x[up]
+        hi[todo[~up]] = x[~up]
+        step = x + g / curv
+        out = ~((lo[todo] <= step) & (step <= hi[todo]))
+        # one side is x, so this midpoint is finite
+        step[out] = 0.5 * (lo[todo[out]] + hi[todo[out]])
+        v0[todo] = step
+        todo = todo[~(np.abs(step - x) <= 1e-3 * (1.0 + np.abs(x)))]
+        if not todo.size:
+            break
+    g, curv = _slope_curvature(v0, c, d)
+    reach = np.sqrt(g * g + 2.0 * _WINDOW_DROP)
+    w_lo, w_hi = np.fmax(a, v0 + g - reach), np.fmin(b, v0 + g + reach)
+    local = (np.sqrt(g * g + 2.0 * curv * _WINDOW_DROP) - np.abs(g)) / curv
+    # breakpoints on the mode's local scale and around the turn of Phi at
+    # c + d v = 0 (scale 1 / |d|); no panel is wider than the unit scale
+    # allows.  A mark outside the window, or a turn with d = 0, is moved onto
+    # w_lo, where it repeats a cut and so adds no panel.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        marks = np.column_stack(
+            [v0[:, None] + local[:, None] * np.array(_MODE_MARKS),
+             (np.array(_TURN_MARKS) - c[:, None]) / d[:, None]]
+        )
+    inside = (w_lo[:, None] < marks) & (marks < w_hi[:, None])
+    cuts = np.sort(
+        np.column_stack([w_lo, w_hi, np.where(inside, marks, w_lo[:, None])]), axis=1
+    )
+    left, right = cuts[:, :-1], cuts[:, 1:]
+    with np.errstate(invalid="ignore"):
+        count = np.ceil((right - left) / _MAX_PANEL)
+    count[~(w_lo < w_hi)] = 0  # the interval is narrower than rounding
+    count = count.astype(int)
+    # panel i of a cut pair (x, y) split k ways is [x + (y - x) i / k, ...]
+    flat = count.ravel()
+    k = np.repeat(flat, flat)
+    x, y = np.repeat(left.ravel(), flat), np.repeat(right.ravel(), flat)
+    i = np.arange(k.size) - np.repeat(np.cumsum(flat) - flat, flat)
+    p_lo, p_hi = x + (y - x) * i / k, x + (y - x) * (i + 1) / k
+    mid, half = 0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo)
+    panels = count.sum(axis=1)
+    own = np.repeat(np.arange(panels.size), panels)
+    v = mid[:, None] + half[:, None] * _GL_NODES
+    with np.errstate(divide="ignore"):  # a panel narrower than rounding
+        logf = (
+            -0.5 * v * v
+            + log_ndtr(c[own, None] + d[own, None] * v)
+            + _LOG_GL_WEIGHTS
+            + np.log(half)[:, None]
+        ).ravel()
+    out = np.full(panels.size, -math.inf)
+    some = np.flatnonzero(panels)
+    if some.size:
+        starts = (np.cumsum(panels) - panels)[some] * _GL_NODES.size
+        top = np.maximum.reduceat(logf, starts)
+        finite = top > -math.inf
+        shift = np.where(finite, top, 0.0)
+        nodes = panels[some] * _GL_NODES.size
+        total = np.add.reduceat(np.exp(logf - np.repeat(shift, nodes)), starts)
+        out[some[finite]] = top[finite] + np.log(total[finite])
     return out
 
 
-def _upper_orthant(u: float, k: float, rho: float, s: float) -> float:
-    """P(U > u, V > k) for standard normals with correlation ``rho``."""
-    if k == math.inf:
-        return 0.0
-    if k == -math.inf:
-        return float(ndtr(-u))
-    return _bvn_cdf(-u, -k, rho, s)
+def _pivot_columns(params: PivotParams | PivotBatch) -> tuple:
+    """The constants in ``PivotBatch`` field order."""
+    if isinstance(params, PivotParams):
+        return (
+            params.vartheta2, params.sigma_j2, params.lambda_j, params.zeta_j,
+            params.theta_intercept, params.interval.lower, params.interval.upper,
+            params.beta_hat_j,
+        )
+    return tuple(vars(params).values())
 
 
-def _log_cdf_weighted_integral(c: float, d: float, a: float, b: float) -> float:
-    """Log of ``int_a^b exp(-v^2/2) Phi(c + d v) dv`` for ``a < b``.
+def exact_pivot(params: PivotParams | PivotBatch, beta0):
+    """Value of the exact pivot at the hypothesized target values ``beta0``.
 
-    The integrand is log-concave.  Its mode v0 (safeguarded Newton) and the
-    slope g there bound the log-integrand by its tangent minus
-    ``(v - v0)^2 / 2``, which fixes a window outside which it is below
-    ``exp(-_WINDOW_DROP)`` times its value at v0.  Gauss-Legendre panels cover
-    the window, with breakpoints on the mode's local scale and across the
-    turn of Phi; terms are summed in log space, so tiny integrals keep their
-    relative accuracy.
+    ``params`` is one target's ``PivotParams`` or a ``PivotBatch`` of
+    several, whose arrays broadcast against ``beta0``; elementwise, with a
+    float for a single target at a scalar ``beta0``.  Closed form through
+    Owen's T where the truncation mass and the smaller tail allow it, else
+    the log-space rule; see ``PivotParams``.  Where the standardized
+    constants overflow or neither conditional tail has representable mass,
+    the 0/1 limit is returned: 0 for ``beta0`` above the estimate, 1 below it.
     """
-
-    def slope_curvature(v):
-        z = c + d * v
-        mills = math.exp(-0.5 * z * z - _LOG_SQRT_2PI - float(log_ndtr(z)))
-        # mills (z + mills) lies in (0, 1) and tends to 1 as z -> -inf, where
-        # the sum cancels
-        shrink = 1.0 if z < -1e4 else min(max(mills * (z + mills), 0.0), 1.0)
-        return -v + d * mills, 1.0 + d * d * shrink
-
-    # start at the point of {w <= c + d v} nearest the origin
-    v0 = min(max(-d * min(c, 0.0) / (1.0 + d * d), a), b)
-    lo, hi = a, b  # brackets the mode
-    for _ in range(_NEWTON_STEPS):
-        g, curv = slope_curvature(v0)
-        if g > 0:
-            lo = v0
-        else:
-            hi = v0
-        step = v0 + g / curv
-        if not lo <= step <= hi:  # one side is v0, so this midpoint is finite
-            step = 0.5 * (lo + hi)
-        done = abs(step - v0) <= 1e-3 * (1.0 + abs(v0))
-        v0 = step
-        if done:
-            break
-    g, curv = slope_curvature(v0)
-    reach = math.sqrt(g * g + 2.0 * _WINDOW_DROP)
-    w_lo, w_hi = max(a, v0 + g - reach), min(b, v0 + g + reach)
-    if not w_lo < w_hi:  # the interval is narrower than rounding
-        return -math.inf
-    local = (math.sqrt(g * g + 2.0 * curv * _WINDOW_DROP) - abs(g)) / curv
-    # breakpoints on the mode's local scale and around the turn of Phi at
-    # c + d v = 0 (scale 1 / |d|); no panel is wider than the unit scale allows
-    marks = [v0 + local * k for k in _MODE_MARKS]
-    if d != 0.0:
-        marks += [(k - c) / d for k in _TURN_MARKS]
-    cuts = sorted({w_lo, w_hi, *(x for x in marks if w_lo < x < w_hi)})
-    panels = []
-    for x, y in zip(cuts[:-1], cuts[1:]):
-        k = math.ceil((y - x) / _MAX_PANEL)
-        panels += [(x + (y - x) * i / k, x + (y - x) * (i + 1) / k) for i in range(k)]
-    mid = np.array([0.5 * (x + y) for x, y in panels])
-    half = np.array([0.5 * (y - x) for x, y in panels])
-    v = mid[:, None] + half[:, None] * _GL_NODES
-    logf = -0.5 * v * v + log_ndtr(c + d * v) + _LOG_GL_WEIGHTS + np.log(half)[:, None]
-    top = float(logf.max())
-    if top == -math.inf:
-        return top
-    return top + math.log(float(np.exp(logf - top).sum()))
-
-
-def exact_pivot(params: PivotParams, beta0: float) -> float:
-    """Value of the exact pivot at the hypothesized target value ``beta0``.
-
-    Closed form through Owen's T where the truncation mass and the smaller
-    tail allow it, else the log-space rule; see ``PivotParams``.  Where the
-    standardized constants overflow or neither conditional tail has
-    representable mass, the 0/1 limit is returned: 0 for ``beta0`` above the
-    estimate, 1 below it.
-    """
-    if not math.isfinite(beta0):
+    arrays = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (beta0, *_pivot_columns(params)))
+    )
+    shape = arrays[0].shape
+    beta0, vt2, sj2, lam_j, zeta, icpt, lower, upper, beta_hat = map(np.ravel, arrays)
+    if not np.isfinite(beta0).all():
         raise InvalidArgumentError("beta0 must be finite")
-    sd = math.sqrt(params.sigma_j2)
-    ts = math.sqrt(params.vartheta2) * sd
-    spread = math.sqrt(1.0 + ts * ts)
-    sd_y = math.sqrt(params.vartheta2) * spread
+    sd = np.sqrt(sj2)
+    ts = np.sqrt(vt2) * sd
+    spread = np.sqrt(1.0 + ts * ts)
+    sd_y = np.sqrt(vt2) * spread
     r = -ts / spread
     s = 1.0 / spread  # sqrt(1 - r^2)
-    mean = params.lambda_j * beta0 + params.zeta_j
-    u = (params.beta_hat_j - mean) / sd
-    mean_y = params.theta_intercept - params.vartheta2 * mean
-    a = (params.interval.lower - mean_y) / sd_y
-    b = (params.interval.upper - mean_y) / sd_y
-    limit = 0.0 if beta0 > params.beta_hat_j else 1.0
-    if math.isnan(a) or math.isnan(b) or not math.isfinite(u):
-        return limit
-    if a < -b:  # reflect V so that the endpoint nearer its bulk is the lower one
-        a, b, r = -b, -a, -r
-    mass = float(ndtr(-a) - ndtr(-b))
-    if mass >= _OWEN_MIN_MASS:
-        above = _upper_orthant(u, a, r, s) - _upper_orthant(u, b, r, s)
-        below = mass - above
-        if min(above, below) >= _OWEN_MIN_TAIL * mass:
-            return float(min(max(below / mass, 0.0), 1.0))
-    # P(U <= u | V = v) = Phi((u - r v) / s)
-    log_below = _log_cdf_weighted_integral(u / s, -r / s, a, b)
-    log_above = _log_cdf_weighted_integral(-u / s, r / s, a, b)
-    if log_below == log_above == -math.inf:
-        return limit
-    ratio = math.exp(-abs(log_above - log_below))  # smaller tail over larger
-    small = ratio / (1.0 + ratio)
-    return small if log_below <= log_above else 1.0 - small
+    mean = lam_j * beta0 + zeta
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (beta_hat - mean) / sd
+        mean_y = icpt - vt2 * mean
+        a = (lower - mean_y) / sd_y
+        b = (upper - mean_y) / sd_y
+    out = np.where(beta0 > beta_hat, 0.0, 1.0)  # the 0/1 limit
+    live = ~(np.isnan(a) | np.isnan(b)) & np.isfinite(u)
+    # reflect V so that the endpoint nearer its bulk is the lower one
+    flip = a < -b
+    a, b, r = np.where(flip, -b, a), np.where(flip, -a, b), np.where(flip, -r, r)
+    mass = ndtr(-a) - ndtr(-b)
+    done = np.zeros(out.shape, dtype=bool)
+    idx = np.flatnonzero(live & (mass >= _OWEN_MIN_MASS))
+    if idx.size:
+        # the orthants at both endpoints in one call
+        ui, ri, si = (np.tile(x[idx], 2) for x in (u, r, s))
+        at_a, at_b = _upper_orthant(ui, np.concatenate([a[idx], b[idx]]), ri, si).reshape(2, -1)
+        mi = mass[idx]
+        above = at_a - at_b
+        below = mi - above
+        ok = np.minimum(above, below) >= _OWEN_MIN_TAIL * mi
+        out[idx[ok]] = np.clip(below[ok] / mi[ok], 0.0, 1.0)
+        done[idx[ok]] = True
+    idx = np.flatnonzero(live & ~done)
+    if idx.size:
+        # P(U <= u | V = v) = Phi((u - r v) / s); both tails in one call
+        c, d = u[idx] / s[idx], -r[idx] / s[idx]
+        log_below, log_above = _log_cdf_weighted_integral(
+            np.concatenate([c, -c]),
+            np.concatenate([d, -d]),
+            np.tile(a[idx], 2),
+            np.tile(b[idx], 2),
+        ).reshape(2, -1)
+        some = (log_below > -math.inf) | (log_above > -math.inf)
+        ratio = np.exp(-np.abs(log_above[some] - log_below[some]))  # smaller tail over larger
+        small = ratio / (1.0 + ratio)
+        out[idx[some]] = np.where(log_below[some] <= log_above[some], small, 1.0 - small)
+    if not shape:
+        return float(out[0])
+    return out.reshape(shape)
+
+
+def _no_root(level: float) -> NoRootError:
+    return NoRootError(f"target {level!r} not straddled after 60 bracket expansions")
 
 
 def invert_pivot(
-    params: PivotParams, alpha: float, target_label: int = -1
-) -> IntervalEstimate:
-    """Level ``1 - alpha`` interval from the strictly decreasing pivot."""
+    params: Sequence[PivotParams], alpha: float, target_labels: Sequence[int] | None = None
+) -> list[IntervalEstimate | ExactSIError]:
+    """Level ``1 - alpha`` intervals from the strictly decreasing exact pivots.
+
+    Inverts every endpoint of every target in one ``invert_monotone`` call,
+    each from the seed bracket ``beta_hat +- 5 sd / lambda_j``.  Entry i is
+    target i's interval, or the error that stopped it (``NoRootError`` when
+    an endpoint's bracket never straddled its level).
+    """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
-    half = 5.0 * math.sqrt(params.sigma_j2) / params.lambda_j
-    bracket = Interval(params.beta_hat_j - half, params.beta_hat_j + half)
+    k = len(params)
+    labels = [-1] * k if target_labels is None else list(target_labels)
+    batch = PivotBatch.of(params)
+    half = 5.0 * np.sqrt(batch.sigma_j2) / batch.lambda_j
+    levels = (1.0 - alpha / 2.0, alpha / 2.0)  # of the lower, then the upper endpoints
 
-    def pivot_at(b):
-        return exact_pivot(params, b)
+    def pivot_at(x, *columns):
+        return exact_pivot(PivotBatch(*columns), x)
 
-    lower = invert_monotone(pivot_at, 1.0 - alpha / 2.0, bracket)
-    upper = invert_monotone(pivot_at, alpha / 2.0, bracket)
-    return IntervalEstimate(
-        lower=lower,
-        upper=upper,
-        target_label=target_label,
-        method="exact",
-    )
+    roots = invert_monotone(
+        pivot_at,
+        np.repeat(levels, k),
+        np.tile(batch.beta_hat_j - half, 2),
+        np.tile(batch.beta_hat_j + half, 2),
+        args=tuple(np.tile(col, 2) for col in vars(batch).values()),
+    ).reshape(2, k)
+    out: list[IntervalEstimate | ExactSIError] = []
+    for i in range(k):
+        lower, upper = float(roots[0, i]), float(roots[1, i])
+        try:
+            if math.isnan(lower):
+                raise _no_root(levels[0])
+            if math.isnan(upper):
+                raise _no_root(levels[1])
+            out.append(
+                IntervalEstimate(
+                    lower=lower, upper=upper, target_label=labels[i], method="exact"
+                )
+            )
+        except ExactSIError as exc:
+            out.append(exc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -416,72 +536,98 @@ def polyhedral_bounds(
     )
 
 
-def polyhedral_pivot(bounds: PolyhedralBounds, beta0: float) -> float:
+def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
     """Truncated-Gaussian CDF of the estimate at its observed value, given ``beta0``.
 
-    When the truncation interval carries no representable mass at ``beta0``,
-    the limit is returned: 0 for ``beta0`` above the estimate, 1 below it.
+    Elementwise: the fields of ``bounds`` may be arrays of several targets'
+    bounds, broadcast against ``beta0``.  When the truncation interval
+    carries no representable mass at ``beta0``, the limit is returned: 0 for
+    ``beta0`` above the estimate, 1 below it.
     """
-    lower, upper, beta_hat, sd = bounds.lower, bounds.upper, bounds.beta_hat, bounds.sd
-    if beta_hat <= lower:
-        return 0.0
-    if beta_hat >= upper:
-        return 1.0
-    log_num = log_truncation_prob(Interval(lower, beta_hat), beta0, sd)
-    log_den = log_truncation_prob(Interval(lower, upper), beta0, sd)
-    if log_den == -math.inf:
-        return 0.0 if beta0 > beta_hat else 1.0
-    return float(min(max(math.exp(log_num - log_den), 0.0), 1.0))
+    lower, upper, beta_hat, sd, beta0 = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float)
+          for x in (bounds.lower, bounds.upper, bounds.beta_hat, bounds.sd, beta0))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # lanes with beta_hat outside (lower, upper) are overwritten below
+        log_num, log_den = log_truncation_prob((lower, np.stack([beta_hat, upper])), beta0, sd)
+        out = np.clip(np.exp(log_num - log_den), 0.0, 1.0)
+    out = np.where(log_den == -math.inf, np.where(beta0 > beta_hat, 0.0, 1.0), out)
+    out = np.where(beta_hat <= lower, 0.0, np.where(beta_hat >= upper, 1.0, out))
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def polyhedral_interval(
-    bounds: PolyhedralBounds, alpha: float, target_label: int = -1
-) -> IntervalEstimate:
-    """Invert the polyhedral pivot; huge endpoints are clipped and flagged.
+    bounds: Sequence[PolyhedralBounds],
+    alpha: float,
+    target_labels: Sequence[int] | None = None,
+) -> list[IntervalEstimate | ExactSIError]:
+    """Invert the polyhedral pivots of several targets; huge endpoints are clipped.
 
     Truncated-Gaussian intervals can be effectively infinite; an endpoint
     beyond ``beta_hat +- 50 sd`` is clipped there and the estimate flagged.
     When both endpoints lie beyond the same side of that window (the estimate
     sits almost on a truncation bound), clipping one would put it past the
-    other, so both are returned unclipped.
+    other, so both are returned unclipped.  Lower endpoints are solved from
+    the seed bracket ``[beta_hat - 50 sd, beta_hat]`` and upper ones from
+    ``[beta_hat, beta_hat + 50 sd]``, all in one ``invert_monotone`` call.
+    Entry i is target i's interval, or the error that stopped it.
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
-    beta_hat = bounds.beta_hat
+    k = len(bounds)
+    labels = [-1] * k if target_labels is None else list(target_labels)
+    columns = np.array(
+        [(b.lower, b.upper, b.beta_hat, b.sd) for b in bounds], dtype=float
+    ).reshape(-1, 4).T
+    beta_hat, sd = columns[2], columns[3]
     p_lower, p_upper = 1.0 - alpha / 2.0, alpha / 2.0
 
-    def pivot_at(b):
-        return polyhedral_pivot(bounds, b)
+    def pivot_at(x, *cols):
+        return polyhedral_pivot(PolyhedralBounds(*cols), x)
 
-    clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * bounds.sd
-    clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * bounds.sd
-    below, above = Interval(clip_lo, beta_hat), Interval(beta_hat, clip_hi)
-    at_lo, at_hi = pivot_at(clip_lo), pivot_at(clip_hi)
-    clipped = False
-    if at_lo < p_upper:  # both endpoints below the window
-        upper = invert_monotone(pivot_at, p_upper, above)
-        lower = invert_monotone(pivot_at, p_lower, below)
-    elif at_hi > p_lower:  # both endpoints above the window
-        lower = invert_monotone(pivot_at, p_lower, below)
-        upper = invert_monotone(pivot_at, p_upper, above)
-    else:
-        if at_lo < p_lower:
-            lower = clip_lo
-            clipped = True
-        else:
-            lower = invert_monotone(pivot_at, p_lower, below)
-        if at_hi > p_upper:
-            upper = clip_hi
-            clipped = True
-        else:
-            upper = invert_monotone(pivot_at, p_upper, above)
-    return IntervalEstimate(
-        lower=lower,
-        upper=upper,
-        target_label=target_label,
-        method="polyhedral",
-        clipped=clipped,
+    clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * sd
+    clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * sd
+    at_lo, at_hi = pivot_at(np.concatenate([clip_lo, clip_hi]), *np.tile(columns, 2)).reshape(2, k)
+    # both endpoints below the window, or both above it: neither is clipped
+    below, above = at_lo < p_upper, at_hi > p_lower
+    clip_lower = ~below & ~above & (at_lo < p_lower)
+    clip_upper = ~below & ~above & (at_hi > p_upper)
+    solve_lo, solve_hi = np.flatnonzero(~clip_lower), np.flatnonzero(~clip_upper)
+    which = np.concatenate([solve_lo, solve_hi])
+    roots = invert_monotone(
+        pivot_at,
+        np.repeat((p_lower, p_upper), (solve_lo.size, solve_hi.size)),
+        np.concatenate([clip_lo[solve_lo], beta_hat[solve_hi]]),
+        np.concatenate([beta_hat[solve_lo], clip_hi[solve_hi]]),
+        args=tuple(columns[:, which]),
     )
+    lower, upper = clip_lo.copy(), clip_hi.copy()
+    lower[solve_lo], upper[solve_hi] = roots[: solve_lo.size], roots[solve_lo.size :]
+    out: list[IntervalEstimate | ExactSIError] = []
+    for i in range(k):
+        # the endpoint solved first in the order the cases are checked
+        ends = [(float(lower[i]), p_lower), (float(upper[i]), p_upper)]
+        if below[i]:
+            ends.reverse()
+        try:
+            for value, level in ends:
+                if math.isnan(value):
+                    raise _no_root(level)
+            out.append(
+                IntervalEstimate(
+                    lower=float(lower[i]),
+                    upper=float(upper[i]),
+                    target_label=labels[i],
+                    method="polyhedral",
+                    clipped=bool(clip_lower[i] or clip_upper[i]),
+                )
+            )
+        except ExactSIError as exc:
+            out.append(exc)
+    return out
 
 
 def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:

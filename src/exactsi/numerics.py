@@ -1,13 +1,15 @@
-"""Stable scalar Gaussian primitives.
+"""Stable Gaussian primitives on arrays.
 
-Log truncation probabilities of a univariate Gaussian over an interval (with
-infinite endpoints allowed), the slice of a polyhedron along a line, and
-monotone root finding.  Tail quantities are computed through ``log_ndtr``
-(scaled complementary error function under the hood) so that differences of
-far-tail CDFs never cancel to zero while the true value is representable.
-The log-space Simpson quadrature of density-times-weight products here is on
-no pipeline path (the exact pivot is closed form); it stays only because the
-benchmark's trace hooks still wrap it.
+Log probabilities of univariate Gaussians over intervals (with infinite
+endpoints allowed), elementwise; the slice of a polyhedron along a line; and
+the vectorized inversion of monotone functions, which brackets every root by
+doubling and then solves them all in one call of Chandrupatla's method
+(``scipy.optimize.elementwise.find_root``).  Tail quantities are computed
+through ``log_ndtr`` (scaled complementary error function under the hood) so
+that differences of far-tail CDFs never cancel to zero while the true value
+is representable.  The log-space Simpson quadrature of density-times-weight
+products here is on no pipeline path (the exact pivot is closed form); it
+stays only because the benchmark's trace hooks still wrap it.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 from scipy.special import log_ndtr, logsumexp
 
 from .errors import (
     EmptyMassError,
     GeometryInconsistencyError,
     InvalidArgumentError,
-    NoRootError,
+    NumericalDegeneracyError,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -88,21 +90,27 @@ def _log1mexp(d):
     return out
 
 
-def log_truncation_prob(interval: Interval, theta, vartheta: float):
+def log_truncation_prob(interval, theta, vartheta):
     """Log of the probability that N(theta, vartheta^2) falls in ``interval``.
 
-    Vectorized over ``theta``.  Finite (not -inf) whenever the dominant
-    endpoint's log-CDF is, which covers means hundreds of standard deviations
-    away from the interval.
+    ``interval`` is an ``Interval`` or a ``(lower, upper)`` pair of endpoint
+    arrays; elementwise over the broadcast endpoints, ``theta`` and
+    ``vartheta``, and a float when they are all scalars.  Finite (not -inf)
+    whenever the dominant endpoint's log-CDF is, which covers means hundreds
+    of standard deviations away from the interval.
     """
-    if not vartheta > 0:
+    if isinstance(interval, Interval):
+        interval = (interval.lower, interval.upper)
+    lower, upper, theta, vartheta = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (*interval, theta, vartheta))
+    )
+    if not (vartheta > 0).all():
         raise InvalidArgumentError("vartheta must be positive")
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.isnan(theta_arr).any():
+    if np.isnan(theta).any():
         raise InvalidArgumentError("log_truncation_prob: NaN theta")
     with np.errstate(invalid="ignore"):
-        za = (interval.lower - theta_arr) / vartheta
-        zb = (interval.upper - theta_arr) / vartheta
+        za = (lower - theta) / vartheta
+        zb = (upper - theta) / vartheta
         # Reflect so the dominant endpoint sits in the left tail; `za > -zb`
         # is the overlap-free way to test za + zb > 0 with infinities around.
         flip = za > -zb
@@ -111,7 +119,7 @@ def log_truncation_prob(interval: Interval, theta, vartheta: float):
     log_hi = log_ndtr(hi_arg)
     log_lo = log_ndtr(lo_arg)
     out = log_hi + _log1mexp(log_lo - log_hi)
-    if theta_arr.ndim == 0:
+    if out.ndim == 0:
         return float(out)
     return out
 
@@ -179,39 +187,68 @@ def line_interval(coefs: np.ndarray, slack: np.ndarray, scale) -> tuple[float, f
     return lower, upper
 
 
-def invert_monotone(
-    g: Callable[[float], float], target: float, seed_bracket: Interval
-) -> float:
-    """Solve ``g(x) = target`` for continuous monotone ``g``.
+def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:
+    """Solve ``g(x) = target`` elementwise for continuous monotone ``g``.
 
-    The seed bracket is expanded geometrically (factor 2 per step, at most 60
-    steps) toward the side that has not yet straddled the target, then the
-    root is isolated by Brent's method to a bracket width of 1e-10.
+    ``g(x, *args)`` is evaluated elementwise, and ``target``, the seed
+    brackets ``[lower, upper]`` and ``args`` broadcast together.  Each
+    bracket is expanded geometrically (factor 2 per step, at most 60 steps)
+    toward the side that has not yet straddled its target; all brackets grow
+    together, one call of ``g`` per step on the elements still growing.  The
+    roots are then isolated by one ``find_root`` call (Chandrupatla's method)
+    to a bracket width of 1e-10.  An element whose target is still not
+    straddled after 60 steps has root NaN.
     """
-    a, b = float(seed_bracket.lower), float(seed_bracket.upper)
-    if not (math.isfinite(a) and math.isfinite(b)):
+    target, a, b, *args = np.broadcast_arrays(
+        np.asarray(target, dtype=float),
+        np.asarray(lower, dtype=float),
+        np.asarray(upper, dtype=float),
+        *(np.asarray(x) for x in args),
+    )
+    shape = target.shape
+    target, a, b = (x.ravel().copy() for x in (target, a, b))
+    args = [x.ravel() for x in args]
+    if not target.size:
+        return target.reshape(shape)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidArgumentError("seed bracket must be finite")
-    ga, gb = g(a), g(b)
+    ga, gb = g(np.concatenate([a, b]), *(np.concatenate([x, x]) for x in args)).reshape(2, -1)
     for _ in range(60):
-        if min(ga, gb) <= target <= max(ga, gb):
-            break
-        width = b - a
-        increasing = gb >= ga
-        target_above = target > max(ga, gb)
-        # For increasing g, values grow to the right; move the deficient side.
-        if target_above == increasing:
-            b += width
-            gb = g(b)
-        else:
-            a -= width
-            ga = g(a)
-    else:
-        raise NoRootError(
-            f"target {target!r} not straddled after 60 bracket expansions"
+        grow = np.flatnonzero(
+            ~((np.minimum(ga, gb) <= target) & (target <= np.maximum(ga, gb)))
         )
-    if ga == target:
-        return a
-    if gb == target:
-        return b
-    sign = 1.0 if gb >= ga else -1.0
-    return float(brentq(lambda x: sign * (g(x) - target), a, b, xtol=1e-10))
+        if not grow.size:
+            break
+        width = b[grow] - a[grow]
+        increasing = gb[grow] >= ga[grow]
+        target_above = target[grow] > np.maximum(ga[grow], gb[grow])
+        # For increasing g, values grow to the right; move the deficient side.
+        right = target_above == increasing
+        x = np.where(right, b[grow] + width, a[grow] - width)
+        gx = g(x, *(arg[grow] for arg in args))
+        i, j = grow[right], grow[~right]
+        b[i], gb[i] = x[right], gx[right]
+        a[j], ga[j] = x[~right], gx[~right]
+    straddled = (np.minimum(ga, gb) <= target) & (target <= np.maximum(ga, gb))
+    roots = np.full(target.shape, np.nan)
+    roots[straddled & (gb == target)] = b[straddled & (gb == target)]
+    roots[straddled & (ga == target)] = a[straddled & (ga == target)]
+    solve = np.flatnonzero(straddled & (ga != target) & (gb != target))
+    if solve.size:
+
+        def f(x, t, *rest):
+            return g(x, *rest) - t
+
+        res = find_root(
+            f,
+            (a[solve], b[solve]),
+            args=(target[solve], *(arg[solve] for arg in args)),
+            tolerances={"xatol": 1e-10},
+        )
+        if not res.success.all():
+            raise NumericalDegeneracyError(
+                "root finding failed inside a straddling bracket "
+                f"(status {sorted(set(res.status[~res.success].tolist()))})"
+            )
+        roots[solve] = res.x
+    return roots.reshape(shape)

@@ -203,8 +203,10 @@ def _active_set_lasso(
 ) -> np.ndarray | None:
     """Feature-sign search on ``0.5 b'Hb - c'b + lam ||b||_1``, ``H = gram + eps I``.
 
+    A singular restricted Gram is stepped through along its null space.
     Returns the solution, or None when it cannot be certified: a restricted
-    Gram that is not positive definite, more than ``_AS_MAX_STEPS`` restricted
+    Gram that fails its Cholesky solve yet has no null space, an objective
+    unbounded along that null space, more than ``_AS_MAX_STEPS`` restricted
     solves, or a KKT residual above ``_KKT_TOL``.
     """
     b = np.zeros(c.size)
@@ -227,7 +229,26 @@ def _active_set_lasso(
             H_AA = gram[A[:, None], A] + epsilon * np.eye(A.size)
             _, new, info = dposv(H_AA, c[A] - lam * theta)  # Cholesky solve
             if info:
-                return None
+                # H_AA is singular (more active columns than the rank, as
+                # with p > n and epsilon = 0).  As in LARS, step along the
+                # part of the restricted residual in its null space: there
+                # the restricted objective falls linearly, so go until the
+                # first coordinate reaches zero, then drop that coordinate.
+                old = b[A]
+                evals, evecs = np.linalg.eigh(H_AA)
+                null = evecs[:, evals <= A.size * np.finfo(float).eps * evals[-1]]
+                z = null @ (null.T @ (c[A] - lam * theta - H_AA @ old))
+                shrinking = theta * z < 0
+                if not null.size or not shrinking.any():
+                    return None  # no null space, or the objective is unbounded
+                t = -old[shrinking] / z[shrinking]
+                k = int(np.argmin(t))
+                best = old + t[k] * z
+                best[np.flatnonzero(shrinking)[k]] = 0.0
+                b[A] = best
+                keep = best != 0
+                A, theta = A[keep], theta[keep]
+                continue
             if (np.sign(new) == theta).all():
                 b[A] = new
                 break
@@ -334,12 +355,14 @@ def solve_randomized_lasso(
     violates its bound.  No (A, theta) pair repeats, so it ends after finitely
     many solves, typically about |A|; the solution is a linear solve away
     from the KKT conditions, not a tolerance away like an iterative method.
+    When ``H_AA`` is singular (more active columns than the design's rank,
+    as with p > n and epsilon = 0), the search steps along the null space of
+    ``H_AA``, as LARS does (Efron et al. 2004), until a coordinate reaches
+    zero, and drops that coordinate.
 
     The answer is accepted only if its KKT residual is at most ``_KKT_TOL``.
-    When the search cannot certify it (a restricted Gram ``H_AA`` that is not
-    positive definite, as with p > n and epsilon = 0, more than
-    ``_AS_MAX_STEPS`` solves, or a failed residual check), cyclic coordinate
-    descent (``_cd_lasso``) solves the problem instead and raises
+    When the search cannot certify it (see ``_active_set_lasso``), cyclic
+    coordinate descent (``_cd_lasso``) solves the problem instead and raises
     ``ConvergenceError`` if it does not converge.
     """
     if not lam > 0:

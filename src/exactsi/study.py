@@ -329,8 +329,11 @@ class Fit:
 
     ``selected`` lists the selected features.  For the exact and polyhedral
     methods, ``constants(j)`` builds the pivot constants of the j-th selected
-    coordinate, and ``interval(j)`` and ``pivot(j, beta0)`` invert or
-    evaluate them.  Split and uv intervals come whole from their held-out
+    coordinate and ``pivot(j, beta0)`` evaluates its pivot.  The intervals
+    of all targets come from one batched inversion per fit (``invert_pivot``
+    or ``polyhedral_interval``), run by the first ``interval(j)``; each
+    ``interval(j)`` then returns entry j, or raises the error that stopped
+    target j alone.  Split and uv intervals come whole from their held-out
     fits and are only read back by ``interval(j)``.
 
     What does not depend on the target is built once per fit, lazily, by
@@ -379,13 +382,30 @@ class Fit:
             return pivot_params(self.data, self._randomization, geom, target, sigma=self.sigma)
         return polyhedral_bounds(self.data, self._polyhedron, target, self.sigma)
 
+    @cached_property
+    def _intervals(self) -> list[IntervalEstimate | ExactSIError]:
+        """Every target's interval, or the error that stopped that target."""
+        out: list = [None] * self.selected.size
+        built, consts = [], []
+        for j in range(self.selected.size):
+            try:
+                consts.append(self.constants(j))
+                built.append(j)
+            except ExactSIError as exc:
+                out[j] = exc
+        invert = invert_pivot if self.method == "exact" else polyhedral_interval
+        labels = [int(self.selected[j]) for j in built]
+        for j, result in zip(built, invert(consts, self.alpha, labels)):
+            out[j] = result
+        return out
+
     def interval(self, j: int) -> IntervalEstimate:
         if self.method in ("split", "uv"):
             return self.estimates[j]
-        label = int(self.selected[j])
-        if self.method == "exact":
-            return invert_pivot(self.constants(j), self.alpha, target_label=label)
-        return polyhedral_interval(self.constants(j), self.alpha, target_label=label)
+        result = self._intervals[j]
+        if isinstance(result, ExactSIError):
+            raise result
+        return result
 
     def pivot(self, j: int, beta0: float) -> float:
         if self.method == "exact":
@@ -522,8 +542,9 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     With ``workers > 1``, pin BLAS to one thread per worker (for OpenBLAS,
     ``OPENBLAS_NUM_THREADS=1``): otherwise each worker's multithreaded BLAS
     competes with the others for the cores.  On a 2-core Xeon host, 100
-    default exact replicates with 2 workers took 8.2 s at the default BLAS
-    threads and 2.0 s at one thread (one worker: 5.7 s and 3.3 s).
+    default exact replicates with 2 workers took 6.8-8.8 s at the default
+    BLAS threads and 1.8 s at one thread (one worker: 4.8-6.1 s and
+    2.7-3.2 s; two runs each).
     """
     reps = range(config.n_reps)
     if workers > 1:

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import brentq
 from scipy.special import log_ndtr, logsumexp
 
-from exactsi.errors import GeometryInconsistencyError
-from exactsi.inference import PivotParams
+from exactsi.errors import GeometryInconsistencyError, InvalidArgumentError, NoRootError
+from exactsi.inference import (
+    POLYHEDRAL_CLIP_SDS,
+    IntervalEstimate,
+    PivotParams,
+    exact_pivot,
+    polyhedral_pivot,
+)
 from exactsi.numerics import Interval
 from exactsi.selection import (
     Dataset,
@@ -142,4 +149,90 @@ def carving_pivot_params(data, outcome, target, j, sigma, tau2, lam):
         theta_intercept=theta_intercept,
         interval=interval,
         beta_hat_j=float(target.contrast @ data.y),
+    )
+
+
+def reference_invert_monotone(g, target, seed_bracket):
+    """Scalar reference for ``invert_monotone``: solve ``g(x) = target`` for
+    one continuous monotone scalar ``g``.
+
+    The seed bracket is expanded geometrically (factor 2 per step, at most 60
+    steps) toward the side that has not yet straddled the target, then the
+    root is isolated by Brent's method to a bracket width of 1e-10.
+    """
+    a, b = float(seed_bracket.lower), float(seed_bracket.upper)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidArgumentError("seed bracket must be finite")
+    ga, gb = g(a), g(b)
+    for _ in range(60):
+        if min(ga, gb) <= target <= max(ga, gb):
+            break
+        width = b - a
+        increasing = gb >= ga
+        target_above = target > max(ga, gb)
+        # For increasing g, values grow to the right; move the deficient side.
+        if target_above == increasing:
+            b += width
+            gb = g(b)
+        else:
+            a -= width
+            ga = g(a)
+    else:
+        raise NoRootError(
+            f"target {target!r} not straddled after 60 bracket expansions"
+        )
+    if ga == target:
+        return a
+    if gb == target:
+        return b
+    sign = 1.0 if gb >= ga else -1.0
+    return float(brentq(lambda x: sign * (g(x) - target), a, b, xtol=1e-10))
+
+
+def reference_invert_pivot(params, alpha):
+    """Scalar reference for one target of ``invert_pivot``."""
+    half = 5.0 * math.sqrt(params.sigma_j2) / params.lambda_j
+    bracket = Interval(params.beta_hat_j - half, params.beta_hat_j + half)
+
+    def pivot_at(b):
+        return exact_pivot(params, b)
+
+    lower = reference_invert_monotone(pivot_at, 1.0 - alpha / 2.0, bracket)
+    upper = reference_invert_monotone(pivot_at, alpha / 2.0, bracket)
+    return IntervalEstimate(lower=lower, upper=upper, target_label=-1, method="exact")
+
+
+def reference_polyhedral_interval(bounds, alpha):
+    """Scalar reference for one target of ``polyhedral_interval``, in its
+    four cases."""
+    beta_hat = bounds.beta_hat
+    p_lower, p_upper = 1.0 - alpha / 2.0, alpha / 2.0
+
+    def pivot_at(b):
+        return polyhedral_pivot(bounds, b)
+
+    clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * bounds.sd
+    clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * bounds.sd
+    below, above = Interval(clip_lo, beta_hat), Interval(beta_hat, clip_hi)
+    at_lo, at_hi = pivot_at(clip_lo), pivot_at(clip_hi)
+    clipped = False
+    if at_lo < p_upper:  # both endpoints below the window
+        upper = reference_invert_monotone(pivot_at, p_upper, above)
+        lower = reference_invert_monotone(pivot_at, p_lower, below)
+    elif at_hi > p_lower:  # both endpoints above the window
+        lower = reference_invert_monotone(pivot_at, p_lower, below)
+        upper = reference_invert_monotone(pivot_at, p_upper, above)
+    else:
+        if at_lo < p_lower:
+            lower = clip_lo
+            clipped = True
+        else:
+            lower = reference_invert_monotone(pivot_at, p_lower, below)
+        if at_hi > p_upper:
+            upper = clip_hi
+            clipped = True
+        else:
+            upper = reference_invert_monotone(pivot_at, p_upper, above)
+    return IntervalEstimate(
+        lower=lower, upper=upper, target_label=-1, method="polyhedral", clipped=clipped
     )

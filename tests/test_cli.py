@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from exactsi import conditioning
+from exactsi import conditioning, inference, study
 from exactsi.cli import (
     build_parser,
     build_sim_config,
@@ -14,7 +14,7 @@ from exactsi.cli import (
     parse_config_file,
     read_csv_dataset,
 )
-from exactsi.errors import InvalidArgumentError
+from exactsi.errors import InvalidArgumentError, NumericalDegeneracyError
 from exactsi.study import (
     SimConfig,
     _run_replicate,
@@ -453,3 +453,75 @@ def test_parse_config_file(tmp_path):
     cfg.write_text("# comment\n[sec]\na = 1\nb = two words # trailing\n")
     parsed = parse_config_file(str(cfg))
     assert parsed == {"a": "1", "b": "two words"}
+
+
+@pytest.mark.parametrize("where", ["constants", "inversion"])
+def test_one_failing_target_is_one_error_row(tmp_path, monkeypatch, where):
+    """A target that fails inside its fit's batch is an error row of its own.
+
+    The failure is injected into the second exact target: its pivot
+    constants raise, or its pivot never leaves 0.5 so that no bracket of the
+    batched root-find straddles its level.  Every other row, of both methods,
+    is the clean run's.
+    """
+    rng = np.random.default_rng(6)
+    path = make_regression_csv(tmp_path / "d.csv", rng, n=60, p=6)
+    argv = ["infer", "--input", str(path), "--rho", "0.8", "--seed", "5",
+            "--method", "exact", "--method", "polyhedral"]
+    assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+    clean = strict_json(tmp_path / "clean.json")["rows"]
+    exact_rows = [k for k, r in enumerate(clean) if r["method"] == "exact"]
+    assert len(exact_rows) >= 3 and not any(r["error"] for r in clean)
+
+    real_params = study.pivot_params
+    built = []
+
+    def pivot_params(*args, **kwargs):
+        params = real_params(*args, **kwargs)
+        built.append(params)
+        if where == "constants" and len(built) == 2:
+            raise NumericalDegeneracyError("injected degeneracy")
+        return params
+
+    monkeypatch.setattr(study, "pivot_params", pivot_params)
+    if where == "inversion":
+        real_pivot = inference.exact_pivot
+
+        def stuck(batch, beta0):
+            return np.where(batch.beta_hat_j == built[1].beta_hat_j, 0.5, real_pivot(batch, beta0))
+
+        monkeypatch.setattr(inference, "exact_pivot", stuck)
+        message = "target 0.95 not straddled after 60 bracket expansions"
+    else:
+        message = "injected degeneracy"
+    assert main([*argv, "--out", str(tmp_path / "inf")]) == 0
+    rows = strict_json(tmp_path / "inf.json")["rows"]
+    failed = exact_rows[1]
+    assert [k for k, r in enumerate(rows) if r["error"]] == [failed]
+    assert rows[failed] == {
+        **clean[failed], "lower": None, "upper": None, "significant": -1, "error": message,
+    }
+    assert [r for k, r in enumerate(rows) if k != failed] == [
+        r for k, r in enumerate(clean) if k != failed
+    ]
+
+
+def test_study_fails_a_method_on_its_first_failing_target(monkeypatch):
+    """``run_study`` reports the failure of the first failing target in j
+    order, whichever way the batch ran."""
+    cfg = SimConfig(n=60, p=12, sparsity=2, signal_fraction=2.0, n_reps=1, seed=7,
+                    methods=("exact",))
+    rows, status = _run_replicate(cfg, 0)
+    assert status == {"exact": "ok"} and len(rows) >= 3
+    real_params = study.pivot_params
+    calls = []
+
+    def pivot_params(*args, **kwargs):
+        calls.append(None)
+        if len(calls) in (2, 3):
+            raise NumericalDegeneracyError(f"injected at target {len(calls) - 1}")
+        return real_params(*args, **kwargs)
+
+    monkeypatch.setattr(study, "pivot_params", pivot_params)
+    _, status = _run_replicate(cfg, 0)
+    assert status == {"exact": "failed: injected at target 1"}

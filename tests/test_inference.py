@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import carving_fit, carving_pivot_params, oracle_pivot, toy_fit
+from conftest import (
+    carving_fit,
+    carving_pivot_params,
+    oracle_pivot,
+    reference_invert_pivot,
+    reference_polyhedral_interval,
+    toy_fit,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
@@ -13,9 +20,16 @@ from exactsi.conditioning import (
     factor_randomization,
     target_basis,
 )
-from exactsi.errors import GeometryInconsistencyError, InvalidArgumentError
+from exactsi import inference
+from exactsi.errors import (
+    ExactSIError,
+    GeometryInconsistencyError,
+    InvalidArgumentError,
+    NoRootError,
+)
 from exactsi.inference import (
     IntervalEstimate,
+    PivotBatch,
     PivotParams,
     PolyhedralBounds,
     exact_pivot,
@@ -185,7 +199,7 @@ class TestExactPivot:
             params = pivot_params(data, cond, geom, target, sigma=1.0)
             sd = math.sqrt(params.sigma_j2)
             grid = params.beta_hat_j + sd * np.linspace(-8, 8, 161)
-            vals = np.array([exact_pivot(params, float(b)) for b in grid])
+            vals = exact_pivot(params, grid)
             diffs = np.diff(vals)
             # nonincreasing everywhere; strictly decreasing away from the
             # diffs that saturate at 0/1 beyond double precision
@@ -287,8 +301,8 @@ class TestExactPivotProperties:
     @PROPERTY_SETTINGS
     @given(model_pivot_params())
     def test_decreasing_in_beta0(self, params):
-        grid = [beta0_at(params, k) for k in np.linspace(-25, 25, 201)]
-        vals = np.array([exact_pivot(params, b0) for b0 in grid])
+        grid = np.array([beta0_at(params, k) for k in np.linspace(-25, 25, 201)])
+        vals = exact_pivot(params, grid)
         diffs = np.diff(vals)
         assert (diffs <= 0).all()
         interior = (vals[:-1] > 1e-9) & (vals[1:] < 1 - 1e-9)
@@ -323,22 +337,22 @@ class TestInvertPivot:
             interval=FULL_LINE,
             beta_hat_j=2.0,
         )
-        est = invert_pivot(forced, alpha=0.1)
+        (est,) = invert_pivot([forced], alpha=0.1)
         z = float(ndtri(0.95))
         assert est.lower == pytest.approx(2.0 - z, abs=1e-6)
         assert est.upper == pytest.approx(2.0 + z, abs=1e-6)
 
     def test_endpoints_reproduce_tail_targets(self):
         _, _, _, _, _, _, params = toy_pivot_setup()
-        est = invert_pivot(params, alpha=0.1)
+        (est,) = invert_pivot([params], alpha=0.1)
         assert exact_pivot(params, est.lower) == pytest.approx(0.95, abs=1e-6)
         assert exact_pivot(params, est.upper) == pytest.approx(0.05, abs=1e-6)
         assert est.covers(params.beta_hat_j)
 
     def test_nesting(self):
         _, _, _, _, _, _, params = toy_pivot_setup()
-        wide = invert_pivot(params, alpha=0.05)
-        narrow = invert_pivot(params, alpha=0.10)
+        (wide,) = invert_pivot([params], alpha=0.05)
+        (narrow,) = invert_pivot([params], alpha=0.10)
         assert wide.lower < narrow.lower < narrow.upper < wide.upper
 
 
@@ -381,7 +395,7 @@ class TestPolyhedral:
         target = build_target(target_basis(data, out, "selected"), 0)
         poly = lasso_polyhedron(data, out.selected, out.signs, lam)
         bounds = polyhedral_bounds(data, poly, target, 1.0)
-        est = polyhedral_interval(bounds, alpha=0.1, target_label=0)
+        (est,) = polyhedral_interval([bounds], alpha=0.1, target_labels=[0])
         if not est.clipped:
             lo_p = polyhedral_pivot(bounds, est.lower)
             hi_p = polyhedral_pivot(bounds, est.upper)
@@ -401,15 +415,176 @@ class TestPolyhedral:
         # 50 sd below beta_hat, so clipping the lower one would put it above
         # the upper one
         bounds = PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0)
-        est = polyhedral_interval(bounds, alpha=0.1)
+        (est,) = polyhedral_interval([bounds], alpha=0.1)
         assert est.lower < est.upper < bounds.beta_hat - 50.0
         assert not est.clipped
         assert polyhedral_pivot(bounds, est.lower) == pytest.approx(0.95, abs=1e-6)
         assert polyhedral_pivot(bounds, est.upper) == pytest.approx(0.05, abs=1e-6)
         mirror = PolyhedralBounds(lower=-math.inf, upper=0.0, beta_hat=-1e-3, sd=1.0)
-        est = polyhedral_interval(mirror, alpha=0.1)
+        (est,) = polyhedral_interval([mirror], alpha=0.1)
         assert mirror.beta_hat + 50.0 < est.lower < est.upper
         assert not est.clipped
+
+
+def exact_targets(data, out, rep, omega):
+    cond = factor_randomization(rep, omega)
+    basis = target_basis(data, out, "selected")
+    params = []
+    for j in range(out.selected.size):
+        target = build_target(basis, j)
+        params.append(pivot_params(data, cond, build_geometry(cond, target), target, sigma=1.0))
+    return params
+
+
+def polyhedral_targets(data, out, lam):
+    basis = target_basis(data, out, "selected")
+    poly = lasso_polyhedron(data, out.selected, out.signs, lam)
+    return [
+        polyhedral_bounds(data, poly, build_target(basis, j), 1.0)
+        for j in range(out.selected.size)
+    ]
+
+
+def outcome(result):
+    """An interval's endpoints and flag, or a failure's class and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return result.lower, result.upper, result.clipped
+
+
+def assert_agrees(got, reference, constants):
+    """The batched-inversion tolerance: each endpoint within 1e-9 max(1, |x|)
+    of the scalar reference's, the same clipping, or the same failure."""
+    try:
+        want = outcome(reference(constants, 0.1))
+    except ExactSIError as exc:
+        want = outcome(exc)
+    got = outcome(got)
+    if isinstance(want[0], str) or isinstance(got[0], str):
+        assert got == want
+        return
+    for x, y in zip(got[:2], want[:2]):
+        assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
+    assert got[2] == want[2]
+
+
+class TestBatchedInversion:
+    """One vectorized root-find per fit agrees with the scalar reference
+    (bracket doubling plus Brent's method) target by target."""
+
+    def test_exact_matches_scalar_reference(self):
+        rng = np.random.default_rng(31)
+        count = 0
+        for _ in range(6):
+            data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
+            params = exact_targets(data, out, rep, omega)
+            got = invert_pivot(params, 0.1, [int(e) for e in out.selected])
+            for est, p, label in zip(got, params, out.selected):
+                assert_agrees(est, reference_invert_pivot, p)
+                assert est.target_label == label and est.method == "exact"
+                count += 1
+        assert count >= 12
+
+    def test_polyhedral_matches_scalar_reference(self):
+        rng = np.random.default_rng(32)
+        count = 0
+        for _ in range(6):
+            data, out, lam = standard_lasso_fit(rng, n=60, p=10, signal=1.0)
+            bounds = polyhedral_targets(data, out, lam)
+            for est, b in zip(polyhedral_interval(bounds, 0.1), bounds):
+                assert_agrees(est, reference_polyhedral_interval, b)
+                count += 1
+        assert count >= 6
+
+    def test_full_line_exact_interval_in_a_batch(self):
+        rng = np.random.default_rng(33)
+        data, out, rep, omega, _, _ = carving_fit(rng)
+        real = exact_targets(data, out, rep, omega)
+        forced = PivotParams(
+            vartheta2=1.0, sigma_j2=1.0, lambda_j=1.0, zeta_j=0.0,
+            theta_intercept=0.0, interval=FULL_LINE, beta_hat_j=2.0,
+        )
+        got = invert_pivot([*real, forced], alpha=0.1)
+        z = float(ndtri(0.95))
+        assert got[-1].lower == pytest.approx(2.0 - z, abs=1e-9)
+        assert got[-1].upper == pytest.approx(2.0 + z, abs=1e-9)
+        for est, p in zip(got, [*real, forced]):
+            assert_agrees(est, reference_invert_pivot, p)
+
+    def test_polyhedral_clip_window_cases_in_one_batch(self):
+        bounds = [
+            # both endpoints more than 50 sd below the estimate: unclipped
+            PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0),
+            # and its mirror image above
+            PolyhedralBounds(lower=-math.inf, upper=0.0, beta_hat=-1e-3, sd=1.0),
+            # the lower endpoint alone beyond the window: clipped there
+            PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=0.05, sd=1.0),
+            # an untruncated estimate: the z-interval
+            PolyhedralBounds(lower=-math.inf, upper=math.inf, beta_hat=0.3, sd=2.0),
+            # a two-sided truncation
+            PolyhedralBounds(lower=-1.0, upper=2.0, beta_hat=0.4, sd=0.7),
+        ]
+        got = polyhedral_interval(bounds, alpha=0.1)
+        assert [est.clipped for est in got] == [False, False, True, False, False]
+        assert got[2].lower == 0.05 - 50.0
+        z = float(ndtri(0.95))
+        assert got[3].lower == pytest.approx(0.3 - 2.0 * z, abs=1e-9)
+        for est, b in zip(got, bounds):
+            assert_agrees(est, reference_polyhedral_interval, b)
+
+    @PROPERTY_SETTINGS
+    @given(model_pivot_params())
+    def test_array_pivot_equals_scalar_pivot_into_its_limits(self, params):
+        # shifts out to the far tails, where the pivot takes its 0/1 limits
+        drift = 1.0 + params.vartheta2 * params.sigma_j2
+        shifts = np.concatenate([np.linspace(-25, 25, 51), [-1e3 * drift, 1e3 * drift]])
+        grid = np.array([beta0_at(params, k) for k in shifts])
+        vals = exact_pivot(params, grid)
+        assert vals.shape == grid.shape
+        assert vals.tolist() == [exact_pivot(params, float(b0)) for b0 in grid]
+        assert vals[-2] == pytest.approx(1.0, abs=1e-12)
+        assert vals[-1] == pytest.approx(0.0, abs=1e-12)
+        batch = PivotBatch.of([params, params])
+        twice = exact_pivot(batch, np.column_stack([grid, grid[::-1]]))
+        assert twice[:, 0].tolist() == vals.tolist()
+        assert twice[:, 1].tolist() == vals[::-1].tolist()
+
+    def test_unstraddled_exact_target_fails_alone(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        data, out, rep, omega, _, _ = carving_fit(rng, min_selected=3)
+        params = exact_targets(data, out, rep, omega)
+        clean = invert_pivot(params, alpha=0.1)
+        flat = params[1].beta_hat_j
+        real = inference.exact_pivot
+
+        def stuck(batch, beta0):
+            # target 1's pivot never leaves 0.5, so no bracket straddles 0.95
+            return np.where(batch.beta_hat_j == flat, 0.5, real(batch, beta0))
+
+        monkeypatch.setattr(inference, "exact_pivot", stuck)
+        got = invert_pivot(params, alpha=0.1)
+        assert isinstance(got[1], NoRootError)
+        assert str(got[1]) == "target 0.95 not straddled after 60 bracket expansions"
+        assert [outcome(e) for k, e in enumerate(got) if k != 1] == [
+            outcome(e) for k, e in enumerate(clean) if k != 1
+        ]
+
+    def test_unstraddled_polyhedral_target_fails_alone(self):
+        # an estimate below its truncation interval has pivot 0 everywhere
+        bounds = [
+            PolyhedralBounds(lower=-1.0, upper=2.0, beta_hat=0.4, sd=0.7),
+            PolyhedralBounds(lower=1.0, upper=math.inf, beta_hat=0.5, sd=1.0),
+            PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0),
+        ]
+        got = polyhedral_interval(bounds, alpha=0.1)
+        assert isinstance(got[1], NoRootError)
+        assert_agrees(got[1], reference_polyhedral_interval, bounds[1])
+        alone = polyhedral_interval([bounds[0], bounds[2]], alpha=0.1)
+        assert [outcome(got[0]), outcome(got[2])] == [outcome(e) for e in alone]
+
+    def test_empty_batch(self):
+        assert invert_pivot([], alpha=0.1) == []
+        assert polyhedral_interval([], alpha=0.1) == []
 
 
 class TestSplitInference:

@@ -8,7 +8,6 @@ from exactsi.errors import (
     EmptyMassError,
     GeometryInconsistencyError,
     InvalidArgumentError,
-    NoRootError,
 )
 from exactsi.numerics import (
     DEFAULT_QUADRATURE,
@@ -260,33 +259,40 @@ class TestLineInterval:
 
 class TestInvertMonotone:
     def test_identity(self):
-        x = invert_monotone(lambda t: t, 0.3, Interval(-1, 1))
+        x = invert_monotone(lambda t: t, 0.3, -1.0, 1.0)
         assert abs(x - 0.3) < 1e-10
 
     def test_gaussian_quantile_oracle(self):
-        x = invert_monotone(std_normal_cdf, 0.975, Interval(0, 1))
+        def cdf(t):
+            return np.exp(log_truncation_prob((-math.inf, t), 0.0, 1.0))
+
+        x = invert_monotone(cdf, 0.975, 0.0, 1.0)
         assert abs(x - Z_975) < 1e-8
 
     def test_cube_root_with_expansion(self):
-        x = invert_monotone(lambda t: t**3, 8.0, Interval(0, 1))
+        x = invert_monotone(lambda t: t**3, 8.0, 0.0, 1.0)
         assert abs(x - 2.0) < 1e-8
 
     def test_decreasing_function(self):
-        x = invert_monotone(lambda t: -2.0 * t + 1.0, 0.0, Interval(-10, -9))
+        x = invert_monotone(lambda t: -2.0 * t + 1.0, 0.0, -10.0, -9.0)
         assert abs(x - 0.5) < 1e-9
 
     def test_random_affine_maps(self):
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            slope = rng.choice([-1, 1]) * rng.uniform(0.01, 50)
-            icept = rng.normal() * 20
-            target = rng.normal() * 20
-            want = (target - icept) / slope
-            got = invert_monotone(
-                lambda t: slope * t + icept, target, Interval(-0.5, 0.5)
-            )
-            assert abs(slope * got + icept - target) <= 1e-8 or abs(got - want) <= 1e-10
+        slope = rng.choice([-1, 1], size=100) * rng.uniform(0.01, 50, size=100)
+        icept = rng.normal(size=100) * 20
+        target = rng.normal(size=100) * 20
+        want = (target - icept) / slope
+        got = invert_monotone(
+            lambda t, m, c: m * t + c, target, -0.5, 0.5, args=(slope, icept)
+        )
+        assert got.shape == (100,)
+        ok = (np.abs(slope * got + icept - target) <= 1e-8) | (np.abs(got - want) <= 1e-10)
+        assert ok.all()
 
     def test_no_root(self):
-        with pytest.raises(NoRootError):
-            invert_monotone(lambda t: math.tanh(t), 2.0, Interval(-1, 1))
+        # tanh never reaches 2: that element alone has no root
+        x = invert_monotone(np.tanh, np.array([2.0, 0.5]), -1.0, 1.0)
+        assert math.isnan(x[0])
+        assert abs(x[1] - math.atanh(0.5)) < 1e-10
+        assert math.isnan(invert_monotone(np.tanh, 2.0, -1.0, 1.0))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -195,15 +197,45 @@ class TestRandomizedLasso:
         out = solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=eps, w=w)
         assert np.array_equal(out.active_solution, fast[out.selected])
 
-    def test_singular_restricted_gram_falls_back_to_coordinate_descent(self, monkeypatch):
+    def test_singular_restricted_gram_steps_along_its_null_space(self):
         """p > n with no ridge: the search adds a 21st active column of a rank-20
-        design, whose restricted Gram is singular, and coordinate descent solves
-        the problem instead."""
+        design, whose restricted Gram is singular; it steps along the null
+        space until a coordinate leaves, and finds coordinate descent's answer."""
         rng = np.random.default_rng(98)
         X = rng.standard_normal((20, 60))
         y = rng.standard_normal(20)
         lam = rng.uniform(0.05, 2.0)
-        w = np.zeros(60)
+        gram, c = X.T @ X, X.T @ y
+        fast = _active_set_lasso(gram, c, lam, 0.0)
+        slow = _cd_lasso(gram, c, lam, 0.0)
+        assert fast is not None
+        assert np.flatnonzero(fast).size >= 2
+        assert np.array_equal(np.flatnonzero(fast), np.flatnonzero(slow))
+        assert np.max(np.abs(fast - slow)) < 1e-8
+        assert _kkt_residual(gram @ fast, c, fast, lam, 0.0) <= 1e-9
+
+    def test_p_greater_than_n_without_ridge_solves_fast(self):
+        """An instance on which the search used to give up at a singular
+        restricted Gram, after which coordinate descent ran out of sweeps."""
+        rng = np.random.default_rng(117)
+        X = rng.standard_normal((20, 60))
+        y = rng.standard_normal(20)
+        lam = 0.2322
+        start = time.perf_counter()
+        out = solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=0.0, w=np.zeros(60))
+        assert time.perf_counter() - start < 1.0
+        b = np.zeros(60)
+        b[out.selected] = out.active_solution
+        assert _kkt_residual(X.T @ X @ b, X.T @ y, b, lam, 0.0) <= 1e-9
+
+    def test_uncertified_search_falls_back_to_coordinate_descent(self, monkeypatch):
+        """When the search runs out of restricted solves, coordinate descent
+        solves the problem instead."""
+        rng = np.random.default_rng(98)
+        X = rng.standard_normal((20, 60))
+        y = rng.standard_normal(20)
+        lam = rng.uniform(0.05, 2.0)
+        monkeypatch.setattr(selection, "_AS_MAX_STEPS", 1)
         assert _active_set_lasso(X.T @ X, X.T @ y, lam, 0.0) is None
         calls = []
 
@@ -212,7 +244,7 @@ class TestRandomizedLasso:
             return _cd_lasso(*args)
 
         monkeypatch.setattr(selection, "_cd_lasso", counted)
-        out = solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=0.0, w=w)
+        out = solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=0.0, w=np.zeros(60))
         assert len(calls) == 1
         b = np.zeros(60)
         b[out.selected] = out.active_solution
