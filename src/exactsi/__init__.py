@@ -1,11 +1,11 @@
 """Exact selective inference with Gaussian randomization.
 
-Randomized feature selection (lasso, marginal screening), the exact pivot
-obtained by reducing the selection event to a bivariate truncated Gaussian,
-confidence intervals from pivot inversion, and one selection-to-interval
-pipeline (``calibrate``, ``fit_method``) shared by a Monte-Carlo study
-harness with polyhedral, data-splitting, and response-splitting baselines,
-the uniformity check, and the command line.
+Randomized lasso selection, the exact pivot obtained by reducing the
+selection event to a bivariate truncated Gaussian, confidence intervals
+from pivot inversion, and one selection-to-interval pipeline
+(``calibrate``, ``fit_method``) shared by a Monte-Carlo study harness with
+polyhedral, data-splitting, and response-splitting baselines, the
+uniformity check, and the command line.
 """
 
 from .conditioning import (
@@ -53,7 +53,6 @@ from .selection import (
     lasso_event_rep,
     sample_randomization,
     solve_randomized_lasso,
-    solve_randomized_screening,
     tau2_from_split,
 )
 from .study import (
@@ -119,7 +118,6 @@ __all__ = [
     "run_study",
     "sample_randomization",
     "solve_randomized_lasso",
-    "solve_randomized_screening",
     "split_inference",
     "target_basis",
     "tau2_from_split",

@@ -164,7 +164,7 @@ def build_geometry(cond: RandomizationFactor, target: TargetSpec) -> Conditionin
     observed = float(rj @ O)
     A_obs = O - Qj * observed
 
-    scale = _ZERO_ROW_RTOL * np.linalg.norm(rep.L, axis=1) * np.linalg.norm(theta_r)
+    scale = _ZERO_ROW_RTOL * np.linalg.norm(rep.L, axis=1) * np.linalg.norm(Qj)
     lower, upper = line_interval(rep.L @ Qj, rep.M - rep.L @ A_obs, scale)
     if not lower < upper:
         raise GeometryInconsistencyError(

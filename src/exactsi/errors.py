@@ -14,7 +14,7 @@ class InvalidSchemeError(InvalidArgumentError):
 
 
 class ConvergenceError(ExactSIError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """A solver hit its iteration cap or could not certify its answer to tolerance."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

@@ -1,7 +1,8 @@
-"""Randomized selection programs and their linear stationarity representations.
+"""The randomized lasso and the linear stationarity representation of its event.
 
-Each solver returns the observed selection outcome (selected set, active
-solution, signs, inactive subgradient) and can emit the affine identity
+The solver returns the observed selection outcome (selected set, active
+solution, signs, inactive subgradient), from which ``lasso_event_rep`` emits
+the affine identity
 
     w = P @ stat + Q @ opt + R @ sub + T
 
@@ -24,11 +25,7 @@ from .errors import (
     InvalidSchemeError,
 )
 
-RECONSTRUCTION_TOL = 1e-6
-_CD_MAX_SWEEPS = 50_000
-_CD_TOL = 1e-10
 _AS_MAX_STEPS = 1_000
-_KKT_TOL = 1e-9
 
 
 @dataclass
@@ -68,9 +65,9 @@ class Dataset:
 class RandomizationScheme:
     """Carving-calibrated Gaussian randomization covariance ``tau2 * X'X``.
 
-    A diagonal jitter of ``1e-8 * tr(X'X)/p`` is added only when the Gram
-    matrix is numerically rank deficient, so that full-rank closed-form
-    identities stay exact.
+    A diagonal jitter of ``1e-8 * tr(X'X)/p`` is added to the Gram matrix
+    only when ``X'X`` or the returned ``tau2 * X'X`` fails its Cholesky
+    factorization, so that full-rank closed-form identities stay exact.
     """
 
     tau2: float = 1.0
@@ -82,17 +79,13 @@ class RandomizationScheme:
     def covariance(self, X: np.ndarray) -> np.ndarray:
         p = X.shape[1]
         gram = X.T @ X
-        if not _is_pd(gram):
-            gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
-        return self.tau2 * gram
-
-
-def _is_pd(mat: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+        omega = self.tau2 * gram
+        try:
+            np.linalg.cholesky(gram)
+            np.linalg.cholesky(omega)
+        except np.linalg.LinAlgError:
+            omega = self.tau2 * (gram + (1e-8 * np.trace(gram) / p) * np.eye(p))
+        return omega
 
 
 @dataclass
@@ -139,8 +132,10 @@ class LinearEventRep:
 
 
 def _check_rep(rep: LinearEventRep, what: str) -> LinearEventRep:
+    """Check the identity to 1e-9 of the terms it balances, ``P @ stat`` and ``w``."""
     resid = rep.reconstruction_residual()
-    if resid > RECONSTRUCTION_TOL:
+    magnitude = max(np.max(np.abs(rep.P @ rep.stat)), np.max(np.abs(rep.randomization)))
+    if resid > 1e-9 * magnitude:
         raise InconsistentOutcomeError(
             f"{what}: stationarity reconstruction residual {resid:.3e}"
         )
@@ -175,14 +170,6 @@ def default_epsilon(data: Dataset) -> float:
     return 1e-4 * float(np.mean(np.sum(data.X**2, axis=0)))
 
 
-def _soft(z: float, lam: float) -> float:
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
-
-
 def _kkt_residual(
     s: np.ndarray, c: np.ndarray, b: np.ndarray, lam: float, epsilon: float
 ) -> float:
@@ -200,15 +187,28 @@ def _kkt_residual(
 
 def _active_set_lasso(
     gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Feature-sign search on ``0.5 b'Hb - c'b + lam ||b||_1``, ``H = gram + eps I``.
 
-    A singular restricted Gram is stepped through along its null space.
-    Returns the solution, or None when it cannot be certified: a restricted
-    Gram that fails its Cholesky solve yet has no null space, an objective
-    unbounded along that null space, more than ``_AS_MAX_STEPS`` restricted
-    solves, or a KKT residual above ``_KKT_TOL``.
+    ``tol = 1e-11 * max(||c||_inf, lam)`` is both the margin an inactive
+    coordinate must clear to enter and the bound the final KKT residual must
+    meet.  It scales with the data, so a change of units in y changes
+    nothing, and not with b, so it cannot grow along an unbounded direction.
+    Raises ``InvalidArgumentError`` when a null-space step shrinks no
+    coordinate (the objective is unbounded below along it), and
+    ``ConvergenceError`` with the last KKT residual after more than
+    ``_AS_MAX_STEPS`` restricted solves, at a singular restricted Gram with
+    no null-space step, or when the certificate fails.
     """
+    tol = 1e-11 * max(float(np.max(np.abs(c))), lam)
+
+    def uncertified(why: str) -> ConvergenceError:
+        resid = _kkt_residual(gram @ b, c, b, lam, epsilon)
+        return ConvergenceError(
+            f"active-set lasso: {why} (KKT residual {resid:.3e}, tolerance {tol:.3e})",
+            residual=resid,
+        )
+
     b = np.zeros(c.size)
     A = np.zeros(0, dtype=int)  # active coordinates
     theta = np.zeros(0)  # their signs
@@ -218,14 +218,14 @@ def _active_set_lasso(
         slack = np.abs(g)
         slack[A] = 0.0
         j = int(np.argmax(slack))
-        if not slack[j] > lam:
+        if not slack[j] > lam + tol:
             break
         A = np.append(A, j)
         theta = np.append(theta, np.sign(g[j]))
         while A.size:
             steps += 1
             if steps > _AS_MAX_STEPS:
-                return None
+                raise uncertified(f"more than {_AS_MAX_STEPS} restricted solves")
             H_AA = gram[A[:, None], A] + epsilon * np.eye(A.size)
             _, new, info = dposv(H_AA, c[A] - lam * theta)  # Cholesky solve
             if info:
@@ -238,9 +238,13 @@ def _active_set_lasso(
                 evals, evecs = np.linalg.eigh(H_AA)
                 null = evecs[:, evals <= A.size * np.finfo(float).eps * evals[-1]]
                 z = null @ (null.T @ (c[A] - lam * theta - H_AA @ old))
+                if not z.any():
+                    raise uncertified("singular restricted Gram with no null-space step")
                 shrinking = theta * z < 0
-                if not null.size or not shrinking.any():
-                    return None  # no null space, or the objective is unbounded
+                if not shrinking.any():
+                    # H_AA z = 0 and theta'z = ||z||_1, so the objective falls
+                    # at rate z'(c_A - lam theta - H_AA old) = ||z||^2 along z.
+                    raise InvalidArgumentError("lasso objective is unbounded below")
                 t = -old[shrinking] / z[shrinking]
                 k = int(np.argmin(t))
                 best = old + t[k] * z
@@ -272,62 +276,8 @@ def _active_set_lasso(
             keep = best != 0
             A, theta = A[keep], np.sign(best[keep])
         g = c - gram[:, A] @ b[A]
-    if _kkt_residual(gram @ b, c, b, lam, epsilon) > _KKT_TOL:
-        return None
-    return b
-
-
-def _cd_lasso(gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
-    """Cyclic coordinate descent with exact soft-threshold updates.
-
-    Full sweeps alternate with sweeps restricted to the current support until
-    the maximum coordinate change drops below ``_CD_TOL`` and the KKT residual
-    is below ``_KKT_TOL``, or raises ``ConvergenceError`` after
-    ``_CD_MAX_SWEEPS`` sweeps.
-    """
-    p = c.size
-    diag = np.diag(gram).copy()
-    b = np.zeros(p)
-    s = np.zeros(p)  # s = gram @ b, maintained incrementally
-
-    def sweep(indices) -> float:
-        nonlocal s
-        change = 0.0
-        for j in indices:
-            old = b[j]
-            denom = diag[j] + epsilon
-            if denom <= 0:
-                continue
-            new = _soft(c[j] - s[j] + diag[j] * old, lam) / denom
-            if new != old:
-                s = s + gram[:, j] * (new - old)
-                b[j] = new
-                change = max(change, abs(new - old))
-        return change
-
-    sweeps = 0
-    converged = False
-    all_idx = range(p)
-    while sweeps < _CD_MAX_SWEEPS:
-        change = sweep(all_idx)
-        sweeps += 1
-        s = gram @ b  # reset incremental drift at each full pass
-        if change <= _CD_TOL and _kkt_residual(s, c, b, lam, epsilon) <= _KKT_TOL:
-            converged = True
-            break
-        active = np.flatnonzero(b)
-        while sweeps < _CD_MAX_SWEEPS and active.size:
-            if sweep(active) <= _CD_TOL:
-                break
-            sweeps += 1
-    if not converged:
-        s = gram @ b
-        resid = _kkt_residual(s, c, b, lam, epsilon)
-        if resid > _KKT_TOL:
-            raise ConvergenceError(
-                f"coordinate descent did not converge in {_CD_MAX_SWEEPS} sweeps",
-                residual=resid,
-            )
+    if _kkt_residual(gram @ b, c, b, lam, epsilon) > tol:
+        raise uncertified("KKT certificate failed")
     return b
 
 
@@ -347,10 +297,10 @@ def solve_randomized_lasso(
     ``|c_j - (Hb)_j| <= lam`` off it, so once the support A and its signs
     theta are known the solution is the linear solve
     ``H_AA b_A = c_A - lam theta_A``.  The search finds A and theta: it adds
-    the inactive coordinate with the largest ``|c_j - (Hb)_j| > lam``, with
-    that sign; solves for ``b_A`` by Cholesky; when the solve disagrees with
-    theta, moves instead to the best of the zero crossings on the way there
-    (a strict decrease of the objective) and drops the coordinates that
+    the inactive coordinate with the largest ``|c_j - (Hb)_j| > lam + tol``,
+    with that sign; solves for ``b_A`` by Cholesky; when the solve disagrees
+    with theta, moves instead to the best of the zero crossings on the way
+    there (a strict decrease of the objective) and drops the coordinates that
     reached zero, then solves again; and stops when no inactive coordinate
     violates its bound.  No (A, theta) pair repeats, so it ends after finitely
     many solves, typically about |A|; the solution is a linear solve away
@@ -360,10 +310,12 @@ def solve_randomized_lasso(
     ``H_AA``, as LARS does (Efron et al. 2004), until a coordinate reaches
     zero, and drops that coordinate.
 
-    The answer is accepted only if its KKT residual is at most ``_KKT_TOL``.
-    When the search cannot certify it (see ``_active_set_lasso``), cyclic
-    coordinate descent (``_cd_lasso``) solves the problem instead and raises
-    ``ConvergenceError`` if it does not converge.
+    The search is the only solver, and its answer is certified to a KKT
+    residual of ``1e-11 * max(||c||_inf, lam)`` (see ``_active_set_lasso``).
+    Raises ``InvalidArgumentError`` when the objective is unbounded below (a
+    zero-norm column with epsilon = 0, or a null-space direction of the
+    active columns), and ``ConvergenceError``, carrying the KKT residual,
+    when the search cannot certify its answer.
     """
     if not lam > 0:
         raise InvalidArgumentError("lam must be positive")
@@ -383,8 +335,6 @@ def solve_randomized_lasso(
                 f"column {bad} has zero norm and epsilon=0: objective unbounded"
             )
     b = _active_set_lasso(gram, c, lam, epsilon)
-    if b is None:
-        b = _cd_lasso(gram, c, lam, epsilon)
 
     selected = np.flatnonzero(b)
     inactive = np.setdiff1d(np.arange(p), selected)
@@ -433,47 +383,3 @@ def lasso_event_rep(
         randomization=outcome.randomization[order],
     )
     return _check_rep(rep, "lasso event")
-
-
-def solve_randomized_screening(
-    data: Dataset, threshold: float, w: np.ndarray
-) -> tuple[SelectionOutcome, LinearEventRep]:
-    """Randomized marginal screening: keep features with |X_j'y + w_j| > threshold.
-
-    The active variables are the boundary offsets ``|X_j'y + w_j| - threshold``
-    carrying the observed signs; the inactive statistic keeps its sign so the
-    stationarity identity reconstructs exactly.
-    """
-    if not threshold > 0:
-        raise InvalidArgumentError("threshold must be positive")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (data.p,):
-        raise InvalidArgumentError("w has the wrong length")
-    v = data.X.T @ data.y + w
-    selected = np.flatnonzero(np.abs(v) > threshold)
-    q = selected.size
-    signs = np.sign(v[selected])
-    opt = v[selected] - threshold * signs
-    order, inactive = _active_first_order(data.p, selected)
-    sub = v[inactive]
-    outcome = SelectionOutcome(
-        selected=selected,
-        active_solution=opt,
-        signs=signs,
-        inactive_subgradient=sub,
-        randomization=w,
-    )
-    rep = LinearEventRep(
-        P=-data.X[:, order].T,
-        Q=np.vstack([np.eye(q), np.zeros((data.p - q, q))]),
-        R=np.vstack([np.zeros((q, data.p - q)), np.eye(data.p - q)]),
-        T=np.concatenate([threshold * signs, np.zeros(data.p - q)]),
-        L=-np.diag(signs),
-        M=np.zeros(q),
-        stat=data.y,
-        opt=opt,
-        sub=sub,
-        order=order,
-        randomization=w[order],
-    )
-    return outcome, _check_rep(rep, "screening event")

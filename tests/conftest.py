@@ -5,7 +5,12 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, logsumexp
 
-from exactsi.errors import GeometryInconsistencyError, InvalidArgumentError, NoRootError
+from exactsi.errors import (
+    ConvergenceError,
+    GeometryInconsistencyError,
+    InvalidArgumentError,
+    NoRootError,
+)
 from exactsi.inference import (
     POLYHEDRAL_CLIP_SDS,
     IntervalEstimate,
@@ -17,10 +22,16 @@ from exactsi.numerics import Interval
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
+    _kkt_residual,
     lasso_event_rep,
     sample_randomization,
     solve_randomized_lasso,
 )
+
+# Stopping rule of the reference lasso solver ``_cd_lasso``.
+_CD_MAX_SWEEPS = 50_000
+_CD_TOL = 1e-10
+_KKT_TOL = 1e-9
 
 
 def toy_fit():
@@ -58,6 +69,68 @@ def carving_fit(rng, n=40, p=8, tau2=0.7, lam=None, min_selected=1):
             rep = lasso_event_rep(data, out, lam=lam_use, epsilon=0.0)
             return data, out, rep, omega, lam_use, tau2
     raise AssertionError("could not generate a nonempty selection")
+
+
+def _soft(z: float, lam: float) -> float:
+    if z > lam:
+        return z - lam
+    if z < -lam:
+        return z + lam
+    return 0.0
+
+
+def _cd_lasso(gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
+    """Cyclic coordinate descent with exact soft-threshold updates.
+
+    Full sweeps alternate with sweeps restricted to the current support until
+    the maximum coordinate change drops below ``_CD_TOL`` and the KKT residual
+    is below ``_KKT_TOL``, or raises ``ConvergenceError`` after
+    ``_CD_MAX_SWEEPS`` sweeps.
+    """
+    p = c.size
+    diag = np.diag(gram).copy()
+    b = np.zeros(p)
+    s = np.zeros(p)  # s = gram @ b, maintained incrementally
+
+    def sweep(indices) -> float:
+        nonlocal s
+        change = 0.0
+        for j in indices:
+            old = b[j]
+            denom = diag[j] + epsilon
+            if denom <= 0:
+                continue
+            new = _soft(c[j] - s[j] + diag[j] * old, lam) / denom
+            if new != old:
+                s = s + gram[:, j] * (new - old)
+                b[j] = new
+                change = max(change, abs(new - old))
+        return change
+
+    sweeps = 0
+    converged = False
+    all_idx = range(p)
+    while sweeps < _CD_MAX_SWEEPS:
+        change = sweep(all_idx)
+        sweeps += 1
+        s = gram @ b  # reset incremental drift at each full pass
+        if change <= _CD_TOL and _kkt_residual(s, c, b, lam, epsilon) <= _KKT_TOL:
+            converged = True
+            break
+        active = np.flatnonzero(b)
+        while sweeps < _CD_MAX_SWEEPS and active.size:
+            if sweep(active) <= _CD_TOL:
+                break
+            sweeps += 1
+    if not converged:
+        s = gram @ b
+        resid = _kkt_residual(s, c, b, lam, epsilon)
+        if resid > _KKT_TOL:
+            raise ConvergenceError(
+                f"coordinate descent did not converge in {_CD_MAX_SWEEPS} sweeps",
+                residual=resid,
+            )
+    return b
 
 
 def oracle_pivot(params, beta0, nodes=4001, drop=60.0):

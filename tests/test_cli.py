@@ -525,3 +525,38 @@ def test_study_fails_a_method_on_its_first_failing_target(monkeypatch):
     monkeypatch.setattr(study, "pivot_params", pivot_params)
     _, status = _run_replicate(cfg, 0)
     assert status == {"exact": "failed: injected at target 1"}
+
+
+def test_unit_change_scales_every_interval(tmp_path):
+    """``infer`` on y in other units (y * 10^k): the calibration scales sigma,
+    lam and tau2 with y, so every method selects the same targets and every
+    endpoint scales by 10^k.  The slack allows rounding (1e-9 relative) and
+    the root finder's absolute tolerance of 1e-10 at both scales."""
+    X = generate_design(300, 100, 0.9, 41)
+    y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, 42)
+    header = ",".join(["y"] + [f"x{j}" for j in range(100)])
+    methods = [m for name in ("exact", "polyhedral", "split", "uv") for m in ("--method", name)]
+
+    def rows_at(k):
+        path = tmp_path / f"y{k}.csv"
+        np.savetxt(path, np.column_stack([y * 10.0**k, X]), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        out = tmp_path / f"inf{k}"
+        args = ["infer", "--input", str(path), "--rho", "0.8", "--seed", "5", *methods]
+        assert main([*args, "--out", str(out)]) == 0
+        return strict_json(tmp_path / f"inf{k}.json")["rows"]
+
+    base = rows_at(0)
+    assert {r["method"] for r in base if not r["error"]} == {"exact", "polyhedral", "split", "uv"}
+    for k in (-6, 3, 6, 9):
+        rows = rows_at(k)
+        key = [(r["method"], r["index"], r["error"]) for r in rows]
+        assert key == [(r["method"], r["index"], r["error"]) for r in base]
+        slack = 4e-10 * (1.0 + 10.0**-k)
+        for got, want in zip(rows, base):
+            for end in ("lower", "upper"):
+                if want[end] is None:
+                    assert got[end] is None
+                    continue
+                x = got[end] / 10.0**k
+                assert abs(x - want[end]) <= 1e-9 * max(1.0, abs(want[end])) + slack

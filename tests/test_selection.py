@@ -2,25 +2,26 @@ import time
 
 import numpy as np
 import pytest
+from conftest import _cd_lasso
 
 from exactsi import selection
-from exactsi.errors import InconsistentOutcomeError, InvalidArgumentError
+from exactsi.errors import ConvergenceError, InconsistentOutcomeError, InvalidArgumentError
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
     _active_set_lasso,
-    _cd_lasso,
     _kkt_residual,
     default_epsilon,
     lasso_event_rep,
     sample_randomization,
     solve_randomized_lasso,
-    solve_randomized_screening,
     tau2_from_split,
 )
 from exactsi.study import (
+    calibrate,
     generate_design,
     generate_response,
+    randomized_selection,
     support_indices,
     theory_lambda,
 )
@@ -89,6 +90,18 @@ class TestRandomization:
         scheme = RandomizationScheme(tau2=1.0)
         omega = scheme.covariance(X)
         assert np.linalg.eigvalsh(omega).min() > 0
+
+    @pytest.mark.parametrize("seed", [22, 100004])
+    def test_jitter_is_decided_on_the_gram_and_the_returned_matrix(self, seed):
+        """A duplicated column makes X'X singular, yet either X'X (seed 22) or
+        0.75 X'X (seed 100004) can pass its Cholesky factorization by
+        rounding.  Both get the jitter, and the returned matrix factors."""
+        X = generate_design(100, 30, 0.5, seed)
+        X[:, 29] = X[:, 0]
+        omega = RandomizationScheme(tau2=0.75).covariance(X)
+        np.linalg.cholesky(omega)
+        assert not np.array_equal(omega, 0.75 * (X.T @ X))
+        assert sample_randomization(omega, seed=seed).shape == (30,)
 
 
 class TestRandomizedLasso:
@@ -188,7 +201,6 @@ class TestRandomizedLasso:
         lam = lam_scale * theory_lambda(X, np.sqrt(3.0))
         fast = _active_set_lasso(gram, c, lam, eps)
         slow = _cd_lasso(gram, c, lam, eps)
-        assert fast is not None
         assert np.flatnonzero(fast).size >= 2
         assert np.array_equal(np.flatnonzero(fast), np.flatnonzero(slow))
         assert np.array_equal(np.sign(fast), np.sign(slow))
@@ -208,7 +220,6 @@ class TestRandomizedLasso:
         gram, c = X.T @ X, X.T @ y
         fast = _active_set_lasso(gram, c, lam, 0.0)
         slow = _cd_lasso(gram, c, lam, 0.0)
-        assert fast is not None
         assert np.flatnonzero(fast).size >= 2
         assert np.array_equal(np.flatnonzero(fast), np.flatnonzero(slow))
         assert np.max(np.abs(fast - slow)) < 1e-8
@@ -228,30 +239,72 @@ class TestRandomizedLasso:
         b[out.selected] = out.active_solution
         assert _kkt_residual(X.T @ X @ b, X.T @ y, b, lam, 0.0) <= 1e-9
 
-    def test_uncertified_search_falls_back_to_coordinate_descent(self, monkeypatch):
-        """When the search runs out of restricted solves, coordinate descent
-        solves the problem instead."""
+    def test_uncertified_search_raises(self, monkeypatch):
+        """When the search runs out of restricted solves it raises at once,
+        with the KKT residual of its last iterate."""
         rng = np.random.default_rng(98)
         X = rng.standard_normal((20, 60))
         y = rng.standard_normal(20)
         lam = rng.uniform(0.05, 2.0)
         monkeypatch.setattr(selection, "_AS_MAX_STEPS", 1)
-        assert _active_set_lasso(X.T @ X, X.T @ y, lam, 0.0) is None
-        calls = []
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError) as err:
+            solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=0.0, w=np.zeros(60))
+        assert time.perf_counter() - start < 0.1
+        assert err.value.residual > 0
 
-        def counted(*args):
-            calls.append(args)
-            return _cd_lasso(*args)
+    def test_unbounded_objective_raises(self):
+        """p > n, no ridge, and w tilted along a null vector z of X with
+        w'z = 3 lam ||z||_1: the objective falls without bound along z, which
+        the search proves from a null-space step that shrinks no coordinate."""
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((20, 60))
+        y = rng.standard_normal(20)
+        z = np.linalg.svd(X)[2][-1]
+        lam = 1.0
+        w = 3.0 * lam * np.sign(z)
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgumentError, match="unbounded"):
+            solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=0.0, w=w)
+        assert time.perf_counter() - start < 0.1
 
-        monkeypatch.setattr(selection, "_cd_lasso", counted)
-        out = solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=0.0, w=np.zeros(60))
-        assert len(calls) == 1
-        b = np.zeros(60)
-        b[out.selected] = out.active_solution
-        grad = X.T @ (y - X @ b)
-        assert out.selected.size >= 2
-        assert np.max(np.abs(grad[out.selected] - lam * out.signs)) <= 1e-9
-        assert np.max(np.abs(out.inactive_subgradient), initial=0.0) <= 1.0 + 1e-9
+    def test_duplicated_column_is_certified(self):
+        """Two equal columns and w = 0: after one of them enters, the other's
+        bound is met only up to rounding.  The search used to let it enter and
+        cycle between the pair; the entering margin stops that.  The solution
+        is not unique, so only the objective is compared."""
+        X = generate_design(60, 20, 0.5, 17)
+        X[:, 19] = X[:, 0]
+        y, _ = generate_response(X, support_indices(20, 5), 0.75, 3.0, 117)
+        lam = theory_lambda(X, np.sqrt(3.0))
+        gram, c = X.T @ X, X.T @ y
+        fast = _active_set_lasso(gram, c, lam, 0.0)
+        slow = _cd_lasso(gram, c, lam, 0.0)
+
+        def objective(b):
+            return 0.5 * b @ gram @ b - c @ b + lam * np.abs(b).sum()
+
+        assert fast[0] != 0
+        assert objective(fast) == pytest.approx(objective(slow), rel=1e-12)
+        tol = 1e-11 * max(np.max(np.abs(c)), lam)
+        assert _kkt_residual(gram @ fast, c, fast, lam, 0.0) <= tol
+
+    @pytest.mark.parametrize("k", [-6, 3, 6, 9])
+    def test_change_of_units_keeps_the_selection(self, k):
+        """The default cell's carving-randomized lasso with y in other units:
+        lam, tau2 and w scale with y, so support and signs must not move."""
+        X = generate_design(300, 100, 0.9, 11)
+        y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, 12)
+        outcomes = []
+        for scale in (1.0, 10.0**k):
+            data = Dataset(y=y * scale, X=X)
+            cal = calibrate(data, ("exact",), rho=0.8, epsilon=0.0)
+            _, _, outcome, _ = randomized_selection(data, cal, 13)
+            outcomes.append(outcome)
+        base, scaled = outcomes
+        assert base.selected.size >= 5
+        assert np.array_equal(scaled.selected, base.selected)
+        assert np.array_equal(scaled.signs, base.signs)
 
 
 class TestLassoEventRep:
@@ -291,32 +344,6 @@ class TestLassoEventRep:
         out.active_solution = out.active_solution + 0.2
         with pytest.raises(InconsistentOutcomeError):
             lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
-
-
-class TestScreening:
-    def test_direct_comparison(self):
-        data = Dataset(y=np.array([2.0, 0.1]), X=np.eye(2))
-        out, rep = solve_randomized_screening(data, threshold=1.0, w=np.zeros(2))
-        assert out.selected.tolist() == [0]
-        assert out.signs.tolist() == [1.0]
-        assert out.active_solution[0] == pytest.approx(1.0)
-        assert rep.reconstruction_residual() < 1e-12
-
-    def test_all_below_threshold(self):
-        data = Dataset(y=np.array([0.2, -0.1]), X=np.eye(2))
-        out, rep = solve_randomized_screening(data, threshold=1.0, w=np.zeros(2))
-        assert out.selected.size == 0
-        assert rep.reconstruction_residual() < 1e-12
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            data = random_dataset(rng, n=25, p=6)
-            w = rng.standard_normal(6) * 2
-            out, rep = solve_randomized_screening(data, threshold=rng.uniform(0.5, 6), w=w)
-            assert rep.reconstruction_residual() <= 1e-6
-            if rep.L.size:
-                assert (rep.constraint_slack() > 0).all()
 
 
 def test_default_epsilon():
