@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -58,8 +59,58 @@ from .selection import (  # noqa: E402,F401
 def read_csv_dataset(
     path: str, response: str = "y", standardize: bool = False, sigma: float | None = None
 ) -> tuple[Dataset, list[str]]:
-    """Load a header-carrying numeric CSV; every non-response column is a feature."""
+    """Load a header-carrying numeric CSV; every non-response column is a feature.
+
+    The body is parsed by numpy's C reader (``np.loadtxt``), streamed from the
+    open file: the file is never copied whole into memory.  Where that parse
+    cannot vouch for its result (a quote in the header, a cell it rejects,
+    any warning, no data rows, or a column count other than the header's),
+    the file is read again from the top by a loop that calls ``float()`` on
+    each cell.  The loop is the only source of diagnostics (row, column and
+    cell of a non-numeric value; field counts) and the only path for cells
+    that only ``float()`` accepts, such as quoted cells, ``1_0`` or non-ASCII
+    digits.  Where both parse a file they give the same doubles, bit for bit.
+    """
+    parsed = _parse_csv_fast(path, response)
+    if parsed is None:
+        parsed = _parse_csv_loop(path, response)
+    y, X, names = parsed
+    if standardize:
+        X = X - X.mean(axis=0)
+        scale = X.std(axis=0)
+        scale[scale == 0] = 1.0
+        X = X / scale
+    return Dataset(y=y, X=X, sigma=sigma), names
+
+
+def _parse_csv_fast(path: str, response: str):
+    """``(y, X, names)`` by numpy's C parser, or None where it cannot vouch for them."""
     # utf-8-sig drops the byte-order mark that some spreadsheet exports write
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        line = fh.readline()
+        # a quoted header field may hold a comma or span lines: csv.reader's job
+        if '"' in line:
+            return None
+        header = next(csv.reader([line]), [])
+        if response not in header:
+            return None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                # comments=None: the default "#" would silently cut cells
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                return None
+    if caught or not table.shape[0] or table.shape[1] != len(header):
+        return None
+    ridx = header.index(response)
+    names = [h for i, h in enumerate(header) if i != ridx]
+    # contiguous, as the loop's y is
+    return np.ascontiguousarray(table[:, ridx]), np.delete(table, ridx, axis=1), names
+
+
+def _parse_csv_loop(path: str, response: str):
+    """``(y, X, names)`` by ``float()`` on each cell, with the reader's diagnostics."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -91,14 +142,9 @@ def read_csv_dataset(
                     ) from None
             ys.append(vals[ridx])
             rows.append([v for i, v in enumerate(vals) if i != ridx])
-    X = np.asarray(rows, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if standardize:
-        X = X - X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale[scale == 0] = 1.0
-        X = X / scale
-    return Dataset(y=y, X=X, sigma=sigma), names
+    if not rows:
+        raise InvalidArgumentError(f"{path}: no data rows")
+    return np.asarray(ys, dtype=float), np.asarray(rows, dtype=float), names
 
 
 def _write_json(obj, path: str | None) -> None:

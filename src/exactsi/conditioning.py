@@ -86,12 +86,20 @@ class RandomizationFactor:
 
 
 def _factor_spd(mat: np.ndarray, what: str) -> tuple:
-    """Check an SPD matrix's conditioning and factor it; it is never inverted."""
+    """Check an SPD matrix's conditioning and factor it; it is never inverted.
+
+    The condition number is the 2-norm ratio of the largest to the smallest
+    singular value, taken from the eigenvalues of the symmetrized matrix
+    (their absolute values are its singular values).  A singular matrix,
+    the zero matrix included, fails the check with no division.
+    """
     mat = 0.5 * (mat + mat.T)
-    if mat.size and np.linalg.cond(mat) > _COND_LIMIT:
-        raise NumericalDegeneracyError(
-            f"{what} is ill-conditioned (cond > {_COND_LIMIT:.0e})"
-        )
+    if mat.size:
+        ev = np.abs(np.linalg.eigvalsh(mat))
+        if not 0 < ev.max() <= ev.min() * _COND_LIMIT:
+            raise NumericalDegeneracyError(
+                f"{what} is ill-conditioned (cond > {_COND_LIMIT:.0e})"
+            )
     try:
         return cho_factor(mat)
     except np.linalg.LinAlgError as exc:

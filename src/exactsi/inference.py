@@ -201,6 +201,11 @@ _NEWTON_STEPS = 8
 _MODE_MARKS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 _TURN_MARKS = (-6.0, -2.0, 0.0, 2.0, 6.0)
 _MAX_PANEL = 3.0
+# A cut of the window needs more panels only far out, where rounding or the
+# relative stopping rule of the mode search leaves a large slope at the mode
+# (at |v| ~ 1e23 one element asked for 1.4e9 nodes); there the panels widen,
+# so that the node count of an element stays bounded.
+_MAX_PANELS_PER_CUT = 256
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LOG_GL_WEIGHTS = np.log(_GL_WEIGHTS)
 
@@ -290,7 +295,7 @@ def _log_cdf_weighted_integral(c, d, a, b):
     with np.errstate(invalid="ignore"):
         count = np.ceil((right - left) / _MAX_PANEL)
     count[~(w_lo < w_hi)] = 0  # the interval is narrower than rounding
-    count = count.astype(int)
+    count = np.minimum(count, _MAX_PANELS_PER_CUT).astype(int)
     # panel i of a cut pair (x, y) split k ways is [x + (y - x) i / k, ...]
     flat = count.ravel()
     k = np.repeat(flat, flat)
@@ -309,6 +314,14 @@ def _log_cdf_weighted_integral(c, d, a, b):
             + np.log(half)[:, None]
         ).ravel()
     out = np.full(panels.size, -math.inf)
+    # where the window is narrower than rounding, the integrand falls at a
+    # slope too steep for any panel: take the one-term Laplace value f(v0) / |g|
+    none = panels == 0
+    with np.errstate(divide="ignore"):
+        out[none] = (
+            -0.5 * v0[none] ** 2 + log_ndtr(c[none] + d[none] * v0[none])
+            - np.log(np.abs(g[none]))
+        )
     some = np.flatnonzero(panels)
     if some.size:
         starts = (np.cumsum(panels) - panels)[some] * _GL_NODES.size

@@ -193,7 +193,8 @@ def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:
     ``g(x, *args)`` is evaluated elementwise, and ``target``, the seed
     brackets ``[lower, upper]`` and ``args`` broadcast together.  Each
     bracket is expanded geometrically (factor 2 per step, at most 60 steps)
-    toward the side that has not yet straddled its target; all brackets grow
+    toward the side that has not yet straddled its target, or toward both
+    sides while ``g`` ties on the two ends of the bracket; all brackets grow
     together, one call of ``g`` per step on the elements still growing.  The
     roots are then isolated by one ``find_root`` call (Chandrupatla's method)
     to a bracket width of 1e-10.  An element whose target is still not
@@ -224,9 +225,16 @@ def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:
         target_above = target[grow] > np.maximum(ga[grow], gb[grow])
         # For increasing g, values grow to the right; move the deficient side.
         right = target_above == increasing
-        x = np.where(right, b[grow] + width, a[grow] - width)
-        gx = g(x, *(arg[grow] for arg in args))
-        i, j = grow[right], grow[~right]
+        # A tie g(a) == g(b) does not tell the direction: move the other side too.
+        tie = ga[grow] == gb[grow]
+        x = np.concatenate([
+            np.where(right, b[grow] + width, a[grow] - width),
+            np.where(right, a[grow] - width, b[grow] + width)[tie],
+        ])
+        moved = np.concatenate([grow, grow[tie]])
+        right = np.concatenate([right, ~right[tie]])
+        gx = g(x, *(arg[moved] for arg in args))
+        i, j = moved[right], moved[~right]
         b[i], gb[i] = x[right], gx[right]
         a[j], ga[j] = x[~right], gx[~right]
     straddled = (np.minimum(ga, gb) <= target) & (target <= np.maximum(ga, gb))

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -230,7 +231,8 @@ def reference_invert_monotone(g, target, seed_bracket):
     one continuous monotone scalar ``g``.
 
     The seed bracket is expanded geometrically (factor 2 per step, at most 60
-    steps) toward the side that has not yet straddled the target, then the
+    steps) toward the side that has not yet straddled the target, or toward
+    both sides while g ties on the two ends of the bracket, then the
     root is isolated by Brent's method to a bracket width of 1e-10.
     """
     a, b = float(seed_bracket.lower), float(seed_bracket.upper)
@@ -243,11 +245,13 @@ def reference_invert_monotone(g, target, seed_bracket):
         width = b - a
         increasing = gb >= ga
         target_above = target > max(ga, gb)
-        # For increasing g, values grow to the right; move the deficient side.
-        if target_above == increasing:
+        tie = ga == gb
+        # For increasing g, values grow to the right; move the deficient side,
+        # and on a tie both sides.
+        if tie or target_above == increasing:
             b += width
             gb = g(b)
-        else:
+        if tie or target_above != increasing:
             a -= width
             ga = g(a)
     else:
@@ -309,3 +313,53 @@ def reference_polyhedral_interval(bounds, alpha):
     return IntervalEstimate(
         lower=lower, upper=upper, target_label=-1, method="polyhedral", clipped=clipped
     )
+
+
+def reference_read_csv(
+    path: str, response: str = "y", standardize: bool = False, sigma: float | None = None
+) -> tuple[Dataset, list[str]]:
+    """Reference for ``cli.read_csv_dataset``: ``float()`` on every cell.
+
+    The reader as it was before the C-parser fast path, kept verbatim, so a
+    header-only file still fails in ``Dataset`` rather than with "no data rows".
+    """
+    # utf-8-sig drops the byte-order mark that some spreadsheet exports write
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InvalidArgumentError(f"{path}: empty file") from None
+        if response not in header:
+            raise InvalidArgumentError(
+                f"{path}: response column {response!r} not in header {header}"
+            )
+        ridx = header.index(response)
+        names = [h for i, h in enumerate(header) if i != ridx]
+        ys, rows = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InvalidArgumentError(
+                    f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
+                )
+            vals = []
+            for col, cell in zip(header, row):
+                try:
+                    vals.append(float(cell))
+                except ValueError:
+                    raise InvalidArgumentError(
+                        f"{path}: row {line_no}, column {col!r}: "
+                        f"not numeric: {cell!r}"
+                    ) from None
+            ys.append(vals[ridx])
+            rows.append([v for i, v in enumerate(vals) if i != ridx])
+    X = np.asarray(rows, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if standardize:
+        X = X - X.mean(axis=0)
+        scale = X.std(axis=0)
+        scale[scale == 0] = 1.0
+        X = X / scale
+    return Dataset(y=y, X=X, sigma=sigma), names

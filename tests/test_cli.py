@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_read_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
-from exactsi import conditioning, inference, study
+from exactsi import cli, conditioning, inference, study
 from exactsi.cli import (
     build_parser,
     build_sim_config,
@@ -63,6 +66,61 @@ def make_mutation_panel_csv(path, rng, n=633, p=91):
     return path
 
 
+def read_outcome(reader, path):
+    """``[names], y, X`` as read, or the class and message of the error."""
+    try:
+        data, names = reader(str(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return names, data.y, data.X
+
+
+@st.composite
+def decimal_cells(draw):
+    """Decimal spellings: 1-24 digits, a point anywhere, an optional exponent
+    (-330 to 310), a sign, and padding."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=24))
+    point = draw(st.integers(0, len(digits)))
+    body = digits if point == len(digits) else digits[:point] + "." + digits[point:]
+    if draw(st.booleans()):
+        exp = draw(st.one_of(st.integers(-30, 30), st.integers(-330, 310)))
+        body += draw(st.sampled_from(["e", "E"])) + str(exp)
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    pad = st.sampled_from(["", "", " ", "  ", "\t"])
+    return draw(pad) + sign + body + draw(pad)
+
+
+# signed zero and non-finite values, which both parsers accept, and cells that
+# only float() accepts or that neither accepts
+ODD_CELLS = ["-0", "nan", "-inf", "inf", "1_0", "\u0661", '"1.5"', '" 2"', "", "0x1", "#3"]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with the response in any column, CRLF or LF, blank and
+    whitespace-only lines, trailing commas, quoted cells and a BOM."""
+    ncols = draw(st.integers(1, 4))
+    names = [f"x{j}" for j in range(ncols)]
+    names.insert(draw(st.integers(0, ncols)), "y")
+    odd = draw(st.booleans())
+    cell = st.one_of(decimal_cells(), st.sampled_from(ODD_CELLS)) if odd else decimal_cells()
+    if draw(st.booleans()) and odd:
+        header = ",".join(f'"{h}"' for h in names)
+    else:
+        header = ",".join(names)
+    lines = [header]
+    for _ in range(draw(st.integers(2, 6))):
+        row = ",".join(draw(st.lists(cell, min_size=len(names), max_size=len(names))))
+        if odd and draw(st.integers(0, 9)) == 0:
+            row += ","
+        lines.append(row)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"] if odd else [""])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
 class TestReadCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -96,6 +154,54 @@ class TestReadCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidArgumentError, match="response column"):
             read_csv_dataset(str(path))
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+    def test_header_only(self, tmp_path, body):
+        path = tmp_path / "header.csv"
+        path.write_bytes(("y,x0" + body).encode())
+        with pytest.raises(InvalidArgumentError, match=f"^{path}: no data rows$"):
+            read_csv_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "variant", ["plain", "crlf", "blank_lines", "byte_order_mark"]
+    )
+    def test_benchmark_shaped_csv_takes_the_fast_path(self, tmp_path, monkeypatch, variant):
+        rng = np.random.default_rng(11)
+        table = rng.standard_normal((600, 301))
+        path = tmp_path / "wide.csv"
+        header = ",".join(["y"] + [f"x{j}" for j in range(300)])
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+        text = path.read_text()
+        if variant == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif variant == "blank_lines":
+            text = text.replace("\n", "\n\n")
+        elif variant == "byte_order_mark":
+            text = "\ufeff" + text
+        path.write_bytes(text.encode())
+
+        def no_loop(*args):
+            raise AssertionError("the loop parser ran")
+
+        monkeypatch.setattr(cli, "_parse_csv_loop", no_loop)
+        data, names = read_csv_dataset(str(path))
+        assert names == [f"x{j}" for j in range(300)]
+        assert np.array_equal(data.y, table[:, 0]) and np.array_equal(data.X, table[:, 1:])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_as_the_float_loop(self, tmp_path_factory, data):
+        """Bit-identical names, y and X, or the same error, as ``float()`` per cell."""
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(data.draw(csv_files()).encode("utf-8"))
+        got, want = read_outcome(read_csv_dataset, path), read_outcome(reference_read_csv, path)
+        assert got[0] == want[0]
+        if isinstance(want[0], list):
+            for a, b in zip(got[1:], want[1:]):
+                assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        else:
+            assert got == want
 
 
 class TestSelect:

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from conftest import carving_fit, toy_fit
 
+from exactsi import conditioning
 from exactsi.conditioning import (
     build_geometry,
     build_target,
     factor_randomization,
     target_basis,
 )
-from exactsi.errors import GeometryInconsistencyError, InvalidArgumentError
+from exactsi.errors import (
+    GeometryInconsistencyError,
+    InvalidArgumentError,
+    NumericalDegeneracyError,
+)
 from exactsi.selection import Dataset, solve_randomized_lasso
 
 
@@ -137,3 +142,25 @@ class TestAEta:
         eta, theta = g.rj, cond.Theta
         comp = rep.opt - (theta @ eta) * (eta @ rep.opt) / float(eta @ theta @ eta)
         assert np.allclose(comp, g.A_obs, atol=1e-10)
+
+
+class TestFactorSpd:
+    @pytest.mark.parametrize("size", [2, 3, 40])
+    def test_condition_check_boundary(self, size):
+        """Raises exactly where ``np.linalg.cond(mat) > _COND_LIMIT`` would."""
+        limit = conditioning._COND_LIMIT
+        diagonals = [
+            np.geomspace(3.0, 3.0 / ratio, size)
+            for ratio in (limit * (1 - 1e-6), limit * (1 + 1e-6))
+        ]
+        diagonals += [np.r_[np.ones(size - 1), 0.0], np.zeros(size)]  # singular
+        verdicts = []
+        for diag in diagonals:
+            mat = np.diag(diag)
+            verdicts.append(bool(np.linalg.cond(mat) > limit))
+            if verdicts[-1]:
+                with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
+                    conditioning._factor_spd(mat, "matrix")
+            else:
+                conditioning._factor_spd(mat, "matrix")
+        assert verdicts == [False, True, True, True]

@@ -325,6 +325,35 @@ class TestExactPivotProperties:
         assert exact_pivot(params, beta0_at(params, -shift)) == pytest.approx(1.0, abs=1e-12)
 
 
+# A truncation so extreme that the pivot is exactly 0 on both ends of the
+# seed bracket beta_hat +- 5 sd (+-0.158), with its endpoints near -2.
+SATURATED = PivotParams(
+    vartheta2=1000.0,
+    sigma_j2=0.001,
+    lambda_j=1.0,
+    zeta_j=1.0,
+    theta_intercept=0.0,
+    interval=Interval(-1000.0, -955.2786404500042),
+    beta_hat_j=0.0,
+)
+
+
+class TestSaturatedPivot:
+    def test_inversion_expands_away_from_a_tie(self):
+        assert exact_pivot(SATURATED, -0.158) == exact_pivot(SATURATED, 0.158) == 0.0
+        (est,) = invert_pivot([SATURATED], alpha=0.1, target_labels=[0])
+        assert isinstance(est, IntervalEstimate)
+        assert -3.0 < est.lower < est.upper < -1.5
+        assert oracle_pivot(SATURATED, est.lower) == pytest.approx(0.95, abs=1e-9)
+        assert oracle_pivot(SATURATED, est.upper) == pytest.approx(0.05, abs=1e-9)
+
+    def test_far_above_the_estimate_window_below_rounding(self):
+        # the log-space window there is narrower than one ulp of its mode
+        assert exact_pivot(SATURATED, 40308500.0) <= 1e-12
+        grid = -3.0 + np.logspace(-6, 8, 2000)
+        assert (np.diff(exact_pivot(SATURATED, grid)) <= 0).all()
+
+
 class TestInvertPivot:
     def test_full_line_gives_classical_z_interval(self):
         _, _, _, _, _, _, params = toy_pivot_setup()

@@ -290,6 +290,15 @@ class TestInvertMonotone:
         ok = (np.abs(slope * got + icept - target) <= 1e-8) | (np.abs(got - want) <= 1e-10)
         assert ok.all()
 
+    def test_tie_on_the_seed_bracket_expands_both_sides(self):
+        # decreasing, flat at 0 on the seed bracket, with its root to the left;
+        # the increasing twin has its root to the right
+        def g(t, sign):
+            return np.clip(-sign * (t + sign * 3.0), 0.0, None)
+
+        x = invert_monotone(g, 0.5, -1.0, 1.0, args=(np.array([1.0, -1.0]),))
+        assert np.abs(x - [-3.5, 3.5]).max() < 1e-9
+
     def test_no_root(self):
         # tanh never reaches 2: that element alone has no root
         x = invert_monotone(np.tanh, np.array([2.0, 0.5]), -1.0, 1.0)
