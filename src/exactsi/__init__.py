@@ -22,7 +22,6 @@ from .errors import ExactSIError
 from .inference import (
     IntervalEstimate,
     LassoPolyhedron,
-    PivotBatch,
     PivotParams,
     PolyhedralBounds,
     exact_pivot,
@@ -83,7 +82,6 @@ __all__ = [
     "IntervalEstimate",
     "LassoPolyhedron",
     "LinearEventRep",
-    "PivotBatch",
     "PivotParams",
     "PolyhedralBounds",
     "QuadratureSpec",

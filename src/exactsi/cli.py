@@ -70,10 +70,13 @@ def read_csv_dataset(
     cell of a non-numeric value; field counts) and the only path for cells
     that only ``float()`` accepts, such as quoted cells, ``1_0`` or non-ASCII
     digits.  Where both parse a file they give the same doubles, bit for bit.
+    A file that is not UTF-8 text raises ``InvalidArgumentError``.
     """
-    parsed = _parse_csv_fast(path, response)
-    if parsed is None:
-        parsed = _parse_csv_loop(path, response)
+    try:
+        # np.loadtxt's decode error is a ValueError: the loop raises it again
+        parsed = _parse_csv_fast(path, response) or _parse_csv_loop(path, response)
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc})") from None
     y, X, names = parsed
     if standardize:
         X = X - X.mean(axis=0)
@@ -329,9 +332,7 @@ def cmd_simulate(args) -> int:
     summary = run_study(config, workers=args.workers)
     out = args.out or "study"
     _write_json(_summary_json(summary), out + ".json")
-    _write_csv(
-        [r for r in summary.rows if r["coordinate"] >= 0], CSV_COLUMNS, out + ".csv"
-    )
+    _write_csv(summary.rows, CSV_COLUMNS, out + ".csv")
     return 0
 
 

@@ -10,8 +10,9 @@ smaller tail is too small for that (see ``PivotParams``).  Baselines: the
 polyhedral (non-randomized) truncated Gaussian pivot, data splitting, and
 response-splitting with synthetic noise.
 
-Both pivots are evaluated on arrays: of hypothesized values for one target,
-or of values paired with the constants of several targets.  A fit's
+Both pivots' constants are records (``PivotParams``, ``PolyhedralBounds``)
+whose fields are floats for one target or arrays for several, and both
+pivots are evaluated elementwise on arrays of hypothesized values.  A fit's
 intervals come from one vectorized inversion (``invert_pivot``,
 ``polyhedral_interval``) that brackets and solves every endpoint of every
 target together; each target keeps its own error.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -36,7 +37,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import Interval, invert_monotone, line_interval, log_truncation_prob
+from .numerics import invert_monotone, line_interval, log_truncation_prob
 from .selection import Dataset, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
@@ -50,16 +51,19 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class PivotParams:
-    """Constants of the exact pivot for one target coordinate.
+    """Constants of the exact pivot for one target coordinate, or for several.
 
     The estimate is X ~ N(lambda_j beta0 + zeta_j, sigma_j2), and the
     conditioned combination is Y = theta_intercept - vartheta2 X + vartheta e
-    with e ~ N(0, 1) independent.
-    The pivot at ``beta0`` is P(X <= beta_hat_j | Y in interval).
+    with e ~ N(0, 1) independent, truncated to ``(lower, upper)``.
+    The pivot at ``beta0`` is P(X <= beta_hat_j | lower < Y < upper).
     Standardizing X and Y to U and V gives sd_Y^2 = vartheta^4 sigma_j2 +
     vartheta^2 and corr(U, V) = r = -vartheta sigma_j / sqrt(1 + vartheta^2
     sigma_j2) < 0, so the pivot is P(U <= u | a < V < b), a ratio of
     bivariate-normal orthant differences (Owen's T).
+
+    Each field is a float for one target, or an array whose entry i belongs
+    to target i; ``exact_pivot`` evaluates every entry in one array call.
 
     ``exact_pivot`` first reflects V so that the endpoint nearer its bulk is
     the lower one.  Its accuracy regimes:
@@ -72,41 +76,18 @@ class PivotParams:
     * both tails below the smallest double: the 0/1 limit.
     """
 
-    vartheta2: float
-    sigma_j2: float
-    lambda_j: float
-    zeta_j: float
-    theta_intercept: float
-    interval: Interval
-    beta_hat_j: float
+    vartheta2: float | np.ndarray
+    sigma_j2: float | np.ndarray
+    lambda_j: float | np.ndarray
+    zeta_j: float | np.ndarray
+    theta_intercept: float | np.ndarray
+    lower: float | np.ndarray
+    upper: float | np.ndarray
+    beta_hat_j: float | np.ndarray
 
     def __post_init__(self):
-        if not self.sigma_j2 > 0:
+        if not np.all(np.asarray(self.sigma_j2) > 0):
             raise NumericalDegeneracyError("sigma_j2 must be positive")
-
-
-@dataclass(frozen=True)
-class PivotBatch:
-    """The exact-pivot constants of several targets, as aligned arrays.
-
-    Entry i holds the fields of the i-th ``PivotParams``, its truncation
-    interval split into ``lower`` and ``upper``; ``exact_pivot`` evaluates
-    all entries in one array call.
-    """
-
-    vartheta2: np.ndarray
-    sigma_j2: np.ndarray
-    lambda_j: np.ndarray
-    zeta_j: np.ndarray
-    theta_intercept: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    beta_hat_j: np.ndarray
-
-    @classmethod
-    def of(cls, params: Sequence[PivotParams]) -> PivotBatch:
-        rows = [_pivot_columns(p) for p in params]
-        return cls(*np.array(rows, dtype=float).reshape(-1, 8).T)
 
 
 @dataclass(frozen=True)
@@ -183,7 +164,8 @@ def pivot_params(
         lambda_j=lambda_j,
         zeta_j=zeta_j,
         theta_intercept=r_delta,
-        interval=geom.interval,
+        lower=geom.interval.lower,
+        upper=geom.interval.upper,
         beta_hat_j=beta_hat,
     )
 
@@ -334,30 +316,30 @@ def _log_cdf_weighted_integral(c, d, a, b):
     return out
 
 
-def _pivot_columns(params: PivotParams | PivotBatch) -> tuple:
-    """The constants in ``PivotBatch`` field order."""
-    if isinstance(params, PivotParams):
-        return (
-            params.vartheta2, params.sigma_j2, params.lambda_j, params.zeta_j,
-            params.theta_intercept, params.interval.lower, params.interval.upper,
-            params.beta_hat_j,
-        )
-    return tuple(vars(params).values())
+def _columns(record) -> tuple:
+    """The fields of a constants record, in declaration order."""
+    return tuple(getattr(record, f.name) for f in fields(record))
 
 
-def exact_pivot(params: PivotParams | PivotBatch, beta0):
+def _stack(records: Sequence, cls):
+    """One ``cls`` record whose fields are arrays of the ``records``' fields."""
+    width = len(fields(cls))
+    return cls(*np.array([_columns(r) for r in records], dtype=float).reshape(-1, width).T)
+
+
+def exact_pivot(params: PivotParams, beta0):
     """Value of the exact pivot at the hypothesized target values ``beta0``.
 
-    ``params`` is one target's ``PivotParams`` or a ``PivotBatch`` of
-    several, whose arrays broadcast against ``beta0``; elementwise, with a
-    float for a single target at a scalar ``beta0``.  Closed form through
-    Owen's T where the truncation mass and the smaller tail allow it, else
-    the log-space rule; see ``PivotParams``.  Where the standardized
+    The fields of ``params`` are one target's constants, or arrays of
+    several targets' constants that broadcast against ``beta0``; elementwise,
+    with a float for scalar constants at a scalar ``beta0``.  Closed form
+    through Owen's T where the truncation mass and the smaller tail allow it,
+    else the log-space rule; see ``PivotParams``.  Where the standardized
     constants overflow or neither conditional tail has representable mass,
     the 0/1 limit is returned: 0 for ``beta0`` above the estimate, 1 below it.
     """
     arrays = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (beta0, *_pivot_columns(params)))
+        *(np.asarray(x, dtype=float) for x in (beta0, *_columns(params)))
     )
     shape = arrays[0].shape
     beta0, vt2, sj2, lam_j, zeta, icpt, lower, upper, beta_hat = map(np.ravel, arrays)
@@ -412,8 +394,31 @@ def exact_pivot(params: PivotParams | PivotBatch, beta0):
     return out.reshape(shape)
 
 
-def _no_root(level: float) -> NoRootError:
-    return NoRootError(f"target {level!r} not straddled after 60 bracket expansions")
+def _results(
+    method: str, lower, upper, levels, target_labels, clipped, upper_first
+) -> list[IntervalEstimate | ExactSIError]:
+    """Entry i: target i's interval from its endpoint roots, or the error that
+    stopped it.
+
+    ``levels`` are the pivot levels of the lower and upper endpoints.  A NaN
+    root is an endpoint whose bracket never straddled its level; the
+    ``NoRootError`` names the first such endpoint, the upper one first where
+    ``upper_first`` is set.
+    """
+    labels = [-1] * len(lower) if target_labels is None else list(target_labels)
+    out: list[IntervalEstimate | ExactSIError] = []
+    for i, label in enumerate(labels):
+        ends = [(float(lower[i]), levels[0]), (float(upper[i]), levels[1])]
+        try:
+            for value, level in ends[::-1] if upper_first[i] else ends:
+                if math.isnan(value):
+                    raise NoRootError(
+                        f"target {level!r} not straddled after 60 bracket expansions"
+                    )
+            out.append(IntervalEstimate(ends[0][0], ends[1][0], label, method, bool(clipped[i])))
+        except ExactSIError as exc:
+            out.append(exc)
+    return out
 
 
 def invert_pivot(
@@ -429,37 +434,22 @@ def invert_pivot(
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
     k = len(params)
-    labels = [-1] * k if target_labels is None else list(target_labels)
-    batch = PivotBatch.of(params)
+    batch = _stack(params, PivotParams)
     half = 5.0 * np.sqrt(batch.sigma_j2) / batch.lambda_j
     levels = (1.0 - alpha / 2.0, alpha / 2.0)  # of the lower, then the upper endpoints
 
     def pivot_at(x, *columns):
-        return exact_pivot(PivotBatch(*columns), x)
+        return exact_pivot(PivotParams(*columns), x)
 
     roots = invert_monotone(
         pivot_at,
         np.repeat(levels, k),
         np.tile(batch.beta_hat_j - half, 2),
         np.tile(batch.beta_hat_j + half, 2),
-        args=tuple(np.tile(col, 2) for col in vars(batch).values()),
+        args=tuple(np.tile(col, 2) for col in _columns(batch)),
     ).reshape(2, k)
-    out: list[IntervalEstimate | ExactSIError] = []
-    for i in range(k):
-        lower, upper = float(roots[0, i]), float(roots[1, i])
-        try:
-            if math.isnan(lower):
-                raise _no_root(levels[0])
-            if math.isnan(upper):
-                raise _no_root(levels[1])
-            out.append(
-                IntervalEstimate(
-                    lower=lower, upper=upper, target_label=labels[i], method="exact"
-                )
-            )
-        except ExactSIError as exc:
-            out.append(exc)
-    return out
+    unset = np.zeros(k, dtype=bool)
+    return _results("exact", roots[0], roots[1], levels, target_labels, unset, unset)
 
 
 @dataclass(frozen=True)
@@ -591,19 +581,18 @@ def polyhedral_interval(
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
     k = len(bounds)
-    labels = [-1] * k if target_labels is None else list(target_labels)
-    columns = np.array(
-        [(b.lower, b.upper, b.beta_hat, b.sd) for b in bounds], dtype=float
-    ).reshape(-1, 4).T
-    beta_hat, sd = columns[2], columns[3]
-    p_lower, p_upper = 1.0 - alpha / 2.0, alpha / 2.0
+    batch = _stack(bounds, PolyhedralBounds)
+    beta_hat, sd = batch.beta_hat, batch.sd
+    levels = p_lower, p_upper = 1.0 - alpha / 2.0, alpha / 2.0
 
     def pivot_at(x, *cols):
         return polyhedral_pivot(PolyhedralBounds(*cols), x)
 
     clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * sd
     clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * sd
-    at_lo, at_hi = pivot_at(np.concatenate([clip_lo, clip_hi]), *np.tile(columns, 2)).reshape(2, k)
+    at_lo, at_hi = pivot_at(
+        np.concatenate([clip_lo, clip_hi]), *(np.tile(col, 2) for col in _columns(batch))
+    ).reshape(2, k)
     # both endpoints below the window, or both above it: neither is clipped
     below, above = at_lo < p_upper, at_hi > p_lower
     clip_lower = ~below & ~above & (at_lo < p_lower)
@@ -612,35 +601,18 @@ def polyhedral_interval(
     which = np.concatenate([solve_lo, solve_hi])
     roots = invert_monotone(
         pivot_at,
-        np.repeat((p_lower, p_upper), (solve_lo.size, solve_hi.size)),
+        np.repeat(levels, (solve_lo.size, solve_hi.size)),
         np.concatenate([clip_lo[solve_lo], beta_hat[solve_hi]]),
         np.concatenate([beta_hat[solve_lo], clip_hi[solve_hi]]),
-        args=tuple(columns[:, which]),
+        args=tuple(col[which] for col in _columns(batch)),
     )
     lower, upper = clip_lo.copy(), clip_hi.copy()
     lower[solve_lo], upper[solve_hi] = roots[: solve_lo.size], roots[solve_lo.size :]
-    out: list[IntervalEstimate | ExactSIError] = []
-    for i in range(k):
-        # the endpoint solved first in the order the cases are checked
-        ends = [(float(lower[i]), p_lower), (float(upper[i]), p_upper)]
-        if below[i]:
-            ends.reverse()
-        try:
-            for value, level in ends:
-                if math.isnan(value):
-                    raise _no_root(level)
-            out.append(
-                IntervalEstimate(
-                    lower=float(lower[i]),
-                    upper=float(upper[i]),
-                    target_label=labels[i],
-                    method="polyhedral",
-                    clipped=bool(clip_lower[i] or clip_upper[i]),
-                )
-            )
-        except ExactSIError as exc:
-            out.append(exc)
-    return out
+    # where both endpoints lie below the window, the upper one is checked first
+    return _results(
+        "polyhedral", lower, upper, levels, target_labels,
+        clipped=clip_lower | clip_upper, upper_first=below,
+    )
 
 
 def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:

@@ -30,6 +30,7 @@ seed, replicate index), so worker scheduling cannot change results.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -149,7 +150,8 @@ class MethodSummary:
 
 @dataclass
 class StudySummary:
-    """Study output: per-method aggregates plus the raw per-coordinate rows."""
+    """Study output: per-method aggregates plus one row per interval; a
+    replicate in which a method selected nothing or failed is only counted."""
 
     config: SimConfig
     methods: dict[str, MethodSummary]
@@ -264,7 +266,7 @@ class Calibration:
 
 def calibrate(
     data: Dataset,
-    methods,
+    methods: Sequence[str],
     lam: float | None = None,
     rho: float | None = None,
     tau2: float | None = None,
@@ -273,12 +275,14 @@ def calibrate(
     """Check the options ``methods`` need and resolve the constants of ``data``.
 
     An exact method needs exactly one of ``rho`` and ``tau2``; split and uv
-    need ``rho``.  The noise variance is ``data.sigma ** 2`` if set, else the
-    full-model plug-in when n > p, else var(y).  The penalty defaults to
-    ``theory_lambda`` at that noise scale and the ridge term to
-    ``default_epsilon``.
+    need ``rho``; no method may be listed twice.  The noise variance is
+    ``data.sigma ** 2`` if set, else the full-model plug-in when n > p, else
+    var(y).  The penalty defaults to ``theory_lambda`` at that noise scale
+    and the ridge term to ``default_epsilon``.
     """
     for method in methods:
+        if methods.count(method) > 1:
+            raise InvalidArgumentError(f"method {method!r} listed twice")
         if method == "exact":
             if (tau2 is None) == (rho is None):
                 raise InvalidArgumentError("give exactly one of --rho or --tau2")
@@ -467,8 +471,14 @@ def fit_method(
 _STREAMS = {"exact": 2, "split": 3, "uv": 4}
 
 
-def _run_replicate(config: SimConfig, rep_idx: int) -> tuple[list[dict], dict[str, str]]:
-    """All methods on one generated dataset; returns rows and per-method status."""
+def _run_replicate(
+    config: SimConfig, rep_idx: int
+) -> tuple[list[dict], dict[str, float | ExactSIError]]:
+    """All methods on one generated dataset.
+
+    Returns one row per interval, and each method's outcome: the F1 score of
+    its selection, or the error that failed it.
+    """
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, rep_idx, 0))
     support = support_indices(config.p, config.sparsity)
     y, beta = generate_response(
@@ -479,35 +489,18 @@ def _run_replicate(config: SimConfig, rep_idx: int) -> tuple[list[dict], dict[st
     # the study's randomized lasso has no ridge term, whatever the shape
     cal = calibrate(data, config.methods, lam=lam, rho=config.rho, epsilon=0.0)
     rows: list[dict] = []
-    status: dict[str, str] = {}
+    outcomes: dict[str, float | ExactSIError] = {}
     for method in config.methods:
         seed = _seed_for(config.seed, rep_idx, _STREAMS[method]) if method in _STREAMS else 0
         try:
             fit = fit_method(data, cal, method, config.model, config.alpha, seed)
             ints = [fit.interval(j) for j in range(fit.selected.size)]
         except ExactSIError as exc:
-            status[method] = f"failed: {exc}"
+            # the traceback would keep the replicate's arrays alive
+            outcomes[method] = exc.with_traceback(None)
             continue
         E = fit.selected
-        f1 = f1_score(E, support)
-        if not ints:
-            status[method] = "empty"
-            rows.append(
-                {
-                    "rep": rep_idx,
-                    "method": method,
-                    "coordinate": -1,
-                    "lower": math.nan,
-                    "upper": math.nan,
-                    "truth": math.nan,
-                    "covered": -1,
-                    "length": math.nan,
-                    "f1": f1,
-                    "selected_size": 0,
-                }
-            )
-            continue
-        status[method] = "ok"
+        f1 = outcomes[method] = f1_score(E, support)
         truths = true_projected_target(X, E, support, beta, config.model)
         for est, truth in zip(ints, truths):
             rows.append(
@@ -525,7 +518,7 @@ def _run_replicate(config: SimConfig, rep_idx: int) -> tuple[list[dict], dict[st
                     "clipped": int(est.clipped),  # internal, not a CSV column
                 }
             )
-    return rows, status
+    return rows, outcomes
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -538,6 +531,10 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 
 def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     """Run the configured study; identical output for any worker count.
+
+    Rows hold one row per interval; a replicate in which a method selected
+    nothing or failed counts only in its summary, whose F1 averages over the
+    replicates that did not fail.
 
     With ``workers > 1``, pin BLAS to one thread per worker (for OpenBLAS,
     ``OPENBLAS_NUM_THREADS=1``): otherwise each worker's multithreaded BLAS
@@ -553,35 +550,24 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     else:
         results = [_run_replicate(config, r) for r in reps]
 
-    all_rows = [row for rows, _ in results for row in rows]
     summaries: dict[str, MethodSummary] = {}
     for method in config.methods:
-        statuses = [status.get(method, "failed: missing") for _, status in results]
-        n_empty = sum(s == "empty" for s in statuses)
-        n_failed = sum(s.startswith("failed") for s in statuses)
-        per_rep_cov: list[float] = []
-        per_rep_len: list[float] = []
-        per_rep_f1: list[float] = []
-        clipped = total = 0
-        for rep_idx, (rows, status) in enumerate(results):
-            s = status.get(method)
-            mrows = [r for r in rows if r["method"] == method and r["coordinate"] >= 0]
-            if s == "empty":
-                per_rep_f1.extend(r["f1"] for r in rows if r["method"] == method)
+        per_rep_cov, per_rep_len, per_rep_f1 = [], [], []
+        n_empty = n_failed = clipped = total = 0
+        for rows, outcomes in results:
+            outcome = outcomes[method]
+            if isinstance(outcome, ExactSIError):
+                n_failed += 1
                 continue
-            if s != "ok":
+            per_rep_f1.append(outcome)
+            mrows = [r for r in rows if r["method"] == method]
+            if not mrows:
+                n_empty += 1
                 continue
             per_rep_cov.append(float(np.mean([r["covered"] for r in mrows])))
             per_rep_len.append(float(np.mean([r["length"] for r in mrows])))
-            per_rep_f1.append(mrows[0]["f1"])
+            clipped += sum(r["clipped"] for r in mrows)
             total += len(mrows)
-        if method == "polyhedral":
-            clipped = sum(
-                r.get("clipped", 0)
-                for rows, _ in results
-                for r in rows
-                if r["method"] == method and r["coordinate"] >= 0
-            )
         cov, cov_se = _mean_se(per_rep_cov)
         ln, ln_se = _mean_se(per_rep_len)
         f1m, f1_se = _mean_se(per_rep_f1)
@@ -598,6 +584,7 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
             f1_se=f1_se,
             clipped_rate=clipped / total if total else 0.0,
         )
+    all_rows = [row for rows, _ in results for row in rows]
     return StudySummary(config=config, methods=summaries, rows=all_rows)
 
 

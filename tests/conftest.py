@@ -153,8 +153,8 @@ def oracle_pivot(params, beta0, nodes=4001, drop=60.0):
     cond_sd = math.sqrt(1.0 - rho * rho)
     u = (params.beta_hat_j - m) / s
     mu_y = params.theta_intercept - vt2 * m
-    a = (params.interval.lower - mu_y) / sd_y
-    b = (params.interval.upper - mu_y) / sd_y
+    a = (params.lower - mu_y) / sd_y
+    b = (params.upper - mu_y) / sd_y
     nearest = min(max(0.0, a), b)
     reach = math.sqrt(nearest * nearest + 2.0 * drop)
     lo, hi = max(a, -reach), min(b, reach)
@@ -221,7 +221,8 @@ def carving_pivot_params(data, outcome, target, j, sigma, tau2, lam):
         lambda_j=1.0,
         zeta_j=0.0,
         theta_intercept=theta_intercept,
-        interval=interval,
+        lower=interval.lower,
+        upper=interval.upper,
         beta_hat_j=float(target.contrast @ data.y),
     )
 

@@ -41,8 +41,7 @@ def test_exact_intervals_shorter_than_data_splitting():
     summary = run_study(SimConfig(n_reps=60, seed=12345, methods=("exact", "split")))
     lengths: dict[str, dict[int, list[float]]] = {"exact": {}, "split": {}}
     for row in summary.rows:
-        if row["coordinate"] >= 0:
-            lengths[row["method"]].setdefault(row["rep"], []).append(row["length"])
+        lengths[row["method"]].setdefault(row["rep"], []).append(row["length"])
     reps = sorted(lengths["exact"].keys() & lengths["split"].keys())
     assert len(reps) >= 40
     exact = np.array([np.mean(lengths["exact"][r]) for r in reps])

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from exactsi.cli import (
     parse_config_file,
     read_csv_dataset,
 )
-from exactsi.errors import InvalidArgumentError, NumericalDegeneracyError
+from exactsi.errors import ExactSIError, InvalidArgumentError, NumericalDegeneracyError
 from exactsi.study import (
     SimConfig,
     _run_replicate,
@@ -154,6 +155,18 @@ class TestReadCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidArgumentError, match="response column"):
             read_csv_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "content", [b"y,x\xff0\n1.0,2.0\n", b"y,x0\n1.0,2.0\n3.0,\xff\n"], ids=["header", "body"]
+    )
+    def test_not_utf8(self, tmp_path, capsys, content):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(content)
+        reason = "'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: not UTF-8 text ({reason}")):
+            read_csv_dataset(str(path))
+        assert main(["select", "--input", str(path), "--rho", "0.8"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text (")
 
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
     def test_header_only(self, tmp_path, body):
@@ -339,6 +352,20 @@ class TestInfer:
         assert not (tmp_path / "inf.json").exists()
         assert not (tmp_path / "inf.csv").exists()
 
+    def test_method_listed_twice_is_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        path = make_regression_csv(tmp_path / "d.csv", rng, n=60, p=6)
+        out = tmp_path / "inf"
+        code = main(
+            [
+                "infer", "--input", str(path), "--rho", "0.8",
+                "--method", "exact", "--method", "exact", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: method 'exact' listed twice\n"
+        assert not (tmp_path / "inf.json").exists()
+
 
 @pytest.mark.parametrize("model", ["selected", "full"])
 def test_infer_matches_study_replicate(tmp_path, model):
@@ -407,9 +434,9 @@ def test_per_fit_failure_is_an_error_of_every_target(tmp_path, monkeypatch):
     assert report["methods"]["exact"]["mean_length"] is None
 
     cfg = SimConfig(n=60, p=12, sparsity=2, signal_fraction=2.0, n_reps=1, seed=7)
-    _, status = _run_replicate(cfg, 0)
-    assert status["exact"].startswith("failed: ")
-    assert "ill-conditioned (cond > 1e+00)" in status["exact"]
+    _, outcomes = _run_replicate(cfg, 0)
+    assert isinstance(outcomes["exact"], ExactSIError)
+    assert "ill-conditioned (cond > 1e+00)" in str(outcomes["exact"])
 
 
 class TestSimulateValidate:
@@ -526,6 +553,13 @@ class TestSimulateValidate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "s.json").exists()
 
+    def test_method_listed_twice_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        argv = ["simulate", "--n", "50", "--p", "8", "--n-reps", "1", "--out", str(out)]
+        assert main([*argv, "--method", "polyhedral", "--method", "polyhedral"]) == 1
+        assert capsys.readouterr().err == "error: method 'polyhedral' listed twice\n"
+        assert not (tmp_path / "s.json").exists()
+
     def test_every_flag_beats_the_file(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(
@@ -617,8 +651,8 @@ def test_study_fails_a_method_on_its_first_failing_target(monkeypatch):
     order, whichever way the batch ran."""
     cfg = SimConfig(n=60, p=12, sparsity=2, signal_fraction=2.0, n_reps=1, seed=7,
                     methods=("exact",))
-    rows, status = _run_replicate(cfg, 0)
-    assert status == {"exact": "ok"} and len(rows) >= 3
+    rows, outcomes = _run_replicate(cfg, 0)
+    assert len(rows) >= 3 and outcomes == {"exact": rows[0]["f1"]}
     real_params = study.pivot_params
     calls = []
 
@@ -629,8 +663,9 @@ def test_study_fails_a_method_on_its_first_failing_target(monkeypatch):
         return real_params(*args, **kwargs)
 
     monkeypatch.setattr(study, "pivot_params", pivot_params)
-    _, status = _run_replicate(cfg, 0)
-    assert status == {"exact": "failed: injected at target 1"}
+    _, outcomes = _run_replicate(cfg, 0)
+    assert isinstance(outcomes["exact"], NumericalDegeneracyError)
+    assert str(outcomes["exact"]) == "injected at target 1"
 
 
 def test_unit_change_scales_every_interval(tmp_path):

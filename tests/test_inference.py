@@ -26,10 +26,10 @@ from exactsi.errors import (
     GeometryInconsistencyError,
     InvalidArgumentError,
     NoRootError,
+    NumericalDegeneracyError,
 )
 from exactsi.inference import (
     IntervalEstimate,
-    PivotBatch,
     PivotParams,
     PolyhedralBounds,
     exact_pivot,
@@ -112,6 +112,13 @@ class TestPivotParams:
         assert params.theta_intercept == pytest.approx(1.0, abs=1e-10)
         assert params.beta_hat_j == pytest.approx(2.0)
 
+    def test_array_sigma_must_be_positive_everywhere(self):
+        fields = dict(vartheta2=1.0, lambda_j=1.0, zeta_j=0.0, theta_intercept=0.0,
+                      lower=-math.inf, upper=math.inf, beta_hat_j=0.0)
+        PivotParams(sigma_j2=np.array([1.0, 2.0]), **fields)
+        with pytest.raises(NumericalDegeneracyError, match="sigma_j2 must be positive"):
+            PivotParams(sigma_j2=np.array([1.0, 0.0, 2.0]), **fields)
+
     def test_generic_matches_carving_closed_form(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -130,11 +137,11 @@ class TestPivotParams:
                 assert generic.theta_intercept == pytest.approx(
                     closed.theta_intercept, rel=1e-8, abs=1e-10
                 )
-                assert generic.interval.lower == pytest.approx(
-                    closed.interval.lower, rel=1e-8, abs=1e-8
+                assert generic.lower == pytest.approx(
+                    closed.lower, rel=1e-8, abs=1e-8
                 )
-                assert generic.interval.upper == pytest.approx(
-                    closed.interval.upper, rel=1e-8, abs=1e-8
+                assert generic.upper == pytest.approx(
+                    closed.upper, rel=1e-8, abs=1e-8
                 )
 
     def test_isotropic_orthonormal_single_feature(self):
@@ -168,7 +175,8 @@ class TestExactPivot:
             lambda_j=params.lambda_j,
             zeta_j=params.zeta_j,
             theta_intercept=params.theta_intercept,
-            interval=FULL_LINE,
+            lower=-math.inf,
+            upper=math.inf,
             beta_hat_j=params.beta_hat_j,
         )
         assert exact_pivot(forced, 2.0) == pytest.approx(0.5, abs=1e-9)
@@ -279,7 +287,8 @@ def model_pivot_params(draw):
         lambda_j=lambda_j,
         zeta_j=zeta_j,
         theta_intercept=theta_intercept,
-        interval=interval,
+        lower=interval.lower,
+        upper=interval.upper,
         beta_hat_j=beta_hat,
     )
 
@@ -333,7 +342,8 @@ SATURATED = PivotParams(
     lambda_j=1.0,
     zeta_j=1.0,
     theta_intercept=0.0,
-    interval=Interval(-1000.0, -955.2786404500042),
+    lower=-1000.0,
+    upper=-955.2786404500042,
     beta_hat_j=0.0,
 )
 
@@ -363,7 +373,8 @@ class TestInvertPivot:
             lambda_j=1.0,
             zeta_j=0.0,
             theta_intercept=params.theta_intercept,
-            interval=FULL_LINE,
+            lower=-math.inf,
+            upper=math.inf,
             beta_hat_j=2.0,
         )
         (est,) = invert_pivot([forced], alpha=0.1)
@@ -531,7 +542,7 @@ class TestBatchedInversion:
         real = exact_targets(data, out, rep, omega)
         forced = PivotParams(
             vartheta2=1.0, sigma_j2=1.0, lambda_j=1.0, zeta_j=0.0,
-            theta_intercept=0.0, interval=FULL_LINE, beta_hat_j=2.0,
+            theta_intercept=0.0, lower=-math.inf, upper=math.inf, beta_hat_j=2.0,
         )
         got = invert_pivot([*real, forced], alpha=0.1)
         z = float(ndtri(0.95))
@@ -573,7 +584,7 @@ class TestBatchedInversion:
         assert vals.tolist() == [exact_pivot(params, float(b0)) for b0 in grid]
         assert vals[-2] == pytest.approx(1.0, abs=1e-12)
         assert vals[-1] == pytest.approx(0.0, abs=1e-12)
-        batch = PivotBatch.of([params, params])
+        batch = inference._stack([params, params], PivotParams)
         twice = exact_pivot(batch, np.column_stack([grid, grid[::-1]]))
         assert twice[:, 0].tolist() == vals.tolist()
         assert twice[:, 1].tolist() == vals[::-1].tolist()

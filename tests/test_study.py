@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from exactsi import conditioning, inference, study
+from exactsi.cli import _summary_json
 from exactsi.errors import (
     InsufficientSampleError,
     InvalidArgumentError,
@@ -142,11 +143,17 @@ def quick_config(**overrides):
     return SimConfig(**base)
 
 
+# a penalty so large that no method ever selects anything
+ALL_EMPTY = SimConfig(
+    n=60, p=12, sparsity=3, n_reps=3, methods=("exact", "polyhedral"), lambda_rule=1e6, seed=3
+)
+
+
 class TestRunStudy:
     def test_single_replicate_matches_its_rows(self):
         cfg = quick_config(n_reps=1, methods=("exact",))
         summary = run_study(cfg)
-        rows = [r for r in summary.rows if r["coordinate"] >= 0]
+        rows = summary.rows
         ms = summary.methods["exact"]
         if rows:
             assert ms.n_used == 1
@@ -155,13 +162,32 @@ class TestRunStudy:
         else:
             assert ms.n_empty == 1
 
-    def test_reproducible_and_parallel_identical(self):
-        cfg = quick_config()
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            quick_config(),
+            ALL_EMPTY,
+            # round(0.99 * 20) = n: the exact method fails in every replicate
+            quick_config(n=20, p=5, rho=0.99, methods=("exact", "polyhedral")),
+        ],
+        ids=["default", "all_empty", "exact_fails"],
+    )
+    def test_reproducible_and_parallel_identical(self, cfg):
         a = run_study(cfg, workers=1)
         b = run_study(cfg, workers=2)
         assert a.rows == b.rows
         for m in cfg.methods:
             assert a.methods[m] == b.methods[m]
+
+    def test_all_empty_replicates_are_only_counted(self):
+        cfg = ALL_EMPTY
+        summary = run_study(cfg)
+        assert summary.rows == []
+        for m in cfg.methods:
+            ms = summary.methods[m]
+            assert (ms.n_used, ms.n_empty, ms.n_failed) == (0, cfg.n_reps, 0)
+            assert ms.f1 == 0.0 and math.isnan(ms.coverage)
+            assert _summary_json(summary)["methods"][m]["coverage"] is None
 
     def test_summary_counts_add_up(self):
         cfg = quick_config()
@@ -177,8 +203,8 @@ class TestRunStudy:
         # replicate 42 of this cell has polyhedral targets whose estimate sits
         # within ~1e-3 sd of a truncation bound, so that both interval
         # endpoints lie more than 50 sd beyond the estimate on one side
-        rows, status = _run_replicate(SimConfig(seed=12345, methods=("polyhedral",)), 42)
-        assert status == {"polyhedral": "ok"}
+        rows, outcomes = _run_replicate(SimConfig(seed=12345, methods=("polyhedral",)), 42)
+        assert outcomes == {"polyhedral": rows[0]["f1"]}
         assert all(r["lower"] < r["upper"] for r in rows)
         assert any(r["length"] > 100.0 and not r["clipped"] for r in rows)
 
