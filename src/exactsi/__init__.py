@@ -26,7 +26,6 @@ from .inference import (
     PolyhedralBounds,
     exact_pivot,
     invert_pivot,
-    lambda_delta,
     lasso_polyhedron,
     pivot_params,
     plug_in_sigma2,
@@ -104,7 +103,6 @@ __all__ = [
     "integrate_weighted_gaussian",
     "invert_monotone",
     "invert_pivot",
-    "lambda_delta",
     "lasso_polyhedron",
     "lasso_event_rep",
     "log_truncation_prob",

@@ -285,9 +285,10 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-# a config-file value is converted by the type of its field's default;
-# ``methods`` is a comma-separated list
+# a config-file value is converted by the type of its field's default, and a
+# ``lambda_rule`` other than "theory" to float; ``methods`` is a comma-separated list
 _CONFIG_FIELDS = {f.name: type(f.default) for f in fields(SimConfig)}
+_CONFIG_FIELDS["lambda_rule"] = float
 
 
 def build_sim_config(args) -> SimConfig:
@@ -298,7 +299,13 @@ def build_sim_config(args) -> SimConfig:
             if key == "methods":
                 values["methods"] = tuple(m.strip() for m in val.split(",") if m.strip())
             elif key in _CONFIG_FIELDS:
-                values[key] = _CONFIG_FIELDS[key](val)
+                convert = _CONFIG_FIELDS[key]
+                try:
+                    values[key] = val if (key, val) == ("lambda_rule", "theory") else convert(val)
+                except ValueError:
+                    raise InvalidArgumentError(
+                        f"{args.config}: {key} = {val!r} does not parse as {convert.__name__}"
+                    ) from None
             else:
                 raise InvalidArgumentError(f"unknown config key {key!r}")
     # flags win over the file
@@ -306,8 +313,6 @@ def build_sim_config(args) -> SimConfig:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    if isinstance(values.get("lambda_rule"), str) and values["lambda_rule"] != "theory":
-        values["lambda_rule"] = float(values["lambda_rule"])
     return SimConfig(**values)
 
 

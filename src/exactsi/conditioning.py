@@ -5,15 +5,15 @@ randomization covariance, the selection constraints on the free optimization
 block reduce, once a complementary statistic is held fixed, to a single
 interval constraint on one linear combination of that block.
 
-What does not depend on the target is built once per fit.
-``target_basis`` checks and factors the design Gram that the target contrasts
-solve against.  ``factor_randomization`` checks and factors the randomization
-covariance Omega, forms Omega^{-1} Q, and from the checked free-block
-precision Q' Omega^{-1} Q forms the conditional covariance Theta of the free
-block.  Per target, ``build_target`` solves for one contrast with the cached
-Gram factor, and ``build_geometry`` takes the target's direction
-``Pj = P c / ||c||^2``, ``rj = (Omega^{-1} Q)' Pj``, the complementary
-statistic, and the interval.
+Everything is built once per fit, for all targets together.  ``target_basis``
+checks and factors the design Gram that the target contrasts solve against.
+``factor_randomization`` checks and factors the randomization covariance
+Omega, forms Omega^{-1} Q, and from the checked free-block precision
+Q' Omega^{-1} Q forms the conditional covariance Theta of the free block.
+``build_target`` solves for every contrast with the Gram factor, and
+``build_geometry`` takes each target's direction ``Pj = P c / ||c||^2``,
+``rj = (Omega^{-1} Q)' Pj``, complementary statistic and interval, one
+column per target; a target that fails a check keeps its own error.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
+    ExactSIError,
     GeometryInconsistencyError,
     InvalidArgumentError,
     NumericalDegeneracyError,
@@ -38,21 +39,25 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """A linear contrast of the mean response selected for inference."""
+    """Linear contrasts of the mean response selected for inference, one column each."""
 
     contrast: np.ndarray
-    norm2: float
+    norm2: np.ndarray
 
 
 @dataclass(frozen=True)
 class ConditioningGeometry:
-    """Interval reduction of the selection constraints for one target."""
+    """Interval reduction of the selection constraints: column or entry j of
+    each field is target j's, and ``errors[j]`` the error that stopped it."""
 
     Pj: np.ndarray
     rj: np.ndarray
     Qj: np.ndarray
     A_obs: np.ndarray
-    interval: Interval
+    vartheta2: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    errors: list[ExactSIError | None]
 
 
 @dataclass(frozen=True)
@@ -127,14 +132,11 @@ def target_basis(data: Dataset, outcome: SelectionOutcome, model: str) -> Target
     return TargetBasis(design=design, columns=columns, factor=factor)
 
 
-def build_target(basis: TargetBasis, j: int) -> TargetSpec:
-    """Contrast vector for the j-th selected coordinate."""
-    if not 0 <= j < basis.columns.size:
-        raise InvalidArgumentError(f"target index {j} outside the selected set")
-    unit = np.zeros(basis.design.shape[1])
-    unit[basis.columns[j]] = 1.0
-    contrast = basis.design @ cho_solve(basis.factor, unit)
-    return TargetSpec(contrast=contrast, norm2=float(contrast @ contrast))
+def build_target(basis: TargetBasis) -> TargetSpec:
+    """Contrast vectors of every selected coordinate, solved in one call."""
+    units = np.eye(basis.design.shape[1])[:, basis.columns]
+    contrast = basis.design @ cho_solve(basis.factor, units)
+    return TargetSpec(contrast=contrast, norm2=(contrast * contrast).sum(axis=0))
 
 
 def factor_randomization(rep: LinearEventRep, Omega: np.ndarray) -> RandomizationFactor:
@@ -164,23 +166,33 @@ def build_geometry(cond: RandomizationFactor, target: TargetSpec) -> Conditionin
     Pj = rep.P @ target.contrast / target.norm2
     rj = cond.omega_inv_Q.T @ Pj
     theta_r = cond.Theta @ rj
-    vartheta2 = float(rj @ theta_r)
-    if not vartheta2 > 0:
-        raise NumericalDegeneracyError("target direction has no conditional variance")
-    Qj = theta_r / vartheta2
+    vartheta2 = (rj * theta_r).sum(axis=0)
+    no_variance = ~(vartheta2 > 0)
+    Qj = theta_r / np.where(no_variance, 1.0, vartheta2)
     O = rep.opt
-    observed = float(rj @ O)
-    A_obs = O - Qj * observed
+    observed = O @ rj
+    A_obs = O[:, None] - Qj * observed
 
-    scale = _ZERO_ROW_RTOL * np.linalg.norm(rep.L, axis=1) * np.linalg.norm(Qj)
-    lower, upper = line_interval(rep.L @ Qj, rep.M - rep.L @ A_obs, scale)
-    if not lower < upper:
-        raise GeometryInconsistencyError(
-            f"empty truncation interval [{lower}, {upper}]"
-        )
-    interval = Interval(lower, upper)
-    if not interval.contains(observed):
-        raise GeometryInconsistencyError(
-            f"observed statistic {observed} outside its own interval {interval}"
-        )
-    return ConditioningGeometry(Pj=Pj, rj=rj, Qj=Qj, A_obs=A_obs, interval=interval)
+    scale = _ZERO_ROW_RTOL * np.linalg.norm(rep.L, axis=1)[:, None] * np.linalg.norm(Qj, axis=0)
+    lower, upper, violated = line_interval(rep.L @ Qj, rep.M[:, None] - rep.L @ A_obs, scale)
+
+    def error(j):  # the first check that target j fails, in this order
+        lo, hi, obs = float(lower[j]), float(upper[j]), float(observed[j])
+        if no_variance[j]:
+            return NumericalDegeneracyError("target direction has no conditional variance")
+        if violated[j]:
+            return GeometryInconsistencyError(
+                "a constraint orthogonal to the target direction is violated"
+            )
+        if not lo < hi:
+            return GeometryInconsistencyError(f"empty truncation interval [{lo}, {hi}]")
+        if not lo < obs < hi:
+            return GeometryInconsistencyError(
+                f"observed statistic {obs} outside its own interval {Interval(lo, hi)}"
+            )
+        return None
+
+    return ConditioningGeometry(
+        Pj=Pj, rj=rj, Qj=Qj, A_obs=A_obs, vartheta2=vartheta2,
+        lower=lower, upper=upper, errors=[error(j) for j in range(vartheta2.size)],
+    )

@@ -11,9 +11,9 @@ polyhedral (non-randomized) truncated Gaussian pivot, data splitting, and
 response-splitting with synthetic noise.
 
 Both pivots' constants are records (``PivotParams``, ``PolyhedralBounds``)
-whose fields are floats for one target or arrays for several, and both
-pivots are evaluated elementwise on arrays of hypothesized values.  A fit's
-intervals come from one vectorized inversion (``invert_pivot``,
+whose fields are floats for one target or arrays for several, built for all
+targets of a fit at once; both pivots are evaluated elementwise on arrays.
+A fit's intervals come from one vectorized inversion (``invert_pivot``,
 ``polyhedral_interval``) that brackets and solves every endpoint of every
 target together; each target keeps its own error.
 """
@@ -112,62 +112,53 @@ class IntervalEstimate:
         return self.lower <= value <= self.upper
 
 
-def lambda_delta(
-    v: np.ndarray,
-    U: np.ndarray,
-    cond: RandomizationFactor,
-    geom: ConditioningGeometry,
-) -> tuple[float, np.ndarray]:
-    """Affine pieces of the conditional mean of the free block.
-
-    ``core = P v + R U + T``; returns ``(-Pj' Omega^{-1} core,
-    -Theta Q' Omega^{-1} core)``, solving with the fit's cached factor of Omega.
-    """
-    rep = cond.rep
-    core = rep.P @ v + rep.T
-    if rep.R.shape[1]:
-        core = core + rep.R @ U
-    omega_inv_core = cho_solve(cond.omega_factor, core)
-    lam = -float(geom.Pj @ omega_inv_core)
-    delta = -(cond.Theta @ (rep.Q.T @ omega_inv_core))
-    return lam, delta
-
-
 def pivot_params(
     data: Dataset,
     cond: RandomizationFactor,
     geom: ConditioningGeometry,
     target: TargetSpec,
     sigma: float,
-) -> PivotParams:
-    """Assemble the pivot constants for one target from a fitted representation."""
+) -> tuple[PivotParams, list[ExactSIError | None]]:
+    """Assemble the pivot constants of every target from a fitted representation.
+
+    With ``gamma`` the response off a target's contrast and ``core = P gamma +
+    R U + T``, the free block's conditional mean has the affine pieces
+    ``-Pj' Omega^{-1} core`` and ``-Theta Q' Omega^{-1} core``; all cores and
+    directions share one solve.  Returns the constants of the targets that
+    built, one record, and each target's error (else a nonpositive precision).
+    """
     if not sigma > 0:
         raise InvalidArgumentError("sigma must be positive")
-    c = target.contrast
-    beta_hat = float(c @ data.y)
-    gamma = data.y - c * (beta_hat / target.norm2)
-    lam_val, delta = lambda_delta(gamma, cond.rep.sub, cond, geom)
-    r_delta = float(geom.rj @ delta)
-    vartheta2 = float(geom.rj @ cond.Theta @ geom.rj)
-    pj_quad = float(geom.Pj @ cho_solve(cond.omega_factor, geom.Pj))
-    inv_s2 = 1.0 / (sigma**2 * target.norm2) + pj_quad - vartheta2
-    if not inv_s2 > 0:
-        raise NumericalDegeneracyError(
-            f"nonpositive precision {inv_s2:.3e}: randomization solves lost accuracy"
-        )
-    sigma_j2 = 1.0 / inv_s2
-    lambda_j = sigma_j2 / (sigma**2 * target.norm2)
-    zeta_j = sigma_j2 * (lam_val - r_delta)
+    rep, c, norm2 = cond.rep, target.contrast, target.norm2
+    beta_hat = data.y @ c
+    gamma = data.y[:, None] - c * (beta_hat / norm2)
+    core = rep.P @ gamma + rep.T[:, None]
+    if rep.R.shape[1]:
+        core = core + (rep.R @ rep.sub)[:, None]
+    solved = cho_solve(cond.omega_factor, np.hstack([core, geom.Pj]))
+    omega_inv_core, omega_inv_pj = np.hsplit(solved, 2)
+    lam_val = -(geom.Pj * omega_inv_core).sum(axis=0)
+    delta = -(cond.Theta @ (rep.Q.T @ omega_inv_core))
+    r_delta = (geom.rj * delta).sum(axis=0)
+    pj_quad = (geom.Pj * omega_inv_pj).sum(axis=0)
+    inv_s2 = 1.0 / (sigma**2 * norm2) + pj_quad - geom.vartheta2
+    errors = [
+        e if e or inv_s2[j] > 0 else NumericalDegeneracyError(
+            f"nonpositive precision {inv_s2[j]:.3e}: randomization solves lost accuracy")
+        for j, e in enumerate(geom.errors)
+    ]
+    ok = np.array([e is None for e in errors], dtype=bool)
+    sigma_j2 = 1.0 / inv_s2[ok]
     return PivotParams(
-        vartheta2=vartheta2,
+        vartheta2=geom.vartheta2[ok],
         sigma_j2=sigma_j2,
-        lambda_j=lambda_j,
-        zeta_j=zeta_j,
-        theta_intercept=r_delta,
-        lower=geom.interval.lower,
-        upper=geom.interval.upper,
-        beta_hat_j=beta_hat,
-    )
+        lambda_j=sigma_j2 / (sigma**2 * norm2[ok]),
+        zeta_j=sigma_j2 * (lam_val - r_delta)[ok],
+        theta_intercept=r_delta[ok],
+        lower=geom.lower[ok],
+        upper=geom.upper[ok],
+        beta_hat_j=beta_hat[ok],
+    ), errors
 
 
 # Owen's T differences carry ~1e-16 absolute error.  The closed form is used
@@ -321,12 +312,6 @@ def _columns(record) -> tuple:
     return tuple(getattr(record, f.name) for f in fields(record))
 
 
-def _stack(records: Sequence, cls):
-    """One ``cls`` record whose fields are arrays of the ``records``' fields."""
-    width = len(fields(cls))
-    return cls(*np.array([_columns(r) for r in records], dtype=float).reshape(-1, width).T)
-
-
 def exact_pivot(params: PivotParams, beta0):
     """Value of the exact pivot at the hypothesized target values ``beta0``.
 
@@ -422,7 +407,7 @@ def _results(
 
 
 def invert_pivot(
-    params: Sequence[PivotParams], alpha: float, target_labels: Sequence[int] | None = None
+    params: PivotParams, alpha: float, target_labels: Sequence[int] | None = None
 ) -> list[IntervalEstimate | ExactSIError]:
     """Level ``1 - alpha`` intervals from the strictly decreasing exact pivots.
 
@@ -433,8 +418,8 @@ def invert_pivot(
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
-    k = len(params)
-    batch = _stack(params, PivotParams)
+    batch = PivotParams(*(np.atleast_1d(x).astype(float) for x in _columns(params)))
+    k = batch.beta_hat_j.size
     half = 5.0 * np.sqrt(batch.sigma_j2) / batch.lambda_j
     levels = (1.0 - alpha / 2.0, alpha / 2.0)  # of the lower, then the upper endpoints
 
@@ -454,17 +439,17 @@ def invert_pivot(
 
 @dataclass(frozen=True)
 class PolyhedralBounds:
-    """Truncation of the non-randomized lasso event for one target.
+    """Truncation of the non-randomized lasso event for one target, or several.
 
     Given the selected set and signs, and the residual off the target contrast,
     the estimate ``beta_hat`` is Gaussian with standard deviation ``sd``
-    truncated to ``[lower, upper]``.
+    truncated to ``[lower, upper]``.  Fields are floats, or arrays over targets.
     """
 
-    lower: float
-    upper: float
-    beta_hat: float
-    sd: float
+    lower: float | np.ndarray
+    upper: float | np.ndarray
+    beta_hat: float | np.ndarray
+    sd: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -516,27 +501,38 @@ def lasso_polyhedron(
 
 def polyhedral_bounds(
     data: Dataset, poly: LassoPolyhedron, target: TargetSpec, sigma: float
-) -> PolyhedralBounds:
+) -> tuple[PolyhedralBounds, list[ExactSIError | None]]:
     """One-dimensional truncation bounds of the lasso selection event.
 
-    The event is affine in the response; at fixed residual off the target
-    contrast it becomes an interval for the estimate.
+    The event is affine in the response; at fixed residual off a target's
+    contrast it becomes an interval for its estimate.  Returns the bounds of
+    the targets that built, one record of arrays, and each target's error.
     """
-    y = data.y
-    direction = target.contrast / target.norm2
-    beta_hat = float(target.contrast @ y)
-    gamma = y - target.contrast * (beta_hat / target.norm2)
-    scale = 1e-12 * poly.row_norms * np.linalg.norm(direction)
-    lower, upper = line_interval(poly.G @ direction, poly.h - poly.G @ gamma, scale)
-    width_scale = 1e-8 * max(1.0, abs(beta_hat))
-    if not lower - width_scale <= beta_hat <= upper + width_scale:
-        raise GeometryInconsistencyError(
-            f"observed estimate {beta_hat} outside its selection interval "
-            f"[{lower}, {upper}]"
-        )
-    return PolyhedralBounds(
-        lower=lower, upper=upper, beta_hat=beta_hat, sd=sigma * math.sqrt(target.norm2)
-    )
+    y, c, norm2 = data.y, target.contrast, target.norm2
+    direction = c / norm2
+    beta_hat = y @ c
+    gamma = y[:, None] - c * (beta_hat / norm2)
+    scale = 1e-12 * poly.row_norms[:, None] * np.linalg.norm(direction, axis=0)
+    slack = poly.h[:, None] - poly.G @ gamma
+    lower, upper, violated = line_interval(poly.G @ direction, slack, scale)
+    width_scale = 1e-8 * np.maximum(1.0, np.abs(beta_hat))
+    inside = (lower - width_scale <= beta_hat) & (beta_hat <= upper + width_scale)
+
+    def error(j):  # the first check that target j fails, in this order
+        if violated[j]:
+            return GeometryInconsistencyError(
+                "a constraint orthogonal to the target direction is violated"
+            )
+        if not inside[j]:
+            return GeometryInconsistencyError(
+                f"observed estimate {float(beta_hat[j])} outside its selection interval "
+                f"[{float(lower[j])}, {float(upper[j])}]"
+            )
+        return None
+
+    errors = [error(j) for j in range(norm2.size)]
+    ok = np.array([e is None for e in errors], dtype=bool)
+    return PolyhedralBounds(lower[ok], upper[ok], beta_hat[ok], sigma * np.sqrt(norm2[ok])), errors
 
 
 def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
@@ -563,11 +559,11 @@ def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
 
 
 def polyhedral_interval(
-    bounds: Sequence[PolyhedralBounds],
+    bounds: PolyhedralBounds,
     alpha: float,
     target_labels: Sequence[int] | None = None,
 ) -> list[IntervalEstimate | ExactSIError]:
-    """Invert the polyhedral pivots of several targets; huge endpoints are clipped.
+    """Invert the polyhedral pivots of one or several targets; huge endpoints are clipped.
 
     Truncated-Gaussian intervals can be effectively infinite; an endpoint
     beyond ``beta_hat +- 50 sd`` is clipped there and the estimate flagged.
@@ -580,8 +576,8 @@ def polyhedral_interval(
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
-    k = len(bounds)
-    batch = _stack(bounds, PolyhedralBounds)
+    batch = PolyhedralBounds(*(np.atleast_1d(x).astype(float) for x in _columns(bounds)))
+    k = batch.beta_hat.size
     beta_hat, sd = batch.beta_hat, batch.sd
     levels = p_lower, p_upper = 1.0 - alpha / 2.0, alpha / 2.0
 

@@ -22,12 +22,7 @@ import numpy as np
 from scipy.optimize.elementwise import find_root
 from scipy.special import log_ndtr, logsumexp
 
-from .errors import (
-    EmptyMassError,
-    GeometryInconsistencyError,
-    InvalidArgumentError,
-    NumericalDegeneracyError,
-)
+from .errors import EmptyMassError, InvalidArgumentError, NumericalDegeneracyError
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -165,26 +160,27 @@ def integrate_weighted_gaussian(
     return float(logsumexp(logf + np.log(simpson * (step / 3.0))))
 
 
-def line_interval(coefs: np.ndarray, slack: np.ndarray, scale) -> tuple[float, float]:
-    """Slice the constraints ``coefs * t < slack`` (one per row) along t.
+def line_interval(
+    coefs: np.ndarray, slack: np.ndarray, scale
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slice the constraints ``coefs * t < slack`` (one per row) along t,
+    column by column: column j of ``coefs`` and ``slack`` is one line.
 
-    A row with ``|coefs| <= scale`` does not involve t and must hold on its
-    own; a violated one signals an upstream inconsistency.  The others bound
-    t below (negative coefficients) or above (positive ones) by ``slack /
-    coefs``; a side no row bounds is infinite.  ``(lower, upper)`` may be empty.
+    A row with ``|coefs| <= scale`` (broadcast) does not involve t and must
+    hold on its own; a column where such a row is violated is flagged in the
+    returned mask, which signals an upstream inconsistency.  The other rows
+    bound t below (negative coefficients) or above (positive ones) by
+    ``slack / coefs``; a side no row bounds is infinite.  Returns the
+    ``lower`` and ``upper`` ends of each column's slice, which may be empty,
+    and the mask of violated columns.
     """
     zero = np.abs(coefs) <= scale
-    if (slack[zero] <= 0).any():
-        raise GeometryInconsistencyError(
-            "a constraint orthogonal to the target direction is violated"
-        )
-    bounds = np.full_like(coefs, np.nan)
-    np.divide(slack, coefs, out=bounds, where=~zero)
-    neg = (~zero) & (coefs < 0)
-    pos = (~zero) & (coefs > 0)
-    lower = float(np.max(bounds[neg])) if neg.any() else -math.inf
-    upper = float(np.min(bounds[pos])) if pos.any() else math.inf
-    return lower, upper
+    violated = (zero & (slack <= 0)).any(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = slack / coefs
+    lower = np.where(~zero & (coefs < 0), bounds, -math.inf).max(axis=0, initial=-math.inf)
+    upper = np.where(~zero & (coefs > 0), bounds, math.inf).min(axis=0, initial=math.inf)
+    return lower, upper, violated
 
 
 def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:

@@ -15,9 +15,10 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    solves the plain lasso; split and uv produce their intervals whole, with
    penalties ``rho * lam`` and ``sqrt(1 + f) * lam`` matched to the carving
    calibration.
-3. The returned ``Fit`` yields per-target constants (``PivotParams`` or
-   ``PolyhedralBounds``), from which callers take an interval or a pivot
-   value and apply their own error policy.
+3. The returned ``Fit`` builds the constants of all its targets once
+   (``PivotParams`` or ``PolyhedralBounds``, one record of arrays), from
+   which callers take each target's interval or pivot value, or the error
+   that stopped that target, and apply their own error policy.
 
 The study generates sparse Gaussian regressions on an AR(1)-correlated
 design, runs the exact randomized method next to the polyhedral,
@@ -332,27 +333,16 @@ class Fit:
     """One method's selection on one dataset, ready for per-target inference.
 
     ``selected`` lists the selected features.  For the exact and polyhedral
-    methods, ``constants(j)`` builds the pivot constants of the j-th selected
-    coordinate and ``pivot(j, beta0)`` evaluates its pivot.  The intervals
-    of all targets come from one batched inversion per fit (``invert_pivot``
-    or ``polyhedral_interval``), run by the first ``interval(j)``; each
-    ``interval(j)`` then returns entry j, or raises the error that stopped
-    target j alone.  Split and uv intervals come whole from their held-out
-    fits and are only read back by ``interval(j)``.
-
-    What does not depend on the target is built once per fit, lazily, by
-    the first ``constants(j)`` that needs it: the Gram factor the target
-    contrasts solve against (``target_basis``); for the exact method the
-    factor of Omega with Omega^{-1} Q and Theta (``factor_randomization``);
-    for the polyhedral method the constraint system of the lasso event
-    (``lasso_polyhedron``).  Per target there remain a contrast solve, a few
-    matrix-vector products and triangular solves with the cached factors.
-
-    A failed build is not cached: every later ``constants(j)`` runs it again
-    and raises the same exception class and message, so a failure stays an
-    error of each target, as the callers' error policies expect, and the
-    checks raise in the per-target order: the contrast Gram, then Omega,
-    then the free-block precision.
+    methods the first ``interval(j)`` or ``pivots(beta0)`` builds the
+    constants of every target once, together: ``target_basis`` and
+    ``build_target``, then ``factor_randomization``, ``build_geometry`` and
+    ``pivot_params`` (exact) or ``lasso_polyhedron`` and ``polyhedral_bounds``
+    (polyhedral).  One batched inversion (``invert_pivot`` or
+    ``polyhedral_interval``) gives every interval; ``interval(j)`` returns
+    entry j, or raises the error that stopped target j.  A target keeps the
+    error of the first check it fails; an error raised by a step that serves
+    every target becomes the error of each target still standing.  Split and
+    uv intervals come whole from their held-out fits.
     """
 
     method: str
@@ -368,40 +358,42 @@ class Fit:
     estimates: list[IntervalEstimate] = field(default_factory=list)
 
     @cached_property
-    def _basis(self):
-        return target_basis(self.data, self.outcome, self.model)
+    def _constants(self) -> tuple[PivotParams | PolyhedralBounds | None, list]:
+        """The constants of the targets that built, and each target's error."""
+        errors: list = [None] * self.selected.size
+        try:
+            target = build_target(target_basis(self.data, self.outcome, self.model))
+            if self.method == "polyhedral":
+                poly = lasso_polyhedron(self.data, self.selected, self.outcome.signs, self.lam)
+                return polyhedral_bounds(self.data, poly, target, self.sigma)
+            cond = factor_randomization(self.rep, self.omega)
+            geom = build_geometry(cond, target)
+            errors = geom.errors
+            return pivot_params(self.data, cond, geom, target, sigma=self.sigma)
+        except ExactSIError as exc:
+            return None, [e or exc for e in errors]
 
-    @cached_property
-    def _randomization(self):
-        return factor_randomization(self.rep, self.omega)
-
-    @cached_property
-    def _polyhedron(self):
-        return lasso_polyhedron(self.data, self.selected, self.outcome.signs, self.lam)
-
-    def constants(self, j: int) -> PivotParams | PolyhedralBounds:
-        target = build_target(self._basis, j)
-        if self.method == "exact":
-            geom = build_geometry(self._randomization, target)
-            return pivot_params(self.data, self._randomization, geom, target, sigma=self.sigma)
-        return polyhedral_bounds(self.data, self._polyhedron, target, self.sigma)
+    def _each_target(self, step) -> list:
+        """Entry j: target j's entry of ``step(constants, built)``, run once on
+        the targets that built, or the error that stopped target j."""
+        if not self.selected.size:
+            return []
+        constants, errors = self._constants
+        out, built = list(errors), [j for j, e in enumerate(errors) if e is None]
+        try:
+            results = step(constants, built) if built else []
+        except ExactSIError as exc:
+            results = [exc] * len(built)
+        for j, result in zip(built, results):
+            out[j] = result
+        return out
 
     @cached_property
     def _intervals(self) -> list[IntervalEstimate | ExactSIError]:
-        """Every target's interval, or the error that stopped that target."""
-        out: list = [None] * self.selected.size
-        built, consts = [], []
-        for j in range(self.selected.size):
-            try:
-                consts.append(self.constants(j))
-                built.append(j)
-            except ExactSIError as exc:
-                out[j] = exc
         invert = invert_pivot if self.method == "exact" else polyhedral_interval
-        labels = [int(self.selected[j]) for j in built]
-        for j, result in zip(built, invert(consts, self.alpha, labels)):
-            out[j] = result
-        return out
+        return self._each_target(lambda constants, built: invert(
+            constants, self.alpha, [int(self.selected[j]) for j in built]
+        ))
 
     def interval(self, j: int) -> IntervalEstimate:
         if self.method in ("split", "uv"):
@@ -411,10 +403,11 @@ class Fit:
             raise result
         return result
 
-    def pivot(self, j: int, beta0: float) -> float:
-        if self.method == "exact":
-            return exact_pivot(self.constants(j), beta0)
-        return polyhedral_pivot(self.constants(j), beta0)
+    def pivots(self, beta0) -> list[float | ExactSIError]:
+        """Entry j: target j's pivot at ``beta0[j]``, or the error that stopped it."""
+        pivot = exact_pivot if self.method == "exact" else polyhedral_pivot
+        beta0 = np.asarray(beta0, dtype=float)
+        return self._each_target(lambda constants, built: pivot(constants, beta0[built]).tolist())
 
 
 def _post_sigma(data: Dataset, cal: Calibration, model: str, E: np.ndarray) -> float:
@@ -538,10 +531,7 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
 
     With ``workers > 1``, pin BLAS to one thread per worker (for OpenBLAS,
     ``OPENBLAS_NUM_THREADS=1``): otherwise each worker's multithreaded BLAS
-    competes with the others for the cores.  On a 2-core Xeon host, 100
-    default exact replicates with 2 workers took 6.8-8.8 s at the default
-    BLAS threads and 1.8 s at one thread (one worker: 4.8-6.1 s and
-    2.7-3.2 s; two runs each).
+    competes with the others for the cores.
     """
     reps = range(config.n_reps)
     if workers > 1:
@@ -624,11 +614,11 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
             except ExactSIError:
                 failed[method] += 1
                 continue
-            for j, truth in enumerate(truths):
-                try:
-                    pooled[method].append(fit.pivot(j, float(truth)))
-                except ExactSIError:
+            for value in fit.pivots(truths):
+                if isinstance(value, ExactSIError):
                     failed[method] += 1
+                else:
+                    pooled[method].append(value)
     reports = {}
     for method, vals in pooled.items():
         if len(vals) < 200:

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -132,6 +133,19 @@ def _cd_lasso(gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float) -> np
                 residual=resid,
             )
     return b
+
+
+def take(record, index):
+    """The entries ``index`` of a constants record whose fields are arrays:
+    one target's floats for an int, a smaller record for a list of ints."""
+    return type(record)(*(np.asarray(getattr(record, f.name))[index] for f in fields(record)))
+
+
+def stack(records):
+    """One constants record whose fields are arrays of the ``records``' fields."""
+    return type(records[0])(
+        *np.array([[getattr(r, f.name) for f in fields(r)] for r in records], dtype=float).T
+    )
 
 
 def oracle_pivot(params, beta0, nodes=4001, drop=60.0):

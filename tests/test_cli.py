@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import reference_read_csv
+from conftest import reference_read_csv, take
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
@@ -553,6 +553,22 @@ class TestSimulateValidate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize(
+        "line, kind",
+        [("n = abc", "int"), ("n_reps = 2.5", "int"), ("rho = 0,8", "float"),
+         ("lambda_rule = abc", "float")],
+    )
+    def test_config_value_that_does_not_parse_is_an_error(self, tmp_path, capsys, line, kind):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        key, val = line.split(" = ")
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: {key} = {val!r} does not parse as {kind}\n"
+        )
+        assert not (tmp_path / "s.json").exists()
+
     def test_method_listed_twice_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "s"
         argv = ["simulate", "--n", "50", "--p", "8", "--n-reps", "1", "--out", str(out)]
@@ -600,7 +616,7 @@ def test_one_failing_target_is_one_error_row(tmp_path, monkeypatch, where):
     """A target that fails inside its fit's batch is an error row of its own.
 
     The failure is injected into the second exact target: its pivot
-    constants raise, or its pivot never leaves 0.5 so that no bracket of the
+    constants fail, or its pivot never leaves 0.5 so that no bracket of the
     batched root-find straddles its level.  Every other row, of both methods,
     is the clean run's.
     """
@@ -617,18 +633,23 @@ def test_one_failing_target_is_one_error_row(tmp_path, monkeypatch, where):
     built = []
 
     def pivot_params(*args, **kwargs):
-        params = real_params(*args, **kwargs)
+        params, errors = real_params(*args, **kwargs)
         built.append(params)
-        if where == "constants" and len(built) == 2:
-            raise NumericalDegeneracyError("injected degeneracy")
-        return params
+        if where == "constants":
+            errors = [
+                NumericalDegeneracyError("injected degeneracy") if j == 1 else e
+                for j, e in enumerate(errors)
+            ]
+            params = take(params, [0, *range(2, len(errors))])
+        return params, errors
 
     monkeypatch.setattr(study, "pivot_params", pivot_params)
     if where == "inversion":
         real_pivot = inference.exact_pivot
 
         def stuck(batch, beta0):
-            return np.where(batch.beta_hat_j == built[1].beta_hat_j, 0.5, real_pivot(batch, beta0))
+            flat = built[0].beta_hat_j[1]
+            return np.where(batch.beta_hat_j == flat, 0.5, real_pivot(batch, beta0))
 
         monkeypatch.setattr(inference, "exact_pivot", stuck)
         message = "target 0.95 not straddled after 60 bracket expansions"
@@ -654,13 +675,15 @@ def test_study_fails_a_method_on_its_first_failing_target(monkeypatch):
     rows, outcomes = _run_replicate(cfg, 0)
     assert len(rows) >= 3 and outcomes == {"exact": rows[0]["f1"]}
     real_params = study.pivot_params
-    calls = []
 
     def pivot_params(*args, **kwargs):
-        calls.append(None)
-        if len(calls) in (2, 3):
-            raise NumericalDegeneracyError(f"injected at target {len(calls) - 1}")
-        return real_params(*args, **kwargs)
+        # targets 1 and 2 fail, each with its own error
+        params, errors = real_params(*args, **kwargs)
+        errors = [
+            NumericalDegeneracyError(f"injected at target {j}") if j in (1, 2) else e
+            for j, e in enumerate(errors)
+        ]
+        return take(params, [0, *range(3, len(errors))]), errors
 
     monkeypatch.setattr(study, "pivot_params", pivot_params)
     _, outcomes = _run_replicate(cfg, 0)

@@ -11,20 +11,23 @@ from exactsi.conditioning import (
     factor_randomization,
     target_basis,
 )
-from exactsi.errors import (
-    GeometryInconsistencyError,
-    InvalidArgumentError,
-    NumericalDegeneracyError,
-)
+from exactsi.errors import GeometryInconsistencyError, NumericalDegeneracyError
 from exactsi.selection import Dataset, solve_randomized_lasso
+
+
+def target_geometry(data, out, rep, omega, j=0):
+    """The contrast and the geometry of target j, as columns of the fit's build."""
+    t = build_target(target_basis(data, out, "selected"))
+    g = build_geometry(factor_randomization(rep, omega), t)
+    return t.contrast[:, j], g.rj[:, j], g.Qj[:, j], g.A_obs[:, j], g.lower[j], g.upper[j]
 
 
 class TestBuildTarget:
     def test_toy_contrast(self):
         data, out, _, _ = toy_fit()
-        t = build_target(target_basis(data, out, "selected"), 0)
-        assert np.allclose(t.contrast, [1.0, 0.0])
-        assert t.norm2 == pytest.approx(1.0)
+        t = build_target(target_basis(data, out, "selected"))
+        assert np.allclose(t.contrast, [[1.0], [0.0]])
+        assert t.norm2 == pytest.approx([1.0])
 
     def test_orthonormal_selected_columns(self):
         rng = np.random.default_rng(0)
@@ -32,9 +35,8 @@ class TestBuildTarget:
         y = X @ np.array([3.0, -2.5, 0.0, 0.0]) + 0.1 * rng.standard_normal(15)
         data = Dataset(y=y, X=X)
         out = solve_randomized_lasso(data, lam=0.5, epsilon=0.0, w=np.zeros(4))
-        for j in range(out.selected.size):
-            t = build_target(target_basis(data, out, "selected"), j)
-            assert np.allclose(t.contrast, X[:, out.selected[j]], atol=1e-10)
+        t = build_target(target_basis(data, out, "selected"))
+        assert np.allclose(t.contrast, X[:, out.selected], atol=1e-10)
 
     def test_full_and_selected_agree_when_everything_selected(self):
         rng = np.random.default_rng(1)
@@ -43,51 +45,63 @@ class TestBuildTarget:
         data = Dataset(y=y, X=X)
         out = solve_randomized_lasso(data, lam=0.4, epsilon=0.0, w=np.zeros(3))
         assert out.selected.size == 3
-        for j in range(3):
-            a = build_target(target_basis(data, out, "selected"), j)
-            b = build_target(target_basis(data, out, "full"), j)
-            assert np.allclose(a.contrast, b.contrast, atol=1e-10)
+        a = build_target(target_basis(data, out, "selected"))
+        b = build_target(target_basis(data, out, "full"))
+        assert np.allclose(a.contrast, b.contrast, atol=1e-10)
 
-    def test_bad_index(self):
-        data, out, _, _ = toy_fit()
-        with pytest.raises(InvalidArgumentError):
-            build_target(target_basis(data, out, "selected"), 5)
+    def test_one_column_per_selected_coordinate(self):
+        rng = np.random.default_rng(5)
+        data, out, _, _, _, _ = carving_fit(rng, min_selected=2)
+        for model in ("selected", "full"):
+            basis = target_basis(data, out, model)
+            t = build_target(basis)
+            assert t.contrast.shape == (data.n, out.selected.size)
+            assert np.array_equal(t.norm2, (t.contrast**2).sum(axis=0))
+            # column j is the contrast of selected coordinate j alone
+            for j, col in enumerate(basis.columns):
+                unit = np.zeros(basis.design.shape[1])
+                unit[col] = 1.0
+                alone = basis.design @ np.linalg.solve(basis.design.T @ basis.design, unit)
+                assert np.allclose(t.contrast[:, j], alone, rtol=1e-8, atol=1e-10)
 
 
 class TestBuildGeometry:
     def test_toy_hand_values(self):
         data, out, rep, omega = toy_fit()
-        t = build_target(target_basis(data, out, "selected"), 0)
+        t = build_target(target_basis(data, out, "selected"))
         cond = factor_randomization(rep, omega)
         g = build_geometry(cond, t)
         assert cond.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
-        assert g.rj[0] == pytest.approx(-1.0, abs=1e-10)
-        assert g.Qj[0] == pytest.approx(-1.0, abs=1e-10)
-        assert g.A_obs[0] == pytest.approx(0.0, abs=1e-12)
-        assert g.interval.lower == -math.inf
-        assert g.interval.upper == pytest.approx(0.0, abs=1e-12)
-        assert g.interval.contains(float(g.rj @ rep.opt))
+        assert g.rj[0, 0] == pytest.approx(-1.0, abs=1e-10)
+        assert g.Qj[0, 0] == pytest.approx(-1.0, abs=1e-10)
+        assert g.A_obs[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert g.vartheta2[0] == pytest.approx(1.0, abs=1e-10)
+        assert g.lower[0] == -math.inf
+        assert g.upper[0] == pytest.approx(0.0, abs=1e-12)
+        assert g.lower[0] < float(g.rj[:, 0] @ rep.opt) < g.upper[0]
+        assert g.errors == [None]
 
     def test_single_feature_positive_sign_cone(self):
-        data, out, rep, omega = toy_fit()
-        t = build_target(target_basis(data, out, "selected"), 0)
-        g = build_geometry(factor_randomization(rep, omega), t)
+        _, rj, _, _, lower, upper = target_geometry(*toy_fit())
         # translate the interval on rj'O back to the O1 axis: strictly positive
-        assert g.rj[0] < 0
-        lo = g.interval.upper / g.rj[0]
+        assert rj[0] < 0
+        lo = upper / rj[0]
         assert lo == pytest.approx(0.0, abs=1e-12)
-        assert g.interval.lower == -math.inf  # O1 unbounded above
+        assert lower == -math.inf  # O1 unbounded above
 
     def test_basic_identities(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             data, out, rep, omega, _, _ = carving_fit(rng)
-            t = build_target(target_basis(data, out, "selected"), 0)
+            t = build_target(target_basis(data, out, "selected"))
             g = build_geometry(factor_randomization(rep, omega), t)
-            assert abs(g.rj @ g.Qj - 1.0) < 1e-10
-            assert abs(g.rj @ g.A_obs) < 1e-8 * max(np.linalg.norm(rep.opt), 1.0)
-            observed = float(g.rj @ rep.opt)
-            assert g.interval.lower < observed < g.interval.upper
+            assert g.errors == [None] * out.selected.size
+            assert np.allclose((g.rj * g.Qj).sum(axis=0), 1.0, rtol=0, atol=1e-10)
+            assert np.all(
+                np.abs((g.rj * g.A_obs).sum(axis=0)) < 1e-8 * max(np.linalg.norm(rep.opt), 1.0)
+            )
+            observed = rep.opt @ g.rj
+            assert np.all((g.lower < observed) & (observed < g.upper))
 
     def test_carving_closed_forms(self):
         rng = np.random.default_rng(3)
@@ -96,39 +110,37 @@ class TestBuildGeometry:
             XE = data.X[:, out.selected]
             theta_cf = tau2 * np.linalg.inv(XE.T @ XE)
             cond = factor_randomization(rep, omega)
-            basis = target_basis(data, out, "selected")
+            t = build_target(target_basis(data, out, "selected"))
+            theta, rj = cond.Theta, build_geometry(cond, t).rj
+            assert np.allclose(theta, theta_cf, rtol=1e-8, atol=1e-10)
             for j in range(out.selected.size):
-                t = build_target(basis, j)
-                theta, rj = cond.Theta, build_geometry(cond, t).rj
-                assert np.allclose(theta, theta_cf, rtol=1e-8, atol=1e-10)
                 rj_cf = np.zeros(out.selected.size)
-                rj_cf[j] = -1.0 / (tau2 * t.norm2)
-                assert np.allclose(rj, rj_cf, rtol=1e-8, atol=1e-8 * abs(rj_cf[j]))
+                rj_cf[j] = -1.0 / (tau2 * t.norm2[j])
+                assert np.allclose(rj[:, j], rj_cf, rtol=1e-8, atol=1e-8 * abs(rj_cf[j]))
 
     def test_event_equivalence_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             data, out, rep, omega, _, _ = carving_fit(rng)
             j = int(rng.integers(out.selected.size))
-            t = build_target(target_basis(data, out, "selected"), j)
-            g = build_geometry(factor_randomization(rep, omega), t)
-            observed = float(g.rj @ rep.opt)
+            _, rj, Qj, A_obs, lower, upper = target_geometry(data, out, rep, omega, j)
+            observed = float(rj @ rep.opt)
             span = 4.0 * (abs(observed) + 1.0)
             zs = rng.uniform(observed - span, observed + span, size=1000)
             for z in zs:
-                o_prime = g.A_obs + g.Qj * z
+                o_prime = A_obs + Qj * z
                 member = bool((rep.L @ o_prime < rep.M).all())
-                inside = g.interval.lower < z < g.interval.upper
+                inside = lower < z < upper
                 if member != inside:
-                    dist = min(abs(z - g.interval.lower), abs(z - g.interval.upper))
+                    dist = min(abs(z - lower), abs(z - upper))
                     assert dist <= 1e-10 * max(1.0, abs(z))
 
     def test_tampered_solution_detected(self):
         data, out, rep, omega = toy_fit()
-        t = build_target(target_basis(data, out, "selected"), 0)
+        t = build_target(target_basis(data, out, "selected"))
         rep.opt = np.array([-0.5])  # violates its own sign constraint
-        with pytest.raises(GeometryInconsistencyError):
-            build_geometry(factor_randomization(rep, omega), t)
+        (error,) = build_geometry(factor_randomization(rep, omega), t).errors
+        assert isinstance(error, GeometryInconsistencyError)
 
 
 class TestAEta:
@@ -136,12 +148,13 @@ class TestAEta:
         # A_eta = O - Theta eta (eta'O) / (eta'Theta eta) at eta = rj
         rng = np.random.default_rng(6)
         data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
-        t = build_target(target_basis(data, out, "selected"), 1)
+        t = build_target(target_basis(data, out, "selected"))
         cond = factor_randomization(rep, omega)
         g = build_geometry(cond, t)
-        eta, theta = g.rj, cond.Theta
+        eta, theta = g.rj[:, 1], cond.Theta
         comp = rep.opt - (theta @ eta) * (eta @ rep.opt) / float(eta @ theta @ eta)
-        assert np.allclose(comp, g.A_obs, atol=1e-10)
+        assert np.allclose(comp, g.A_obs[:, 1], atol=1e-10)
+        assert g.vartheta2[1] == pytest.approx(float(eta @ theta @ eta), rel=1e-12)
 
 
 class TestFactorSpd:

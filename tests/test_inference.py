@@ -8,6 +8,8 @@ from conftest import (
     oracle_pivot,
     reference_invert_pivot,
     reference_polyhedral_interval,
+    stack,
+    take,
     toy_fit,
 )
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from exactsi.conditioning import (
+    TargetSpec,
     build_geometry,
     build_target,
     factor_randomization,
@@ -34,7 +37,6 @@ from exactsi.inference import (
     PolyhedralBounds,
     exact_pivot,
     invert_pivot,
-    lambda_delta,
     lasso_polyhedron,
     pivot_params,
     plug_in_sigma2,
@@ -62,49 +64,23 @@ from exactsi.study import (
 )
 
 
-def toy_pivot_setup():
-    data, out, rep, omega = toy_fit()
+def exact_targets(data, out, rep, omega, sigma=1.0):
+    """Every target's exact-pivot constants, built together as a fit builds them."""
     cond = factor_randomization(rep, omega)
-    target = build_target(target_basis(data, out, "selected"), 0)
-    geom = build_geometry(cond, target)
-    params = pivot_params(data, cond, geom, target, sigma=1.0)
-    return data, out, rep, cond, target, geom, params
+    target = build_target(target_basis(data, out, "selected"))
+    params, errors = pivot_params(data, cond, build_geometry(cond, target), target, sigma=sigma)
+    assert errors == [None] * out.selected.size
+    return params
 
 
-class TestLambdaDelta:
-    def test_toy_theta_intercept(self):
-        data, out, rep, cond, target, geom, params = toy_pivot_setup()
-        gamma = np.zeros(2)
-        lam_val, delta = lambda_delta(gamma, rep.sub, cond, geom)
-        assert float(geom.rj @ delta) == pytest.approx(1.0, abs=1e-10)
-        assert lam_val == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_inputs_zero_output(self):
-        data, out, rep, cond, target, geom, _ = toy_pivot_setup()
-        rep.T = np.zeros_like(rep.T)
-        lam_val, delta = lambda_delta(np.zeros(2), rep.sub, cond, geom)
-        assert lam_val == 0.0
-        assert np.allclose(delta, 0.0)
-
-    def test_affine_in_response(self):
-        rng = np.random.default_rng(0)
-        data, out, rep, omega, _, _ = carving_fit(rng)
-        cond = factor_randomization(rep, omega)
-        target = build_target(target_basis(data, out, "selected"), 0)
-        geom = build_geometry(cond, target)
-        v1 = rng.standard_normal(data.n)
-        v2 = rng.standard_normal(data.n)
-        l0, d0 = lambda_delta(np.zeros(data.n), rep.sub, cond, geom)
-        l1, d1 = lambda_delta(v1, rep.sub, cond, geom)
-        l2, d2 = lambda_delta(v2, rep.sub, cond, geom)
-        l12, d12 = lambda_delta(v1 + v2, rep.sub, cond, geom)
-        assert l12 + l0 == pytest.approx(l1 + l2, rel=1e-10, abs=1e-12)
-        assert np.allclose(d12 + d0, d1 + d2, atol=1e-10)
+def toy_params():
+    """The toy instance's one target's constants, as floats."""
+    return take(exact_targets(*toy_fit()), 0)
 
 
 class TestPivotParams:
     def test_toy_constants(self):
-        _, _, _, _, _, _, params = toy_pivot_setup()
+        params = toy_params()
         assert params.vartheta2 == pytest.approx(1.0, abs=1e-10)
         assert params.sigma_j2 == pytest.approx(1.0, abs=1e-10)
         assert params.lambda_j == pytest.approx(1.0, abs=1e-10)
@@ -123,12 +99,11 @@ class TestPivotParams:
         rng = np.random.default_rng(1)
         for _ in range(20):
             data, out, rep, omega, lam, tau2 = carving_fit(rng)
-            cond = factor_randomization(rep, omega)
-            basis = target_basis(data, out, "selected")
+            every = exact_targets(data, out, rep, omega)
+            targets = build_target(target_basis(data, out, "selected"))
             for j in range(out.selected.size):
-                target = build_target(basis, j)
-                geom = build_geometry(cond, target)
-                generic = pivot_params(data, cond, geom, target, sigma=1.0)
+                generic = take(every, j)
+                target = TargetSpec(targets.contrast[:, j], float(targets.norm2[j]))
                 closed = carving_pivot_params(data, out, target, j, 1.0, tau2, lam)
                 assert generic.vartheta2 == pytest.approx(closed.vartheta2, rel=1e-8)
                 assert generic.sigma_j2 == pytest.approx(closed.sigma_j2, rel=1e-8)
@@ -157,10 +132,7 @@ class TestPivotParams:
         rep = lasso_event_rep(data, out, lam=0.5, epsilon=eps)
         # carving covariance tau2 * x'x on a unit-norm x: the scalar tau2
         omega = RandomizationScheme(tau2=tau2).covariance(X)
-        cond = factor_randomization(rep, omega)
-        target = build_target(target_basis(data, out, "selected"), 0)
-        geom = build_geometry(cond, target)
-        params = pivot_params(data, cond, geom, target, sigma=1.0)
+        params = take(exact_targets(data, out, rep, omega), 0)
         # hand algebra at p=1 with ||x|| = 1: Theta = tau2/(1+eps)^2,
         # r = -(1+eps)/tau2, so the weight variance is exactly 1/tau2
         assert params.vartheta2 == pytest.approx(1.0 / tau2, rel=1e-10)
@@ -168,7 +140,7 @@ class TestPivotParams:
 
 class TestExactPivot:
     def test_full_line_reduces_to_gaussian_cdf(self):
-        _, _, _, _, _, _, params = toy_pivot_setup()
+        params = toy_params()
         forced = PivotParams(
             vartheta2=params.vartheta2,
             sigma_j2=params.sigma_j2,
@@ -185,7 +157,7 @@ class TestExactPivot:
     def test_toy_rejection_oracle(self):
         # at beta0 = 1 the ratio is P(X<=2, X-Z>=1)/P(X-Z>=1) for independent
         # X ~ N(1,1), Z ~ N(0,1), which collapses to Phi(1)^2
-        _, _, _, _, _, _, params = toy_pivot_setup()
+        params = toy_params()
         got = exact_pivot(params, 1.0)
         assert got == pytest.approx(float(ndtr(1.0)) ** 2, abs=1e-9)
         rng = np.random.default_rng(3)
@@ -201,10 +173,7 @@ class TestExactPivot:
         for _ in range(10):
             data, out, rep, omega, _, _ = carving_fit(rng)
             j = int(rng.integers(out.selected.size))
-            cond = factor_randomization(rep, omega)
-            target = build_target(target_basis(data, out, "selected"), j)
-            geom = build_geometry(cond, target)
-            params = pivot_params(data, cond, geom, target, sigma=1.0)
+            params = take(exact_targets(data, out, rep, omega), j)
             sd = math.sqrt(params.sigma_j2)
             grid = params.beta_hat_j + sd * np.linspace(-8, 8, 161)
             vals = exact_pivot(params, grid)
@@ -219,10 +188,7 @@ class TestExactPivot:
         rng = np.random.default_rng(5)
         for _ in range(10):
             data, out, rep, omega, _, _ = carving_fit(rng)
-            cond = factor_randomization(rep, omega)
-            target = build_target(target_basis(data, out, "selected"), 0)
-            geom = build_geometry(cond, target)
-            params = pivot_params(data, cond, geom, target, sigma=1.0)
+            params = take(exact_targets(data, out, rep, omega), 0)
             sd = math.sqrt(params.sigma_j2)
             for shift in (-8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0):
                 b0 = params.beta_hat_j + shift * sd
@@ -247,7 +213,9 @@ class TestExactPivot:
             data, cal, "exact", config.model, config.alpha, _seed_for(config.seed, 3, 2)
         )
         j = int(np.flatnonzero(fit.selected == 56)[0])
-        params = fit.constants(j)
+        constants, errors = fit._constants
+        assert errors == [None] * fit.selected.size
+        params = take(constants, j)
         est = fit.interval(j)
         assert oracle_pivot(params, est.lower) == pytest.approx(0.95, abs=1e-9)
         assert oracle_pivot(params, est.upper) == pytest.approx(0.05, abs=1e-9)
@@ -351,7 +319,7 @@ SATURATED = PivotParams(
 class TestSaturatedPivot:
     def test_inversion_expands_away_from_a_tie(self):
         assert exact_pivot(SATURATED, -0.158) == exact_pivot(SATURATED, 0.158) == 0.0
-        (est,) = invert_pivot([SATURATED], alpha=0.1, target_labels=[0])
+        (est,) = invert_pivot(SATURATED, alpha=0.1, target_labels=[0])
         assert isinstance(est, IntervalEstimate)
         assert -3.0 < est.lower < est.upper < -1.5
         assert oracle_pivot(SATURATED, est.lower) == pytest.approx(0.95, abs=1e-9)
@@ -366,7 +334,7 @@ class TestSaturatedPivot:
 
 class TestInvertPivot:
     def test_full_line_gives_classical_z_interval(self):
-        _, _, _, _, _, _, params = toy_pivot_setup()
+        params = toy_params()
         forced = PivotParams(
             vartheta2=params.vartheta2,
             sigma_j2=1.0,
@@ -377,22 +345,22 @@ class TestInvertPivot:
             upper=math.inf,
             beta_hat_j=2.0,
         )
-        (est,) = invert_pivot([forced], alpha=0.1)
+        (est,) = invert_pivot(forced, alpha=0.1)
         z = float(ndtri(0.95))
         assert est.lower == pytest.approx(2.0 - z, abs=1e-6)
         assert est.upper == pytest.approx(2.0 + z, abs=1e-6)
 
     def test_endpoints_reproduce_tail_targets(self):
-        _, _, _, _, _, _, params = toy_pivot_setup()
-        (est,) = invert_pivot([params], alpha=0.1)
+        params = toy_params()
+        (est,) = invert_pivot(params, alpha=0.1)
         assert exact_pivot(params, est.lower) == pytest.approx(0.95, abs=1e-6)
         assert exact_pivot(params, est.upper) == pytest.approx(0.05, abs=1e-6)
         assert est.covers(params.beta_hat_j)
 
     def test_nesting(self):
-        _, _, _, _, _, _, params = toy_pivot_setup()
-        (wide,) = invert_pivot([params], alpha=0.05)
-        (narrow,) = invert_pivot([params], alpha=0.10)
+        params = toy_params()
+        (wide,) = invert_pivot(params, alpha=0.05)
+        (narrow,) = invert_pivot(params, alpha=0.10)
         assert wide.lower < narrow.lower < narrow.upper < wide.upper
 
 
@@ -417,25 +385,22 @@ class TestPolyhedral:
         lam = 3.0
         out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=np.zeros(1))
         assert out.selected.size == 1
-        target = build_target(target_basis(data, out, "selected"), 0)
-        beta_hat = float(target.contrast @ y)
+        target = build_target(target_basis(data, out, "selected"))
+        beta_hat = float(target.contrast[:, 0] @ y)
         h_minus = lam / float(x @ x)
-        sd = math.sqrt(target.norm2)
-        poly = lasso_polyhedron(data, out.selected, out.signs, lam)
+        sd = math.sqrt(target.norm2[0])
+        bounds = take(polyhedral_targets(data, out, lam), 0)
         for beta0 in (0.0, 1.0, 2.5):
             want_num = ndtr((beta_hat - beta0) / sd) - ndtr((h_minus - beta0) / sd)
             want_den = 1.0 - ndtr((h_minus - beta0) / sd)
-            bounds = polyhedral_bounds(data, poly, target, 1.0)
             got = polyhedral_pivot(bounds, beta0)
             assert got == pytest.approx(want_num / want_den, abs=1e-10)
 
     def test_interval_self_consistency(self):
         rng = np.random.default_rng(7)
         data, out, lam = standard_lasso_fit(rng)
-        target = build_target(target_basis(data, out, "selected"), 0)
-        poly = lasso_polyhedron(data, out.selected, out.signs, lam)
-        bounds = polyhedral_bounds(data, poly, target, 1.0)
-        (est,) = polyhedral_interval([bounds], alpha=0.1, target_labels=[0])
+        bounds = take(polyhedral_targets(data, out, lam), 0)
+        (est,) = polyhedral_interval(bounds, alpha=0.1, target_labels=[0])
         if not est.clipped:
             lo_p = polyhedral_pivot(bounds, est.lower)
             hi_p = polyhedral_pivot(bounds, est.upper)
@@ -445,44 +410,65 @@ class TestPolyhedral:
     def test_tampered_signs_detected(self):
         rng = np.random.default_rng(8)
         data, out, lam = standard_lasso_fit(rng)
-        target = build_target(target_basis(data, out, "selected"), 0)
+        target = build_target(target_basis(data, out, "selected"))
         poly = lasso_polyhedron(data, out.selected, -out.signs, lam)
-        with pytest.raises(GeometryInconsistencyError):
-            polyhedral_bounds(data, poly, target, 1.0)
+        _, errors = polyhedral_bounds(data, poly, target, 1.0)
+        assert isinstance(errors[0], GeometryInconsistencyError)
+
+    def test_event_equivalence_brute_force(self):
+        # target j's bounds: the plain lasso at y(t) = gamma_j + c_j t / ||c_j||^2
+        # selects the same set with the same signs exactly when lower_j < t < upper_j
+        rng = np.random.default_rng(36)
+        fits = targets = 0
+        while fits < 6:
+            data, out, lam = standard_lasso_fit(rng, n=40, p=8, signal=1.0)
+            if not out.selected.size:
+                continue
+            fits += 1
+            target = build_target(target_basis(data, out, "selected"))
+            bounds = polyhedral_targets(data, out, lam)
+            for j in range(out.selected.size):
+                targets += 1
+                c, norm2 = target.contrast[:, j], target.norm2[j]
+                beta_hat = float(c @ data.y)
+                gamma = data.y - c * (beta_hat / norm2)
+                lower, upper = float(bounds.lower[j]), float(bounds.upper[j])
+                span = 4.0 * (abs(beta_hat) + 1.0)
+                for t in rng.uniform(beta_hat - span, beta_hat + span, size=150):
+                    refit = solve_randomized_lasso(
+                        Dataset(y=gamma + c * (t / norm2), X=data.X),
+                        lam=lam, epsilon=0.0, w=np.zeros(data.p),
+                    )
+                    same = np.array_equal(refit.selected, out.selected) and np.array_equal(
+                        refit.signs, out.signs
+                    )
+                    if same != (lower < t < upper):
+                        assert min(abs(t - lower), abs(t - upper)) <= 1e-8 * max(1.0, abs(t))
+        assert targets >= 12
 
     def test_estimate_on_a_bound_gives_ordered_unclipped_interval(self):
         # beta_hat 1e-3 sd above its lower bound: both endpoints lie more than
         # 50 sd below beta_hat, so clipping the lower one would put it above
         # the upper one
         bounds = PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0)
-        (est,) = polyhedral_interval([bounds], alpha=0.1)
+        (est,) = polyhedral_interval(bounds, alpha=0.1)
         assert est.lower < est.upper < bounds.beta_hat - 50.0
         assert not est.clipped
         assert polyhedral_pivot(bounds, est.lower) == pytest.approx(0.95, abs=1e-6)
         assert polyhedral_pivot(bounds, est.upper) == pytest.approx(0.05, abs=1e-6)
         mirror = PolyhedralBounds(lower=-math.inf, upper=0.0, beta_hat=-1e-3, sd=1.0)
-        (est,) = polyhedral_interval([mirror], alpha=0.1)
+        (est,) = polyhedral_interval(mirror, alpha=0.1)
         assert mirror.beta_hat + 50.0 < est.lower < est.upper
         assert not est.clipped
 
 
-def exact_targets(data, out, rep, omega):
-    cond = factor_randomization(rep, omega)
-    basis = target_basis(data, out, "selected")
-    params = []
-    for j in range(out.selected.size):
-        target = build_target(basis, j)
-        params.append(pivot_params(data, cond, build_geometry(cond, target), target, sigma=1.0))
-    return params
-
-
 def polyhedral_targets(data, out, lam):
-    basis = target_basis(data, out, "selected")
+    """Every target's polyhedral bounds, built together as a fit builds them."""
+    target = build_target(target_basis(data, out, "selected"))
     poly = lasso_polyhedron(data, out.selected, out.signs, lam)
-    return [
-        polyhedral_bounds(data, poly, build_target(basis, j), 1.0)
-        for j in range(out.selected.size)
-    ]
+    bounds, errors = polyhedral_bounds(data, poly, target, 1.0)
+    assert errors == [None] * out.selected.size
+    return bounds
 
 
 def outcome(result):
@@ -519,8 +505,8 @@ class TestBatchedInversion:
             data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
             params = exact_targets(data, out, rep, omega)
             got = invert_pivot(params, 0.1, [int(e) for e in out.selected])
-            for est, p, label in zip(got, params, out.selected):
-                assert_agrees(est, reference_invert_pivot, p)
+            for k, (est, label) in enumerate(zip(got, out.selected)):
+                assert_agrees(est, reference_invert_pivot, take(params, k))
                 assert est.target_label == label and est.method == "exact"
                 count += 1
         assert count >= 12
@@ -531,8 +517,8 @@ class TestBatchedInversion:
         for _ in range(6):
             data, out, lam = standard_lasso_fit(rng, n=60, p=10, signal=1.0)
             bounds = polyhedral_targets(data, out, lam)
-            for est, b in zip(polyhedral_interval(bounds, 0.1), bounds):
-                assert_agrees(est, reference_polyhedral_interval, b)
+            for k, est in enumerate(polyhedral_interval(bounds, 0.1)):
+                assert_agrees(est, reference_polyhedral_interval, take(bounds, k))
                 count += 1
         assert count >= 6
 
@@ -544,11 +530,12 @@ class TestBatchedInversion:
             vartheta2=1.0, sigma_j2=1.0, lambda_j=1.0, zeta_j=0.0,
             theta_intercept=0.0, lower=-math.inf, upper=math.inf, beta_hat_j=2.0,
         )
-        got = invert_pivot([*real, forced], alpha=0.1)
+        each = [take(real, k) for k in range(out.selected.size)] + [forced]
+        got = invert_pivot(stack(each), alpha=0.1)
         z = float(ndtri(0.95))
         assert got[-1].lower == pytest.approx(2.0 - z, abs=1e-9)
         assert got[-1].upper == pytest.approx(2.0 + z, abs=1e-9)
-        for est, p in zip(got, [*real, forced]):
+        for est, p in zip(got, each):
             assert_agrees(est, reference_invert_pivot, p)
 
     def test_polyhedral_clip_window_cases_in_one_batch(self):
@@ -564,7 +551,7 @@ class TestBatchedInversion:
             # a two-sided truncation
             PolyhedralBounds(lower=-1.0, upper=2.0, beta_hat=0.4, sd=0.7),
         ]
-        got = polyhedral_interval(bounds, alpha=0.1)
+        got = polyhedral_interval(stack(bounds), alpha=0.1)
         assert [est.clipped for est in got] == [False, False, True, False, False]
         assert got[2].lower == 0.05 - 50.0
         z = float(ndtri(0.95))
@@ -584,7 +571,7 @@ class TestBatchedInversion:
         assert vals.tolist() == [exact_pivot(params, float(b0)) for b0 in grid]
         assert vals[-2] == pytest.approx(1.0, abs=1e-12)
         assert vals[-1] == pytest.approx(0.0, abs=1e-12)
-        batch = inference._stack([params, params], PivotParams)
+        batch = stack([params, params])
         twice = exact_pivot(batch, np.column_stack([grid, grid[::-1]]))
         assert twice[:, 0].tolist() == vals.tolist()
         assert twice[:, 1].tolist() == vals[::-1].tolist()
@@ -594,7 +581,7 @@ class TestBatchedInversion:
         data, out, rep, omega, _, _ = carving_fit(rng, min_selected=3)
         params = exact_targets(data, out, rep, omega)
         clean = invert_pivot(params, alpha=0.1)
-        flat = params[1].beta_hat_j
+        flat = params.beta_hat_j[1]
         real = inference.exact_pivot
 
         def stuck(batch, beta0):
@@ -616,15 +603,24 @@ class TestBatchedInversion:
             PolyhedralBounds(lower=1.0, upper=math.inf, beta_hat=0.5, sd=1.0),
             PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0),
         ]
-        got = polyhedral_interval(bounds, alpha=0.1)
+        got = polyhedral_interval(stack(bounds), alpha=0.1)
         assert isinstance(got[1], NoRootError)
         assert_agrees(got[1], reference_polyhedral_interval, bounds[1])
-        alone = polyhedral_interval([bounds[0], bounds[2]], alpha=0.1)
+        alone = polyhedral_interval(stack([bounds[0], bounds[2]]), alpha=0.1)
         assert [outcome(got[0]), outcome(got[2])] == [outcome(e) for e in alone]
 
     def test_empty_batch(self):
-        assert invert_pivot([], alpha=0.1) == []
-        assert polyhedral_interval([], alpha=0.1) == []
+        none = np.zeros(0)
+        assert invert_pivot(PivotParams(*[none] * 8), alpha=0.1) == []
+        assert polyhedral_interval(PolyhedralBounds(*[none] * 4), alpha=0.1) == []
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(model_pivot_params(), min_size=1, max_size=4))
+    def test_stacked_record_matches_scalar_reference(self, each):
+        got = invert_pivot(stack(each), alpha=0.1)
+        assert len(got) == len(each)
+        for est, params in zip(got, each):
+            assert_agrees(est, reference_invert_pivot, params)
 
 
 class TestSplitInference:

@@ -6,7 +6,6 @@ from scipy.special import ndtr
 
 from exactsi.errors import (
     EmptyMassError,
-    GeometryInconsistencyError,
     InvalidArgumentError,
 )
 from exactsi.numerics import (
@@ -231,30 +230,56 @@ class TestIntegrateWeightedGaussian:
         assert val == -math.inf
 
 
+def slice_line(coefs, slack, scale):
+    """``line_interval`` on one line: ``(lower, upper, violated)`` as Python values."""
+    lower, upper, violated = line_interval(coefs[:, None], slack[:, None], np.c_[scale])
+    return float(lower[0]), float(upper[0]), bool(violated[0])
+
+
 class TestLineInterval:
     def test_zero_row_that_holds_is_ignored(self):
         coefs = np.array([0.0, -1.0, 2.0, 1e-15])
         slack = np.array([1.0, 3.0, 4.0, 0.5])
-        assert line_interval(coefs, slack, 1e-12) == (-3.0, 2.0)
+        assert slice_line(coefs, slack, 1e-12) == (-3.0, 2.0, False)
 
-    def test_violated_zero_row_raises(self):
+    def test_violated_zero_row_is_flagged(self):
         coefs = np.array([-(2.0**-50), 1.0])
         slack = np.array([-0.5, 1.0])
-        with pytest.raises(GeometryInconsistencyError):
-            line_interval(coefs, slack, 1e-12)
+        assert slice_line(coefs, slack, 1e-12)[2]
         # the tolerance is per row: under a smaller scale the row bounds t
-        assert line_interval(coefs, slack, np.array([1e-20, 1e-12])) == (2.0**49, 1.0)
+        assert slice_line(coefs, slack, np.array([1e-20, 1e-12])) == (2.0**49, 1.0, False)
 
     def test_unbounded_side_is_infinite(self):
-        assert line_interval(np.array([2.0]), np.array([4.0]), 1e-12) == (-math.inf, 2.0)
-        assert line_interval(np.array([-2.0]), np.array([4.0]), 1e-12) == (-2.0, math.inf)
+        assert slice_line(np.array([2.0]), np.array([4.0]), 1e-12) == (-math.inf, 2.0, False)
+        assert slice_line(np.array([-2.0]), np.array([4.0]), 1e-12) == (-2.0, math.inf, False)
         empty = np.zeros(0)
-        assert line_interval(empty, empty, empty) == (-math.inf, math.inf)
+        assert slice_line(empty, empty, empty) == (-math.inf, math.inf, False)
 
     def test_bounds_are_tightest_rows(self):
         coefs = np.array([-1.0, -2.0, 1.0, 4.0])
         slack = np.array([1.0, 1.0, 3.0, 4.0])
-        assert line_interval(coefs, slack, 1e-12) == (-0.5, 1.0)
+        assert slice_line(coefs, slack, 1e-12) == (-0.5, 1.0, False)
+
+    def test_columns_are_sliced_alone(self):
+        coefs = np.array([
+            [0.0, -1.0, 2.0, 0.0],
+            [1.0, 1.0, 1.0, 1e-15],
+            [-1.0, 0.5, 0.0, 0.0],
+        ])
+        slack = np.array([
+            [-1.0, 3.0, 4.0, 0.5],  # column 0: a violated orthogonal row
+            [2.0, -4.0, 6.0, 1.0],  # column 1: lower -3 above upper -4, empty
+            [1.0, 1.0, 1.0, 2.0],   # column 2: bounded above only
+        ])                          # column 3: every row orthogonal, the full line
+        scale = np.full(coefs.shape, 1e-12)
+        lower, upper, violated = line_interval(coefs, slack, scale)
+        assert violated.tolist() == [True, False, False, False]
+        assert (lower[1], upper[1]) == (-3.0, -4.0)
+        assert (lower[2], upper[2]) == (-math.inf, 2.0)
+        assert (lower[3], upper[3]) == (-math.inf, math.inf)
+        for j in range(4):
+            alone = slice_line(coefs[:, j], slack[:, j], scale[:, j])
+            assert (float(lower[j]), float(upper[j]), bool(violated[j])) == alone
 
 
 class TestInvertMonotone:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import take
 
 from exactsi import conditioning, inference, study
 from exactsi.cli import _summary_json
@@ -240,20 +241,39 @@ class TestValidateUniformity:
             n=80, p=10, sparsity=2, n_reps=90, methods=("exact",), signal_fraction=1.5
         )
         clean = validate_pivot_uniformity(cfg)["exact"]
-        real = study.exact_pivot
-        calls = []
+        real_params = study.pivot_params
+        fits = []
 
-        def flaky(params, beta0):
-            calls.append(beta0)
-            if len(calls) == 3:
-                raise NumericalDegeneracyError("injected")
-            return real(params, beta0)
+        def flaky(*args, **kwargs):
+            # the first target of the third fit fails alone
+            params, errors = real_params(*args, **kwargs)
+            fits.append(None)
+            if len(fits) == 3:
+                errors = [NumericalDegeneracyError("injected"), *errors[1:]]
+                params = take(params, list(range(1, len(errors))))
+            return params, errors
 
-        monkeypatch.setattr(study, "exact_pivot", flaky)
+        monkeypatch.setattr(study, "pivot_params", flaky)
         got = validate_pivot_uniformity(cfg)["exact"]
         assert clean.n_failed == 0
         assert got.n_failed == 1
         assert got.n_pooled == clean.n_pooled - 1
+
+        # a pivot call that raises fails every target of its fit, and only those
+        monkeypatch.setattr(study, "pivot_params", real_params)
+        real_pivot = study.exact_pivot
+        calls = []
+
+        def broken(params, beta0):
+            calls.append(np.size(beta0))
+            if len(calls) == 3:
+                raise NumericalDegeneracyError("injected")
+            return real_pivot(params, beta0)
+
+        monkeypatch.setattr(study, "exact_pivot", broken)
+        got = validate_pivot_uniformity(cfg)["exact"]
+        assert got.n_failed == calls[2] >= 1
+        assert got.n_pooled == clean.n_pooled - calls[2]
 
     def test_requires_exact(self):
         cfg = quick_config(methods=("polyhedral",))
@@ -284,8 +304,11 @@ def test_study_and_validate_solve_without_ridge_on_wide_designs(monkeypatch):
 
 
 def test_one_factorization_per_fit(monkeypatch):
-    """Every target of a fit shares its factorizations: all targets make as
-    many condition checks and Cholesky factorizations as one does."""
+    """Every target of a fit shares its factorizations and its solves: all
+    targets make as many condition checks, Cholesky factorizations and
+    triangular solves as one does.  An exact fit solves for the contrasts,
+    Omega^{-1} Q, Theta, and the cores and directions of its pivot constants;
+    a polyhedral fit for the contrasts and the two solves of its polyhedron."""
     config = SimConfig()
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 0))
     y, _ = generate_response(
@@ -298,7 +321,8 @@ def test_one_factorization_per_fit(monkeypatch):
 
     def counted(name, real):
         def call(mat, *args, **kwargs):
-            calls.append((name, np.shape(mat)))
+            # a solve's first argument is a factor: its size is not counted
+            calls.append((name, None if name == "cho_solve" else np.shape(mat)))
             return real(mat, *args, **kwargs)
 
         return call
@@ -306,6 +330,7 @@ def test_one_factorization_per_fit(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     for module in (conditioning, inference):
         monkeypatch.setattr(module, "cho_factor", counted("cho_factor", module.cho_factor))
+        monkeypatch.setattr(module, "cho_solve", counted("cho_solve", module.cho_solve))
 
     def factorizations(method, all_targets):
         seed = _seed_for(config.seed, 0, 2)
@@ -317,9 +342,10 @@ def test_one_factorization_per_fit(monkeypatch):
         return list(calls)
 
     p_by_p = (config.p, config.p)
-    for method in ("exact", "polyhedral"):
+    for method, solves in (("exact", 4), ("polyhedral", 3)):
         one, every = factorizations(method, False), factorizations(method, True)
         assert one and every == one
+        assert [name for name, _ in every].count("cho_solve") == solves
         big = [name for name, shape in every if shape == p_by_p]
         assert big == (["eigvalsh", "cho_factor"] if method == "exact" else [])
 
