@@ -37,7 +37,6 @@ from .inference import (
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
-    Interval,
     QuadratureSpec,
     integrate_weighted_gaussian,
     invert_monotone,
@@ -77,7 +76,6 @@ __all__ = [
     "Dataset",
     "ExactSIError",
     "Fit",
-    "Interval",
     "IntervalEstimate",
     "LassoPolyhedron",
     "LinearEventRep",

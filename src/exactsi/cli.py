@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ExactSIError, InvalidArgumentError
-from .selection import Dataset
+from .selection import Dataset, _kkt_residual
 from .study import (
     CSV_COLUMNS,
     KNOWN_METHODS,
@@ -173,7 +173,10 @@ def cmd_select(args) -> int:
     cal = calibrate(
         data, ("exact",), lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon
     )
-    scheme, _, outcome, rep = randomized_selection(data, cal, args.seed)
+    scheme, _, outcome, _ = randomized_selection(data, cal, args.seed)
+    b = np.zeros(data.p)
+    b[outcome.selected] = outcome.active_solution
+    c = data.X.T @ data.y + outcome.randomization
     report = {
         "command": "select",
         "input": args.input,
@@ -189,7 +192,7 @@ def cmd_select(args) -> int:
         "selected_indices": [int(j) for j in outcome.selected],
         "signs": [int(s) for s in outcome.signs],
         "active_solution": [float(v) for v in outcome.active_solution],
-        "kkt_residual": rep.reconstruction_residual() if rep is not None else 0.0,
+        "kkt_residual": _kkt_residual(data.X.T @ (data.X @ b), c, b, cal.lam, cal.epsilon),
     }
     _write_json(report, args.out)
     return 0
@@ -376,7 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", type=float, default=None, help="split proportion n1/n")
         p.add_argument("--tau2", type=float, default=None, help="randomization variance")
         p.add_argument("--epsilon", type=float, default=None, help="ridge term")
-        p.add_argument("--sigma", type=float, default=None, help="known noise sd")
+        p.add_argument("--sigma", type=float, default=None, help=(
+            "known noise sd; else var(y) if n <= p, else least squares on the"
+            " independent columns of X (a column that X'X loses, such as a"
+            " duplicate, is left out and jitters the randomization covariance)"
+        ))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (or base name)")
 

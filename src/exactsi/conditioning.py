@@ -30,7 +30,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import Interval, line_interval
+from .numerics import line_interval
 from .selection import Dataset, LinearEventRep, SelectionOutcome
 
 _ZERO_ROW_RTOL = 1e-12
@@ -188,7 +188,8 @@ def build_geometry(cond: RandomizationFactor, target: TargetSpec) -> Conditionin
             return GeometryInconsistencyError(f"empty truncation interval [{lo}, {hi}]")
         if not lo < obs < hi:
             return GeometryInconsistencyError(
-                f"observed statistic {obs} outside its own interval {Interval(lo, hi)}"
+                f"observed statistic {obs} outside its own interval "
+                f"Interval(lower={lo!r}, upper={hi!r})"
             )
         return None
 

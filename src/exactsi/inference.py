@@ -37,7 +37,8 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import invert_monotone, line_interval, log_truncation_prob
+from .numerics import factor_gram, independent_columns, invert_monotone, line_interval
+from .numerics import log_truncation_prob
 from .selection import Dataset, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
@@ -478,11 +479,7 @@ def lasso_polyhedron(
     E0 = np.asarray(E0, dtype=int)
     S0 = np.asarray(S0, dtype=float)
     XE = X[:, E0]
-    gram = XE.T @ XE
-    try:
-        factor = cho_factor(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("selected design is rank deficient") from exc
+    factor = factor_gram(XE.T @ XE, "selected design")
     M1 = cho_solve(factor, XE.T)  # |E| x n
     ginv_s = cho_solve(factor, S0)
     rows = [-(S0[:, None] * M1)]
@@ -612,10 +609,14 @@ def polyhedral_interval(
 
 
 def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
-    """Residual-based noise variance: all columns (full) or the selected ones."""
+    """Residual-based noise variance of least squares on the selected columns,
+    or (full) on the independent columns of X, with n - rank degrees of freedom."""
     y, X, n = data.y, data.X, data.n
     if model == "full":
-        cols = np.arange(data.p)
+        gram = X.T @ X
+        cols = independent_columns(gram)
+        if cols.size < data.p:
+            gram = gram[np.ix_(cols, cols)]
     elif model == "selected":
         cols = np.asarray(E, dtype=int)
     else:
@@ -626,10 +627,9 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     if cols.size == 0:
         return float(y @ y / df)
     Xc = X[:, cols]
-    try:
-        coef = cho_solve(cho_factor(Xc.T @ Xc), Xc.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("plug-in design is rank deficient") from exc
+    # the full model's columns are independent by construction
+    factor = cho_factor(gram) if model == "full" else factor_gram(Xc.T @ Xc, "plug-in design")
+    coef = cho_solve(factor, Xc.T @ y)
     resid = y - Xc @ coef
     return float(resid @ resid / df)
 
@@ -655,10 +655,7 @@ def _ls_z_intervals(
     n = y.shape[0]
     if n < E.size + 1:
         raise SingularDesignError("held-out sample too small for the selected set")
-    try:
-        factor = cho_factor(XE.T @ XE)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("held-out design is rank deficient") from exc
+    factor = factor_gram(XE.T @ XE, "held-out design")
     coef = cho_solve(factor, XE.T @ y)
     if sigma2 is None:
         resid = y - XE @ coef

@@ -1,15 +1,16 @@
 """Stable Gaussian primitives on arrays.
 
 Log probabilities of univariate Gaussians over intervals (with infinite
-endpoints allowed), elementwise; the slice of a polyhedron along a line; and
-the vectorized inversion of monotone functions, which brackets every root by
-doubling and then solves them all in one call of Chandrupatla's method
-(``scipy.optimize.elementwise.find_root``).  Tail quantities are computed
-through ``log_ndtr`` (scaled complementary error function under the hood) so
-that differences of far-tail CDFs never cancel to zero while the true value
-is representable.  The log-space Simpson quadrature of density-times-weight
-products here is on no pipeline path (the exact pivot is closed form); it
-stays only because the benchmark's trace hooks still wrap it.
+endpoints allowed), elementwise; the slice of a polyhedron along a line; the
+rank test of a Gram matrix; and the vectorized inversion of monotone
+functions, which brackets every root by doubling and then solves them all in
+one call of Chandrupatla's method (``scipy.optimize.elementwise.find_root``).
+Tail quantities are computed through ``log_ndtr`` (scaled complementary error
+function under the hood) so that differences of far-tail CDFs never cancel to
+zero while the true value is representable.  The log-space Simpson quadrature
+of density-times-weight products here is on no pipeline path (the exact pivot
+is closed form); it stays only because the benchmark's trace hooks still wrap
+it.
 """
 
 from __future__ import annotations
@@ -19,41 +20,19 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpstrf
 from scipy.optimize.elementwise import find_root
 from scipy.special import log_ndtr, logsumexp
 
-from .errors import EmptyMassError, InvalidArgumentError, NumericalDegeneracyError
+from .errors import (
+    EmptyMassError,
+    InvalidArgumentError,
+    NumericalDegeneracyError,
+    SingularDesignError,
+)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A nonempty open interval of the extended real line.
-
-    Endpoints may be ``-inf``/``+inf`` (IEEE infinities, no sentinels) but
-    never NaN, and ``lower < upper`` strictly.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        lo, hi = float(self.lower), float(self.upper)
-        if math.isnan(lo) or math.isnan(hi):
-            raise InvalidArgumentError("interval endpoints must not be NaN")
-        if not lo < hi:
-            raise InvalidArgumentError(
-                f"degenerate interval: lower={lo!r} must be < upper={hi!r}"
-            )
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lower < x < self.upper
-
-
-FULL_LINE = Interval(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -88,14 +67,12 @@ def _log1mexp(d):
 def log_truncation_prob(interval, theta, vartheta):
     """Log of the probability that N(theta, vartheta^2) falls in ``interval``.
 
-    ``interval`` is an ``Interval`` or a ``(lower, upper)`` pair of endpoint
-    arrays; elementwise over the broadcast endpoints, ``theta`` and
+    ``interval`` is a ``(lower, upper)`` pair of endpoint arrays (infinite
+    endpoints allowed); elementwise over the broadcast endpoints, ``theta`` and
     ``vartheta``, and a float when they are all scalars.  Finite (not -inf)
     whenever the dominant endpoint's log-CDF is, which covers means hundreds
     of standard deviations away from the interval.
     """
-    if isinstance(interval, Interval):
-        interval = (interval.lower, interval.upper)
     lower, upper, theta, vartheta = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (*interval, theta, vartheta))
     )
@@ -158,6 +135,25 @@ def integrate_weighted_gaussian(
     simpson[0] = simpson[-1] = 1.0
     step = (hi - lo) / (n - 1)
     return float(logsumexp(logf + np.log(simpson * (step / 3.0))))
+
+
+def independent_columns(gram: np.ndarray) -> np.ndarray:
+    """The package's one rank test: the sorted columns that LAPACK's pivoted
+    Cholesky (``dpstrf``, tolerance n eps times the largest pivot) keeps on the
+    Gram scaled to unit diagonal, so that units cannot decide a feature's rank;
+    a zero column is dependent."""
+    norms = np.sqrt(np.diag(gram))
+    norms[norms == 0] = 1.0  # a zero column keeps its zero pivot
+    _, piv, rank, _ = dpstrf(gram / norms / norms[:, None])
+    return np.sort(piv[:rank] - 1)
+
+
+def factor_gram(gram: np.ndarray, what: str) -> tuple:
+    """``cho_factor`` of a Gram matrix; ``SingularDesignError`` ("<what> is rank
+    deficient") when ``independent_columns`` drops a column."""
+    if independent_columns(gram).size < gram.shape[0]:
+        raise SingularDesignError(f"{what} is rank deficient")
+    return cho_factor(gram)
 
 
 def line_interval(

@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidSchemeError,
 )
+from .numerics import independent_columns
 
 _AS_MAX_STEPS = 1_000
 
@@ -66,8 +67,8 @@ class RandomizationScheme:
     """Carving-calibrated Gaussian randomization covariance ``tau2 * X'X``.
 
     A diagonal jitter of ``1e-8 * tr(X'X)/p`` is added to the Gram matrix
-    only when ``X'X`` or the returned ``tau2 * X'X`` fails its Cholesky
-    factorization, so that full-rank closed-form identities stay exact.
+    exactly when ``independent_columns`` drops a column of ``X'X`` (p > n, or
+    a duplicated column), so that full-rank closed-form identities stay exact.
     """
 
     tau2: float = 1.0
@@ -79,13 +80,9 @@ class RandomizationScheme:
     def covariance(self, X: np.ndarray) -> np.ndarray:
         p = X.shape[1]
         gram = X.T @ X
-        omega = self.tau2 * gram
-        try:
-            np.linalg.cholesky(gram)
-            np.linalg.cholesky(omega)
-        except np.linalg.LinAlgError:
-            omega = self.tau2 * (gram + (1e-8 * np.trace(gram) / p) * np.eye(p))
-        return omega
+        if independent_columns(gram).size < p:
+            gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
+        return self.tau2 * gram
 
 
 @dataclass

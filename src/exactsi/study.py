@@ -7,7 +7,8 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
 1. ``calibrate`` checks that each method has the options it needs and
    resolves the tuning constants of a dataset once: the noise variance
    (known if given, else the full-model plug-in when n > p, else var(y)),
-   the penalty and the ridge term.
+   the penalty and the ridge term.  The plug-in fits the independent columns
+   of X, and the randomization covariance is jittered when X'X loses one.
 2. ``fit_method`` runs one method's selection.  For the exact method it
    draws the randomization (its variance given, or matched to a subsample
    split), solves the randomized lasso and builds the event
@@ -278,8 +279,10 @@ def calibrate(
     An exact method needs exactly one of ``rho`` and ``tau2``; split and uv
     need ``rho``; no method may be listed twice.  The noise variance is
     ``data.sigma ** 2`` if set, else the full-model plug-in when n > p, else
-    var(y).  The penalty defaults to ``theory_lambda`` at that noise scale
-    and the ridge term to ``default_epsilon``.
+    var(y); the plug-in fits the independent columns of X (a duplicated column
+    is left out) with n - rank degrees of freedom.  The penalty defaults to
+    ``theory_lambda`` at that noise scale and the ridge term to
+    ``default_epsilon``.
     """
     for method in methods:
         if methods.count(method) > 1:

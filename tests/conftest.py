@@ -20,7 +20,6 @@ from exactsi.inference import (
     exact_pivot,
     polyhedral_pivot,
 )
-from exactsi.numerics import Interval
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
@@ -226,8 +225,7 @@ def carving_pivot_params(data, outcome, target, j, sigma, tau2, lam):
             lower = max(lower, bound)
         elif -outcome.signs[k] * A[k] >= 0:
             raise GeometryInconsistencyError("sign constraint violated off-direction")
-    interval = Interval(lower, upper)
-    if not interval.contains(r_obs):
+    if not lower < r_obs < upper:
         raise GeometryInconsistencyError("observed combination outside closed-form interval")
     return PivotParams(
         vartheta2=vartheta2,
@@ -235,8 +233,8 @@ def carving_pivot_params(data, outcome, target, j, sigma, tau2, lam):
         lambda_j=1.0,
         zeta_j=0.0,
         theta_intercept=theta_intercept,
-        lower=interval.lower,
-        upper=interval.upper,
+        lower=lower,
+        upper=upper,
         beta_hat_j=float(target.contrast @ data.y),
     )
 
@@ -250,7 +248,7 @@ def reference_invert_monotone(g, target, seed_bracket):
     both sides while g ties on the two ends of the bracket, then the
     root is isolated by Brent's method to a bracket width of 1e-10.
     """
-    a, b = float(seed_bracket.lower), float(seed_bracket.upper)
+    a, b = map(float, seed_bracket)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidArgumentError("seed bracket must be finite")
     ga, gb = g(a), g(b)
@@ -284,7 +282,7 @@ def reference_invert_monotone(g, target, seed_bracket):
 def reference_invert_pivot(params, alpha):
     """Scalar reference for one target of ``invert_pivot``."""
     half = 5.0 * math.sqrt(params.sigma_j2) / params.lambda_j
-    bracket = Interval(params.beta_hat_j - half, params.beta_hat_j + half)
+    bracket = (params.beta_hat_j - half, params.beta_hat_j + half)
 
     def pivot_at(b):
         return exact_pivot(params, b)
@@ -305,7 +303,7 @@ def reference_polyhedral_interval(bounds, alpha):
 
     clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * bounds.sd
     clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * bounds.sd
-    below, above = Interval(clip_lo, beta_hat), Interval(beta_hat, clip_hi)
+    below, above = (clip_lo, beta_hat), (beta_hat, clip_hi)
     at_lo, at_hi = pivot_at(clip_lo), pivot_at(clip_hi)
     clipped = False
     if at_lo < p_upper:  # both endpoints below the window

@@ -244,6 +244,24 @@ class TestSelect:
         assert report["kkt_residual"] < 1e-6
         assert len(report["selected"]) == report["selected_count"]
 
+    @pytest.mark.parametrize("lam", [None, "1e9"])
+    def test_kkt_residual_is_within_the_certificate(self, tmp_path, lam):
+        """``kkt_residual`` is the lasso's stationarity violation at its
+        solution, within the certificate ``1e-11 max(||c||_inf, lam)``, also
+        when nothing is selected (``--lambda 1e9``)."""
+        path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(4))
+        out = tmp_path / "sel.json"
+        extra = [] if lam is None else ["--lambda", lam]
+        args = ["select", "--input", str(path), "--rho", "0.8", "--seed", "3"]
+        assert main([*args, *extra, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["selected_count"] == 0) == (lam is not None)
+        data, _ = read_csv_dataset(str(path))
+        cal = study.calibrate(data, ("exact",), lam=report["lambda"], rho=0.8)
+        _, _, outcome, _ = study.randomized_selection(data, cal, 3)
+        c = data.X.T @ data.y + outcome.randomization
+        assert 0.0 <= report["kkt_residual"] <= 1e-11 * max(np.abs(c).max(), cal.lam)
+
     def test_huge_lambda_empty_selection_exits_zero(self, tmp_path):
         rng = np.random.default_rng(2)
         path = make_regression_csv(tmp_path / "d.csv", rng)

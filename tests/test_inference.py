@@ -14,6 +14,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor
 from scipy.special import ndtr, ndtri
 
 from exactsi.conditioning import (
@@ -30,6 +31,7 @@ from exactsi.errors import (
     InvalidArgumentError,
     NoRootError,
     NumericalDegeneracyError,
+    SingularDesignError,
 )
 from exactsi.inference import (
     IntervalEstimate,
@@ -46,7 +48,6 @@ from exactsi.inference import (
     split_inference,
     uv_inference,
 )
-from exactsi.numerics import FULL_LINE, Interval
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
@@ -239,13 +240,13 @@ def model_pivot_params(draw):
     center = theta_intercept - vartheta2 * (lambda_j * beta_hat + zeta_j)
     edge = center + sd_y * draw(st.floats(-10.0, 10.0))
     width = sd_y * 10.0 ** draw(st.floats(-6.0, 1.5))
-    interval = draw(
+    lower, upper = draw(
         st.sampled_from(
             [
-                Interval(edge, edge + width),
-                Interval(edge, math.inf),
-                Interval(-math.inf, edge),
-                FULL_LINE,
+                (edge, edge + width),
+                (edge, math.inf),
+                (-math.inf, edge),
+                (-math.inf, math.inf),
             ]
         )
     )
@@ -255,8 +256,8 @@ def model_pivot_params(draw):
         lambda_j=lambda_j,
         zeta_j=zeta_j,
         theta_intercept=theta_intercept,
-        lower=interval.lower,
-        upper=interval.upper,
+        lower=lower,
+        upper=upper,
         beta_hat_j=beta_hat,
     )
 
@@ -671,6 +672,33 @@ class TestUVInference:
         assert all(e.method == "uv" for e in a)
 
 
+class TestEqualColumns:
+    """Two equal columns make the Gram singular, although its Cholesky
+    factorization passes by rounding on this design; every least-squares
+    fit on them raises ``SingularDesignError``."""
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((30, 2))
+        X[:, 1] = X[:, 0]
+        cho_factor(X.T @ X)  # passes: no rank information
+        return Dataset(y=rng.standard_normal(30), X=X)
+
+    def test_lasso_polyhedron(self):
+        with pytest.raises(SingularDesignError, match="selected design is rank deficient"):
+            lasso_polyhedron(self.data(), np.array([0, 1]), np.array([1.0, 1.0]), 1.0)
+
+    def test_selected_plug_in(self):
+        with pytest.raises(SingularDesignError, match="plug-in design is rank deficient"):
+            plug_in_sigma2(self.data(), np.array([0, 1]), "selected")
+
+    def test_held_out_least_squares(self):
+        data = self.data()
+        with pytest.raises(SingularDesignError, match="held-out design is rank deficient"):
+            inference._ls_z_intervals(data.y, data.X, np.array([0, 1]), 1.0, 0.1, "split")
+
+
 class TestPlugInSigma:
     def test_known_variance_recovered(self):
         rng = np.random.default_rng(13)
@@ -681,6 +709,16 @@ class TestPlugInSigma:
         sel = plug_in_sigma2(data, np.array([0, 1, 4]), "selected")
         assert full == pytest.approx(1.7**2, rel=0.1)
         assert sel == pytest.approx(1.7**2, rel=0.1)
+
+    def test_full_model_fits_the_independent_columns(self):
+        """A duplicated column leaves the full-model plug-in as the fit on
+        the other columns, with n - rank degrees of freedom."""
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((60, 4))
+        y = X @ np.array([1.0, 0.5, 0.0, -1.0]) + rng.standard_normal(60)
+        dup = Dataset(y=y, X=np.column_stack([X, X[:, 0]]))
+        want = plug_in_sigma2(Dataset(y=y, X=X), np.arange(4), "full")
+        assert plug_in_sigma2(dup, np.arange(5), "full") == pytest.approx(want, rel=1e-12)
 
     def test_interval_estimate_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import take
 
-from exactsi import conditioning, inference, study
+from exactsi import conditioning, inference, numerics, study
 from exactsi.cli import _summary_json
 from exactsi.errors import (
     InsufficientSampleError,
@@ -305,8 +305,8 @@ def test_study_and_validate_solve_without_ridge_on_wide_designs(monkeypatch):
 
 def test_one_factorization_per_fit(monkeypatch):
     """Every target of a fit shares its factorizations and its solves: all
-    targets make as many condition checks, Cholesky factorizations and
-    triangular solves as one does.  An exact fit solves for the contrasts,
+    targets make as many condition checks, rank tests, Cholesky
+    factorizations and triangular solves as one does.  An exact fit solves for the contrasts,
     Omega^{-1} Q, Theta, and the cores and directions of its pivot constants;
     a polyhedral fit for the contrasts and the two solves of its polyhedron."""
     config = SimConfig()
@@ -328,8 +328,11 @@ def test_one_factorization_per_fit(monkeypatch):
         return call
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    for module in (conditioning, inference):
+    # the rank test and the factorizations it guards live in numerics
+    monkeypatch.setattr(numerics, "dpstrf", counted("dpstrf", numerics.dpstrf))
+    for module in (conditioning, numerics):
         monkeypatch.setattr(module, "cho_factor", counted("cho_factor", module.cho_factor))
+    for module in (conditioning, inference):
         monkeypatch.setattr(module, "cho_solve", counted("cho_solve", module.cho_solve))
 
     def factorizations(method, all_targets):
@@ -348,6 +351,23 @@ def test_one_factorization_per_fit(monkeypatch):
         assert [name for name, _ in every].count("cho_solve") == solves
         big = [name for name, shape in every if shape == p_by_p]
         assert big == (["eigvalsh", "cho_factor"] if method == "exact" else [])
+
+
+@pytest.mark.parametrize("sigma", [None, 1.7])
+def test_duplicated_column_gives_exact_intervals(sigma):
+    """``exactsi infer --rho 0.8`` (known sigma 1.7, or the plug-in) on 300x100
+    AR(0.5) designs whose column 99 repeats column 0.  X'X is singular, so the
+    randomization covariance gets its jitter and the full-model plug-in fits
+    the independent columns: every exact target gets its interval."""
+    for seed in range(20):
+        X = generate_design(300, 100, 0.5, seed)
+        X[:, 99] = X[:, 0]
+        y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, seed + 1)
+        data = Dataset(y=y, X=X, sigma=sigma)
+        fit = fit_method(data, calibrate(data, ("exact",), rho=0.8), "exact", "selected", 0.1, 0)
+        assert fit.selected.size
+        for j in range(fit.selected.size):
+            fit.interval(j)
 
 
 def test_calibrate_checks_method_options():
