@@ -10,23 +10,17 @@ uniformity check, and the command line.
 
 from .conditioning import (
     ConditioningGeometry,
-    RandomizationFactor,
-    TargetBasis,
     TargetSpec,
     build_geometry,
     build_target,
-    factor_randomization,
-    target_basis,
 )
 from .errors import ExactSIError
 from .inference import (
     IntervalEstimate,
-    LassoPolyhedron,
     PivotParams,
     PolyhedralBounds,
     exact_pivot,
     invert_pivot,
-    lasso_polyhedron,
     pivot_params,
     plug_in_sigma2,
     polyhedral_bounds,
@@ -77,23 +71,19 @@ __all__ = [
     "ExactSIError",
     "Fit",
     "IntervalEstimate",
-    "LassoPolyhedron",
     "LinearEventRep",
     "PivotParams",
     "PolyhedralBounds",
     "QuadratureSpec",
-    "RandomizationFactor",
     "RandomizationScheme",
     "SelectionOutcome",
     "SimConfig",
     "StudySummary",
-    "TargetBasis",
     "TargetSpec",
     "build_geometry",
     "build_target",
     "calibrate",
     "exact_pivot",
-    "factor_randomization",
     "f1_score",
     "fit_method",
     "generate_design",
@@ -101,7 +91,6 @@ __all__ = [
     "integrate_weighted_gaussian",
     "invert_monotone",
     "invert_pivot",
-    "lasso_polyhedron",
     "lasso_event_rep",
     "log_truncation_prob",
     "pivot_params",
@@ -113,7 +102,6 @@ __all__ = [
     "sample_randomization",
     "solve_randomized_lasso",
     "split_inference",
-    "target_basis",
     "tau2_from_split",
     "true_projected_target",
     "uv_inference",

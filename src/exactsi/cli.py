@@ -424,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--workers", type=int, default=1,
         help="worker processes; pin BLAS to one thread per worker "
-        "(OPENBLAS_NUM_THREADS=1): on 2 cores, 2 workers ran 100 replicates "
-        "in 6.8-8.8 s at the default BLAS threads and in 1.8 s at one",
+        "(OPENBLAS_NUM_THREADS=1), or each worker's BLAS threads compete "
+        "with the others for the cores",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

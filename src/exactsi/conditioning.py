@@ -5,15 +5,14 @@ randomization covariance, the selection constraints on the free optimization
 block reduce, once a complementary statistic is held fixed, to a single
 interval constraint on one linear combination of that block.
 
-Everything is built once per fit, for all targets together.  ``target_basis``
-checks and factors the design Gram that the target contrasts solve against.
-``factor_randomization`` checks and factors the randomization covariance
-Omega, forms Omega^{-1} Q, and from the checked free-block precision
-Q' Omega^{-1} Q forms the conditional covariance Theta of the free block.
-``build_target`` solves for every contrast with the Gram factor, and
-``build_geometry`` takes each target's direction ``Pj = P c / ||c||^2``,
-``rj = (Omega^{-1} Q)' Pj``, complementary statistic and interval, one
-column per target; a target that fails a check keeps its own error.
+Both stages here run once per fit, for all targets together, ahead of
+``inference.pivot_params``.  ``build_target`` checks and factors the design
+Gram and solves for every contrast c with it.  ``build_geometry`` checks and
+factors Omega and the free-block precision Q' Omega^{-1} Q, whose inverse is
+the free block's conditional covariance Theta, and takes each target's
+direction ``Pj = P c / ||c||^2``, ``rj = (Omega^{-1} Q)' Pj``, complementary
+statistic and interval, one column per target; a target that fails a check
+keeps its own error.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .errors import (
 from .numerics import line_interval
 from .selection import Dataset, LinearEventRep, SelectionOutcome
 
-_ZERO_ROW_RTOL = 1e-12
 _COND_LIMIT = 1e12
 
 
@@ -47,9 +45,14 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class ConditioningGeometry:
-    """Interval reduction of the selection constraints: column or entry j of
-    each field is target j's, and ``errors[j]`` the error that stopped it."""
+    """Interval reduction of the selection constraints of one fit: the
+    Cholesky factor of Omega (rows in ``rep.order``) and Theta serve every
+    target; column or entry j of the other fields is target j's, and
+    ``errors[j]`` the error that stopped it."""
 
+    rep: LinearEventRep
+    omega_factor: tuple
+    Theta: np.ndarray
     Pj: np.ndarray
     rj: np.ndarray
     Qj: np.ndarray
@@ -58,36 +61,6 @@ class ConditioningGeometry:
     lower: np.ndarray
     upper: np.ndarray
     errors: list[ExactSIError | None]
-
-
-@dataclass(frozen=True)
-class TargetBasis:
-    """The design Gram factor that one fit's target contrasts solve against.
-
-    The j-th selected coordinate's contrast is ``design @ G^{-1} e`` with G
-    the design's Gram and e the unit vector of design column ``columns[j]``:
-    the selected columns under ``selected``, all columns under ``full``.
-    """
-
-    design: np.ndarray
-    columns: np.ndarray
-    factor: tuple
-
-
-@dataclass(frozen=True)
-class RandomizationFactor:
-    """Target-independent conditioning state of one randomized fit.
-
-    ``omega_factor`` is the Cholesky factor of the randomization covariance
-    Omega, permuted to the representation's active-first order;
-    ``omega_inv_Q`` is Omega^{-1} Q and ``Theta = (Q' Omega^{-1} Q)^{-1}`` the
-    conditional covariance of the free block.
-    """
-
-    rep: LinearEventRep
-    omega_factor: tuple
-    omega_inv_Q: np.ndarray
-    Theta: np.ndarray
 
 
 def _factor_spd(mat: np.ndarray, what: str) -> tuple:
@@ -111,12 +84,13 @@ def _factor_spd(mat: np.ndarray, what: str) -> tuple:
         raise NumericalDegeneracyError(f"{what} is not positive definite") from exc
 
 
-def target_basis(data: Dataset, outcome: SelectionOutcome, model: str) -> TargetBasis:
-    """Factor the Gram that the targets of the chosen model solve against.
+def build_target(data: Dataset, outcome: SelectionOutcome, model: str) -> TargetSpec:
+    """Contrast vectors of every selected coordinate, solved in one call.
 
     ``selected`` targets the partial regression coefficients among the
     selected columns; ``full`` targets the corresponding coordinates of the
-    all-columns coefficient vector.
+    all-columns coefficient vector.  Contrast j is ``design G^{-1} e_j``,
+    G the checked Gram of that design.
     """
     if model not in ("selected", "full"):
         raise InvalidArgumentError(f"unknown model {model!r}")
@@ -129,52 +103,37 @@ def target_basis(data: Dataset, outcome: SelectionOutcome, model: str) -> Target
         factor = _factor_spd(design.T @ design, what)
     except NumericalDegeneracyError as exc:
         raise SingularDesignError(str(exc)) from exc
-    return TargetBasis(design=design, columns=columns, factor=factor)
-
-
-def build_target(basis: TargetBasis) -> TargetSpec:
-    """Contrast vectors of every selected coordinate, solved in one call."""
-    units = np.eye(basis.design.shape[1])[:, basis.columns]
-    contrast = basis.design @ cho_solve(basis.factor, units)
+    units = np.eye(design.shape[1])[:, columns]
+    contrast = design @ cho_solve(factor, units)
     return TargetSpec(contrast=contrast, norm2=(contrast * contrast).sum(axis=0))
 
 
-def factor_randomization(rep: LinearEventRep, Omega: np.ndarray) -> RandomizationFactor:
-    """Factor Omega and form the free block's conditional covariance.
+def build_geometry(
+    rep: LinearEventRep, omega: np.ndarray, target: TargetSpec
+) -> ConditioningGeometry:
+    """Reduce ``L @ opt < M`` to an interval on ``rj' opt`` at fixed complement.
 
-    ``Omega`` arrives in the original feature order and is aligned to the
-    representation's active-first row permutation here.
+    ``omega`` arrives in the original feature order and is aligned to the
+    representation's active-first row permutation here.  Constraint rows
+    whose coefficient on the free combination vanishes must hold on their
+    own; a violation there, or an observed statistic outside the interval,
+    signals an upstream inconsistency rather than data.
     """
-    factor = _factor_spd(Omega[np.ix_(rep.order, rep.order)], "randomization covariance")
+    factor = _factor_spd(omega[np.ix_(rep.order, rep.order)], "randomization covariance")
     omega_inv_Q = cho_solve(factor, rep.Q)
     gram = rep.Q.T @ omega_inv_Q
     precision = _factor_spd(gram, "conditional precision of the free block")
-    theta = cho_solve(precision, np.eye(gram.shape[0]))
-    return RandomizationFactor(
-        rep=rep, omega_factor=factor, omega_inv_Q=omega_inv_Q, Theta=theta
-    )
-
-
-def build_geometry(cond: RandomizationFactor, target: TargetSpec) -> ConditioningGeometry:
-    """Reduce ``L @ opt < M`` to an interval on ``rj' opt`` at fixed complement.
-
-    Constraint rows whose coefficient on the free combination vanishes must
-    hold on their own; a violation there, or an observed statistic outside
-    the interval, signals an upstream inconsistency rather than data.
-    """
-    rep = cond.rep
+    Theta = cho_solve(precision, np.eye(gram.shape[0]))
     Pj = rep.P @ target.contrast / target.norm2
-    rj = cond.omega_inv_Q.T @ Pj
-    theta_r = cond.Theta @ rj
+    rj = omega_inv_Q.T @ Pj
+    theta_r = Theta @ rj
     vartheta2 = (rj * theta_r).sum(axis=0)
     no_variance = ~(vartheta2 > 0)
     Qj = theta_r / np.where(no_variance, 1.0, vartheta2)
     O = rep.opt
     observed = O @ rj
     A_obs = O[:, None] - Qj * observed
-
-    scale = _ZERO_ROW_RTOL * np.linalg.norm(rep.L, axis=1)[:, None] * np.linalg.norm(Qj, axis=0)
-    lower, upper, violated = line_interval(rep.L @ Qj, rep.M[:, None] - rep.L @ A_obs, scale)
+    lower, upper, violated = line_interval(rep.L, Qj, rep.M[:, None] - rep.L @ A_obs)
 
     def error(j):  # the first check that target j fails, in this order
         lo, hi, obs = float(lower[j]), float(upper[j]), float(observed[j])
@@ -194,6 +153,7 @@ def build_geometry(cond: RandomizationFactor, target: TargetSpec) -> Conditionin
         return None
 
     return ConditioningGeometry(
-        Pj=Pj, rj=rj, Qj=Qj, A_obs=A_obs, vartheta2=vartheta2,
-        lower=lower, upper=upper, errors=[error(j) for j in range(vartheta2.size)],
+        rep=rep, omega_factor=factor, Theta=Theta, Pj=Pj, rj=rj, Qj=Qj, A_obs=A_obs,
+        vartheta2=vartheta2, lower=lower, upper=upper,
+        errors=[error(j) for j in range(vartheta2.size)],
     )

@@ -12,7 +12,9 @@ response-splitting with synthetic noise.
 
 Both pivots' constants are records (``PivotParams``, ``PolyhedralBounds``)
 whose fields are floats for one target or arrays for several, built for all
-targets of a fit at once; both pivots are evaluated elementwise on arrays.
+targets of a fit at once, by the last stage of ``build_target ->
+build_geometry -> pivot_params`` (exact) or ``build_target ->
+polyhedral_bounds`` (polyhedral); both pivots are evaluated elementwise.
 A fit's intervals come from one vectorized inversion (``invert_pivot``,
 ``polyhedral_interval``) that brackets and solves every endpoint of every
 target together; each target keeps its own error.
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, owens_t
 
-from .conditioning import ConditioningGeometry, RandomizationFactor, TargetSpec
+from .conditioning import ConditioningGeometry, TargetSpec
 from .errors import (
     ExactSIError,
     GeometryInconsistencyError,
@@ -37,8 +39,8 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import factor_gram, independent_columns, invert_monotone, line_interval
-from .numerics import log_truncation_prob
+from .numerics import BRACKET_EXPANSIONS, factor_gram, independent_columns, invert_monotone
+from .numerics import line_interval, log_truncation_prob
 from .selection import Dataset, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
@@ -114,13 +116,9 @@ class IntervalEstimate:
 
 
 def pivot_params(
-    data: Dataset,
-    cond: RandomizationFactor,
-    geom: ConditioningGeometry,
-    target: TargetSpec,
-    sigma: float,
+    data: Dataset, geom: ConditioningGeometry, target: TargetSpec, sigma: float
 ) -> tuple[PivotParams, list[ExactSIError | None]]:
-    """Assemble the pivot constants of every target from a fitted representation.
+    """Assemble the pivot constants of every target from a fit's geometry.
 
     With ``gamma`` the response off a target's contrast and ``core = P gamma +
     R U + T``, the free block's conditional mean has the affine pieces
@@ -130,16 +128,16 @@ def pivot_params(
     """
     if not sigma > 0:
         raise InvalidArgumentError("sigma must be positive")
-    rep, c, norm2 = cond.rep, target.contrast, target.norm2
+    rep, c, norm2 = geom.rep, target.contrast, target.norm2
     beta_hat = data.y @ c
     gamma = data.y[:, None] - c * (beta_hat / norm2)
     core = rep.P @ gamma + rep.T[:, None]
     if rep.R.shape[1]:
         core = core + (rep.R @ rep.sub)[:, None]
-    solved = cho_solve(cond.omega_factor, np.hstack([core, geom.Pj]))
+    solved = cho_solve(geom.omega_factor, np.hstack([core, geom.Pj]))
     omega_inv_core, omega_inv_pj = np.hsplit(solved, 2)
     lam_val = -(geom.Pj * omega_inv_core).sum(axis=0)
-    delta = -(cond.Theta @ (rep.Q.T @ omega_inv_core))
+    delta = -(geom.Theta @ (rep.Q.T @ omega_inv_core))
     r_delta = (geom.rj * delta).sum(axis=0)
     pj_quad = (geom.Pj * omega_inv_pj).sum(axis=0)
     inv_s2 = 1.0 / (sigma**2 * norm2) + pj_quad - geom.vartheta2
@@ -399,7 +397,8 @@ def _results(
             for value, level in ends[::-1] if upper_first[i] else ends:
                 if math.isnan(value):
                     raise NoRootError(
-                        f"target {level!r} not straddled after 60 bracket expansions"
+                        f"target {level!r} not straddled after "
+                        f"{BRACKET_EXPANSIONS} bracket expansions"
                     )
             out.append(IntervalEstimate(ends[0][0], ends[1][0], label, method, bool(clipped[i])))
         except ExactSIError as exc:
@@ -453,31 +452,21 @@ class PolyhedralBounds:
     sd: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class LassoPolyhedron:
-    """The lasso selection event {selected set, signs} as ``G y < h``.
+def polyhedral_bounds(
+    data: Dataset, selected, signs, lam: float, target: TargetSpec, sigma: float
+) -> tuple[PolyhedralBounds, list[ExactSIError | None]]:
+    """One-dimensional truncation bounds of the lasso selection event.
 
-    It depends on the design, the selected set, its signs and the penalty,
-    not on the target, so a fit builds it once; ``row_norms`` holds the
-    Euclidean norms of the rows of ``G``.
-    """
-
-    G: np.ndarray
-    h: np.ndarray
-    row_norms: np.ndarray
-
-
-def lasso_polyhedron(
-    data: Dataset, E0: np.ndarray, S0: np.ndarray, lam: float
-) -> LassoPolyhedron:
-    """Affine constraints on the response of the non-randomized lasso event.
-
-    The inactive subgradient box constraints are kept, which is what makes the
-    conditional law of each target exactly the truncated Gaussian.
+    The event {selected set, signs} is ``G y < h``, built once for every
+    target.  Its inactive subgradient box constraints are kept, which is what
+    makes the conditional law of each target exactly the truncated Gaussian.
+    At fixed residual off a target's contrast the event becomes an interval
+    for its estimate.  Returns the bounds of the targets that built, one
+    record of arrays, and each target's error.
     """
     X = data.X
-    E0 = np.asarray(E0, dtype=int)
-    S0 = np.asarray(S0, dtype=float)
+    E0 = np.asarray(selected, dtype=int)
+    S0 = np.asarray(signs, dtype=float)
     XE = X[:, E0]
     factor = factor_gram(XE.T @ XE, "selected design")
     M1 = cho_solve(factor, XE.T)  # |E| x n
@@ -492,26 +481,11 @@ def lasso_polyhedron(
         base = cross @ ginv_s
         rows.extend([proj_rows, -proj_rows])
         rhs.extend([1.0 - base, 1.0 + base])
-    G = np.vstack(rows)
-    return LassoPolyhedron(G=G, h=np.concatenate(rhs), row_norms=np.linalg.norm(G, axis=1))
-
-
-def polyhedral_bounds(
-    data: Dataset, poly: LassoPolyhedron, target: TargetSpec, sigma: float
-) -> tuple[PolyhedralBounds, list[ExactSIError | None]]:
-    """One-dimensional truncation bounds of the lasso selection event.
-
-    The event is affine in the response; at fixed residual off a target's
-    contrast it becomes an interval for its estimate.  Returns the bounds of
-    the targets that built, one record of arrays, and each target's error.
-    """
+    G, h = np.vstack(rows), np.concatenate(rhs)
     y, c, norm2 = data.y, target.contrast, target.norm2
-    direction = c / norm2
     beta_hat = y @ c
     gamma = y[:, None] - c * (beta_hat / norm2)
-    scale = 1e-12 * poly.row_norms[:, None] * np.linalg.norm(direction, axis=0)
-    slack = poly.h[:, None] - poly.G @ gamma
-    lower, upper, violated = line_interval(poly.G @ direction, slack, scale)
+    lower, upper, violated = line_interval(G, c / norm2, h[:, None] - G @ gamma)
     width_scale = 1e-8 * np.maximum(1.0, np.abs(beta_hat))
     inside = (lower - width_scale <= beta_hat) & (beta_hat <= upper + width_scale)
 

@@ -33,6 +33,8 @@ from .errors import (
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Doubling steps a seed bracket may take before its root is declared missing.
+BRACKET_EXPANSIONS = 60
 
 
 @dataclass(frozen=True)
@@ -157,19 +159,22 @@ def factor_gram(gram: np.ndarray, what: str) -> tuple:
 
 
 def line_interval(
-    coefs: np.ndarray, slack: np.ndarray, scale
+    rows: np.ndarray, direction: np.ndarray, slack: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slice the constraints ``coefs * t < slack`` (one per row) along t,
-    column by column: column j of ``coefs`` and ``slack`` is one line.
+    """Slice the constraints ``(rows @ direction) t < slack`` along t, column
+    by column: column j of ``direction`` and ``slack`` is one line.
 
-    A row with ``|coefs| <= scale`` (broadcast) does not involve t and must
-    hold on its own; a column where such a row is violated is flagged in the
-    returned mask, which signals an upstream inconsistency.  The other rows
-    bound t below (negative coefficients) or above (positive ones) by
-    ``slack / coefs``; a side no row bounds is infinite.  Returns the
-    ``lower`` and ``upper`` ends of each column's slice, which may be empty,
-    and the mask of violated columns.
+    A row whose coefficient ``|row @ direction|`` is at most ``1e-12 ||row||
+    ||direction||`` is orthogonal to the line and must hold on its own; a
+    column where such a row is violated is flagged in the returned mask,
+    which signals an upstream inconsistency.  The other rows bound t below
+    (negative coefficients) or above (positive ones) by ``slack / coefs``; a
+    side no row bounds is infinite.  Returns the ``lower`` and ``upper`` ends
+    of each column's slice, which may be empty, and the mask of violated
+    columns.
     """
+    coefs = rows @ direction
+    scale = 1e-12 * np.linalg.norm(rows, axis=1)[:, None] * np.linalg.norm(direction, axis=0)
     zero = np.abs(coefs) <= scale
     violated = (zero & (slack <= 0)).any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -184,13 +189,13 @@ def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:
 
     ``g(x, *args)`` is evaluated elementwise, and ``target``, the seed
     brackets ``[lower, upper]`` and ``args`` broadcast together.  Each
-    bracket is expanded geometrically (factor 2 per step, at most 60 steps)
-    toward the side that has not yet straddled its target, or toward both
-    sides while ``g`` ties on the two ends of the bracket; all brackets grow
-    together, one call of ``g`` per step on the elements still growing.  The
-    roots are then isolated by one ``find_root`` call (Chandrupatla's method)
-    to a bracket width of 1e-10.  An element whose target is still not
-    straddled after 60 steps has root NaN.
+    bracket is expanded geometrically (factor 2 per step, at most
+    ``BRACKET_EXPANSIONS`` steps) toward the side that has not yet straddled
+    its target, or toward both sides while ``g`` ties on the two ends of the
+    bracket; all brackets grow together, one call of ``g`` per step on the
+    elements still growing.  The roots are then isolated by one ``find_root``
+    call (Chandrupatla's method) to a bracket width of 1e-10.  An element
+    whose target is still not straddled after those steps has root NaN.
     """
     target, a, b, *args = np.broadcast_arrays(
         np.asarray(target, dtype=float),
@@ -206,7 +211,7 @@ def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidArgumentError("seed bracket must be finite")
     ga, gb = g(np.concatenate([a, b]), *(np.concatenate([x, x]) for x in args)).reshape(2, -1)
-    for _ in range(60):
+    for _ in range(BRACKET_EXPANSIONS):
         grow = np.flatnonzero(
             ~((np.minimum(ga, gb) <= target) & (target <= np.maximum(ga, gb)))
         )

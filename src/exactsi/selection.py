@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dposv
+from scipy.optimize import linprog
 
 from .errors import (
     ConvergenceError,
+    ExactSIError,
     InconsistentOutcomeError,
     InvalidArgumentError,
     InvalidSchemeError,
@@ -182,6 +184,18 @@ def _kkt_residual(
     return resid
 
 
+def _unbounded(gram: np.ndarray, c: np.ndarray, lam: float) -> bool:
+    """Whether ``0.5 b'Hb - c'b + lam ||b||_1`` with ``H = gram`` is unbounded
+    below.  It is bounded exactly when ``-c'z + lam ||z||_1 >= 0`` on the null
+    space of H, that is (by duality) when ``t* = min_v ||c - Hv||_inf <= lam``;
+    t* is the LP ``min t`` subject to ``-t <= c - Hv <= t``, solved by HiGHS.
+    """
+    ones = np.ones((c.size, 1))
+    rows, cost = np.block([[-gram, -ones], [gram, -ones]]), np.r_[np.zeros(c.size), 1.0]
+    res = linprog(cost, A_ub=rows, b_ub=np.r_[-c, c], bounds=(None, None), method="highs")
+    return res.status == 0 and res.fun > lam * (1 + 1e-9)
+
+
 def _active_set_lasso(
     gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float
 ) -> np.ndarray:
@@ -192,14 +206,20 @@ def _active_set_lasso(
     meet.  It scales with the data, so a change of units in y changes
     nothing, and not with b, so it cannot grow along an unbounded direction.
     Raises ``InvalidArgumentError`` when a null-space step shrinks no
-    coordinate (the objective is unbounded below along it), and
-    ``ConvergenceError`` with the last KKT residual after more than
-    ``_AS_MAX_STEPS`` restricted solves, at a singular restricted Gram with
-    no null-space step, or when the certificate fails.
+    coordinate (the objective is unbounded below along it).  The search
+    exits uncertified after more than ``_AS_MAX_STEPS`` restricted solves,
+    at a repeated (A, theta) pair (which a bounded objective cannot give),
+    at a singular restricted Gram with no null-space step, or when the
+    certificate fails.  There, with epsilon = 0, ``_unbounded`` decides
+    whether the objective is unbounded below (``InvalidArgumentError``);
+    otherwise it raises ``ConvergenceError`` with the last KKT residual.
     """
     tol = 1e-11 * max(float(np.max(np.abs(c))), lam)
+    seen = set()  # the (A, theta) pairs solved so far
 
-    def uncertified(why: str) -> ConvergenceError:
+    def uncertified(why: str) -> ExactSIError:
+        if epsilon == 0 and _unbounded(gram, c, lam):
+            return InvalidArgumentError("lasso objective is unbounded below")
         resid = _kkt_residual(gram @ b, c, b, lam, epsilon)
         return ConvergenceError(
             f"active-set lasso: {why} (KKT residual {resid:.3e}, tolerance {tol:.3e})",
@@ -223,6 +243,10 @@ def _active_set_lasso(
             steps += 1
             if steps > _AS_MAX_STEPS:
                 raise uncertified(f"more than {_AS_MAX_STEPS} restricted solves")
+            pair = frozenset(zip(A.tolist(), theta.tolist()))
+            if pair in seen:
+                raise uncertified("repeated active set and signs")
+            seen.add(pair)
             H_AA = gram[A[:, None], A] + epsilon * np.eye(A.size)
             _, new, info = dposv(H_AA, c[A] - lam * theta)  # Cholesky solve
             if info:
@@ -299,9 +323,10 @@ def solve_randomized_lasso(
     with theta, moves instead to the best of the zero crossings on the way
     there (a strict decrease of the objective) and drops the coordinates that
     reached zero, then solves again; and stops when no inactive coordinate
-    violates its bound.  No (A, theta) pair repeats, so it ends after finitely
-    many solves, typically about |A|; the solution is a linear solve away
-    from the KKT conditions, not a tolerance away like an iterative method.
+    violates its bound.  On a bounded objective no (A, theta) pair repeats,
+    so it ends after finitely many solves, typically about |A|; the solution
+    is a linear solve away from the KKT conditions, not a tolerance away like
+    an iterative method.
     When ``H_AA`` is singular (more active columns than the design's rank,
     as with p > n and epsilon = 0), the search steps along the null space of
     ``H_AA``, as LARS does (Efron et al. 2004), until a coordinate reaches
@@ -310,9 +335,10 @@ def solve_randomized_lasso(
     The search is the only solver, and its answer is certified to a KKT
     residual of ``1e-11 * max(||c||_inf, lam)`` (see ``_active_set_lasso``).
     Raises ``InvalidArgumentError`` when the objective is unbounded below (a
-    zero-norm column with epsilon = 0, or a null-space direction of the
-    active columns), and ``ConvergenceError``, carrying the KKT residual,
-    when the search cannot certify its answer.
+    zero-norm column with epsilon = 0, a null-space direction of the active
+    columns, or, where the search cannot certify its answer, the LP test of
+    ``_unbounded``), and otherwise ``ConvergenceError``, carrying the KKT
+    residual, when the search cannot certify its answer.
     """
     if not lam > 0:
         raise InvalidArgumentError("lam must be positive")

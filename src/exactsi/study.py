@@ -16,10 +16,11 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    solves the plain lasso; split and uv produce their intervals whole, with
    penalties ``rho * lam`` and ``sqrt(1 + f) * lam`` matched to the carving
    calibration.
-3. The returned ``Fit`` builds the constants of all its targets once
-   (``PivotParams`` or ``PolyhedralBounds``, one record of arrays), from
-   which callers take each target's interval or pivot value, or the error
-   that stopped that target, and apply their own error policy.
+3. The returned ``Fit`` builds the constants of all its targets once, by
+   ``build_target -> build_geometry -> pivot_params`` (exact) or
+   ``build_target -> polyhedral_bounds`` (polyhedral), one record of arrays,
+   from which callers take each target's interval or pivot value, or the
+   error that stopped that target, and apply their own error policy.
 
 The study generates sparse Gaussian regressions on an AR(1)-correlated
 design, runs the exact randomized method next to the polyhedral,
@@ -40,7 +41,7 @@ from functools import cached_property
 import numpy as np
 from scipy.stats import kstest
 
-from .conditioning import build_geometry, build_target, factor_randomization, target_basis
+from .conditioning import build_geometry, build_target
 from .errors import (
     ExactSIError,
     InsufficientSampleError,
@@ -53,7 +54,6 @@ from .inference import (
     PolyhedralBounds,
     exact_pivot,
     invert_pivot,
-    lasso_polyhedron,
     pivot_params,
     plug_in_sigma2,
     polyhedral_bounds,
@@ -337,15 +337,15 @@ class Fit:
 
     ``selected`` lists the selected features.  For the exact and polyhedral
     methods the first ``interval(j)`` or ``pivots(beta0)`` builds the
-    constants of every target once, together: ``target_basis`` and
-    ``build_target``, then ``factor_randomization``, ``build_geometry`` and
-    ``pivot_params`` (exact) or ``lasso_polyhedron`` and ``polyhedral_bounds``
-    (polyhedral).  One batched inversion (``invert_pivot`` or
-    ``polyhedral_interval``) gives every interval; ``interval(j)`` returns
-    entry j, or raises the error that stopped target j.  A target keeps the
-    error of the first check it fails; an error raised by a step that serves
-    every target becomes the error of each target still standing.  Split and
-    uv intervals come whole from their held-out fits.
+    constants of every target once, together, by stages that each check and
+    factor what they use: ``build_target -> build_geometry -> pivot_params``
+    (exact) or ``build_target -> polyhedral_bounds`` (polyhedral).  One
+    batched inversion (``invert_pivot`` or ``polyhedral_interval``) gives
+    every interval; ``interval(j)`` returns entry j, or raises the error that
+    stopped target j.  A target keeps the error of the first check it fails;
+    an error raised by a stage that serves every target becomes the error of
+    each target still standing.  Split and uv intervals come whole from their
+    held-out fits.
     """
 
     method: str
@@ -365,14 +365,14 @@ class Fit:
         """The constants of the targets that built, and each target's error."""
         errors: list = [None] * self.selected.size
         try:
-            target = build_target(target_basis(self.data, self.outcome, self.model))
+            target = build_target(self.data, self.outcome, self.model)
             if self.method == "polyhedral":
-                poly = lasso_polyhedron(self.data, self.selected, self.outcome.signs, self.lam)
-                return polyhedral_bounds(self.data, poly, target, self.sigma)
-            cond = factor_randomization(self.rep, self.omega)
-            geom = build_geometry(cond, target)
+                return polyhedral_bounds(
+                    self.data, self.selected, self.outcome.signs, self.lam, target, self.sigma
+                )
+            geom = build_geometry(self.rep, self.omega, target)
             errors = geom.errors
-            return pivot_params(self.data, cond, geom, target, sigma=self.sigma)
+            return pivot_params(self.data, geom, target, sigma=self.sigma)
         except ExactSIError as exc:
             return None, [e or exc for e in errors]
 

@@ -1,17 +1,34 @@
 """Calibration gates on the default study cell (slow; run with ``pytest -m slow``).
 
-The exact pivot must be Unif(0, 1) at the true projected target, the
-intervals from inverting it must cover at 1 - alpha within Monte-Carlo error,
-and they must be shorter than data splitting's at the matched split.  The
-polyhedral intervals must cover at least at 1 - alpha within Monte-Carlo
-error: clipping at 50 sd only widens them.
+The exact pivot must be Unif(0, 1) at the true projected target, pooled and
+given each selection event, the intervals from inverting it must cover at
+1 - alpha within Monte-Carlo error, and they must be shorter than data
+splitting's at the matched split.  The polyhedral pivot must be uniform given
+each of its events, and its intervals must cover at least at 1 - alpha within
+Monte-Carlo error: clipping at 50 sd only widens them.
 """
+
+import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
-from scipy.stats import ttest_rel
+from scipy.stats import kstest, ttest_rel
 
-from exactsi.study import SimConfig, run_study, validate_pivot_uniformity
+from exactsi.errors import ExactSIError
+from exactsi.selection import Dataset, tau2_from_split
+from exactsi.study import (
+    SimConfig,
+    _seed_for,
+    calibrate,
+    fit_method,
+    generate_design,
+    generate_response,
+    run_study,
+    support_indices,
+    true_projected_target,
+    validate_pivot_uniformity,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -20,6 +37,44 @@ def test_pooled_pivots_pass_ks():
     report = validate_pivot_uniformity(SimConfig(n_reps=60))["exact"]
     assert report.n_pooled >= 200
     assert report.p_value > 0.01
+
+
+def test_pivots_uniform_given_each_selection_event():
+    """The paper's claim is exactness given the selection, which a pooled
+    test cannot see: a defect miscalibrated in opposite directions on two
+    events can pass it.  Pivots at the truth, with ``validate``'s design and
+    seed streams, grouped by (method, selected set, signs, target); every
+    group of at least 200 values is tested, and the smallest p-value,
+    Bonferroni-adjusted, must exceed 0.01.  The polyhedral pivot is exact
+    given its own, non-randomized event."""
+    config = SimConfig(n=100, p=10, sparsity=2, n_reps=1500, seed=5,
+                       methods=("exact", "polyhedral"))
+    X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 10))
+    support = support_indices(config.p, config.sparsity)
+    tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
+    groups = defaultdict(list)
+    for rep_idx in range(config.n_reps):
+        y, beta = generate_response(
+            X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 11)
+        )
+        data = Dataset(y=y, X=X, sigma=math.sqrt(config.sigma2))
+        cal = calibrate(data, config.methods, tau2=tau2, epsilon=0.0)
+        for method in config.methods:
+            fit = fit_method(data, cal, method, config.model, config.alpha,
+                             _seed_for(config.seed, rep_idx, 12))
+            if not fit.selected.size:
+                continue
+            truths = true_projected_target(X, fit.selected, support, beta, config.model)
+            event = (method, tuple(fit.selected.tolist()), tuple(fit.outcome.signs.tolist()))
+            for j, value in enumerate(fit.pivots(truths)):
+                if not isinstance(value, ExactSIError):
+                    groups[event + (j,)].append(value)
+    tested = {key: kstest(vals, "uniform").pvalue
+              for key, vals in groups.items() if len(vals) >= 200}
+    for method in config.methods:
+        pvalues = [pval for key, pval in tested.items() if key[0] == method]
+        assert pvalues, f"no {method} event with 200 pivots"
+        assert min(1.0, min(pvalues) * len(pvalues)) > 0.01
 
 
 def test_coverage_within_three_standard_errors():

@@ -5,27 +5,22 @@ import pytest
 from conftest import carving_fit, toy_fit
 
 from exactsi import conditioning
-from exactsi.conditioning import (
-    build_geometry,
-    build_target,
-    factor_randomization,
-    target_basis,
-)
+from exactsi.conditioning import build_geometry, build_target
 from exactsi.errors import GeometryInconsistencyError, NumericalDegeneracyError
 from exactsi.selection import Dataset, solve_randomized_lasso
 
 
 def target_geometry(data, out, rep, omega, j=0):
     """The contrast and the geometry of target j, as columns of the fit's build."""
-    t = build_target(target_basis(data, out, "selected"))
-    g = build_geometry(factor_randomization(rep, omega), t)
+    t = build_target(data, out, "selected")
+    g = build_geometry(rep, omega, t)
     return t.contrast[:, j], g.rj[:, j], g.Qj[:, j], g.A_obs[:, j], g.lower[j], g.upper[j]
 
 
 class TestBuildTarget:
     def test_toy_contrast(self):
         data, out, _, _ = toy_fit()
-        t = build_target(target_basis(data, out, "selected"))
+        t = build_target(data, out, "selected")
         assert np.allclose(t.contrast, [[1.0], [0.0]])
         assert t.norm2 == pytest.approx([1.0])
 
@@ -35,7 +30,7 @@ class TestBuildTarget:
         y = X @ np.array([3.0, -2.5, 0.0, 0.0]) + 0.1 * rng.standard_normal(15)
         data = Dataset(y=y, X=X)
         out = solve_randomized_lasso(data, lam=0.5, epsilon=0.0, w=np.zeros(4))
-        t = build_target(target_basis(data, out, "selected"))
+        t = build_target(data, out, "selected")
         assert np.allclose(t.contrast, X[:, out.selected], atol=1e-10)
 
     def test_full_and_selected_agree_when_everything_selected(self):
@@ -45,33 +40,34 @@ class TestBuildTarget:
         data = Dataset(y=y, X=X)
         out = solve_randomized_lasso(data, lam=0.4, epsilon=0.0, w=np.zeros(3))
         assert out.selected.size == 3
-        a = build_target(target_basis(data, out, "selected"))
-        b = build_target(target_basis(data, out, "full"))
+        a = build_target(data, out, "selected")
+        b = build_target(data, out, "full")
         assert np.allclose(a.contrast, b.contrast, atol=1e-10)
 
     def test_one_column_per_selected_coordinate(self):
         rng = np.random.default_rng(5)
         data, out, _, _, _, _ = carving_fit(rng, min_selected=2)
-        for model in ("selected", "full"):
-            basis = target_basis(data, out, model)
-            t = build_target(basis)
-            assert t.contrast.shape == (data.n, out.selected.size)
+        E = out.selected
+        for model, design, columns in (
+            ("selected", data.X[:, E], np.arange(E.size)), ("full", data.X, E)
+        ):
+            t = build_target(data, out, model)
+            assert t.contrast.shape == (data.n, E.size)
             assert np.array_equal(t.norm2, (t.contrast**2).sum(axis=0))
             # column j is the contrast of selected coordinate j alone
-            for j, col in enumerate(basis.columns):
-                unit = np.zeros(basis.design.shape[1])
+            for j, col in enumerate(columns):
+                unit = np.zeros(design.shape[1])
                 unit[col] = 1.0
-                alone = basis.design @ np.linalg.solve(basis.design.T @ basis.design, unit)
+                alone = design @ np.linalg.solve(design.T @ design, unit)
                 assert np.allclose(t.contrast[:, j], alone, rtol=1e-8, atol=1e-10)
 
 
 class TestBuildGeometry:
     def test_toy_hand_values(self):
         data, out, rep, omega = toy_fit()
-        t = build_target(target_basis(data, out, "selected"))
-        cond = factor_randomization(rep, omega)
-        g = build_geometry(cond, t)
-        assert cond.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
+        t = build_target(data, out, "selected")
+        g = build_geometry(rep, omega, t)
+        assert g.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert g.rj[0, 0] == pytest.approx(-1.0, abs=1e-10)
         assert g.Qj[0, 0] == pytest.approx(-1.0, abs=1e-10)
         assert g.A_obs[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -93,8 +89,8 @@ class TestBuildGeometry:
         rng = np.random.default_rng(2)
         for _ in range(20):
             data, out, rep, omega, _, _ = carving_fit(rng)
-            t = build_target(target_basis(data, out, "selected"))
-            g = build_geometry(factor_randomization(rep, omega), t)
+            t = build_target(data, out, "selected")
+            g = build_geometry(rep, omega, t)
             assert g.errors == [None] * out.selected.size
             assert np.allclose((g.rj * g.Qj).sum(axis=0), 1.0, rtol=0, atol=1e-10)
             assert np.all(
@@ -109,9 +105,9 @@ class TestBuildGeometry:
             data, out, rep, omega, lam, tau2 = carving_fit(rng)
             XE = data.X[:, out.selected]
             theta_cf = tau2 * np.linalg.inv(XE.T @ XE)
-            cond = factor_randomization(rep, omega)
-            t = build_target(target_basis(data, out, "selected"))
-            theta, rj = cond.Theta, build_geometry(cond, t).rj
+            t = build_target(data, out, "selected")
+            g = build_geometry(rep, omega, t)
+            theta, rj = g.Theta, g.rj
             assert np.allclose(theta, theta_cf, rtol=1e-8, atol=1e-10)
             for j in range(out.selected.size):
                 rj_cf = np.zeros(out.selected.size)
@@ -137,9 +133,9 @@ class TestBuildGeometry:
 
     def test_tampered_solution_detected(self):
         data, out, rep, omega = toy_fit()
-        t = build_target(target_basis(data, out, "selected"))
+        t = build_target(data, out, "selected")
         rep.opt = np.array([-0.5])  # violates its own sign constraint
-        (error,) = build_geometry(factor_randomization(rep, omega), t).errors
+        (error,) = build_geometry(rep, omega, t).errors
         assert isinstance(error, GeometryInconsistencyError)
 
 
@@ -148,10 +144,9 @@ class TestAEta:
         # A_eta = O - Theta eta (eta'O) / (eta'Theta eta) at eta = rj
         rng = np.random.default_rng(6)
         data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
-        t = build_target(target_basis(data, out, "selected"))
-        cond = factor_randomization(rep, omega)
-        g = build_geometry(cond, t)
-        eta, theta = g.rj[:, 1], cond.Theta
+        t = build_target(data, out, "selected")
+        g = build_geometry(rep, omega, t)
+        eta, theta = g.rj[:, 1], g.Theta
         comp = rep.opt - (theta @ eta) * (eta @ rep.opt) / float(eta @ theta @ eta)
         assert np.allclose(comp, g.A_obs[:, 1], atol=1e-10)
         assert g.vartheta2[1] == pytest.approx(float(eta @ theta @ eta), rel=1e-12)

@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor
 from scipy.special import ndtr, ndtri
 
-from exactsi.conditioning import (
-    TargetSpec,
-    build_geometry,
-    build_target,
-    factor_randomization,
-    target_basis,
-)
+from exactsi.conditioning import TargetSpec, build_geometry, build_target
 from exactsi import inference
 from exactsi.errors import (
     ExactSIError,
@@ -39,7 +33,6 @@ from exactsi.inference import (
     PolyhedralBounds,
     exact_pivot,
     invert_pivot,
-    lasso_polyhedron,
     pivot_params,
     plug_in_sigma2,
     polyhedral_bounds,
@@ -67,9 +60,8 @@ from exactsi.study import (
 
 def exact_targets(data, out, rep, omega, sigma=1.0):
     """Every target's exact-pivot constants, built together as a fit builds them."""
-    cond = factor_randomization(rep, omega)
-    target = build_target(target_basis(data, out, "selected"))
-    params, errors = pivot_params(data, cond, build_geometry(cond, target), target, sigma=sigma)
+    target = build_target(data, out, "selected")
+    params, errors = pivot_params(data, build_geometry(rep, omega, target), target, sigma=sigma)
     assert errors == [None] * out.selected.size
     return params
 
@@ -101,7 +93,7 @@ class TestPivotParams:
         for _ in range(20):
             data, out, rep, omega, lam, tau2 = carving_fit(rng)
             every = exact_targets(data, out, rep, omega)
-            targets = build_target(target_basis(data, out, "selected"))
+            targets = build_target(data, out, "selected")
             for j in range(out.selected.size):
                 generic = take(every, j)
                 target = TargetSpec(targets.contrast[:, j], float(targets.norm2[j]))
@@ -386,7 +378,7 @@ class TestPolyhedral:
         lam = 3.0
         out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=np.zeros(1))
         assert out.selected.size == 1
-        target = build_target(target_basis(data, out, "selected"))
+        target = build_target(data, out, "selected")
         beta_hat = float(target.contrast[:, 0] @ y)
         h_minus = lam / float(x @ x)
         sd = math.sqrt(target.norm2[0])
@@ -411,9 +403,8 @@ class TestPolyhedral:
     def test_tampered_signs_detected(self):
         rng = np.random.default_rng(8)
         data, out, lam = standard_lasso_fit(rng)
-        target = build_target(target_basis(data, out, "selected"))
-        poly = lasso_polyhedron(data, out.selected, -out.signs, lam)
-        _, errors = polyhedral_bounds(data, poly, target, 1.0)
+        target = build_target(data, out, "selected")
+        _, errors = polyhedral_bounds(data, out.selected, -out.signs, lam, target, 1.0)
         assert isinstance(errors[0], GeometryInconsistencyError)
 
     def test_event_equivalence_brute_force(self):
@@ -426,7 +417,7 @@ class TestPolyhedral:
             if not out.selected.size:
                 continue
             fits += 1
-            target = build_target(target_basis(data, out, "selected"))
+            target = build_target(data, out, "selected")
             bounds = polyhedral_targets(data, out, lam)
             for j in range(out.selected.size):
                 targets += 1
@@ -465,9 +456,8 @@ class TestPolyhedral:
 
 def polyhedral_targets(data, out, lam):
     """Every target's polyhedral bounds, built together as a fit builds them."""
-    target = build_target(target_basis(data, out, "selected"))
-    poly = lasso_polyhedron(data, out.selected, out.signs, lam)
-    bounds, errors = polyhedral_bounds(data, poly, target, 1.0)
+    target = build_target(data, out, "selected")
+    bounds, errors = polyhedral_bounds(data, out.selected, out.signs, lam, target, 1.0)
     assert errors == [None] * out.selected.size
     return bounds
 
@@ -685,9 +675,11 @@ class TestEqualColumns:
         cho_factor(X.T @ X)  # passes: no rank information
         return Dataset(y=rng.standard_normal(30), X=X)
 
-    def test_lasso_polyhedron(self):
+    def test_polyhedral_bounds(self):
+        data = self.data()
+        target = TargetSpec(data.X, (data.X**2).sum(axis=0))
         with pytest.raises(SingularDesignError, match="selected design is rank deficient"):
-            lasso_polyhedron(self.data(), np.array([0, 1]), np.array([1.0, 1.0]), 1.0)
+            polyhedral_bounds(data, np.array([0, 1]), np.array([1.0, 1.0]), 1.0, target, 1.0)
 
     def test_selected_plug_in(self):
         with pytest.raises(SingularDesignError, match="plug-in design is rank deficient"):

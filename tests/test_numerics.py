@@ -249,9 +249,19 @@ class TestIntegrateWeightedGaussian:
         assert val == -math.inf
 
 
-def slice_line(coefs, slack, scale):
-    """``line_interval`` on one line: ``(lower, upper, violated)`` as Python values."""
-    lower, upper, violated = line_interval(coefs[:, None], slack[:, None], np.c_[scale])
+def lines(coefs, slack, across=1.0):
+    """``line_interval`` on the rows ``[coefs_i, across_i]`` along the unit
+    directions of the first columns: ``rows @ direction`` is ``coefs``
+    exactly, and ``across`` sets each row's norm, so its zero tolerance."""
+    coefs = np.asarray(coefs, dtype=float).reshape(len(slack), -1)
+    rows = np.column_stack([coefs, np.broadcast_to(across, len(slack))])
+    direction = np.eye(rows.shape[1], coefs.shape[1])
+    return line_interval(rows, direction, np.reshape(slack, coefs.shape))
+
+
+def slice_line(coefs, slack, across=1.0):
+    """One line's ``(lower, upper, violated)`` as Python values."""
+    lower, upper, violated = lines(coefs, slack, across)
     return float(lower[0]), float(upper[0]), bool(violated[0])
 
 
@@ -259,25 +269,35 @@ class TestLineInterval:
     def test_zero_row_that_holds_is_ignored(self):
         coefs = np.array([0.0, -1.0, 2.0, 1e-15])
         slack = np.array([1.0, 3.0, 4.0, 0.5])
-        assert slice_line(coefs, slack, 1e-12) == (-3.0, 2.0, False)
+        assert slice_line(coefs, slack) == (-3.0, 2.0, False)
 
     def test_violated_zero_row_is_flagged(self):
         coefs = np.array([-(2.0**-50), 1.0])
         slack = np.array([-0.5, 1.0])
-        assert slice_line(coefs, slack, 1e-12)[2]
-        # the tolerance is per row: under a smaller scale the row bounds t
-        assert slice_line(coefs, slack, np.array([1e-20, 1e-12])) == (2.0**49, 1.0, False)
+        assert slice_line(coefs, slack)[2]
+        # the tolerance is per row, relative to its norm: a row that is
+        # orthogonal to the line only up to 2^-50 / 1e-8 bounds it
+        assert slice_line(coefs, slack, np.array([1e-8, 1.0])) == (2.0**49, 1.0, False)
+
+    def test_tolerance_is_relative_to_the_direction(self):
+        rows = np.array([[1e-15, 1.0], [1.0, 1.0]])
+        slack = np.array([[-0.5], [1.0]])
+        for size in (1e-9, 1.0, 1e9):
+            direction = np.array([[size], [0.0]])
+            lower, upper, violated = line_interval(rows, direction, slack)
+            assert bool(violated[0]) and upper[0] == 1.0 / size
 
     def test_unbounded_side_is_infinite(self):
-        assert slice_line(np.array([2.0]), np.array([4.0]), 1e-12) == (-math.inf, 2.0, False)
-        assert slice_line(np.array([-2.0]), np.array([4.0]), 1e-12) == (-2.0, math.inf, False)
+        assert slice_line(np.array([2.0]), np.array([4.0])) == (-math.inf, 2.0, False)
+        assert slice_line(np.array([-2.0]), np.array([4.0])) == (-2.0, math.inf, False)
         empty = np.zeros(0)
-        assert slice_line(empty, empty, empty) == (-math.inf, math.inf, False)
+        lower, upper, violated = line_interval(np.zeros((0, 2)), np.ones((2, 1)), empty[:, None])
+        assert (lower[0], upper[0], violated[0]) == (-math.inf, math.inf, False)
 
     def test_bounds_are_tightest_rows(self):
         coefs = np.array([-1.0, -2.0, 1.0, 4.0])
         slack = np.array([1.0, 1.0, 3.0, 4.0])
-        assert slice_line(coefs, slack, 1e-12) == (-0.5, 1.0, False)
+        assert slice_line(coefs, slack) == (-0.5, 1.0, False)
 
     def test_columns_are_sliced_alone(self):
         coefs = np.array([
@@ -290,14 +310,13 @@ class TestLineInterval:
             [2.0, -4.0, 6.0, 1.0],  # column 1: lower -3 above upper -4, empty
             [1.0, 1.0, 1.0, 2.0],   # column 2: bounded above only
         ])                          # column 3: every row orthogonal, the full line
-        scale = np.full(coefs.shape, 1e-12)
-        lower, upper, violated = line_interval(coefs, slack, scale)
+        lower, upper, violated = lines(coefs, slack)
         assert violated.tolist() == [True, False, False, False]
         assert (lower[1], upper[1]) == (-3.0, -4.0)
         assert (lower[2], upper[2]) == (-math.inf, 2.0)
         assert (lower[3], upper[3]) == (-math.inf, math.inf)
         for j in range(4):
-            alone = slice_line(coefs[:, j], slack[:, j], scale[:, j])
+            alone = slice_line(coefs[:, j], slack[:, j])
             assert (float(lower[j]), float(upper[j]), bool(violated[j])) == alone
 
 

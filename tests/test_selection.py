@@ -307,6 +307,78 @@ class TestRandomizedLasso:
         assert np.array_equal(scaled.signs, base.signs)
 
 
+GRID = [
+    (n, p, corr, dup, s)
+    for n, p in ((20, 60), (60, 150), (100, 30), (300, 100), (600, 300))
+    for corr in (0.5, 0.9)
+    for dup in (False, True)
+    for s in range(4)
+]
+
+
+def probe(n, p, corr, dup, s):
+    """One solve of the probe grid: an AR(corr) design, column p - 1 equal to
+    column 0 if ``dup``, w_j ~ N(0, 0.5 (X'X)_jj) outside X's row space, no
+    ridge, and a tenth of the theory penalty, where many objectives are
+    unbounded below."""
+    X = generate_design(n, p, corr, s)
+    if dup:
+        X[:, p - 1] = X[:, 0]
+    y, _ = generate_response(X, support_indices(p, 5), 0.75, 3.0, s + 1)
+    w = np.random.default_rng(s + 100).standard_normal(p) * np.sqrt(0.5 * np.diag(X.T @ X))
+    return Dataset(y=y, X=X), w, 0.1 * theory_lambda(X, np.sqrt(3.0))
+
+
+class TestUnboundedVerdict:
+    """Every exit of the search that cannot certify its answer first asks
+    the LP of ``_unbounded`` whether the objective is unbounded below."""
+
+    @pytest.mark.parametrize("case, exit", [
+        ((20, 60, 0.5, False, 0), "repeated active set and signs"),
+        ((100, 30, 0.5, True, 2), "KKT certificate failed"),
+    ], ids=["repeat", "certificate"])
+    def test_uncertified_exit_of_an_unbounded_objective(self, monkeypatch, case, exit):
+        """A cycle through p > n (it used to run all 1000 restricted solves)
+        and a failed certificate after LAPACK factors the singular Gram of two
+        equal columns by rounding: both objectives are unbounded below."""
+        data, w, lam = probe(*case)
+        with pytest.raises(InvalidArgumentError, match="unbounded below"):
+            solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=w)
+        # with the LP's verdict withheld, the exit is the one named
+        monkeypatch.setattr(selection, "_unbounded", lambda *args: False)
+        with pytest.raises(ConvergenceError, match=exit):
+            solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=w)
+
+    def test_lp_verdict_is_the_duality_bound(self):
+        """Bounded exactly when some v has ||c - Hv||_inf <= lam: c = X'y lies
+        in the range of H = X'X, so t* = 0; tilting c by 2 lam along a null
+        vector's signs makes t* = 2 lam."""
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((20, 60))
+        gram, c = X.T @ X, X.T @ rng.standard_normal(20)
+        assert not selection._unbounded(gram, c, 1e-6)
+        z = np.linalg.svd(X)[2][-1]
+        assert selection._unbounded(gram, c + 2.0 * np.sign(z), 1.0)
+        assert not selection._unbounded(gram, c + 2.0 * np.sign(z), 3.0)
+
+    @pytest.mark.slow
+    def test_probe_grid(self):
+        """80 solves: every one is certified or raises InvalidArgumentError,
+        and the LP agrees with each verdict."""
+        verdicts = []
+        for case in GRID:
+            data, w, lam = probe(*case)
+            gram, c = data.X.T @ data.X, data.X.T @ data.y + w
+            try:
+                solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=w)
+                verdicts.append("certified")
+                assert not selection._unbounded(gram, c, lam), case
+            except InvalidArgumentError:
+                verdicts.append("unbounded")
+                assert selection._unbounded(gram, c, lam), case
+        assert verdicts.count("certified") == 38 and verdicts.count("unbounded") == 42
+
+
 class TestLassoEventRep:
     def test_toy_reconstruction_arithmetic(self):
         data = toy_dataset()

@@ -308,7 +308,9 @@ def test_one_factorization_per_fit(monkeypatch):
     targets make as many condition checks, rank tests, Cholesky
     factorizations and triangular solves as one does.  An exact fit solves for the contrasts,
     Omega^{-1} Q, Theta, and the cores and directions of its pivot constants;
-    a polyhedral fit for the contrasts and the two solves of its polyhedron."""
+    a polyhedral fit for the contrasts and the two solves of its polyhedron.
+    Every check and factorization of an exact fit runs inside one of the
+    stages ``build_target``, ``build_geometry`` and ``pivot_params``."""
     config = SimConfig()
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 0))
     y, _ = generate_response(
@@ -318,12 +320,25 @@ def test_one_factorization_per_fit(monkeypatch):
     data = Dataset(y=y, X=X)
     cal = calibrate(data, ("exact", "polyhedral"), rho=config.rho, epsilon=0.0)
     calls = []
+    stages = []  # the exact stages on the stack
 
     def counted(name, real):
         def call(mat, *args, **kwargs):
             # a solve's first argument is a factor: its size is not counted
-            calls.append((name, None if name == "cho_solve" else np.shape(mat)))
+            calls.append((name, None if name == "cho_solve" else np.shape(mat), bool(stages)))
             return real(mat, *args, **kwargs)
+
+        return call
+
+    def staged(name):
+        real = getattr(study, name)
+
+        def call(*args, **kwargs):
+            stages.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                stages.pop()
 
         return call
 
@@ -334,6 +349,8 @@ def test_one_factorization_per_fit(monkeypatch):
         monkeypatch.setattr(module, "cho_factor", counted("cho_factor", module.cho_factor))
     for module in (conditioning, inference):
         monkeypatch.setattr(module, "cho_solve", counted("cho_solve", module.cho_solve))
+    for name in ("build_target", "build_geometry", "pivot_params"):
+        monkeypatch.setattr(study, name, staged(name))
 
     def factorizations(method, all_targets):
         seed = _seed_for(config.seed, 0, 2)
@@ -348,9 +365,12 @@ def test_one_factorization_per_fit(monkeypatch):
     for method, solves in (("exact", 4), ("polyhedral", 3)):
         one, every = factorizations(method, False), factorizations(method, True)
         assert one and every == one
-        assert [name for name, _ in every].count("cho_solve") == solves
-        big = [name for name, shape in every if shape == p_by_p]
+        assert [name for name, _, _ in every].count("cho_solve") == solves
+        big = [name for name, shape, _ in every if shape == p_by_p]
         assert big == (["eigvalsh", "cho_factor"] if method == "exact" else [])
+        if method == "exact":
+            in_stage = [inside for name, _, inside in every if name != "cho_solve"]
+            assert in_stage and all(in_stage)
 
 
 @pytest.mark.parametrize("sigma", [None, 1.7])
