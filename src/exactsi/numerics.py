@@ -4,7 +4,9 @@ Log probabilities of univariate Gaussians over intervals (with infinite
 endpoints allowed), elementwise; the slice of a polyhedron along a line; the
 rank test of a Gram matrix; and the vectorized inversion of monotone
 functions, which brackets every root by doubling and then solves them all in
-one call of Chandrupatla's method (``scipy.optimize.elementwise.find_root``).
+one loop of Chandrupatla's method, written here on plain numpy arrays.  The
+loop starts from the function values the bracketing already computed and
+stops each root at a bracket width of 1e-10 (plus 4 eps of the root).
 Tail quantities are computed through ``log_ndtr`` (scaled complementary error
 function under the hood) so that differences of far-tail CDFs never cancel to
 zero while the true value is representable.  The log-space Simpson quadrature
@@ -22,7 +24,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpstrf
-from scipy.optimize.elementwise import find_root
 from scipy.special import log_ndtr, logsumexp
 
 from .errors import (
@@ -35,6 +36,13 @@ from .errors import (
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Doubling steps a seed bracket may take before its root is declared missing.
 BRACKET_EXPANSIONS = 60
+# Chandrupatla's stopping rule: a bracket narrower than 4 eps |x| + 1e-10, or
+# a function value no larger than the smallest normal, ends the search; as many
+# iterations as bisections span the normal floats end it too.
+_XATOL = 1e-10
+_XRTOL = 4 * np.finfo(float).eps
+_FATOL = np.finfo(float).smallest_normal
+_MAX_ITERATIONS = math.log2(np.finfo(float).max) - math.log2(_FATOL)
 
 
 @dataclass(frozen=True)
@@ -184,6 +192,69 @@ def line_interval(
     return lower, upper, violated
 
 
+def _chandrupatla(g, target, x1, f1, x2, f2, args):
+    """Roots of ``g(x, *args) = target`` in the brackets ``[x1, x2]``, whose
+    ends have the values ``f1 = g(x1) - target`` and ``f2 = g(x2) - target``.
+
+    Chandrupatla's method (Adv. Eng. Software 28(3):145-149, 1997), one call
+    of ``g`` per iteration on the elements still open: an inverse quadratic
+    step through the last three points where it is safe, else bisection, kept
+    half a tolerance inside the bracket.  The arithmetic is that of
+    ``scipy.optimize.elementwise.find_root`` with ``xatol=1e-10``, step for
+    step.  Returns the roots and their statuses: 0 converged, -1 the ends
+    share a sign, -2 iteration cap, -3 non-finite value; the root is NaN on
+    statuses -1 and -3.
+    """
+    roots = np.full(target.size, np.nan)
+    status = np.zeros(target.size, dtype=int)
+    active = np.arange(target.size)
+    x3 = f3 = None
+    nit = 0
+    while True:
+        better = np.abs(f1) < np.abs(f2)
+        xmin, fmin = np.where(better, x1, x2), np.where(better, f1, f2)
+        code = np.where(np.abs(fmin) <= _FATOL, 0, 1)
+        code[(code == 1) & (np.sign(f1) == np.sign(f2))] = -1
+        nonfinite = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
+        code[(code == 1) & nonfinite] = -3
+        xmin[code < 0] = np.nan  # and so tol is NaN: no narrow bracket rescues it
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * _XRTOL + _XATOL
+        code[dx < tol] = 0
+        if nit >= _MAX_ITERATIONS:
+            code[code == 1] = -2
+        stop = code != 1
+        roots[active[stop]], status[active[stop]] = xmin[stop], code[stop]
+        go = ~stop
+        if not go.any():
+            return roots, status
+        active = active[go]
+        x1, f1, x2, f2, dx, tol, target = (v[go] for v in (x1, f1, x2, f2, dx, tol, target))
+        args = [arg[go] for arg in args]
+        t = 0.5
+        if x3 is not None:
+            x3, f3 = x3[go], f3[go]
+            with np.errstate(all="ignore"):  # the bisected lanes may divide by 0
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                quadratic = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(
+                    quadratic,
+                    f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                    0.5,
+                )
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        f = g(x, *args) - target
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+        nit += 1
+
+
 def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:
     """Solve ``g(x) = target`` elementwise for continuous monotone ``g``.
 
@@ -193,9 +264,14 @@ def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:
     ``BRACKET_EXPANSIONS`` steps) toward the side that has not yet straddled
     its target, or toward both sides while ``g`` ties on the two ends of the
     bracket; all brackets grow together, one call of ``g`` per step on the
-    elements still growing.  The roots are then isolated by one ``find_root``
-    call (Chandrupatla's method) to a bracket width of 1e-10.  An element
-    whose target is still not straddled after those steps has root NaN.
+    elements still growing.  An element whose target is still not
+    straddled after those steps has root NaN, and one that ``g`` hits
+    exactly at a bracket end has that end.  The other roots are isolated
+    together by Chandrupatla's method (``_chandrupatla``) to a bracket width
+    of 1e-10 plus 4 eps of the root, starting from the values ``g`` took on
+    the final bracket ends, so the search evaluates neither end again.
+    ``NumericalDegeneracyError`` reports a root the method could not isolate
+    inside its straddling bracket, such as one where ``g`` is NaN.
     """
     target, a, b, *args = np.broadcast_arrays(
         np.asarray(target, dtype=float),
@@ -240,20 +316,19 @@ def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:
     roots[straddled & (ga == target)] = a[straddled & (ga == target)]
     solve = np.flatnonzero(straddled & (ga != target) & (gb != target))
     if solve.size:
-
-        def f(x, t, *rest):
-            return g(x, *rest) - t
-
-        res = find_root(
-            f,
-            (a[solve], b[solve]),
-            args=(target[solve], *(arg[solve] for arg in args)),
-            tolerances={"xatol": 1e-10},
+        x, status = _chandrupatla(
+            g,
+            target[solve],
+            a[solve],
+            ga[solve] - target[solve],
+            b[solve],
+            gb[solve] - target[solve],
+            [arg[solve] for arg in args],
         )
-        if not res.success.all():
+        if status.any():
             raise NumericalDegeneracyError(
                 "root finding failed inside a straddling bracket "
-                f"(status {sorted(set(res.status[~res.success].tolist()))})"
+                f"(status {sorted(set(status[status != 0].tolist()))})"
             )
-        roots[solve] = res.x
+        roots[solve] = x
     return roots.reshape(shape)

@@ -606,6 +606,12 @@ class TestBatchedInversion:
         assert polyhedral_interval(PolyhedralBounds(*[none] * 4), alpha=0.1) == []
 
     @PROPERTY_SETTINGS
+    @given(model_pivot_params())
+    def test_scalar_record_matches_scalar_reference(self, params):
+        (got,) = invert_pivot(params, 0.1)
+        assert_agrees(got, reference_invert_pivot, params)
+
+    @PROPERTY_SETTINGS
     @given(st.lists(model_pivot_params(), min_size=1, max_size=4))
     def test_stacked_record_matches_scalar_reference(self, each):
         got = invert_pivot(stack(each), alpha=0.1)

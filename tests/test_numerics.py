@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpstrf
+from scipy.optimize.elementwise import find_root
 from scipy.special import ndtr
 
 from exactsi.errors import (
     EmptyMassError,
     InvalidArgumentError,
+    NumericalDegeneracyError,
     SingularDesignError,
 )
 from exactsi.numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _chandrupatla,
     factor_gram,
     independent_columns,
     integrate_weighted_gaussian,
@@ -368,3 +373,101 @@ class TestInvertMonotone:
         assert math.isnan(x[0])
         assert abs(x[1] - math.atanh(0.5)) < 1e-10
         assert math.isnan(invert_monotone(np.tanh, 2.0, -1.0, 1.0))
+
+    def test_nan_inside_a_straddling_bracket_fails(self):
+        def g(x):
+            return np.where(np.abs(x - 0.3) < 0.2, np.nan, x)
+
+        with pytest.raises(NumericalDegeneracyError) as info:
+            invert_monotone(g, 0.3, -1.0, 1.0)
+        assert str(info.value) == (
+            "root finding failed inside a straddling bracket (status [-3])"
+        )
+
+    def test_root_search_reevaluates_no_bracket_end(self):
+        # the root search starts from the values the bracketing computed on
+        # the final bracket ends and stays strictly inside them, so each
+        # element's smallest and largest abscissae are those ends, seen once
+        shift = np.array([0.0, 2.0, -4.0, 7.0, 0.5, -0.2])
+        seen = []
+
+        def g(x, k):
+            seen.extend(zip(k.tolist(), x.tolist()))
+            return np.tanh(x / 3.0 - shift[k])
+
+        x = invert_monotone(g, 0.3, -1.0, 1.0, args=(np.arange(shift.size),))
+        assert np.abs(np.tanh(x / 3.0 - shift) - 0.3).max() < 1e-10
+        for k in range(shift.size):
+            xs = [v for j, v in seen if j == k]
+            assert xs.count(min(xs)) == 1 and xs.count(max(xs)) == 1
+            if (min(xs), max(xs)) == (-1.0, 1.0):  # a bracket that did not grow
+                assert len(xs) == len(set(xs))
+
+
+def monotone(x, kind, scale, center):
+    """Element-wise monotone test functions of ``u = scale (x - center)``:
+    kind 0 ``tanh(u)``, 1 ``tanh(u**3)``, 2 ``u``, 3 the step ``floor(u)``,
+    4 ``u`` with a NaN hole over ``|u| < 0.5``."""
+    u = scale * (x - center)
+    return np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [np.tanh(u), np.tanh(u**3), u, np.floor(u)],
+        np.where(np.abs(u) < 0.5, np.nan, u),
+    )
+
+
+def scipy_roots(target, x1, x2, args):
+    """The oracle: scipy's elementwise Chandrupatla driver at ``xatol=1e-10``."""
+    res = find_root(
+        lambda x, t, *rest: monotone(x, *rest) - t,
+        (x1, x2),
+        args=(target, *args),
+        tolerances={"xatol": 1e-10},
+    )
+    return res.x, res.status
+
+
+def same_as_scipy(target, x1, x2, args):
+    """``_chandrupatla``'s roots and statuses, asserted equal to scipy's."""
+    f1 = monotone(x1, *args) - target
+    f2 = monotone(x2, *args) - target
+    x, status = _chandrupatla(monotone, target, x1, f1, x2, f2, args)
+    want_x, want_status = scipy_roots(target, x1, x2, args)
+    assert np.array_equal(x, want_x, equal_nan=True)
+    assert status.tolist() == want_status.tolist()  # and so the success flags
+    return x, status
+
+
+@st.composite
+def root_problem(draw):
+    """One element: a monotone function, a level and a bracket whose sides
+    lie 1e-12 to 10 from the function's center, so that some brackets are
+    already narrower than the tolerance and some do not straddle; the level
+    0.5 ties the step's values on the two sides of a jump."""
+    kind = draw(st.integers(0, 4))
+    scale = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    center = draw(st.floats(-10.0, 10.0))
+    target = draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-0.99, 0.99)))
+    left, right = (10.0 ** draw(st.floats(-12.0, 1.0)) for _ in range(2))
+    return target, center - left, center + right, kind, scale, center
+
+
+class TestChandrupatla:
+    """The in-house loop is scipy's ``find_root`` arithmetic, bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(root_problem(), min_size=1, max_size=20))
+    def test_bit_identical_to_scipy(self, problems):
+        target, x1, x2, kind, scale, center = map(np.array, zip(*problems))
+        same_as_scipy(target, x1, x2, (kind, scale, center))
+
+    def test_elements_stopping_at_once_leave_the_others_going(self):
+        # element 0 starts narrower than its tolerance, element 1 has its
+        # root at the first midpoint, the others iterate on
+        target = np.array([0.0, 0.0, 0.2, 0.5])
+        x1 = np.array([1.0 - 1e-12, -1.0, -3.0, -2.0])
+        x2 = np.array([1.0 + 1e-12, 1.0, 4.0, 5.0])
+        args = (np.array([2, 2, 0, 1]), np.ones(4), np.array([1.0, 0.0, 0.3, 0.4]))
+        x, status = same_as_scipy(target, x1, x2, args)
+        assert status.tolist() == [0, 0, 0, 0]
+        assert x[1] == 0.0
