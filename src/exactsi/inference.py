@@ -16,8 +16,9 @@ targets of a fit at once, by the last stage of ``build_target ->
 build_geometry -> pivot_params`` (exact) or ``build_target ->
 polyhedral_bounds`` (polyhedral); both pivots are evaluated elementwise.
 A fit's intervals come from one vectorized inversion (``invert_pivot``,
-``polyhedral_interval``) that brackets and solves every endpoint of every
-target together; each target keeps its own error.
+``polyhedral_interval``) that solves every endpoint of every target together
+by safeguarded Newton steps on the pivot's probit scale, from each endpoint's
+full-line value; each target keeps its own error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import erfcx, log_ndtr, ndtr, ndtri, owens_t
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, owens_t
 
 from .conditioning import ConditioningGeometry, TargetSpec
 from .errors import (
@@ -40,7 +41,7 @@ from .errors import (
     SingularDesignError,
 )
 from .numerics import BRACKET_EXPANSIONS, factor_gram, independent_columns, invert_monotone
-from .numerics import line_interval, log_truncation_prob
+from .numerics import line_interval, log_standard_mass
 from .selection import Dataset, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
@@ -77,6 +78,13 @@ class PivotParams:
       over V on a window fitted to each log-concave integrand, which keeps
       their relative accuracy (~1e-12) however small the mass;
     * both tails below the smallest double: the 0/1 limit.
+
+    ``invert_pivot`` solves on the probit ``Phi^{-1}(pivot)``
+    (``_exact_probit``), taken from the log of the smaller tail with its
+    closed-form slope in beta0.  Without truncation the probit is
+    ``(beta_hat_j - lambda_j beta0 - zeta_j) / sigma_j``, linear in beta0,
+    so each endpoint is seeded at that line's root, and ``sigma_j /
+    lambda_j`` is the scale of its stopping rule.
     """
 
     vartheta2: float | np.ndarray
@@ -311,16 +319,27 @@ def _columns(record) -> tuple:
     return tuple(getattr(record, f.name) for f in fields(record))
 
 
-def exact_pivot(params: PivotParams, beta0):
-    """Value of the exact pivot at the hypothesized target values ``beta0``.
+def _log_phi(x):
+    """Log of the standard normal density, elementwise."""
+    return -0.5 * x * x - _LOG_SQRT_2PI
 
-    The fields of ``params`` are one target's constants, or arrays of
-    several targets' constants that broadcast against ``beta0``; elementwise,
-    with a float for scalar constants at a scalar ``beta0``.  Closed form
-    through Owen's T where the truncation mass and the smaller tail allow it,
-    else the log-space rule; see ``PivotParams``.  Where the standardized
-    constants overflow or neither conditional tail has representable mass,
-    the 0/1 limit is returned: 0 for ``beta0`` above the estimate, 1 below it.
+
+def _probit(log_small, lower_side):
+    """``Phi^{-1}`` of a pivot from the log of its smaller tail, which is its
+    lower one (the pivot itself) where ``lower_side`` is set; finite far into
+    both tails."""
+    h = ndtri_exp(log_small)
+    return np.where(lower_side, h, -h)
+
+
+def _exact_tails(params: PivotParams, beta0):
+    """Everything ``exact_pivot`` and ``_exact_probit`` share, elementwise.
+
+    Returns the broadcast shape, the pivot, the log of its smaller tail (of
+    P(U <= u) and P(U > u) given the truncation; -inf in the 0/1 limit), a
+    mask that is set where that tail is the lower one, the log truncation
+    mass, and the standardized constants ``(u, a, b, r, s)`` after the
+    reflection of V, with ``du/dbeta0`` and ``da/dbeta0 = db/dbeta0``.
     """
     arrays = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (beta0, *_columns(params)))
@@ -341,11 +360,16 @@ def exact_pivot(params: PivotParams, beta0):
         mean_y = icpt - vt2 * mean
         a = (lower - mean_y) / sd_y
         b = (upper - mean_y) / sd_y
+        ab_slope = vt2 * lam_j / sd_y
     out = np.where(beta0 > beta_hat, 0.0, 1.0)  # the 0/1 limit
+    log_small = np.full(out.shape, -math.inf)
+    lower_side = out == 0.0
+    log_mass = np.full(out.shape, math.nan)
     live = ~(np.isnan(a) | np.isnan(b)) & np.isfinite(u)
     # reflect V so that the endpoint nearer its bulk is the lower one
     flip = a < -b
     a, b, r = np.where(flip, -b, a), np.where(flip, -a, b), np.where(flip, -r, r)
+    ab_slope = np.where(flip, -ab_slope, ab_slope)
     mass = ndtr(-a) - ndtr(-b)
     done = np.zeros(out.shape, dtype=bool)
     idx = np.flatnonzero(live & (mass >= _OWEN_MIN_MASS))
@@ -357,8 +381,12 @@ def exact_pivot(params: PivotParams, beta0):
         above = at_a - at_b
         below = mi - above
         ok = np.minimum(above, below) >= _OWEN_MIN_TAIL * mi
-        out[idx[ok]] = np.clip(below[ok] / mi[ok], 0.0, 1.0)
-        done[idx[ok]] = True
+        idx, below, above, mi = idx[ok], below[ok], above[ok], mi[ok]
+        out[idx] = np.clip(below / mi, 0.0, 1.0)
+        log_mass[idx] = np.log(mi)
+        log_small[idx] = np.log(np.minimum(below, above)) - log_mass[idx]
+        lower_side[idx] = below <= above
+        done[idx] = True
     idx = np.flatnonzero(live & ~done)
     if idx.size:
         # P(U <= u | V = v) = Phi((u - r v) / s); both tails in one call
@@ -370,12 +398,70 @@ def exact_pivot(params: PivotParams, beta0):
             np.tile(b[idx], 2),
         ).reshape(2, -1)
         some = (log_below > -math.inf) | (log_above > -math.inf)
-        ratio = np.exp(-np.abs(log_above[some] - log_below[some]))  # smaller tail over larger
+        idx, log_below, log_above = idx[some], log_below[some], log_above[some]
+        gap = -np.abs(log_above - log_below)
+        ratio = np.exp(gap)  # smaller tail over larger
         small = ratio / (1.0 + ratio)
-        out[idx[some]] = np.where(log_below[some] <= log_above[some], small, 1.0 - small)
+        out[idx] = np.where(log_below <= log_above, small, 1.0 - small)
+        log_small[idx] = gap - np.log1p(ratio)
+        lower_side[idx] = log_below <= log_above
+        log_mass[idx] = np.logaddexp(log_below, log_above) - _LOG_SQRT_2PI
+    return shape, out, log_small, lower_side, log_mass, (u, a, b, r, s), -lam_j / sd, ab_slope
+
+
+def exact_pivot(params: PivotParams, beta0):
+    """Value of the exact pivot at the hypothesized target values ``beta0``.
+
+    The fields of ``params`` are one target's constants, or arrays of
+    several targets' constants that broadcast against ``beta0``; elementwise,
+    with a float for scalar constants at a scalar ``beta0``.  Closed form
+    through Owen's T where the truncation mass and the smaller tail allow it,
+    else the log-space rule; see ``PivotParams``.  Where the standardized
+    constants overflow or neither conditional tail has representable mass,
+    the 0/1 limit is returned: 0 for ``beta0`` above the estimate, 1 below it.
+    """
+    shape, out, *_ = _exact_tails(params, beta0)
     if not shape:
         return float(out[0])
     return out.reshape(shape)
+
+
+def _exact_probit(params: PivotParams, beta0):
+    """The exact pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and its
+    slope ``dh/dbeta0``, as flat arrays over the broadcast elements.
+
+    ``h`` comes from the log of the pivot's smaller tail, so it is finite far
+    into both tails, and it is linear in beta0 without truncation.  The slope
+    is ``pivot' / phi(h)``: each partial of the orthant difference is
+    ``phi(x) Phi((y - r x) / s)``, u, a and b are affine in beta0, and every
+    term is formed in log space against the log mass, so that it holds in
+    the log-space regime too.  In the 0/1 limit ``h`` is infinite and the
+    slope NaN.
+    """
+    _, _, log_small, lower_side, log_mass, std, du, dab = _exact_tails(params, beta0)
+    h = _probit(log_small, lower_side)
+    slope = np.full(h.shape, math.nan)
+    idx = np.flatnonzero(np.isfinite(h) & (std[4] > 0))
+    if idx.size:
+        u, a, b, r, s = (x[idx] for x in std)
+        side = np.where(lower_side[idx], 1.0, -1.0)
+        log_weight = -log_mass[idx] - _log_phi(h[idx])  # 1 / (mass phi(h))
+        # far out a term may overflow, and the slope is then unusable
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_along = _log_phi(u) + log_standard_mass((a - r * u) / s, (b - r * u) / s)
+            # the U partial: phi(u) P(a < V < b | U = u)
+            along_u = np.exp(log_along + log_weight)
+            across = np.zeros(idx.size)
+            for end, sign in ((a, -1.0), (b, 1.0)):
+                # phi(end) (Phi(+-z) - smaller tail) / (mass phi(h)), as two
+                # terms; both vanish at an infinite end
+                log_end = _log_phi(end) + log_weight
+                z = (u - r * end) / s
+                across += sign * (
+                    np.exp(log_end + log_ndtr(side * z)) - np.exp(log_end + log_small[idx])
+                )
+            slope[idx] = du[idx] * along_u + side * dab[idx] * across
+    return h, slope
 
 
 def _results(
@@ -411,26 +497,33 @@ def invert_pivot(
 ) -> list[IntervalEstimate | ExactSIError]:
     """Level ``1 - alpha`` intervals from the strictly decreasing exact pivots.
 
-    Inverts every endpoint of every target in one ``invert_monotone`` call,
-    each from the seed bracket ``beta_hat +- 5 sd / lambda_j``.  Entry i is
-    target i's interval, or the error that stopped it (``NoRootError`` when
-    an endpoint's bracket never straddled its level).
+    Solves every endpoint of every target in one ``invert_monotone`` call, on
+    the pivot's probit scale (``_exact_probit``): the pivot is the level
+    ``1 - alpha / 2`` (lower endpoint) or ``alpha / 2`` (upper) exactly where
+    its probit is ``+z`` or ``-z``, ``z = Phi^{-1}(1 - alpha / 2)``.  Each
+    endpoint starts at its full-line value ``(beta_hat - zeta -+ z sd) /
+    lambda``, its root without truncation, and stops at a step of
+    ``numerics._STEP_TOL`` times ``sd / lambda``.  Entry i is target i's
+    interval, or the error that stopped it (``NoRootError`` when an
+    endpoint is not bracketed within ``BRACKET_EXPANSIONS`` steps).
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
     batch = PivotParams(*(np.atleast_1d(x).astype(float) for x in _columns(params)))
     k = batch.beta_hat_j.size
-    half = 5.0 * np.sqrt(batch.sigma_j2) / batch.lambda_j
+    sd = np.sqrt(batch.sigma_j2)
+    z = float(ndtri(1.0 - alpha / 2.0))
     levels = (1.0 - alpha / 2.0, alpha / 2.0)  # of the lower, then the upper endpoints
 
-    def pivot_at(x, *columns):
-        return exact_pivot(PivotParams(*columns), x)
+    def probit_at(x, *columns):
+        return _exact_probit(PivotParams(*columns), x)
 
+    center = batch.beta_hat_j - batch.zeta_j
     roots = invert_monotone(
-        pivot_at,
-        np.repeat(levels, k),
-        np.tile(batch.beta_hat_j - half, 2),
-        np.tile(batch.beta_hat_j + half, 2),
+        probit_at,
+        np.repeat([z, -z], k),
+        np.concatenate([center - z * sd, center + z * sd]) / np.tile(batch.lambda_j, 2),
+        np.tile(sd / batch.lambda_j, 2),
         args=tuple(np.tile(col, 2) for col in _columns(batch)),
     ).reshape(2, k)
     unset = np.zeros(k, dtype=bool)
@@ -506,6 +599,33 @@ def polyhedral_bounds(
     return PolyhedralBounds(lower[ok], upper[ok], beta_hat[ok], sigma * np.sqrt(norm2[ok])), errors
 
 
+def _polyhedral_tails(bounds: PolyhedralBounds, beta0):
+    """Everything ``polyhedral_pivot`` and ``_polyhedral_probit`` share,
+    elementwise over the broadcast fields and ``beta0``.
+
+    Returns the pivot; the logs of the masses of ``(lower, beta_hat)``,
+    ``(beta_hat, upper)`` and ``(lower, upper)`` under N(beta0, sd^2); the
+    elements whose pivot is neither a 0/1 limit nor an estimate outside its
+    bounds; and ``lower``, ``beta_hat`` and ``upper`` standardized.
+    """
+    beta0, sd = np.asarray(beta0, dtype=float), np.asarray(bounds.sd, dtype=float)
+    lower, beta_hat, upper = (
+        np.asarray(x, dtype=float) for x in (bounds.lower, bounds.beta_hat, bounds.upper)
+    )
+    with np.errstate(invalid="ignore"):
+        std = np.broadcast_arrays(*((x - beta0) / sd for x in (lower, beta_hat, upper)))
+        a, m, b = std
+        # lanes with beta_hat outside (lower, upper) are overwritten below
+        logs = log_standard_mass(np.stack([a, a, m]), np.stack([m, b, b]))
+        log_below, log_den = logs[0], logs[1]
+        out = np.clip(np.exp(log_below - log_den), 0.0, 1.0)
+    empty = log_den == -math.inf
+    out = np.where(empty, np.where(beta0 > beta_hat, 0.0, 1.0), out)
+    inside = (lower < beta_hat) & (beta_hat < upper)
+    out = np.where(beta_hat <= lower, 0.0, np.where(beta_hat >= upper, 1.0, out))
+    return out, logs, inside & ~empty, std
+
+
 def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
     """Truncated-Gaussian CDF of the estimate at its observed value, given ``beta0``.
 
@@ -514,19 +634,35 @@ def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
     carries no representable mass at ``beta0``, the limit is returned: 0 for
     ``beta0`` above the estimate, 1 below it.
     """
-    lower, upper, beta_hat, sd, beta0 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float)
-          for x in (bounds.lower, bounds.upper, bounds.beta_hat, bounds.sd, beta0))
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # lanes with beta_hat outside (lower, upper) are overwritten below
-        log_num, log_den = log_truncation_prob((lower, np.stack([beta_hat, upper])), beta0, sd)
-        out = np.clip(np.exp(log_num - log_den), 0.0, 1.0)
-    out = np.where(log_den == -math.inf, np.where(beta0 > beta_hat, 0.0, 1.0), out)
-    out = np.where(beta_hat <= lower, 0.0, np.where(beta_hat >= upper, 1.0, out))
+    out = _polyhedral_tails(bounds, beta0)[0]
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _polyhedral_probit(bounds: PolyhedralBounds, beta0):
+    """The polyhedral pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and
+    its slope ``dh/dbeta0``, elementwise.
+
+    With ``a, m, b`` the standardized ``lower, beta_hat, upper`` and ``D``
+    the truncation mass, the pivot F has slope ``[(1 - F) phi(a) + F phi(b) -
+    phi(m)] / (sd D)`` and ``h' = F' / phi(h)``; every term is formed in log
+    space against ``log D``.  ``h`` comes from the log of the smaller tail,
+    so it is finite far into both tails; in the 0/1 limit it is infinite and
+    the slope NaN.
+    """
+    out, (log_below, log_den, log_above), live, (a, m, b) = _polyhedral_tails(bounds, beta0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower_side = np.where(live, log_below <= log_above, out == 0.0)
+        h = _probit(np.where(live, np.minimum(log_below, log_above) - log_den, -math.inf),
+                    lower_side)
+        log_weight = -2.0 * log_den - _log_phi(h)  # 1 / (D^2 phi(h))
+        slope = (
+            np.exp(log_above + _log_phi(a) + log_weight)
+            + np.exp(log_below + _log_phi(b) + log_weight)
+            - np.exp(log_den + _log_phi(m) + log_weight)
+        ) / bounds.sd
+    return h, np.where(live & np.isfinite(h), slope, math.nan)
 
 
 def polyhedral_interval(
@@ -537,13 +673,16 @@ def polyhedral_interval(
     """Invert the polyhedral pivots of one or several targets; huge endpoints are clipped.
 
     Truncated-Gaussian intervals can be effectively infinite; an endpoint
-    beyond ``beta_hat +- 50 sd`` is clipped there and the estimate flagged.
+    beyond ``beta_hat +- 50 sd`` is clipped there and the estimate flagged,
+    as the pivot on the window's ends (one call for all targets) shows.
     When both endpoints lie beyond the same side of that window (the estimate
     sits almost on a truncation bound), clipping one would put it past the
-    other, so both are returned unclipped.  Lower endpoints are solved from
-    the seed bracket ``[beta_hat - 50 sd, beta_hat]`` and upper ones from
-    ``[beta_hat, beta_hat + 50 sd]``, all in one ``invert_monotone`` call.
-    Entry i is target i's interval, or the error that stopped it.
+    other, so both are returned unclipped.  The other endpoints are solved
+    in one ``invert_monotone`` call on the pivot's probit scale
+    (``_polyhedral_probit``), each from its full-line value ``beta_hat -+ z
+    sd`` (``z = Phi^{-1}(1 - alpha / 2)``), and stop at a step of
+    ``numerics._STEP_TOL`` times ``sd``.  Entry i is target i's interval, or
+    the error that stopped it.
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
@@ -551,14 +690,13 @@ def polyhedral_interval(
     k = batch.beta_hat.size
     beta_hat, sd = batch.beta_hat, batch.sd
     levels = p_lower, p_upper = 1.0 - alpha / 2.0, alpha / 2.0
-
-    def pivot_at(x, *cols):
-        return polyhedral_pivot(PolyhedralBounds(*cols), x)
+    z = float(ndtri(p_lower))
 
     clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * sd
     clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * sd
-    at_lo, at_hi = pivot_at(
-        np.concatenate([clip_lo, clip_hi]), *(np.tile(col, 2) for col in _columns(batch))
+    at_lo, at_hi = polyhedral_pivot(
+        PolyhedralBounds(*(np.tile(col, 2) for col in _columns(batch))),
+        np.concatenate([clip_lo, clip_hi]),
     ).reshape(2, k)
     # both endpoints below the window, or both above it: neither is clipped
     below, above = at_lo < p_upper, at_hi > p_lower
@@ -566,11 +704,16 @@ def polyhedral_interval(
     clip_upper = ~below & ~above & (at_hi > p_upper)
     solve_lo, solve_hi = np.flatnonzero(~clip_lower), np.flatnonzero(~clip_upper)
     which = np.concatenate([solve_lo, solve_hi])
+
+    def probit_at(x, *cols):
+        return _polyhedral_probit(PolyhedralBounds(*cols), x)
+
+    target = np.repeat([z, -z], (solve_lo.size, solve_hi.size))
     roots = invert_monotone(
-        pivot_at,
-        np.repeat(levels, (solve_lo.size, solve_hi.size)),
-        np.concatenate([clip_lo[solve_lo], beta_hat[solve_hi]]),
-        np.concatenate([beta_hat[solve_lo], clip_hi[solve_hi]]),
+        probit_at,
+        target,
+        beta_hat[which] - target * sd[which],
+        sd[which],
         args=tuple(col[which] for col in _columns(batch)),
     )
     lower, upper = clip_lo.copy(), clip_hi.copy()

@@ -3,10 +3,14 @@
 Log probabilities of univariate Gaussians over intervals (with infinite
 endpoints allowed), elementwise; the slice of a polyhedron along a line; the
 rank test of a Gram matrix; and the vectorized inversion of monotone
-functions, which brackets every root by doubling and then solves them all in
-one loop of Chandrupatla's method, written here on plain numpy arrays.  The
-loop starts from the function values the bracketing already computed and
-stops each root at a bracket width of 1e-10 (plus 4 eps of the root).
+functions.  The inversion runs one safeguarded Newton loop over all
+elements: each starts at its own seed, keeps a bracket from the signs of the
+values it has seen, bisects where a Newton step would leave that bracket or
+the slope is unusable, steps out by a doubling multiple of its own scale
+while it has no bracket, and stops when its next step is at most 1e-10 of
+that scale (plus 4 eps of the root), so that the rule does not depend on
+units.  The pivots are inverted on their probit scale, where a pivot without
+truncation is linear in its parameter (see ``inference.invert_pivot``).
 Tail quantities are computed through ``log_ndtr`` (scaled complementary error
 function under the hood) so that differences of far-tail CDFs never cancel to
 zero while the true value is representable.  The log-space Simpson quadrature
@@ -34,15 +38,17 @@ from .errors import (
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# Doubling steps a seed bracket may take before its root is declared missing.
+# Steps an element may take without a bracket before its root is declared missing.
 BRACKET_EXPANSIONS = 60
-# Chandrupatla's stopping rule: a bracket narrower than 4 eps |x| + 1e-10, or
-# a function value no larger than the smallest normal, ends the search; as many
-# iterations as bisections span the normal floats end it too.
-_XATOL = 1e-10
-_XRTOL = 4 * np.finfo(float).eps
-_FATOL = np.finfo(float).smallest_normal
-_MAX_ITERATIONS = math.log2(np.finfo(float).max) - math.log2(_FATOL)
+# ``invert_monotone`` stops an element when its next step is at most
+# _STEP_TOL times its scale plus 4 eps of the iterate.
+_STEP_TOL = 1e-10
+_X_RTOL = 4 * np.finfo(float).eps
+# Inside a bracket the step length at least halves every two iterations, so
+# twice the bisections that span the doubles bound the loop.
+_MAX_ITERATIONS = BRACKET_EXPANSIONS + 2 * int(
+    math.log2(np.finfo(float).max) - math.log2(np.finfo(float).smallest_subnormal)
+)
 
 
 @dataclass(frozen=True)
@@ -63,15 +69,12 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def _log1mexp(d):
-    """log(1 - exp(d)) for d <= 0, elementwise, without catastrophic loss."""
-    d = np.asarray(d, dtype=float)
-    out = np.full(d.shape, -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        small = d < -math.log(2.0)  # exp(d) < 1/2: log1p is safe
-        out = np.where(small, np.log1p(-np.exp(np.minimum(d, 0.0))), out)
-        big = (~small) & (d < 0)  # exp(d) close to 1: expm1 keeps precision
-        out = np.where(big, np.log(-np.expm1(np.where(big, d, -1.0))), out)
-    return out
+    """log(1 - exp(d)) for d <= 0, elementwise, without catastrophic loss;
+    -inf for d >= 0 and for NaN (the difference of two -inf logs)."""
+    d = np.fmin(d, 0.0)
+    with np.errstate(divide="ignore"):
+        # exp(d) < 1/2: log1p is safe; exp(d) close to 1: expm1 keeps precision
+        return np.where(d < -math.log(2.0), np.log1p(-np.exp(d)), np.log(-np.expm1(d)))
 
 
 def log_truncation_prob(interval, theta, vartheta):
@@ -91,19 +94,23 @@ def log_truncation_prob(interval, theta, vartheta):
     if np.isnan(theta).any():
         raise InvalidArgumentError("log_truncation_prob: NaN theta")
     with np.errstate(invalid="ignore"):
-        za = (lower - theta) / vartheta
-        zb = (upper - theta) / vartheta
-        # Reflect so the dominant endpoint sits in the left tail; `za > -zb`
-        # is the overlap-free way to test za + zb > 0 with infinities around.
-        flip = za > -zb
-        lo_arg = np.where(flip, -zb, za)
-        hi_arg = np.where(flip, -za, zb)
-    log_hi = log_ndtr(hi_arg)
-    log_lo = log_ndtr(lo_arg)
-    out = log_hi + _log1mexp(log_lo - log_hi)
+        out = log_standard_mass((lower - theta) / vartheta, (upper - theta) / vartheta)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def log_standard_mass(za, zb):
+    """Log of P(za < Z < zb) for a standard normal Z, elementwise over arrays
+    of standardized endpoints (infinite ones allowed), without checks: the
+    kernel of ``log_truncation_prob``."""
+    # Reflect so the dominant endpoint sits in the left tail; `za > -zb` is
+    # the overlap-free way to test za + zb > 0 with infinities around.
+    flip = za > -zb
+    lo_arg = np.where(flip, -zb, za)
+    hi_arg = np.where(flip, -za, zb)
+    log_hi = log_ndtr(hi_arg)
+    return log_hi + _log1mexp(log_ndtr(lo_arg) - log_hi)
 
 
 def integrate_weighted_gaussian(
@@ -192,143 +199,108 @@ def line_interval(
     return lower, upper, violated
 
 
-def _chandrupatla(g, target, x1, f1, x2, f2, args):
-    """Roots of ``g(x, *args) = target`` in the brackets ``[x1, x2]``, whose
-    ends have the values ``f1 = g(x1) - target`` and ``f2 = g(x2) - target``.
-
-    Chandrupatla's method (Adv. Eng. Software 28(3):145-149, 1997), one call
-    of ``g`` per iteration on the elements still open: an inverse quadratic
-    step through the last three points where it is safe, else bisection, kept
-    half a tolerance inside the bracket.  The arithmetic is that of
-    ``scipy.optimize.elementwise.find_root`` with ``xatol=1e-10``, step for
-    step.  Returns the roots and their statuses: 0 converged, -1 the ends
-    share a sign, -2 iteration cap, -3 non-finite value; the root is NaN on
-    statuses -1 and -3.
-    """
-    roots = np.full(target.size, np.nan)
-    status = np.zeros(target.size, dtype=int)
-    active = np.arange(target.size)
-    x3 = f3 = None
-    nit = 0
-    while True:
-        better = np.abs(f1) < np.abs(f2)
-        xmin, fmin = np.where(better, x1, x2), np.where(better, f1, f2)
-        code = np.where(np.abs(fmin) <= _FATOL, 0, 1)
-        code[(code == 1) & (np.sign(f1) == np.sign(f2))] = -1
-        nonfinite = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
-        code[(code == 1) & nonfinite] = -3
-        xmin[code < 0] = np.nan  # and so tol is NaN: no narrow bracket rescues it
-        dx = np.abs(x2 - x1)
-        tol = np.abs(xmin) * _XRTOL + _XATOL
-        code[dx < tol] = 0
-        if nit >= _MAX_ITERATIONS:
-            code[code == 1] = -2
-        stop = code != 1
-        roots[active[stop]], status[active[stop]] = xmin[stop], code[stop]
-        go = ~stop
-        if not go.any():
-            return roots, status
-        active = active[go]
-        x1, f1, x2, f2, dx, tol, target = (v[go] for v in (x1, f1, x2, f2, dx, tol, target))
-        args = [arg[go] for arg in args]
-        t = 0.5
-        if x3 is not None:
-            x3, f3 = x3[go], f3[go]
-            with np.errstate(all="ignore"):  # the bisected lanes may divide by 0
-                xi1 = (x1 - x2) / (x3 - x2)
-                phi1 = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
-                quadratic = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-                t = np.where(
-                    quadratic,
-                    f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
-                    0.5,
-                )
-            tl = 0.5 * tol / dx
-            t = np.clip(t, tl, 1 - tl)
-        x = x1 + t * (x2 - x1)
-        f = g(x, *args) - target
-        same = np.sign(f) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, f
-        nit += 1
-
-
-def invert_monotone(g, target, lower, upper, args=()) -> np.ndarray:
+def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
     """Solve ``g(x) = target`` elementwise for continuous monotone ``g``.
 
-    ``g(x, *args)`` is evaluated elementwise, and ``target``, the seed
-    brackets ``[lower, upper]`` and ``args`` broadcast together.  Each
-    bracket is expanded geometrically (factor 2 per step, at most
-    ``BRACKET_EXPANSIONS`` steps) toward the side that has not yet straddled
-    its target, or toward both sides while ``g`` ties on the two ends of the
-    bracket; all brackets grow together, one call of ``g`` per step on the
-    elements still growing.  An element whose target is still not
-    straddled after those steps has root NaN, and one that ``g`` hits
-    exactly at a bracket end has that end.  The other roots are isolated
-    together by Chandrupatla's method (``_chandrupatla``) to a bracket width
-    of 1e-10 plus 4 eps of the root, starting from the values ``g`` took on
-    the final bracket ends, so the search evaluates neither end again.
-    ``NumericalDegeneracyError`` reports a root the method could not isolate
-    inside its straddling bracket, such as one where ``g`` is NaN.
+    ``g(x, *args)`` returns the values of g and of its slope at the
+    abscissae ``x``, elementwise.  ``target``, the starting points ``seed``,
+    each element's positive length ``scale`` and ``args`` broadcast
+    together.  All elements run one safeguarded Newton loop, one call of
+    ``g`` per iteration on the elements still open:
+
+    * the nearest abscissae seen so far where g is below and above the
+      target bracket the root once both exist;
+    * the values show which way g rises once there is a bracket or two
+      values on one side of the target; a slope is usable where it is finite
+      and nonzero, gives a finite step, and agrees with them;
+    * inside a bracket, the Newton step is taken when it lands strictly
+      inside the bracket and is at most half the step before the last, else
+      the bracket is bisected;
+    * without a bracket, the Newton step is taken where the slope is usable;
+      elsewhere a blind step of ``scale``, doubled at each blind step, goes
+      the way the values show the target, or alternates sides while they
+      show nothing.  After ``BRACKET_EXPANSIONS`` steps without a bracket the
+      root is NaN.
+
+    An element stops when its next step is at most ``_STEP_TOL * scale + 4
+    eps |x|``; its root is the point that step reaches, so the stopping rule
+    scales with the problem.  An element where g equals its target has that
+    abscissa as root.  A NaN value of g raises ``NumericalDegeneracyError``.
     """
-    target, a, b, *args = np.broadcast_arrays(
+    target, x, scale, *args = np.broadcast_arrays(
         np.asarray(target, dtype=float),
-        np.asarray(lower, dtype=float),
-        np.asarray(upper, dtype=float),
-        *(np.asarray(x) for x in args),
+        np.asarray(seed, dtype=float),
+        np.asarray(scale, dtype=float),
+        *(np.asarray(a) for a in args),
     )
     shape = target.shape
-    target, a, b = (x.ravel().copy() for x in (target, a, b))
-    args = [x.ravel() for x in args]
-    if not target.size:
-        return target.reshape(shape)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidArgumentError("seed bracket must be finite")
-    ga, gb = g(np.concatenate([a, b]), *(np.concatenate([x, x]) for x in args)).reshape(2, -1)
-    for _ in range(BRACKET_EXPANSIONS):
-        grow = np.flatnonzero(
-            ~((np.minimum(ga, gb) <= target) & (target <= np.maximum(ga, gb)))
-        )
-        if not grow.size:
-            break
-        width = b[grow] - a[grow]
-        increasing = gb[grow] >= ga[grow]
-        target_above = target[grow] > np.maximum(ga[grow], gb[grow])
-        # For increasing g, values grow to the right; move the deficient side.
-        right = target_above == increasing
-        # A tie g(a) == g(b) does not tell the direction: move the other side too.
-        tie = ga[grow] == gb[grow]
-        x = np.concatenate([
-            np.where(right, b[grow] + width, a[grow] - width),
-            np.where(right, a[grow] - width, b[grow] + width)[tie],
-        ])
-        moved = np.concatenate([grow, grow[tie]])
-        right = np.concatenate([right, ~right[tie]])
-        gx = g(x, *(arg[moved] for arg in args))
-        i, j = moved[right], moved[~right]
-        b[i], gb[i] = x[right], gx[right]
-        a[j], ga[j] = x[~right], gx[~right]
-    straddled = (np.minimum(ga, gb) <= target) & (target <= np.maximum(ga, gb))
-    roots = np.full(target.shape, np.nan)
-    roots[straddled & (gb == target)] = b[straddled & (gb == target)]
-    roots[straddled & (ga == target)] = a[straddled & (ga == target)]
-    solve = np.flatnonzero(straddled & (ga != target) & (gb != target))
-    if solve.size:
-        x, status = _chandrupatla(
-            g,
-            target[solve],
-            a[solve],
-            ga[solve] - target[solve],
-            b[solve],
-            gb[solve] - target[solve],
-            [arg[solve] for arg in args],
-        )
-        if status.any():
-            raise NumericalDegeneracyError(
-                "root finding failed inside a straddling bracket "
-                f"(status {sorted(set(status[status != 0].tolist()))})"
+    roots = np.full(target.size, np.nan)
+    if not (np.isfinite(x).all() and np.isfinite(scale).all() and (scale > 0).all()):
+        raise InvalidArgumentError("seeds must be finite and scales positive and finite")
+    idx = np.arange(target.size)
+    args = [a.ravel() for a in args]
+    # one column per open element: its target and iterate; its absolute
+    # tolerance; the nearest abscissae seen below and above the target with
+    # their values (NaN and -+inf until seen); which way the values show g
+    # rising (0 while they do not); the steps taken without a bracket; the
+    # next blind step, which doubles and changes side at each blind step; and
+    # the last two step lengths, halved
+    ones = np.ones(idx.size)
+    state = np.array([
+        target.ravel(), x.ravel(), _STEP_TOL * scale.ravel(), np.nan * ones, -np.inf * ones,
+        np.nan * ones, np.inf * ones, 0 * ones, 0 * ones, scale.ravel(), np.inf * ones,
+        np.inf * ones,
+    ])
+    for _ in range(_MAX_ITERATIONS if idx.size else 0):
+        target, x, atol, neg, f_neg, pos, f_pos, rising, outward, reach, last, before = state
+        value, slope = g(x, *args)
+        f = value - target
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # a bracket shows which way g rises, and so do two values on one
+            # side of the target
+            below = f < 0
+            trend = (x - np.where(below, neg, pos)) * (f - np.where(below, f_neg, f_pos))
+            near = below & (f >= f_neg)
+            neg, f_neg = np.where(near, x, neg), np.where(near, f, f_neg)
+            near = (f > 0) & (f <= f_pos)
+            pos, f_pos = np.where(near, x, pos), np.where(near, f, f_pos)
+            width = pos - neg
+            bracketed = width == width
+            trend = np.where(bracketed, width, trend)
+            rising = np.where(np.abs(trend) > 0, np.sign(trend), rising)
+            # a slope counts where it agrees with the values, or they tell nothing
+            newton = -f / slope
+            usable = np.isfinite(newton * slope) & (slope * rising >= 0)
+            tol = atol + _X_RTOL * np.abs(x)
+            size = np.abs(newton)
+            lo, hi = np.fmin(neg, pos), np.fmax(neg, pos)
+            landing = x + newton
+            # inside a bracket, a Newton step must land strictly inside it and
+            # at least halve the step before the last, unless it is within the
+            # tolerance, which ends the search even on an end of the bracket
+            trusted = usable & (
+                ~bracketed | (size <= tol) | ((lo < landing) & (landing < hi) & (size <= before))
             )
-        roots[solve] = x
+            away = -rising * np.sign(f)
+            blind = np.where(away == 0, reach, away * np.abs(reach))
+            step = np.where(
+                trusted, newton, np.where(bracketed, 0.5 * lo + 0.5 * hi - x, blind)
+            )
+            step[f == 0] = 0.0
+        done = np.abs(step) <= tol
+        stop = done | np.isnan(f) | (~bracketed & (outward >= BRACKET_EXPANSIONS))
+        state = np.array([
+            target, x + step, atol, neg, f_neg, pos, f_pos, rising, outward + ~bracketed,
+            np.where(trusted | bracketed, reach, -2.0 * reach), 0.5 * np.abs(step), last,
+        ])
+        if stop.any():
+            if np.isnan(f).any():
+                raise NumericalDegeneracyError("root finding met a NaN value of g")
+            roots[idx[done]] = state[1, done]
+            keep = ~stop
+            state, idx, args = state[:, keep], idx[keep], [a[keep] for a in args]
+            if not idx.size:
+                return roots.reshape(shape)
+    if idx.size:
+        raise NumericalDegeneracyError(f"root finding did not converge in {_MAX_ITERATIONS} steps")
     return roots.reshape(shape)

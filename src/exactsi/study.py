@@ -33,6 +33,7 @@ seed, replicate index), so worker scheduling cannot change results.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -135,12 +136,15 @@ class SimConfig:
 
 @dataclass
 class MethodSummary:
-    """Aggregates for one method across replicates."""
+    """Aggregates for one method across replicates; ``failures`` counts the
+    failed replicates by exception class name, sorted, and ``n_failed`` is
+    their sum."""
 
     n_reps: int
     n_used: int
     n_empty: int
     n_failed: int
+    failures: dict[str, int]
     coverage: float
     coverage_se: float
     length: float
@@ -162,12 +166,19 @@ class StudySummary:
 
 @dataclass(frozen=True)
 class UniformityReport:
-    """KS test of pooled pivots; ``n_failed`` counts pivots that raised."""
+    """KS test of pooled pivots; ``n_failed`` counts pivots that raised, and
+    ``failures`` counts them by exception class name, sorted."""
 
     statistic: float
     p_value: float
     n_pooled: int
     n_failed: int
+    failures: dict[str, int]
+
+
+def _by_class(errors: list[ExactSIError]) -> dict[str, int]:
+    """How many of ``errors`` each exception class has, by sorted class name."""
+    return dict(sorted(Counter(type(e).__name__ for e in errors).items()))
 
 
 def _seed_for(master: int, rep: int, stream: int) -> int:
@@ -546,11 +557,12 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     summaries: dict[str, MethodSummary] = {}
     for method in config.methods:
         per_rep_cov, per_rep_len, per_rep_f1 = [], [], []
-        n_empty = n_failed = clipped = total = 0
+        n_empty = clipped = total = 0
+        errors = []
         for rows, outcomes in results:
             outcome = outcomes[method]
             if isinstance(outcome, ExactSIError):
-                n_failed += 1
+                errors.append(outcome)
                 continue
             per_rep_f1.append(outcome)
             mrows = [r for r in rows if r["method"] == method]
@@ -568,7 +580,8 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
             n_reps=config.n_reps,
             n_used=len(per_rep_cov),
             n_empty=n_empty,
-            n_failed=n_failed,
+            n_failed=len(errors),
+            failures=_by_class(errors),
             coverage=cov,
             coverage_se=cov_se,
             length=ln,
@@ -587,9 +600,9 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
     The design stays fixed across replicates; response and randomization are
     redrawn, and the noise level is taken as known so the check isolates the
     pivot itself.  Requires the exact method; also reports the polyhedral
-    pivot when listed.  A target whose pivot raises is counted in
-    ``n_failed`` and the rest of its replicate is still pooled; a fit that
-    raises before any target counts once.
+    pivot when listed.  A target whose pivot raises is counted, under its
+    exception class, and the rest of its replicate is still pooled; a fit
+    that raises before any target counts once.
     """
     if "exact" not in config.methods:
         raise InvalidArgumentError("uniformity validation requires the exact method")
@@ -600,7 +613,7 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
     lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
     methods = [m for m in config.methods if m in ("exact", "polyhedral")]
     pooled: dict[str, list[float]] = {m: [] for m in methods}
-    failed = dict.fromkeys(methods, 0)
+    failed: dict[str, list[ExactSIError]] = {m: [] for m in methods}
     for rep_idx in range(config.n_reps):
         y, beta = generate_response(
             X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 11)
@@ -614,12 +627,12 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
                     _seed_for(config.seed, rep_idx, 12),
                 )
                 truths = true_projected_target(X, fit.selected, support, beta, config.model)
-            except ExactSIError:
-                failed[method] += 1
+            except ExactSIError as exc:
+                failed[method].append(exc)
                 continue
             for value in fit.pivots(truths):
                 if isinstance(value, ExactSIError):
-                    failed[method] += 1
+                    failed[method].append(value)
                 else:
                     pooled[method].append(value)
     reports = {}
@@ -633,6 +646,7 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
             statistic=float(stat),
             p_value=float(pval),
             n_pooled=len(vals),
-            n_failed=failed[method],
+            n_failed=len(failed[method]),
+            failures=_by_class(failed[method]),
         )
     return reports

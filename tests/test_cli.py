@@ -663,13 +663,15 @@ def test_one_failing_target_is_one_error_row(tmp_path, monkeypatch, where):
 
     monkeypatch.setattr(study, "pivot_params", pivot_params)
     if where == "inversion":
-        real_pivot = inference.exact_pivot
+        real_probit = inference._exact_probit
 
         def stuck(batch, beta0):
-            flat = built[0].beta_hat_j[1]
-            return np.where(batch.beta_hat_j == flat, 0.5, real_pivot(batch, beta0))
+            # pivot 0.5 (probit 0) with slope 0
+            h, slope = real_probit(batch, beta0)
+            mask = batch.beta_hat_j == built[0].beta_hat_j[1]
+            return np.where(mask, 0.0, h), np.where(mask, 0.0, slope)
 
-        monkeypatch.setattr(inference, "exact_pivot", stuck)
+        monkeypatch.setattr(inference, "_exact_probit", stuck)
         message = "target 0.95 not straddled after 60 bracket expansions"
     else:
         message = "injected degeneracy"
@@ -712,8 +714,9 @@ def test_study_fails_a_method_on_its_first_failing_target(monkeypatch):
 def test_unit_change_scales_every_interval(tmp_path):
     """``infer`` on y in other units (y * 10^k): the calibration scales sigma,
     lam and tau2 with y, so every method selects the same targets and every
-    endpoint scales by 10^k.  The slack allows rounding (1e-9 relative) and
-    the root finder's absolute tolerance of 1e-10 at both scales."""
+    endpoint scales by 10^k.  The tolerance is 1e-9 relative plus a slack of
+    4e-10 in the units of k = 0 at every k: the root finder stops each
+    endpoint at a step relative to its target's scale."""
     X = generate_design(300, 100, 0.9, 41)
     y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, 42)
     header = ",".join(["y"] + [f"x{j}" for j in range(100)])
@@ -734,7 +737,7 @@ def test_unit_change_scales_every_interval(tmp_path):
         rows = rows_at(k)
         key = [(r["method"], r["index"], r["error"]) for r in rows]
         assert key == [(r["method"], r["index"], r["error"]) for r in base]
-        slack = 4e-10 * (1.0 + 10.0**-k)
+        slack = 4e-10
         for got, want in zip(rows, base):
             for end in ("lower", "upper"):
                 if want[end] is None:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from exactsi.conditioning import TargetSpec, build_geometry, build_target
 from exactsi import inference
@@ -325,6 +326,91 @@ class TestSaturatedPivot:
         assert (np.diff(exact_pivot(SATURATED, grid)) <= 0).all()
 
 
+@st.composite
+def model_polyhedral_bounds(draw):
+    """PolyhedralBounds with a two-sided, one-sided or full-line truncation
+    interval around the estimate, each side 1e-3 to 30 sd away.  Closer to a
+    bound, the endpoints lie where the computed pivot is resolved only to
+    ~1e-8 (ROADMAP, far-tail accuracy of the pivots), so no inversion fixes
+    them to 1e-9."""
+    sd = 10.0 ** draw(st.floats(-3.0, 2.0))
+    beta_hat = draw(st.floats(-5.0, 5.0))
+    lower, upper = (
+        beta_hat + side * sd * 10.0 ** draw(st.floats(-3.0, 1.5)) for side in (-1.0, 1.0)
+    )
+    lower, upper = draw(
+        st.sampled_from([(lower, upper), (lower, math.inf), (-math.inf, upper),
+                         (-math.inf, math.inf)])
+    )
+    return PolyhedralBounds(lower=lower, upper=upper, beta_hat=beta_hat, sd=sd)
+
+
+def assert_probit_matches(probit, pivot, record, x, scale):
+    """``probit``'s h and slope at the abscissae ``x`` against ``pivot``:
+    Phi(h) is the pivot, to 1e-10 (far out, a ratio of two masses whose logs
+    are ~1e5 carries that much rounding), log Phi(h) its log in the lower
+    tail, and the slope a central difference of h over 1e-4 of the record's
+    scale."""
+    h, slope = probit(record, x)
+    value = np.asarray(pivot(record, x))
+    assert np.abs(ndtr(h) - value).max() <= 1e-10
+    lower = np.isfinite(h) & (value <= 0.5) & (value >= np.finfo(float).smallest_normal)
+    assert np.abs(log_ndtr(h[lower]) - np.log(value[lower])).max(initial=0.0) <= 1e-9
+    step = 1e-4 * scale
+    ahead, behind = probit(record, x + step)[0], probit(record, x - step)[0]
+    central = (ahead - behind) / (2.0 * step)
+    check = np.isfinite(ahead) & np.isfinite(behind) & np.isfinite(slope)
+    tol = 1e-5 * np.abs(central) + 1e-10 * (1.0 + np.abs(h)) / step
+    assert (np.abs(slope - central) <= tol)[check].all()
+
+
+class TestProbitCompanions:
+    """The private probit companions that the inversions solve on."""
+
+    @PROPERTY_SETTINGS
+    @given(model_pivot_params(), st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=4))
+    def test_exact_probit_matches_the_pivot(self, params, shifts):
+        drift = 1e3 * (1.0 + params.vartheta2 * params.sigma_j2)
+        x = np.array([beta0_at(params, k) for k in (*shifts, -drift, drift)])
+        scale = math.sqrt(params.sigma_j2) / params.lambda_j
+        assert_probit_matches(inference._exact_probit, exact_pivot, params, x, scale)
+
+    @PROPERTY_SETTINGS
+    @given(model_polyhedral_bounds(), st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=4))
+    def test_polyhedral_probit_matches_the_pivot(self, bounds, shifts):
+        # out to 1e3 sd: at ~1e4 sd the pivot's log masses (~1e8) resolve it
+        # only to ~1e-8, the far-tail fault in ROADMAP item 5
+        x = bounds.beta_hat + bounds.sd * np.array([*shifts, -1e3, 1e3])
+        assert_probit_matches(
+            inference._polyhedral_probit, polyhedral_pivot, bounds, x, bounds.sd
+        )
+
+    @pytest.mark.parametrize("regime", ["owen", "log_space", "limit"])
+    def test_exact_probit_in_each_regime(self, monkeypatch, regime):
+        toy = toy_params()
+        record, x = {
+            "owen": (toy, np.array([1.0, 2.0, 3.0])),
+            "log_space": (stack([toy, toy, SATURATED]), np.array([9.0, 20.0, -2.0])),
+            # the standardized estimate overflows: the 0/1 limit
+            "limit": (replace(toy, sigma_j2=1e-4), np.array([-1e307, 1e307])),
+        }[regime]
+        real = inference._log_cdf_weighted_integral
+        sizes = []
+
+        def spy(c, d, a, b):
+            sizes.append(c.size // 2)
+            return real(c, d, a, b)
+
+        monkeypatch.setattr(inference, "_log_cdf_weighted_integral", spy)
+        h, slope = inference._exact_probit(record, x)
+        assert sum(sizes) == (x.size if regime == "log_space" else 0)
+        if regime == "limit":
+            assert h.tolist() == [math.inf, -math.inf] and np.isnan(slope).all()
+        else:
+            assert np.isfinite(h).all() and (slope < 0).all()
+            assert_probit_matches(inference._exact_probit, exact_pivot, record, x, 1e-3)
+
+
 class TestInvertPivot:
     def test_full_line_gives_classical_z_interval(self):
         params = toy_params()
@@ -342,6 +428,30 @@ class TestInvertPivot:
         z = float(ndtri(0.95))
         assert est.lower == pytest.approx(2.0 - z, abs=1e-6)
         assert est.upper == pytest.approx(2.0 + z, abs=1e-6)
+
+    def test_untruncated_targets_are_solved_at_their_seeds(self, monkeypatch):
+        # without truncation the probit is linear and the seeds are its
+        # roots, so one probit call solves every endpoint
+        calls = []
+        for name in ("_exact_probit", "_polyhedral_probit"):
+            real = getattr(inference, name)
+            monkeypatch.setattr(
+                inference, name,
+                lambda record, x, real=real: calls.append(np.size(x)) or real(record, x),
+            )
+        z = float(ndtri(0.95))
+        full = PivotParams(
+            vartheta2=1.0, sigma_j2=4.0, lambda_j=0.5, zeta_j=0.3,
+            theta_intercept=0.0, lower=-math.inf, upper=math.inf, beta_hat_j=2.0,
+        )
+        (est,) = invert_pivot(full, alpha=0.1)
+        assert est.lower == pytest.approx((2.0 - 0.3 - 2.0 * z) / 0.5, rel=1e-12)
+        assert est.upper == pytest.approx((2.0 - 0.3 + 2.0 * z) / 0.5, rel=1e-12)
+        (est,) = polyhedral_interval(
+            PolyhedralBounds(lower=-math.inf, upper=math.inf, beta_hat=0.3, sd=2.0), alpha=0.1
+        )
+        assert est.lower == pytest.approx(0.3 - 2.0 * z, rel=1e-12)
+        assert calls == [2, 2]
 
     def test_endpoints_reproduce_tail_targets(self):
         params = toy_params()
@@ -573,13 +683,16 @@ class TestBatchedInversion:
         params = exact_targets(data, out, rep, omega)
         clean = invert_pivot(params, alpha=0.1)
         flat = params.beta_hat_j[1]
-        real = inference.exact_pivot
+        real = inference._exact_probit
 
         def stuck(batch, beta0):
-            # target 1's pivot never leaves 0.5, so no bracket straddles 0.95
-            return np.where(batch.beta_hat_j == flat, 0.5, real(batch, beta0))
+            # target 1's pivot never leaves 0.5 (probit 0, slope 0), so no
+            # bracket straddles 0.95
+            h, slope = real(batch, beta0)
+            mask = batch.beta_hat_j == flat
+            return np.where(mask, 0.0, h), np.where(mask, 0.0, slope)
 
-        monkeypatch.setattr(inference, "exact_pivot", stuck)
+        monkeypatch.setattr(inference, "_exact_probit", stuck)
         got = invert_pivot(params, alpha=0.1)
         assert isinstance(got[1], NoRootError)
         assert str(got[1]) == "target 0.95 not straddled after 60 bracket expansions"
@@ -618,6 +731,55 @@ class TestBatchedInversion:
         assert len(got) == len(each)
         for est, params in zip(got, each):
             assert_agrees(est, reference_invert_pivot, params)
+
+
+    @PROPERTY_SETTINGS
+    @given(model_polyhedral_bounds())
+    def test_polyhedral_record_matches_scalar_reference(self, bounds):
+        (got,) = polyhedral_interval(bounds, 0.1)
+        assert_agrees(got, reference_polyhedral_interval, bounds)
+
+    def test_no_abscissa_is_evaluated_twice(self, monkeypatch):
+        # every (target constants, beta0) pair that reaches a pivot or its
+        # probit, over a batch with saturated, full-line, clipped and
+        # unclipped far endpoints, is evaluated once
+        seen = []
+
+        def record(name):
+            real = getattr(inference, name)
+
+            def spy(constants, beta0):
+                columns = np.broadcast_arrays(
+                    *(np.asarray(getattr(constants, f.name), dtype=float) for f in fields(constants)),
+                    np.asarray(beta0, dtype=float),
+                )
+                seen.extend(zip(*(c.ravel().tolist() for c in columns)))
+                return real(constants, beta0)
+
+            monkeypatch.setattr(inference, name, spy)
+
+        for name in ("_exact_probit", "_polyhedral_probit", "polyhedral_pivot"):
+            record(name)
+        rng = np.random.default_rng(35)
+        data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
+        real = exact_targets(data, out, rep, omega)
+        forced = PivotParams(
+            vartheta2=1.0, sigma_j2=1.0, lambda_j=1.0, zeta_j=0.0,
+            theta_intercept=0.0, lower=-math.inf, upper=math.inf, beta_hat_j=2.0,
+        )
+        each = [take(real, k) for k in range(out.selected.size)] + [SATURATED, forced]
+        assert all(isinstance(e, IntervalEstimate) for e in invert_pivot(stack(each), 0.1))
+        exact_calls = len(seen)
+        bounds = stack([
+            PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0),
+            PolyhedralBounds(lower=-math.inf, upper=0.0, beta_hat=-1e-3, sd=1.0),
+            PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=0.05, sd=1.0),
+            PolyhedralBounds(lower=-math.inf, upper=math.inf, beta_hat=0.3, sd=2.0),
+            PolyhedralBounds(lower=-1.0, upper=2.0, beta_hat=0.4, sd=0.7),
+        ])
+        assert all(isinstance(e, IntervalEstimate) for e in polyhedral_interval(bounds, 0.1))
+        assert exact_calls > 0 and len(seen) > exact_calls
+        assert len(seen) == len(set(seen))
 
 
 class TestSplitInference:

@@ -2,11 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpstrf
-from scipy.optimize.elementwise import find_root
 from scipy.special import ndtr
 
 from exactsi.errors import (
@@ -16,9 +13,9 @@ from exactsi.errors import (
     SingularDesignError,
 )
 from exactsi.numerics import (
+    BRACKET_EXPANSIONS,
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    _chandrupatla,
     factor_gram,
     independent_columns,
     integrate_weighted_gaussian,
@@ -325,24 +322,31 @@ class TestLineInterval:
             assert (float(lower[j]), float(upper[j]), bool(violated[j])) == alone
 
 
+def affine(t, m, c):
+    """``m t + c`` and its slope."""
+    return m * t + c, np.broadcast_to(m, np.shape(t))
+
+
 class TestInvertMonotone:
     def test_identity(self):
-        x = invert_monotone(lambda t: t, 0.3, -1.0, 1.0)
+        x = invert_monotone(lambda t: (t, np.ones_like(t)), 0.3, 0.0, 1.0)
         assert abs(x - 0.3) < 1e-10
 
     def test_gaussian_quantile_oracle(self):
         def cdf(t):
-            return np.exp(log_truncation_prob((-math.inf, t), 0.0, 1.0))
+            density = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+            return np.exp(log_truncation_prob((-math.inf, t), 0.0, 1.0)), density
 
-        x = invert_monotone(cdf, 0.975, 0.0, 1.0)
+        x = invert_monotone(cdf, 0.975, 0.5, 1.0)
         assert abs(x - Z_975) < 1e-8
 
     def test_cube_root_with_expansion(self):
-        x = invert_monotone(lambda t: t**3, 8.0, 0.0, 1.0)
+        # the slope is 0 at the seed, so the search steps out blind first
+        x = invert_monotone(lambda t: (t**3, 3.0 * t**2), 8.0, 0.0, 0.5)
         assert abs(x - 2.0) < 1e-8
 
     def test_decreasing_function(self):
-        x = invert_monotone(lambda t: -2.0 * t + 1.0, 0.0, -10.0, -9.0)
+        x = invert_monotone(affine, 0.0, -10.0, 1.0, args=(-2.0, 1.0))
         assert abs(x - 0.5) < 1e-9
 
     def test_random_affine_maps(self):
@@ -351,123 +355,83 @@ class TestInvertMonotone:
         icept = rng.normal(size=100) * 20
         target = rng.normal(size=100) * 20
         want = (target - icept) / slope
-        got = invert_monotone(
-            lambda t, m, c: m * t + c, target, -0.5, 0.5, args=(slope, icept)
-        )
+        got = invert_monotone(affine, target, 0.0, 0.5, args=(slope, icept))
         assert got.shape == (100,)
         ok = (np.abs(slope * got + icept - target) <= 1e-8) | (np.abs(got - want) <= 1e-10)
         assert ok.all()
 
     def test_tie_on_the_seed_bracket_expands_both_sides(self):
-        # decreasing, flat at 0 on the seed bracket, with its root to the left;
-        # the increasing twin has its root to the right
+        # decreasing, flat at 0 around the seed, with its root to the left;
+        # the increasing twin has its root to the right: with no slope and
+        # equal values, the blind steps alternate sides
         def g(t, sign):
-            return np.clip(-sign * (t + sign * 3.0), 0.0, None)
+            u = -sign * (t + sign * 3.0)
+            return np.clip(u, 0.0, None), np.where(u > 0, -sign, 0.0)
 
-        x = invert_monotone(g, 0.5, -1.0, 1.0, args=(np.array([1.0, -1.0]),))
+        x = invert_monotone(g, 0.5, 0.0, 1.0, args=(np.array([1.0, -1.0]),))
         assert np.abs(x - [-3.5, 3.5]).max() < 1e-9
 
     def test_no_root(self):
         # tanh never reaches 2: that element alone has no root
-        x = invert_monotone(np.tanh, np.array([2.0, 0.5]), -1.0, 1.0)
+        def g(t):
+            with np.errstate(over="ignore"):  # the slope underflows to 0 far out
+                return np.tanh(t), 1.0 / np.cosh(t) ** 2
+
+        x = invert_monotone(g, np.array([2.0, 0.5]), 0.0, 1.0)
         assert math.isnan(x[0])
         assert abs(x[1] - math.atanh(0.5)) < 1e-10
-        assert math.isnan(invert_monotone(np.tanh, 2.0, -1.0, 1.0))
+        assert math.isnan(invert_monotone(g, 2.0, 0.0, 1.0))
+
+    def test_slopes_against_the_values_are_not_followed(self):
+        # g(t) = t, but every slope after the seed's has the wrong sign: once
+        # two values below the target show g rising, the search steps out
+        # blind to the right, brackets the root and bisects
+        def g(t):
+            return t, np.where(t == 0.0, 10.0, -1.0)
+
+        assert abs(invert_monotone(g, 10.0, 0.0, 1.0) - 10.0) <= 1e-9
+
+    def test_flat_function_gives_up_after_the_expansions(self):
+        calls = []
+
+        def g(t):
+            calls.append(t.size)
+            return np.zeros_like(t), np.zeros_like(t)
+
+        assert math.isnan(invert_monotone(g, 1.0, 0.0, 1.0))
+        assert len(calls) == BRACKET_EXPANSIONS + 1
 
     def test_nan_inside_a_straddling_bracket_fails(self):
+        # the slope is half the true one, so the first Newton step overshoots
+        # to 1.6 and the second leaves the bracket [-1, 1.6]: its midpoint
+        # 0.3 lies in the NaN hole
         def g(x):
-            return np.where(np.abs(x - 0.3) < 0.2, np.nan, x)
+            return np.where(np.abs(x - 0.3) < 0.2, np.nan, x), np.full_like(x, 0.5)
 
         with pytest.raises(NumericalDegeneracyError) as info:
             invert_monotone(g, 0.3, -1.0, 1.0)
-        assert str(info.value) == (
-            "root finding failed inside a straddling bracket (status [-3])"
-        )
+        assert str(info.value) == "root finding met a NaN value of g"
 
-    def test_root_search_reevaluates_no_bracket_end(self):
-        # the root search starts from the values the bracketing computed on
-        # the final bracket ends and stays strictly inside them, so each
-        # element's smallest and largest abscissae are those ends, seen once
-        shift = np.array([0.0, 2.0, -4.0, 7.0, 0.5, -0.2])
-        seen = []
+    def test_seeds_and_scales_are_checked(self):
+        for seed, scale in ((math.inf, 1.0), (0.0, 0.0), (0.0, math.nan)):
+            with pytest.raises(InvalidArgumentError):
+                invert_monotone(affine, 0.0, seed, scale, args=(1.0, 0.0))
 
-        def g(x, k):
-            seen.extend(zip(k.tolist(), x.tolist()))
-            return np.tanh(x / 3.0 - shift[k])
+    def test_stopping_rule_scales_with_the_problem(self):
+        # tanh(t / s) = 0.3 in units s: the same steps and the same relative
+        # root at every scale
+        def solve(s):
+            calls = []
 
-        x = invert_monotone(g, 0.3, -1.0, 1.0, args=(np.arange(shift.size),))
-        assert np.abs(np.tanh(x / 3.0 - shift) - 0.3).max() < 1e-10
-        for k in range(shift.size):
-            xs = [v for j, v in seen if j == k]
-            assert xs.count(min(xs)) == 1 and xs.count(max(xs)) == 1
-            if (min(xs), max(xs)) == (-1.0, 1.0):  # a bracket that did not grow
-                assert len(xs) == len(set(xs))
+            def g(t):
+                calls.append(t.size)
+                return np.tanh(t / s), 1.0 / (s * np.cosh(t / s) ** 2)
 
+            return invert_monotone(g, 0.3, 2.0 * s, s) / s, len(calls)
 
-def monotone(x, kind, scale, center):
-    """Element-wise monotone test functions of ``u = scale (x - center)``:
-    kind 0 ``tanh(u)``, 1 ``tanh(u**3)``, 2 ``u``, 3 the step ``floor(u)``,
-    4 ``u`` with a NaN hole over ``|u| < 0.5``."""
-    u = scale * (x - center)
-    return np.select(
-        [kind == 0, kind == 1, kind == 2, kind == 3],
-        [np.tanh(u), np.tanh(u**3), u, np.floor(u)],
-        np.where(np.abs(u) < 0.5, np.nan, u),
-    )
-
-
-def scipy_roots(target, x1, x2, args):
-    """The oracle: scipy's elementwise Chandrupatla driver at ``xatol=1e-10``."""
-    res = find_root(
-        lambda x, t, *rest: monotone(x, *rest) - t,
-        (x1, x2),
-        args=(target, *args),
-        tolerances={"xatol": 1e-10},
-    )
-    return res.x, res.status
-
-
-def same_as_scipy(target, x1, x2, args):
-    """``_chandrupatla``'s roots and statuses, asserted equal to scipy's."""
-    f1 = monotone(x1, *args) - target
-    f2 = monotone(x2, *args) - target
-    x, status = _chandrupatla(monotone, target, x1, f1, x2, f2, args)
-    want_x, want_status = scipy_roots(target, x1, x2, args)
-    assert np.array_equal(x, want_x, equal_nan=True)
-    assert status.tolist() == want_status.tolist()  # and so the success flags
-    return x, status
-
-
-@st.composite
-def root_problem(draw):
-    """One element: a monotone function, a level and a bracket whose sides
-    lie 1e-12 to 10 from the function's center, so that some brackets are
-    already narrower than the tolerance and some do not straddle; the level
-    0.5 ties the step's values on the two sides of a jump."""
-    kind = draw(st.integers(0, 4))
-    scale = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 2.0))
-    center = draw(st.floats(-10.0, 10.0))
-    target = draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-0.99, 0.99)))
-    left, right = (10.0 ** draw(st.floats(-12.0, 1.0)) for _ in range(2))
-    return target, center - left, center + right, kind, scale, center
-
-
-class TestChandrupatla:
-    """The in-house loop is scipy's ``find_root`` arithmetic, bit for bit."""
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.lists(root_problem(), min_size=1, max_size=20))
-    def test_bit_identical_to_scipy(self, problems):
-        target, x1, x2, kind, scale, center = map(np.array, zip(*problems))
-        same_as_scipy(target, x1, x2, (kind, scale, center))
-
-    def test_elements_stopping_at_once_leave_the_others_going(self):
-        # element 0 starts narrower than its tolerance, element 1 has its
-        # root at the first midpoint, the others iterate on
-        target = np.array([0.0, 0.0, 0.2, 0.5])
-        x1 = np.array([1.0 - 1e-12, -1.0, -3.0, -2.0])
-        x2 = np.array([1.0 + 1e-12, 1.0, 4.0, 5.0])
-        args = (np.array([2, 2, 0, 1]), np.ones(4), np.array([1.0, 0.0, 0.3, 0.4]))
-        x, status = same_as_scipy(target, x1, x2, args)
-        assert status.tolist() == [0, 0, 0, 0]
-        assert x[1] == 0.0
+        base, calls = solve(1.0)
+        assert abs(base - math.atanh(0.3)) < 1e-15
+        for s in (1e-9, 1e-6, 1e3, 1e9):
+            x, n = solve(s)
+            assert n == calls
+            assert abs(x - base) <= 1e-15

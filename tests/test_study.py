@@ -10,6 +10,7 @@ from exactsi.errors import (
     InsufficientSampleError,
     InvalidArgumentError,
     NumericalDegeneracyError,
+    SingularDesignError,
 )
 from exactsi.selection import Dataset
 from exactsi.study import (
@@ -209,6 +210,33 @@ class TestRunStudy:
         assert all(r["lower"] < r["upper"] for r in rows)
         assert any(r["length"] > 100.0 and not r["clipped"] for r in rows)
 
+    def test_failures_are_counted_by_class(self, monkeypatch):
+        # the polyhedral fit of replicate 0 fails with one class, those of
+        # replicates 1 and 2 with another, which sorts first
+        real = study.fit_method
+        raised = [SingularDesignError("injected"), NumericalDegeneracyError("injected"),
+                  NumericalDegeneracyError("injected")]
+        seen = []
+
+        def flaky(data, cal, method, *args):
+            if method == "polyhedral":
+                seen.append(method)
+                if len(seen) <= len(raised):
+                    raise raised[len(seen) - 1]
+            return real(data, cal, method, *args)
+
+        monkeypatch.setattr(study, "fit_method", flaky)
+        summary = run_study(quick_config(n_reps=4, methods=("polyhedral", "split")))
+        poly, split = summary.methods["polyhedral"], summary.methods["split"]
+        assert list(poly.failures.items()) == [
+            ("NumericalDegeneracyError", 2), ("SingularDesignError", 1),
+        ]
+        assert poly.n_failed == 3 and poly.n_used + poly.n_empty == 1
+        assert (split.failures, split.n_failed) == ({}, 0)
+        written = _summary_json(summary)["methods"]["polyhedral"]
+        assert list(written["failures"].items()) == list(poly.failures.items())
+        assert written["n_failed"] == 3
+
     def test_unmatchable_split_fails_only_the_exact_method(self):
         # round(0.99 * 20) = n leaves no held-out rows to match tau2 to
         cfg = quick_config(n=20, p=5, rho=0.99, n_reps=2, methods=("exact", "polyhedral"))
@@ -255,8 +283,8 @@ class TestValidateUniformity:
 
         monkeypatch.setattr(study, "pivot_params", flaky)
         got = validate_pivot_uniformity(cfg)["exact"]
-        assert clean.n_failed == 0
-        assert got.n_failed == 1
+        assert (clean.n_failed, clean.failures) == (0, {})
+        assert (got.n_failed, got.failures) == (1, {"NumericalDegeneracyError": 1})
         assert got.n_pooled == clean.n_pooled - 1
 
         # a pivot call that raises fails every target of its fit, and only those
@@ -274,6 +302,25 @@ class TestValidateUniformity:
         got = validate_pivot_uniformity(cfg)["exact"]
         assert got.n_failed == calls[2] >= 1
         assert got.n_pooled == clean.n_pooled - calls[2]
+
+        # a fit that raises counts once, under its own class, beside the
+        # failed pivot call of the third fit
+        real_fit = study.fit_method
+        fits, broken_size = [], calls[2]
+        calls.clear()
+
+        def failing_fit(*args, **kwargs):
+            fits.append(None)
+            if len(fits) == 5:
+                raise SingularDesignError("injected")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(study, "fit_method", failing_fit)
+        got = validate_pivot_uniformity(cfg)["exact"]
+        assert got.failures == {
+            "NumericalDegeneracyError": broken_size, "SingularDesignError": 1,
+        }
+        assert got.n_failed == broken_size + 1
 
     def test_requires_exact(self):
         cfg = quick_config(methods=("polyhedral",))
