@@ -219,7 +219,8 @@ def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
     * without a bracket, the Newton step is taken where the slope is usable;
       elsewhere a blind step of ``scale``, doubled at each blind step, goes
       the way the values show the target, or alternates sides while they
-      show nothing.  After ``BRACKET_EXPANSIONS`` steps without a bracket the
+      show nothing.  After ``BRACKET_EXPANSIONS`` steps without a bracket,
+      not counting Newton steps shorter than the step before them, the
       root is NaN.
 
     An element stops when its next step is at most ``_STEP_TOL * scale + 4
@@ -242,7 +243,7 @@ def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
     # one column per open element: its target and iterate; its absolute
     # tolerance; the nearest abscissae seen below and above the target with
     # their values (NaN and -+inf until seen); which way the values show g
-    # rising (0 while they do not); the steps taken without a bracket; the
+    # rising (0 while they do not); the steps counted without a bracket; the
     # next blind step, which doubles and changes side at each blind step; and
     # the last two step lengths, halved
     ones = np.ones(idx.size)
@@ -289,8 +290,11 @@ def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
             step[f == 0] = 0.0
         done = np.abs(step) <= tol
         stop = done | np.isnan(f) | (~bracketed & (outward >= BRACKET_EXPANSIONS))
+        # a Newton step shorter than the last one converges: it does not count
+        # against the steps an element may take without a bracket
         state = np.array([
-            target, x + step, atol, neg, f_neg, pos, f_pos, rising, outward + ~bracketed,
+            target, x + step, atol, neg, f_neg, pos, f_pos, rising,
+            outward + ~(bracketed | (trusted & (size < 2.0 * last))),
             np.where(trusted | bracketed, reach, -2.0 * reach), 0.5 * np.abs(step), last,
         ])
         if stop.any():

@@ -391,6 +391,18 @@ class TestInvertMonotone:
 
         assert abs(invert_monotone(g, 10.0, 0.0, 1.0) - 10.0) <= 1e-9
 
+    def test_slow_one_sided_newton_steps_are_not_expansions(self):
+        # a slope four times too steep: every step covers a quarter of the
+        # distance left, from one side, far more than BRACKET_EXPANSIONS times
+        calls = []
+
+        def g(t):
+            calls.append(t.size)
+            return t, np.full_like(t, 4.0)
+
+        assert abs(invert_monotone(g, 10.0, 0.0, 1.0) - 10.0) <= 1e-8
+        assert len(calls) > BRACKET_EXPANSIONS
+
     def test_flat_function_gives_up_after_the_expansions(self):
         calls = []
 
