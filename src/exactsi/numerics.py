@@ -214,8 +214,8 @@ def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
       values on one side of the target; a slope is usable where it is finite
       and nonzero, gives a finite step, and agrees with them;
     * inside a bracket, the Newton step is taken when it lands strictly
-      inside the bracket and is at most half the step before the last, else
-      the bracket is bisected;
+      inside the bracket and is at most half the step before the last, or
+      is within the tolerance below, else the bracket is bisected;
     * without a bracket, the Newton step is taken where the slope is usable;
       elsewhere a blind step of ``scale``, doubled at each blind step, goes
       the way the values show the target, or alternates sides while they
@@ -226,7 +226,8 @@ def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
     An element stops when its next step is at most ``_STEP_TOL * scale + 4
     eps |x|``; its root is the point that step reaches, so the stopping rule
     scales with the problem.  An element where g equals its target has that
-    abscissa as root.  A NaN value of g raises ``NumericalDegeneracyError``.
+    abscissa as root.  A NaN value of g raises ``NumericalDegeneracyError``,
+    and so does a search still open after ``_MAX_ITERATIONS`` calls.
     """
     target, x, scale, *args = np.broadcast_arrays(
         np.asarray(target, dtype=float),
