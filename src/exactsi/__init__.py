@@ -34,7 +34,6 @@ from .numerics import (
     QuadratureSpec,
     integrate_weighted_gaussian,
     invert_monotone,
-    log_truncation_prob,
 )
 from .selection import (
     Dataset,
@@ -92,7 +91,6 @@ __all__ = [
     "invert_monotone",
     "invert_pivot",
     "lasso_event_rep",
-    "log_truncation_prob",
     "pivot_params",
     "plug_in_sigma2",
     "polyhedral_bounds",

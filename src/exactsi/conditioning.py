@@ -12,7 +12,7 @@ factors Omega and the free-block precision Q' Omega^{-1} Q, whose inverse is
 the free block's conditional covariance Theta, and takes each target's
 direction ``Pj = P c / ||c||^2``, ``rj = (Omega^{-1} Q)' Pj``, complementary
 statistic and interval, one column per target; a target that fails a check
-keeps its own error.
+keeps its own error.  Every check is ``numerics.factor_spd``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .errors import (
     ExactSIError,
@@ -29,10 +29,8 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import line_interval
+from .numerics import factor_spd, line_interval
 from .selection import Dataset, LinearEventRep, SelectionOutcome
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -63,46 +61,24 @@ class ConditioningGeometry:
     errors: list[ExactSIError | None]
 
 
-def _factor_spd(mat: np.ndarray, what: str) -> tuple:
-    """Check an SPD matrix's conditioning and factor it; it is never inverted.
-
-    The condition number is the 2-norm ratio of the largest to the smallest
-    singular value, taken from the eigenvalues of the symmetrized matrix
-    (their absolute values are its singular values).  A singular matrix,
-    the zero matrix included, fails the check with no division.
-    """
-    mat = 0.5 * (mat + mat.T)
-    if mat.size:
-        ev = np.abs(np.linalg.eigvalsh(mat))
-        if not 0 < ev.max() <= ev.min() * _COND_LIMIT:
-            raise NumericalDegeneracyError(
-                f"{what} is ill-conditioned (cond > {_COND_LIMIT:.0e})"
-            )
-    try:
-        return cho_factor(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"{what} is not positive definite") from exc
-
-
 def build_target(data: Dataset, outcome: SelectionOutcome, model: str) -> TargetSpec:
     """Contrast vectors of every selected coordinate, solved in one call.
 
     ``selected`` targets the partial regression coefficients among the
     selected columns; ``full`` targets the corresponding coordinates of the
     all-columns coefficient vector.  Contrast j is ``design G^{-1} e_j``,
-    G the checked Gram of that design.
+    G the Gram of that design (for ``full``, the dataset's own), checked by
+    ``factor_spd``; a Gram that fails raises ``SingularDesignError``.
     """
     if model not in ("selected", "full"):
         raise InvalidArgumentError(f"unknown model {model!r}")
     E = outcome.selected
     if model == "selected":
         design, columns, what = data.X[:, E], np.arange(E.size), "selected-design Gram"
+        gram = design.T @ design
     else:
-        design, columns, what = data.X, E, "full-design Gram"
-    try:
-        factor = _factor_spd(design.T @ design, what)
-    except NumericalDegeneracyError as exc:
-        raise SingularDesignError(str(exc)) from exc
+        design, columns, what, gram = data.X, E, "full-design Gram", data.gram
+    factor = factor_spd(gram, what, SingularDesignError)
     units = np.eye(design.shape[1])[:, columns]
     contrast = design @ cho_solve(factor, units)
     return TargetSpec(contrast=contrast, norm2=(contrast * contrast).sum(axis=0))
@@ -114,15 +90,21 @@ def build_geometry(
     """Reduce ``L @ opt < M`` to an interval on ``rj' opt`` at fixed complement.
 
     ``omega`` arrives in the original feature order and is aligned to the
-    representation's active-first row permutation here.  Constraint rows
-    whose coefficient on the free combination vanishes must hold on their
-    own; a violation there, or an observed statistic outside the interval,
-    signals an upstream inconsistency rather than data.
+    representation's active-first row permutation here.  Omega and the
+    free-block precision are checked by ``factor_spd``, and one that fails
+    raises ``NumericalDegeneracyError``.  Constraint rows whose coefficient
+    on the free combination vanishes must hold on their own; a violation
+    there, or an observed statistic outside the interval, signals an
+    upstream inconsistency rather than data.
     """
-    factor = _factor_spd(omega[np.ix_(rep.order, rep.order)], "randomization covariance")
+    factor = factor_spd(
+        omega[np.ix_(rep.order, rep.order)], "randomization covariance", NumericalDegeneracyError
+    )
     omega_inv_Q = cho_solve(factor, rep.Q)
     gram = rep.Q.T @ omega_inv_Q
-    precision = _factor_spd(gram, "conditional precision of the free block")
+    precision = factor_spd(
+        gram, "conditional precision of the free block", NumericalDegeneracyError
+    )
     Theta = cho_solve(precision, np.eye(gram.shape[0]))
     Pj = rep.P @ target.contrast / target.norm2
     rj = omega_inv_Q.T @ Pj

@@ -40,7 +40,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import BRACKET_EXPANSIONS, factor_gram, independent_columns, invert_monotone
+from .numerics import BRACKET_EXPANSIONS, factor_spd, invert_monotone
 from .numerics import line_interval, log_standard_mass
 from .selection import Dataset, solve_randomized_lasso
 
@@ -354,18 +354,21 @@ def _exact_tails(params: PivotParams, beta0):
     sd_y = np.sqrt(vt2) * spread
     r = -ts / spread
     s = 1.0 / spread  # sqrt(1 - r^2)
-    mean = lam_j * beta0 + zeta
     with np.errstate(over="ignore", invalid="ignore"):
+        mean = lam_j * beta0 + zeta
         u = (beta_hat - mean) / sd
+        c = u / s  # the log-space rule's standardized estimate
         mean_y = icpt - vt2 * mean
         a = (lower - mean_y) / sd_y
         b = (upper - mean_y) / sd_y
         ab_slope = vt2 * lam_j / sd_y
+        # the log-space rule squares c; where that overflows, the pivot's
+        # smaller tail underflows too
+        live = ~(np.isnan(a) | np.isnan(b)) & np.isfinite(c * c)
     out = np.where(beta0 > beta_hat, 0.0, 1.0)  # the 0/1 limit
     log_small = np.full(out.shape, -math.inf)
     lower_side = out == 0.0
     log_mass = np.full(out.shape, math.nan)
-    live = ~(np.isnan(a) | np.isnan(b)) & np.isfinite(u)
     # reflect V so that the endpoint nearer its bulk is the lower one
     flip = a < -b
     a, b, r = np.where(flip, -b, a), np.where(flip, -a, b), np.where(flip, -r, r)
@@ -390,7 +393,7 @@ def _exact_tails(params: PivotParams, beta0):
     idx = np.flatnonzero(live & ~done)
     if idx.size:
         # P(U <= u | V = v) = Phi((u - r v) / s); both tails in one call
-        c, d = u[idx] / s[idx], -r[idx] / s[idx]
+        c, d = c[idx], -r[idx] / s[idx]
         log_below, log_above = _log_cdf_weighted_integral(
             np.concatenate([c, -c]),
             np.concatenate([d, -d]),
@@ -561,7 +564,7 @@ def polyhedral_bounds(
     E0 = np.asarray(selected, dtype=int)
     S0 = np.asarray(signs, dtype=float)
     XE = X[:, E0]
-    factor = factor_gram(XE.T @ XE, "selected design")
+    factor = factor_spd(XE.T @ XE, "selected design", SingularDesignError)
     M1 = cho_solve(factor, XE.T)  # |E| x n
     ginv_s = cho_solve(factor, S0)
     rows = [-(S0[:, None] * M1)]
@@ -730,8 +733,7 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     or (full) on the independent columns of X, with n - rank degrees of freedom."""
     y, X, n = data.y, data.X, data.n
     if model == "full":
-        gram = X.T @ X
-        cols = independent_columns(gram)
+        gram, cols = data.gram, data.independent_columns
         if cols.size < data.p:
             gram = gram[np.ix_(cols, cols)]
     elif model == "selected":
@@ -744,8 +746,10 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     if cols.size == 0:
         return float(y @ y / df)
     Xc = X[:, cols]
-    # the full model's columns are independent by construction
-    factor = cho_factor(gram) if model == "full" else factor_gram(Xc.T @ Xc, "plug-in design")
+    if model == "full":  # its columns are independent by construction
+        factor = cho_factor(gram)
+    else:
+        factor = factor_spd(Xc.T @ Xc, "plug-in design", SingularDesignError)
     coef = cho_solve(factor, Xc.T @ y)
     resid = y - Xc @ coef
     return float(resid @ resid / df)
@@ -772,7 +776,7 @@ def _ls_z_intervals(
     n = y.shape[0]
     if n < E.size + 1:
         raise SingularDesignError("held-out sample too small for the selected set")
-    factor = factor_gram(XE.T @ XE, "held-out design")
+    factor = factor_spd(XE.T @ XE, "held-out design", SingularDesignError)
     coef = cho_solve(factor, XE.T @ y)
     if sigma2 is None:
         resid = y - XE @ coef

@@ -1,8 +1,9 @@
 """Stable Gaussian primitives on arrays.
 
-Log probabilities of univariate Gaussians over intervals (with infinite
+Log probabilities of standard Gaussians over intervals (with infinite
 endpoints allowed), elementwise; the slice of a polyhedron along a line; the
-rank test of a Gram matrix; and the vectorized inversion of monotone
+rank test of a Gram matrix and the one check of every matrix the package
+factors (``factor_spd``); and the vectorized inversion of monotone
 functions.  The inversion runs one safeguarded Newton loop over all
 elements: each starts at its own seed, keeps a bracket from the signs of the
 values it has seen, bisects where a Newton step would leave that bracket or
@@ -27,17 +28,20 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.lapack import dpocon, dpstrf
 from scipy.special import log_ndtr, logsumexp
 
 from .errors import (
     EmptyMassError,
+    ExactSIError,
     InvalidArgumentError,
     NumericalDegeneracyError,
-    SingularDesignError,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# ``factor_spd`` rejects a matrix whose 1-norm condition number, scaled to
+# unit diagonal, LAPACK estimates above this.
+_MAX_SCALED_COND = 1e12
 # Steps an element may take without a bracket before its root is declared missing.
 BRACKET_EXPANSIONS = 60
 # ``invert_monotone`` stops an element when its next step is at most
@@ -77,33 +81,11 @@ def _log1mexp(d):
         return np.where(d < -math.log(2.0), np.log1p(-np.exp(d)), np.log(-np.expm1(d)))
 
 
-def log_truncation_prob(interval, theta, vartheta):
-    """Log of the probability that N(theta, vartheta^2) falls in ``interval``.
-
-    ``interval`` is a ``(lower, upper)`` pair of endpoint arrays (infinite
-    endpoints allowed); elementwise over the broadcast endpoints, ``theta`` and
-    ``vartheta``, and a float when they are all scalars.  Finite (not -inf)
-    whenever the dominant endpoint's log-CDF is, which covers means hundreds
-    of standard deviations away from the interval.
-    """
-    lower, upper, theta, vartheta = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (*interval, theta, vartheta))
-    )
-    if not (vartheta > 0).all():
-        raise InvalidArgumentError("vartheta must be positive")
-    if np.isnan(theta).any():
-        raise InvalidArgumentError("log_truncation_prob: NaN theta")
-    with np.errstate(invalid="ignore"):
-        out = log_standard_mass((lower - theta) / vartheta, (upper - theta) / vartheta)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def log_standard_mass(za, zb):
     """Log of P(za < Z < zb) for a standard normal Z, elementwise over arrays
-    of standardized endpoints (infinite ones allowed), without checks: the
-    kernel of ``log_truncation_prob``."""
+    of standardized endpoints (infinite ones allowed), without checks.
+    Finite (not -inf) whenever the dominant endpoint's log-CDF is, which
+    covers intervals hundreds of standard deviations from the mean."""
     # Reflect so the dominant endpoint sits in the left tail; `za > -zb` is
     # the overlap-free way to test za + zb > 0 with infinities around.
     flip = za > -zb
@@ -165,12 +147,27 @@ def independent_columns(gram: np.ndarray) -> np.ndarray:
     return np.sort(piv[:rank] - 1)
 
 
-def factor_gram(gram: np.ndarray, what: str) -> tuple:
-    """``cho_factor`` of a Gram matrix; ``SingularDesignError`` ("<what> is rank
-    deficient") when ``independent_columns`` drops a column."""
-    if independent_columns(gram).size < gram.shape[0]:
-        raise SingularDesignError(f"{what} is rank deficient")
-    return cho_factor(gram)
+def factor_spd(mat: np.ndarray, what: str, error: type[ExactSIError]) -> tuple:
+    """``cho_factor`` of the symmetrized ``mat``, checked by the one rule for
+    every matrix the package factors: ``error`` ("<what> is singular or
+    ill-conditioned") where Cholesky fails or where LAPACK's ``dpocon``
+    estimates the 1-norm condition of ``mat`` scaled to unit diagonal above
+    ``_MAX_SCALED_COND``.  A Cholesky solve is as accurate as that scaled
+    condition allows (van der Sluis 1969), so units cannot decide a verdict."""
+    mat = 0.5 * (mat + mat.T)
+    try:
+        factor = cho_factor(mat)
+        # mat = R'R, so R D^-1 (D the root of the diagonal) is the factor of
+        # D^-1 mat D^-1; dpocon reads only the upper triangle
+        d = np.sqrt(np.diag(mat))
+        rcond = dpocon(factor[0] / d, np.abs(mat / d / d[:, None]).sum(axis=0).max())[0]
+    except np.linalg.LinAlgError:
+        rcond = 0.0
+    if not rcond * _MAX_SCALED_COND >= 1.0:
+        raise error(
+            f"{what} is singular or ill-conditioned (scaled cond > {_MAX_SCALED_COND:.0e})"
+        )
+    return factor
 
 
 def line_interval(

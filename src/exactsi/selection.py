@@ -14,6 +14,7 @@ active-first; the permutation is stored on the representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dposv
@@ -31,17 +32,21 @@ from .numerics import independent_columns
 _AS_MAX_STEPS = 1_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Regression data: response ``y``, fixed design ``X``, optional known noise sd."""
+    """Regression data: response ``y``, fixed design ``X``, optional known noise sd.
+
+    ``gram`` (X'X, read-only) and the columns its rank test keeps are formed
+    once, on first use, for every stage that reads them; ``X`` must not
+    change in place."""
 
     y: np.ndarray
     X: np.ndarray
     sigma: float | None = None
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.X = np.asarray(self.X, dtype=float)
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
         if self.y.ndim != 1 or self.X.ndim != 2:
             raise InvalidArgumentError("y must be a vector and X a matrix")
         if self.X.shape[0] != self.y.shape[0]:
@@ -63,14 +68,26 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        gram = self.X.T @ self.X
+        gram.flags.writeable = False
+        return gram
+
+    @cached_property
+    def independent_columns(self) -> np.ndarray:
+        """``numerics.independent_columns`` of the Gram."""
+        return independent_columns(self.gram)
+
 
 @dataclass
 class RandomizationScheme:
     """Carving-calibrated Gaussian randomization covariance ``tau2 * X'X``.
 
-    A diagonal jitter of ``1e-8 * tr(X'X)/p`` is added to the Gram matrix
-    exactly when ``independent_columns`` drops a column of ``X'X`` (p > n, or
-    a duplicated column), so that full-rank closed-form identities stay exact.
+    A diagonal jitter of ``1e-8 * tr(X'X)/p`` is added to the dataset's Gram
+    exactly when its rank test (``Dataset.independent_columns``) drops a
+    column (p > n, or a duplicated column), so that full-rank closed-form
+    identities stay exact.
     """
 
     tau2: float = 1.0
@@ -79,10 +96,9 @@ class RandomizationScheme:
         if not self.tau2 > 0:
             raise InvalidSchemeError("tau2 must be positive")
 
-    def covariance(self, X: np.ndarray) -> np.ndarray:
-        p = X.shape[1]
-        gram = X.T @ X
-        if independent_columns(gram).size < p:
+    def covariance(self, data: Dataset) -> np.ndarray:
+        gram, p = data.gram, data.p
+        if data.independent_columns.size < p:
             gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
         return self.tau2 * gram
 
@@ -347,8 +363,7 @@ def solve_randomized_lasso(
     w = np.asarray(w, dtype=float)
     if w.shape != (data.p,):
         raise InvalidArgumentError("w has the wrong length")
-    X, y, p = data.X, data.y, data.p
-    gram = X.T @ X
+    X, y, p, gram = data.X, data.y, data.p, data.gram
     diag = np.diag(gram)
     c = X.T @ y + w
     if (diag + epsilon <= 0).any():

@@ -8,7 +8,8 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    resolves the tuning constants of a dataset once: the noise variance
    (known if given, else the full-model plug-in when n > p, else var(y)),
    the penalty and the ridge term.  The plug-in fits the independent columns
-   of X, and the randomization covariance is jittered when X'X loses one.
+   of X, and the randomization covariance is jittered when X'X loses one;
+   both read the dataset's one Gram and rank test.
 2. ``fit_method`` runs one method's selection.  For the exact method it
    draws the randomization (its variance given, or matched to a subsample
    split), solves the randomized lasso and builds the event
@@ -291,9 +292,9 @@ def calibrate(
     need ``rho``; no method may be listed twice.  The noise variance is
     ``data.sigma ** 2`` if set, else the full-model plug-in when n > p, else
     var(y); the plug-in fits the independent columns of X (a duplicated column
-    is left out) with n - rank degrees of freedom.  The penalty defaults to
-    ``theory_lambda`` at that noise scale and the ridge term to
-    ``default_epsilon``.
+    is left out) with n - rank degrees of freedom, read from the dataset's
+    one Gram and rank test.  The penalty defaults to ``theory_lambda`` at
+    that noise scale and the ridge term to ``default_epsilon``.
     """
     for method in methods:
         if methods.count(method) > 1:
@@ -333,7 +334,7 @@ def randomized_selection(
     if tau2 is None:
         tau2 = tau2_from_split(cal.sigma2, data.n, int(round(cal.rho * data.n)))
     scheme = RandomizationScheme(tau2=tau2)
-    omega = scheme.covariance(data.X)
+    omega = scheme.covariance(data)
     w = sample_randomization(omega, seed=seed)
     outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=cal.epsilon, w=w)
     rep = None

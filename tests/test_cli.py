@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
-from exactsi import cli, conditioning, inference, study
+from exactsi import cli, inference, numerics, study
 from exactsi.cli import (
     build_parser,
     build_sim_config,
@@ -420,12 +420,13 @@ def test_infer_matches_study_replicate(tmp_path, model):
 def test_per_fit_failure_is_an_error_of_every_target(tmp_path, monkeypatch):
     """A check that fails once per fit still fails each target on its own.
 
-    The selected columns of this design are orthogonal with equal norms, so
-    their Gram passes a condition limit of 1 and the randomization covariance
-    (all columns, unequal norms, condition number 4) is the first check to fail.
+    The selected columns of this design are orthogonal, so their Gram
+    scaled to unit diagonal is the identity and passes a condition limit of
+    1; two unselected columns are correlated, so the randomization
+    covariance (all columns) is the first check to fail.
     """
     X = hadamard(64).astype(float)[:, 1:9]
-    X[:, 7] *= 0.5
+    X[:, 7] += 0.5 * X[:, 6]
     rng = np.random.default_rng(0)
     y = 4.0 * X[:, 0] - 4.0 * X[:, 1] + 3.0 * X[:, 2] + rng.standard_normal(64)
     path = tmp_path / "orth.csv"
@@ -435,11 +436,11 @@ def test_per_fit_failure_is_an_error_of_every_target(tmp_path, monkeypatch):
     selected = json.loads((tmp_path / "sel.json").read_text())["selected_indices"]
     assert len(selected) >= 2
 
-    monkeypatch.setattr(conditioning, "_COND_LIMIT", 1.0)
+    monkeypatch.setattr(numerics, "_MAX_SCALED_COND", 1.0)
     assert main(["infer", *common, "--out", str(tmp_path / "inf")]) == 0
     # error rows have no endpoints and the method no mean length: JSON null
     report = strict_json(tmp_path / "inf.json")
-    message = "randomization covariance is ill-conditioned (cond > 1e+00)"
+    message = "randomization covariance is singular or ill-conditioned (scaled cond > 1e+00)"
     assert [(r["index"], r["lower"], r["upper"], r["error"]) for r in report["rows"]] == [
         (j, None, None, message) for j in selected
     ]
@@ -454,7 +455,7 @@ def test_per_fit_failure_is_an_error_of_every_target(tmp_path, monkeypatch):
     cfg = SimConfig(n=60, p=12, sparsity=2, signal_fraction=2.0, n_reps=1, seed=7)
     _, outcomes = _run_replicate(cfg, 0)
     assert isinstance(outcomes["exact"], ExactSIError)
-    assert "ill-conditioned (cond > 1e+00)" in str(outcomes["exact"])
+    assert "ill-conditioned (scaled cond > 1e+00)" in str(outcomes["exact"])
 
 
 class TestSimulateValidate:
@@ -745,3 +746,37 @@ def test_unit_change_scales_every_interval(tmp_path):
                     continue
                 x = got[end] / 10.0**k
                 assert abs(x - want[end]) <= 1e-9 * max(1.0, abs(want[end])) + slack
+
+
+def test_column_units_do_not_decide_the_randomization_check(tmp_path):
+    """``infer`` with column 50 of an AR(0.9) design in units 1e5 and 1e7
+    times its own: the randomization covariance is checked scaled to unit
+    diagonal, so neither run writes an error row, and every endpoint of
+    coordinate 50 times its scale, and every other endpoint, agrees across
+    the two runs."""
+    X = generate_design(300, 100, 0.9, 41)
+    y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, 42)
+    header = ",".join(["y"] + [f"x{j}" for j in range(100)])
+
+    def rows_at(scale):
+        path, out = tmp_path / f"x{scale:g}.csv", tmp_path / f"inf{scale:g}"
+        scaled = X.copy()
+        scaled[:, 50] *= scale
+        np.savetxt(path, np.column_stack([y, scaled]), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        args = ["infer", "--input", str(path), "--rho", "0.8", "--seed", "5",
+                "--method", "exact", "--method", "polyhedral", "--out", str(out)]
+        assert main(args) == 0
+        rows = strict_json(tmp_path / f"inf{scale:g}.json")["rows"]
+        assert rows and not any(r["error"] for r in rows)
+        return [
+            (r["method"], r["index"],
+             *(r[end] * (scale if r["index"] == 50 else 1.0) for end in ("lower", "upper")))
+            for r in rows
+        ]
+
+    small, large = rows_at(1e5), rows_at(1e7)
+    assert {r[0] for r in small} == {"exact", "polyhedral"}
+    assert [r[:2] for r in large] == [r[:2] for r in small]
+    for got, want in zip(large, small):
+        assert got[2:] == pytest.approx(want[2:], rel=1e-9, abs=0)

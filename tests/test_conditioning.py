@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from conftest import carving_fit, toy_fit
 
-from exactsi import conditioning
+from exactsi import numerics
 from exactsi.conditioning import build_geometry, build_target
-from exactsi.errors import GeometryInconsistencyError, NumericalDegeneracyError
+from exactsi.errors import (
+    GeometryInconsistencyError,
+    NumericalDegeneracyError,
+    SingularDesignError,
+)
 from exactsi.selection import Dataset, solve_randomized_lasso
 
 
@@ -153,22 +157,54 @@ class TestAEta:
 
 
 class TestFactorSpd:
+    @staticmethod
+    def pair(r, size, units):
+        """``[[1, -r], [-r, 1]]`` in the first and last rows and columns of an
+        identity of ``size``, rows and columns multiplied by ``units``: its
+        1-norm condition scaled to unit diagonal is ``(1 + r) / (1 - r)``.
+        ``dpocon``'s estimate is a lower bound, which the negative coupling
+        makes exact: the inverse times its first probe, the ones vector, is
+        largest on the pair, so it next takes the pair's column of the
+        inverse, whose 1-norm is the largest."""
+        mat = np.eye(size)
+        mat[0, -1] = mat[-1, 0] = -r
+        return mat * units * units[:, None]
+
     @pytest.mark.parametrize("size", [2, 3, 40])
     def test_condition_check_boundary(self, size):
-        """Raises exactly where ``np.linalg.cond(mat) > _COND_LIMIT`` would."""
-        limit = conditioning._COND_LIMIT
-        diagonals = [
-            np.geomspace(3.0, 3.0 / ratio, size)
-            for ratio in (limit * (1 - 1e-6), limit * (1 + 1e-6))
-        ]
-        diagonals += [np.r_[np.ones(size - 1), 0.0], np.zeros(size)]  # singular
+        """Raises exactly where the scaled 1-norm condition exceeds the limit,
+        in units from 1e-8 to 1e8; a singular matrix and the zero matrix fail."""
+        limit = numerics._MAX_SCALED_COND
+        units = np.geomspace(1e-8, 1e8, size)
+        # the pair's condition straddles the limit by 1%
+        ratios = [(k - 1.0) / (k + 1.0) for k in (0.99 * limit, 1.01 * limit)]
+        conds = [(1.0 + r) / (1.0 - r) for r in ratios]
+        assert conds[0] < limit < conds[1]
+        mats = [self.pair(r, size, units) for r in (*ratios, 1.0)] + [np.zeros((size, size))]
         verdicts = []
-        for diag in diagonals:
-            mat = np.diag(diag)
-            verdicts.append(bool(np.linalg.cond(mat) > limit))
-            if verdicts[-1]:
-                with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
-                    conditioning._factor_spd(mat, "matrix")
-            else:
-                conditioning._factor_spd(mat, "matrix")
+        for mat in mats:
+            try:
+                numerics.factor_spd(mat, "matrix", NumericalDegeneracyError)
+                verdicts.append(False)
+            except NumericalDegeneracyError as exc:
+                assert str(exc) == "matrix is singular or ill-conditioned (scaled cond > 1e+12)"
+                verdicts.append(True)
         assert verdicts == [False, True, True, True]
+
+    def test_units_do_not_change_the_verdict(self):
+        """Rows and columns rescaled by 1e-8 or 1e8 keep each verdict: a
+        well-conditioned Gram passes and one of two nearly equal columns
+        (scaled condition 5.5e14) fails, in any units."""
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((50, 6))
+        near = X.copy()
+        near[:, 5] = near[:, 0] + 1e-7 * rng.standard_normal(50)
+        units = 10.0 ** rng.choice([-8.0, 8.0], size=6)
+        for design, fails in ((X, False), (near, True)):
+            for scale in (np.ones(6), units):
+                mat = design.T @ design * scale * scale[:, None]
+                if fails:
+                    with pytest.raises(SingularDesignError, match="ill-conditioned"):
+                        numerics.factor_spd(mat, "Gram", SingularDesignError)
+                else:
+                    numerics.factor_spd(mat, "Gram", SingularDesignError)

@@ -125,7 +125,7 @@ class TestPivotParams:
         out = solve_randomized_lasso(data, lam=0.5, epsilon=eps, w=w)
         rep = lasso_event_rep(data, out, lam=0.5, epsilon=eps)
         # carving covariance tau2 * x'x on a unit-norm x: the scalar tau2
-        omega = RandomizationScheme(tau2=tau2).covariance(X)
+        omega = RandomizationScheme(tau2=tau2).covariance(data)
         params = take(exact_targets(data, out, rep, omega), 0)
         # hand algebra at p=1 with ||x|| = 1: Theta = tau2/(1+eps)^2,
         # r = -(1+eps)/tau2, so the weight variance is exactly 1/tau2
@@ -296,6 +296,10 @@ class TestExactPivotProperties:
         assert exact_pivot(params, beta0_at(params, -shift)) == pytest.approx(1.0, abs=1e-12)
 
 
+# Toy constants (sigma_j ~ 1) whose log-space rule overflows in its squares at
+# beta0 = +-1e300 and in c = u / s at +-1.7e308: the 0/1 limit there.
+FAR = PivotParams(0.8, 1.1, 0.9, 0.1, 0.2, -0.5, 3.0, 0.4)
+
 # A truncation so extreme that the pivot is exactly 0 on both ends of the
 # seed bracket beta_hat +- 5 sd (+-0.158), with its endpoints near -2.
 SATURATED = PivotParams(
@@ -391,8 +395,12 @@ class TestProbitCompanions:
         record, x = {
             "owen": (toy, np.array([1.0, 2.0, 3.0])),
             "log_space": (stack([toy, toy, SATURATED]), np.array([9.0, 20.0, -2.0])),
-            # the standardized estimate overflows: the 0/1 limit
-            "limit": (replace(toy, sigma_j2=1e-4), np.array([-1e307, 1e307])),
+            # the 0/1 limit where u overflows (toy), or c = u / s or its
+            # square does (FAR)
+            "limit": (
+                stack([replace(toy, sigma_j2=1e-4)] * 2 + [FAR] * 4),
+                np.array([-1e307, 1e307, -1.7e308, -1e300, 1e300, 1.7e308]),
+            ),
         }[regime]
         real = inference._log_cdf_weighted_integral
         sizes = []
@@ -405,7 +413,10 @@ class TestProbitCompanions:
         h, slope = inference._exact_probit(record, x)
         assert sum(sizes) == (x.size if regime == "log_space" else 0)
         if regime == "limit":
-            assert h.tolist() == [math.inf, -math.inf] and np.isnan(slope).all()
+            below = x < record.beta_hat_j
+            assert h.tolist() == np.where(below, math.inf, -math.inf).tolist()
+            assert np.isnan(slope).all()
+            assert exact_pivot(record, x).tolist() == below.astype(float).tolist()
         else:
             assert np.isfinite(h).all() and (slope < 0).all()
             assert_probit_matches(inference._exact_probit, exact_pivot, record, x, 1e-3)
@@ -846,16 +857,16 @@ class TestEqualColumns:
     def test_polyhedral_bounds(self):
         data = self.data()
         target = TargetSpec(data.X, (data.X**2).sum(axis=0))
-        with pytest.raises(SingularDesignError, match="selected design is rank deficient"):
+        with pytest.raises(SingularDesignError, match="selected design is singular"):
             polyhedral_bounds(data, np.array([0, 1]), np.array([1.0, 1.0]), 1.0, target, 1.0)
 
     def test_selected_plug_in(self):
-        with pytest.raises(SingularDesignError, match="plug-in design is rank deficient"):
+        with pytest.raises(SingularDesignError, match="plug-in design is singular"):
             plug_in_sigma2(self.data(), np.array([0, 1]), "selected")
 
     def test_held_out_least_squares(self):
         data = self.data()
-        with pytest.raises(SingularDesignError, match="held-out design is rank deficient"):
+        with pytest.raises(SingularDesignError, match="held-out design is singular"):
             inference._ls_z_intervals(data.y, data.X, np.array([0, 1]), 1.0, 0.1, "split")
 
 

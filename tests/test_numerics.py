@@ -16,12 +16,12 @@ from exactsi.numerics import (
     BRACKET_EXPANSIONS,
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    factor_gram,
+    factor_spd,
     independent_columns,
     integrate_weighted_gaussian,
     invert_monotone,
     line_interval,
-    log_truncation_prob,
+    log_standard_mass,
 )
 
 # Frozen with mpmath at 50 digits (erf series, independent of scipy):
@@ -35,9 +35,17 @@ LOG_TP_10_11 = -53.23131022558312
 Z_975 = 1.959963984540054
 
 
+def log_prob(interval, theta, vartheta):
+    """Log probability of ``interval`` under N(theta, vartheta^2), elementwise
+    over ``theta``; a float for a scalar one."""
+    (a, b), theta = interval, np.asarray(theta, dtype=float)
+    out = log_standard_mass((a - theta) / vartheta, (b - theta) / vartheta)
+    return float(out) if out.ndim == 0 else out
+
+
 def prob(interval, theta, vartheta):
     """Probability of ``interval`` under N(theta, vartheta^2), from its log."""
-    return math.exp(log_truncation_prob(interval, theta, vartheta))
+    return math.exp(log_prob(interval, theta, vartheta))
 
 
 def std_normal_cdf(x):
@@ -63,8 +71,8 @@ class TestIndependentColumns:
         kept = independent_columns(X.T @ X)
         assert kept.size == 3 and 3 not in kept and (1 in kept) != (4 in kept)
         assert np.all(np.diff(kept) > 0)
-        with pytest.raises(SingularDesignError, match="toy Gram is rank deficient"):
-            factor_gram(X.T @ X, "toy Gram")
+        with pytest.raises(SingularDesignError, match="toy Gram is singular"):
+            factor_spd(X.T @ X, "toy Gram", SingularDesignError)
 
     def test_wide_design_keeps_n_columns(self):
         X = np.random.default_rng(2).standard_normal((5, 8))
@@ -74,7 +82,7 @@ class TestIndependentColumns:
     def test_full_rank_factor_is_cho_factor(self):
         X = np.random.default_rng(3).standard_normal((40, 6))
         gram = X.T @ X
-        got, want = factor_gram(gram, "toy Gram"), cho_factor(gram)
+        got, want = factor_spd(gram, "toy Gram", SingularDesignError), cho_factor(gram)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
@@ -100,10 +108,6 @@ class TestGaussianCdf:
     def test_erf_series_oracle(self):
         assert abs(std_normal_cdf(1.959964) - PHI_1959964) < 1e-12
         assert abs(std_normal_cdf(1.959964) - 0.975) < 1e-8
-
-    def test_nan_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            log_truncation_prob((-math.inf, 0.0), math.nan, 1.0)
 
     def test_complement_identity(self):
         for x in np.linspace(-8, 8, 401):
@@ -145,28 +149,24 @@ class TestTruncationProb:
     def test_degenerate_interval_has_no_mass(self):
         assert prob((1.0, 1.0), 0.0, 1.0) == 0.0
 
-    def test_bad_vartheta(self):
-        with pytest.raises(InvalidArgumentError):
-            prob((0, 1), 0.0, 0.0)
-
 
 class TestLogTruncationProb:
     def test_full_line_is_log_one(self):
-        assert log_truncation_prob((-math.inf, math.inf), 0.0, 1.0) == 0.0
+        assert log_prob((-math.inf, math.inf), 0.0, 1.0) == 0.0
 
     def test_half_line(self):
-        lt = log_truncation_prob((0, math.inf), 0.0, 1.0)
+        lt = log_prob((0, math.inf), 0.0, 1.0)
         assert abs(lt - math.log(0.5)) < 1e-14
 
     def test_mills_ratio_oracle(self):
-        lt = log_truncation_prob((10.0, 11.0), 0.0, 1.0)
+        lt = log_prob((10.0, 11.0), 0.0, 1.0)
         assert abs(lt - LOG_TP_10_11) < 1e-10
 
     def test_finite_deep_in_tail(self):
         # 37 sigma from the interval: still finite, exp underflows gracefully
-        lt = log_truncation_prob((37.0, 38.0), 0.0, 1.0)
+        lt = log_prob((37.0, 38.0), 0.0, 1.0)
         assert math.isfinite(lt)
-        lt = log_truncation_prob((-38.0, -37.0), 0.0, 1.0)
+        lt = log_prob((-38.0, -37.0), 0.0, 1.0)
         assert math.isfinite(lt)
 
     def test_exp_agrees_with_truncation_prob(self):
@@ -179,17 +179,17 @@ class TestLogTruncationProb:
             vt = rng.uniform(0.1, 4.0)
             za, zb = (a - theta) / vt, (b - theta) / vt
             direct = float(ndtr(zb) - ndtr(za))
-            lt = log_truncation_prob((a, b), theta, vt)
+            lt = log_prob((a, b), theta, vt)
             assert lt <= 0.0
             # the plain difference itself cancels at ~1e-16 absolute
             assert abs(math.exp(lt) - direct) <= 1e-12 * direct + 5e-16
 
     def test_vectorized_over_theta(self):
         thetas = np.linspace(-5, 5, 17)
-        out = log_truncation_prob((-1, 2), thetas, 1.3)
+        out = log_prob((-1, 2), thetas, 1.3)
         assert out.shape == thetas.shape
         for th, val in zip(thetas, out):
-            assert abs(val - log_truncation_prob((-1, 2), float(th), 1.3)) < 1e-15
+            assert abs(val - log_prob((-1, 2), float(th), 1.3)) < 1e-15
 
 
 class TestIntegrateWeightedGaussian:
@@ -335,7 +335,7 @@ class TestInvertMonotone:
     def test_gaussian_quantile_oracle(self):
         def cdf(t):
             density = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-            return np.exp(log_truncation_prob((-math.inf, t), 0.0, 1.0)), density
+            return np.exp(log_prob((-math.inf, t), 0.0, 1.0)), density
 
         x = invert_monotone(cdf, 0.975, 0.5, 1.0)
         assert abs(x - Z_975) < 1e-8

@@ -32,6 +32,11 @@ def toy_dataset():
     return Dataset(y=np.array([2.0, 0.0]), X=np.array([[1.0], [0.0]]), sigma=1.0)
 
 
+def design_only(X):
+    """A dataset around ``X`` for what reads only the design."""
+    return Dataset(y=np.zeros(X.shape[0]), X=X)
+
+
 def random_dataset(rng, n=40, p=8, sigma=1.0):
     X = rng.standard_normal((n, p))
     beta = np.zeros(p)
@@ -54,7 +59,7 @@ class TestRandomization:
     def test_carving_identity_gram(self):
         X = np.eye(2)
         scheme = RandomizationScheme(tau2=1.0)
-        assert np.allclose(scheme.covariance(X), np.eye(2), atol=1e-7)
+        assert np.allclose(scheme.covariance(design_only(X)), np.eye(2), atol=1e-7)
 
     def test_carving_tau2_arithmetic(self):
         assert tau2_from_split(3.0, 500, 400) == pytest.approx(0.75)
@@ -66,7 +71,7 @@ class TestRandomization:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((50, 3))
         scheme = RandomizationScheme(tau2=0.5)
-        omega = scheme.covariance(X)
+        omega = scheme.covariance(design_only(X))
         draws = np.stack(
             [sample_randomization(omega, seed=s) for s in range(10_000)]
         )
@@ -80,7 +85,7 @@ class TestRandomization:
     def test_deterministic_in_seed(self):
         X = np.random.default_rng(1).standard_normal((20, 4))
         scheme = RandomizationScheme(tau2=2.0)
-        omega = scheme.covariance(X)
+        omega = scheme.covariance(design_only(X))
         a = sample_randomization(omega, seed=42)
         b = sample_randomization(omega, seed=42)
         assert np.array_equal(a, b)
@@ -88,7 +93,7 @@ class TestRandomization:
     def test_rank_deficient_gram_gets_jitter(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
         scheme = RandomizationScheme(tau2=1.0)
-        omega = scheme.covariance(X)
+        omega = scheme.covariance(design_only(X))
         assert np.linalg.eigvalsh(omega).min() > 0
 
     @pytest.mark.parametrize("seed", [22, 100004])
@@ -98,7 +103,7 @@ class TestRandomization:
         rounding.  Both get the jitter, and the returned matrix factors."""
         X = generate_design(100, 30, 0.5, seed)
         X[:, 29] = X[:, 0]
-        omega = RandomizationScheme(tau2=0.75).covariance(X)
+        omega = RandomizationScheme(tau2=0.75).covariance(design_only(X))
         np.linalg.cholesky(omega)
         assert not np.array_equal(omega, 0.75 * (X.T @ X))
         assert sample_randomization(omega, seed=seed).shape == (30,)

@@ -389,11 +389,9 @@ def test_one_factorization_per_fit(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    # the rank test and the factorizations it guards live in numerics
-    monkeypatch.setattr(numerics, "dpstrf", counted("dpstrf", numerics.dpstrf))
-    for module in (conditioning, numerics):
-        monkeypatch.setattr(module, "cho_factor", counted("cho_factor", module.cho_factor))
+    # the rank test, the condition check and the factorizations live in numerics
+    for name in ("dpstrf", "dpocon", "cho_factor"):
+        monkeypatch.setattr(numerics, name, counted(name, getattr(numerics, name)))
     for module in (conditioning, inference):
         monkeypatch.setattr(module, "cho_solve", counted("cho_solve", module.cho_solve))
     for name in ("build_target", "build_geometry", "pivot_params"):
@@ -414,10 +412,36 @@ def test_one_factorization_per_fit(monkeypatch):
         assert one and every == one
         assert [name for name, _, _ in every].count("cho_solve") == solves
         big = [name for name, shape, _ in every if shape == p_by_p]
-        assert big == (["eigvalsh", "cho_factor"] if method == "exact" else [])
+        assert big == (["cho_factor", "dpocon"] if method == "exact" else [])
         if method == "exact":
             in_stage = [inside for name, _, inside in every if name != "cho_solve"]
             assert in_stage and all(in_stage)
+
+
+def test_one_rank_test_per_dataset(monkeypatch):
+    """The plug-in of ``calibrate``, the randomization covariance, the lasso
+    and the full-model targets read one Gram of the dataset: an exact and a
+    polyhedral fit of the full model, every interval included, run the rank
+    test once on a p x p matrix."""
+    shapes = []
+
+    def dpstrf(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return real(mat, *args, **kwargs)
+
+    real = numerics.dpstrf
+    monkeypatch.setattr(numerics, "dpstrf", dpstrf)
+    X = generate_design(300, 100, 0.5, 3)
+    y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, 4)
+    data = Dataset(y=y, X=X)
+    cal = calibrate(data, ("exact", "polyhedral"), rho=0.8, epsilon=0.0)
+    for method in ("exact", "polyhedral"):
+        fit = fit_method(data, cal, method, "full", 0.1, 5)
+        assert fit.selected.size
+        for j in range(fit.selected.size):
+            fit.interval(j)
+    assert shapes.count((100, 100)) == 1
+    assert not data.gram.flags.writeable
 
 
 @pytest.mark.parametrize("sigma", [None, 1.7])
