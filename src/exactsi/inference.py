@@ -79,9 +79,10 @@ class PivotParams:
       their relative accuracy (~1e-12) however small the mass;
     * both tails below the smallest double: the 0/1 limit.
 
-    ``invert_pivot`` solves on the probit ``Phi^{-1}(pivot)``
-    (``_exact_probit``), taken from the log of the smaller tail with its
-    closed-form slope in beta0.  Without truncation the probit is
+    The pivot decreases in beta0, and ``invert_pivot`` solves on the negated
+    probit ``-Phi^{-1}(pivot)``, which increases; ``_exact_probit`` takes the
+    probit from the log of the smaller tail, with its closed-form slope in
+    beta0.  Without truncation the probit is
     ``(beta_hat_j - lambda_j beta0 - zeta_j) / sigma_j``, linear in beta0,
     so each endpoint is seeded at that line's root, and ``sigma_j /
     lambda_j`` is the scale of its stopping rule.
@@ -295,12 +296,15 @@ def _log_cdf_weighted_integral(c, d, a, b):
         ).ravel()
     out = np.full(panels.size, -math.inf)
     # where the window is narrower than rounding, the integrand falls at a
-    # slope too steep for any panel: take the one-term Laplace value f(v0) / |g|
+    # slope too steep for any panel: take the one-term Laplace value f(v0) / |g|,
+    # capped by the Gaussian half-line and the interval's width where g is small
     none = panels == 0
     with np.errstate(divide="ignore"):
         out[none] = (
             -0.5 * v0[none] ** 2 + log_ndtr(c[none] + d[none] * v0[none])
-            - np.log(np.abs(g[none]))
+            - np.log(np.maximum.reduce([
+                np.abs(g[none]), np.sqrt(2.0 * curv[none] / math.pi), 1.0 / (b[none] - a[none])
+            ]))
         )
     some = np.flatnonzero(panels)
     if some.size:
@@ -498,17 +502,21 @@ def _results(
 def invert_pivot(
     params: PivotParams, alpha: float, target_labels: Sequence[int] | None = None
 ) -> list[IntervalEstimate | ExactSIError]:
-    """Level ``1 - alpha`` intervals from the strictly decreasing exact pivots.
+    """Level ``1 - alpha`` intervals from the exact pivots.
 
-    Solves every endpoint of every target in one ``invert_monotone`` call, on
-    the pivot's probit scale (``_exact_probit``): the pivot is the level
-    ``1 - alpha / 2`` (lower endpoint) or ``alpha / 2`` (upper) exactly where
-    its probit is ``+z`` or ``-z``, ``z = Phi^{-1}(1 - alpha / 2)``.  Each
-    endpoint starts at its full-line value ``(beta_hat - zeta -+ z sd) /
-    lambda``, its root without truncation, and stops at a step of
-    ``numerics._STEP_TOL`` times ``sd / lambda``.  Entry i is target i's
-    interval, or the error that stopped it (``NoRootError`` when an
-    endpoint is not bracketed within ``BRACKET_EXPANSIONS`` steps).
+    Given the truncation, the estimate's law is an exponential family in
+    beta0 with natural parameter ``lambda_j beta0 / sigma_j2`` and ``lambda_j
+    > 0``, so by its monotone likelihood ratio the pivot decreases in beta0.
+    Every endpoint of every target is solved in one ``invert_monotone`` call
+    on the negated probit ``-h``, which increases (``h`` from
+    ``_exact_probit``): the pivot is the level ``1 - alpha / 2`` (lower
+    endpoint) or ``alpha / 2`` (upper) exactly where ``-h`` is ``-z`` or
+    ``+z``, ``z = Phi^{-1}(1 - alpha / 2)``.  Each endpoint starts at its
+    full-line value ``(beta_hat - zeta -+ z sd) / lambda``, its root without
+    truncation, and stops at a step of ``numerics._STEP_TOL`` times ``sd /
+    lambda``.  Entry i is target i's interval, or the error that stopped it
+    (``NoRootError`` when an endpoint is not bracketed within
+    ``BRACKET_EXPANSIONS`` steps).
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
@@ -519,12 +527,13 @@ def invert_pivot(
     levels = (1.0 - alpha / 2.0, alpha / 2.0)  # of the lower, then the upper endpoints
 
     def probit_at(x, *columns):
-        return _exact_probit(PivotParams(*columns), x)
+        h, slope = _exact_probit(PivotParams(*columns), x)
+        return -h, -slope
 
     center = batch.beta_hat_j - batch.zeta_j
     roots = invert_monotone(
         probit_at,
-        np.repeat([z, -z], k),
+        np.repeat([-z, z], k),
         np.concatenate([center - z * sd, center + z * sd]) / np.tile(batch.lambda_j, 2),
         np.tile(sd / batch.lambda_j, 2),
         args=tuple(np.tile(col, 2) for col in _columns(batch)),
@@ -680,9 +689,12 @@ def polyhedral_interval(
     as the pivot on the window's ends (one call for all targets) shows.
     When both endpoints lie beyond the same side of that window (the estimate
     sits almost on a truncation bound), clipping one would put it past the
-    other, so both are returned unclipped.  The other endpoints are solved
-    in one ``invert_monotone`` call on the pivot's probit scale
-    (``_polyhedral_probit``), each from its full-line value ``beta_hat -+ z
+    other, so both are returned unclipped.  The truncated Gaussian is an
+    exponential family in beta0 with natural parameter ``beta0 / sd^2``, so
+    by its monotone likelihood ratio the pivot decreases in beta0.  The
+    other endpoints are solved in one ``invert_monotone`` call on the
+    negated probit ``-h``, which increases (``h`` from
+    ``_polyhedral_probit``), each from its full-line value ``beta_hat -+ z
     sd`` (``z = Phi^{-1}(1 - alpha / 2)``), and stop at a step of
     ``numerics._STEP_TOL`` times ``sd``.  Entry i is target i's interval, or
     the error that stopped it.
@@ -709,13 +721,14 @@ def polyhedral_interval(
     which = np.concatenate([solve_lo, solve_hi])
 
     def probit_at(x, *cols):
-        return _polyhedral_probit(PolyhedralBounds(*cols), x)
+        h, slope = _polyhedral_probit(PolyhedralBounds(*cols), x)
+        return -h, -slope
 
-    target = np.repeat([z, -z], (solve_lo.size, solve_hi.size))
+    target = np.repeat([-z, z], (solve_lo.size, solve_hi.size))
     roots = invert_monotone(
         probit_at,
         target,
-        beta_hat[which] - target * sd[which],
+        beta_hat[which] + target * sd[which],
         sd[which],
         args=tuple(col[which] for col in _columns(batch)),
     )
@@ -841,8 +854,8 @@ def uv_inference(
     if not f > 0:
         raise InvalidArgumentError("f must be positive")
     w = np.random.default_rng(seed).standard_normal(data.n) * math.sqrt(sigma2 * f)
-    u_data = Dataset(y=data.y + w, X=data.X)
-    out = solve_randomized_lasso(u_data, lam=lam, epsilon=0.0, w=np.zeros(data.p))
+    # the lasso on y + w is the lasso on y perturbed linearly by X'w
+    out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=data.X.T @ w)
     E = out.selected
     if E.size == 0:
         return []

@@ -3,15 +3,16 @@
 Log probabilities of standard Gaussians over intervals (with infinite
 endpoints allowed), elementwise; the slice of a polyhedron along a line; the
 rank test of a Gram matrix and the one check of every matrix the package
-factors (``factor_spd``); and the vectorized inversion of monotone
+factors (``factor_spd``); and the vectorized inversion of increasing
 functions.  The inversion runs one safeguarded Newton loop over all
 elements: each starts at its own seed, keeps a bracket from the signs of the
 values it has seen, bisects where a Newton step would leave that bracket or
-the slope is unusable, steps out by a doubling multiple of its own scale
-while it has no bracket, and stops when its next step is at most 1e-10 of
-that scale (plus 4 eps of the root), so that the rule does not depend on
-units.  The pivots are inverted on their probit scale, where a pivot without
-truncation is linear in its parameter (see ``inference.invert_pivot``).
+the slope is not positive, steps toward the target by a doubling multiple of
+its own scale while it has no bracket, and stops when its next step is at
+most 1e-10 of that scale (plus 4 eps of the root), so that the rule does not
+depend on units.  The pivots decrease in their parameter and are inverted on
+their negated probit scale, where a pivot without truncation is linear in
+its parameter (see ``inference.invert_pivot``).
 Tail quantities are computed through ``log_ndtr`` (scaled complementary error
 function under the hood) so that differences of far-tail CDFs never cancel to
 zero while the true value is representable.  The log-space Simpson quadrature
@@ -197,7 +198,7 @@ def line_interval(
 
 
 def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
-    """Solve ``g(x) = target`` elementwise for continuous monotone ``g``.
+    """Solve ``g(x) = target`` elementwise for continuous increasing ``g``.
 
     ``g(x, *args)`` returns the values of g and of its slope at the
     abscissae ``x``, elementwise.  ``target``, the starting points ``seed``,
@@ -207,18 +208,15 @@ def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
 
     * the nearest abscissae seen so far where g is below and above the
       target bracket the root once both exist;
-    * the values show which way g rises once there is a bracket or two
-      values on one side of the target; a slope is usable where it is finite
-      and nonzero, gives a finite step, and agrees with them;
+    * a slope is usable where it is positive and gives a finite step;
     * inside a bracket, the Newton step is taken when it lands strictly
       inside the bracket and is at most half the step before the last, or
       is within the tolerance below, else the bracket is bisected;
     * without a bracket, the Newton step is taken where the slope is usable;
       elsewhere a blind step of ``scale``, doubled at each blind step, goes
-      the way the values show the target, or alternates sides while they
-      show nothing.  After ``BRACKET_EXPANSIONS`` steps without a bracket,
-      not counting Newton steps shorter than the step before them, the
-      root is NaN.
+      right where g is below the target and left where it is above.  After
+      ``BRACKET_EXPANSIONS`` steps without a bracket, not counting Newton
+      steps shorter than the step before them, the root is NaN.
 
     An element stops when its next step is at most ``_STEP_TOL * scale + 4
     eps |x|``; its root is the point that step reaches, so the stopping rule
@@ -238,69 +236,56 @@ def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
         raise InvalidArgumentError("seeds must be finite and scales positive and finite")
     idx = np.arange(target.size)
     args = [a.ravel() for a in args]
-    # one column per open element: its target and iterate; its absolute
-    # tolerance; the nearest abscissae seen below and above the target with
-    # their values (NaN and -+inf until seen); which way the values show g
-    # rising (0 while they do not); the steps counted without a bracket; the
-    # next blind step, which doubles and changes side at each blind step; and
-    # the last two step lengths, halved
+    # per open element: its target and iterate; its absolute tolerance; the
+    # nearest abscissae seen below and above the target with their values
+    # (NaN and -+inf until seen; as g increases, the first lies left of the
+    # second); the steps counted without a bracket; the next blind step's
+    # length, which doubles at each blind step; and the last two step
+    # lengths, halved
     ones = np.ones(idx.size)
-    state = np.array([
+    state = [
         target.ravel(), x.ravel(), _STEP_TOL * scale.ravel(), np.nan * ones, -np.inf * ones,
-        np.nan * ones, np.inf * ones, 0 * ones, 0 * ones, scale.ravel(), np.inf * ones,
-        np.inf * ones,
-    ])
+        np.nan * ones, np.inf * ones, 0 * ones, scale.ravel(), np.inf * ones, np.inf * ones,
+    ]
     for _ in range(_MAX_ITERATIONS if idx.size else 0):
-        target, x, atol, neg, f_neg, pos, f_pos, rising, outward, reach, last, before = state
+        target, x, atol, neg, f_neg, pos, f_pos, outward, reach, last, before = state
         value, slope = g(x, *args)
         f = value - target
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # a bracket shows which way g rises, and so do two values on one
-            # side of the target
-            below = f < 0
-            trend = (x - np.where(below, neg, pos)) * (f - np.where(below, f_neg, f_pos))
-            near = below & (f >= f_neg)
+            near = (f < 0) & (f >= f_neg)
             neg, f_neg = np.where(near, x, neg), np.where(near, f, f_neg)
             near = (f > 0) & (f <= f_pos)
             pos, f_pos = np.where(near, x, pos), np.where(near, f, f_pos)
-            width = pos - neg
-            bracketed = width == width
-            trend = np.where(bracketed, width, trend)
-            rising = np.where(np.abs(trend) > 0, np.sign(trend), rising)
-            # a slope counts where it agrees with the values, or they tell nothing
+            bracketed = ~np.isnan(neg + pos)
             newton = -f / slope
-            usable = np.isfinite(newton * slope) & (slope * rising >= 0)
+            usable = np.isfinite(newton * slope) & (slope > 0)
             tol = atol + _X_RTOL * np.abs(x)
             size = np.abs(newton)
-            lo, hi = np.fmin(neg, pos), np.fmax(neg, pos)
             landing = x + newton
             # inside a bracket, a Newton step must land strictly inside it and
             # at least halve the step before the last, unless it is within the
             # tolerance, which ends the search even on an end of the bracket
             trusted = usable & (
-                ~bracketed | (size <= tol) | ((lo < landing) & (landing < hi) & (size <= before))
+                ~bracketed | (size <= tol) | ((neg < landing) & (landing < pos) & (size <= before))
             )
-            away = -rising * np.sign(f)
-            blind = np.where(away == 0, reach, away * np.abs(reach))
-            step = np.where(
-                trusted, newton, np.where(bracketed, 0.5 * lo + 0.5 * hi - x, blind)
-            )
+            bisect = 0.5 * neg + 0.5 * pos - x
+            step = np.where(trusted, newton, np.where(bracketed, bisect, -np.sign(f) * reach))
             step[f == 0] = 0.0
         done = np.abs(step) <= tol
         stop = done | np.isnan(f) | (~bracketed & (outward >= BRACKET_EXPANSIONS))
         # a Newton step shorter than the last one converges: it does not count
         # against the steps an element may take without a bracket
-        state = np.array([
-            target, x + step, atol, neg, f_neg, pos, f_pos, rising,
+        state = [
+            target, x + step, atol, neg, f_neg, pos, f_pos,
             outward + ~(bracketed | (trusted & (size < 2.0 * last))),
-            np.where(trusted | bracketed, reach, -2.0 * reach), 0.5 * np.abs(step), last,
-        ])
+            np.where(trusted | bracketed, reach, 2.0 * reach), 0.5 * np.abs(step), last,
+        ]
         if stop.any():
             if np.isnan(f).any():
                 raise NumericalDegeneracyError("root finding met a NaN value of g")
-            roots[idx[done]] = state[1, done]
+            roots[idx[done]] = state[1][done]
             keep = ~stop
-            state, idx, args = state[:, keep], idx[keep], [a[keep] for a in args]
+            state, idx, args = [a[keep] for a in state], idx[keep], [a[keep] for a in args]
             if not idx.size:
                 return roots.reshape(shape)
     if idx.size:

@@ -421,6 +421,19 @@ class TestProbitCompanions:
             assert np.isfinite(h).all() and (slope < 0).all()
             assert_probit_matches(inference._exact_probit, exact_pivot, record, x, 1e-3)
 
+    def test_no_far_point_reads_the_wrong_limit(self):
+        # far out the log-space rule's window can be narrower than rounding,
+        # with a slope of 0 at its mode; the one-term value of that integral
+        # must stay finite there, or the pivot reads 0 below the estimate and
+        # 1 above it
+        center = (FAR.beta_hat_j - FAR.zeta_j) / FAR.lambda_j
+        shift = np.logspace(2, 307, 1500) * math.sqrt(FAR.sigma_j2) / FAR.lambda_j
+        x = np.concatenate([center - shift, [-2.6982925160651452e19], center + shift])
+        below = x < center
+        h, _ = inference._exact_probit(FAR, x)
+        assert exact_pivot(FAR, x).tolist() == below.astype(float).tolist()
+        assert (np.sign(h) == np.where(below, 1.0, -1.0)).all()
+
 
 class TestInvertPivot:
     def test_full_line_gives_classical_z_interval(self):

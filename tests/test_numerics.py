@@ -345,31 +345,18 @@ class TestInvertMonotone:
         x = invert_monotone(lambda t: (t**3, 3.0 * t**2), 8.0, 0.0, 0.5)
         assert abs(x - 2.0) < 1e-8
 
-    def test_decreasing_function(self):
-        x = invert_monotone(affine, 0.0, -10.0, 1.0, args=(-2.0, 1.0))
-        assert abs(x - 0.5) < 1e-9
-
     def test_random_affine_maps(self):
+        # a decreasing map g is solved as the increasing sign * g = sign * target
         rng = np.random.default_rng(13)
-        slope = rng.choice([-1, 1], size=100) * rng.uniform(0.01, 50, size=100)
+        sign = rng.choice([-1, 1], size=100)
+        slope = sign * rng.uniform(0.01, 50, size=100)
         icept = rng.normal(size=100) * 20
         target = rng.normal(size=100) * 20
         want = (target - icept) / slope
-        got = invert_monotone(affine, target, 0.0, 0.5, args=(slope, icept))
+        got = invert_monotone(affine, sign * target, 0.0, 0.5, args=(sign * slope, sign * icept))
         assert got.shape == (100,)
         ok = (np.abs(slope * got + icept - target) <= 1e-8) | (np.abs(got - want) <= 1e-10)
         assert ok.all()
-
-    def test_tie_on_the_seed_bracket_expands_both_sides(self):
-        # decreasing, flat at 0 around the seed, with its root to the left;
-        # the increasing twin has its root to the right: with no slope and
-        # equal values, the blind steps alternate sides
-        def g(t, sign):
-            u = -sign * (t + sign * 3.0)
-            return np.clip(u, 0.0, None), np.where(u > 0, -sign, 0.0)
-
-        x = invert_monotone(g, 0.5, 0.0, 1.0, args=(np.array([1.0, -1.0]),))
-        assert np.abs(x - [-3.5, 3.5]).max() < 1e-9
 
     def test_no_root(self):
         # tanh never reaches 2: that element alone has no root
@@ -383,13 +370,39 @@ class TestInvertMonotone:
         assert math.isnan(invert_monotone(g, 2.0, 0.0, 1.0))
 
     def test_slopes_against_the_values_are_not_followed(self):
-        # g(t) = t, but every slope after the seed's has the wrong sign: once
-        # two values below the target show g rising, the search steps out
-        # blind to the right, brackets the root and bisects
+        # g(t) = t, but every slope after the seed's has the wrong sign: with
+        # its values below the target, the search steps out blind to the
+        # right, brackets the root and bisects
         def g(t):
             return t, np.where(t == 0.0, 10.0, -1.0)
 
         assert abs(invert_monotone(g, 10.0, 0.0, 1.0) - 10.0) <= 1e-9
+
+    def test_a_wrong_sign_slope_is_never_followed(self):
+        # g(t) = t with slope -1 everywhere: a Newton step from the seed would
+        # go to -10, away from the root at 10
+        seen = []
+
+        def g(t):
+            seen.extend(t)
+            return t, -np.ones_like(t)
+
+        assert abs(invert_monotone(g, 10.0, 0.0, 1.0) - 10.0) <= 1e-9
+        assert min(seen) >= 0.0
+        assert len(seen) == 8
+
+    def test_a_flat_start_is_left_on_one_side_only(self):
+        # g is 0, with slope 0, up to 3: below the target there, so every
+        # blind step goes right
+        seen = []
+
+        def g(t):
+            seen.extend(t)
+            return np.maximum(t - 3.0, 0.0), (t > 3.0).astype(float)
+
+        assert abs(invert_monotone(g, 0.5, 0.0, 1.0) - 3.5) <= 1e-9
+        assert min(seen) >= 0.0
+        assert len(seen) == 6
 
     def test_slow_one_sided_newton_steps_are_not_expansions(self):
         # a slope four times too steep: every step covers a quarter of the
