@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +202,36 @@ class TestRunStudy:
             if ms.n_used:
                 assert 0.0 <= ms.coverage <= 1.0
                 assert ms.length > 0
+
+    def test_rows_match_the_frozen_study(self):
+        """Every method's rows at ``SimConfig(seed=12345, n_reps=20)`` agree
+        with ``study_seed12345.json``: endpoints to 1e-9 max(1, |x|), and
+        coordinates, covered flags, empty selections and failures by class
+        exactly.  The file was written, with one BLAS thread, by
+
+            import json
+            from exactsi.study import KNOWN_METHODS, SimConfig, run_study
+
+            summary = run_study(SimConfig(seed=12345, n_reps=20, methods=KNOWN_METHODS))
+            rows = [[r["rep"], r["method"], r["coordinate"], r["lower"], r["upper"],
+                     r["covered"]] for r in summary.rows]
+            with open("tests/study_seed12345.json", "w", encoding="utf-8") as fh:
+                fh.write('{"failures": %s,\\n' % json.dumps(
+                    {m: s.failures for m, s in summary.methods.items()}))
+                fh.write('"n_empty": %s,\\n' % json.dumps(
+                    {m: s.n_empty for m, s in summary.methods.items()}))
+                fh.write('"rows": [\\n%s\\n]}\\n' % ",\\n".join(json.dumps(r) for r in rows))
+        """
+        with open(Path(__file__).with_name("study_seed12345.json"), encoding="utf-8") as fh:
+            frozen = json.load(fh)
+        summary = run_study(SimConfig(seed=12345, n_reps=20, methods=study.KNOWN_METHODS))
+        assert {m: s.failures for m, s in summary.methods.items()} == frozen["failures"]
+        assert {m: s.n_empty for m, s in summary.methods.items()} == frozen["n_empty"]
+        got = [[r["rep"], r["method"], r["coordinate"], r["lower"], r["upper"], r["covered"]]
+               for r in summary.rows]
+        assert [r[:3] + r[5:] for r in got] == [r[:3] + r[5:] for r in frozen["rows"]]
+        ends, want = np.array([r[3:5] for r in got]), np.array([r[3:5] for r in frozen["rows"]])
+        assert (np.abs(ends - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all()
 
     def test_polyhedral_estimate_on_a_bound_keeps_its_replicate(self):
         # replicate 42 of this cell has polyhedral targets whose estimate sits
