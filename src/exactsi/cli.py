@@ -176,7 +176,7 @@ def cmd_select(args) -> int:
     scheme, _, outcome, _ = randomized_selection(data, cal, args.seed)
     b = np.zeros(data.p)
     b[outcome.selected] = outcome.active_solution
-    c = data.X.T @ data.y + outcome.randomization
+    c = data.xty + outcome.randomization
     report = {
         "command": "select",
         "input": args.input,

@@ -67,18 +67,20 @@ def build_target(data: Dataset, outcome: SelectionOutcome, model: str) -> Target
     ``selected`` targets the partial regression coefficients among the
     selected columns; ``full`` targets the corresponding coordinates of the
     all-columns coefficient vector.  Contrast j is ``design G^{-1} e_j``,
-    G the Gram of that design (for ``full``, the dataset's own), checked by
-    ``factor_spd``; a Gram that fails raises ``SingularDesignError``.
+    G the Gram of that design, checked by ``factor_spd``: for ``selected``,
+    the dataset's factor of its selected block (``Dataset.factor_columns``),
+    for ``full``, of its whole Gram.  A Gram that fails raises
+    ``SingularDesignError``.
     """
     if model not in ("selected", "full"):
         raise InvalidArgumentError(f"unknown model {model!r}")
     E = outcome.selected
     if model == "selected":
-        design, columns, what = data.X[:, E], np.arange(E.size), "selected-design Gram"
-        gram = design.T @ design
+        design, columns = data.X[:, E], np.arange(E.size)
+        factor = data.factor_columns(E, "selected-design Gram")
     else:
-        design, columns, what, gram = data.X, E, "full-design Gram", data.gram
-    factor = factor_spd(gram, what, SingularDesignError)
+        design, columns = data.X, E
+        factor = factor_spd(data.gram, "full-design Gram", SingularDesignError)
     units = np.eye(design.shape[1])[:, columns]
     contrast = design @ cho_solve(factor, units)
     return TargetSpec(contrast=contrast, norm2=(contrast * contrast).sum(axis=0))
@@ -115,7 +117,8 @@ def build_geometry(
     O = rep.opt
     observed = O @ rj
     A_obs = O[:, None] - Qj * observed
-    lower, upper, violated = line_interval(rep.L, Qj, rep.M[:, None] - rep.L @ A_obs)
+    zero = 1e-12 * np.linalg.norm(rep.L, axis=1)[:, None] * np.linalg.norm(Qj, axis=0)
+    lower, upper, violated = line_interval(rep.L @ Qj, zero, rep.M[:, None] - rep.L @ A_obs)
 
     def error(j):  # the first check that target j fails, in this order
         lo, hi, obs = float(lower[j]), float(upper[j]), float(observed[j])

@@ -51,6 +51,8 @@ from .numerics import integrate_weighted_gaussian  # noqa: E402,F401
 
 POLYHEDRAL_CLIP_SDS = 50.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
+_SQRT_PI_OVER_2 = math.sqrt(0.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -562,35 +564,60 @@ def polyhedral_bounds(
 ) -> tuple[PolyhedralBounds, list[ExactSIError | None]]:
     """One-dimensional truncation bounds of the lasso selection event.
 
-    The event {selected set, signs} is ``G y < h``, built once for every
-    target.  Its inactive subgradient box constraints are kept, which is what
-    makes the conditional law of each target exactly the truncated Gaussian.
-    At fixed residual off a target's contrast the event becomes an interval
-    for its estimate.  Returns the bounds of the targets that built, one
-    record of arrays, and each target's error.
+    The event {selected set E, signs S} is ``G y < h`` (Lee, Sun, Sun &
+    Taylor 2016), with active rows ``-S G_EE^{-1} X_E'`` and inactive rows
+    ``+-(X_I' - G_IE G_EE^{-1} X_E') / lam``, G the Gram.  Its inactive
+    subgradient box constraints are kept, which is what makes the
+    conditional law of each target exactly the truncated Gaussian.  At fixed
+    residual ``gamma`` off a target's contrast c the event is the interval
+    of t where ``G (gamma + v t) < h``, ``v = c / ||c||^2``.
+
+    The n-column matrix G is never formed.  With ``u = X'v``, the
+    coefficient of every row is p-space algebra on the Gram: ``-S (G_EE^{-1}
+    u_E)`` on the active block, ``+-(u_I - G_IE G_EE^{-1} u_E) / lam`` on the
+    inactive one.  The same map of ``X'gamma = X'y - X'c beta_hat /
+    ||c||^2`` gives each row's slack, so ``X'c`` is the one product with n
+    terms.  A coefficient is zero below ``1e-12 ||row|| ||v||``, with the row
+    norms ``sqrt(diag G_EE^{-1})`` (active) and ``sqrt(max(G_II - diag(G_IE
+    G_EE^{-1} G_EI), 0)) / lam`` (inactive), and ``||v|| = 1 / ||c||``.  The
+    factor of ``G_EE`` is the dataset's (``Dataset.factor_columns``), which
+    ``build_target`` and the selected-model plug-in share.  Returns the
+    bounds of the targets that built, one record of arrays, and each
+    target's error.
     """
-    X = data.X
-    E0 = np.asarray(selected, dtype=int)
-    S0 = np.asarray(signs, dtype=float)
-    XE = X[:, E0]
-    factor = factor_spd(XE.T @ XE, "selected design", SingularDesignError)
-    M1 = cho_solve(factor, XE.T)  # |E| x n
-    ginv_s = cho_solve(factor, S0)
-    rows = [-(S0[:, None] * M1)]
-    rhs = [-lam * S0 * ginv_s]
-    inactive = np.setdiff1d(np.arange(data.p), E0)
-    if inactive.size:
-        Xi = X[:, inactive]
-        cross = Xi.T @ XE
-        proj_rows = (Xi.T - cross @ M1) / lam
-        base = cross @ ginv_s
-        rows.extend([proj_rows, -proj_rows])
-        rhs.extend([1.0 - base, 1.0 + base])
-    G, h = np.vstack(rows), np.concatenate(rhs)
-    y, c, norm2 = data.y, target.contrast, target.norm2
-    beta_hat = y @ c
-    gamma = y[:, None] - c * (beta_hat / norm2)
-    lower, upper, violated = line_interval(G, c / norm2, h[:, None] - G @ gamma)
+    E = np.asarray(selected, dtype=int)
+    S = np.asarray(signs, dtype=float)
+    factor = data.factor_columns(E, "selected design")
+    off = np.ones(data.p, dtype=bool)
+    off[E] = False
+    inactive = np.flatnonzero(off)
+    c, norm2 = target.contrast, target.norm2
+    q, k = E.size, norm2.size
+    beta_hat = data.y @ c
+    xtc = data.X.T @ c
+    xtv = xtc / norm2
+    xtgamma = data.xty[:, None] - xtc * (beta_hat / norm2)
+    G_EI = data.gram[np.ix_(E, inactive)]
+    # G_EE^{-1} applied to S, the identity, G_EI, and the E rows of X'v and X'gamma
+    ginv_s, ginv, ginv_ei, ginv_v, ginv_gamma = np.split(
+        cho_solve(factor, np.hstack([S[:, None], np.eye(q), G_EI, xtv[E], xtgamma[E]])),
+        np.cumsum([1, q, inactive.size, k]),
+        axis=1,
+    )
+
+    def rows(u, ginv_u):  # G @ (the vectors whose X' is u): active, then +-inactive
+        across = (u[inactive] - G_EI.T @ ginv_u) / lam
+        return np.vstack([-S[:, None] * ginv_u, across, -across])
+
+    base = G_EI.T @ ginv_s[:, 0]
+    h = np.concatenate([-lam * S * ginv_s[:, 0], 1.0 - base, 1.0 + base])
+    residual = np.diag(data.gram)[inactive] - (G_EI * ginv_ei).sum(axis=0)
+    across_norm = np.sqrt(np.maximum(residual, 0.0)) / lam
+    row_norm = np.concatenate([np.sqrt(np.diag(ginv)), across_norm, across_norm])
+    lower, upper, violated = line_interval(
+        rows(xtv, ginv_v), 1e-12 * row_norm[:, None] / np.sqrt(norm2),
+        h[:, None] - rows(xtgamma, ginv_gamma),
+    )
     width_scale = 1e-8 * np.maximum(1.0, np.abs(beta_hat))
     inside = (lower - width_scale <= beta_hat) & (beta_hat <= upper + width_scale)
 
@@ -612,69 +639,124 @@ def polyhedral_bounds(
 
 
 def _polyhedral_tails(bounds: PolyhedralBounds, beta0):
-    """Everything ``polyhedral_pivot`` and ``_polyhedral_probit`` share,
-    elementwise over the broadcast fields and ``beta0``.
+    """Everything ``polyhedral_pivot`` and ``_polyhedral_probit`` share, as
+    flat arrays over the broadcast fields and ``beta0``.
 
-    Returns the pivot; the logs of the masses of ``(lower, beta_hat)``,
-    ``(beta_hat, upper)`` and ``(lower, upper)`` under N(beta0, sd^2); the
-    elements whose pivot is neither a 0/1 limit nor an estimate outside its
-    bounds; and ``lower``, ``beta_hat`` and ``upper`` standardized.
+    With ``a, m, b`` the standardized ``lower, beta_hat, upper``, the line is
+    reflected where ``a > -b``, so that ``p1 < p2 < p3`` (``a, m, b`` or
+    ``-b, -m, -a``) has on top the end nearer the bulk, and every mass and
+    density is taken over ``Phi(p3)``.  The logs of ``Phi(p1) / Phi(p2)``
+    and ``Phi(p2) / Phi(p3)`` are tail differences of log Phi: where the
+    upper point q of a pair is at most 0 (so both lie in the left tail),
+    they are taken in the erfcx form ``w (p + q) / 2 + log(erfcx(-p / sqrt
+    2) / erfcx(-q / sqrt 2))``, with the width ``w = q - p`` read directly
+    from ``(beta_hat - lower) / sd`` or ``(upper - beta_hat) / sd``;
+    elsewhere as a difference of ``log_ndtr``.  A piece ``(p2, p3)`` in the
+    right tail is ``Q(p2) - Q(p3)`` in the same form, and where ``p3 <= 0``
+    the log of ``phi(p_i) / Phi(p3)`` is ``log(phi(p3) / Phi(p3))`` (by
+    erfcx) plus the exact ``log(phi(p_i) / phi(p3))``.  No log of size ``p^2
+    / 2`` then enters a difference, so the pivot and its slope hold however
+    far beta0 lies from the truncation interval.
+
+    Returns the broadcast shape; the log of the pivot; the log of its
+    smaller tail over the truncation mass, a mask set where that tail is the
+    lower one, and the slope of that log in beta0; and the mask of the live
+    elements, whose pivot is neither a 0/1 limit nor that of an estimate
+    outside its bounds.  Elsewhere the mask of lower tails is set where the
+    limit is 0.  The slope of ``log mass(p, q)`` is ``dp/dbeta0 (phi(q) -
+    phi(p)) / mass(p, q)``.
     """
-    beta0, sd = np.asarray(beta0, dtype=float), np.asarray(bounds.sd, dtype=float)
-    lower, beta_hat, upper = (
-        np.asarray(x, dtype=float) for x in (bounds.lower, bounds.beta_hat, bounds.upper)
-    )
-    with np.errstate(invalid="ignore"):
-        std = np.broadcast_arrays(*((x - beta0) / sd for x in (lower, beta_hat, upper)))
-        a, m, b = std
-        # lanes with beta_hat outside (lower, upper) are overwritten below
-        logs = log_standard_mass(np.stack([a, a, m]), np.stack([m, b, b]))
-        log_below, log_den = logs[0], logs[1]
-        out = np.clip(np.exp(log_below - log_den), 0.0, 1.0)
-    empty = log_den == -math.inf
-    out = np.where(empty, np.where(beta0 > beta_hat, 0.0, 1.0), out)
-    inside = (lower < beta_hat) & (beta_hat < upper)
-    out = np.where(beta_hat <= lower, 0.0, np.where(beta_hat >= upper, 1.0, out))
-    return out, logs, inside & ~empty, std
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (
+        beta0, bounds.lower, bounds.beta_hat, bounds.upper, bounds.sd)))
+    beta0, lower, beta_hat, upper, sd = map(np.ravel, arrays)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ends = np.array([lower, beta_hat, upper])
+        std = (ends - beta0) / sd  # a, m, b
+        width = (ends[1:] - ends[:2]) / sd  # of (a, m) and (m, b)
+        flip = std[0] > -std[2]
+        p = np.where(flip, -std[::-1], std)
+        w = np.where(flip, width[::-1], width)
+        log_cdf = log_ndtr(p)
+        # log erfcx(-p_i / sqrt 2) for i = 1, 2, 3, then log erfcx(p_i / sqrt 2) for i = 2, 3
+        log_ex = np.log(erfcx(np.concatenate([-p, p[1:]]) / math.sqrt(2.0)))
+        half = 0.5 * w * (p[:2] + p[1:])  # log(phi(p1) / phi(p2)), log(phi(p2) / phi(p3))
+        gaps = np.where(
+            p[1:] <= 0.0, half + log_ex[:2] - log_ex[1:3], log_cdf[:2] - log_cdf[1:]
+        )
+        # log(1 - exp(d)) to an absolute error of eps, which is all a log
+        # mass needs, for the gaps over (p1, p2), (p2, p3) and (p1, p3), and
+        # for a right-tail (p2, p3) the gap log Phi(-p3) - log Phi(-p2)
+        ones = np.log(-np.expm1(np.fmin(np.array(
+            [gaps[0], gaps[1], gaps[0] + gaps[1], log_ex[4] - log_ex[3] - half[1]]
+        ), 0.0)))
+        # the masses of (p1, p2), (p2, p3) and (p1, p3), each as a log over Phi(p3)
+        right = ones[3] + log_ex[3] - 0.5 * p[1] * p[1] - math.log(2.0) - log_cdf[2]
+        logs = np.array([gaps[1] + ones[0], np.where(p[1] > 0.0, right, ones[1]), ones[2]])
+        # log(phi(p_i) / Phi(p3)): where p3 <= 0, from log(phi(p3) / Phi(p3))
+        # and the exact log ratios of phi
+        tail = p[2] <= 0.0
+        log_k = _LOG_SQRT_2_OVER_PI - log_ex[2]
+        log_phi_2, log_phi_3 = np.where(
+            tail, np.array([log_k + half[1], log_k]), _log_phi(p[1:]) - log_cdf[2]
+        )
+        log_phi_1 = log_phi_2 + half[0]
+        # d log mass(p, q) / dp = (phi(q) - phi(p)) / mass(p, q)
+        rates = (np.exp(np.array([log_phi_2, log_phi_3, log_phi_3]) - logs)
+                 - np.exp(np.array([log_phi_1, log_phi_2, log_phi_1]) - logs))
+        first = logs[0] <= logs[1]  # (p1, p2) is the smaller piece
+        inside = (lower < beta_hat) & (beta_hat < upper)
+        live = inside & (logs[2] > -math.inf)
+        # the 0/1 limit is 0 for an estimate on or below its lower bound, and
+        # where the interval carries no mass, for beta0 above the estimate
+        limit_zero = np.where(inside, beta0 > beta_hat, beta_hat <= lower)
+        slope = (np.where(first, rates[0], rates[1]) - rates[2]) / np.where(flip, sd, -sd)
+        return (
+            arrays[0].shape,
+            np.where(flip, logs[1], logs[0]) - logs[2],
+            np.minimum(logs[0], logs[1]) - logs[2],
+            np.where(live, first != flip, limit_zero),
+            slope,
+            live,
+        )
 
 
 def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
     """Truncated-Gaussian CDF of the estimate at its observed value, given ``beta0``.
 
     Elementwise: the fields of ``bounds`` may be arrays of several targets'
-    bounds, broadcast against ``beta0``.  When the truncation interval
-    carries no representable mass at ``beta0``, the limit is returned: 0 for
-    ``beta0`` above the estimate, 1 below it.
+    bounds, broadcast against ``beta0``.  Accurate however far beta0 lies
+    from the truncation interval (see ``_polyhedral_tails``); where the
+    standardized bounds overflow, so that the interval carries no
+    representable mass, the limit is returned: 0 for ``beta0`` above the
+    estimate, 1 below it.
     """
-    out = _polyhedral_tails(bounds, beta0)[0]
-    if out.ndim == 0:
-        return float(out)
-    return out
+    shape, log_pivot, _, lower_side, _, live = _polyhedral_tails(bounds, beta0)
+    with np.errstate(over="ignore"):  # lanes that are not live are replaced
+        pivot = np.minimum(np.exp(log_pivot), 1.0)
+    out = np.where(live, pivot, np.where(lower_side, 0.0, 1.0))
+    if not shape:
+        return float(out[0])
+    return out.reshape(shape)
 
 
 def _polyhedral_probit(bounds: PolyhedralBounds, beta0):
     """The polyhedral pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and
     its slope ``dh/dbeta0``, elementwise.
 
-    With ``a, m, b`` the standardized ``lower, beta_hat, upper`` and ``D``
-    the truncation mass, the pivot F has slope ``[(1 - F) phi(a) + F phi(b) -
-    phi(m)] / (sd D)`` and ``h' = F' / phi(h)``; every term is formed in log
-    space against ``log D``.  ``h`` comes from the log of the smaller tail,
-    so it is finite far into both tails; in the 0/1 limit it is infinite and
-    the slope NaN.
+    ``h`` comes from the log of the smaller tail, so it is finite far into
+    both tails.  Its slope is ``+-tail / phi(h)`` times the slope of that log
+    (``_polyhedral_tails``), + where the tail is the lower one.  The tail is
+    ``Phi(-|h|)``, so the factor is the Mills ratio ``sqrt(pi / 2) erfcx(|h|
+    / sqrt 2)``, read from h itself: a ratio of the two logs, each of size
+    ``h^2 / 2``, would put an error of ``|h|`` times that of h in the slope.
+    In the 0/1 limit ``h`` is infinite and the slope NaN.
     """
-    out, (log_below, log_den, log_above), live, (a, m, b) = _polyhedral_tails(bounds, beta0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        lower_side = np.where(live, log_below <= log_above, out == 0.0)
-        h = _probit(np.where(live, np.minimum(log_below, log_above) - log_den, -math.inf),
-                    lower_side)
-        log_weight = -2.0 * log_den - _log_phi(h)  # 1 / (D^2 phi(h))
-        slope = (
-            np.exp(log_above + _log_phi(a) + log_weight)
-            + np.exp(log_below + _log_phi(b) + log_weight)
-            - np.exp(log_den + _log_phi(m) + log_weight)
-        ) / bounds.sd
-    return h, np.where(live & np.isfinite(h), slope, math.nan)
+    shape, _, log_small, lower_side, dlog, live = _polyhedral_tails(bounds, beta0)
+    h = _probit(np.where(live, log_small, -math.inf), lower_side)
+    with np.errstate(invalid="ignore"):
+        mills = _SQRT_PI_OVER_2 * erfcx(np.abs(h) / math.sqrt(2.0))
+        slope = np.where(lower_side, mills, -mills) * dlog
+    return h.reshape(shape), np.where(live & np.isfinite(h), slope, math.nan).reshape(shape)
 
 
 def polyhedral_interval(
@@ -743,12 +825,12 @@ def polyhedral_interval(
 
 def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     """Residual-based noise variance of least squares on the selected columns,
-    or (full) on the independent columns of X, with n - rank degrees of freedom."""
+    or (full) on the independent columns of X, with n - rank degrees of
+    freedom.  The normal equations read the dataset's ``gram`` and ``xty``;
+    the selected Gram's factor is the dataset's (``Dataset.factor_columns``)."""
     y, X, n = data.y, data.X, data.n
     if model == "full":
-        gram, cols = data.gram, data.independent_columns
-        if cols.size < data.p:
-            gram = gram[np.ix_(cols, cols)]
+        cols = data.independent_columns
     elif model == "selected":
         cols = np.asarray(E, dtype=int)
     else:
@@ -758,13 +840,13 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
         raise SingularDesignError("no residual degrees of freedom for the plug-in")
     if cols.size == 0:
         return float(y @ y / df)
-    Xc = X[:, cols]
-    if model == "full":  # its columns are independent by construction
-        factor = cho_factor(gram)
+    if model == "selected":
+        factor = data.factor_columns(cols, "plug-in design")
+    elif cols.size < data.p:  # its columns are independent by construction
+        factor = cho_factor(data.gram[np.ix_(cols, cols)])
     else:
-        factor = factor_spd(Xc.T @ Xc, "plug-in design", SingularDesignError)
-    coef = cho_solve(factor, Xc.T @ y)
-    resid = y - Xc @ coef
+        factor = cho_factor(data.gram)
+    resid = y - X[:, cols] @ cho_solve(factor, data.xty[cols])
     return float(resid @ resid / df)
 
 

@@ -172,28 +172,27 @@ def factor_spd(mat: np.ndarray, what: str, error: type[ExactSIError]) -> tuple:
 
 
 def line_interval(
-    rows: np.ndarray, direction: np.ndarray, slack: np.ndarray
+    coefs: np.ndarray, zero: np.ndarray, slack: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slice the constraints ``(rows @ direction) t < slack`` along t, column
-    by column: column j of ``direction`` and ``slack`` is one line.
+    """Slice the constraints ``coefs t < slack`` along t, column by column:
+    entry (i, j) of ``coefs`` and ``slack`` is row i of line j.
 
-    A row whose coefficient ``|row @ direction|`` is at most ``1e-12 ||row||
-    ||direction||`` is orthogonal to the line and must hold on its own; a
-    column where such a row is violated is flagged in the returned mask,
-    which signals an upstream inconsistency.  The other rows bound t below
-    (negative coefficients) or above (positive ones) by ``slack / coefs``; a
-    side no row bounds is infinite.  Returns the ``lower`` and ``upper`` ends
-    of each column's slice, which may be empty, and the mask of violated
-    columns.
+    A coefficient at most ``zero`` in size (which broadcasts against
+    ``coefs``: the caller's rounding threshold, such as ``1e-12 ||row||
+    ||direction||`` for ``coefs = rows @ direction``) makes its row
+    orthogonal to the line, where it must hold on its own; a column where
+    such a row is violated is flagged in the returned mask, which signals an
+    upstream inconsistency.  The other rows bound t below (negative
+    coefficients) or above (positive ones) by ``slack / coefs``; a side no
+    row bounds is infinite.  Returns the ``lower`` and ``upper`` ends of each
+    column's slice, which may be empty, and the mask of violated columns.
     """
-    coefs = rows @ direction
-    scale = 1e-12 * np.linalg.norm(rows, axis=1)[:, None] * np.linalg.norm(direction, axis=0)
-    zero = np.abs(coefs) <= scale
-    violated = (zero & (slack <= 0)).any(axis=0)
+    orthogonal = np.abs(coefs) <= zero
+    violated = (orthogonal & (slack <= 0)).any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         bounds = slack / coefs
-    lower = np.where(~zero & (coefs < 0), bounds, -math.inf).max(axis=0, initial=-math.inf)
-    upper = np.where(~zero & (coefs > 0), bounds, math.inf).min(axis=0, initial=math.inf)
+    lower = np.where(~orthogonal & (coefs < 0), bounds, -math.inf).max(axis=0, initial=-math.inf)
+    upper = np.where(~orthogonal & (coefs > 0), bounds, math.inf).min(axis=0, initial=math.inf)
     return lower, upper, violated
 
 

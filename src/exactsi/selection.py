@@ -13,7 +13,7 @@ active-first; the permutation is stored on the representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,8 +26,9 @@ from .errors import (
     InconsistentOutcomeError,
     InvalidArgumentError,
     InvalidSchemeError,
+    SingularDesignError,
 )
-from .numerics import independent_columns
+from .numerics import factor_spd, independent_columns
 
 _AS_MAX_STEPS = 1_000
 
@@ -36,13 +37,16 @@ _AS_MAX_STEPS = 1_000
 class Dataset:
     """Regression data: response ``y``, fixed design ``X``, optional known noise sd.
 
-    ``gram`` (X'X, read-only) and the columns its rank test keeps are formed
-    once, on first use, for every stage that reads them; ``X`` must not
-    change in place."""
+    The sufficient statistics ``gram`` (X'X) and ``xty`` (X'y), both
+    read-only, the columns the Gram's rank test keeps, and the factor of the
+    Gram of each set of columns asked for (``factor_columns``) are formed
+    once, on first use, for every stage that reads them; ``X`` and ``y``
+    must not change in place."""
 
     y: np.ndarray
     X: np.ndarray
     sigma: float | None = None
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
@@ -75,9 +79,31 @@ class Dataset:
         return gram
 
     @cached_property
+    def xty(self) -> np.ndarray:
+        # one dot product per column, on a column-major copy: the arithmetic
+        # of ``X[:, cols].T @ y``, so the full-model plug-in, and every
+        # penalty scaled by its noise estimate, keep their bits
+        xty = np.asfortranarray(self.X).T @ self.y
+        xty.flags.writeable = False
+        return xty
+
+    @cached_property
     def independent_columns(self) -> np.ndarray:
         """``numerics.independent_columns`` of the Gram."""
         return independent_columns(self.gram)
+
+    def factor_columns(self, cols: np.ndarray, what: str) -> tuple:
+        """``factor_spd`` of the Gram of the columns ``cols``, read from
+        ``gram`` and kept for the next stage that asks for the same columns.
+        Where the check fails it raises ``SingularDesignError`` naming
+        ``what``, and keeps nothing, so each stage reports its own failure."""
+        cols = np.asarray(cols, dtype=int)
+        key = cols.tobytes()
+        if key not in self._factors:
+            self._factors[key] = factor_spd(
+                self.gram[np.ix_(cols, cols)], what, SingularDesignError
+            )
+        return self._factors[key]
 
 
 @dataclass
@@ -214,8 +240,11 @@ def _unbounded(gram: np.ndarray, c: np.ndarray, lam: float) -> bool:
 
 def _active_set_lasso(
     gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Feature-sign search on ``0.5 b'Hb - c'b + lam ||b||_1``, ``H = gram + eps I``.
+
+    Returns the solution b and ``g = c - gram b`` there, which is ``c - H b``
+    off the support.
 
     ``tol = 1e-11 * max(||c||_inf, lam)`` is both the margin an inactive
     coordinate must clear to enter and the bound the final KKT residual must
@@ -263,7 +292,9 @@ def _active_set_lasso(
             if pair in seen:
                 raise uncertified("repeated active set and signs")
             seen.add(pair)
-            H_AA = gram[A[:, None], A] + epsilon * np.eye(A.size)
+            H_AA = gram[A[:, None], A]
+            if epsilon:
+                H_AA = H_AA + epsilon * np.eye(A.size)
             _, new, info = dposv(H_AA, c[A] - lam * theta)  # Cholesky solve
             if info:
                 # H_AA is singular (more active columns than the rank, as
@@ -315,7 +346,7 @@ def _active_set_lasso(
         g = c - gram[:, A] @ b[A]
     if _kkt_residual(gram @ b, c, b, lam, epsilon) > tol:
         raise uncertified("KKT certificate failed")
-    return b
+    return b, g
 
 
 def solve_randomized_lasso(
@@ -355,6 +386,11 @@ def solve_randomized_lasso(
     columns, or, where the search cannot certify its answer, the LP test of
     ``_unbounded``), and otherwise ``ConvergenceError``, carrying the KKT
     residual, when the search cannot certify its answer.
+
+    The search runs on the dataset's sufficient statistics ``X'X`` and
+    ``X'y`` alone.  The inactive subgradient ``(w_I + X_I'(y - X_E b_E)) /
+    lam`` is the search's last residual ``c - X'X b`` on the inactive
+    coordinates, over lam, so no n-length residual is formed.
     """
     if not lam > 0:
         raise InvalidArgumentError("lam must be positive")
@@ -363,28 +399,23 @@ def solve_randomized_lasso(
     w = np.asarray(w, dtype=float)
     if w.shape != (data.p,):
         raise InvalidArgumentError("w has the wrong length")
-    X, y, p, gram = data.X, data.y, data.p, data.gram
+    gram = data.gram
     diag = np.diag(gram)
-    c = X.T @ y + w
+    c = data.xty + w
     if (diag + epsilon <= 0).any():
         bad = int(np.argmin(diag + epsilon))
         if abs(c[bad]) > lam:
             raise InvalidArgumentError(
                 f"column {bad} has zero norm and epsilon=0: objective unbounded"
             )
-    b = _active_set_lasso(gram, c, lam, epsilon)
-
+    b, g = _active_set_lasso(gram, c, lam, epsilon)
     selected = np.flatnonzero(b)
-    inactive = np.setdiff1d(np.arange(p), selected)
     active_sol = b[selected]
-    signs = np.sign(active_sol)
-    resid_vec = y - X[:, selected] @ active_sol
-    sub = (w[inactive] + X[:, inactive].T @ resid_vec) / lam
     return SelectionOutcome(
         selected=selected,
         active_solution=active_sol,
-        signs=signs,
-        inactive_subgradient=sub,
+        signs=np.sign(active_sol),
+        inactive_subgradient=g[b == 0] / lam,
         randomization=w,
     )
 

@@ -238,6 +238,34 @@ def carving_pivot_params(data, outcome, target, j, sigma, tau2, lam):
     )
 
 
+def explicit_polyhedral_bounds(data, outcome, lam, target):
+    """Oracle for ``polyhedral_bounds``: the plain lasso's event {selected
+    set E, signs S} as the explicit n-column constraint matrix ``G y < h`` of
+    Lee, Sun, Sun & Taylor (2016), built from X by ``np.linalg.solve``, and
+    sliced row by row along each target's contrast c at fixed residual
+    ``y - c c'y / ||c||^2``.  A row whose coefficient is at most ``1e-12
+    ||row|| ||c / ||c||^2||`` in size is orthogonal to the line.  Returns the
+    lower and upper bounds of every target's estimate."""
+    X, E, S = data.X, outcome.selected, outcome.signs
+    XE, XI = X[:, E], X[:, np.setdiff1d(np.arange(data.p), E)]
+    gram = XE.T @ XE
+    pinv, ginv_s = np.linalg.solve(gram, XE.T), np.linalg.solve(gram, S)
+    across = (XI.T - XI.T @ XE @ pinv) / lam
+    base = XI.T @ XE @ ginv_s
+    G = np.vstack([-S[:, None] * pinv, across, -across])
+    h = np.concatenate([-lam * S * ginv_s, 1.0 - base, 1.0 + base])
+    lowers, uppers = [], []
+    for c in target.contrast.T:
+        norm2 = c @ c
+        gamma = data.y - c * (c @ data.y) / norm2
+        coefs, slack = G @ (c / norm2), h - G @ gamma
+        live = np.abs(coefs) > 1e-12 * np.linalg.norm(G, axis=1) * math.sqrt(1.0 / norm2)
+        ends = slack[live] / coefs[live]
+        lowers.append(np.max(ends[coefs[live] < 0], initial=-math.inf))
+        uppers.append(np.min(ends[coefs[live] > 0], initial=math.inf))
+    return np.array(lowers), np.array(uppers)
+
+
 def reference_invert_monotone(g, target, seed_bracket):
     """Scalar reference for ``invert_monotone``: solve ``g(x) = target`` for
     one continuous monotone scalar ``g``.

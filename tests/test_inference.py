@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     carving_fit,
     carving_pivot_params,
+    explicit_polyhedral_bounds,
     oracle_pivot,
     reference_invert_pivot,
     reference_polyhedral_interval,
@@ -333,14 +334,12 @@ class TestSaturatedPivot:
 @st.composite
 def model_polyhedral_bounds(draw):
     """PolyhedralBounds with a two-sided, one-sided or full-line truncation
-    interval around the estimate, each side 1e-3 to 30 sd away.  Closer to a
-    bound, the endpoints lie where the computed pivot is resolved only to
-    ~1e-8 (ROADMAP, far-tail accuracy of the pivots), so no inversion fixes
-    them to 1e-9."""
+    interval around the estimate, each side 1e-4 to 30 sd away, so that an
+    endpoint can lie ~1e4 sd beyond the estimate."""
     sd = 10.0 ** draw(st.floats(-3.0, 2.0))
     beta_hat = draw(st.floats(-5.0, 5.0))
     lower, upper = (
-        beta_hat + side * sd * 10.0 ** draw(st.floats(-3.0, 1.5)) for side in (-1.0, 1.0)
+        beta_hat + side * sd * 10.0 ** draw(st.floats(-4.0, 1.5)) for side in (-1.0, 1.0)
     )
     lower, upper = draw(
         st.sampled_from([(lower, upper), (lower, math.inf), (-math.inf, upper),
@@ -382,11 +381,63 @@ class TestProbitCompanions:
     @PROPERTY_SETTINGS
     @given(model_polyhedral_bounds(), st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=4))
     def test_polyhedral_probit_matches_the_pivot(self, bounds, shifts):
-        # out to 1e3 sd: at ~1e4 sd the pivot's log masses (~1e8) resolve it
-        # only to ~1e-8, the far-tail fault in ROADMAP item 5
-        x = bounds.beta_hat + bounds.sd * np.array([*shifts, -1e3, 1e3])
+        x = bounds.beta_hat + bounds.sd * np.array([*shifts, -1e4, -1e3, 1e3, 1e4])
         assert_probit_matches(
             inference._polyhedral_probit, polyhedral_pivot, bounds, x, bounds.sd
+        )
+
+    def test_polyhedral_probit_in_the_far_tail(self):
+        """h and its slope where beta0 lies 40 to 3e4 sd beyond an estimate
+        1e-4 or 1e-3 sd from its bound, against values frozen from 50-digit
+        mpmath: h to 1e-12 and the slope to 1e-6, relative.  The first four
+        are the estimate 1e-4 sd above its lower bound (two-sided) at 1e3,
+        1e4, 2e4 and 3e4 sd below it; then one-sided bounds on either side,
+        and a right-tail piece (upper bound 1e-3 sd above the estimate, beta0
+        40 and 1000 sd below it).  The values were made by
+
+            import mpmath as mp
+            mp.mp.dps = 50
+
+            def probit(lower, upper, beta_hat, sd, beta0):
+                z = [(mp.mpf(x) - mp.mpf(beta0)) / mp.mpf(sd)
+                     for x in (lower, beta_hat, upper)]
+                q = lambda t: mp.erfc(t / mp.sqrt(2)) / 2  # upper tail Q(t)
+                mass = lambda lo, hi: q(lo) - q(hi) if lo >= 0 else q(-hi) - q(-lo)
+                below, above = mass(z[0], z[1]), mass(z[1], z[2])
+                log_tail = mp.log(min(below, above) / (below + above))
+                h = mp.findroot(lambda t: mp.log(q(-t)) - log_tail,
+                                -mp.sqrt(-2 * log_tail))
+                return h if below <= above else -h
+
+            for (lower, upper, beta_hat, sd), beta0 in CASES:  # mp.inf for inf
+                h = probit(lower, upper, beta_hat, sd, beta0)
+                slope = mp.diff(lambda b: probit(lower, upper, beta_hat, sd, b), beta0)
+                print(mp.nstr(h, 17), mp.nstr(slope, 17))
+        """
+        found = (-4.067374450998126, -3.603169151748512, -4.06732803510979, 0.4641588833612779)
+        cases = [(found, found[2] - k * found[3]) for k in (1e3, 1e4, 2e4, 3e4)] + [
+            ((0.0, math.inf, 1e-4, 1.0), -1e4),
+            ((-math.inf, 0.0, -1e-4, 1.0), 3e4),
+            ((-math.inf, 1e-3, 0.0, 1.0), -40.0),
+            ((-math.inf, 1e-3, 0.0, 1.0), -1e3),
+        ]
+        want = [
+            (-1.3096172915155362, -0.0011519192158350177),
+            (0.3374749686513386, -0.00021030981346807566),
+            (1.1015196285067537, -0.00013406299843030989),
+            (1.6469217197297601, -0.00010435647261408479),
+            (0.33747497840677761, -9.7617167524465859e-5),
+            (-1.6469217245642135, -4.8437983701980128e-5),
+            (40.08082257843632, -0.99737582372952026),
+            (1000.0004586737086, -0.99999895935352418),
+        ]
+        record = stack([PolyhedralBounds(lo, up, bh, sd) for (lo, up, bh, sd), _ in cases])
+        h, slope = inference._polyhedral_probit(record, np.array([x for _, x in cases]))
+        want_h, want_slope = np.array(want).T
+        assert (np.abs(h - want_h) <= 1e-12 * np.abs(want_h)).all()
+        assert (np.abs(slope - want_slope) <= 1e-6 * np.abs(want_slope)).all()
+        assert polyhedral_pivot(record, np.array([x for _, x in cases])) == pytest.approx(
+            ndtr(want_h), rel=1e-12
         )
 
     @pytest.mark.parametrize("regime", ["owen", "log_space", "limit"])
@@ -571,6 +622,62 @@ class TestPolyhedral:
                     if same != (lower < t < upper):
                         assert min(abs(t - lower), abs(t - upper)) <= 1e-8 * max(1.0, abs(t))
         assert targets >= 12
+
+    def test_bounds_match_the_explicit_polyhedron(self):
+        """``polyhedral_bounds``, which works on X'X and X'y, against the
+        n-column ``G y < h`` built from X (``explicit_polyhedral_bounds``),
+        for both models: each bound within 1e-9 max(1, |x|) of the oracle's,
+        where it lies within 1e6 sd of the estimate, and beyond 1e6 sd (or
+        infinite) on both sides otherwise.  Cases: generic designs; an
+        inactive column in the span of two active ones (its rows are zero up
+        to rounding, which bounds nothing near the estimate); an estimate
+        moved to 1e-4 sd above its lower bound; and p > n."""
+        rng = np.random.default_rng(41)
+        fits = [standard_lasso_fit(rng) for _ in range(3)]
+        data, out, lam = standard_lasso_fit(rng, n=40, p=8)
+        X = data.X.copy()
+        X[:, 7] = 0.6 * X[:, 0] - 0.3 * X[:, 1]
+        spanned = Dataset(y=X[:, :2] @ [2.5, 2.5] + rng.standard_normal(40), X=X)
+        fits.append((spanned, solve_randomized_lasso(spanned, lam, 0.0, np.zeros(8)), lam))
+        assert {0, 1} <= set(fits[-1][1].selected) and 7 not in fits[-1][1].selected
+        # the first fit's first target, its estimate moved 1e-4 sd above its lower bound
+        data, out, lam = fits[0]
+        target = build_target(data, out, "selected")
+        c, norm2 = target.contrast[:, 0], target.norm2[0]
+        lower = explicit_polyhedral_bounds(data, out, lam, target)[0][0]
+        t = lower + 1e-4 * math.sqrt(norm2)
+        near = Dataset(y=data.y - c * (c @ data.y - t) / norm2, X=data.X)
+        moved = solve_randomized_lasso(near, lam, 0.0, np.zeros(data.p))
+        assert np.array_equal(moved.selected, out.selected)
+        assert np.array_equal(moved.signs, out.signs)
+        bounds, _ = polyhedral_bounds(
+            near, moved.selected, moved.signs, lam, build_target(near, moved, "selected"), 1.0
+        )
+        assert (bounds.beta_hat[0] - bounds.lower[0]) / bounds.sd[0] == pytest.approx(1e-4)
+        fits.append((near, moved, lam))
+        wide = standard_lasso_fit(rng, n=25, p=50)
+        assert wide[1].selected.size >= 2
+        fits.append(wide)
+        checked = 0
+        for data, out, lam in fits:
+            for model in ("selected", "full"):
+                if model == "full" and data.independent_columns.size < data.p:
+                    continue
+                target = build_target(data, out, model)
+                bounds, errors = polyhedral_bounds(
+                    data, out.selected, out.signs, lam, target, 1.0
+                )
+                assert errors == [None] * out.selected.size
+                want = explicit_polyhedral_bounds(data, out, lam, target)
+                beta_hat, sd = target.contrast.T @ data.y, np.sqrt(target.norm2)
+                for got, oracle in zip((bounds.lower, bounds.upper), want):
+                    close = np.abs(oracle - beta_hat) <= 1e6 * sd
+                    assert (np.abs(got - oracle) <= 1e-9 * np.maximum(1.0, np.abs(oracle)))[
+                        close
+                    ].all()
+                    assert (np.abs(got - beta_hat) > 1e6 * sd)[~close].all()
+                checked += out.selected.size
+        assert checked >= 25
 
     def test_estimate_on_a_bound_gives_ordered_unclipped_interval(self):
         # beta_hat 1e-3 sd above its lower bound: both endpoints lie more than

@@ -252,13 +252,13 @@ class TestIntegrateWeightedGaussian:
 
 
 def lines(coefs, slack, across=1.0):
-    """``line_interval`` on the rows ``[coefs_i, across_i]`` along the unit
-    directions of the first columns: ``rows @ direction`` is ``coefs``
-    exactly, and ``across`` sets each row's norm, so its zero tolerance."""
+    """``line_interval`` on the coefficients ``coefs`` of the rows ``[coefs_i,
+    across_i]`` along the unit directions of the first columns, each with
+    the zero threshold ``1e-12 ||row||`` that such a caller sets: ``across``
+    sets each row's norm, so its threshold."""
     coefs = np.asarray(coefs, dtype=float).reshape(len(slack), -1)
-    rows = np.column_stack([coefs, np.broadcast_to(across, len(slack))])
-    direction = np.eye(rows.shape[1], coefs.shape[1])
-    return line_interval(rows, direction, np.reshape(slack, coefs.shape))
+    norms = np.hypot(np.linalg.norm(coefs, axis=1), across)
+    return line_interval(coefs, 1e-12 * norms[:, None], np.reshape(slack, coefs.shape))
 
 
 def slice_line(coefs, slack, across=1.0):
@@ -282,18 +282,20 @@ class TestLineInterval:
         assert slice_line(coefs, slack, np.array([1e-8, 1.0])) == (2.0**49, 1.0, False)
 
     def test_tolerance_is_relative_to_the_direction(self):
-        rows = np.array([[1e-15, 1.0], [1.0, 1.0]])
+        # a longer direction scales the coefficients and their thresholds
+        # alike: the verdicts hold, and the bounds shrink by its length
+        coefs = np.array([[1e-15], [1.0]])
+        zero = 1e-12 * np.array([[1.0], [math.sqrt(2.0)]])
         slack = np.array([[-0.5], [1.0]])
         for size in (1e-9, 1.0, 1e9):
-            direction = np.array([[size], [0.0]])
-            lower, upper, violated = line_interval(rows, direction, slack)
+            lower, upper, violated = line_interval(size * coefs, size * zero, slack)
             assert bool(violated[0]) and upper[0] == 1.0 / size
 
     def test_unbounded_side_is_infinite(self):
         assert slice_line(np.array([2.0]), np.array([4.0])) == (-math.inf, 2.0, False)
         assert slice_line(np.array([-2.0]), np.array([4.0])) == (-2.0, math.inf, False)
         empty = np.zeros(0)
-        lower, upper, violated = line_interval(np.zeros((0, 2)), np.ones((2, 1)), empty[:, None])
+        lower, upper, violated = line_interval(empty[:, None], 0.0, empty[:, None])
         assert (lower[0], upper[0], violated[0]) == (-math.inf, math.inf, False)
 
     def test_bounds_are_tightest_rows(self):

@@ -184,6 +184,28 @@ class TestRandomizedLasso:
                     assert abs(grad[j]) <= lam + 1e-8
             assert np.max(np.abs(out.inactive_subgradient), initial=0.0) < 1.0
 
+    @pytest.mark.parametrize("n, p, eps_scale, tau2", [
+        (300, 100, 0.0, 0.0), (300, 100, 0.0, 0.25), (60, 150, 1e-4, 0.25), (40, 8, 0.0, 1.0),
+    ])
+    def test_inactive_subgradient_is_the_residual_correlation(self, n, p, eps_scale, tau2):
+        """The subgradient the search reads off its last residual, c - X'X b
+        on the inactive coordinates over lam, is ``(w_I + X_I'(y - X_E b_E)) /
+        lam`` to 1e-12: with and without randomization, and with p > n and a
+        ridge."""
+        X = generate_design(n, p, 0.9, 31)
+        y, _ = generate_response(X, support_indices(p, 5), 0.75, 3.0, 32)
+        data = Dataset(y=y, X=X)
+        w = np.zeros(p)
+        if tau2:
+            w = sample_randomization(RandomizationScheme(tau2=tau2).covariance(data), seed=33)
+        eps = eps_scale * float(np.mean(np.diag(data.gram)))
+        lam = theory_lambda(X, np.sqrt(3.0))
+        out = solve_randomized_lasso(data, lam, eps, w)
+        E, I = out.selected, np.setdiff1d(np.arange(p), out.selected)
+        assert E.size >= 2
+        want = (w[I] + X[:, I].T @ (y - X[:, E] @ out.active_solution)) / lam
+        assert np.max(np.abs(out.inactive_subgradient - want)) <= 1e-12
+
     @pytest.mark.parametrize(
         "n, p, eps_scale, lam_scale, seed",
         [
@@ -199,19 +221,21 @@ class TestRandomizedLasso:
         and the active-set one meets the stationarity conditions to rounding."""
         X = generate_design(n, p, 0.9, seed)
         y, _ = generate_response(X, support_indices(p, 5), 0.75, 3.0, seed + 100)
-        gram = X.T @ X
+        data = Dataset(y=y, X=X)
+        gram = data.gram
         eps = eps_scale * float(np.mean(np.diag(gram)))
         w = np.random.default_rng(seed).standard_normal(p) * np.sqrt(0.75 * np.diag(gram))
-        c = X.T @ y + w
+        c = data.xty + w
         lam = lam_scale * theory_lambda(X, np.sqrt(3.0))
-        fast = _active_set_lasso(gram, c, lam, eps)
+        fast, resid = _active_set_lasso(gram, c, lam, eps)
         slow = _cd_lasso(gram, c, lam, eps)
         assert np.flatnonzero(fast).size >= 2
+        assert np.max(np.abs(resid - (c - gram @ fast))) <= 1e-12 * np.max(np.abs(c))
         assert np.array_equal(np.flatnonzero(fast), np.flatnonzero(slow))
         assert np.array_equal(np.sign(fast), np.sign(slow))
         assert np.max(np.abs(fast - slow)) < 1e-8
         assert _kkt_residual(gram @ fast, c, fast, lam, eps) <= 1e-10
-        out = solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=eps, w=w)
+        out = solve_randomized_lasso(data, lam=lam, epsilon=eps, w=w)
         assert np.array_equal(out.active_solution, fast[out.selected])
 
     def test_singular_restricted_gram_steps_along_its_null_space(self):
@@ -223,7 +247,7 @@ class TestRandomizedLasso:
         y = rng.standard_normal(20)
         lam = rng.uniform(0.05, 2.0)
         gram, c = X.T @ X, X.T @ y
-        fast = _active_set_lasso(gram, c, lam, 0.0)
+        fast, _ = _active_set_lasso(gram, c, lam, 0.0)
         slow = _cd_lasso(gram, c, lam, 0.0)
         assert np.flatnonzero(fast).size >= 2
         assert np.array_equal(np.flatnonzero(fast), np.flatnonzero(slow))
@@ -283,7 +307,7 @@ class TestRandomizedLasso:
         y, _ = generate_response(X, support_indices(20, 5), 0.75, 3.0, 117)
         lam = theory_lambda(X, np.sqrt(3.0))
         gram, c = X.T @ X, X.T @ y
-        fast = _active_set_lasso(gram, c, lam, 0.0)
+        fast, _ = _active_set_lasso(gram, c, lam, 0.0)
         slow = _cd_lasso(gram, c, lam, 0.0)
 
         def objective(b):
@@ -339,13 +363,15 @@ class TestUnboundedVerdict:
     the LP of ``_unbounded`` whether the objective is unbounded below."""
 
     @pytest.mark.parametrize("case, exit", [
-        ((20, 60, 0.5, False, 0), "repeated active set and signs"),
+        ((20, 60, 0.5, False, 1), "repeated active set and signs"),
         ((100, 30, 0.5, True, 2), "KKT certificate failed"),
     ], ids=["repeat", "certificate"])
     def test_uncertified_exit_of_an_unbounded_objective(self, monkeypatch, case, exit):
         """A cycle through p > n (it used to run all 1000 restricted solves)
         and a failed certificate after LAPACK factors the singular Gram of two
-        equal columns by rounding: both objectives are unbounded below."""
+        equal columns by rounding: both objectives are unbounded below.
+        Which exit an unbounded search takes depends on the last bits of X'y,
+        so the cycle is the one case of the grid's first cell that reaches it."""
         data, w, lam = probe(*case)
         with pytest.raises(InvalidArgumentError, match="unbounded below"):
             solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=w)

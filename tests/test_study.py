@@ -385,21 +385,23 @@ def test_study_and_validate_solve_without_ridge_on_wide_designs(monkeypatch):
 def test_one_factorization_per_fit(monkeypatch):
     """Every target of a fit shares its factorizations and its solves: all
     targets make as many condition checks, rank tests, Cholesky
-    factorizations and triangular solves as one does.  An exact fit solves for the contrasts,
-    Omega^{-1} Q, Theta, and the cores and directions of its pivot constants;
-    a polyhedral fit for the contrasts and the two solves of its polyhedron.
-    Every check and factorization of an exact fit runs inside one of the
-    stages ``build_target``, ``build_geometry`` and ``pivot_params``."""
+    factorizations and triangular solves as one does.  The selected Gram is
+    factored once per fit, for the plug-in, the contrasts and (polyhedral)
+    the polyhedron.  An exact fit also factors Omega and the free-block
+    precision, and solves for the plug-in, the contrasts, Omega^{-1} Q,
+    Theta, and the cores and directions of its pivot constants; a polyhedral
+    fit solves for the plug-in, the contrasts and, in one call, its
+    polyhedron.  Every check and factorization runs inside the plug-in or
+    one of the stages ``build_target``, ``build_geometry`` and
+    ``pivot_params`` (exact) or ``polyhedral_bounds``."""
     config = SimConfig()
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 0))
     y, _ = generate_response(
         X, support_indices(config.p, config.sparsity), config.signal_fraction,
         config.sigma2, _seed_for(config.seed, 0, 1),
     )
-    data = Dataset(y=y, X=X)
-    cal = calibrate(data, ("exact", "polyhedral"), rho=config.rho, epsilon=0.0)
     calls = []
-    stages = []  # the exact stages on the stack
+    stages = []  # the stages on the stack
 
     def counted(name, real):
         def call(mat, *args, **kwargs):
@@ -426,28 +428,33 @@ def test_one_factorization_per_fit(monkeypatch):
         monkeypatch.setattr(numerics, name, counted(name, getattr(numerics, name)))
     for module in (conditioning, inference):
         monkeypatch.setattr(module, "cho_solve", counted("cho_solve", module.cho_solve))
-    for name in ("build_target", "build_geometry", "pivot_params"):
+    for name in (
+        "plug_in_sigma2", "build_target", "build_geometry", "pivot_params", "polyhedral_bounds"
+    ):
         monkeypatch.setattr(study, name, staged(name))
 
     def factorizations(method, all_targets):
+        # a new dataset each time, so that no factor is kept from the last fit
+        data = Dataset(y=y, X=X)
+        cal = calibrate(data, ("exact", "polyhedral"), rho=config.rho, epsilon=0.0)
+        calls.clear()
         seed = _seed_for(config.seed, 0, 2)
         fit = fit_method(data, cal, method, config.model, config.alpha, seed)
         assert fit.selected.size >= 2
-        calls.clear()
         for j in range(fit.selected.size if all_targets else 1):
             fit.interval(j)
-        return list(calls)
+        return list(calls), fit.selected.size
 
     p_by_p = (config.p, config.p)
-    for method, solves in (("exact", 4), ("polyhedral", 3)):
-        one, every = factorizations(method, False), factorizations(method, True)
+    for method, solves in (("exact", 5), ("polyhedral", 3)):
+        (one, q), (every, _) = factorizations(method, False), factorizations(method, True)
         assert one and every == one
         assert [name for name, _, _ in every].count("cho_solve") == solves
-        big = [name for name, shape, _ in every if shape == p_by_p]
-        assert big == (["cho_factor", "dpocon"] if method == "exact" else [])
-        if method == "exact":
-            in_stage = [inside for name, _, inside in every if name != "cho_solve"]
-            assert in_stage and all(in_stage)
+        factored = [shape for name, shape, _ in every if name == "cho_factor"]
+        assert factored == ([(q, q), p_by_p, (q, q)] if method == "exact" else [(q, q)])
+        assert [name for name, _, _ in every].count("dpocon") == len(factored)
+        assert "dpstrf" not in [name for name, _, _ in every]
+        assert all(inside for _, _, inside in every)
 
 
 def test_one_rank_test_per_dataset(monkeypatch):
@@ -474,6 +481,39 @@ def test_one_rank_test_per_dataset(monkeypatch):
             fit.interval(j)
     assert shapes.count((100, 100)) == 1
     assert not data.gram.flags.writeable
+
+
+class _CountedResponse(np.ndarray):
+    """A response that records the shape of every matrix it is multiplied by."""
+
+    partners: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedResponse) else x for x in inputs]
+        if ufunc is np.matmul:
+            self.partners.extend(
+                np.shape(x) for x, y in zip(plain, inputs) if not isinstance(y, _CountedResponse)
+            )
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_one_xty_per_dataset(monkeypatch):
+    """``calibrate`` (its full-model plug-in), the polyhedral and uv lassos
+    and the polyhedral fit of every target read one X'y of the dataset: the
+    response meets a p x n matrix once, and that X'y is read-only."""
+    monkeypatch.setattr(_CountedResponse, "partners", [])
+    X = generate_design(300, 100, 0.5, 3)
+    y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, 4)
+    data = Dataset(y=y, X=X)
+    object.__setattr__(data, "y", data.y.view(_CountedResponse))
+    cal = calibrate(data, ("polyhedral", "uv"), rho=0.8, epsilon=0.0)
+    for method in ("polyhedral", "uv"):
+        fit = fit_method(data, cal, method, "selected", 0.1, 5)
+        assert fit.selected.size
+        for j in range(fit.selected.size):
+            fit.interval(j)
+    assert _CountedResponse.partners.count((100, 300)) == 1
+    assert not data.xty.flags.writeable
 
 
 @pytest.mark.parametrize("sigma", [None, 1.7])
