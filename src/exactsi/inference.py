@@ -644,27 +644,28 @@ def _polyhedral_tails(bounds: PolyhedralBounds, beta0):
 
     With ``a, m, b`` the standardized ``lower, beta_hat, upper``, the line is
     reflected where ``a > -b``, so that ``p1 < p2 < p3`` (``a, m, b`` or
-    ``-b, -m, -a``) has on top the end nearer the bulk, and every mass and
-    density is taken over ``Phi(p3)``.  The logs of ``Phi(p1) / Phi(p2)``
+    ``-b, -m, -a``) has on top the end nearer the bulk, and every mass is
+    taken over ``Phi(p3)``.  The logs of ``Phi(p1) / Phi(p2)``
     and ``Phi(p2) / Phi(p3)`` are tail differences of log Phi: where the
     upper point q of a pair is at most 0 (so both lie in the left tail),
     they are taken in the erfcx form ``w (p + q) / 2 + log(erfcx(-p / sqrt
     2) / erfcx(-q / sqrt 2))``, with the width ``w = q - p`` read directly
     from ``(beta_hat - lower) / sd`` or ``(upper - beta_hat) / sd``;
     elsewhere as a difference of ``log_ndtr``.  A piece ``(p2, p3)`` in the
-    right tail is ``Q(p2) - Q(p3)`` in the same form, and where ``p3 <= 0``
-    the log of ``phi(p_i) / Phi(p3)`` is ``log(phi(p3) / Phi(p3))`` (by
-    erfcx) plus the exact ``log(phi(p_i) / phi(p3))``.  No log of size ``p^2
-    / 2`` then enters a difference, so the pivot and its slope hold however
-    far beta0 lies from the truncation interval.
+    right tail is ``Q(p2) - Q(p3)`` in the same form.  No log of size ``p^2
+    / 2`` then enters a difference, so the pivot holds however far beta0
+    lies from the truncation interval, and so does its slope, from the rate
+    of each piece below.  The slope's relative error is about ``eps x / w``
+    at x sd from a piece of width w, where the rates of two pieces that
+    share an end nearly cancel.
 
     Returns the broadcast shape; the log of the pivot; the log of its
     smaller tail over the truncation mass, a mask set where that tail is the
     lower one, and the slope of that log in beta0; and the mask of the live
     elements, whose pivot is neither a 0/1 limit nor that of an estimate
     outside its bounds.  Elsewhere the mask of lower tails is set where the
-    limit is 0.  The slope of ``log mass(p, q)`` is ``dp/dbeta0 (phi(q) -
-    phi(p)) / mass(p, q)``.
+    limit is 0.  The slope of ``log mass(p, q)`` is ``dp/dbeta0`` times the
+    rate ``(phi(q) - phi(p)) / mass(p, q)``.
     """
     arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (
         beta0, bounds.lower, bounds.beta_hat, bounds.upper, bounds.sd)))
@@ -683,26 +684,33 @@ def _polyhedral_tails(bounds: PolyhedralBounds, beta0):
         gaps = np.where(
             p[1:] <= 0.0, half + log_ex[:2] - log_ex[1:3], log_cdf[:2] - log_cdf[1:]
         )
+        right_gap = log_ex[4] - log_ex[3] - half[1]  # log Phi(-p3) - log Phi(-p2)
         # log(1 - exp(d)) to an absolute error of eps, which is all a log
         # mass needs, for the gaps over (p1, p2), (p2, p3) and (p1, p3), and
-        # for a right-tail (p2, p3) the gap log Phi(-p3) - log Phi(-p2)
-        ones = np.log(-np.expm1(np.fmin(np.array(
-            [gaps[0], gaps[1], gaps[0] + gaps[1], log_ex[4] - log_ex[3] - half[1]]
-        ), 0.0)))
+        # for a right-tail (p2, p3)
+        ones = np.log(-np.expm1(np.fmin(
+            np.array([gaps[0], gaps[1], gaps[0] + gaps[1], right_gap]), 0.0
+        )))
         # the masses of (p1, p2), (p2, p3) and (p1, p3), each as a log over Phi(p3)
         right = ones[3] + log_ex[3] - 0.5 * p[1] * p[1] - math.log(2.0) - log_cdf[2]
         logs = np.array([gaps[1] + ones[0], np.where(p[1] > 0.0, right, ones[1]), ones[2]])
-        # log(phi(p_i) / Phi(p3)): where p3 <= 0, from log(phi(p3) / Phi(p3))
-        # and the exact log ratios of phi
-        tail = p[2] <= 0.0
-        log_k = _LOG_SQRT_2_OVER_PI - log_ex[2]
-        log_phi_2, log_phi_3 = np.where(
-            tail, np.array([log_k + half[1], log_k]), _log_phi(p[1:]) - log_cdf[2]
-        )
-        log_phi_1 = log_phi_2 + half[0]
-        # d log mass(p, q) / dp = (phi(q) - phi(p)) / mass(p, q)
-        rates = (np.exp(np.array([log_phi_2, log_phi_3, log_phi_3]) - logs)
-                 - np.exp(np.array([log_phi_1, log_phi_2, log_phi_1]) - logs))
+        # d log mass(p, q) / dp = (phi(q) - phi(p)) / mass(p, q).  Where phi(q)
+        # >= phi(p), that is phi(q) / Phi(q) times expm1 of log(phi(p) /
+        # phi(q)) over expm1 of log(Phi(p) / Phi(q)), which holds no log of
+        # size q^2 / 2; elsewhere (a piece (p2, p3) with p2 + p3 > 0) the same
+        # on the reflected piece.  phi / Phi at p1, p2, p3, then phi / Q at p2, p3:
+        mills = np.exp(_LOG_SQRT_2_OVER_PI - log_ex)
+        rates = np.array([
+            mills[1] * np.expm1(half[0]) / np.expm1(gaps[0]),
+            np.where(
+                p[1] + p[2] <= 0.0,
+                mills[2] * np.expm1(half[1]) / np.expm1(gaps[1]),
+                -mills[3] * np.expm1(-half[1]) / np.expm1(right_gap),
+            ),
+            # 0 where phi(p3) / Phi(p3) underflows, p1 <= -p3 lying as far out
+            np.where(mills[2] > 0.0,
+                     mills[2] * np.expm1(half[0] + half[1]) / np.expm1(gaps[0] + gaps[1]), 0.0),
+        ])
         first = logs[0] <= logs[1]  # (p1, p2) is the smaller piece
         inside = (lower < beta_hat) & (beta_hat < upper)
         live = inside & (logs[2] > -math.inf)
