@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -173,7 +174,7 @@ def cmd_select(args) -> int:
     cal = calibrate(
         data, ("exact",), lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon
     )
-    scheme, _, outcome, _ = randomized_selection(data, cal, args.seed)
+    scheme, outcome, _ = randomized_selection(data, cal, args.seed)
     b = np.zeros(data.p)
     b[outcome.selected] = outcome.active_solution
     c = data.xty + outcome.randomization
@@ -435,9 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "method", None) is None and args.command in ("infer",):
         args.method = ["exact"]
     try:

@@ -7,12 +7,16 @@ interval constraint on one linear combination of that block.
 
 Both stages here run once per fit, for all targets together, ahead of
 ``inference.pivot_params``.  ``build_target`` checks and factors the design
-Gram and solves for every contrast c with it.  ``build_geometry`` checks and
-factors Omega and the free-block precision Q' Omega^{-1} Q, whose inverse is
-the free block's conditional covariance Theta, and takes each target's
-direction ``Pj = P c / ||c||^2``, ``rj = (Omega^{-1} Q)' Pj``, complementary
-statistic and interval, one column per target; a target that fails a check
-keeps its own error.  Every check is ``numerics.factor_spd``.
+Gram and solves for every contrast c with it.  ``build_geometry`` checks the
+randomization covariance ``Omega = tau2 B`` on the dataset's one factor of
+its base B, factors the free-block precision Q' Omega^{-1} Q, whose inverse
+is the free block's conditional covariance Theta, and takes each target's
+direction ``Pj = P c / ||c||^2 = -(X'c)[order] / ||c||^2``, ``rj = (Omega^{-1}
+Q)' Pj``, complementary statistic and interval, one column per target; a
+target that fails a check keeps its own error.  Every check is
+``numerics.factor_spd``, or its rule on a factor the dataset keeps.  No p x p
+Omega is formed: a solve with ``Omega[order, order]`` is ``(B^{-1} v[inverse
+order])[order] / tau2``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import factor_spd, line_interval
+from .numerics import check_conditioning, factor_spd, line_interval
 from .selection import Dataset, LinearEventRep, SelectionOutcome
 
 
@@ -41,15 +45,24 @@ class TargetSpec:
     norm2: np.ndarray
 
 
+def _omega_solve(base_factor: tuple, tau2: float, order: np.ndarray, v: np.ndarray):
+    """``Omega[order, order]^{-1} v`` for ``Omega = tau2 B``, from the factor
+    of B, which ``cho_factor`` made from a finite matrix."""
+    u = np.empty_like(v)
+    u[order] = v
+    return cho_solve(base_factor, u, check_finite=False)[order] / tau2
+
+
 @dataclass(frozen=True)
 class ConditioningGeometry:
     """Interval reduction of the selection constraints of one fit: the
-    Cholesky factor of Omega (rows in ``rep.order``) and Theta serve every
-    target; column or entry j of the other fields is target j's, and
-    ``errors[j]`` the error that stopped it."""
+    factor of Omega's base, ``tau2`` and Theta serve every target; column or
+    entry j of the other fields is target j's, and ``errors[j]`` the error
+    that stopped it."""
 
     rep: LinearEventRep
-    omega_factor: tuple
+    base_factor: tuple
+    tau2: float
     Theta: np.ndarray
     Pj: np.ndarray
     rj: np.ndarray
@@ -60,6 +73,10 @@ class ConditioningGeometry:
     upper: np.ndarray
     errors: list[ExactSIError | None]
 
+    def omega_solve(self, v: np.ndarray) -> np.ndarray:
+        """``Omega^{-1} v`` for rows of ``v`` in ``rep.order``."""
+        return _omega_solve(self.base_factor, self.tau2, self.rep.order, v)
+
 
 def build_target(data: Dataset, outcome: SelectionOutcome, model: str) -> TargetSpec:
     """Contrast vectors of every selected coordinate, solved in one call.
@@ -69,8 +86,9 @@ def build_target(data: Dataset, outcome: SelectionOutcome, model: str) -> Target
     all-columns coefficient vector.  Contrast j is ``design G^{-1} e_j``,
     G the Gram of that design, checked by ``factor_spd``: for ``selected``,
     the dataset's factor of its selected block (``Dataset.factor_columns``),
-    for ``full``, of its whole Gram.  A Gram that fails raises
-    ``SingularDesignError``.
+    for ``full``, of its whole Gram, which is the dataset's factor of its
+    randomization base when every column is independent.  A Gram that fails
+    raises ``SingularDesignError``.
     """
     if model not in ("selected", "full"):
         raise InvalidArgumentError(f"unknown model {model!r}")
@@ -80,35 +98,43 @@ def build_target(data: Dataset, outcome: SelectionOutcome, model: str) -> Target
         factor = data.factor_columns(E, "selected-design Gram")
     else:
         design, columns = data.X, E
-        factor = factor_spd(data.gram, "full-design Gram", SingularDesignError)
+        if data.independent_columns.size == data.p:
+            # the Gram is then the randomization base, which the dataset factors
+            check_conditioning(data.randomization_rcond, "full-design Gram", SingularDesignError)
+            factor = data.randomization_factor
+        else:
+            factor = factor_spd(data.gram, "full-design Gram", SingularDesignError)
     units = np.eye(design.shape[1])[:, columns]
     contrast = design @ cho_solve(factor, units)
     return TargetSpec(contrast=contrast, norm2=(contrast * contrast).sum(axis=0))
 
 
 def build_geometry(
-    rep: LinearEventRep, omega: np.ndarray, target: TargetSpec
+    data: Dataset, rep: LinearEventRep, tau2: float, target: TargetSpec
 ) -> ConditioningGeometry:
     """Reduce ``L @ opt < M`` to an interval on ``rj' opt`` at fixed complement.
 
-    ``omega`` arrives in the original feature order and is aligned to the
-    representation's active-first row permutation here.  Omega and the
-    free-block precision are checked by ``factor_spd``, and one that fails
-    raises ``NumericalDegeneracyError``.  Constraint rows whose coefficient
+    The randomization covariance is ``tau2`` times the base of ``data``
+    (``Dataset.randomization_base``); every solve with it goes through the
+    dataset's factor of that base, in the representation's active-first row
+    order.  Its scaled condition (``Dataset.randomization_rcond``) and the
+    free-block precision are checked by the rule of ``factor_spd``, and one
+    that fails raises ``NumericalDegeneracyError``.  Constraint rows whose coefficient
     on the free combination vanishes must hold on their own; a violation
     there, or an observed statistic outside the interval, signals an
     upstream inconsistency rather than data.
     """
-    factor = factor_spd(
-        omega[np.ix_(rep.order, rep.order)], "randomization covariance", NumericalDegeneracyError
+    check_conditioning(
+        data.randomization_rcond, "randomization covariance", NumericalDegeneracyError
     )
-    omega_inv_Q = cho_solve(factor, rep.Q)
+    factor = data.randomization_factor
+    omega_inv_Q = _omega_solve(factor, tau2, rep.order, rep.Q)
     gram = rep.Q.T @ omega_inv_Q
     precision = factor_spd(
         gram, "conditional precision of the free block", NumericalDegeneracyError
     )
     Theta = cho_solve(precision, np.eye(gram.shape[0]))
-    Pj = rep.P @ target.contrast / target.norm2
+    Pj = (data.X.T @ target.contrast)[rep.order] / -target.norm2
     rj = omega_inv_Q.T @ Pj
     theta_r = Theta @ rj
     vartheta2 = (rj * theta_r).sum(axis=0)
@@ -138,7 +164,7 @@ def build_geometry(
         return None
 
     return ConditioningGeometry(
-        rep=rep, omega_factor=factor, Theta=Theta, Pj=Pj, rj=rj, Qj=Qj, A_obs=A_obs,
-        vartheta2=vartheta2, lower=lower, upper=upper,
+        rep=rep, base_factor=factor, tau2=tau2, Theta=Theta, Pj=Pj, rj=rj, Qj=Qj,
+        A_obs=A_obs, vartheta2=vartheta2, lower=lower, upper=upper,
         errors=[error(j) for j in range(vartheta2.size)],
     )

@@ -131,21 +131,22 @@ def pivot_params(
 ) -> tuple[PivotParams, list[ExactSIError | None]]:
     """Assemble the pivot constants of every target from a fit's geometry.
 
-    With ``gamma`` the response off a target's contrast and ``core = P gamma +
-    R U + T``, the free block's conditional mean has the affine pieces
+    With ``gamma`` the response off a target's contrast c and ``core = P gamma
+    + R U + T``, the free block's conditional mean has the affine pieces
     ``-Pj' Omega^{-1} core`` and ``-Theta Q' Omega^{-1} core``; all cores and
-    directions share one solve.  Returns the constants of the targets that
-    built, one record, and each target's error (else a nonpositive precision).
+    directions share one solve.  ``P gamma`` is ``-(X'y - X'c beta_hat /
+    ||c||^2)[order]``, which is ``-stat - Pj beta_hat``, so nothing here has n
+    rows but c.  Returns the constants of the targets that built, one record,
+    and each target's error (else a nonpositive precision).
     """
     if not sigma > 0:
         raise InvalidArgumentError("sigma must be positive")
-    rep, c, norm2 = geom.rep, target.contrast, target.norm2
-    beta_hat = data.y @ c
-    gamma = data.y[:, None] - c * (beta_hat / norm2)
-    core = rep.P @ gamma + rep.T[:, None]
+    rep, norm2 = geom.rep, target.norm2
+    beta_hat = data.y @ target.contrast
+    core = rep.T[:, None] - rep.stat[:, None] - geom.Pj * beta_hat
     if rep.R.shape[1]:
         core = core + (rep.R @ rep.sub)[:, None]
-    solved = cho_solve(geom.omega_factor, np.hstack([core, geom.Pj]))
+    solved = geom.omega_solve(np.hstack([core, geom.Pj]))
     omega_inv_core, omega_inv_pj = np.hsplit(solved, 2)
     lam_val = -(geom.Pj * omega_inv_core).sum(axis=0)
     delta = -(geom.Theta @ (rep.Q.T @ omega_inv_core))
@@ -211,6 +212,12 @@ def _upper_orthant(u, k, rho, s):
     return np.where(k == math.inf, 0.0, np.where(k == -math.inf, ndtr(-u), out))
 
 
+def _mills_inverse(z):
+    """``phi(z) / Phi(z)`` elementwise, accurate far into the left tail; 0
+    where ``erfcx`` overflows far to the right."""
+    return math.sqrt(2.0 / math.pi) / erfcx(-z / math.sqrt(2.0))
+
+
 def _slope_curvature(v, c, d):
     """Slope and minus the curvature bound of ``-v^2/2 + log Phi(c + d v)``."""
     z = c + d * v
@@ -219,7 +226,7 @@ def _slope_curvature(v, c, d):
         mills = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z))
         # far in the left tail the exponent cancels (a relative error of
         # ~1e-16 z^2); there phi / Phi = sqrt(2 / pi) / erfcx(-z / sqrt 2)
-        mills[far] = math.sqrt(2.0 / math.pi) / erfcx(-z[far] / math.sqrt(2.0))
+        mills[far] = _mills_inverse(z[far])
         # mills (z + mills) lies in (0, 1) and tends to 1 as z -> -inf, where
         # the product cancels
         shrink = np.where(far, 1.0, np.clip(mills * (z + mills), 0.0, 1.0))
@@ -227,7 +234,8 @@ def _slope_curvature(v, c, d):
 
 
 def _log_cdf_weighted_integral(c, d, a, b):
-    """Log of ``int_a^b exp(-v^2/2) Phi(c + d v) dv`` for ``a < b``, elementwise.
+    """Log of ``int_a^b exp(-v^2/2) Phi(c + d v) dv`` for ``a < b``, elementwise,
+    and the integral's rate in c: its log's partial at fixed ``a, b``.
 
     The integrand is log-concave.  Its mode v0 (safeguarded Newton, run on
     all elements at once, each stopping at its own tolerance) and the slope
@@ -237,7 +245,10 @@ def _log_cdf_weighted_integral(c, d, a, b):
     breakpoints on the mode's local scale and across the turn of Phi.  The
     panels of all elements form one flat node array, summed per element in
     log space (a segmented log-sum-exp), so tiny integrals keep their
-    relative accuracy.
+    relative accuracy.  The rate is the mean of the Mills ratio ``phi(z) /
+    Phi(z) = sqrt(2 / pi) / erfcx(-z / sqrt 2)`` at ``z = c + d v`` under the
+    integrand, summed on the same nodes against the same shift, so it holds
+    no difference of logs of the integral's size.
     """
     # start at the point of {w <= c + d v} nearest the origin
     v0 = np.clip(-d * np.minimum(c, 0.0) / (1.0 + d * d), a, b)
@@ -289,14 +300,16 @@ def _log_cdf_weighted_integral(c, d, a, b):
     panels = count.sum(axis=1)
     own = np.repeat(np.arange(panels.size), panels)
     v = mid[:, None] + half[:, None] * _GL_NODES
+    z = c[own, None] + d[own, None] * v
     with np.errstate(divide="ignore"):  # a panel narrower than rounding
         logf = (
             -0.5 * v * v
-            + log_ndtr(c[own, None] + d[own, None] * v)
+            + log_ndtr(z)
             + _LOG_GL_WEIGHTS
             + np.log(half)[:, None]
         ).ravel()
     out = np.full(panels.size, -math.inf)
+    rate = np.full(panels.size, math.nan)
     # where the window is narrower than rounding, the integrand falls at a
     # slope too steep for any panel: take the one-term Laplace value f(v0) / |g|,
     # capped by the Gaussian half-line and the interval's width where g is small
@@ -308,6 +321,7 @@ def _log_cdf_weighted_integral(c, d, a, b):
                 np.abs(g[none]), np.sqrt(2.0 * curv[none] / math.pi), 1.0 / (b[none] - a[none])
             ]))
         )
+    rate[none] = _mills_inverse(c[none] + d[none] * v0[none])
     some = np.flatnonzero(panels)
     if some.size:
         starts = (np.cumsum(panels) - panels)[some] * _GL_NODES.size
@@ -315,9 +329,12 @@ def _log_cdf_weighted_integral(c, d, a, b):
         finite = top > -math.inf
         shift = np.where(finite, top, 0.0)
         nodes = panels[some] * _GL_NODES.size
-        total = np.add.reduceat(np.exp(logf - np.repeat(shift, nodes)), starts)
+        weights = np.exp(logf - np.repeat(shift, nodes))
+        total = np.add.reduceat(weights, starts)
         out[some[finite]] = top[finite] + np.log(total[finite])
-    return out
+        rated = np.add.reduceat(weights * _mills_inverse(z.ravel()), starts)
+        rate[some[finite]] = rated[finite] / total[finite]
+    return out, rate
 
 
 def _columns(record) -> tuple:
@@ -344,8 +361,10 @@ def _exact_tails(params: PivotParams, beta0):
     Returns the broadcast shape, the pivot, the log of its smaller tail (of
     P(U <= u) and P(U > u) given the truncation; -inf in the 0/1 limit), a
     mask that is set where that tail is the lower one, the log truncation
-    mass, and the standardized constants ``(u, a, b, r, s)`` after the
-    reflection of V, with ``du/dbeta0`` and ``da/dbeta0 = db/dbeta0``.
+    mass, the U partial of that tail over the tail where the log-space rule
+    gives it (NaN elsewhere), and the standardized constants ``(u, a, b, r,
+    s)`` after the reflection of V, with ``du/dbeta0`` and ``da/dbeta0 =
+    db/dbeta0``.
     """
     arrays = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (beta0, *_columns(params)))
@@ -375,6 +394,7 @@ def _exact_tails(params: PivotParams, beta0):
     log_small = np.full(out.shape, -math.inf)
     lower_side = out == 0.0
     log_mass = np.full(out.shape, math.nan)
+    along = np.full(out.shape, math.nan)
     # reflect V so that the endpoint nearer its bulk is the lower one
     flip = a < -b
     a, b, r = np.where(flip, -b, a), np.where(flip, -a, b), np.where(flip, -r, r)
@@ -400,14 +420,17 @@ def _exact_tails(params: PivotParams, beta0):
     if idx.size:
         # P(U <= u | V = v) = Phi((u - r v) / s); both tails in one call
         c, d = c[idx], -r[idx] / s[idx]
-        log_below, log_above = _log_cdf_weighted_integral(
+        logs, rates = _log_cdf_weighted_integral(
             np.concatenate([c, -c]),
             np.concatenate([d, -d]),
             np.tile(a[idx], 2),
             np.tile(b[idx], 2),
-        ).reshape(2, -1)
+        )
+        log_below, log_above = logs.reshape(2, -1)
+        rate_below, rate_above = rates.reshape(2, -1)
         some = (log_below > -math.inf) | (log_above > -math.inf)
         idx, log_below, log_above = idx[some], log_below[some], log_above[some]
+        rate_below, rate_above = rate_below[some], rate_above[some]
         gap = -np.abs(log_above - log_below)
         ratio = np.exp(gap)  # smaller tail over larger
         small = ratio / (1.0 + ratio)
@@ -415,7 +438,13 @@ def _exact_tails(params: PivotParams, beta0):
         log_small[idx] = gap - np.log1p(ratio)
         lower_side[idx] = log_below <= log_above
         log_mass[idx] = np.logaddexp(log_below, log_above) - _LOG_SQRT_2PI
-    return shape, out, log_small, lower_side, log_mass, (u, a, b, r, s), -lam_j / sd, ab_slope
+        # the U partial of either tail is phi(u) P(a < V < b | U = u), its
+        # rate in c = u / s over s
+        along[idx] = np.where(log_below <= log_above, rate_below, rate_above) / s[idx]
+    return (
+        shape, out, log_small, lower_side, log_mass, along, (u, a, b, r, s), -lam_j / sd,
+        ab_slope,
+    )
 
 
 def exact_pivot(params: PivotParams, beta0):
@@ -444,32 +473,41 @@ def _exact_probit(params: PivotParams, beta0):
     is ``pivot' / phi(h)``: each partial of the orthant difference is
     ``phi(x) Phi((y - r x) / s)``, u, a and b are affine in beta0, and every
     term is formed in log space against the log mass, so that it holds in
-    the log-space regime too.  In the 0/1 limit ``h`` is infinite and the
-    slope NaN.
+    the log-space regime too.  The smaller tail is ``Phi(-|h|)``, so ``1 /
+    phi(h)`` is its Mills ratio ``sqrt(pi / 2) erfcx(|h| / sqrt 2)`` over
+    the tail, read from h itself as in ``_polyhedral_probit``: ``log phi(h)``
+    would put an error of ``|h|`` times that of h in the slope.  Where the
+    log-space rule gives the tail, its U partial over the tail is the rule's
+    rate, not a difference of two logs of size ``u^2 / 2``.  In the 0/1
+    limit ``h`` is infinite and the slope NaN.
     """
-    _, _, log_small, lower_side, log_mass, std, du, dab = _exact_tails(params, beta0)
+    _, _, log_small, lower_side, log_mass, along, std, du, dab = _exact_tails(params, beta0)
     h = _probit(log_small, lower_side)
     slope = np.full(h.shape, math.nan)
     idx = np.flatnonzero(np.isfinite(h) & (std[4] > 0))
     if idx.size:
         u, a, b, r, s = (x[idx] for x in std)
         side = np.where(lower_side[idx], 1.0, -1.0)
-        log_weight = -log_mass[idx] - _log_phi(h[idx])  # 1 / (mass phi(h))
+        mills = _SQRT_PI_OVER_2 * erfcx(np.abs(h[idx]) / math.sqrt(2.0))
+        log_weight = -log_mass[idx] - log_small[idx]  # 1 / (mass tail)
         # far out a term may overflow, and the slope is then unusable
         with np.errstate(over="ignore", invalid="ignore"):
             log_along = _log_phi(u) + log_standard_mass((a - r * u) / s, (b - r * u) / s)
-            # the U partial: phi(u) P(a < V < b | U = u)
-            along_u = np.exp(log_along + log_weight)
+            # the U partial: phi(u) P(a < V < b | U = u), where the log-space
+            # rule does not give it over the tail
+            along_u = np.where(
+                np.isnan(along[idx]), np.exp(log_along + log_weight), along[idx]
+            )
             across = np.zeros(idx.size)
             for end, sign in ((a, -1.0), (b, 1.0)):
-                # phi(end) (Phi(+-z) - smaller tail) / (mass phi(h)), as two
+                # phi(end) (Phi(+-z) - smaller tail) / (mass tail), as two
                 # terms; both vanish at an infinite end
                 log_end = _log_phi(end) + log_weight
                 z = (u - r * end) / s
                 across += sign * (
                     np.exp(log_end + log_ndtr(side * z)) - np.exp(log_end + log_small[idx])
                 )
-            slope[idx] = du[idx] * along_u + side * dab[idx] * across
+            slope[idx] = mills * (du[idx] * along_u + side * dab[idx] * across)
     return h, slope
 
 
@@ -835,7 +873,9 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     """Residual-based noise variance of least squares on the selected columns,
     or (full) on the independent columns of X, with n - rank degrees of
     freedom.  The normal equations read the dataset's ``gram`` and ``xty``;
-    the selected Gram's factor is the dataset's (``Dataset.factor_columns``)."""
+    the selected Gram's factor is the dataset's (``Dataset.factor_columns``),
+    and so is the full Gram's where every column is independent
+    (``Dataset.randomization_factor``)."""
     y, X, n = data.y, data.X, data.n
     if model == "full":
         cols = data.independent_columns
@@ -853,8 +893,11 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     elif cols.size < data.p:  # its columns are independent by construction
         factor = cho_factor(data.gram[np.ix_(cols, cols)])
     else:
-        factor = cho_factor(data.gram)
-    resid = y - X[:, cols] @ cho_solve(factor, data.xty[cols])
+        # every column is independent, so the Gram is the randomization base,
+        # factored once per dataset; where that Cholesky failed, this raises
+        factor = data.randomization_factor or cho_factor(data.gram)
+    design = data.column_major if cols.size == data.p else X[:, cols]
+    resid = y - design @ cho_solve(factor, data.xty[cols])
     return float(resid @ resid / df)
 
 

@@ -3,7 +3,8 @@
 Log probabilities of standard Gaussians over intervals (with infinite
 endpoints allowed), elementwise; the slice of a polyhedron along a line; the
 rank test of a Gram matrix and the one check of every matrix the package
-factors (``factor_spd``); and the vectorized inversion of increasing
+factors (``factor_spd``, or ``scaled_rcond`` and ``check_conditioning`` on a
+factor made elsewhere); and the vectorized inversion of increasing
 functions.  The inversion runs one safeguarded Newton loop over all
 elements: each starts at its own seed, keeps a bracket from the signs of the
 values it has seen, bisects where a Newton step would leave that bracket or
@@ -148,26 +149,41 @@ def independent_columns(gram: np.ndarray) -> np.ndarray:
     return np.sort(piv[:rank] - 1)
 
 
-def factor_spd(mat: np.ndarray, what: str, error: type[ExactSIError]) -> tuple:
-    """``cho_factor`` of the symmetrized ``mat``, checked by the one rule for
-    every matrix the package factors: ``error`` ("<what> is singular or
-    ill-conditioned") where Cholesky fails or where LAPACK's ``dpocon``
-    estimates the 1-norm condition of ``mat`` scaled to unit diagonal above
-    ``_MAX_SCALED_COND``.  A Cholesky solve is as accurate as that scaled
-    condition allows (van der Sluis 1969), so units cannot decide a verdict."""
-    mat = 0.5 * (mat + mat.T)
-    try:
-        factor = cho_factor(mat)
-        # mat = R'R, so R D^-1 (D the root of the diagonal) is the factor of
-        # D^-1 mat D^-1; dpocon reads only the upper triangle
-        d = np.sqrt(np.diag(mat))
-        rcond = dpocon(factor[0] / d, np.abs(mat / d / d[:, None]).sum(axis=0).max())[0]
-    except np.linalg.LinAlgError:
-        rcond = 0.0
+def scaled_rcond(mat: np.ndarray, factor: tuple) -> float:
+    """LAPACK's ``dpocon`` estimate of the reciprocal 1-norm condition of
+    ``mat`` scaled to unit diagonal, from ``factor``, its upper ``cho_factor``.
+    With D the root of the diagonal, mat = R'R makes R D^-1 the factor of
+    D^-1 mat D^-1, whose 1-norm is one pass over |mat| and a matrix-vector
+    product; dpocon reads only the upper triangle of the factor."""
+    scale = 1.0 / np.sqrt(np.diag(mat))
+    norm = float((scale * (np.abs(mat) @ scale)).max())
+    return float(dpocon(factor[0] * scale, norm)[0])
+
+
+def check_conditioning(rcond: float, what: str, error: type[ExactSIError]) -> None:
+    """Raise ``error`` ("<what> is singular or ill-conditioned") where the
+    scaled condition that ``rcond`` is the reciprocal of exceeds
+    ``_MAX_SCALED_COND``; a NaN or zero ``rcond`` fails."""
     if not rcond * _MAX_SCALED_COND >= 1.0:
         raise error(
             f"{what} is singular or ill-conditioned (scaled cond > {_MAX_SCALED_COND:.0e})"
         )
+
+
+def factor_spd(mat: np.ndarray, what: str, error: type[ExactSIError]) -> tuple:
+    """``cho_factor`` of ``mat`` (its upper triangle), checked by the one
+    rule for every matrix the package factors: ``error`` ("<what> is
+    singular or ill-conditioned") where Cholesky fails or where
+    ``scaled_rcond`` puts the 1-norm condition of ``mat`` scaled to unit
+    diagonal above ``_MAX_SCALED_COND``.  A Cholesky solve is as accurate as
+    that scaled condition allows (van der Sluis 1969), so units cannot decide
+    a verdict."""
+    try:
+        factor = cho_factor(mat)
+        rcond = scaled_rcond(mat, factor)
+    except np.linalg.LinAlgError:
+        factor, rcond = None, 0.0
+    check_conditioning(rcond, what, error)
     return factor
 
 

@@ -4,19 +4,26 @@ The solver returns the observed selection outcome (selected set, active
 solution, signs, inactive subgradient), from which ``lasso_event_rep`` emits
 the affine identity
 
-    w = P @ stat + Q @ opt + R @ sub + T
+    w = -stat + Q @ opt + R @ sub + T
 
-satisfied at the solution, together with the constraint pair ``L, M`` such
-that ``L @ opt < M`` encodes the selection event.  Rows are permuted
-active-first; the permutation is stored on the representation.
+satisfied at the solution, with ``stat = X'y``, together with the constraint
+pair ``L, M`` such that ``L @ opt < M`` encodes the selection event.  Rows are
+permuted active-first; the permutation is stored on the representation.
+Every piece is read from the dataset's sufficient statistics X'X and X'y, so
+nothing here has n rows.  The carving randomization ``tau2 B``, B the Gram
+(jittered where its rank test drops a column), is drawn from the dataset's
+one Cholesky factor of B.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_factor
+from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dposv
 from scipy.optimize import linprog
 
@@ -28,7 +35,7 @@ from .errors import (
     InvalidSchemeError,
     SingularDesignError,
 )
-from .numerics import factor_spd, independent_columns
+from .numerics import factor_spd, independent_columns, scaled_rcond
 
 _AS_MAX_STEPS = 1_000
 
@@ -38,10 +45,12 @@ class Dataset:
     """Regression data: response ``y``, fixed design ``X``, optional known noise sd.
 
     The sufficient statistics ``gram`` (X'X) and ``xty`` (X'y), both
-    read-only, the columns the Gram's rank test keeps, and the factor of the
-    Gram of each set of columns asked for (``factor_columns``) are formed
-    once, on first use, for every stage that reads them; ``X`` and ``y``
-    must not change in place."""
+    read-only, X in column-major order (``column_major``), the columns the
+    Gram's rank test keeps, the Cholesky factor of the randomization base
+    and its scaled condition, and the factor of the Gram of each set of
+    columns asked for (``factor_columns``) are formed once, on first use,
+    for every stage that reads them; ``X`` and ``y`` must not change in
+    place."""
 
     y: np.ndarray
     X: np.ndarray
@@ -79,11 +88,19 @@ class Dataset:
         return gram
 
     @cached_property
+    def column_major(self) -> np.ndarray:
+        """``X`` in column-major order, read-only.  It is the layout of the
+        copy that ``X[:, cols]`` makes, and BLAS sums a product in an order
+        set by the layout: X'y and the full-model plug-in's fit read it, so
+        that they, the noise estimate and every penalty scaled by it keep
+        the bits of the arithmetic on such a copy."""
+        column_major = np.asfortranarray(self.X)
+        column_major.flags.writeable = False
+        return column_major
+
+    @cached_property
     def xty(self) -> np.ndarray:
-        # one dot product per column, on a column-major copy: the arithmetic
-        # of ``X[:, cols].T @ y``, so the full-model plug-in, and every
-        # penalty scaled by its noise estimate, keep their bits
-        xty = np.asfortranarray(self.X).T @ self.y
+        xty = self.column_major.T @ self.y  # one dot product per column
         xty.flags.writeable = False
         return xty
 
@@ -91,6 +108,35 @@ class Dataset:
     def independent_columns(self) -> np.ndarray:
         """``numerics.independent_columns`` of the Gram."""
         return independent_columns(self.gram)
+
+    def randomization_base(self) -> np.ndarray:
+        """The Gram, plus a diagonal jitter of ``1e-8 * tr(X'X)/p`` exactly
+        when its rank test (``independent_columns``) drops a column (p > n,
+        or a duplicated column), so that full-rank closed-form identities
+        stay exact.  The carving covariance is ``tau2`` times this matrix."""
+        gram, p = self.gram, self.p
+        if self.independent_columns.size < p:
+            gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
+        return gram
+
+    @cached_property
+    def randomization_factor(self) -> tuple | None:
+        """``cho_factor`` of ``randomization_base`` (upper), or None where
+        Cholesky fails.  It is the one factor of a p x p matrix per dataset:
+        the randomization draw, the conditioning geometry, the exact pivot's
+        constants and, when every column is independent, the full-model
+        plug-in and contrasts read it, each with its own check."""
+        try:
+            return cho_factor(self.randomization_base())
+        except (np.linalg.LinAlgError, ValueError):
+            return None
+
+    @cached_property
+    def randomization_rcond(self) -> float:
+        """``numerics.scaled_rcond`` of the randomization base from its
+        factor, or 0 where there is none; formed only where it is checked."""
+        factor = self.randomization_factor
+        return 0.0 if factor is None else scaled_rcond(self.randomization_base(), factor)
 
     def factor_columns(self, cols: np.ndarray, what: str) -> tuple:
         """``factor_spd`` of the Gram of the columns ``cols``, read from
@@ -108,13 +154,9 @@ class Dataset:
 
 @dataclass
 class RandomizationScheme:
-    """Carving-calibrated Gaussian randomization covariance ``tau2 * X'X``.
-
-    A diagonal jitter of ``1e-8 * tr(X'X)/p`` is added to the dataset's Gram
-    exactly when its rank test (``Dataset.independent_columns``) drops a
-    column (p > n, or a duplicated column), so that full-rank closed-form
-    identities stay exact.
-    """
+    """Carving-calibrated Gaussian randomization covariance ``tau2 * X'X``,
+    with the jitter of ``Dataset.randomization_base``.  The pipeline never
+    forms it: it works on the dataset's factor of the base."""
 
     tau2: float = 1.0
 
@@ -123,10 +165,7 @@ class RandomizationScheme:
             raise InvalidSchemeError("tau2 must be positive")
 
     def covariance(self, data: Dataset) -> np.ndarray:
-        gram, p = data.gram, data.p
-        if data.independent_columns.size < p:
-            gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
-        return self.tau2 * gram
+        return self.tau2 * data.randomization_base()
 
 
 @dataclass
@@ -144,13 +183,13 @@ class SelectionOutcome:
 class LinearEventRep:
     """Affine stationarity identity and selection constraints for one fit.
 
-    ``randomization - (P @ stat + Q @ opt + R @ sub + T)`` vanishes at the
-    observed solution and ``L @ opt < M`` holds strictly there.  All row-indexed
-    quantities (``P``, ``Q``, ``R``, ``T``, ``randomization``) follow the
-    stored active-first permutation ``order`` of the original feature axis.
+    ``randomization - (-stat + Q @ opt + R @ sub + T)`` vanishes at the
+    observed solution and ``L @ opt < M`` holds strictly there; ``stat`` is
+    X'y, so the data enter through ``P = -I``.  All row-indexed quantities
+    (``stat``, ``Q``, ``R``, ``T``, ``randomization``) follow the stored
+    active-first permutation ``order`` of the original feature axis.
     """
 
-    P: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     T: np.ndarray
@@ -163,7 +202,7 @@ class LinearEventRep:
     randomization: np.ndarray
 
     def reconstruction_residual(self) -> float:
-        fit = self.P @ self.stat + self.Q @ self.opt + self.T
+        fit = self.Q @ self.opt + self.T - self.stat
         if self.R.shape[1]:
             fit = fit + self.R @ self.sub
         return float(np.max(np.abs(self.randomization - fit)))
@@ -173,9 +212,9 @@ class LinearEventRep:
 
 
 def _check_rep(rep: LinearEventRep, what: str) -> LinearEventRep:
-    """Check the identity to 1e-9 of the terms it balances, ``P @ stat`` and ``w``."""
+    """Check the identity to 1e-9 of the terms it balances, ``stat`` and ``w``."""
     resid = rep.reconstruction_residual()
-    magnitude = max(np.max(np.abs(rep.P @ rep.stat)), np.max(np.abs(rep.randomization)))
+    magnitude = max(np.max(np.abs(rep.stat)), np.max(np.abs(rep.randomization)))
     if resid > 1e-9 * magnitude:
         raise InconsistentOutcomeError(
             f"{what}: stationarity reconstruction residual {resid:.3e}"
@@ -185,14 +224,15 @@ def _check_rep(rep: LinearEventRep, what: str) -> LinearEventRep:
     return rep
 
 
-def sample_randomization(omega: np.ndarray, seed: int) -> np.ndarray:
-    """Draw one N(0, omega) vector; deterministic in ``seed``."""
-    z = np.random.default_rng(seed).standard_normal(omega.shape[0])
-    try:
-        chol = np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidSchemeError("randomization covariance is not PD") from exc
-    return chol @ z
+def sample_randomization(data: Dataset, tau2: float, seed: int) -> np.ndarray:
+    """Draw one N(0, tau2 B) vector, B the dataset's randomization base, as
+    ``sqrt(tau2) R'z`` from its factor ``B = R'R``; deterministic in
+    ``seed``.  Raises ``InvalidSchemeError`` where B has no factor."""
+    z = np.random.default_rng(seed).standard_normal(data.p)
+    factor = data.randomization_factor
+    if factor is None:
+        raise InvalidSchemeError("randomization covariance is not PD")
+    return math.sqrt(tau2) * dtrmv(factor[0], z, trans=1)
 
 
 def tau2_from_split(sigma2_hat: float, n: int, n1: int) -> float:
@@ -420,32 +460,33 @@ def solve_randomized_lasso(
     )
 
 
-def _active_first_order(p: int, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    inactive = np.setdiff1d(np.arange(p), selected)
-    return np.concatenate([selected, inactive]).astype(int), inactive
+def _active_first_order(p: int, selected: np.ndarray) -> np.ndarray:
+    return np.concatenate([selected, np.setdiff1d(np.arange(p), selected)]).astype(int)
 
 
 def lasso_event_rep(
     data: Dataset, outcome: SelectionOutcome, lam: float, epsilon: float
 ) -> LinearEventRep:
-    """Stationarity identity of the randomized lasso in (active, inactive) blocks."""
-    X, p = data.X, data.p
+    """Stationarity identity of the randomized lasso in (active, inactive)
+    blocks: ``Q`` is the Gram's (active, inactive) by active block, with the
+    ridge on the active rows, and ``stat`` is X'y, both in the active-first
+    order."""
+    p = data.p
     E = outcome.selected
     q = E.size
-    order, inactive = _active_first_order(p, E)
-    XE = X[:, E]
-    P = -X[:, order].T
-    Q = np.vstack([XE.T @ XE + epsilon * np.eye(q), X[:, inactive].T @ XE])
-    R = np.vstack([np.zeros((q, p - q)), lam * np.eye(p - q)])
+    order = _active_first_order(p, E)
+    Q = data.gram[np.ix_(order, E)]
+    Q[:q] += epsilon * np.eye(q)
+    R = np.zeros((p, p - q))
+    np.fill_diagonal(R[q:], lam)
     T = np.concatenate([lam * outcome.signs, np.zeros(p - q)])
     rep = LinearEventRep(
-        P=P,
         Q=Q,
         R=R,
         T=T,
         L=-np.diag(outcome.signs),
         M=np.zeros(q),
-        stat=data.y,
+        stat=data.xty[order],
         opt=outcome.active_solution,
         sub=outcome.inactive_subgradient,
         order=order,

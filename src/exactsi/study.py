@@ -9,7 +9,8 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    (known if given, else the full-model plug-in when n > p, else var(y)),
    the penalty and the ridge term.  The plug-in fits the independent columns
    of X, and the randomization covariance is jittered when X'X loses one;
-   both read the dataset's one Gram and rank test.
+   both read the dataset's one Gram and rank test, and, when no column is
+   lost, its one Cholesky factor of the Gram.
 2. ``fit_method`` runs one method's selection.  For the exact method it
    draws the randomization (its variance given, or matched to a subsample
    split), solves the randomized lasso and builds the event
@@ -324,23 +325,22 @@ def calibrate(
 
 def randomized_selection(
     data: Dataset, cal: Calibration, seed: int
-) -> tuple[RandomizationScheme, np.ndarray, SelectionOutcome, LinearEventRep | None]:
+) -> tuple[RandomizationScheme, SelectionOutcome, LinearEventRep | None]:
     """Carving-randomized lasso and its event representation (None if empty).
 
-    Returns the scheme, its covariance Omega, the outcome and the
-    representation.
+    Returns the scheme, the outcome and the representation.  The draw reads
+    the dataset's factor of the randomization base; no covariance is formed.
     """
     tau2 = cal.tau2
     if tau2 is None:
         tau2 = tau2_from_split(cal.sigma2, data.n, int(round(cal.rho * data.n)))
     scheme = RandomizationScheme(tau2=tau2)
-    omega = scheme.covariance(data)
-    w = sample_randomization(omega, seed=seed)
+    w = sample_randomization(data, scheme.tau2, seed=seed)
     outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=cal.epsilon, w=w)
     rep = None
     if outcome.selected.size:
         rep = lasso_event_rep(data, outcome, lam=cal.lam, epsilon=cal.epsilon)
-    return scheme, omega, outcome, rep
+    return scheme, outcome, rep
 
 
 @dataclass
@@ -367,7 +367,7 @@ class Fit:
     model: str = "selected"
     outcome: SelectionOutcome | None = None
     rep: LinearEventRep | None = None
-    omega: np.ndarray | None = None
+    tau2: float = math.nan  # the randomization variance
     sigma: float = math.nan  # post-selection noise sd
     lam: float = math.nan
     estimates: list[IntervalEstimate] = field(default_factory=list)
@@ -382,7 +382,7 @@ class Fit:
                 return polyhedral_bounds(
                     self.data, self.selected, self.outcome.signs, self.lam, target, self.sigma
                 )
-            geom = build_geometry(self.rep, self.omega, target)
+            geom = build_geometry(self.data, self.rep, self.tau2, target)
             errors = geom.errors
             return pivot_params(self.data, geom, target, sigma=self.sigma)
         except ExactSIError as exc:
@@ -444,12 +444,12 @@ def fit_method(
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must lie in (0, 1)")
     if method == "exact":
-        _, omega, outcome, rep = randomized_selection(data, cal, seed)
+        scheme, outcome, rep = randomized_selection(data, cal, seed)
         E = outcome.selected
         if E.size == 0:
             return Fit(method, alpha, E)
         return Fit(
-            method, alpha, E, data, model, outcome, rep, omega,
+            method, alpha, E, data, model, outcome, rep, scheme.tau2,
             sigma=_post_sigma(data, cal, model, E),
         )
     if method == "polyhedral":

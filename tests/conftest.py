@@ -22,7 +22,6 @@ from exactsi.inference import (
 )
 from exactsi.selection import (
     Dataset,
-    RandomizationScheme,
     _kkt_residual,
     lasso_event_rep,
     sample_randomization,
@@ -40,8 +39,7 @@ def toy_fit():
     data = Dataset(y=np.array([2.0, 0.0]), X=np.array([[1.0], [0.0]]), sigma=1.0)
     out = solve_randomized_lasso(data, lam=1.0, epsilon=0.0, w=np.array([0.5]))
     rep = lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
-    omega = RandomizationScheme(tau2=1.0).covariance(data)
-    return data, out, rep, omega
+    return data, out, rep, 1.0  # the randomization variance tau2
 
 
 def random_dataset(rng, n=40, p=8, sigma=1.0):
@@ -61,13 +59,12 @@ def carving_fit(rng, n=40, p=8, tau2=0.7, lam=None, min_selected=1):
         beta[rng.choice(p, size=k, replace=False)] = rng.uniform(1, 3, size=k)
         y = X @ beta + rng.standard_normal(n)
         data = Dataset(y=y, X=X, sigma=1.0)
-        omega = RandomizationScheme(tau2=tau2).covariance(data)
-        w = sample_randomization(omega, seed=int(rng.integers(1 << 30)))
+        w = sample_randomization(data, tau2, seed=int(rng.integers(1 << 30)))
         lam_use = lam if lam is not None else 1.2 * math.sqrt(2 * math.log(p) * n) / 2
         out = solve_randomized_lasso(data, lam=lam_use, epsilon=0.0, w=w)
         if out.selected.size >= min_selected:
             rep = lasso_event_rep(data, out, lam=lam_use, epsilon=0.0)
-            return data, out, rep, omega, lam_use, tau2
+            return data, out, rep, lam_use, tau2
     raise AssertionError("could not generate a nonempty selection")
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
-from exactsi import cli, inference, numerics, study
+from exactsi import cli, inference, numerics, selection, study
 from exactsi.cli import (
     build_parser,
     build_sim_config,
@@ -258,7 +259,7 @@ class TestSelect:
         assert (report["selected_count"] == 0) == (lam is not None)
         data, _ = read_csv_dataset(str(path))
         cal = study.calibrate(data, ("exact",), lam=report["lambda"], rho=0.8)
-        _, _, outcome, _ = study.randomized_selection(data, cal, 3)
+        _, outcome, _ = study.randomized_selection(data, cal, 3)
         c = data.X.T @ data.y + outcome.randomization
         assert 0.0 <= report["kkt_residual"] <= 1e-11 * max(np.abs(c).max(), cal.lam)
 
@@ -369,6 +370,20 @@ class TestInfer:
         assert capsys.readouterr().err == "error: alpha must lie in (0, 1)\n"
         assert not (tmp_path / "inf.json").exists()
         assert not (tmp_path / "inf.csv").exists()
+
+    def test_no_option_carries_over_to_the_next_call(self, tmp_path):
+        """``main`` keeps one parser per process, and no call leaves an
+        option to the next: ``--method`` given once, then once more, then
+        not at all gives polyhedral, polyhedral, then the default exact."""
+        rng = np.random.default_rng(6)
+        methods = []
+        for seed, extra in (("5", ("--method", "polyhedral")),
+                            ("6", ("--method", "polyhedral")), ("7", ())):
+            report, rows = self.run_infer(tmp_path, rng, extra=extra, seed=seed)
+            assert {r["method"] for r in rows} <= set(report["methods"])
+            methods.append(list(report["methods"]))
+        assert methods == [["polyhedral"], ["polyhedral"], ["exact"]]
+        assert cli._parser() is cli._parser()
 
     def test_method_listed_twice_is_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
@@ -746,6 +761,53 @@ def test_unit_change_scales_every_interval(tmp_path):
                     continue
                 x = got[end] / 10.0**k
                 assert abs(x - want[end]) <= 1e-9 * max(1.0, abs(want[end])) + slack
+
+
+@pytest.mark.parametrize("model", ["selected", "full"])
+def test_infer_factors_the_gram_once(tmp_path, monkeypatch, model):
+    """One ``exactsi infer`` on a 120 x 48 CSV makes one Cholesky
+    factorization of a p x p matrix: the dataset's factor of X'X, which the
+    plug-in, the randomization draw, the geometry, the pivot constants and
+    (full model) the contrasts all read.  ``np.linalg.cholesky`` is never
+    called, and no array of the event representation has n rows."""
+    n, p = 120, 48
+    X = generate_design(n, p, 0.5, 21)
+    y, _ = generate_response(X, support_indices(p, 4), 0.75, 1.0, 22)
+    path = tmp_path / "d.csv"
+    np.savetxt(path, np.column_stack([y, X]), fmt="%.17g", delimiter=",",
+               header=",".join(["y"] + [f"x{j}" for j in range(p)]), comments="")
+    shapes = []
+
+    def counted(real):
+        def call(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return real(mat, *args, **kwargs)
+
+        return call
+
+    def no_cholesky(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    for module in (numerics, selection, inference):
+        monkeypatch.setattr(module, "cho_factor", counted(module.cho_factor))
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    reps = []
+    real_rep = study.lasso_event_rep
+
+    def recorded(*args, **kwargs):
+        reps.append(real_rep(*args, **kwargs))
+        return reps[-1]
+
+    monkeypatch.setattr(study, "lasso_event_rep", recorded)
+    args = ["infer", "--input", str(path), "--rho", "0.8", "--seed", "3",
+            "--model", model, "--out", str(tmp_path / "inf")]
+    assert main(args) == 0
+    rows = strict_json(tmp_path / "inf.json")["rows"]
+    assert len(rows) >= 2 and not any(r["error"] for r in rows)
+    assert shapes.count((p, p)) == 1
+    (rep,) = reps
+    arrays = [getattr(rep, f.name) for f in fields(rep)]
+    assert all(n not in np.shape(a) for a in arrays)
 
 
 def test_column_units_do_not_decide_the_randomization_check(tmp_path):

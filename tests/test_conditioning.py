@@ -14,10 +14,10 @@ from exactsi.errors import (
 from exactsi.selection import Dataset, solve_randomized_lasso
 
 
-def target_geometry(data, out, rep, omega, j=0):
+def target_geometry(data, out, rep, tau2, j=0):
     """The contrast and the geometry of target j, as columns of the fit's build."""
     t = build_target(data, out, "selected")
-    g = build_geometry(rep, omega, t)
+    g = build_geometry(data, rep, tau2, t)
     return t.contrast[:, j], g.rj[:, j], g.Qj[:, j], g.A_obs[:, j], g.lower[j], g.upper[j]
 
 
@@ -50,7 +50,7 @@ class TestBuildTarget:
 
     def test_one_column_per_selected_coordinate(self):
         rng = np.random.default_rng(5)
-        data, out, _, _, _, _ = carving_fit(rng, min_selected=2)
+        data, out, _, _, _ = carving_fit(rng, min_selected=2)
         E = out.selected
         for model, design, columns in (
             ("selected", data.X[:, E], np.arange(E.size)), ("full", data.X, E)
@@ -68,9 +68,9 @@ class TestBuildTarget:
 
 class TestBuildGeometry:
     def test_toy_hand_values(self):
-        data, out, rep, omega = toy_fit()
+        data, out, rep, tau2 = toy_fit()
         t = build_target(data, out, "selected")
-        g = build_geometry(rep, omega, t)
+        g = build_geometry(data, rep, tau2, t)
         assert g.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert g.rj[0, 0] == pytest.approx(-1.0, abs=1e-10)
         assert g.Qj[0, 0] == pytest.approx(-1.0, abs=1e-10)
@@ -92,9 +92,9 @@ class TestBuildGeometry:
     def test_basic_identities(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            data, out, rep, omega, _, _ = carving_fit(rng)
+            data, out, rep, _, tau2 = carving_fit(rng)
             t = build_target(data, out, "selected")
-            g = build_geometry(rep, omega, t)
+            g = build_geometry(data, rep, tau2, t)
             assert g.errors == [None] * out.selected.size
             assert np.allclose((g.rj * g.Qj).sum(axis=0), 1.0, rtol=0, atol=1e-10)
             assert np.all(
@@ -106,11 +106,11 @@ class TestBuildGeometry:
     def test_carving_closed_forms(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            data, out, rep, omega, lam, tau2 = carving_fit(rng)
+            data, out, rep, lam, tau2 = carving_fit(rng)
             XE = data.X[:, out.selected]
             theta_cf = tau2 * np.linalg.inv(XE.T @ XE)
             t = build_target(data, out, "selected")
-            g = build_geometry(rep, omega, t)
+            g = build_geometry(data, rep, tau2, t)
             theta, rj = g.Theta, g.rj
             assert np.allclose(theta, theta_cf, rtol=1e-8, atol=1e-10)
             for j in range(out.selected.size):
@@ -121,9 +121,9 @@ class TestBuildGeometry:
     def test_event_equivalence_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            data, out, rep, omega, _, _ = carving_fit(rng)
+            data, out, rep, _, tau2 = carving_fit(rng)
             j = int(rng.integers(out.selected.size))
-            _, rj, Qj, A_obs, lower, upper = target_geometry(data, out, rep, omega, j)
+            _, rj, Qj, A_obs, lower, upper = target_geometry(data, out, rep, tau2, j)
             observed = float(rj @ rep.opt)
             span = 4.0 * (abs(observed) + 1.0)
             zs = rng.uniform(observed - span, observed + span, size=1000)
@@ -136,10 +136,10 @@ class TestBuildGeometry:
                     assert dist <= 1e-10 * max(1.0, abs(z))
 
     def test_tampered_solution_detected(self):
-        data, out, rep, omega = toy_fit()
+        data, out, rep, tau2 = toy_fit()
         t = build_target(data, out, "selected")
         rep.opt = np.array([-0.5])  # violates its own sign constraint
-        (error,) = build_geometry(rep, omega, t).errors
+        (error,) = build_geometry(data, rep, tau2, t).errors
         assert isinstance(error, GeometryInconsistencyError)
 
 
@@ -147,9 +147,9 @@ class TestAEta:
     def test_matches_geometry_complement(self):
         # A_eta = O - Theta eta (eta'O) / (eta'Theta eta) at eta = rj
         rng = np.random.default_rng(6)
-        data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
+        data, out, rep, _, tau2 = carving_fit(rng, min_selected=2)
         t = build_target(data, out, "selected")
-        g = build_geometry(rep, omega, t)
+        g = build_geometry(data, rep, tau2, t)
         eta, theta = g.rj[:, 1], g.Theta
         comp = rep.opt - (theta @ eta) * (eta @ rep.opt) / float(eta @ theta @ eta)
         assert np.allclose(comp, g.A_obs[:, 1], atol=1e-10)

@@ -45,7 +45,6 @@ from exactsi.inference import (
 )
 from exactsi.selection import (
     Dataset,
-    RandomizationScheme,
     lasso_event_rep,
     solve_randomized_lasso,
 )
@@ -60,10 +59,11 @@ from exactsi.study import (
 )
 
 
-def exact_targets(data, out, rep, omega, sigma=1.0):
+def exact_targets(data, out, rep, tau2, sigma=1.0):
     """Every target's exact-pivot constants, built together as a fit builds them."""
     target = build_target(data, out, "selected")
-    params, errors = pivot_params(data, build_geometry(rep, omega, target), target, sigma=sigma)
+    geom = build_geometry(data, rep, tau2, target)
+    params, errors = pivot_params(data, geom, target, sigma=sigma)
     assert errors == [None] * out.selected.size
     return params
 
@@ -93,8 +93,8 @@ class TestPivotParams:
     def test_generic_matches_carving_closed_form(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            data, out, rep, omega, lam, tau2 = carving_fit(rng)
-            every = exact_targets(data, out, rep, omega)
+            data, out, rep, lam, tau2 = carving_fit(rng)
+            every = exact_targets(data, out, rep, tau2)
             targets = build_target(data, out, "selected")
             for j in range(out.selected.size):
                 generic = take(every, j)
@@ -126,8 +126,7 @@ class TestPivotParams:
         out = solve_randomized_lasso(data, lam=0.5, epsilon=eps, w=w)
         rep = lasso_event_rep(data, out, lam=0.5, epsilon=eps)
         # carving covariance tau2 * x'x on a unit-norm x: the scalar tau2
-        omega = RandomizationScheme(tau2=tau2).covariance(data)
-        params = take(exact_targets(data, out, rep, omega), 0)
+        params = take(exact_targets(data, out, rep, tau2), 0)
         # hand algebra at p=1 with ||x|| = 1: Theta = tau2/(1+eps)^2,
         # r = -(1+eps)/tau2, so the weight variance is exactly 1/tau2
         assert params.vartheta2 == pytest.approx(1.0 / tau2, rel=1e-10)
@@ -166,9 +165,9 @@ class TestExactPivot:
     def test_strictly_decreasing_in_beta0(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            data, out, rep, omega, _, _ = carving_fit(rng)
+            data, out, rep, _, tau2 = carving_fit(rng)
             j = int(rng.integers(out.selected.size))
-            params = take(exact_targets(data, out, rep, omega), j)
+            params = take(exact_targets(data, out, rep, tau2), j)
             sd = math.sqrt(params.sigma_j2)
             grid = params.beta_hat_j + sd * np.linspace(-8, 8, 161)
             vals = exact_pivot(params, grid)
@@ -182,8 +181,8 @@ class TestExactPivot:
     def test_agrees_with_log_space_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            data, out, rep, omega, _, _ = carving_fit(rng)
-            params = take(exact_targets(data, out, rep, omega), 0)
+            data, out, rep, _, tau2 = carving_fit(rng)
+            params = take(exact_targets(data, out, rep, tau2), 0)
             sd = math.sqrt(params.sigma_j2)
             for shift in (-8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0):
                 b0 = params.beta_hat_j + shift * sd
@@ -385,6 +384,25 @@ class TestProbitCompanions:
         assert_probit_matches(
             inference._polyhedral_probit, polyhedral_pivot, bounds, x, bounds.sd
         )
+
+    def test_exact_probit_slope_in_the_far_tail(self):
+        """Without truncation the exact probit is the line ``(beta_hat -
+        lambda_j beta0 - zeta_j) / sigma_j``, whose slope is ``-lambda_j /
+        sigma_j = -0.9 / sqrt(1.1) = -0.858116330321``.  At 300, 1000 and
+        3000 sd on either side of the estimate, where the log-space rule
+        gives the pivot, h and its slope hold to 1e-10 relative: the slope
+        takes the tail over ``phi(h)`` as the Mills ratio of h and the U
+        partial over the tail as the rule's rate, so no difference of logs
+        of size ``h^2 / 2`` enters it."""
+        params = PivotParams(0.8, 1.1, 0.9, 0.1, 0.2, -math.inf, math.inf, 0.4)
+        sd = math.sqrt(params.sigma_j2)
+        k = np.array([300.0, 1000.0, 3000.0, -300.0, -1000.0, -3000.0])
+        beta0 = (params.beta_hat_j - params.zeta_j - k * sd) / params.lambda_j
+        h, slope = inference._exact_probit(params, beta0)
+        line = (params.beta_hat_j - params.lambda_j * beta0 - params.zeta_j) / sd
+        assert (np.abs(h - line) <= 1e-10 * np.abs(line)).all()
+        assert -params.lambda_j / sd == pytest.approx(-0.858116330321, rel=1e-12)
+        assert (np.abs(slope / (-params.lambda_j / sd) - 1.0) <= 1e-10).all()
 
     def test_polyhedral_probit_in_the_far_tail(self):
         """h and its slope where beta0 lies 40 to 3e4 sd beyond an estimate
@@ -734,8 +752,8 @@ class TestBatchedInversion:
         rng = np.random.default_rng(31)
         count = 0
         for _ in range(6):
-            data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
-            params = exact_targets(data, out, rep, omega)
+            data, out, rep, _, tau2 = carving_fit(rng, min_selected=2)
+            params = exact_targets(data, out, rep, tau2)
             got = invert_pivot(params, 0.1, [int(e) for e in out.selected])
             for k, (est, label) in enumerate(zip(got, out.selected)):
                 assert_agrees(est, reference_invert_pivot, take(params, k))
@@ -756,8 +774,8 @@ class TestBatchedInversion:
 
     def test_full_line_exact_interval_in_a_batch(self):
         rng = np.random.default_rng(33)
-        data, out, rep, omega, _, _ = carving_fit(rng)
-        real = exact_targets(data, out, rep, omega)
+        data, out, rep, _, tau2 = carving_fit(rng)
+        real = exact_targets(data, out, rep, tau2)
         forced = PivotParams(
             vartheta2=1.0, sigma_j2=1.0, lambda_j=1.0, zeta_j=0.0,
             theta_intercept=0.0, lower=-math.inf, upper=math.inf, beta_hat_j=2.0,
@@ -810,8 +828,8 @@ class TestBatchedInversion:
 
     def test_unstraddled_exact_target_fails_alone(self, monkeypatch):
         rng = np.random.default_rng(34)
-        data, out, rep, omega, _, _ = carving_fit(rng, min_selected=3)
-        params = exact_targets(data, out, rep, omega)
+        data, out, rep, _, tau2 = carving_fit(rng, min_selected=3)
+        params = exact_targets(data, out, rep, tau2)
         clean = invert_pivot(params, alpha=0.1)
         flat = params.beta_hat_j[1]
         real = inference._exact_probit
@@ -892,8 +910,8 @@ class TestBatchedInversion:
         for name in ("_exact_probit", "_polyhedral_probit", "polyhedral_pivot"):
             record(name)
         rng = np.random.default_rng(35)
-        data, out, rep, omega, _, _ = carving_fit(rng, min_selected=2)
-        real = exact_targets(data, out, rep, omega)
+        data, out, rep, _, tau2 = carving_fit(rng, min_selected=2)
+        real = exact_targets(data, out, rep, tau2)
         forced = PivotParams(
             vartheta2=1.0, sigma_j2=1.0, lambda_j=1.0, zeta_j=0.0,
             theta_intercept=0.0, lower=-math.inf, upper=math.inf, beta_hat_j=2.0,

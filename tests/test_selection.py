@@ -73,7 +73,7 @@ class TestRandomization:
         scheme = RandomizationScheme(tau2=0.5)
         omega = scheme.covariance(design_only(X))
         draws = np.stack(
-            [sample_randomization(omega, seed=s) for s in range(10_000)]
+            [sample_randomization(design_only(X), 0.5, seed=s) for s in range(10_000)]
         )
         emp = draws.T @ draws / draws.shape[0]
         # entrywise 5 standard errors; Cov of a product of Gaussians
@@ -85,9 +85,8 @@ class TestRandomization:
     def test_deterministic_in_seed(self):
         X = np.random.default_rng(1).standard_normal((20, 4))
         scheme = RandomizationScheme(tau2=2.0)
-        omega = scheme.covariance(design_only(X))
-        a = sample_randomization(omega, seed=42)
-        b = sample_randomization(omega, seed=42)
+        a = sample_randomization(design_only(X), scheme.tau2, seed=42)
+        b = sample_randomization(design_only(X), scheme.tau2, seed=42)
         assert np.array_equal(a, b)
 
     def test_rank_deficient_gram_gets_jitter(self):
@@ -106,7 +105,7 @@ class TestRandomization:
         omega = RandomizationScheme(tau2=0.75).covariance(design_only(X))
         np.linalg.cholesky(omega)
         assert not np.array_equal(omega, 0.75 * (X.T @ X))
-        assert sample_randomization(omega, seed=seed).shape == (30,)
+        assert sample_randomization(design_only(X), 0.75, seed=seed).shape == (30,)
 
 
 class TestRandomizedLasso:
@@ -197,7 +196,7 @@ class TestRandomizedLasso:
         data = Dataset(y=y, X=X)
         w = np.zeros(p)
         if tau2:
-            w = sample_randomization(RandomizationScheme(tau2=tau2).covariance(data), seed=33)
+            w = sample_randomization(data, tau2, seed=33)
         eps = eps_scale * float(np.mean(np.diag(data.gram)))
         lam = theory_lambda(X, np.sqrt(3.0))
         out = solve_randomized_lasso(data, lam, eps, w)
@@ -328,7 +327,7 @@ class TestRandomizedLasso:
         for scale in (1.0, 10.0**k):
             data = Dataset(y=y * scale, X=X)
             cal = calibrate(data, ("exact",), rho=0.8, epsilon=0.0)
-            _, _, outcome, _ = randomized_selection(data, cal, 13)
+            _, outcome, _ = randomized_selection(data, cal, 13)
             outcomes.append(outcome)
         base, scaled = outcomes
         assert base.selected.size >= 5
@@ -415,7 +414,9 @@ class TestLassoEventRep:
         data = toy_dataset()
         out = solve_randomized_lasso(data, lam=1.0, epsilon=0.0, w=np.array([0.5]))
         rep = lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
-        assert rep.P @ rep.stat == pytest.approx(-2.0)
+        # P = -I on stat = X'y
+        assert np.array_equal(rep.stat, data.xty[rep.order])
+        assert -rep.stat == pytest.approx(-2.0)
         assert rep.Q @ rep.opt == pytest.approx(1.5)
         assert rep.T[0] == pytest.approx(1.0)
         assert rep.reconstruction_residual() < 1e-12
@@ -426,7 +427,7 @@ class TestLassoEventRep:
         rep = lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
         assert rep.Q.shape == (1, 0)
         assert np.allclose(
-            rep.randomization, rep.P @ rep.stat + rep.R @ rep.sub + rep.T, atol=1e-12
+            rep.randomization, -rep.stat + rep.R @ rep.sub + rep.T, atol=1e-12
         )
 
     def test_random_instances_reconstruct(self):

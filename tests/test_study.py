@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import take
 
-from exactsi import conditioning, inference, numerics, study
+from exactsi import conditioning, inference, numerics, selection, study
 from exactsi.cli import _summary_json
 from exactsi.errors import (
     InsufficientSampleError,
@@ -387,13 +387,15 @@ def test_one_factorization_per_fit(monkeypatch):
     targets make as many condition checks, rank tests, Cholesky
     factorizations and triangular solves as one does.  The selected Gram is
     factored once per fit, for the plug-in, the contrasts and (polyhedral)
-    the polyhedron.  An exact fit also factors Omega and the free-block
-    precision, and solves for the plug-in, the contrasts, Omega^{-1} Q,
-    Theta, and the cores and directions of its pivot constants; a polyhedral
-    fit solves for the plug-in, the contrasts and, in one call, its
-    polyhedron.  Every check and factorization runs inside the plug-in or
-    one of the stages ``build_target``, ``build_geometry`` and
-    ``pivot_params`` (exact) or ``polyhedral_bounds``."""
+    the polyhedron.  An exact fit does not factor Omega: it reads the
+    dataset's factor of X'X, made once by ``calibrate``'s full-model
+    plug-in, and checks that factor's scaled condition once.  It factors
+    the free-block precision, and solves for the plug-in, the contrasts,
+    Omega^{-1} Q, Theta, and the cores and directions of its pivot
+    constants; a polyhedral fit solves for the plug-in, the contrasts and,
+    in one call, its polyhedron.  Every check and factorization runs inside
+    the plug-in or one of the stages ``build_target``, ``build_geometry``
+    and ``pivot_params`` (exact) or ``polyhedral_bounds``."""
     config = SimConfig()
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 0))
     y, _ = generate_response(
@@ -423,9 +425,11 @@ def test_one_factorization_per_fit(monkeypatch):
 
         return call
 
-    # the rank test, the condition check and the factorizations live in numerics
+    # the rank test, the condition check and the factorizations live in
+    # numerics, except the dataset's one factor of X'X
     for name in ("dpstrf", "dpocon", "cho_factor"):
         monkeypatch.setattr(numerics, name, counted(name, getattr(numerics, name)))
+    monkeypatch.setattr(selection, "cho_factor", counted("cho_factor", selection.cho_factor))
     for module in (conditioning, inference):
         monkeypatch.setattr(module, "cho_solve", counted("cho_solve", module.cho_solve))
     for name in (
@@ -436,7 +440,12 @@ def test_one_factorization_per_fit(monkeypatch):
     def factorizations(method, all_targets):
         # a new dataset each time, so that no factor is kept from the last fit
         data = Dataset(y=y, X=X)
+        calls.clear()
         cal = calibrate(data, ("exact", "polyhedral"), rho=config.rho, epsilon=0.0)
+        # the plug-in factors X'X, which is the randomization base here
+        assert [(name, shape) for name, shape, _ in calls] == [
+            ("dpstrf", p_by_p), ("cho_factor", p_by_p), ("cho_solve", None)
+        ]
         calls.clear()
         seed = _seed_for(config.seed, 0, 2)
         fit = fit_method(data, cal, method, config.model, config.alpha, seed)
@@ -451,8 +460,12 @@ def test_one_factorization_per_fit(monkeypatch):
         assert one and every == one
         assert [name for name, _, _ in every].count("cho_solve") == solves
         factored = [shape for name, shape, _ in every if name == "cho_factor"]
-        assert factored == ([(q, q), p_by_p, (q, q)] if method == "exact" else [(q, q)])
-        assert [name for name, _, _ in every].count("dpocon") == len(factored)
+        checked = [shape for name, shape, _ in every if name == "dpocon"]
+        if method == "exact":
+            assert factored == [(q, q), (q, q)]
+            assert checked == [(q, q), p_by_p, (q, q)]
+        else:
+            assert factored == checked == [(q, q)]
         assert "dpstrf" not in [name for name, _, _ in every]
         assert all(inside for _, _, inside in every)
 
