@@ -193,7 +193,7 @@ def cmd_select(args) -> int:
         "selected_indices": [int(j) for j in outcome.selected],
         "signs": [int(s) for s in outcome.signs],
         "active_solution": [float(v) for v in outcome.active_solution],
-        "kkt_residual": _kkt_residual(data.X.T @ (data.X @ b), c, b, cal.lam, cal.epsilon),
+        "kkt_residual": _kkt_residual(data.gram @ b, c, b, cal.lam, cal.epsilon),
     }
     _write_json(report, args.out)
     return 0

@@ -127,25 +127,23 @@ class IntervalEstimate:
 
 
 def pivot_params(
-    data: Dataset, geom: ConditioningGeometry, target: TargetSpec, sigma: float
+    geom: ConditioningGeometry, target: TargetSpec, sigma: float
 ) -> tuple[PivotParams, list[ExactSIError | None]]:
     """Assemble the pivot constants of every target from a fit's geometry.
 
-    With ``gamma`` the response off a target's contrast c and ``core = P gamma
-    + R U + T``, the free block's conditional mean has the affine pieces
-    ``-Pj' Omega^{-1} core`` and ``-Theta Q' Omega^{-1} core``; all cores and
-    directions share one solve.  ``P gamma`` is ``-(X'y - X'c beta_hat /
-    ||c||^2)[order]``, which is ``-stat - Pj beta_hat``, so nothing here has n
-    rows but c.  Returns the constants of the targets that built, one record,
-    and each target's error (else a nonpositive precision).
+    With ``gamma`` the response off a target's contrast c, the free block's
+    conditional mean has the affine pieces ``-Pj' Omega^{-1} core`` and
+    ``-Theta Q' Omega^{-1} core`` of ``core = -X'gamma + offset``; all cores
+    and directions share one solve.  ``-X'gamma`` is ``-(X'y - X'c beta_hat
+    / ||c||^2)``, which is ``-stat - Pj beta_hat``, with ``beta_hat`` the
+    target's estimate c'y, so nothing here has n rows.  Returns the
+    constants of the targets that built, one record, and each target's error
+    (else a nonpositive precision).
     """
     if not sigma > 0:
         raise InvalidArgumentError("sigma must be positive")
-    rep, norm2 = geom.rep, target.norm2
-    beta_hat = data.y @ target.contrast
-    core = rep.T[:, None] - rep.stat[:, None] - geom.Pj * beta_hat
-    if rep.R.shape[1]:
-        core = core + (rep.R @ rep.sub)[:, None]
+    rep, norm2, beta_hat = geom.rep, target.norm2, target.estimate
+    core = rep.offset[:, None] - rep.stat[:, None] - geom.Pj * beta_hat
     solved = geom.omega_solve(np.hstack([core, geom.Pj]))
     omega_inv_core, omega_inv_pj = np.hsplit(solved, 2)
     lam_val = -(geom.Pj * omega_inv_core).sum(axis=0)
@@ -614,10 +612,11 @@ def polyhedral_bounds(
     coefficient of every row is p-space algebra on the Gram: ``-S (G_EE^{-1}
     u_E)`` on the active block, ``+-(u_I - G_IE G_EE^{-1} u_E) / lam`` on the
     inactive one.  The same map of ``X'gamma = X'y - X'c beta_hat /
-    ||c||^2`` gives each row's slack, so ``X'c`` is the one product with n
-    terms.  A coefficient is zero below ``1e-12 ||row|| ||v||``, with the row
-    norms ``sqrt(diag G_EE^{-1})`` (active) and ``sqrt(max(G_II - diag(G_IE
-    G_EE^{-1} G_EI), 0)) / lam`` (inactive), and ``||v|| = 1 / ||c||``.  The
+    ||c||^2`` gives each row's slack, from the target's statistics X'c and
+    ``beta_hat = c'y``.  A coefficient is zero below ``1e-12 ||row||
+    ||v||``, with the row norms ``sqrt(diag G_EE^{-1})`` (active) and
+    ``sqrt(max(G_II - diag(G_IE G_EE^{-1} G_EI), 0)) / lam`` (inactive), and
+    ``||v|| = 1 / ||c||``.  The
     factor of ``G_EE`` is the dataset's (``Dataset.factor_columns``), which
     ``build_target`` and the selected-model plug-in share.  Returns the
     bounds of the targets that built, one record of arrays, and each
@@ -629,10 +628,8 @@ def polyhedral_bounds(
     off = np.ones(data.p, dtype=bool)
     off[E] = False
     inactive = np.flatnonzero(off)
-    c, norm2 = target.contrast, target.norm2
+    xtc, norm2, beta_hat = target.xtc, target.norm2, target.estimate
     q, k = E.size, norm2.size
-    beta_hat = data.y @ c
-    xtc = data.X.T @ c
     xtv = xtc / norm2
     xtgamma = data.xty[:, None] - xtc * (beta_hat / norm2)
     G_EI = data.gram[np.ix_(E, inactive)]

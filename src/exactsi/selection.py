@@ -1,18 +1,17 @@
 """The randomized lasso and the linear stationarity representation of its event.
 
-The solver returns the observed selection outcome (selected set, active
-solution, signs, inactive subgradient), from which ``lasso_event_rep`` emits
-the affine identity
+The solver returns the observed selection outcome (selected set E, active
+solution o, signs S, inactive subgradient), from which ``lasso_event_rep``
+emits the lasso's stationarity map
 
-    w = -stat + Q @ opt + R @ sub + T
+    w = -X'y + X'X_E o + lam z
 
-satisfied at the solution, with ``stat = X'y``, together with the constraint
-pair ``L, M`` such that ``L @ opt < M`` encodes the selection event.  Rows are
-permuted active-first; the permutation is stored on the representation.
-Every piece is read from the dataset's sufficient statistics X'X and X'y, so
-nothing here has n rows.  The carving randomization ``tau2 B``, B the Gram
-(jittered where its rank test drops a column), is drawn from the dataset's
-one Cholesky factor of B.
+satisfied at the solution, z the full subgradient (S on E, the inactive
+subgradient off it), together with the selection event ``sign(o) = S``, in
+the order of the features.  Every piece is read from the dataset's
+sufficient statistics X'X and X'y, so nothing here has n rows.  The carving
+randomization ``tau2 B``, B the Gram (jittered where its rank test drops a
+column), is drawn from the dataset's one Cholesky factor of B.
 """
 
 from __future__ import annotations
@@ -181,34 +180,24 @@ class SelectionOutcome:
 
 @dataclass
 class LinearEventRep:
-    """Affine stationarity identity and selection constraints for one fit.
+    """Stationarity identity and selection event of one randomized lasso fit.
 
-    ``randomization - (-stat + Q @ opt + R @ sub + T)`` vanishes at the
-    observed solution and ``L @ opt < M`` holds strictly there; ``stat`` is
-    X'y, so the data enter through ``P = -I``.  All row-indexed quantities
-    (``stat``, ``Q``, ``R``, ``T``, ``randomization``) follow the stored
-    active-first permutation ``order`` of the original feature axis.
+    ``randomization - (-stat + Q @ opt + offset)`` vanishes at the observed
+    solution and ``signs * opt > 0`` holds there: ``stat`` is X'y, ``Q`` the
+    Gram's columns E with the ridge on rows E, and ``offset`` lam times the
+    full subgradient.  Rows follow the order of the features.
     """
 
     Q: np.ndarray
-    R: np.ndarray
-    T: np.ndarray
-    L: np.ndarray
-    M: np.ndarray
+    offset: np.ndarray
     stat: np.ndarray
     opt: np.ndarray
-    sub: np.ndarray
-    order: np.ndarray
+    signs: np.ndarray
     randomization: np.ndarray
 
     def reconstruction_residual(self) -> float:
-        fit = self.Q @ self.opt + self.T - self.stat
-        if self.R.shape[1]:
-            fit = fit + self.R @ self.sub
+        fit = self.Q @ self.opt + self.offset - self.stat
         return float(np.max(np.abs(self.randomization - fit)))
-
-    def constraint_slack(self) -> np.ndarray:
-        return self.M - self.L @ self.opt
 
 
 def _check_rep(rep: LinearEventRep, what: str) -> LinearEventRep:
@@ -219,8 +208,8 @@ def _check_rep(rep: LinearEventRep, what: str) -> LinearEventRep:
         raise InconsistentOutcomeError(
             f"{what}: stationarity reconstruction residual {resid:.3e}"
         )
-    if rep.L.size and not (rep.constraint_slack() > 0).all():
-        raise InconsistentOutcomeError(f"{what}: observed solution violates L@opt < M")
+    if not (rep.signs * rep.opt > 0).all():
+        raise InconsistentOutcomeError(f"{what}: observed solution violates its signs")
     return rep
 
 
@@ -248,7 +237,7 @@ def default_epsilon(data: Dataset) -> float:
     """Ridge default: 0 for tall designs, else a small Gram-scaled value."""
     if data.n > data.p:
         return 0.0
-    return 1e-4 * float(np.mean(np.sum(data.X**2, axis=0)))
+    return 1e-4 * float(np.mean(np.diag(data.gram)))
 
 
 def _kkt_residual(
@@ -460,36 +449,23 @@ def solve_randomized_lasso(
     )
 
 
-def _active_first_order(p: int, selected: np.ndarray) -> np.ndarray:
-    return np.concatenate([selected, np.setdiff1d(np.arange(p), selected)]).astype(int)
-
-
 def lasso_event_rep(
     data: Dataset, outcome: SelectionOutcome, lam: float, epsilon: float
 ) -> LinearEventRep:
-    """Stationarity identity of the randomized lasso in (active, inactive)
-    blocks: ``Q`` is the Gram's (active, inactive) by active block, with the
-    ridge on the active rows, and ``stat`` is X'y, both in the active-first
-    order."""
-    p = data.p
+    """Stationarity identity of the randomized lasso: ``Q`` is the Gram's
+    columns E, with the ridge on rows E, and ``offset`` is ``lam z``."""
     E = outcome.selected
-    q = E.size
-    order = _active_first_order(p, E)
-    Q = data.gram[np.ix_(order, E)]
-    Q[:q] += epsilon * np.eye(q)
-    R = np.zeros((p, p - q))
-    np.fill_diagonal(R[q:], lam)
-    T = np.concatenate([lam * outcome.signs, np.zeros(p - q)])
+    Q = data.gram[:, E]
+    Q[E, np.arange(E.size)] += epsilon
+    z = np.empty(data.p)
+    z[E] = outcome.signs
+    z[np.setdiff1d(np.arange(data.p), E)] = outcome.inactive_subgradient
     rep = LinearEventRep(
         Q=Q,
-        R=R,
-        T=T,
-        L=-np.diag(outcome.signs),
-        M=np.zeros(q),
-        stat=data.xty[order],
+        offset=lam * z,
+        stat=data.xty,
         opt=outcome.active_solution,
-        sub=outcome.inactive_subgradient,
-        order=order,
-        randomization=outcome.randomization[order],
+        signs=outcome.signs,
+        randomization=outcome.randomization,
     )
     return _check_rep(rep, "lasso event")

@@ -114,6 +114,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.rho < 1:
             raise InvalidArgumentError("rho must lie in (0, 1)")
+        if self.n < 2:
+            raise InvalidArgumentError("n must be at least 2")
         if self.n_reps < 1:
             raise InvalidArgumentError("n_reps must be at least 1")
         if self.p < 1:
@@ -253,11 +255,11 @@ def true_projected_target(
         raise SingularDesignError("selected design is rank deficient") from exc
 
 
-def theory_lambda(X: np.ndarray, sigma_hat: float) -> float:
-    """Penalty at the noise scale: sigma * sqrt(2 log p) * mean column norm."""
-    p = X.shape[1]
-    mean_norm = float(np.mean(np.sqrt(np.sum(X**2, axis=0))))
-    return sigma_hat * math.sqrt(2.0 * math.log(p)) * mean_norm
+def theory_lambda(data: Dataset, sigma_hat: float) -> float:
+    """Penalty at the noise scale: sigma * sqrt(2 log p) * mean column norm,
+    the norms read from the Gram's diagonal."""
+    mean_norm = float(np.mean(np.sqrt(np.diag(data.gram))))
+    return sigma_hat * math.sqrt(2.0 * math.log(data.p)) * mean_norm
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,7 @@ def calibrate(
     else:
         sigma2 = float(np.var(data.y, ddof=1))
     if lam is None:
-        lam = theory_lambda(data.X, math.sqrt(sigma2))
+        lam = theory_lambda(data, math.sqrt(sigma2))
     if epsilon is None:
         epsilon = default_epsilon(data)
     return Calibration(
@@ -384,7 +386,7 @@ class Fit:
                 )
             geom = build_geometry(self.data, self.rep, self.tau2, target)
             errors = geom.errors
-            return pivot_params(self.data, geom, target, sigma=self.sigma)
+            return pivot_params(geom, target, sigma=self.sigma)
         except ExactSIError as exc:
             return None, [e or exc for e in errors]
 

@@ -189,11 +189,24 @@ def oracle_pivot(params, beta0, nodes=4001, drop=60.0):
     return float(1.0 - 1.0 / (1.0 + np.exp(min(lb - la, 700.0))))
 
 
-def carving_pivot_params(data, outcome, target, j, sigma, tau2, lam):
-    """Closed-form pivot constants for the carving covariance with no ridge.
+def explicit_contrasts(data, E, model):
+    """The n x |E| contrasts of the selected coordinates ``E``, built from X by
+    ``np.linalg.solve``: column j is ``design G^{-1} e_j``, G the Gram of
+    ``X_E`` (``selected``) or of X (``full``), ``e_j`` the unit vector of j
+    among the selected columns or of ``E[j]`` among all.  Independent of
+    ``build_target``."""
+    E = np.asarray(E, dtype=int)
+    design, columns = (data.X[:, E], np.arange(E.size)) if model == "selected" else (data.X, E)
+    return design @ np.linalg.solve(design.T @ design, np.eye(design.shape[1])[:, columns])
+
+
+def carving_pivot_params(data, outcome, j, sigma, tau2, lam):
+    """Closed-form pivot constants of selected coordinate j for the carving
+    covariance with no ridge.
 
     Independent of the generic route: no randomization-covariance solves, only
-    the selected-design Gram.  The oracle for the generic constants.
+    the selected-design Gram, and its own contrast.  The oracle for the
+    generic constants.
     """
     E = outcome.selected
     XE = data.X[:, E]
@@ -201,7 +214,8 @@ def carving_pivot_params(data, outcome, target, j, sigma, tau2, lam):
     gram = XE.T @ XE
     factor = cho_factor(gram)
     gram_inv = cho_solve(factor, np.eye(q))
-    norm2 = target.norm2
+    contrast = XE @ gram_inv[:, j]
+    norm2 = float(contrast @ contrast)
     vartheta2 = 1.0 / (tau2 * norm2)
     sigma_j2 = sigma**2 * norm2
     theta_intercept = float(lam * (gram_inv @ outcome.signs)[j] / (tau2 * norm2))
@@ -231,18 +245,19 @@ def carving_pivot_params(data, outcome, target, j, sigma, tau2, lam):
         theta_intercept=theta_intercept,
         lower=lower,
         upper=upper,
-        beta_hat_j=float(target.contrast @ data.y),
+        beta_hat_j=float(contrast @ data.y),
     )
 
 
-def explicit_polyhedral_bounds(data, outcome, lam, target):
+def explicit_polyhedral_bounds(data, outcome, lam, model):
     """Oracle for ``polyhedral_bounds``: the plain lasso's event {selected
     set E, signs S} as the explicit n-column constraint matrix ``G y < h`` of
     Lee, Sun, Sun & Taylor (2016), built from X by ``np.linalg.solve``, and
-    sliced row by row along each target's contrast c at fixed residual
-    ``y - c c'y / ||c||^2``.  A row whose coefficient is at most ``1e-12
-    ||row|| ||c / ||c||^2||`` in size is orthogonal to the line.  Returns the
-    lower and upper bounds of every target's estimate."""
+    sliced row by row along the contrast c of each target of ``model``
+    (``explicit_contrasts``) at fixed residual ``y - c c'y / ||c||^2``.  A
+    row whose coefficient is at most ``1e-12 ||row|| ||c / ||c||^2||`` in
+    size is orthogonal to the line.  Returns the lower and upper bounds of
+    every target's estimate."""
     X, E, S = data.X, outcome.selected, outcome.signs
     XE, XI = X[:, E], X[:, np.setdiff1d(np.arange(data.p), E)]
     gram = XE.T @ XE
@@ -252,7 +267,7 @@ def explicit_polyhedral_bounds(data, outcome, lam, target):
     G = np.vstack([-S[:, None] * pinv, across, -across])
     h = np.concatenate([-lam * S * ginv_s, 1.0 - base, 1.0 + base])
     lowers, uppers = [], []
-    for c in target.contrast.T:
+    for c in explicit_contrasts(data, E, model).T:
         norm2 = c @ c
         gamma = data.y - c * (c @ data.y) / norm2
         coefs, slack = G @ (c / norm2), h - G @ gamma

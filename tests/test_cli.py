@@ -579,6 +579,8 @@ class TestSimulateValidate:
             (["--sigma2", "-1"], "sigma2 must be positive"),
             (["--p", "0", "--sparsity", "0"], "p must be at least 1"),
             (["--signal-fraction", "-1"], "signal_fraction must be nonnegative"),
+            (["--n", "-1"], "n must be at least 2"),
+            (["--n", "1"], "n must be at least 2"),
         ],
     )
     def test_bad_config_values_are_errors(self, tmp_path, capsys, flags, message):
@@ -769,7 +771,9 @@ def test_infer_factors_the_gram_once(tmp_path, monkeypatch, model):
     factorization of a p x p matrix: the dataset's factor of X'X, which the
     plug-in, the randomization draw, the geometry, the pivot constants and
     (full model) the contrasts all read.  ``np.linalg.cholesky`` is never
-    called, and no array of the event representation has n rows."""
+    called.  No array of the event representation has n rows or p - q
+    columns (q the number selected), and no array of the targets' record
+    has n rows: after ``build_target`` the chain carries no n-row contrast."""
     n, p = 120, 48
     X = generate_design(n, p, 0.5, 21)
     y, _ = generate_response(X, support_indices(p, 4), 0.75, 1.0, 22)
@@ -799,6 +803,14 @@ def test_infer_factors_the_gram_once(tmp_path, monkeypatch, model):
         return reps[-1]
 
     monkeypatch.setattr(study, "lasso_event_rep", recorded)
+    targets = []
+    real_target = study.build_target
+
+    def recorded_target(*args, **kwargs):
+        targets.append(real_target(*args, **kwargs))
+        return targets[-1]
+
+    monkeypatch.setattr(study, "build_target", recorded_target)
     args = ["infer", "--input", str(path), "--rho", "0.8", "--seed", "3",
             "--model", model, "--out", str(tmp_path / "inf")]
     assert main(args) == 0
@@ -808,6 +820,10 @@ def test_infer_factors_the_gram_once(tmp_path, monkeypatch, model):
     (rep,) = reps
     arrays = [getattr(rep, f.name) for f in fields(rep)]
     assert all(n not in np.shape(a) for a in arrays)
+    q = rep.opt.size
+    assert all(p - q not in np.shape(a)[1:] for a in arrays)
+    (target,) = targets
+    assert all(np.shape(getattr(target, f.name))[:1] != (n,) for f in fields(target))
 
 
 def test_column_units_do_not_decide_the_randomization_check(tmp_path):

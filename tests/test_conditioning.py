@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import carving_fit, toy_fit
+from conftest import carving_fit, explicit_contrasts, toy_fit
 
 from exactsi import numerics
 from exactsi.conditioning import build_geometry, build_target
@@ -14,19 +14,42 @@ from exactsi.errors import (
 from exactsi.selection import Dataset, solve_randomized_lasso
 
 
+def complement(g, rep):
+    """Every target's ``Qj = Theta rj / vartheta2`` and ``A_obs = opt - Qj
+    rj'opt``: the line ``A_obs + Qj t`` through the observed solution (at t
+    = rj'opt) along which the geometry slices the sign constraints."""
+    Qj = g.Theta @ g.rj / g.vartheta2
+    return Qj, rep.opt[:, None] - Qj * (rep.opt @ g.rj)
+
+
 def target_geometry(data, out, rep, tau2, j=0):
-    """The contrast and the geometry of target j, as columns of the fit's build."""
+    """The geometry of target j, as columns of the fit's build."""
     t = build_target(data, out, "selected")
     g = build_geometry(data, rep, tau2, t)
-    return t.contrast[:, j], g.rj[:, j], g.Qj[:, j], g.A_obs[:, j], g.lower[j], g.upper[j]
+    Qj, A_obs = complement(g, rep)
+    return g.rj[:, j], Qj[:, j], A_obs[:, j], g.lower[j], g.upper[j]
+
+
+def assert_statistics(data, t, contrast):
+    """``t`` carries X'c, ||c||^2 and c'y of each column c of ``contrast``."""
+    assert np.allclose(t.xtc, data.X.T @ contrast, rtol=1e-8, atol=1e-10)
+    assert np.allclose(t.norm2, (contrast**2).sum(axis=0), rtol=1e-8, atol=1e-10)
+    assert np.allclose(t.estimate, data.y @ contrast, rtol=1e-8, atol=1e-10)
+
+
+def take_column(t, j):
+    """Target j of ``t`` alone, as a one-target ``TargetSpec``."""
+    return type(t)(t.xtc[:, j : j + 1], t.norm2[j : j + 1], t.estimate[j : j + 1])
 
 
 class TestBuildTarget:
     def test_toy_contrast(self):
         data, out, _, _ = toy_fit()
         t = build_target(data, out, "selected")
-        assert np.allclose(t.contrast, [[1.0], [0.0]])
+        assert_statistics(data, t, np.array([[1.0], [0.0]]))
+        assert t.xtc == pytest.approx(np.array([[1.0]]))
         assert t.norm2 == pytest.approx([1.0])
+        assert t.estimate == pytest.approx([2.0])
 
     def test_orthonormal_selected_columns(self):
         rng = np.random.default_rng(0)
@@ -35,7 +58,8 @@ class TestBuildTarget:
         data = Dataset(y=y, X=X)
         out = solve_randomized_lasso(data, lam=0.5, epsilon=0.0, w=np.zeros(4))
         t = build_target(data, out, "selected")
-        assert np.allclose(t.contrast, X[:, out.selected], atol=1e-10)
+        assert_statistics(data, t, X[:, out.selected])
+        assert np.allclose(t.norm2, 1.0, atol=1e-10)
 
     def test_full_and_selected_agree_when_everything_selected(self):
         rng = np.random.default_rng(1)
@@ -46,7 +70,9 @@ class TestBuildTarget:
         assert out.selected.size == 3
         a = build_target(data, out, "selected")
         b = build_target(data, out, "full")
-        assert np.allclose(a.contrast, b.contrast, atol=1e-10)
+        for field in ("xtc", "norm2", "estimate"):
+            assert np.allclose(getattr(a, field), getattr(b, field), atol=1e-10)
+        assert_statistics(data, a, explicit_contrasts(data, out.selected, "full"))
 
     def test_one_column_per_selected_coordinate(self):
         rng = np.random.default_rng(5)
@@ -56,14 +82,14 @@ class TestBuildTarget:
             ("selected", data.X[:, E], np.arange(E.size)), ("full", data.X, E)
         ):
             t = build_target(data, out, model)
-            assert t.contrast.shape == (data.n, E.size)
-            assert np.array_equal(t.norm2, (t.contrast**2).sum(axis=0))
-            # column j is the contrast of selected coordinate j alone
+            assert t.xtc.shape == (data.p, E.size)
+            assert t.norm2.shape == t.estimate.shape == (E.size,)
+            # column j carries the contrast of selected coordinate j alone
             for j, col in enumerate(columns):
                 unit = np.zeros(design.shape[1])
                 unit[col] = 1.0
                 alone = design @ np.linalg.solve(design.T @ design, unit)
-                assert np.allclose(t.contrast[:, j], alone, rtol=1e-8, atol=1e-10)
+                assert_statistics(data, take_column(t, j), alone[:, None])
 
 
 class TestBuildGeometry:
@@ -73,8 +99,9 @@ class TestBuildGeometry:
         g = build_geometry(data, rep, tau2, t)
         assert g.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert g.rj[0, 0] == pytest.approx(-1.0, abs=1e-10)
-        assert g.Qj[0, 0] == pytest.approx(-1.0, abs=1e-10)
-        assert g.A_obs[0, 0] == pytest.approx(0.0, abs=1e-12)
+        Qj, A_obs = complement(g, rep)
+        assert Qj[0, 0] == pytest.approx(-1.0, abs=1e-10)
+        assert A_obs[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert g.vartheta2[0] == pytest.approx(1.0, abs=1e-10)
         assert g.lower[0] == -math.inf
         assert g.upper[0] == pytest.approx(0.0, abs=1e-12)
@@ -82,7 +109,7 @@ class TestBuildGeometry:
         assert g.errors == [None]
 
     def test_single_feature_positive_sign_cone(self):
-        _, rj, _, _, lower, upper = target_geometry(*toy_fit())
+        rj, _, _, lower, upper = target_geometry(*toy_fit())
         # translate the interval on rj'O back to the O1 axis: strictly positive
         assert rj[0] < 0
         lo = upper / rj[0]
@@ -96,9 +123,10 @@ class TestBuildGeometry:
             t = build_target(data, out, "selected")
             g = build_geometry(data, rep, tau2, t)
             assert g.errors == [None] * out.selected.size
-            assert np.allclose((g.rj * g.Qj).sum(axis=0), 1.0, rtol=0, atol=1e-10)
+            Qj, A_obs = complement(g, rep)
+            assert np.allclose((g.rj * Qj).sum(axis=0), 1.0, rtol=0, atol=1e-10)
             assert np.all(
-                np.abs((g.rj * g.A_obs).sum(axis=0)) < 1e-8 * max(np.linalg.norm(rep.opt), 1.0)
+                np.abs((g.rj * A_obs).sum(axis=0)) < 1e-8 * max(np.linalg.norm(rep.opt), 1.0)
             )
             observed = rep.opt @ g.rj
             assert np.all((g.lower < observed) & (observed < g.upper))
@@ -123,13 +151,13 @@ class TestBuildGeometry:
         for _ in range(10):
             data, out, rep, _, tau2 = carving_fit(rng)
             j = int(rng.integers(out.selected.size))
-            _, rj, Qj, A_obs, lower, upper = target_geometry(data, out, rep, tau2, j)
+            rj, Qj, A_obs, lower, upper = target_geometry(data, out, rep, tau2, j)
             observed = float(rj @ rep.opt)
             span = 4.0 * (abs(observed) + 1.0)
             zs = rng.uniform(observed - span, observed + span, size=1000)
             for z in zs:
                 o_prime = A_obs + Qj * z
-                member = bool((rep.L @ o_prime < rep.M).all())
+                member = bool((np.sign(o_prime) == out.signs).all())
                 inside = lower < z < upper
                 if member != inside:
                     dist = min(abs(z - lower), abs(z - upper))
@@ -152,7 +180,7 @@ class TestAEta:
         g = build_geometry(data, rep, tau2, t)
         eta, theta = g.rj[:, 1], g.Theta
         comp = rep.opt - (theta @ eta) * (eta @ rep.opt) / float(eta @ theta @ eta)
-        assert np.allclose(comp, g.A_obs[:, 1], atol=1e-10)
+        assert np.allclose(comp, complement(g, rep)[1][:, 1], atol=1e-10)
         assert g.vartheta2[1] == pytest.approx(float(eta @ theta @ eta), rel=1e-12)
 
 

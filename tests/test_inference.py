@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     carving_fit,
     carving_pivot_params,
+    explicit_contrasts,
     explicit_polyhedral_bounds,
     oracle_pivot,
     reference_invert_pivot,
@@ -63,7 +64,7 @@ def exact_targets(data, out, rep, tau2, sigma=1.0):
     """Every target's exact-pivot constants, built together as a fit builds them."""
     target = build_target(data, out, "selected")
     geom = build_geometry(data, rep, tau2, target)
-    params, errors = pivot_params(data, geom, target, sigma=sigma)
+    params, errors = pivot_params(geom, target, sigma=sigma)
     assert errors == [None] * out.selected.size
     return params
 
@@ -95,11 +96,9 @@ class TestPivotParams:
         for _ in range(20):
             data, out, rep, lam, tau2 = carving_fit(rng)
             every = exact_targets(data, out, rep, tau2)
-            targets = build_target(data, out, "selected")
             for j in range(out.selected.size):
                 generic = take(every, j)
-                target = TargetSpec(targets.contrast[:, j], float(targets.norm2[j]))
-                closed = carving_pivot_params(data, out, target, j, 1.0, tau2, lam)
+                closed = carving_pivot_params(data, out, j, 1.0, tau2, lam)
                 assert generic.vartheta2 == pytest.approx(closed.vartheta2, rel=1e-8)
                 assert generic.sigma_j2 == pytest.approx(closed.sigma_j2, rel=1e-8)
                 assert generic.lambda_j == pytest.approx(1.0, rel=1e-8)
@@ -582,7 +581,8 @@ class TestPolyhedral:
         out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=np.zeros(1))
         assert out.selected.size == 1
         target = build_target(data, out, "selected")
-        beta_hat = float(target.contrast[:, 0] @ y)
+        beta_hat = float(target.estimate[0])
+        assert beta_hat == pytest.approx(float(x @ y) / float(x @ x))
         h_minus = lam / float(x @ x)
         sd = math.sqrt(target.norm2[0])
         bounds = take(polyhedral_targets(data, out, lam), 0)
@@ -620,11 +620,12 @@ class TestPolyhedral:
             if not out.selected.size:
                 continue
             fits += 1
-            target = build_target(data, out, "selected")
+            contrasts = explicit_contrasts(data, out.selected, "selected")
             bounds = polyhedral_targets(data, out, lam)
             for j in range(out.selected.size):
                 targets += 1
-                c, norm2 = target.contrast[:, j], target.norm2[j]
+                c = contrasts[:, j]
+                norm2 = c @ c
                 beta_hat = float(c @ data.y)
                 gamma = data.y - c * (beta_hat / norm2)
                 lower, upper = float(bounds.lower[j]), float(bounds.upper[j])
@@ -660,9 +661,9 @@ class TestPolyhedral:
         assert {0, 1} <= set(fits[-1][1].selected) and 7 not in fits[-1][1].selected
         # the first fit's first target, its estimate moved 1e-4 sd above its lower bound
         data, out, lam = fits[0]
-        target = build_target(data, out, "selected")
-        c, norm2 = target.contrast[:, 0], target.norm2[0]
-        lower = explicit_polyhedral_bounds(data, out, lam, target)[0][0]
+        c = explicit_contrasts(data, out.selected, "selected")[:, 0]
+        norm2 = c @ c
+        lower = explicit_polyhedral_bounds(data, out, lam, "selected")[0][0]
         t = lower + 1e-4 * math.sqrt(norm2)
         near = Dataset(y=data.y - c * (c @ data.y - t) / norm2, X=data.X)
         moved = solve_randomized_lasso(near, lam, 0.0, np.zeros(data.p))
@@ -686,8 +687,8 @@ class TestPolyhedral:
                     data, out.selected, out.signs, lam, target, 1.0
                 )
                 assert errors == [None] * out.selected.size
-                want = explicit_polyhedral_bounds(data, out, lam, target)
-                beta_hat, sd = target.contrast.T @ data.y, np.sqrt(target.norm2)
+                want = explicit_polyhedral_bounds(data, out, lam, model)
+                beta_hat, sd = target.estimate, np.sqrt(target.norm2)
                 for got, oracle in zip((bounds.lower, bounds.upper), want):
                     close = np.abs(oracle - beta_hat) <= 1e6 * sd
                     assert (np.abs(got - oracle) <= 1e-9 * np.maximum(1.0, np.abs(oracle)))[
@@ -994,7 +995,8 @@ class TestEqualColumns:
 
     def test_polyhedral_bounds(self):
         data = self.data()
-        target = TargetSpec(data.X, (data.X**2).sum(axis=0))
+        # contrasts the columns of X: their statistics X'X, diag(X'X) and X'y
+        target = TargetSpec(data.X.T @ data.X, (data.X**2).sum(axis=0), data.y @ data.X)
         with pytest.raises(SingularDesignError, match="selected design is singular"):
             polyhedral_bounds(data, np.array([0, 1]), np.array([1.0, 1.0]), 1.0, target, 1.0)
 

@@ -198,7 +198,7 @@ class TestRandomizedLasso:
         if tau2:
             w = sample_randomization(data, tau2, seed=33)
         eps = eps_scale * float(np.mean(np.diag(data.gram)))
-        lam = theory_lambda(X, np.sqrt(3.0))
+        lam = theory_lambda(data, np.sqrt(3.0))
         out = solve_randomized_lasso(data, lam, eps, w)
         E, I = out.selected, np.setdiff1d(np.arange(p), out.selected)
         assert E.size >= 2
@@ -225,7 +225,7 @@ class TestRandomizedLasso:
         eps = eps_scale * float(np.mean(np.diag(gram)))
         w = np.random.default_rng(seed).standard_normal(p) * np.sqrt(0.75 * np.diag(gram))
         c = data.xty + w
-        lam = lam_scale * theory_lambda(X, np.sqrt(3.0))
+        lam = lam_scale * theory_lambda(data, np.sqrt(3.0))
         fast, resid = _active_set_lasso(gram, c, lam, eps)
         slow = _cd_lasso(gram, c, lam, eps)
         assert np.flatnonzero(fast).size >= 2
@@ -304,7 +304,7 @@ class TestRandomizedLasso:
         X = generate_design(60, 20, 0.5, 17)
         X[:, 19] = X[:, 0]
         y, _ = generate_response(X, support_indices(20, 5), 0.75, 3.0, 117)
-        lam = theory_lambda(X, np.sqrt(3.0))
+        lam = theory_lambda(Dataset(y=y, X=X), np.sqrt(3.0))
         gram, c = X.T @ X, X.T @ y
         fast, _ = _active_set_lasso(gram, c, lam, 0.0)
         slow = _cd_lasso(gram, c, lam, 0.0)
@@ -354,7 +354,8 @@ def probe(n, p, corr, dup, s):
         X[:, p - 1] = X[:, 0]
     y, _ = generate_response(X, support_indices(p, 5), 0.75, 3.0, s + 1)
     w = np.random.default_rng(s + 100).standard_normal(p) * np.sqrt(0.5 * np.diag(X.T @ X))
-    return Dataset(y=y, X=X), w, 0.1 * theory_lambda(X, np.sqrt(3.0))
+    data = Dataset(y=y, X=X)
+    return data, w, 0.1 * theory_lambda(data, np.sqrt(3.0))
 
 
 class TestUnboundedVerdict:
@@ -414,11 +415,11 @@ class TestLassoEventRep:
         data = toy_dataset()
         out = solve_randomized_lasso(data, lam=1.0, epsilon=0.0, w=np.array([0.5]))
         rep = lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
-        # P = -I on stat = X'y
-        assert np.array_equal(rep.stat, data.xty[rep.order])
+        # stat = X'y enters with sign -1
+        assert np.array_equal(rep.stat, data.xty)
         assert -rep.stat == pytest.approx(-2.0)
         assert rep.Q @ rep.opt == pytest.approx(1.5)
-        assert rep.T[0] == pytest.approx(1.0)
+        assert rep.offset[0] == pytest.approx(1.0)
         assert rep.reconstruction_residual() < 1e-12
 
     def test_empty_selection_rep(self):
@@ -426,9 +427,8 @@ class TestLassoEventRep:
         out = solve_randomized_lasso(data, lam=1.0, epsilon=0.0, w=np.zeros(1))
         rep = lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
         assert rep.Q.shape == (1, 0)
-        assert np.allclose(
-            rep.randomization, -rep.stat + rep.R @ rep.sub + rep.T, atol=1e-12
-        )
+        assert rep.offset == pytest.approx(out.inactive_subgradient)
+        assert np.allclose(rep.randomization, -rep.stat + rep.offset, atol=1e-12)
 
     def test_random_instances_reconstruct(self):
         rng = np.random.default_rng(7)
@@ -439,8 +439,13 @@ class TestLassoEventRep:
             out = solve_randomized_lasso(data, lam=lam, epsilon=0.1, w=w)
             rep = lasso_event_rep(data, out, lam=lam, epsilon=0.1)
             assert rep.reconstruction_residual() <= 1e-6
-            if rep.L.size:
-                assert (rep.constraint_slack() > 0).all()
+            assert (rep.signs * rep.opt > 0).all()
+            # feature order: the offset is lam times the full subgradient
+            z = np.zeros(data.p)
+            z[out.selected] = out.signs
+            z[np.setdiff1d(np.arange(data.p), out.selected)] = out.inactive_subgradient
+            assert np.array_equal(rep.offset, lam * z)
+            assert np.array_equal(rep.randomization, w)
 
     def test_inconsistent_outcome_detected(self):
         data = toy_dataset()

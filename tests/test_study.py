@@ -562,6 +562,6 @@ def test_calibrate_checks_method_options():
 
 def test_theory_lambda_scale():
     X = generate_design(200, 50, 0.0, seed=3)
-    lam = theory_lambda(X, sigma_hat=2.0)
+    lam = theory_lambda(Dataset(y=np.zeros(200), X=X), sigma_hat=2.0)
     mean_norm = np.mean(np.sqrt((X**2).sum(axis=0)))
     assert lam == pytest.approx(2.0 * math.sqrt(2 * math.log(50)) * mean_norm)

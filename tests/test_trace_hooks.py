@@ -1,9 +1,11 @@
-"""The benchmark's trace hooks must name functions the package still has.
+"""The benchmark's trace hooks must name functions the package still has,
+and the package imports no name but what it reads or a hook wraps.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` in ``PATCHES``; an
 attribute that no longer exists fails every traced benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -28,3 +30,50 @@ def test_every_trace_hook_resolves():
         if owner is None or leaf not in vars(owner):
             missing.append(f"{module_name}.{attr}")
     assert not missing, f"trace hooks name missing attributes: {missing}"
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "exactsi"
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names a module's imports bind that it never reads (as a loaded
+    name) and does not list in ``__all__``."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_unread_imports_are_trace_hooks():
+    """Every name a package module imports is read there, listed in its
+    ``__all__``, or wrapped there by a trace hook: an import kept only for
+    the hooks goes when its hook does."""
+    hooked = {(module, attr.split(".")[0]) for module, attr, _ in load_patches()}
+    stray = [
+        f"exactsi.{path.stem}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in unread_imports(path.read_text(encoding="utf-8"))
+        if (f"exactsi.{path.stem}", name) not in hooked
+    ]
+    assert not stray, f"imports neither read nor hooked: {stray}"
+
+
+def test_unread_import_is_found():
+    source = "import numpy as np\nfrom math import pi, tau\nx = np.sqrt(pi)\n"
+    assert unread_imports(source) == ["tau"]
+    assert unread_imports(source + "__all__ = ['tau']\n") == []
