@@ -205,13 +205,12 @@ def _infer_rows(args, data: Dataset, names: list[str]) -> list[dict]:
     )
     rows: list[dict] = []
 
-    def add(est, label=None, error=""):
-        label = est.target_label if est is not None else label
+    def add(label, est=None, error=""):
         rows.append(
             {
                 "method": method,
-                "feature": names[label] if label is not None and label >= 0 else "",
-                "index": label if label is not None else -1,
+                "feature": names[label],
+                "index": label,
                 "lower": est.lower if est else None,
                 "upper": est.upper if est else None,
                 "level": 1.0 - args.alpha,
@@ -223,11 +222,11 @@ def _infer_rows(args, data: Dataset, names: list[str]) -> list[dict]:
 
     for method in args.method:
         fit = fit_method(data, cal, method, args.model, args.alpha, args.seed)
-        for j, label in enumerate(fit.selected):
+        for j, label in enumerate(fit.selected.tolist()):
             try:
-                add(fit.interval(j))
+                add(label, fit.interval(j))
             except ExactSIError as exc:
-                add(None, label=int(label), error=str(exc))
+                add(label, error=str(exc))
     return rows
 
 

@@ -7,8 +7,9 @@ constraint on one linear combination of it.
 
 Both stages here run once per fit, for all targets together, ahead of
 ``inference.pivot_params``.  ``build_target`` checks and factors the design
-Gram, solves for every contrast c with it, and keeps each target's
-statistics X'c, ||c||^2 and c'y, so no later stage reads X or y.
+Gram and keeps each target's statistics X'c, ||c||^2 and c'y, solved from
+the Gram and X'y with no n-row contrast, so neither it nor a later stage
+reads X or y.
 ``build_geometry`` checks the randomization covariance ``Omega = tau2 B`` on
 the dataset's one factor of its base B, factors the free-block precision
 Q' Omega^{-1} Q, whose inverse is the free block's conditional covariance
@@ -34,7 +35,7 @@ from .errors import (
     SingularDesignError,
 )
 from .numerics import check_conditioning, factor_spd, line_interval
-from .selection import Dataset, LinearEventRep, SelectionOutcome
+from .selection import Dataset, LinearEventRep
 
 
 @dataclass(frozen=True)
@@ -77,40 +78,43 @@ class ConditioningGeometry:
         return _omega_solve(self.base_factor, self.tau2, v)
 
 
-def build_target(data: Dataset, outcome: SelectionOutcome, model: str) -> TargetSpec:
-    """The statistics of the contrast of every selected coordinate, solved in
-    one call.
+def build_target(
+    data: Dataset, selected: np.ndarray, model: str, xty: np.ndarray | None = None
+) -> TargetSpec:
+    """The statistics of the contrast of every coordinate in ``selected``,
+    solved in one call from the Gram, X'y and the dataset's factor.
 
-    ``selected`` targets the partial regression coefficients among the
-    selected columns; ``full`` targets the corresponding coordinates of the
-    all-columns coefficient vector.  Contrast j is ``design G^{-1} e_j``,
-    G the Gram of that design, checked by ``factor_spd``: for ``selected``,
-    the dataset's factor of its selected block (``Dataset.factor_columns``),
-    for ``full``, of its whole Gram, which is the dataset's factor of its
+    Model ``"selected"`` targets the partial regression coefficients among
+    the selected columns; ``"full"`` the corresponding coordinates of the
+    all-columns coefficient vector.  With D the design's columns (E, or all)
+    and ``ginv = G_DD^{-1} e_j`` for target j, contrast j is ``X_D ginv``, so
+    X'c is ``gram[:, D] ginv``, ||c||^2 is ginv's entry j and c'y is
+    ``xty[D] ginv``: no n-row array is formed, and neither X nor y is read.
+    G_DD is checked by ``factor_spd``: for ``"selected"``, the dataset's
+    factor of its selected block (``Dataset.factor_columns``), for
+    ``"full"``, of its whole Gram, which is the dataset's factor of its
     randomization base when every column is independent.  A Gram that fails
-    raises ``SingularDesignError``.  The n-row contrasts are formed here, and
-    only here.
+    raises ``SingularDesignError``.  ``xty`` replaces the dataset's X'y where
+    the estimates read another response on the same design.
     """
     if model not in ("selected", "full"):
         raise InvalidArgumentError(f"unknown model {model!r}")
-    E = outcome.selected
+    gram = data.gram
+    xty = data.xty if xty is None else xty
     if model == "selected":
-        design, columns = data.X[:, E], np.arange(E.size)
-        factor = data.factor_columns(E, "selected-design Gram")
+        gram, xty, columns = gram[:, selected], xty[selected], np.arange(selected.size)
+        factor = data.factor_columns(selected, "selected-design Gram")
     else:
-        design, columns = data.X, E
-        if data.independent_columns.size == data.p:
+        columns = selected
+        if data.independent_columns.size == gram.shape[0]:
             # the Gram is then the randomization base, which the dataset factors
             check_conditioning(data.randomization_rcond, "full-design Gram", SingularDesignError)
             factor = data.randomization_factor
         else:
-            factor = factor_spd(data.gram, "full-design Gram", SingularDesignError)
-    units = np.eye(design.shape[1])[:, columns]
-    contrast = design @ cho_solve(factor, units)
+            factor = factor_spd(gram, "full-design Gram", SingularDesignError)
+    ginv = cho_solve(factor, np.eye(xty.size)[:, columns])
     return TargetSpec(
-        xtc=data.X.T @ contrast,
-        norm2=(contrast * contrast).sum(axis=0),
-        estimate=data.y @ contrast,
+        xtc=gram @ ginv, norm2=ginv[columns, np.arange(columns.size)], estimate=xty @ ginv
     )
 
 

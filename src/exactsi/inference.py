@@ -8,7 +8,8 @@ bivariate-normal orthant differences through Owen's T function, with a
 log-space Gauss-Legendre rule where the truncation mass or the pivot's
 smaller tail is too small for that (see ``PivotParams``).  Baselines: the
 polyhedral (non-randomized) truncated Gaussian pivot, data splitting, and
-response-splitting with synthetic noise.
+response-splitting with synthetic noise; the last two take z-intervals of
+the same least-squares targets (``build_target``).
 
 Both pivots' constants are records (``PivotParams``, ``PolyhedralBounds``)
 whose fields are floats for one target or arrays for several, built for all
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, owens_t
 
-from .conditioning import ConditioningGeometry, TargetSpec
+from .conditioning import ConditioningGeometry, TargetSpec, build_target
 from .errors import (
     ExactSIError,
     GeometryInconsistencyError,
@@ -40,7 +41,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import BRACKET_EXPANSIONS, factor_spd, invert_monotone
+from .numerics import BRACKET_EXPANSIONS, invert_monotone
 from .numerics import line_interval, log_standard_mass
 from .selection import Dataset, solve_randomized_lasso
 
@@ -111,7 +112,6 @@ class IntervalEstimate:
     lower: float
     upper: float
     target_label: int
-    method: str
     clipped: bool = False
 
     def __post_init__(self):
@@ -219,15 +219,10 @@ def _mills_inverse(z):
 def _slope_curvature(v, c, d):
     """Slope and minus the curvature bound of ``-v^2/2 + log Phi(c + d v)``."""
     z = c + d * v
-    far = z < -1e4
-    with np.errstate(over="ignore", invalid="ignore"):
-        mills = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z))
-        # far in the left tail the exponent cancels (a relative error of
-        # ~1e-16 z^2); there phi / Phi = sqrt(2 / pi) / erfcx(-z / sqrt 2)
-        mills[far] = _mills_inverse(z[far])
-        # mills (z + mills) lies in (0, 1) and tends to 1 as z -> -inf, where
-        # the product cancels
-        shrink = np.where(far, 1.0, np.clip(mills * (z + mills), 0.0, 1.0))
+    mills = _mills_inverse(z)
+    # mills (z + mills) lies in (0, 1) and tends to 1 as z -> -inf, where
+    # the product cancels
+    shrink = np.where(z < -1e4, 1.0, np.clip(mills * (z + mills), 0.0, 1.0))
     return -v + d * mills, 1.0 + d * d * shrink
 
 
@@ -510,7 +505,7 @@ def _exact_probit(params: PivotParams, beta0):
 
 
 def _results(
-    method: str, lower, upper, levels, target_labels, clipped, upper_first
+    lower, upper, levels, target_labels, clipped, upper_first
 ) -> list[IntervalEstimate | ExactSIError]:
     """Entry i: target i's interval from its endpoint roots, or the error that
     stopped it.
@@ -531,7 +526,7 @@ def _results(
                         f"target {level!r} not straddled after "
                         f"{BRACKET_EXPANSIONS} bracket expansions"
                     )
-            out.append(IntervalEstimate(ends[0][0], ends[1][0], label, method, bool(clipped[i])))
+            out.append(IntervalEstimate(ends[0][0], ends[1][0], label, bool(clipped[i])))
         except ExactSIError as exc:
             out.append(exc)
     return out
@@ -577,7 +572,7 @@ def invert_pivot(
         args=tuple(np.tile(col, 2) for col in _columns(batch)),
     ).reshape(2, k)
     unset = np.zeros(k, dtype=bool)
-    return _results("exact", roots[0], roots[1], levels, target_labels, unset, unset)
+    return _results(roots[0], roots[1], levels, target_labels, unset, unset)
 
 
 @dataclass(frozen=True)
@@ -861,7 +856,7 @@ def polyhedral_interval(
     lower[solve_lo], upper[solve_hi] = roots[: solve_lo.size], roots[solve_lo.size :]
     # where both endpoints lie below the window, the upper one is checked first
     return _results(
-        "polyhedral", lower, upper, levels, target_labels,
+        lower, upper, levels, target_labels,
         clipped=clip_lower | clip_upper, upper_first=below,
     )
 
@@ -898,46 +893,15 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     return float(resid @ resid / df)
 
 
-def _ls_z_intervals(
-    y: np.ndarray,
-    X: np.ndarray,
-    E: np.ndarray,
-    var_scale: float,
-    alpha: float,
-    method: str,
-    sigma2: float | None = None,
+def _z_intervals(
+    target: TargetSpec, E: np.ndarray, variance: float, alpha: float
 ) -> list[IntervalEstimate]:
-    """Least-squares z-intervals for the coordinates of a selected design.
-
-    ``sigma2`` of the response noise is estimated from the fit residuals when
-    not supplied; ``var_scale`` multiplies the per-coordinate variance.
-    """
-    E = np.asarray(E, dtype=int)
-    if E.size == 0:
-        return []
-    XE = X[:, E]
-    n = y.shape[0]
-    if n < E.size + 1:
-        raise SingularDesignError("held-out sample too small for the selected set")
-    factor = factor_spd(XE.T @ XE, "held-out design", SingularDesignError)
-    coef = cho_solve(factor, XE.T @ y)
-    if sigma2 is None:
-        resid = y - XE @ coef
-        sigma2 = float(resid @ resid / (n - E.size))
-    diag = np.diag(cho_solve(factor, np.eye(E.size)))
-    z = float(ndtri(1.0 - alpha / 2.0))
-    out = []
-    for k, jcol in enumerate(E):
-        half = z * math.sqrt(var_scale * sigma2 * diag[k])
-        out.append(
-            IntervalEstimate(
-                lower=float(coef[k] - half),
-                upper=float(coef[k] + half),
-                target_label=int(jcol),
-                method=method,
-            )
-        )
-    return out
+    """Level ``1 - alpha`` z-intervals ``c'v -+ z sqrt(variance ||c||^2)`` of
+    the least-squares targets of the selected columns ``E``, where ``variance``
+    is the noise variance of the response v that the estimates c'v read."""
+    half = float(ndtri(1.0 - alpha / 2.0)) * np.sqrt(variance * target.norm2)
+    ends = zip((target.estimate - half).tolist(), (target.estimate + half).tolist(), E.tolist())
+    return [IntervalEstimate(lower, upper, j) for lower, upper, j in ends]
 
 
 def split_inference(
@@ -948,8 +912,8 @@ def split_inference(
     seed: int,
 ) -> list[IntervalEstimate]:
     """Data splitting: lasso on a random ``round(rho * n)`` subsample, then
-    z-intervals from least squares on the held-out rows with a held-out
-    plug-in noise estimate."""
+    z-intervals from the least-squares targets (``build_target``) of the
+    held-out rows, with their plug-in noise estimate (``plug_in_sigma2``)."""
     if not 0 < rho < 1:
         raise InvalidArgumentError("rho must be in (0, 1)")
     n = data.n
@@ -963,11 +927,11 @@ def split_inference(
     E = out.selected
     if E.size == 0:
         return []
-    if test.size < E.size + 1:
-        raise SingularDesignError("held-out half smaller than the selected set")
-    return _ls_z_intervals(
-        data.y[test], data.X[test], E, var_scale=1.0, alpha=alpha, method="split"
-    )
+    # the held-out rows of the selected columns, which are its columns 0..|E|-1
+    held_out = Dataset(y=data.y[test], X=data.X[np.ix_(test, E)], sigma=data.sigma)
+    columns = np.arange(E.size)
+    sigma2 = plug_in_sigma2(held_out, columns, "selected")
+    return _z_intervals(build_target(held_out, columns, "selected"), E, sigma2, alpha)
 
 
 def uv_inference(
@@ -980,22 +944,17 @@ def uv_inference(
 ) -> list[IntervalEstimate]:
     """Response splitting: select on ``y + w`` with ``w ~ N(0, sigma2 f I)``,
     infer from the independent ``y - w/f`` whose noise variance is
-    ``sigma2 (1 + 1/f)``; ``sigma2`` is the response noise variance."""
+    ``sigma2 (1 + 1/f)``; ``sigma2`` is the response noise variance.  The
+    least-squares targets (``build_target``) read ``X'(y - w/f)``, from the
+    X'w that the lasso reads."""
     if not f > 0:
         raise InvalidArgumentError("f must be positive")
     w = np.random.default_rng(seed).standard_normal(data.n) * math.sqrt(sigma2 * f)
     # the lasso on y + w is the lasso on y perturbed linearly by X'w
-    out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=data.X.T @ w)
+    xtw = data.X.T @ w
+    out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=xtw)
     E = out.selected
     if E.size == 0:
         return []
-    v = data.y - w / f
-    return _ls_z_intervals(
-        v,
-        data.X,
-        E,
-        var_scale=1.0 + 1.0 / f,
-        alpha=alpha,
-        method="uv",
-        sigma2=sigma2,
-    )
+    target = build_target(data, E, "selected", xty=data.xty - xtw / f)
+    return _z_intervals(target, E, sigma2 * (1.0 + 1.0 / f), alpha)

@@ -15,14 +15,19 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    draws the randomization (its variance given, or matched to a subsample
    split), solves the randomized lasso and builds the event
    representation (``randomized_selection``); for the polyhedral baseline it
-   solves the plain lasso; split and uv produce their intervals whole, with
-   penalties ``rho * lam`` and ``sqrt(1 + f) * lam`` matched to the carving
-   calibration.
-3. The returned ``Fit`` builds the constants of all its targets once, by
-   ``build_target -> build_geometry -> pivot_params`` (exact) or
-   ``build_target -> polyhedral_bounds`` (polyhedral), one record of arrays,
-   from which callers take each target's interval or pivot value, or the
-   error that stopped that target, and apply their own error policy.
+   solves the plain lasso.  Split solves the lasso on a ``round(rho * n)``
+   subsample with penalty ``rho * lam``, and uv on ``y + w`` with penalty
+   ``sqrt(1 + f) * lam``, both matched to the carving calibration.
+3. Every method's targets are the least-squares coefficients of
+   ``build_target``.  The returned ``Fit`` builds the constants of all its
+   targets once, by ``build_target -> build_geometry -> pivot_params``
+   (exact) or ``build_target -> polyhedral_bounds`` (polyhedral), one record
+   of arrays, from which callers take each target's interval or pivot value,
+   or the error that stopped that target, and apply their own error policy.
+   Split and uv return z-intervals whole: split from ``build_target`` and
+   ``plug_in_sigma2`` on a dataset of its held-out rows and selected
+   columns, uv from ``build_target`` on X'(y - w/f) at the known noise
+   variance times ``1 + 1/f``.
 
 The study generates sparse Gaussian regressions on an AR(1)-correlated
 design, runs the exact randomized method next to the polyhedral,
@@ -35,8 +40,9 @@ seed, replicate index), so worker scheduling cannot change results.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -132,6 +138,11 @@ class SimConfig:
             raise InvalidArgumentError(f"unknown model {self.model!r}")
         if not 0 < self.alpha < 1:
             raise InvalidArgumentError("alpha must lie in (0, 1)")
+        rule = self.lambda_rule
+        if rule != "theory" and not (isinstance(rule, numbers.Real) and 0 < rule < math.inf):
+            raise InvalidArgumentError(
+                f"lambda_rule must be 'theory' or a positive finite number, not {rule!r}"
+            )
         bad = set(self.methods) - set(KNOWN_METHODS)
         if bad:
             raise InvalidArgumentError(f"unknown methods {sorted(bad)}")
@@ -379,7 +390,7 @@ class Fit:
         """The constants of the targets that built, and each target's error."""
         errors: list = [None] * self.selected.size
         try:
-            target = build_target(self.data, self.outcome, self.model)
+            target = build_target(self.data, self.selected, self.model)
             if self.method == "polyhedral":
                 return polyhedral_bounds(
                     self.data, self.selected, self.outcome.signs, self.lam, target, self.sigma
@@ -597,26 +608,25 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     return StudySummary(config=config, methods=summaries, rows=all_rows)
 
 
-def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
-    """Pool pivots at the true projected targets and test them against Unif(0,1).
+def pivots_at_truth(
+    config: SimConfig,
+) -> Iterator[tuple[str, Fit | None, list[float | ExactSIError]]]:
+    """For each replicate, and each of the exact and polyhedral methods that
+    ``config`` lists: the method, its fit, and each target's pivot at its true
+    projected target, or the error that stopped that target.  A fit that
+    raises before any target is None, with that error as its one value.
 
-    The design stays fixed across replicates; response and randomization are
-    redrawn, and the noise level is taken as known so the check isolates the
-    pivot itself.  Requires the exact method; also reports the polyhedral
-    pivot when listed.  A target whose pivot raises is counted, under its
-    exception class, and the rest of its replicate is still pooled; a fit
-    that raises before any target counts once.
+    The design stays fixed across replicates (seed stream 10); response
+    (stream 11) and randomization (stream 12) are redrawn, and the noise level
+    is taken as known, with the randomization variance matched to a
+    ``round(rho * n)`` subsample, so that the pivot itself is isolated.
     """
-    if "exact" not in config.methods:
-        raise InvalidArgumentError("uniformity validation requires the exact method")
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 10))
     support = support_indices(config.p, config.sparsity)
     sigma = math.sqrt(config.sigma2)
     tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
     lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
     methods = [m for m in config.methods if m in ("exact", "polyhedral")]
-    pooled: dict[str, list[float]] = {m: [] for m in methods}
-    failed: dict[str, list[ExactSIError]] = {m: [] for m in methods}
     for rep_idx in range(config.n_reps):
         y, beta = generate_response(
             X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 11)
@@ -631,13 +641,30 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
                 )
                 truths = true_projected_target(X, fit.selected, support, beta, config.model)
             except ExactSIError as exc:
-                failed[method].append(exc)
+                yield method, None, [exc]
                 continue
-            for value in fit.pivots(truths):
-                if isinstance(value, ExactSIError):
-                    failed[method].append(value)
-                else:
-                    pooled[method].append(value)
+            yield method, fit, fit.pivots(truths)
+
+
+def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
+    """Pool the pivots of ``pivots_at_truth`` and test them against Unif(0,1).
+
+    Requires the exact method; also reports the polyhedral pivot when listed.
+    A target whose pivot raises is counted, under its exception class, and
+    the rest of its replicate is still pooled; a fit that raises before any
+    target counts once.
+    """
+    if "exact" not in config.methods:
+        raise InvalidArgumentError("uniformity validation requires the exact method")
+    methods = [m for m in config.methods if m in ("exact", "polyhedral")]
+    pooled: dict[str, list[float]] = {m: [] for m in methods}
+    failed: dict[str, list[ExactSIError]] = {m: [] for m in methods}
+    for method, _, values in pivots_at_truth(config):
+        for value in values:
+            if isinstance(value, ExactSIError):
+                failed[method].append(value)
+            else:
+                pooled[method].append(value)
     reports = {}
     for method, vals in pooled.items():
         if len(vals) < 200:

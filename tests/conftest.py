@@ -328,7 +328,7 @@ def reference_invert_pivot(params, alpha):
 
     lower = reference_invert_monotone(pivot_at, 1.0 - alpha / 2.0, bracket)
     upper = reference_invert_monotone(pivot_at, alpha / 2.0, bracket)
-    return IntervalEstimate(lower=lower, upper=upper, target_label=-1, method="exact")
+    return IntervalEstimate(lower=lower, upper=upper, target_label=-1)
 
 
 def reference_polyhedral_interval(bounds, alpha):
@@ -362,9 +362,7 @@ def reference_polyhedral_interval(bounds, alpha):
             clipped = True
         else:
             upper = reference_invert_monotone(pivot_at, p_upper, above)
-    return IntervalEstimate(
-        lower=lower, upper=upper, target_label=-1, method="polyhedral", clipped=clipped
-    )
+    return IntervalEstimate(lower=lower, upper=upper, target_label=-1, clipped=clipped)
 
 
 def reference_read_csv(

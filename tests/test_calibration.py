@@ -8,7 +8,6 @@ each of its events, and its intervals must cover at least at 1 - alpha within
 Monte-Carlo error: clipping at 50 sd only widens them.
 """
 
-import math
 from collections import defaultdict
 
 import numpy as np
@@ -16,19 +15,7 @@ import pytest
 from scipy.stats import kstest, ttest_rel
 
 from exactsi.errors import ExactSIError
-from exactsi.selection import Dataset, tau2_from_split
-from exactsi.study import (
-    SimConfig,
-    _seed_for,
-    calibrate,
-    fit_method,
-    generate_design,
-    generate_response,
-    run_study,
-    support_indices,
-    true_projected_target,
-    validate_pivot_uniformity,
-)
+from exactsi.study import SimConfig, pivots_at_truth, run_study, validate_pivot_uniformity
 
 pytestmark = pytest.mark.slow
 
@@ -48,33 +35,21 @@ LEVELS = [(0.8, ("exact", "polyhedral")), (0.95, ("exact",))]
 def test_pivots_uniform_given_each_selection_event(rho, methods):
     """The paper's claim is exactness given the selection, which a pooled
     test cannot see: a defect miscalibrated in opposite directions on two
-    events can pass it.  Pivots at the truth, with ``validate``'s design and
-    seed streams, grouped by (method, selected set, signs, target); every
-    group of at least 200 values is tested, and the smallest p-value,
+    events can pass it.  ``validate``'s pivots at the truth
+    (``pivots_at_truth``), grouped by (method, selected set, signs, target);
+    every group of at least 200 values is tested, and the smallest p-value,
     Bonferroni-adjusted, must exceed 0.01.  The polyhedral pivot is exact
     given its own, non-randomized event."""
     config = SimConfig(n=100, p=10, sparsity=2, n_reps=1500, seed=5, rho=rho,
                        methods=methods)
-    X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 10))
-    support = support_indices(config.p, config.sparsity)
-    tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
     groups = defaultdict(list)
-    for rep_idx in range(config.n_reps):
-        y, beta = generate_response(
-            X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 11)
-        )
-        data = Dataset(y=y, X=X, sigma=math.sqrt(config.sigma2))
-        cal = calibrate(data, config.methods, tau2=tau2, epsilon=0.0)
-        for method in config.methods:
-            fit = fit_method(data, cal, method, config.model, config.alpha,
-                             _seed_for(config.seed, rep_idx, 12))
-            if not fit.selected.size:
-                continue
-            truths = true_projected_target(X, fit.selected, support, beta, config.model)
-            event = (method, tuple(fit.selected.tolist()), tuple(fit.outcome.signs.tolist()))
-            for j, value in enumerate(fit.pivots(truths)):
-                if not isinstance(value, ExactSIError):
-                    groups[event + (j,)].append(value)
+    for method, fit, values in pivots_at_truth(config):
+        if fit is None:
+            raise values[0]
+        for j, value in enumerate(values):
+            if not isinstance(value, ExactSIError):
+                event = (tuple(fit.selected.tolist()), tuple(fit.outcome.signs.tolist()))
+                groups[(method, *event, j)].append(value)
     tested = {key: kstest(vals, "uniform").pvalue
               for key, vals in groups.items() if len(vals) >= 200}
     for method in config.methods:

@@ -589,6 +589,18 @@ class TestSimulateValidate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])
+    def test_lambda_that_every_replicate_fails_on_is_an_error(
+        self, tmp_path, capsys, command, lam
+    ):
+        out = tmp_path / "s"
+        assert main([command, "--n-reps", "3", "--lambda", lam, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: lambda_rule must be 'theory' or a positive finite number, not {float(lam)!r}\n"
+        )
+        assert not (tmp_path / "s.json").exists()
+
     @pytest.mark.parametrize(
         "line, kind",
         [("n = abc", "int"), ("n_reps = 2.5", "int"), ("rho = 0,8", "float"),

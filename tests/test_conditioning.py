@@ -24,7 +24,7 @@ def complement(g, rep):
 
 def target_geometry(data, out, rep, tau2, j=0):
     """The geometry of target j, as columns of the fit's build."""
-    t = build_target(data, out, "selected")
+    t = build_target(data, out.selected, "selected")
     g = build_geometry(data, rep, tau2, t)
     Qj, A_obs = complement(g, rep)
     return g.rj[:, j], Qj[:, j], A_obs[:, j], g.lower[j], g.upper[j]
@@ -45,7 +45,7 @@ def take_column(t, j):
 class TestBuildTarget:
     def test_toy_contrast(self):
         data, out, _, _ = toy_fit()
-        t = build_target(data, out, "selected")
+        t = build_target(data, out.selected, "selected")
         assert_statistics(data, t, np.array([[1.0], [0.0]]))
         assert t.xtc == pytest.approx(np.array([[1.0]]))
         assert t.norm2 == pytest.approx([1.0])
@@ -57,7 +57,7 @@ class TestBuildTarget:
         y = X @ np.array([3.0, -2.5, 0.0, 0.0]) + 0.1 * rng.standard_normal(15)
         data = Dataset(y=y, X=X)
         out = solve_randomized_lasso(data, lam=0.5, epsilon=0.0, w=np.zeros(4))
-        t = build_target(data, out, "selected")
+        t = build_target(data, out.selected, "selected")
         assert_statistics(data, t, X[:, out.selected])
         assert np.allclose(t.norm2, 1.0, atol=1e-10)
 
@@ -68,8 +68,8 @@ class TestBuildTarget:
         data = Dataset(y=y, X=X)
         out = solve_randomized_lasso(data, lam=0.4, epsilon=0.0, w=np.zeros(3))
         assert out.selected.size == 3
-        a = build_target(data, out, "selected")
-        b = build_target(data, out, "full")
+        a = build_target(data, out.selected, "selected")
+        b = build_target(data, out.selected, "full")
         for field in ("xtc", "norm2", "estimate"):
             assert np.allclose(getattr(a, field), getattr(b, field), atol=1e-10)
         assert_statistics(data, a, explicit_contrasts(data, out.selected, "full"))
@@ -81,7 +81,7 @@ class TestBuildTarget:
         for model, design, columns in (
             ("selected", data.X[:, E], np.arange(E.size)), ("full", data.X, E)
         ):
-            t = build_target(data, out, model)
+            t = build_target(data, out.selected, model)
             assert t.xtc.shape == (data.p, E.size)
             assert t.norm2.shape == t.estimate.shape == (E.size,)
             # column j carries the contrast of selected coordinate j alone
@@ -91,11 +91,26 @@ class TestBuildTarget:
                 alone = design @ np.linalg.solve(design.T @ design, unit)
                 assert_statistics(data, take_column(t, j), alone[:, None])
 
+    @pytest.mark.parametrize("model", ["selected", "full"])
+    def test_reads_neither_X_nor_y_on_a_warm_dataset(self, model):
+        """Once the Gram, X'y and the factor are cached, the statistics come
+        from them alone, and match the explicit n-row contrasts."""
+        rng = np.random.default_rng(7)
+        data, out, _, _, _ = carving_fit(rng, n=60, p=12, min_selected=2)
+        contrast = explicit_contrasts(data, out.selected, model)
+        want = (data.X.T @ contrast, (contrast**2).sum(axis=0), data.y @ contrast)
+        build_target(data, out.selected, model)  # warms the dataset's caches
+        object.__setattr__(data, "X", None)
+        object.__setattr__(data, "y", None)
+        t = build_target(data, out.selected, model)
+        for got, expected in zip((t.xtc, t.norm2, t.estimate), want):
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
 
 class TestBuildGeometry:
     def test_toy_hand_values(self):
         data, out, rep, tau2 = toy_fit()
-        t = build_target(data, out, "selected")
+        t = build_target(data, out.selected, "selected")
         g = build_geometry(data, rep, tau2, t)
         assert g.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert g.rj[0, 0] == pytest.approx(-1.0, abs=1e-10)
@@ -120,7 +135,7 @@ class TestBuildGeometry:
         rng = np.random.default_rng(2)
         for _ in range(20):
             data, out, rep, _, tau2 = carving_fit(rng)
-            t = build_target(data, out, "selected")
+            t = build_target(data, out.selected, "selected")
             g = build_geometry(data, rep, tau2, t)
             assert g.errors == [None] * out.selected.size
             Qj, A_obs = complement(g, rep)
@@ -137,7 +152,7 @@ class TestBuildGeometry:
             data, out, rep, lam, tau2 = carving_fit(rng)
             XE = data.X[:, out.selected]
             theta_cf = tau2 * np.linalg.inv(XE.T @ XE)
-            t = build_target(data, out, "selected")
+            t = build_target(data, out.selected, "selected")
             g = build_geometry(data, rep, tau2, t)
             theta, rj = g.Theta, g.rj
             assert np.allclose(theta, theta_cf, rtol=1e-8, atol=1e-10)
@@ -165,7 +180,7 @@ class TestBuildGeometry:
 
     def test_tampered_solution_detected(self):
         data, out, rep, tau2 = toy_fit()
-        t = build_target(data, out, "selected")
+        t = build_target(data, out.selected, "selected")
         rep.opt = np.array([-0.5])  # violates its own sign constraint
         (error,) = build_geometry(data, rep, tau2, t).errors
         assert isinstance(error, GeometryInconsistencyError)
@@ -176,7 +191,7 @@ class TestAEta:
         # A_eta = O - Theta eta (eta'O) / (eta'Theta eta) at eta = rj
         rng = np.random.default_rng(6)
         data, out, rep, _, tau2 = carving_fit(rng, min_selected=2)
-        t = build_target(data, out, "selected")
+        t = build_target(data, out.selected, "selected")
         g = build_geometry(data, rep, tau2, t)
         eta, theta = g.rj[:, 1], g.Theta
         comp = rep.opt - (theta @ eta) * (eta @ rep.opt) / float(eta @ theta @ eta)

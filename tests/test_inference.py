@@ -62,7 +62,7 @@ from exactsi.study import (
 
 def exact_targets(data, out, rep, tau2, sigma=1.0):
     """Every target's exact-pivot constants, built together as a fit builds them."""
-    target = build_target(data, out, "selected")
+    target = build_target(data, out.selected, "selected")
     geom = build_geometry(data, rep, tau2, target)
     params, errors = pivot_params(geom, target, sigma=sigma)
     assert errors == [None] * out.selected.size
@@ -580,7 +580,7 @@ class TestPolyhedral:
         lam = 3.0
         out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=np.zeros(1))
         assert out.selected.size == 1
-        target = build_target(data, out, "selected")
+        target = build_target(data, out.selected, "selected")
         beta_hat = float(target.estimate[0])
         assert beta_hat == pytest.approx(float(x @ y) / float(x @ x))
         h_minus = lam / float(x @ x)
@@ -606,7 +606,7 @@ class TestPolyhedral:
     def test_tampered_signs_detected(self):
         rng = np.random.default_rng(8)
         data, out, lam = standard_lasso_fit(rng)
-        target = build_target(data, out, "selected")
+        target = build_target(data, out.selected, "selected")
         _, errors = polyhedral_bounds(data, out.selected, -out.signs, lam, target, 1.0)
         assert isinstance(errors[0], GeometryInconsistencyError)
 
@@ -670,7 +670,7 @@ class TestPolyhedral:
         assert np.array_equal(moved.selected, out.selected)
         assert np.array_equal(moved.signs, out.signs)
         bounds, _ = polyhedral_bounds(
-            near, moved.selected, moved.signs, lam, build_target(near, moved, "selected"), 1.0
+            near, moved.selected, moved.signs, lam, build_target(near, moved.selected, "selected"), 1.0
         )
         assert (bounds.beta_hat[0] - bounds.lower[0]) / bounds.sd[0] == pytest.approx(1e-4)
         fits.append((near, moved, lam))
@@ -682,7 +682,7 @@ class TestPolyhedral:
             for model in ("selected", "full"):
                 if model == "full" and data.independent_columns.size < data.p:
                     continue
-                target = build_target(data, out, model)
+                target = build_target(data, out.selected, model)
                 bounds, errors = polyhedral_bounds(
                     data, out.selected, out.signs, lam, target, 1.0
                 )
@@ -716,7 +716,7 @@ class TestPolyhedral:
 
 def polyhedral_targets(data, out, lam):
     """Every target's polyhedral bounds, built together as a fit builds them."""
-    target = build_target(data, out, "selected")
+    target = build_target(data, out.selected, "selected")
     bounds, errors = polyhedral_bounds(data, out.selected, out.signs, lam, target, 1.0)
     assert errors == [None] * out.selected.size
     return bounds
@@ -758,7 +758,7 @@ class TestBatchedInversion:
             got = invert_pivot(params, 0.1, [int(e) for e in out.selected])
             for k, (est, label) in enumerate(zip(got, out.selected)):
                 assert_agrees(est, reference_invert_pivot, take(params, k))
-                assert est.target_label == label and est.method == "exact"
+                assert est.target_label == label
                 count += 1
         assert count >= 12
 
@@ -946,7 +946,6 @@ class TestSplitInference:
         assert [e.target_label for e in a] == [e.target_label for e in b]
         assert all(ea.lower == eb.lower and ea.upper == eb.upper for ea, eb in zip(a, b))
         assert all(0 <= e.target_label < 10 for e in a)
-        assert all(e.method == "split" for e in a)
 
     def test_bad_rho(self):
         rng = np.random.default_rng(10)
@@ -977,7 +976,6 @@ class TestUVInference:
         b = uv_inference(data, f=0.25, lam=lam, alpha=0.1, sigma2=1.0, seed=7)
         assert [e.target_label for e in a] == [e.target_label for e in b]
         assert all(ea.lower == eb.lower and ea.upper == eb.upper for ea, eb in zip(a, b))
-        assert all(e.method == "uv" for e in a)
 
 
 class TestEqualColumns:
@@ -1005,9 +1003,15 @@ class TestEqualColumns:
             plug_in_sigma2(self.data(), np.array([0, 1]), "selected")
 
     def test_held_out_least_squares(self):
-        data = self.data()
-        with pytest.raises(SingularDesignError, match="held-out design is singular"):
-            inference._ls_z_intervals(data.y, data.X, np.array([0, 1]), 1.0, 0.1, "split")
+        """Split selects both columns on its training rows, where they
+        differ; on the held-out rows they are equal."""
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((40, 2))
+        test = np.random.default_rng(0).permutation(40)[20:]  # split's rows at seed 0
+        X[test, 1] = X[test, 0]
+        data = Dataset(y=X @ np.array([3.0, 3.0]) + rng.standard_normal(40), X=X)
+        with pytest.raises(SingularDesignError, match="is singular"):
+            split_inference(data, rho=0.5, lam=1.0, alpha=0.1, seed=0)
 
 
 class TestPlugInSigma:
@@ -1033,4 +1037,4 @@ class TestPlugInSigma:
 
     def test_interval_estimate_validation(self):
         with pytest.raises(InvalidArgumentError):
-            IntervalEstimate(lower=1.0, upper=0.0, target_label=0, method="exact")
+            IntervalEstimate(lower=1.0, upper=0.0, target_label=0)

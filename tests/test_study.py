@@ -284,6 +284,13 @@ class TestRunStudy:
         with pytest.raises(InvalidArgumentError):
             quick_config(n_reps=0)
 
+    @pytest.mark.parametrize("rule", ["abc", "2.5", -1.0, 0, math.nan, math.inf, None])
+    def test_lambda_rule_is_theory_or_a_positive_finite_number(self, rule):
+        """A penalty every replicate would fail on is rejected up front."""
+        with pytest.raises(InvalidArgumentError, match="lambda_rule must be 'theory' or"):
+            quick_config(lambda_rule=rule)
+        assert quick_config(lambda_rule=np.float64(2.5)).lambda_rule == 2.5
+
 
 class TestValidateUniformity:
     def test_structure_and_determinism(self):
