@@ -423,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim(p_sim)
     p_sim.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes; pin BLAS to one thread per worker "
+        help="worker processes, at most one per core and per 4 replicates; "
+        "pin BLAS to one thread per worker "
         "(OPENBLAS_NUM_THREADS=1), or each worker's BLAS threads compete "
         "with the others for the cores",
     )

@@ -814,10 +814,17 @@ def polyhedral_interval(
     by its monotone likelihood ratio the pivot decreases in beta0.  The
     other endpoints are solved in one ``invert_monotone`` call on the
     negated probit ``-h``, which increases (``h`` from
-    ``_polyhedral_probit``), each from its full-line value ``beta_hat -+ z
-    sd`` (``z = Phi^{-1}(1 - alpha / 2)``), and stop at a step of
-    ``numerics._STEP_TOL`` times ``sd``.  Entry i is target i's interval, or
-    the error that stopped it.
+    ``_polyhedral_probit``), and stop at a step of ``numerics._STEP_TOL``
+    times ``sd``.  Each starts at the root of the one-sided exponential tail
+    law at its own bound: far below ``lower`` the estimate is ``lower`` plus
+    an exponential of rate ``(lower - beta0) / sd^2``, whose upper ``alpha /
+    2`` tail starts at ``beta_hat`` where ``beta0 = lower - sd^2 log(2 /
+    alpha) / (beta_hat - lower)``, and mirrored at ``upper``.  That law
+    holds only far beyond the bound, so the root is taken where it is
+    finite and at least one sd beyond its bound (an estimate within ``log(2
+    / alpha)`` sd of the bound); elsewhere the seed is the full-line value
+    ``beta_hat -+ z sd`` (``z = Phi^{-1}(1 - alpha / 2)``).  Entry i is
+    target i's interval, or the error that stopped it.
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
@@ -844,11 +851,19 @@ def polyhedral_interval(
         h, slope = _polyhedral_probit(PolyhedralBounds(*cols), x)
         return -h, -slope
 
+    tail = sd**2 * math.log(2.0 / alpha)
+    with np.errstate(divide="ignore", over="ignore"):
+        tail_lo = batch.lower - tail / (beta_hat - batch.lower)
+        tail_hi = batch.upper + tail / (batch.upper - beta_hat)
+    use_lo = np.isfinite(tail_lo) & (tail_lo <= batch.lower - sd)
+    use_hi = np.isfinite(tail_hi) & (tail_hi >= batch.upper + sd)
+    seed_lo = np.where(use_lo, tail_lo, beta_hat - z * sd)
+    seed_hi = np.where(use_hi, tail_hi, beta_hat + z * sd)
     target = np.repeat([-z, z], (solve_lo.size, solve_hi.size))
     roots = invert_monotone(
         probit_at,
         target,
-        beta_hat[which] + target * sd[which],
+        np.concatenate([seed_lo[solve_lo], seed_hi[solve_hi]]),
         sd[which],
         args=tuple(col[which] for col in _columns(batch)),
     )

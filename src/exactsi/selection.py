@@ -24,7 +24,6 @@ import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dposv
-from scipy.optimize import linprog
 
 from .errors import (
     ConvergenceError,
@@ -260,7 +259,13 @@ def _unbounded(gram: np.ndarray, c: np.ndarray, lam: float) -> bool:
     below.  It is bounded exactly when ``-c'z + lam ||z||_1 >= 0`` on the null
     space of H, that is (by duality) when ``t* = min_v ||c - Hv||_inf <= lam``;
     t* is the LP ``min t`` subject to ``-t <= c - Hv <= t``, solved by HiGHS.
+
+    ``linprog`` is imported here, not at module level: only a search that
+    cannot certify its answer comes here, and ``scipy.optimize`` would
+    otherwise add about 0.1 s to every process's cold start.
     """
+    from scipy.optimize import linprog
+
     ones = np.ones((c.size, 1))
     rows, cost = np.block([[-gram, -ones], [gram, -ones]]), np.r_[np.zeros(c.size), 1.0]
     res = linprog(cost, A_ub=rows, b_ub=np.r_[-c, c], bounds=(None, None), method="highs")
@@ -301,8 +306,11 @@ def _active_set_lasso(
         )
 
     b = np.zeros(c.size)
-    A = np.zeros(0, dtype=int)  # active coordinates
-    theta = np.zeros(0)  # their signs
+    # the active coordinates and their signs, as lists that grow by append,
+    # and as the index arrays of the current restricted solve
+    active: list[int] = []
+    signs: list[float] = []
+    A, theta = np.zeros(0, dtype=int), np.zeros(0)
     g = c.copy()  # c - X'X b, which is c - H b off the support
     steps = 0
     while True:
@@ -311,13 +319,14 @@ def _active_set_lasso(
         j = int(np.argmax(slack))
         if not slack[j] > lam + tol:
             break
-        A = np.append(A, j)
-        theta = np.append(theta, np.sign(g[j]))
-        while A.size:
+        active.append(j)
+        signs.append(float(np.sign(g[j])))
+        A, theta = np.array(active), np.array(signs)
+        while active:
             steps += 1
             if steps > _AS_MAX_STEPS:
                 raise uncertified(f"more than {_AS_MAX_STEPS} restricted solves")
-            pair = frozenset(zip(A.tolist(), theta.tolist()))
+            pair = frozenset(zip(active, signs))
             if pair in seen:
                 raise uncertified("repeated active set and signs")
             seen.add(pair)
@@ -349,6 +358,7 @@ def _active_set_lasso(
                 b[A] = best
                 keep = best != 0
                 A, theta = A[keep], theta[keep]
+                active, signs = A.tolist(), theta.tolist()
                 continue
             if (np.sign(new) == theta).all():
                 b[A] = new
@@ -372,6 +382,7 @@ def _active_set_lasso(
             b[A] = best
             keep = best != 0
             A, theta = A[keep], np.sign(best[keep])
+            active, signs = A.tolist(), theta.tolist()
         g = c - gram[:, A] @ b[A]
     if _kkt_residual(gram @ b, c, b, lam, epsilon) > tol:
         raise uncertified("KKT certificate failed")

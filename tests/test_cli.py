@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -567,6 +568,30 @@ class TestSimulateValidate:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_validate_output_is_frozen(self, tmp_path):
+        """``validate`` writes these bytes: its KS p-value, from ``kstest``
+        (imported only inside ``validate_pivot_uniformity``), keeps its bits."""
+        out = tmp_path / "v"
+        argv = ["validate", "--n", "100", "--p", "20", "--n-reps", "30", "--rho", "0.8",
+                "--seed", "4", "--out", str(out)]
+        assert main(argv) == 0
+        written = (tmp_path / "v.json").read_bytes()
+        report = json.loads(written)["reports"]["exact"]
+        assert report["statistic"] == 0.05323023950353162
+        assert report["p_value"] == 0.3855393696574344
+        assert report["n_pooled"] == 283 and report["n_failed"] == 0
+        assert hashlib.sha256(written).hexdigest() == (
+            "5ed60742f44011e2508413f67ecce528a4389baa80f8cb0365ba3ba8bad71bf7"
+        )
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_is_an_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "s"
+        argv = ["simulate", "--n-reps", "2", "--workers", workers, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: workers must be at least 1\n"
+        assert not (tmp_path / "s.json").exists()
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -713,6 +713,51 @@ class TestPolyhedral:
         assert mirror.beta_hat + 50.0 < est.lower < est.upper
         assert not est.clipped
 
+    @pytest.mark.parametrize(
+        "bounds, want, most_calls",
+        [
+            (
+                PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-8, sd=1.0),
+                (-299573227.35539895, -5129329.438754921),
+                40,
+            ),
+            (
+                PolyhedralBounds(lower=-2.0, upper=3.0, beta_hat=-2.0 + 0.5e-8, sd=0.5),
+                (-149786616.5880233, -2564666.734964136),
+                40,
+            ),
+            (
+                PolyhedralBounds(lower=-10.0, upper=math.inf, beta_hat=0.0, sd=1.0),
+                (-1.6448536269514722, 1.6448536269514722),
+                1,
+            ),
+        ],
+        ids=["near", "near_two_sided", "far"],
+    )
+    def test_estimate_near_its_bound_is_seeded_from_the_tail(
+        self, monkeypatch, bounds, want, most_calls
+    ):
+        """An estimate 1e-8 sd above its lower bound: each endpoint starts at
+        the root of the one-sided exponential tail law there, not at its
+        full-line value.  10 sd above it, that root would lie 0.3 sd beyond
+        the bound, where the law does not hold, so the full-line seeds stay.
+        The endpoints are those the full-line seeds gave (frozen) to 1e-9
+        relative, with at most ``most_calls`` probit calls, where the
+        full-line seeds took 85, 85 and 1."""
+        calls = []
+        real = inference._polyhedral_probit
+
+        def counted(constants, x):
+            calls.append(x)
+            return real(constants, x)
+
+        monkeypatch.setattr(inference, "_polyhedral_probit", counted)
+        (est,) = polyhedral_interval(bounds, alpha=0.1)
+        assert not est.clipped
+        assert est.lower == pytest.approx(want[0], rel=1e-9)
+        assert est.upper == pytest.approx(want[1], rel=1e-9)
+        assert len(calls) <= most_calls
+
 
 def polyhedral_targets(data, out, lam):
     """Every target's polyhedral bounds, built together as a fit builds them."""

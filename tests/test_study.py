@@ -173,8 +173,10 @@ class TestRunStudy:
             ALL_EMPTY,
             # round(0.99 * 20) = n: the exact method fails in every replicate
             quick_config(n=20, p=5, rho=0.99, methods=("exact", "polyhedral")),
+            # more than one chunk of replicates, so that a pool of two runs
+            quick_config(n_reps=8, methods=("exact", "polyhedral")),
         ],
-        ids=["default", "all_empty", "exact_fails"],
+        ids=["default", "all_empty", "exact_fails", "two_chunks"],
     )
     def test_reproducible_and_parallel_identical(self, cfg):
         a = run_study(cfg, workers=1)
@@ -182,6 +184,47 @@ class TestRunStudy:
         assert a.rows == b.rows
         for m in cfg.methods:
             assert a.methods[m] == b.methods[m]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_rejected(self, workers):
+        with pytest.raises(InvalidArgumentError, match="workers must be at least 1"):
+            run_study(quick_config(n_reps=1), workers=workers)
+
+    @pytest.mark.parametrize(
+        "workers, n_reps, cores, pool",
+        [
+            (500, 2, 64, None),  # one chunk: no pool
+            (500, 9, 64, 3),  # three chunks of at most four replicates
+            (500, 40, 2, 2),  # two cores
+            (3, 40, 64, 3),  # as many as asked for
+            (2, 1, 64, None),  # one replicate
+        ],
+    )
+    def test_pool_is_capped_by_chunks_and_cores(self, monkeypatch, workers, n_reps, cores, pool):
+        """A pool starts all its processes at once, so ``run_study`` asks for
+        no more than min(workers, chunks of replicates, cores).  The pool is
+        a recorder that maps in this process: no process is started."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(study, "_cores", lambda: cores)
+        cfg = quick_config(n_reps=n_reps, methods=("polyhedral",))
+        summary = run_study(cfg, workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        assert summary.rows == run_study(cfg, workers=1).rows
 
     def test_all_empty_replicates_are_only_counted(self):
         cfg = ALL_EMPTY
