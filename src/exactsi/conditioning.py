@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import (
     ExactSIError,
@@ -34,7 +33,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import check_conditioning, factor_spd, line_interval
+from .numerics import check_conditioning, cho_solve, factor_spd, line_interval
 from .selection import Dataset, LinearEventRep
 
 
@@ -52,7 +51,7 @@ class TargetSpec:
 def _omega_solve(base_factor: tuple, tau2: float, v: np.ndarray):
     """``Omega^{-1} v`` for ``Omega = tau2 B``, from the factor of B, which
     ``cho_factor`` made from a finite matrix."""
-    return cho_solve(base_factor, v, check_finite=False) / tau2
+    return cho_solve(base_factor, v) / tau2
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ polyhedral_bounds`` (polyhedral); both pivots are evaluated elementwise.
 A fit's intervals come from one vectorized inversion (``invert_pivot``,
 ``polyhedral_interval``) that solves every endpoint of every target together
 by safeguarded Newton steps on the pivot's probit scale, from each endpoint's
-full-line value; each target keeps its own error.
+full-line value (or, for the polyhedral pivot near a bound, its tail-law
+root); each endpoint ends with its own status, and each target keeps its own
+error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, owens_t
 
 from .conditioning import ConditioningGeometry, TargetSpec, build_target
@@ -37,12 +38,11 @@ from .errors import (
     ExactSIError,
     GeometryInconsistencyError,
     InvalidArgumentError,
-    NoRootError,
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import BRACKET_EXPANSIONS, invert_monotone
-from .numerics import line_interval, log_standard_mass
+from .numerics import NAN_VALUE, ROOT, invert_monotone, root_error
+from .numerics import cho_factor, cho_solve, line_interval, log_standard_mass
 from .selection import Dataset, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
@@ -54,6 +54,15 @@ POLYHEDRAL_CLIP_SDS = 50.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(0.5 * math.pi)
+# the side of the estimate on which an interval's lower and upper endpoints
+# lie: arrays over endpoints have one row for each
+_ENDPOINT_SIDES = np.array([[-1.0], [1.0]])
+# the rows p1, p2, p3, p2, p3 of the polyhedral pivot's points, and what
+# divides them into the arguments of its erfcx terms; then the rows of those
+# terms that give its Mills ratios at p2, p3, p3 and, of the upper tail, p2
+_ERFCX_ROWS = np.array([0, 1, 2, 1, 2])
+_ERFCX_SCALE = np.array([[-1.0], [-1.0], [-1.0], [1.0], [1.0]]) * math.sqrt(2.0)
+_MILLS_ROWS = np.array([1, 2, 2, 3])
 
 
 @dataclass(frozen=True)
@@ -505,28 +514,30 @@ def _exact_probit(params: PivotParams, beta0):
 
 
 def _results(
-    lower, upper, levels, target_labels, clipped, upper_first
+    roots, status, levels, target_labels, clipped, upper_first
 ) -> list[IntervalEstimate | ExactSIError]:
-    """Entry i: target i's interval from its endpoint roots, or the error that
-    stopped it.
+    """Entry i: target i's interval from its endpoint roots ``roots[:, i]``
+    (lower, then upper), or the error that stopped it.
 
-    ``levels`` are the pivot levels of the lower and upper endpoints.  A NaN
-    root is an endpoint whose bracket never straddled its level; the
-    ``NoRootError`` names the first such endpoint, the upper one first where
+    ``status`` holds each endpoint's ``invert_monotone`` status and
+    ``levels`` the pivot levels of the lower and upper endpoints.  A target
+    whose endpoint failed gets that endpoint's ``root_error`` (a
+    ``NoRootError`` names its level), the upper endpoint's first where
     ``upper_first`` is set.
     """
-    labels = [-1] * len(lower) if target_labels is None else list(target_labels)
+    (lower, upper), (lower_status, upper_status) = roots.tolist(), status.tolist()
+    k = len(lower)
+    labels = [-1] * k if target_labels is None else list(target_labels)
+    clipped, upper_first = np.broadcast_to(clipped, k).tolist(), upper_first.tolist()
     out: list[IntervalEstimate | ExactSIError] = []
     for i, label in enumerate(labels):
-        ends = [(float(lower[i]), levels[0]), (float(upper[i]), levels[1])]
+        if lower_status[i] != ROOT or upper_status[i] != ROOT:
+            ends = [(lower_status[i], levels[0]), (upper_status[i], levels[1])]
+            failed = [end for end in (ends[::-1] if upper_first[i] else ends) if end[0] != ROOT]
+            out.append(root_error(*failed[0]))
+            continue
         try:
-            for value, level in ends[::-1] if upper_first[i] else ends:
-                if math.isnan(value):
-                    raise NoRootError(
-                        f"target {level!r} not straddled after "
-                        f"{BRACKET_EXPANSIONS} bracket expansions"
-                    )
-            out.append(IntervalEstimate(ends[0][0], ends[1][0], label, bool(clipped[i])))
+            out.append(IntervalEstimate(lower[i], upper[i], label, clipped[i]))
         except ExactSIError as exc:
             out.append(exc)
     return out
@@ -547,9 +558,11 @@ def invert_pivot(
     ``+z``, ``z = Phi^{-1}(1 - alpha / 2)``.  Each endpoint starts at its
     full-line value ``(beta_hat - zeta -+ z sd) / lambda``, its root without
     truncation, and stops at a step of ``numerics._STEP_TOL`` times ``sd /
-    lambda``.  Entry i is target i's interval, or the error that stopped it
-    (``NoRootError`` when an endpoint is not bracketed within
-    ``BRACKET_EXPANSIONS`` steps).
+    lambda`` (or on a quadratic contraction).  Entry i is target i's
+    interval, or the error its own endpoints met (see ``_results``): a
+    ``NoRootError`` when an endpoint is not bracketed within
+    ``BRACKET_EXPANSIONS`` steps, a ``NumericalDegeneracyError`` for a NaN
+    pivot or a search that does not converge.
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
@@ -564,15 +577,18 @@ def invert_pivot(
         return -h, -slope
 
     center = batch.beta_hat_j - batch.zeta_j
-    roots = invert_monotone(
+    roots, status = invert_monotone(
         probit_at,
         np.repeat([-z, z], k),
-        np.concatenate([center - z * sd, center + z * sd]) / np.tile(batch.lambda_j, 2),
-        np.tile(sd / batch.lambda_j, 2),
-        args=tuple(np.tile(col, 2) for col in _columns(batch)),
-    ).reshape(2, k)
+        np.concatenate([center - z * sd, center + z * sd])
+        / np.concatenate([batch.lambda_j, batch.lambda_j]),
+        np.concatenate([sd / batch.lambda_j] * 2),
+        args=tuple(np.concatenate([col, col]) for col in _columns(batch)),
+    )
     unset = np.zeros(k, dtype=bool)
-    return _results(roots[0], roots[1], levels, target_labels, unset, unset)
+    return _results(
+        roots.reshape(2, k), status.reshape(2, k), levels, target_labels, unset, unset
+    )
 
 
 @dataclass(frozen=True)
@@ -668,9 +684,54 @@ def polyhedral_bounds(
     return PolyhedralBounds(lower[ok], upper[ok], beta_hat[ok], sigma * np.sqrt(norm2[ok])), errors
 
 
-def _polyhedral_tails(bounds: PolyhedralBounds, beta0):
-    """Everything ``polyhedral_pivot`` and ``_polyhedral_probit`` share, as
-    flat arrays over the broadcast fields and ``beta0``.
+@dataclass(slots=True)  # not frozen: an inversion builds one per evaluation
+class _PolyhedralLine:
+    """Polyhedral constants on flat arrays, with what every evaluation of
+    the pivot reads of them formed once: ``lower``, ``upper``, ``beta_hat``
+    and ``sd`` of each element; half the standardized widths, ``below =
+    (beta_hat - lower) / sd / 2`` and ``above = (upper - beta_hat) / sd /
+    2``, undefined where a constant is NaN (or the estimate infinite), whose
+    pivot is then NaN; and the mask ``inside`` of estimates strictly inside
+    their bounds.  An inversion forms it once, and ``invert_monotone``
+    carries its fields as ``args``."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    beta_hat: np.ndarray
+    sd: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    inside: np.ndarray
+
+    def limit_log(self):
+        """The log tail of an element whose pivot is a 0/1 limit: -inf, or NaN
+        where a standardized width is undefined."""
+        return np.where(np.isnan(self.below + self.above), math.nan, -math.inf)
+
+
+def _polyhedral_line(lower, upper, beta_hat, sd) -> _PolyhedralLine:
+    """The ``_PolyhedralLine`` of flat arrays of bounds, estimates and sds."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        below, above = 0.5 * ((beta_hat - lower) / sd), 0.5 * ((upper - beta_hat) / sd)
+    return _PolyhedralLine(
+        lower, upper, beta_hat, sd, below, above, (lower < beta_hat) & (beta_hat < upper)
+    )
+
+
+def _broadcast_line(bounds: PolyhedralBounds, beta0):
+    """The broadcast shape of the fields of ``bounds`` and ``beta0``, the line
+    of the bounds over it, and the flat ``beta0``."""
+    arrays = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (beta0, *_columns(bounds)))
+    )
+    beta0, *columns = map(np.ravel, arrays)
+    return arrays[0].shape, _polyhedral_line(*columns), beta0
+
+
+def _polyhedral_tails(line: _PolyhedralLine, beta0):
+    """Everything ``polyhedral_pivot`` and ``_polyhedral_probit`` share, on
+    the flat arrays of ``line`` and ``beta0``; run under the caller's
+    ``np.errstate``, which ignores divide, invalid and over.
 
     With ``a, m, b`` the standardized ``lower, beta_hat, upper``, the line is
     reflected where ``a > -b``, so that ``p1 < p2 < p3`` (``a, m, b`` or
@@ -689,73 +750,69 @@ def _polyhedral_tails(bounds: PolyhedralBounds, beta0):
     at x sd from a piece of width w, where the rates of two pieces that
     share an end nearly cancel.
 
-    Returns the broadcast shape; the log of the pivot; the log of its
-    smaller tail over the truncation mass, a mask set where that tail is the
-    lower one, and the slope of that log in beta0; and the mask of the live
+    Returns the logs of the masses of ``(p1, p2)``, ``(p2, p3)`` and ``(p1,
+    p3)`` over ``Phi(p3)``; the reflection mask; the mask of the live
     elements, whose pivot is neither a 0/1 limit nor that of an estimate
-    outside its bounds.  Elsewhere the mask of lower tails is set where the
-    limit is 0.  The slope of ``log mass(p, q)`` is ``dp/dbeta0`` times the
-    rate ``(phi(q) - phi(p)) / mass(p, q)``.
+    outside its bounds, or None where all are live; a mask set where the
+    pivot's smaller tail is its lower one (elsewhere, where the limit is 0);
+    and the slope in beta0 of the log of that tail over the truncation mass,
+    negated where the tail is the upper one.  The slope of ``log mass(p,
+    q)`` is ``dp/dbeta0`` times the rate ``(phi(q) - phi(p)) / mass(p, q)``.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (
-        beta0, bounds.lower, bounds.beta_hat, bounds.upper, bounds.sd)))
-    beta0, lower, beta_hat, upper, sd = map(np.ravel, arrays)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ends = np.array([lower, beta_hat, upper])
-        std = (ends - beta0) / sd  # a, m, b
-        width = (ends[1:] - ends[:2]) / sd  # of (a, m) and (m, b)
-        flip = std[0] > -std[2]
-        p = np.where(flip, -std[::-1], std)
-        w = np.where(flip, width[::-1], width)
-        log_cdf = log_ndtr(p)
-        # log erfcx(-p_i / sqrt 2) for i = 1, 2, 3, then log erfcx(p_i / sqrt 2) for i = 2, 3
-        log_ex = np.log(erfcx(np.concatenate([-p, p[1:]]) / math.sqrt(2.0)))
-        half = 0.5 * w * (p[:2] + p[1:])  # log(phi(p1) / phi(p2)), log(phi(p2) / phi(p3))
-        gaps = np.where(
-            p[1:] <= 0.0, half + log_ex[:2] - log_ex[1:3], log_cdf[:2] - log_cdf[1:]
-        )
-        right_gap = log_ex[4] - log_ex[3] - half[1]  # log Phi(-p3) - log Phi(-p2)
-        # log(1 - exp(d)) to an absolute error of eps, which is all a log
-        # mass needs, for the gaps over (p1, p2), (p2, p3) and (p1, p3), and
-        # for a right-tail (p2, p3)
-        ones = np.log(-np.expm1(np.fmin(
-            np.array([gaps[0], gaps[1], gaps[0] + gaps[1], right_gap]), 0.0
-        )))
-        # the masses of (p1, p2), (p2, p3) and (p1, p3), each as a log over Phi(p3)
-        right = ones[3] + log_ex[3] - 0.5 * p[1] * p[1] - math.log(2.0) - log_cdf[2]
-        logs = np.array([gaps[1] + ones[0], np.where(p[1] > 0.0, right, ones[1]), ones[2]])
-        # d log mass(p, q) / dp = (phi(q) - phi(p)) / mass(p, q).  Where phi(q)
-        # >= phi(p), that is phi(q) / Phi(q) times expm1 of log(phi(p) /
-        # phi(q)) over expm1 of log(Phi(p) / Phi(q)), which holds no log of
-        # size q^2 / 2; elsewhere (a piece (p2, p3) with p2 + p3 > 0) the same
-        # on the reflected piece.  phi / Phi at p1, p2, p3, then phi / Q at p2, p3:
-        mills = np.exp(_LOG_SQRT_2_OVER_PI - log_ex)
-        rates = np.array([
-            mills[1] * np.expm1(half[0]) / np.expm1(gaps[0]),
-            np.where(
-                p[1] + p[2] <= 0.0,
-                mills[2] * np.expm1(half[1]) / np.expm1(gaps[1]),
-                -mills[3] * np.expm1(-half[1]) / np.expm1(right_gap),
-            ),
-            # 0 where phi(p3) / Phi(p3) underflows, p1 <= -p3 lying as far out
-            np.where(mills[2] > 0.0,
-                     mills[2] * np.expm1(half[0] + half[1]) / np.expm1(gaps[0] + gaps[1]), 0.0),
-        ])
-        first = logs[0] <= logs[1]  # (p1, p2) is the smaller piece
-        inside = (lower < beta_hat) & (beta_hat < upper)
-        live = inside & (logs[2] > -math.inf)
+    std = (np.array([line.lower, line.beta_hat, line.upper]) - beta0) / line.sd  # a, m, b
+    flip = std[0] > -std[2]
+    p = np.where(flip, -std[::-1], std)
+    widths = np.array([line.below, line.above])  # halves, of (a, m) and (m, b)
+    w = np.where(flip, widths[::-1], widths)
+    log_cdf = log_ndtr(p)
+    # log erfcx(-p_i / sqrt 2) for i = 1, 2, 3, then log erfcx(p_i / sqrt 2) for i = 2, 3
+    log_ex = np.log(erfcx(p[_ERFCX_ROWS] / _ERFCX_SCALE))
+    half = w * (p[:2] + p[1:])  # log(phi(p1) / phi(p2)), log(phi(p2) / phi(p3))
+    gaps = np.where(
+        p[1:] <= 0.0, half + log_ex[:2] - log_ex[1:3], log_cdf[:2] - log_cdf[1:]
+    )
+    right_gap = log_ex[4] - log_ex[3] - half[1]  # log Phi(-p3) - log Phi(-p2)
+    # expm1 of the gaps over (p1, p2), (p2, p3) and (p1, p3), and of a
+    # right-tail (p2, p3), then of the log density ratios of the same pieces
+    # (the last negated) for the rates below.  The log of minus each of the
+    # first four, at most 0, is log(1 - exp(gap)) to an absolute error of
+    # eps, which is all a log mass needs
+    expm1s = np.expm1(np.array([
+        gaps[0], gaps[1], gaps[0] + gaps[1], right_gap,
+        half[0], half[1], half[0] + half[1], -half[1],
+    ]))
+    drops, rises = expm1s[:4], expm1s[4:]
+    ones = np.log(-np.fmin(drops, 0.0))
+    # the masses of (p1, p2), (p2, p3) and (p1, p3), each as a log over Phi(p3)
+    right = ones[3] + log_ex[3] - 0.5 * p[1] * p[1] - math.log(2.0) - log_cdf[2]
+    logs = gaps[1] + ones[0], np.where(p[1] > 0.0, right, ones[1]), ones[2]
+    # d log mass(p, q) / dp = (phi(q) - phi(p)) / mass(p, q).  Where phi(q)
+    # >= phi(p), that is phi(q) / Phi(q) times expm1 of log(phi(p) /
+    # phi(q)) over expm1 of log(Phi(p) / Phi(q)), which holds no log of
+    # size q^2 / 2; elsewhere (a piece (p2, p3) with p2 + p3 > 0) the same
+    # on the reflected piece.  phi / Phi at p2, p3, p3, then phi / Q at p2:
+    mills = np.exp(_LOG_SQRT_2_OVER_PI - log_ex[_MILLS_ROWS])
+    # the rates of (p1, p2), (p2, p3) and (p1, p3), then of a right-tail (p2,
+    # p3) negated
+    rates = mills * rises / drops
+    rate_second = np.where(p[1] + p[2] <= 0.0, rates[1], -rates[3])
+    # 0 where phi(p3) / Phi(p3) underflows, p1 <= -p3 lying as far out
+    rate_whole = np.where(mills[1] > 0.0, rates[2], 0.0)
+    first = logs[0] <= logs[1]  # (p1, p2) is the smaller piece
+    live = line.inside & (logs[2] > -math.inf)
+    lower_side = first != flip
+    if np.count_nonzero(live) == live.size:
+        live = None
+    else:
         # the 0/1 limit is 0 for an estimate on or below its lower bound, and
         # where the interval carries no mass, for beta0 above the estimate
-        limit_zero = np.where(inside, beta0 > beta_hat, beta_hat <= lower)
-        slope = (np.where(first, rates[0], rates[1]) - rates[2]) / np.where(flip, sd, -sd)
-        return (
-            arrays[0].shape,
-            np.where(flip, logs[1], logs[0]) - logs[2],
-            np.minimum(logs[0], logs[1]) - logs[2],
-            np.where(live, first != flip, limit_zero),
-            slope,
-            live,
-        )
+        lower_side = np.where(live, lower_side, np.where(
+            line.inside, beta0 > line.beta_hat, line.beta_hat <= line.lower
+        ))
+    # dp/dbeta0 is -1 / sd, or 1 / sd on the reflected line, and the smaller
+    # tail is the lower one exactly where first and flip differ
+    slope = np.where(first, rate_whole - rates[0], rate_second - rate_whole) / line.sd
+    return logs, flip, live, lower_side, slope
 
 
 def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
@@ -766,35 +823,51 @@ def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
     from the truncation interval (see ``_polyhedral_tails``); where the
     standardized bounds overflow, so that the interval carries no
     representable mass, the limit is returned: 0 for ``beta0`` above the
-    estimate, 1 below it.
+    estimate, 1 below it.  A NaN constant gives NaN.
     """
-    shape, log_pivot, _, lower_side, _, live = _polyhedral_tails(bounds, beta0)
-    with np.errstate(over="ignore"):  # lanes that are not live are replaced
-        pivot = np.minimum(np.exp(log_pivot), 1.0)
-    out = np.where(live, pivot, np.where(lower_side, 0.0, 1.0))
+    shape, line, beta0 = _broadcast_line(bounds, beta0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logs, flip, live, lower_side, _ = _polyhedral_tails(line, beta0)
+        pivot = np.minimum(np.exp(np.where(flip, logs[1], logs[0]) - logs[2]), 1.0)
+    out = pivot
+    if live is not None:
+        limit = np.where(lower_side, 0.0, 1.0)
+        limit[np.isnan(line.limit_log())] = math.nan
+        out = np.where(live, pivot, limit)
     if not shape:
         return float(out[0])
     return out.reshape(shape)
 
 
-def _polyhedral_probit(bounds: PolyhedralBounds, beta0):
+def _polyhedral_probit(record, beta0):
     """The polyhedral pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and
     its slope ``dh/dbeta0``, elementwise.
 
-    ``h`` comes from the log of the smaller tail, so it is finite far into
-    both tails.  Its slope is ``+-tail / phi(h)`` times the slope of that log
-    (``_polyhedral_tails``), + where the tail is the lower one.  The tail is
-    ``Phi(-|h|)``, so the factor is the Mills ratio ``sqrt(pi / 2) erfcx(|h|
-    / sqrt 2)``, read from h itself: a ratio of the two logs, each of size
-    ``h^2 / 2``, would put an error of ``|h|`` times that of h in the slope.
-    In the 0/1 limit ``h`` is infinite and the slope NaN.
+    ``record`` is a ``PolyhedralBounds``, broadcast against ``beta0``, or
+    the ``_PolyhedralLine`` an inversion formed, whose fields are flat
+    arrays that match a flat ``beta0``.  ``h`` comes from the log of the
+    smaller tail, so it is finite far into both tails.  Its slope is
+    ``+-tail / phi(h)`` times the slope of that log (``_polyhedral_tails``),
+    + where the tail is the lower one.  The tail is ``Phi(-|h|)``, so the
+    factor is the Mills ratio ``sqrt(pi / 2) erfcx(|h| / sqrt 2)``, read
+    from h itself: a ratio of the two logs, each of size ``h^2 / 2``, would
+    put an error of ``|h|`` times that of h in the slope.  In the 0/1 limit
+    ``h`` is infinite and the slope NaN; a NaN constant gives NaN for both.
     """
-    shape, _, log_small, lower_side, dlog, live = _polyhedral_tails(bounds, beta0)
-    h = _probit(np.where(live, log_small, -math.inf), lower_side)
-    with np.errstate(invalid="ignore"):
-        mills = _SQRT_PI_OVER_2 * erfcx(np.abs(h) / math.sqrt(2.0))
-        slope = np.where(lower_side, mills, -mills) * dlog
-    return h.reshape(shape), np.where(live & np.isfinite(h), slope, math.nan).reshape(shape)
+    shape = None
+    if isinstance(record, PolyhedralBounds):
+        shape, record, beta0 = _broadcast_line(record, beta0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logs, _, live, lower_side, slope = _polyhedral_tails(record, beta0)
+        log_small = np.minimum(logs[0], logs[1]) - logs[2]
+        if live is not None:
+            log_small = np.where(live, log_small, record.limit_log())
+        h = np.where(lower_side, 1.0, -1.0) * ndtri_exp(log_small)
+        slope = _SQRT_PI_OVER_2 * erfcx(np.abs(h) / math.sqrt(2.0)) * slope
+    slope = np.where(np.isfinite(h), slope, math.nan)
+    if shape is None:
+        return h, slope
+    return h.reshape(shape), slope.reshape(shape)
 
 
 def polyhedral_interval(
@@ -805,74 +878,78 @@ def polyhedral_interval(
     """Invert the polyhedral pivots of one or several targets; huge endpoints are clipped.
 
     Truncated-Gaussian intervals can be effectively infinite; an endpoint
-    beyond ``beta_hat +- 50 sd`` is clipped there and the estimate flagged,
-    as the pivot on the window's ends (one call for all targets) shows.
-    When both endpoints lie beyond the same side of that window (the estimate
-    sits almost on a truncation bound), clipping one would put it past the
-    other, so both are returned unclipped.  The truncated Gaussian is an
-    exponential family in beta0 with natural parameter ``beta0 / sd^2``, so
-    by its monotone likelihood ratio the pivot decreases in beta0.  The
-    other endpoints are solved in one ``invert_monotone`` call on the
-    negated probit ``-h``, which increases (``h`` from
+    beyond ``beta_hat +- 50 sd`` is clipped there and the estimate flagged.
+    When both endpoints lie beyond the same side of that window (the
+    estimate sits almost on a truncation bound), clipping one would put it
+    past the other, so both are returned unclipped.  The truncated Gaussian
+    is an exponential family in beta0 with natural parameter ``beta0 /
+    sd^2``, so by its monotone likelihood ratio the pivot decreases in
+    beta0, and the endpoints are solved in one ``invert_monotone`` call on
+    the negated probit ``-h``, which increases (``h`` from
     ``_polyhedral_probit``), and stop at a step of ``numerics._STEP_TOL``
-    times ``sd``.  Each starts at the root of the one-sided exponential tail
-    law at its own bound: far below ``lower`` the estimate is ``lower`` plus
-    an exponential of rate ``(lower - beta0) / sd^2``, whose upper ``alpha /
-    2`` tail starts at ``beta_hat`` where ``beta0 = lower - sd^2 log(2 /
-    alpha) / (beta_hat - lower)``, and mirrored at ``upper``.  That law
-    holds only far beyond the bound, so the root is taken where it is
-    finite and at least one sd beyond its bound (an estimate within ``log(2
-    / alpha)`` sd of the bound); elsewhere the seed is the full-line value
-    ``beta_hat -+ z sd`` (``z = Phi^{-1}(1 - alpha / 2)``).  Entry i is
-    target i's interval, or the error that stopped it.
+    times ``sd`` (or on a quadratic contraction).  Each starts at the root
+    of the one-sided exponential tail law at its own bound: far below
+    ``lower`` the estimate is ``lower`` plus an exponential of rate
+    ``(lower - beta0) / sd^2``, whose upper ``alpha / 2`` tail starts at
+    ``beta_hat`` where ``beta0 = lower - sd^2 log(2 / alpha) / (beta_hat -
+    lower)``, and mirrored at ``upper``.  That law holds only far beyond the
+    bound, so the root is taken where it is finite and at least one sd
+    beyond its bound (an estimate within ``log(2 / alpha)`` sd of the
+    bound); elsewhere the seed is the full-line value ``beta_hat -+ z sd``
+    (``z = Phi^{-1}(1 - alpha / 2)``).
+
+    One probit call evaluates the window's ends and every seed.  As ``-h``
+    increases, the lower endpoint lies below the window where ``-h`` at the
+    window's lower end is above ``-z``, and both endpoints do where it is
+    above ``z``; mirrored at the upper end.  The values and slopes at the
+    seeds are the inversion's first iteration, and an endpoint whose value
+    there is NaN fails without a search.  Entry i is target i's interval, or
+    the error its own endpoints met (see ``_results``), such as the NaN
+    pivot of a NaN constant.
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
-    batch = PolyhedralBounds(*(np.atleast_1d(x).astype(float) for x in _columns(bounds)))
-    k = batch.beta_hat.size
-    beta_hat, sd = batch.beta_hat, batch.sd
-    levels = p_lower, p_upper = 1.0 - alpha / 2.0, alpha / 2.0
-    z = float(ndtri(p_lower))
+    lower, upper, beta_hat, sd = (np.array(x, dtype=float, ndmin=1) for x in _columns(bounds))
+    k = beta_hat.size
+    levels = 1.0 - alpha / 2.0, alpha / 2.0  # of the lower, then the upper endpoints
+    z = float(ndtri(levels[0]))
+    side = _ENDPOINT_SIDES
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # how far beyond its bound the root of the tail law lies
+        depth = sd**2 * math.log(2.0 / alpha) / np.array([beta_hat - lower, upper - beta_hat])
+        tail = np.array([lower, upper]) + side * depth
+    seeds = np.where(np.isfinite(tail) & (depth >= sd), tail, beta_hat + side * (z * sd))
+    window = beta_hat + side * (POLYHEDRAL_CLIP_SDS * sd)
+    # every target four times: at the window's ends, then at its seeds
+    line = _polyhedral_line(*(np.concatenate([x] * 4) for x in (lower, upper, beta_hat, sd)))
+    h, slope = _polyhedral_probit(line, np.concatenate([window.ravel(), seeds.ravel()]))
+    at, value, slope = -h[: 2 * k].reshape(2, k), -h[2 * k :], -slope[2 * k :]
+    # both endpoints below the window, or both above it: neither is clipped;
+    # else an endpoint is clipped where -h at its end of the window falls
+    # short of its target, -z for the lower one and z for the upper
+    below, above = at[0] > z, at[1] < -z
+    clipped = (~(below | above) & (side * at < z)).ravel()
+    nan = np.isnan(value) & ~clipped
+    solve = (~(clipped | nan)).nonzero()[0]
+    seeded = 2 * k + solve  # in the line
 
-    clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * sd
-    clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * sd
-    at_lo, at_hi = polyhedral_pivot(
-        PolyhedralBounds(*(np.tile(col, 2) for col in _columns(batch))),
-        np.concatenate([clip_lo, clip_hi]),
-    ).reshape(2, k)
-    # both endpoints below the window, or both above it: neither is clipped
-    below, above = at_lo < p_upper, at_hi > p_lower
-    clip_lower = ~below & ~above & (at_lo < p_lower)
-    clip_upper = ~below & ~above & (at_hi > p_upper)
-    solve_lo, solve_hi = np.flatnonzero(~clip_lower), np.flatnonzero(~clip_upper)
-    which = np.concatenate([solve_lo, solve_hi])
-
-    def probit_at(x, *cols):
-        h, slope = _polyhedral_probit(PolyhedralBounds(*cols), x)
+    def probit_at(x, *columns):
+        h, slope = _polyhedral_probit(_PolyhedralLine(*columns), x)
         return -h, -slope
 
-    tail = sd**2 * math.log(2.0 / alpha)
-    with np.errstate(divide="ignore", over="ignore"):
-        tail_lo = batch.lower - tail / (beta_hat - batch.lower)
-        tail_hi = batch.upper + tail / (batch.upper - beta_hat)
-    use_lo = np.isfinite(tail_lo) & (tail_lo <= batch.lower - sd)
-    use_hi = np.isfinite(tail_hi) & (tail_hi >= batch.upper + sd)
-    seed_lo = np.where(use_lo, tail_lo, beta_hat - z * sd)
-    seed_hi = np.where(use_hi, tail_hi, beta_hat + z * sd)
-    target = np.repeat([-z, z], (solve_lo.size, solve_hi.size))
-    roots = invert_monotone(
+    roots, status = window.ravel(), np.where(nan, NAN_VALUE, ROOT)
+    roots[solve], status[solve] = invert_monotone(
         probit_at,
-        target,
-        np.concatenate([seed_lo[solve_lo], seed_hi[solve_hi]]),
-        sd[which],
-        args=tuple(col[which] for col in _columns(batch)),
+        np.where(solve < k, -z, z),
+        seeds.ravel()[solve],
+        line.sd[seeded],
+        args=tuple(col[seeded] for col in _columns(line)),
+        first=(value[solve], slope[solve]),
     )
-    lower, upper = clip_lo.copy(), clip_hi.copy()
-    lower[solve_lo], upper[solve_hi] = roots[: solve_lo.size], roots[solve_lo.size :]
     # where both endpoints lie below the window, the upper one is checked first
     return _results(
-        lower, upper, levels, target_labels,
-        clipped=clip_lower | clip_upper, upper_first=below,
+        roots.reshape(2, k), status.reshape(2, k), levels, target_labels,
+        clipped=clipped[:k] | clipped[k:], upper_first=below,
     )
 
 

@@ -10,16 +10,22 @@ elements: each starts at its own seed, keeps a bracket from the signs of the
 values it has seen, bisects where a Newton step would leave that bracket or
 the slope is not positive, steps toward the target by a doubling multiple of
 its own scale while it has no bracket, and stops when its next step is at
-most 1e-10 of that scale (plus 4 eps of the root), so that the rule does not
-depend on units.  The pivots decrease in their parameter and are inverted on
+most 1e-10 of that scale (plus 4 eps of the root), or when its last two
+Newton steps contracted quadratically, so that the rule does not depend on
+units.  Each element ends with its own status (``ROOT``, ``NO_BRACKET``,
+``NAN_VALUE``, ``NO_CONVERGENCE``), which ``root_error`` turns into that
+element's error.  The pivots decrease in their parameter and are inverted on
 their negated probit scale, where a pivot without truncation is linear in
 its parameter (see ``inference.invert_pivot``).
 Tail quantities are computed through ``log_ndtr`` (scaled complementary error
 function under the hood) so that differences of far-tail CDFs never cancel to
-zero while the true value is representable.  The log-space Simpson quadrature
-of density-times-weight products here is on no pipeline path (the exact pivot
-is closed form); it stays only because the benchmark's trace hooks still wrap
-it.
+zero while the true value is representable.  ``cho_factor`` and
+``cho_solve`` are scipy's functions of the same names on LAPACK's
+``dpotrf`` and ``dpotrs`` without the wrappers' checks and copies, which at
+the package's q x q sizes cost several times the factorization.  The
+log-space Simpson quadrature of density-times-weight products here is on no
+pipeline path (the exact pivot is closed form); it stays only because the
+benchmark's trace hooks still wrap it.
 """
 
 from __future__ import annotations
@@ -29,14 +35,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpocon, dpstrf
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs, dpstrf
 from scipy.special import log_ndtr, logsumexp
 
 from .errors import (
     EmptyMassError,
     ExactSIError,
     InvalidArgumentError,
+    NoRootError,
     NumericalDegeneracyError,
 )
 
@@ -55,6 +61,19 @@ _X_RTOL = 4 * np.finfo(float).eps
 _MAX_ITERATIONS = BRACKET_EXPANSIONS + 2 * int(
     math.log2(np.finfo(float).max) - math.log2(np.finfo(float).smallest_subnormal)
 )
+# Where Newton converges quadratically, a step of length s after one of length
+# t leaves about s^3 / t^2 for the next: the search stops on that step,
+# unconfirmed, where _QUADRATIC_SAFETY times that length is within the
+# tolerance.  A step longer than the tolerance then follows one more than 30
+# times longer, so the two have contracted quadratically; with a factor of 1
+# endpoints moved by up to 1.3e-9 of max(1, |x|).
+_QUADRATIC_SAFETY = 1000.0
+# ``invert_monotone``'s status of an element: its root was found; no bracket
+# straddled the target within BRACKET_EXPANSIONS steps; g was NaN; the search
+# was still open after _MAX_ITERATIONS calls of g.
+ROOT, NO_BRACKET, NAN_VALUE, NO_CONVERGENCE = range(4)
+# scales the shortfall target - g into the two rows of the bracket state
+_SIDES = np.array([[-1.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -170,6 +189,26 @@ def check_conditioning(rcond: float, what: str, error: type[ExactSIError]) -> No
         )
 
 
+def cho_factor(mat: np.ndarray) -> tuple:
+    """``scipy.linalg.cho_factor(mat)``, bit for bit: the upper Cholesky
+    factor by ``dpotrf``, the rest of ``mat`` left below it, and False (not
+    lower).  Raises ``ValueError`` for a matrix that is not finite and
+    ``np.linalg.LinAlgError`` for one that is not positive definite, as
+    scipy's does."""
+    if not np.isfinite(mat).all():
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = dpotrf(mat, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return factor, False
+
+
+def cho_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve(factor, b, check_finite=False)`` by
+    ``dpotrs``: ``mat^{-1} b`` from the upper factor of ``cho_factor``."""
+    return dpotrs(factor[0], b, lower=0)[0]
+
+
 def factor_spd(mat: np.ndarray, what: str, error: type[ExactSIError]) -> tuple:
     """``cho_factor`` of ``mat`` (its upper triangle), checked by the one
     rule for every matrix the package factors: ``error`` ("<what> is
@@ -212,14 +251,16 @@ def line_interval(
     return lower, upper, violated
 
 
-def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
+def invert_monotone(g, target, seed, scale, args=(), first=None):
     """Solve ``g(x) = target`` elementwise for continuous increasing ``g``.
 
     ``g(x, *args)`` returns the values of g and of its slope at the
     abscissae ``x``, elementwise.  ``target``, the starting points ``seed``,
     each element's positive length ``scale`` and ``args`` broadcast
-    together.  All elements run one safeguarded Newton loop, one call of
-    ``g`` per iteration on the elements still open:
+    together.  ``first``, where given, is the pair g returned at the seeds,
+    which then serves as the first iteration.  All elements run one
+    safeguarded Newton loop, one call of ``g`` per iteration on the elements
+    still open:
 
     * the nearest abscissae seen so far where g is below and above the
       target bracket the root once both exist;
@@ -231,78 +272,139 @@ def invert_monotone(g, target, seed, scale, args=()) -> np.ndarray:
       elsewhere a blind step of ``scale``, doubled at each blind step, goes
       right where g is below the target and left where it is above.  After
       ``BRACKET_EXPANSIONS`` steps without a bracket, not counting Newton
-      steps shorter than the step before them, the root is NaN.
+      steps shorter than the step before them, the search gives up.
 
-    An element stops when its next step is at most ``_STEP_TOL * scale + 4
-    eps |x|``; its root is the point that step reaches, so the stopping rule
-    scales with the problem.  An element where g equals its target has that
-    abscissa as root.  A NaN value of g raises ``NumericalDegeneracyError``,
-    and so does a search still open after ``_MAX_ITERATIONS`` calls.
+    On an iteration where every element takes a Newton step, the bisection
+    and blind-step rules are skipped, and where, besides, none has a bracket
+    yet and every slope is usable, so is the bracket test.  An element stops
+    when its next step is at most ``_STEP_TOL * scale + 4 eps |x|``; its
+    root is the point that step reaches, so the stopping rule scales with
+    the problem.  It also stops, without evaluating g there, on a Newton step
+    of length s after a Newton step of length t where
+    ``_QUADRATIC_SAFETY s^3 / t^2`` is within that tolerance: about ``s^3 /
+    t^2`` is left for the next step, which its root then adds.  An element
+    where g equals its target has that abscissa as root.
+
+    Returns the roots and each element's status: ``ROOT``; ``NO_BRACKET``
+    where the search gave up; ``NAN_VALUE`` where g was NaN; and
+    ``NO_CONVERGENCE`` for a search still open after ``_MAX_ITERATIONS``
+    calls.  The root of an element that failed is NaN, and no element's
+    failure changes another's root.
     """
-    target, x, scale, *args = np.broadcast_arrays(
-        np.asarray(target, dtype=float),
-        np.asarray(seed, dtype=float),
-        np.asarray(scale, dtype=float),
-        *(np.asarray(a) for a in args),
-    )
-    shape = target.shape
-    roots = np.full(target.size, np.nan)
-    if not (np.isfinite(x).all() and np.isfinite(scale).all() and (scale > 0).all()):
+    arrays = [np.asarray(a, dtype=float) for a in (target, seed, scale)]
+    arrays += [np.asarray(a) for a in args]
+    if any(a.shape != arrays[0].shape for a in arrays):
+        arrays = np.broadcast_arrays(*arrays)
+    target, x, scale, *args = (a.ravel() for a in arrays)
+    shape, size = arrays[0].shape, target.size
+    if np.count_nonzero(np.isfinite(x) & (scale > 0.0) & (scale < math.inf)) < size:
         raise InvalidArgumentError("seeds must be finite and scales positive and finite")
-    idx = np.arange(target.size)
-    args = [a.ravel() for a in args]
-    # per open element: its target and iterate; its absolute tolerance; the
-    # nearest abscissae seen below and above the target with their values
-    # (NaN and -+inf until seen; as g increases, the first lies left of the
-    # second); the steps counted without a bracket; the next blind step's
-    # length, which doubles at each blind step; and the last two step
-    # lengths, halved
-    ones = np.ones(idx.size)
-    state = [
-        target.ravel(), x.ravel(), _STEP_TOL * scale.ravel(), np.nan * ones, -np.inf * ones,
-        np.nan * ones, np.inf * ones, 0 * ones, scale.ravel(), np.inf * ones, np.inf * ones,
-    ]
-    for _ in range(_MAX_ITERATIONS if idx.size else 0):
-        target, x, atol, neg, f_neg, pos, f_pos, outward, reach, last, before = state
-        value, slope = g(x, *args)
-        f = value - target
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            near = (f < 0) & (f >= f_neg)
-            neg, f_neg = np.where(near, x, neg), np.where(near, f, f_neg)
-            near = (f > 0) & (f <= f_pos)
-            pos, f_pos = np.where(near, x, pos), np.where(near, f, f_pos)
-            bracketed = ~np.isnan(neg + pos)
-            newton = -f / slope
-            usable = np.isfinite(newton * slope) & (slope > 0)
+    if first is not None:
+        first = [np.ravel(a) for a in first]
+    roots = np.empty(size)
+    status = np.full(size, NO_CONVERGENCE)
+    idx = np.arange(size)
+    # per open element: its absolute tolerance; the nearest abscissae seen
+    # below and above the target (NaN until seen; as g increases, the first
+    # lies left of the second) and the values there, the second negated (-inf
+    # until seen); the steps counted without a bracket; the next blind step's
+    # length, which doubles at each blind step; the last two step lengths;
+    # and the square of the last step where it was a Newton step, else NaN
+    atol = _STEP_TOL * scale
+    bracket = np.full((2, size), np.nan)
+    f_bracket = np.full((2, size), -np.inf)
+    prev_sq = np.full(size, np.nan)
+    last = before = np.full(size, np.inf)
+    outward, reach = np.zeros(size), scale
+    calls = range(_MAX_ITERATIONS if size else 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for call in calls:
+            value, slope = first if call == 0 and first is not None else g(x, *args)
+            short = target - value  # how far g falls short of its target
+            newton = short / slope
             tol = atol + _X_RTOL * np.abs(x)
-            size = np.abs(newton)
-            landing = x + newton
-            # inside a bracket, a Newton step must land strictly inside it and
-            # at least halve the step before the last, unless it is within the
-            # tolerance, which ends the search even on an end of the bracket
-            trusted = usable & (
-                ~bracketed | (size <= tol) | ((neg < landing) & (landing < pos) & (size <= before))
-            )
-            bisect = 0.5 * neg + 0.5 * pos - x
-            step = np.where(trusted, newton, np.where(bracketed, bisect, -np.sign(f) * reach))
-            step[f == 0] = 0.0
-        done = np.abs(step) <= tol
-        stop = done | np.isnan(f) | (~bracketed & (outward >= BRACKET_EXPANSIONS))
-        # a Newton step shorter than the last one converges: it does not count
-        # against the steps an element may take without a bracket
-        state = [
-            target, x + step, atol, neg, f_neg, pos, f_pos,
-            outward + ~(bracketed | (trusted & (size < 2.0 * last))),
-            np.where(trusted | bracketed, reach, 2.0 * reach), 0.5 * np.abs(step), last,
-        ]
-        if stop.any():
-            if np.isnan(f).any():
-                raise NumericalDegeneracyError("root finding met a NaN value of g")
-            roots[idx[done]] = state[1][done]
-            keep = ~stop
-            state, idx, args = [a[keep] for a in state], idx[keep], [a[keep] for a in args]
-            if not idx.size:
-                return roots.reshape(shape)
-    if idx.size:
-        raise NumericalDegeneracyError(f"root finding did not converge in {_MAX_ITERATIONS} steps")
-    return roots.reshape(shape)
+            length = np.abs(newton)
+            signed = short * _SIDES  # g - target and target - g, one per bracket row
+            near = (signed < 0.0) & (signed >= f_bracket)
+            np.copyto(bracket, x, where=near)
+            np.copyto(f_bracket, signed, where=near)
+            open_ = np.isnan(bracket[0] - bracket[1])  # no bracket yet
+            unbracketed = np.count_nonzero(open_)
+            # every slope is usable where all are positive and the sum of their
+            # products with the steps is finite (a NaN or an inf makes it not)
+            usable = slope.min() > 0.0 and math.isfinite(newton @ slope)
+            trusted = None
+            if not (usable and unbracketed == open_.size):
+                neg, pos = bracket
+                landing = x + newton
+                # inside a bracket, a Newton step must land strictly inside it
+                # and at least halve the step before the last, unless it is
+                # within the tolerance, which ends the search even on an end
+                # of the bracket
+                trusted = open_ | (length <= tol) | (
+                    (neg < landing) & (landing < pos) & (length <= 0.5 * before)
+                )
+                if not usable:
+                    trusted &= np.isfinite(newton * slope) & (slope > 0.0)
+            quadratic = call > 0 and _QUADRATIC_SAFETY * length**3 <= tol * prev_sq
+            if trusted is None or np.count_nonzero(trusted) == trusted.size:
+                # every element takes a Newton step: no bisection, no blind step
+                step, newton_sq, nan = newton, length * length, None
+                done = stop = (length <= tol) | quadratic
+                if unbracketed:
+                    stop = done | (open_ & (outward >= BRACKET_EXPANSIONS))
+                    outward = outward + (open_ & (length >= last))
+                last, before = length, last
+            else:
+                bisect = 0.5 * neg + 0.5 * pos - x
+                step = np.where(trusted, newton, np.where(open_, np.sign(short) * reach, bisect))
+                step[short == 0.0] = 0.0
+                newton_sq = np.where(trusted, length * length, np.nan)
+                nan = np.isnan(short)
+                quadratic = quadratic & trusted
+                done = (np.abs(step) <= tol) | quadratic
+                stop = done | nan | (open_ & (outward >= BRACKET_EXPANSIONS))
+                # a Newton step shorter than the last one converges: it does
+                # not count against the steps an element may take without a
+                # bracket
+                outward = outward + (open_ & ~(trusted & (length < last)))
+                reach = np.where(trusted | ~open_, reach, 2.0 * reach)
+                last, before = np.abs(step), last
+            x = x + step
+            if np.count_nonzero(stop):
+                gone = stop.nonzero()[0]
+                ended = idx[gone]
+                # a quadratic stop also takes the step it expects next; the
+                # roots of the elements that failed are unset below
+                roots[ended] = (x + np.where(quadratic, step**3 / prev_sq, 0.0))[gone]
+                code = np.where(done, ROOT, NO_BRACKET)
+                if nan is not None:
+                    code[nan] = NAN_VALUE
+                status[ended] = code[gone]
+                keep = (~stop).nonzero()[0]
+                if not keep.size:
+                    break
+                idx, target, x, atol, outward, reach, last, before, newton_sq = (
+                    a[keep] for a in (idx, target, x, atol, outward, reach, last, before, newton_sq)
+                )
+                bracket, f_bracket = bracket[:, keep], f_bracket[:, keep]
+                args = [a[keep] for a in args]
+            prev_sq = newton_sq
+    roots[status != ROOT] = np.nan
+    return roots.reshape(shape), status.reshape(shape)
+
+
+def root_error(status: int, target) -> ExactSIError | None:
+    """The error of an element that ``invert_monotone`` left with ``status``,
+    naming its ``target`` where no bracket straddled it; None for a root."""
+    if status == NO_BRACKET:
+        return NoRootError(
+            f"target {target!r} not straddled after {BRACKET_EXPANSIONS} bracket expansions"
+        )
+    if status == NAN_VALUE:
+        return NumericalDegeneracyError("root finding met a NaN value of g")
+    if status == NO_CONVERGENCE:
+        return NumericalDegeneracyError(
+            f"root finding did not converge in {_MAX_ITERATIONS} steps"
+        )
+    return None

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor
 from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dposv
 
@@ -33,7 +32,7 @@ from .errors import (
     InvalidSchemeError,
     SingularDesignError,
 )
-from .numerics import factor_spd, independent_columns, scaled_rcond
+from .numerics import cho_factor, factor_spd, independent_columns, scaled_rcond
 
 _AS_MAX_STEPS = 1_000
 

@@ -40,6 +40,7 @@ seed, replicate index), so worker scheduling cannot change results.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 import os
 from collections import Counter
@@ -201,16 +202,16 @@ def _seed_for(master: int, rep: int, stream: int) -> int:
 
 
 def generate_design(n: int, p: int, corr: float, seed: int) -> np.ndarray:
-    """Rows i.i.d. N(0, Sigma) with Sigma_ij = corr^|i-j|, via the AR recursion."""
+    """Rows i.i.d. N(0, Sigma) with Sigma_ij = corr^|i-j|, via the AR recursion
+    ``x_j = corr x_{j-1} + sqrt(1 - corr^2) z_j`` over the features, run on
+    contiguous feature rows; X is returned C-contiguous."""
     if not abs(corr) < 1:
         raise InvalidArgumentError("corr must lie in (-1, 1)")
-    z = np.random.default_rng(seed).standard_normal((n, p))
-    X = np.empty_like(z)
-    X[:, 0] = z[:, 0]
-    scale = math.sqrt(1.0 - corr * corr)
+    features = np.random.default_rng(seed).standard_normal((n, p)).T.copy()
+    features[1:] *= math.sqrt(1.0 - corr * corr)
     for j in range(1, p):
-        X[:, j] = corr * X[:, j - 1] + scale * z[:, j]
-    return X
+        features[j] += corr * features[j - 1]
+    return np.ascontiguousarray(features.T)
 
 
 def support_indices(p: int, sparsity: int) -> np.ndarray:
@@ -572,15 +573,21 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     competes with the others for the cores.  The pool starts all its
     processes at once, so it gets no more of them than there are chunks of
     ``_CHUNK`` replicates or cores this process may run on; with one, the
-    replicates run in this process.  Raises ``InvalidArgumentError`` for
-    ``workers < 1``.
+    replicates run in this process.  Its workers are forked from a
+    ``forkserver`` process that has imported this module, never from this
+    process, in which BLAS may already run threads that a fork would leave
+    behind; as with ``spawn``, a script that asks for workers must guard
+    its entry point with ``if __name__ == "__main__"``.  Raises
+    ``InvalidArgumentError`` for ``workers < 1``.
     """
     if not workers >= 1:
         raise InvalidArgumentError("workers must be at least 1")
     reps = range(config.n_reps)
     workers = min(workers, -(-config.n_reps // _CHUNK), _cores())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([__name__])
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             results = list(
                 pool.map(_run_replicate, [config] * len(reps), reps, chunksize=_CHUNK)
             )

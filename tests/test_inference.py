@@ -21,7 +21,7 @@ from scipy.linalg import cho_factor
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from exactsi.conditioning import TargetSpec, build_geometry, build_target
-from exactsi import inference
+from exactsi import inference, study
 from exactsi.errors import (
     ExactSIError,
     GeometryInconsistencyError,
@@ -523,7 +523,8 @@ class TestInvertPivot:
 
     def test_untruncated_targets_are_solved_at_their_seeds(self, monkeypatch):
         # without truncation the probit is linear and the seeds are its
-        # roots, so one probit call solves every endpoint
+        # roots, so one probit call solves every endpoint; the polyhedral
+        # call also evaluates the clip window's two ends
         calls = []
         for name in ("_exact_probit", "_polyhedral_probit"):
             real = getattr(inference, name)
@@ -543,7 +544,7 @@ class TestInvertPivot:
             PolyhedralBounds(lower=-math.inf, upper=math.inf, beta_hat=0.3, sd=2.0), alpha=0.1
         )
         assert est.lower == pytest.approx(0.3 - 2.0 * z, rel=1e-12)
-        assert calls == [2, 2]
+        assert calls == [2, 4]
 
     def test_endpoints_reproduce_tail_targets(self):
         params = toy_params()
@@ -742,16 +743,18 @@ class TestPolyhedral:
         full-line value.  10 sd above it, that root would lie 0.3 sd beyond
         the bound, where the law does not hold, so the full-line seeds stay.
         The endpoints are those the full-line seeds gave (frozen) to 1e-9
-        relative, with at most ``most_calls`` probit calls, where the
-        full-line seeds took 85, 85 and 1."""
+        relative, with at most ``most_calls`` evaluations of the pivot or its
+        probit, the clip window's included, where the full-line seeds took
+        86, 86 and 2 (the window in a call of its own)."""
         calls = []
-        real = inference._polyhedral_probit
+        for name in ("_polyhedral_probit", "polyhedral_pivot"):
+            real = getattr(inference, name)
 
-        def counted(constants, x):
-            calls.append(x)
-            return real(constants, x)
+            def counted(constants, x, real=real):
+                calls.append(x)
+                return real(constants, x)
 
-        monkeypatch.setattr(inference, "_polyhedral_probit", counted)
+            monkeypatch.setattr(inference, name, counted)
         (est,) = polyhedral_interval(bounds, alpha=0.1)
         assert not est.clipped
         assert est.lower == pytest.approx(want[0], rel=1e-9)
@@ -907,6 +910,56 @@ class TestBatchedInversion:
         assert_agrees(got[1], reference_polyhedral_interval, bounds[1])
         alone = polyhedral_interval(stack([bounds[0], bounds[2]]), alpha=0.1)
         assert [outcome(got[0]), outcome(got[2])] == [outcome(e) for e in alone]
+
+    @pytest.mark.parametrize("field", ["lower", "upper", "beta_hat", "sd"])
+    def test_nan_polyhedral_constant_fails_its_target_alone(self, field):
+        """A NaN constant makes a target's pivot NaN: that target alone fails,
+        with the NaN-value error of its endpoint, and the endpoints of the
+        others are bit for bit those they have solved alone."""
+        bounds = [
+            PolyhedralBounds(lower=-1.0, upper=2.0, beta_hat=0.4, sd=0.7),
+            PolyhedralBounds(lower=0.0, upper=3.0, beta_hat=0.5, sd=1.0),
+            PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0),
+            PolyhedralBounds(lower=-math.inf, upper=math.inf, beta_hat=0.3, sd=2.0),
+        ]
+        broken = list(bounds)
+        broken[1] = replace(bounds[1], **{field: math.nan})
+        got = polyhedral_interval(stack(broken), alpha=0.1, target_labels=[3, 5, 7, 9])
+        assert isinstance(got[1], NumericalDegeneracyError)
+        assert str(got[1]) == "root finding met a NaN value of g"
+        alone = polyhedral_interval(stack([bounds[0], *bounds[2:]]), alpha=0.1)
+        assert [outcome(got[k]) for k in (0, 2, 3)] == [outcome(e) for e in alone]
+        assert [got[k].target_label for k in (0, 2, 3)] == [3, 7, 9]
+        assert math.isnan(polyhedral_pivot(broken[1], 0.2))
+
+    def test_default_cell_evaluations_are_bounded(self, monkeypatch):
+        """20 default-cell polyhedral fits (seed 78) evaluate the pivot or its
+        probit at most 100 times in all, 5 per fit with the clip window's
+        evaluation: the window shares the seeds' call, and a quadratically
+        contracting Newton step is taken without a confirming call.  With
+        the window in a call of its own and every step confirmed they took
+        126."""
+        calls = []
+        for name in ("_polyhedral_probit", "polyhedral_pivot"):
+            real = getattr(inference, name)
+
+            def counted(constants, x, real=real):
+                calls.append(np.size(x))
+                return real(constants, x)
+
+            monkeypatch.setattr(inference, name, counted)
+        fits = []
+        real_interval = study.polyhedral_interval
+
+        def interval(*args, **kwargs):
+            fits.append(args[0])
+            return real_interval(*args, **kwargs)
+
+        monkeypatch.setattr(study, "polyhedral_interval", interval)
+        summary = study.run_study(SimConfig(seed=78, n_reps=20, methods=("polyhedral",)))
+        assert summary.methods["polyhedral"].n_failed == 0
+        assert len(fits) == 20
+        assert len(calls) <= 100
 
     def test_empty_batch(self):
         none = np.zeros(0)

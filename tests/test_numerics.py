@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as scipy_linalg
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpstrf
 from scipy.special import ndtr
 
+from exactsi import numerics
 from exactsi.errors import (
     EmptyMassError,
     InvalidArgumentError,
@@ -15,6 +17,9 @@ from exactsi.errors import (
 from exactsi.numerics import (
     BRACKET_EXPANSIONS,
     DEFAULT_QUADRATURE,
+    NAN_VALUE,
+    NO_BRACKET,
+    ROOT,
     QuadratureSpec,
     factor_spd,
     independent_columns,
@@ -22,6 +27,7 @@ from exactsi.numerics import (
     invert_monotone,
     line_interval,
     log_standard_mass,
+    root_error,
 )
 
 # Frozen with mpmath at 50 digits (erf series, independent of scipy):
@@ -78,6 +84,24 @@ class TestIndependentColumns:
         X = np.random.default_rng(2).standard_normal((5, 8))
         assert independent_columns(X.T @ X).size == 5
         assert independent_columns(np.zeros((3, 3))).size == 0
+
+    def test_cholesky_matches_scipy_and_its_errors(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((30, 7))
+        gram, rhs = X.T @ X, rng.standard_normal((7, 3))
+        got, want = numerics.cho_factor(gram), scipy_linalg.cho_factor(gram)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.array_equal(numerics.cho_solve(got, rhs), scipy_linalg.cho_solve(want, rhs))
+        assert np.array_equal(
+            numerics.cho_solve(got, rhs[:, 0]), scipy_linalg.cho_solve(want, rhs[:, 0])
+        )
+        for bad, error in ((np.diag([1.0, -1.0]), np.linalg.LinAlgError),
+                           (np.diag([1.0, math.nan]), ValueError),
+                           (np.diag([1.0, math.inf]), ValueError)):
+            with pytest.raises(error):
+                scipy_linalg.cho_factor(bad)
+            with pytest.raises(error):
+                numerics.cho_factor(bad)
 
     def test_full_rank_factor_is_cho_factor(self):
         X = np.random.default_rng(3).standard_normal((40, 6))
@@ -331,20 +355,21 @@ def affine(t, m, c):
 
 class TestInvertMonotone:
     def test_identity(self):
-        x = invert_monotone(lambda t: (t, np.ones_like(t)), 0.3, 0.0, 1.0)
+        x, status = invert_monotone(lambda t: (t, np.ones_like(t)), 0.3, 0.0, 1.0)
         assert abs(x - 0.3) < 1e-10
+        assert status == ROOT
 
     def test_gaussian_quantile_oracle(self):
         def cdf(t):
             density = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
             return np.exp(log_prob((-math.inf, t), 0.0, 1.0)), density
 
-        x = invert_monotone(cdf, 0.975, 0.5, 1.0)
+        x, _ = invert_monotone(cdf, 0.975, 0.5, 1.0)
         assert abs(x - Z_975) < 1e-8
 
     def test_cube_root_with_expansion(self):
         # the slope is 0 at the seed, so the search steps out blind first
-        x = invert_monotone(lambda t: (t**3, 3.0 * t**2), 8.0, 0.0, 0.5)
+        x, _ = invert_monotone(lambda t: (t**3, 3.0 * t**2), 8.0, 0.0, 0.5)
         assert abs(x - 2.0) < 1e-8
 
     def test_random_affine_maps(self):
@@ -355,8 +380,11 @@ class TestInvertMonotone:
         icept = rng.normal(size=100) * 20
         target = rng.normal(size=100) * 20
         want = (target - icept) / slope
-        got = invert_monotone(affine, sign * target, 0.0, 0.5, args=(sign * slope, sign * icept))
-        assert got.shape == (100,)
+        got, status = invert_monotone(
+            affine, sign * target, 0.0, 0.5, args=(sign * slope, sign * icept)
+        )
+        assert got.shape == status.shape == (100,)
+        assert (status == ROOT).all()
         ok = (np.abs(slope * got + icept - target) <= 1e-8) | (np.abs(got - want) <= 1e-10)
         assert ok.all()
 
@@ -366,10 +394,12 @@ class TestInvertMonotone:
             with np.errstate(over="ignore"):  # the slope underflows to 0 far out
                 return np.tanh(t), 1.0 / np.cosh(t) ** 2
 
-        x = invert_monotone(g, np.array([2.0, 0.5]), 0.0, 1.0)
+        x, status = invert_monotone(g, np.array([2.0, 0.5]), 0.0, 1.0)
         assert math.isnan(x[0])
         assert abs(x[1] - math.atanh(0.5)) < 1e-10
-        assert math.isnan(invert_monotone(g, 2.0, 0.0, 1.0))
+        assert status.tolist() == [NO_BRACKET, ROOT]
+        x, status = invert_monotone(g, 2.0, 0.0, 1.0)
+        assert math.isnan(x) and status == NO_BRACKET
 
     def test_slopes_against_the_values_are_not_followed(self):
         # g(t) = t, but every slope after the seed's has the wrong sign: with
@@ -378,7 +408,7 @@ class TestInvertMonotone:
         def g(t):
             return t, np.where(t == 0.0, 10.0, -1.0)
 
-        assert abs(invert_monotone(g, 10.0, 0.0, 1.0) - 10.0) <= 1e-9
+        assert abs(invert_monotone(g, 10.0, 0.0, 1.0)[0] - 10.0) <= 1e-9
 
     def test_a_wrong_sign_slope_is_never_followed(self):
         # g(t) = t with slope -1 everywhere: a Newton step from the seed would
@@ -389,7 +419,7 @@ class TestInvertMonotone:
             seen.extend(t)
             return t, -np.ones_like(t)
 
-        assert abs(invert_monotone(g, 10.0, 0.0, 1.0) - 10.0) <= 1e-9
+        assert abs(invert_monotone(g, 10.0, 0.0, 1.0)[0] - 10.0) <= 1e-9
         assert min(seen) >= 0.0
         assert len(seen) == 8
 
@@ -402,7 +432,7 @@ class TestInvertMonotone:
             seen.extend(t)
             return np.maximum(t - 3.0, 0.0), (t > 3.0).astype(float)
 
-        assert abs(invert_monotone(g, 0.5, 0.0, 1.0) - 3.5) <= 1e-9
+        assert abs(invert_monotone(g, 0.5, 0.0, 1.0)[0] - 3.5) <= 1e-9
         assert min(seen) >= 0.0
         assert len(seen) == 6
 
@@ -415,7 +445,7 @@ class TestInvertMonotone:
             calls.append(t.size)
             return t, np.full_like(t, 4.0)
 
-        assert abs(invert_monotone(g, 10.0, 0.0, 1.0) - 10.0) <= 1e-8
+        assert abs(invert_monotone(g, 10.0, 0.0, 1.0)[0] - 10.0) <= 1e-8
         assert len(calls) > BRACKET_EXPANSIONS
 
     def test_flat_function_gives_up_after_the_expansions(self):
@@ -425,19 +455,63 @@ class TestInvertMonotone:
             calls.append(t.size)
             return np.zeros_like(t), np.zeros_like(t)
 
-        assert math.isnan(invert_monotone(g, 1.0, 0.0, 1.0))
+        x, status = invert_monotone(g, 1.0, 0.0, 1.0)
+        assert math.isnan(x) and status == NO_BRACKET
         assert len(calls) == BRACKET_EXPANSIONS + 1
 
     def test_nan_inside_a_straddling_bracket_fails(self):
         # the slope is half the true one, so the first Newton step overshoots
         # to 1.6 and the second leaves the bracket [-1, 1.6]: its midpoint
-        # 0.3 lies in the NaN hole
-        def g(x):
-            return np.where(np.abs(x - 0.3) < 0.2, np.nan, x), np.full_like(x, 0.5)
+        # 0.3 lies in the NaN hole.  Only that element fails; the second,
+        # shifted by 10, never meets the hole and keeps the root it has alone
+        def g(x, shift):
+            hole = (np.abs(x - 0.3) < 0.2) & (shift == 0.0)
+            return np.where(hole, np.nan, x - shift), np.full_like(x, 0.5)
 
-        with pytest.raises(NumericalDegeneracyError) as info:
-            invert_monotone(g, 0.3, -1.0, 1.0)
-        assert str(info.value) == "root finding met a NaN value of g"
+        roots, status = invert_monotone(g, 0.3, -1.0, 1.0, args=(np.array([0.0, 10.0]),))
+        assert math.isnan(roots[0]) and status.tolist() == [NAN_VALUE, ROOT]
+        alone, alone_status = invert_monotone(g, 0.3, -1.0, 1.0, args=(10.0,))
+        assert roots[1] == alone and alone_status == ROOT
+        error = root_error(status[0], 0.3)
+        assert isinstance(error, NumericalDegeneracyError)
+        assert str(error) == "root finding met a NaN value of g"
+        assert root_error(ROOT, 0.3) is None
+        assert str(root_error(NO_BRACKET, 0.95)) == (
+            f"target 0.95 not straddled after {BRACKET_EXPANSIONS} bracket expansions"
+        )
+
+    def test_quadratic_contraction_stops_without_a_confirming_call(self):
+        # t + t^3 = 2 from 0.5 at scale 100 (tolerance 1e-8): the Newton
+        # steps shrink 0.0017 -> 2.2e-6, whose cube over the square of the
+        # one before is 3.7e-12, and 1000 times that is within the tolerance,
+        # so the search ends on that step without evaluating where it lands.
+        # No call comes within the tolerance of the root, which, with the
+        # step expected next added, holds to 1e-13, where that landing point
+        # is 3.7e-12 off
+        seen = []
+
+        def g(t):
+            seen.extend(t.tolist())
+            return t + t**3, 1.0 + 3.0 * t * t
+
+        root, status = invert_monotone(g, 2.0, 0.5, 100.0)
+        assert status == ROOT and abs(root - 1.0) <= 1e-13
+        assert min(abs(x - 1.0) for x in seen) > 1e-6
+        assert len(seen) == 5
+
+    def test_given_first_values_replace_the_first_call(self):
+        calls = []
+
+        def g(t):
+            calls.append(t.tolist())
+            return t + t**3, 1.0 + 3.0 * t * t
+
+        want, _ = invert_monotone(g, 2.0, 0.5, 1.0)
+        first = g(np.array([0.5]))
+        calls.clear()
+        root, status = invert_monotone(g, 2.0, 0.5, 1.0, first=first)
+        assert status == ROOT and root == want
+        assert [0.5] not in calls
 
     def test_seeds_and_scales_are_checked(self):
         for seed, scale in ((math.inf, 1.0), (0.0, 0.0), (0.0, math.nan)):
@@ -454,7 +528,7 @@ class TestInvertMonotone:
                 calls.append(t.size)
                 return np.tanh(t / s), 1.0 / (s * np.cosh(t / s) ** 2)
 
-            return invert_monotone(g, 0.3, 2.0 * s, s) / s, len(calls)
+            return invert_monotone(g, 0.3, 2.0 * s, s)[0] / s, len(calls)
 
         base, calls = solve(1.0)
         assert abs(base - math.atanh(0.3)) < 1e-15

@@ -64,6 +64,22 @@ class TestGenerateDesign:
         b = generate_design(50, 5, 0.5, seed=9)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "n, p, corr",
+        [(300, 100, 0.9), (600, 300, 0.5), (300, 100, 0.3), (50, 80, 0.7), (7, 1, -0.4)],
+    )
+    def test_matches_the_column_recursion(self, n, p, corr):
+        """Bit for bit the recursion run column by column on the draws, and
+        C-contiguous as that X is."""
+        for seed in range(5):
+            z = np.random.default_rng(seed).standard_normal((n, p))
+            want = np.empty_like(z)
+            want[:, 0] = z[:, 0]
+            for j in range(1, p):
+                want[:, j] = corr * want[:, j - 1] + math.sqrt(1.0 - corr * corr) * z[:, j]
+            got = generate_design(n, p, corr, seed)
+            assert np.array_equal(got, want) and got.flags.c_contiguous
+
 
 class TestGenerateResponse:
     def test_signal_magnitude(self):
@@ -203,12 +219,14 @@ class TestRunStudy:
     def test_pool_is_capped_by_chunks_and_cores(self, monkeypatch, workers, n_reps, cores, pool):
         """A pool starts all its processes at once, so ``run_study`` asks for
         no more than min(workers, chunks of replicates, cores).  The pool is
-        a recorder that maps in this process: no process is started."""
+        a recorder that maps in this process: no process is started.  Its
+        processes would be forked from a forkserver."""
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 sizes.append(max_workers)
+                assert mp_context.get_start_method() == "forkserver"
 
             def __enter__(self):
                 return self
