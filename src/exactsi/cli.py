@@ -174,7 +174,7 @@ def cmd_select(args) -> int:
     cal = calibrate(
         data, ("exact",), lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon
     )
-    scheme, outcome, _ = randomized_selection(data, cal, args.seed)
+    tau2, outcome, _ = randomized_selection(data, cal, args.seed)
     b = np.zeros(data.p)
     b[outcome.selected] = outcome.active_solution
     c = data.xty + outcome.randomization
@@ -185,7 +185,7 @@ def cmd_select(args) -> int:
         "p": data.p,
         "lambda": cal.lam,
         "epsilon": cal.epsilon,
-        "tau2": scheme.tau2,
+        "tau2": tau2,
         "sigma2_hat": cal.sigma2,
         "seed": args.seed,
         "selected_count": int(outcome.selected.size),

@@ -15,20 +15,19 @@ Both pivots' constants are records (``PivotParams``, ``PolyhedralBounds``)
 whose fields are floats for one target or arrays for several, built for all
 targets of a fit at once, by the last stage of ``build_target ->
 build_geometry -> pivot_params`` (exact) or ``build_target ->
-polyhedral_bounds`` (polyhedral); both pivots are evaluated elementwise.
-A fit's intervals come from one vectorized inversion (``invert_pivot``,
-``polyhedral_interval``) that solves every endpoint of every target together
-by safeguarded Newton steps on the pivot's probit scale, from each endpoint's
-full-line value (or, for the polyhedral pivot near a bound, its tail-law
-root); each endpoint ends with its own status, and each target keeps its own
-error.
+polyhedral_bounds`` (polyhedral).  Each pivot's kernel, its probit with
+the slope, runs elementwise on a flat record (``_broadcast``).  One
+inversion routine (``_invert``) gives a fit's intervals for both pivots: it
+solves every endpoint of every target together by safeguarded Newton steps
+on the negated probit, from one kernel call at the seeds; each endpoint
+ends with its own status, and each target keeps its own error.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, owens_t
@@ -80,6 +79,8 @@ class PivotParams:
 
     Each field is a float for one target, or an array whose entry i belongs
     to target i; ``exact_pivot`` evaluates every entry in one array call.
+    A target whose ``sigma_j2`` is NaN or not positive has a NaN pivot, and
+    ``invert_pivot`` fails it alone.
 
     ``exact_pivot`` first reflects V so that the endpoint nearer its bulk is
     the lower one.  Its accuracy regimes:
@@ -91,13 +92,10 @@ class PivotParams:
       their relative accuracy (~1e-12) however small the mass;
     * both tails below the smallest double: the 0/1 limit.
 
-    The pivot decreases in beta0, and ``invert_pivot`` solves on the negated
-    probit ``-Phi^{-1}(pivot)``, which increases; ``_exact_probit`` takes the
-    probit from the log of the smaller tail, with its closed-form slope in
-    beta0.  Without truncation the probit is
+    The pivot decreases in beta0, and ``invert_pivot`` solves on its negated
+    probit (``_exact_probit``).  Without truncation the probit is
     ``(beta_hat_j - lambda_j beta0 - zeta_j) / sigma_j``, linear in beta0,
-    so each endpoint is seeded at that line's root, and ``sigma_j /
-    lambda_j`` is the scale of its stopping rule.
+    so each endpoint is seeded at that line's root.
     """
 
     vartheta2: float | np.ndarray
@@ -108,10 +106,6 @@ class PivotParams:
     lower: float | np.ndarray
     upper: float | np.ndarray
     beta_hat_j: float | np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.sigma_j2) > 0):
-            raise NumericalDegeneracyError("sigma_j2 must be positive")
 
 
 @dataclass(frozen=True)
@@ -341,7 +335,18 @@ def _log_cdf_weighted_integral(c, d, a, b):
 
 def _columns(record) -> tuple:
     """The fields of a constants record, in declaration order."""
-    return tuple(getattr(record, f.name) for f in fields(record))
+    return tuple(getattr(record, name) for name in record.__dataclass_fields__)
+
+
+def _broadcast(record, beta0, flat):
+    """The broadcast shape of the fields of a constants ``record`` and of
+    ``beta0``, the flat record that ``flat`` forms from the raveled fields,
+    and the raveled ``beta0``: the form a kernel takes."""
+    arrays = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (beta0, *_columns(record)))
+    )
+    beta0, *columns = map(np.ravel, arrays)
+    return arrays[0].shape, flat(*columns), beta0
 
 
 def _log_phi(x):
@@ -350,44 +355,45 @@ def _log_phi(x):
 
 
 def _probit(log_small, lower_side):
-    """``Phi^{-1}`` of a pivot from the log of its smaller tail, which is its
-    lower one (the pivot itself) where ``lower_side`` is set; finite far into
-    both tails."""
+    """``h = Phi^{-1}`` of a pivot from the log of its smaller tail, which is
+    its lower one (the pivot itself) where ``lower_side`` is set, finite far
+    into both tails; and the factor ``tail / phi(h)`` that turns the slope of
+    that log into the slope of h.  The tail is ``Phi(-|h|)``, so the factor
+    is the Mills ratio ``sqrt(pi / 2) erfcx(|h| / sqrt 2)``, read from h
+    itself: ``log phi(h)``, or a ratio of two logs of size ``h^2 / 2``, would
+    put an error of ``|h|`` times that of h in the slope."""
     h = ndtri_exp(log_small)
-    return np.where(lower_side, h, -h)
+    h = np.where(lower_side, h, -h)
+    return h, _SQRT_PI_OVER_2 * erfcx(np.abs(h) / math.sqrt(2.0))
 
 
 def _exact_tails(params: PivotParams, beta0):
-    """Everything ``exact_pivot`` and ``_exact_probit`` share, elementwise.
+    """Everything ``exact_pivot`` and ``_exact_probit`` share, on the flat
+    arrays of ``params`` and ``beta0``.
 
-    Returns the broadcast shape, the pivot, the log of its smaller tail (of
-    P(U <= u) and P(U > u) given the truncation; -inf in the 0/1 limit), a
-    mask that is set where that tail is the lower one, the log truncation
-    mass, the U partial of that tail over the tail where the log-space rule
-    gives it (NaN elsewhere), and the standardized constants ``(u, a, b, r,
-    s)`` after the reflection of V, with ``du/dbeta0`` and ``da/dbeta0 =
-    db/dbeta0``.
+    Returns the pivot, the log of its smaller tail (of P(U <= u) and P(U > u)
+    given the truncation; -inf in the 0/1 limit), a mask that is set where
+    that tail is the lower one, the log truncation mass, the U partial of
+    that tail over the tail where the log-space rule gives it (NaN
+    elsewhere), and the standardized constants ``(u, a, b, r, s)`` after the
+    reflection of V, with ``du/dbeta0`` and ``da/dbeta0 = db/dbeta0``.
     """
-    arrays = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (beta0, *_columns(params)))
-    )
-    shape = arrays[0].shape
-    beta0, vt2, sj2, lam_j, zeta, icpt, lower, upper, beta_hat = map(np.ravel, arrays)
-    if not np.isfinite(beta0).all():
-        raise InvalidArgumentError("beta0 must be finite")
-    sd = np.sqrt(sj2)
-    ts = np.sqrt(vt2) * sd
-    spread = np.sqrt(1.0 + ts * ts)
-    sd_y = np.sqrt(vt2) * spread
-    r = -ts / spread
-    s = 1.0 / spread  # sqrt(1 - r^2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    vt2, sj2, lam_j, zeta, icpt, lower, upper, beta_hat = _columns(params)
+    # a nonpositive sigma_j2 gives NaN or infinite constants here
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sd = np.sqrt(sj2)
+        ts = np.sqrt(vt2) * sd
+        spread = np.sqrt(1.0 + ts * ts)
+        sd_y = np.sqrt(vt2) * spread
+        r = -ts / spread
+        s = 1.0 / spread  # sqrt(1 - r^2)
         mean = lam_j * beta0 + zeta
         u = (beta_hat - mean) / sd
         c = u / s  # the log-space rule's standardized estimate
         mean_y = icpt - vt2 * mean
         a = (lower - mean_y) / sd_y
         b = (upper - mean_y) / sd_y
+        du = -lam_j / sd
         ab_slope = vt2 * lam_j / sd_y
         # the log-space rule squares c; where that overflows, the pivot's
         # smaller tail underflows too
@@ -443,10 +449,7 @@ def _exact_tails(params: PivotParams, beta0):
         # the U partial of either tail is phi(u) P(a < V < b | U = u), its
         # rate in c = u / s over s
         along[idx] = np.where(log_below <= log_above, rate_below, rate_above) / s[idx]
-    return (
-        shape, out, log_small, lower_side, log_mass, along, (u, a, b, r, s), -lam_j / sd,
-        ab_slope,
-    )
+    return out, log_small, lower_side, log_mass, along, (u, a, b, r, s), du, ab_slope
 
 
 def exact_pivot(params: PivotParams, beta0):
@@ -459,8 +462,13 @@ def exact_pivot(params: PivotParams, beta0):
     else the log-space rule; see ``PivotParams``.  Where the standardized
     constants overflow or neither conditional tail has representable mass,
     the 0/1 limit is returned: 0 for ``beta0`` above the estimate, 1 below it.
+    A ``sigma_j2`` that is NaN or not positive gives NaN.
     """
-    shape, out, *_ = _exact_tails(params, beta0)
+    shape, params, beta0 = _broadcast(params, beta0, PivotParams)
+    if not np.isfinite(beta0).all():
+        raise InvalidArgumentError("beta0 must be finite")
+    out = _exact_tails(params, beta0)[0]
+    out[~(params.sigma_j2 > 0)] = math.nan
     if not shape:
         return float(out[0])
     return out.reshape(shape)
@@ -468,29 +476,25 @@ def exact_pivot(params: PivotParams, beta0):
 
 def _exact_probit(params: PivotParams, beta0):
     """The exact pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and its
-    slope ``dh/dbeta0``, as flat arrays over the broadcast elements.
+    slope ``dh/dbeta0``, on the flat arrays of ``params`` and ``beta0``.
 
     ``h`` comes from the log of the pivot's smaller tail, so it is finite far
     into both tails, and it is linear in beta0 without truncation.  The slope
     is ``pivot' / phi(h)``: each partial of the orthant difference is
     ``phi(x) Phi((y - r x) / s)``, u, a and b are affine in beta0, and every
     term is formed in log space against the log mass, so that it holds in
-    the log-space regime too.  The smaller tail is ``Phi(-|h|)``, so ``1 /
-    phi(h)`` is its Mills ratio ``sqrt(pi / 2) erfcx(|h| / sqrt 2)`` over
-    the tail, read from h itself as in ``_polyhedral_probit``: ``log phi(h)``
-    would put an error of ``|h|`` times that of h in the slope.  Where the
+    the log-space regime too; ``_probit`` gives ``tail / phi(h)``.  Where the
     log-space rule gives the tail, its U partial over the tail is the rule's
     rate, not a difference of two logs of size ``u^2 / 2``.  In the 0/1
     limit ``h`` is infinite and the slope NaN.
     """
-    _, _, log_small, lower_side, log_mass, along, std, du, dab = _exact_tails(params, beta0)
-    h = _probit(log_small, lower_side)
+    _, log_small, lower_side, log_mass, along, std, du, dab = _exact_tails(params, beta0)
+    h, mills = _probit(log_small, lower_side)
     slope = np.full(h.shape, math.nan)
     idx = np.flatnonzero(np.isfinite(h) & (std[4] > 0))
     if idx.size:
         u, a, b, r, s = (x[idx] for x in std)
         side = np.where(lower_side[idx], 1.0, -1.0)
-        mills = _SQRT_PI_OVER_2 * erfcx(np.abs(h[idx]) / math.sqrt(2.0))
         log_weight = -log_mass[idx] - log_small[idx]  # 1 / (mass tail)
         # far out a term may overflow, and the slope is then unusable
         with np.errstate(over="ignore", invalid="ignore"):
@@ -509,7 +513,7 @@ def _exact_probit(params: PivotParams, beta0):
                 across += sign * (
                     np.exp(log_end + log_ndtr(side * z)) - np.exp(log_end + log_small[idx])
                 )
-            slope[idx] = mills * (du[idx] * along_u + side * dab[idx] * across)
+            slope[idx] = mills[idx] * (du[idx] * along_u + side * dab[idx] * across)
     return h, slope
 
 
@@ -543,6 +547,74 @@ def _results(
     return out
 
 
+def _invert(
+    probit, flat, columns, alpha: float, target_labels, seeds, scale, window=None
+) -> list[IntervalEstimate | ExactSIError]:
+    """Level ``1 - alpha`` intervals of k targets from a pivot that decreases
+    in beta0: the one inversion behind ``invert_pivot`` and
+    ``polyhedral_interval``, which solves every endpoint of every target in
+    one ``invert_monotone`` call on the negated probit ``-h``, which
+    increases.  The pivot is the level ``1 - alpha / 2`` (lower endpoint) or
+    ``alpha / 2`` (upper) exactly where ``-h`` is ``-z`` or ``+z``, ``z =
+    Phi^{-1}(1 - alpha / 2)``.
+
+    ``probit(record, x)`` gives h and its slope on a flat record and
+    abscissae of one size; ``flat`` forms that record from ``columns``, flat
+    arrays over the targets.  ``seeds(z)`` gives each endpoint's start, the
+    lower endpoints in row 0, and ``scale`` each target's length for the
+    stopping rule: a step of ``numerics._STEP_TOL`` times it, or a quadratic
+    contraction.  One probit call evaluates every seed and, where given, both
+    ends of ``window`` (rows as in the seeds); its values and slopes at the
+    seeds are the first iteration.  An endpoint whose value there is NaN
+    fails without a search; one that lies beyond the window is clipped there
+    and not solved.  Entry i is target i's interval, or the error its own
+    endpoints met (see ``_results``).
+    """
+    if not 0 < alpha < 1:
+        raise InvalidArgumentError("alpha must be in (0, 1)")
+    levels = 1.0 - alpha / 2.0, alpha / 2.0  # of the lower, then the upper endpoints
+    z = float(ndtri(levels[0]))
+    k = scale.size
+    ends = seeds(z) if window is None else np.concatenate([window, seeds(z)])
+    every = flat(*(np.concatenate([col] * ends.shape[0]) for col in columns))
+    h, slope = probit(every, ends.ravel())
+    offset = h.size - 2 * k  # the seeds' first element in every
+    value, slope = -h[offset:], -slope[offset:]
+    if window is None:
+        clipped, upper_first = np.zeros(2 * k, dtype=bool), np.zeros(k, dtype=bool)
+        roots = np.full(2 * k, math.nan)
+    else:
+        at = -h[:offset].reshape(2, k)
+        # both endpoints below the window, or both above it: neither is
+        # clipped; else an endpoint is clipped where -h at its end of the
+        # window falls short of its target, -z for the lower one and z for
+        # the upper
+        upper_first, above = at[0] > z, at[1] < -z
+        clipped = (~(upper_first | above) & (_ENDPOINT_SIDES * at < z)).ravel()
+        roots = window.ravel()
+    nan = np.isnan(value) & ~clipped
+    solve = (~(clipped | nan)).nonzero()[0]
+    seeded = offset + solve  # in every
+
+    def negated(x, *columns):
+        h, slope = probit(type(every)(*columns), x)  # every's fields, compacted
+        return -h, -slope
+
+    status = np.where(nan, NAN_VALUE, ROOT)
+    roots[solve], status[solve] = invert_monotone(
+        negated,
+        np.where(solve < k, -z, z),
+        ends.ravel()[seeded],
+        np.concatenate([scale, scale])[solve],
+        args=tuple(col[seeded] for col in _columns(every)),
+        first=(value[solve], slope[solve]),
+    )
+    return _results(
+        roots.reshape(2, k), status.reshape(2, k), levels, target_labels,
+        clipped=clipped[:k] | clipped[k:], upper_first=upper_first,
+    )
+
+
 def invert_pivot(
     params: PivotParams, alpha: float, target_labels: Sequence[int] | None = None
 ) -> list[IntervalEstimate | ExactSIError]:
@@ -550,44 +622,31 @@ def invert_pivot(
 
     Given the truncation, the estimate's law is an exponential family in
     beta0 with natural parameter ``lambda_j beta0 / sigma_j2`` and ``lambda_j
-    > 0``, so by its monotone likelihood ratio the pivot decreases in beta0.
-    Every endpoint of every target is solved in one ``invert_monotone`` call
-    on the negated probit ``-h``, which increases (``h`` from
-    ``_exact_probit``): the pivot is the level ``1 - alpha / 2`` (lower
-    endpoint) or ``alpha / 2`` (upper) exactly where ``-h`` is ``-z`` or
-    ``+z``, ``z = Phi^{-1}(1 - alpha / 2)``.  Each endpoint starts at its
+    > 0``, so by its monotone likelihood ratio the pivot decreases in beta0,
+    and ``_invert`` solves every endpoint on ``_exact_probit``, the first
+    iteration from one call at the seeds.  Each endpoint starts at its
     full-line value ``(beta_hat - zeta -+ z sd) / lambda``, its root without
-    truncation, and stops at a step of ``numerics._STEP_TOL`` times ``sd /
-    lambda`` (or on a quadratic contraction).  Entry i is target i's
-    interval, or the error its own endpoints met (see ``_results``): a
-    ``NoRootError`` when an endpoint is not bracketed within
-    ``BRACKET_EXPANSIONS`` steps, a ``NumericalDegeneracyError`` for a NaN
-    pivot or a search that does not converge.
+    truncation, on the scale ``sd / lambda``.  Entry i is target i's
+    interval, or the error its own endpoints met: a ``NoRootError`` when an
+    endpoint is not bracketed within ``BRACKET_EXPANSIONS`` steps, a
+    ``NumericalDegeneracyError`` for a NaN pivot or a search that does not
+    converge.  A target whose ``sigma_j2`` is NaN or not positive is not
+    solved, and fails alone with a ``NumericalDegeneracyError``.
     """
-    if not 0 < alpha < 1:
-        raise InvalidArgumentError("alpha must be in (0, 1)")
-    batch = PivotParams(*(np.atleast_1d(x).astype(float) for x in _columns(params)))
-    k = batch.beta_hat_j.size
-    sd = np.sqrt(batch.sigma_j2)
-    z = float(ndtri(1.0 - alpha / 2.0))
-    levels = (1.0 - alpha / 2.0, alpha / 2.0)  # of the lower, then the upper endpoints
-
-    def probit_at(x, *columns):
-        h, slope = _exact_probit(PivotParams(*columns), x)
-        return -h, -slope
-
-    center = batch.beta_hat_j - batch.zeta_j
-    roots, status = invert_monotone(
-        probit_at,
-        np.repeat([-z, z], k),
-        np.concatenate([center - z * sd, center + z * sd])
-        / np.concatenate([batch.lambda_j, batch.lambda_j]),
-        np.concatenate([sd / batch.lambda_j] * 2),
-        args=tuple(np.concatenate([col, col]) for col in _columns(batch)),
-    )
-    unset = np.zeros(k, dtype=bool)
-    return _results(
-        roots.reshape(2, k), status.reshape(2, k), levels, target_labels, unset, unset
+    columns = [np.atleast_1d(x).astype(float) for x in _columns(params)]
+    line = PivotParams(*columns)
+    good = line.sigma_j2 > 0
+    if not good.all():  # solve the others
+        labels = None if target_labels is None else np.asarray(target_labels)[good].tolist()
+        solved = iter(invert_pivot(PivotParams(*(col[good] for col in columns)), alpha, labels))
+        error = "sigma_j2 must be positive"
+        return [next(solved) if ok else NumericalDegeneracyError(error) for ok in good.tolist()]
+    sd = np.sqrt(line.sigma_j2)
+    center = line.beta_hat_j - line.zeta_j
+    return _invert(
+        _exact_probit, PivotParams, columns, alpha, target_labels,
+        lambda z: (center + _ENDPOINT_SIDES * (z * sd)) / line.lambda_j,
+        sd / line.lambda_j,
     )
 
 
@@ -718,16 +777,6 @@ def _polyhedral_line(lower, upper, beta_hat, sd) -> _PolyhedralLine:
     )
 
 
-def _broadcast_line(bounds: PolyhedralBounds, beta0):
-    """The broadcast shape of the fields of ``bounds`` and ``beta0``, the line
-    of the bounds over it, and the flat ``beta0``."""
-    arrays = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (beta0, *_columns(bounds)))
-    )
-    beta0, *columns = map(np.ravel, arrays)
-    return arrays[0].shape, _polyhedral_line(*columns), beta0
-
-
 def _polyhedral_tails(line: _PolyhedralLine, beta0):
     """Everything ``polyhedral_pivot`` and ``_polyhedral_probit`` share, on
     the flat arrays of ``line`` and ``beta0``; run under the caller's
@@ -825,7 +874,7 @@ def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
     representable mass, the limit is returned: 0 for ``beta0`` above the
     estimate, 1 below it.  A NaN constant gives NaN.
     """
-    shape, line, beta0 = _broadcast_line(bounds, beta0)
+    shape, line, beta0 = _broadcast(bounds, beta0, _polyhedral_line)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logs, flip, live, lower_side, _ = _polyhedral_tails(line, beta0)
         pivot = np.minimum(np.exp(np.where(flip, logs[1], logs[0]) - logs[2]), 1.0)
@@ -839,35 +888,24 @@ def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
     return out.reshape(shape)
 
 
-def _polyhedral_probit(record, beta0):
+def _polyhedral_probit(line: _PolyhedralLine, beta0):
     """The polyhedral pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and
-    its slope ``dh/dbeta0``, elementwise.
+    its slope ``dh/dbeta0``, on the flat arrays of ``line`` and ``beta0``.
 
-    ``record`` is a ``PolyhedralBounds``, broadcast against ``beta0``, or
-    the ``_PolyhedralLine`` an inversion formed, whose fields are flat
-    arrays that match a flat ``beta0``.  ``h`` comes from the log of the
-    smaller tail, so it is finite far into both tails.  Its slope is
-    ``+-tail / phi(h)`` times the slope of that log (``_polyhedral_tails``),
-    + where the tail is the lower one.  The tail is ``Phi(-|h|)``, so the
-    factor is the Mills ratio ``sqrt(pi / 2) erfcx(|h| / sqrt 2)``, read
-    from h itself: a ratio of the two logs, each of size ``h^2 / 2``, would
-    put an error of ``|h|`` times that of h in the slope.  In the 0/1 limit
-    ``h`` is infinite and the slope NaN; a NaN constant gives NaN for both.
+    ``h`` comes from the log of the smaller tail, so it is finite far into
+    both tails.  Its slope is ``+-tail / phi(h)`` (from ``_probit``) times
+    the slope of that log (``_polyhedral_tails``), + where the tail is the
+    lower one.  In the 0/1 limit ``h`` is infinite and the slope NaN; a NaN
+    constant gives NaN for both.
     """
-    shape = None
-    if isinstance(record, PolyhedralBounds):
-        shape, record, beta0 = _broadcast_line(record, beta0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs, _, live, lower_side, slope = _polyhedral_tails(record, beta0)
+        logs, _, live, lower_side, slope = _polyhedral_tails(line, beta0)
         log_small = np.minimum(logs[0], logs[1]) - logs[2]
         if live is not None:
-            log_small = np.where(live, log_small, record.limit_log())
-        h = np.where(lower_side, 1.0, -1.0) * ndtri_exp(log_small)
-        slope = _SQRT_PI_OVER_2 * erfcx(np.abs(h) / math.sqrt(2.0)) * slope
-    slope = np.where(np.isfinite(h), slope, math.nan)
-    if shape is None:
-        return h, slope
-    return h.reshape(shape), slope.reshape(shape)
+            log_small = np.where(live, log_small, line.limit_log())
+        h, mills = _probit(log_small, lower_side)
+        slope = mills * slope
+    return h, np.where(np.isfinite(h), slope, math.nan)
 
 
 def polyhedral_interval(
@@ -884,72 +922,33 @@ def polyhedral_interval(
     past the other, so both are returned unclipped.  The truncated Gaussian
     is an exponential family in beta0 with natural parameter ``beta0 /
     sd^2``, so by its monotone likelihood ratio the pivot decreases in
-    beta0, and the endpoints are solved in one ``invert_monotone`` call on
-    the negated probit ``-h``, which increases (``h`` from
-    ``_polyhedral_probit``), and stop at a step of ``numerics._STEP_TOL``
-    times ``sd`` (or on a quadratic contraction).  Each starts at the root
-    of the one-sided exponential tail law at its own bound: far below
-    ``lower`` the estimate is ``lower`` plus an exponential of rate
-    ``(lower - beta0) / sd^2``, whose upper ``alpha / 2`` tail starts at
-    ``beta_hat`` where ``beta0 = lower - sd^2 log(2 / alpha) / (beta_hat -
-    lower)``, and mirrored at ``upper``.  That law holds only far beyond the
-    bound, so the root is taken where it is finite and at least one sd
-    beyond its bound (an estimate within ``log(2 / alpha)`` sd of the
-    bound); elsewhere the seed is the full-line value ``beta_hat -+ z sd``
-    (``z = Phi^{-1}(1 - alpha / 2)``).
-
-    One probit call evaluates the window's ends and every seed.  As ``-h``
-    increases, the lower endpoint lies below the window where ``-h`` at the
-    window's lower end is above ``-z``, and both endpoints do where it is
-    above ``z``; mirrored at the upper end.  The values and slopes at the
-    seeds are the inversion's first iteration, and an endpoint whose value
-    there is NaN fails without a search.  Entry i is target i's interval, or
-    the error its own endpoints met (see ``_results``), such as the NaN
+    beta0, and ``_invert`` solves the endpoints on ``_polyhedral_probit`` on
+    the scale ``sd``, with the window's ends evaluated in the seeds' call.
+    Each starts at the root of the one-sided exponential tail law at its own
+    bound: far below ``lower`` the estimate is ``lower`` plus an exponential
+    of rate ``(lower - beta0) / sd^2``, whose upper ``alpha / 2`` tail
+    starts at ``beta_hat`` where ``beta0 = lower - sd^2 log(2 / alpha) /
+    (beta_hat - lower)``, and mirrored at ``upper``.  That law holds only
+    far beyond the bound, so the root is taken where it is finite and at
+    least one sd beyond its bound (an estimate within ``log(2 / alpha)`` sd
+    of the bound); elsewhere the seed is the full-line value ``beta_hat -+ z
+    sd`` (``z = Phi^{-1}(1 - alpha / 2)``).  Entry i is target i's interval,
+    or the error its own endpoints met (see ``_results``), such as the NaN
     pivot of a NaN constant.
     """
-    if not 0 < alpha < 1:
-        raise InvalidArgumentError("alpha must be in (0, 1)")
     lower, upper, beta_hat, sd = (np.array(x, dtype=float, ndmin=1) for x in _columns(bounds))
-    k = beta_hat.size
-    levels = 1.0 - alpha / 2.0, alpha / 2.0  # of the lower, then the upper endpoints
-    z = float(ndtri(levels[0]))
     side = _ENDPOINT_SIDES
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # how far beyond its bound the root of the tail law lies
-        depth = sd**2 * math.log(2.0 / alpha) / np.array([beta_hat - lower, upper - beta_hat])
-        tail = np.array([lower, upper]) + side * depth
-    seeds = np.where(np.isfinite(tail) & (depth >= sd), tail, beta_hat + side * (z * sd))
-    window = beta_hat + side * (POLYHEDRAL_CLIP_SDS * sd)
-    # every target four times: at the window's ends, then at its seeds
-    line = _polyhedral_line(*(np.concatenate([x] * 4) for x in (lower, upper, beta_hat, sd)))
-    h, slope = _polyhedral_probit(line, np.concatenate([window.ravel(), seeds.ravel()]))
-    at, value, slope = -h[: 2 * k].reshape(2, k), -h[2 * k :], -slope[2 * k :]
-    # both endpoints below the window, or both above it: neither is clipped;
-    # else an endpoint is clipped where -h at its end of the window falls
-    # short of its target, -z for the lower one and z for the upper
-    below, above = at[0] > z, at[1] < -z
-    clipped = (~(below | above) & (side * at < z)).ravel()
-    nan = np.isnan(value) & ~clipped
-    solve = (~(clipped | nan)).nonzero()[0]
-    seeded = 2 * k + solve  # in the line
 
-    def probit_at(x, *columns):
-        h, slope = _polyhedral_probit(_PolyhedralLine(*columns), x)
-        return -h, -slope
+    def seeds(z):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # how far beyond its bound the root of the tail law lies
+            depth = sd**2 * math.log(2.0 / alpha) / np.array([beta_hat - lower, upper - beta_hat])
+            tail = np.array([lower, upper]) + side * depth
+        return np.where(np.isfinite(tail) & (depth >= sd), tail, beta_hat + side * (z * sd))
 
-    roots, status = window.ravel(), np.where(nan, NAN_VALUE, ROOT)
-    roots[solve], status[solve] = invert_monotone(
-        probit_at,
-        np.where(solve < k, -z, z),
-        seeds.ravel()[solve],
-        line.sd[seeded],
-        args=tuple(col[seeded] for col in _columns(line)),
-        first=(value[solve], slope[solve]),
-    )
-    # where both endpoints lie below the window, the upper one is checked first
-    return _results(
-        roots.reshape(2, k), status.reshape(2, k), levels, target_labels,
-        clipped=clipped[:k] | clipped[k:], upper_first=below,
+    return _invert(
+        _polyhedral_probit, _polyhedral_line, (lower, upper, beta_hat, sd), alpha,
+        target_labels, seeds, sd, window=beta_hat + side * (POLYHEDRAL_CLIP_SDS * sd),
     )
 
 

@@ -152,8 +152,8 @@ class Dataset:
 @dataclass
 class RandomizationScheme:
     """Carving-calibrated Gaussian randomization covariance ``tau2 * X'X``,
-    with the jitter of ``Dataset.randomization_base``.  The pipeline never
-    forms it: it works on the dataset's factor of the base."""
+    with the jitter of ``Dataset.randomization_base``.  No pipeline stage
+    builds it: the draw works on tau2 and the dataset's factor of the base."""
 
     tau2: float = 1.0
 
@@ -214,7 +214,9 @@ def _check_rep(rep: LinearEventRep, what: str) -> LinearEventRep:
 def sample_randomization(data: Dataset, tau2: float, seed: int) -> np.ndarray:
     """Draw one N(0, tau2 B) vector, B the dataset's randomization base, as
     ``sqrt(tau2) R'z`` from its factor ``B = R'R``; deterministic in
-    ``seed``.  Raises ``InvalidSchemeError`` where B has no factor."""
+    ``seed``.  Raises ``InvalidSchemeError`` unless tau2 > 0 and B factors."""
+    if not tau2 > 0:
+        raise InvalidSchemeError("tau2 must be positive")
     z = np.random.default_rng(seed).standard_normal(data.p)
     factor = data.randomization_factor
     if factor is None:

@@ -75,7 +75,6 @@ from .inference import (
 from .selection import (
     Dataset,
     LinearEventRep,
-    RandomizationScheme,
     SelectionOutcome,
     default_epsilon,
     lasso_event_rep,
@@ -339,22 +338,21 @@ def calibrate(
 
 def randomized_selection(
     data: Dataset, cal: Calibration, seed: int
-) -> tuple[RandomizationScheme, SelectionOutcome, LinearEventRep | None]:
+) -> tuple[float, SelectionOutcome, LinearEventRep | None]:
     """Carving-randomized lasso and its event representation (None if empty).
 
-    Returns the scheme, the outcome and the representation.  The draw reads
-    the dataset's factor of the randomization base; no covariance is formed.
+    Returns tau2, the outcome and the representation.  The draw reads the
+    dataset's factor of the randomization base; no covariance is formed.
     """
     tau2 = cal.tau2
     if tau2 is None:
         tau2 = tau2_from_split(cal.sigma2, data.n, int(round(cal.rho * data.n)))
-    scheme = RandomizationScheme(tau2=tau2)
-    w = sample_randomization(data, scheme.tau2, seed=seed)
+    w = sample_randomization(data, tau2, seed=seed)
     outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=cal.epsilon, w=w)
     rep = None
     if outcome.selected.size:
         rep = lasso_event_rep(data, outcome, lam=cal.lam, epsilon=cal.epsilon)
-    return scheme, outcome, rep
+    return tau2, outcome, rep
 
 
 @dataclass
@@ -458,12 +456,12 @@ def fit_method(
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must lie in (0, 1)")
     if method == "exact":
-        scheme, outcome, rep = randomized_selection(data, cal, seed)
+        tau2, outcome, rep = randomized_selection(data, cal, seed)
         E = outcome.selected
         if E.size == 0:
             return Fit(method, alpha, E)
         return Fit(
-            method, alpha, E, data, model, outcome, rep, scheme.tau2,
+            method, alpha, E, data, model, outcome, rep, tau2,
             sigma=_post_sigma(data, cal, model, E),
         )
     if method == "polyhedral":

@@ -26,6 +26,26 @@ def test_pooled_pivots_pass_ks():
     assert report.p_value > 0.01
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        # full-model targets
+        SimConfig(n=100, p=10, model="full", n_reps=400, seed=3,
+                  methods=("exact", "polyhedral")),
+        # p > n: the randomization base is X'X jittered
+        SimConfig(n=50, p=80, n_reps=400, seed=3, methods=("exact", "polyhedral")),
+    ],
+    ids=["full_model", "jittered_base"],
+)
+def test_pooled_pivots_pass_ks_on_other_branches(config):
+    """Two branches that ``infer`` takes and the default cell does not;
+    ``validate`` pins the ridge term to 0, so the ridge is not tested."""
+    reports = validate_pivot_uniformity(config)
+    for method in config.methods:
+        assert reports[method].n_pooled >= 200
+        assert reports[method].p_value > 0.01
+
+
 # The polyhedral baseline draws no randomization, so it runs at one level; at
 # rho 0.95, 30% of exact pivot elements take the log-space rule, 13% at 0.8.
 LEVELS = [(0.8, ("exact", "polyhedral")), (0.95, ("exact",))]

@@ -84,12 +84,32 @@ class TestPivotParams:
         assert params.theta_intercept == pytest.approx(1.0, abs=1e-10)
         assert params.beta_hat_j == pytest.approx(2.0)
 
-    def test_array_sigma_must_be_positive_everywhere(self):
-        fields = dict(vartheta2=1.0, lambda_j=1.0, zeta_j=0.0, theta_intercept=0.0,
-                      lower=-math.inf, upper=math.inf, beta_hat_j=0.0)
-        PivotParams(sigma_j2=np.array([1.0, 2.0]), **fields)
-        with pytest.raises(NumericalDegeneracyError, match="sigma_j2 must be positive"):
-            PivotParams(sigma_j2=np.array([1.0, 0.0, 2.0]), **fields)
+    def test_bad_sigma_fails_its_target_alone(self):
+        """In a batch, a target whose sigma_j2 is 0 and one whose sigma_j2 is
+        NaN fail alone, each with its own error and a NaN pivot; the others
+        keep the endpoints they get when solved alone, bit for bit."""
+        rng = np.random.default_rng(34)
+        data, out, rep, _, tau2 = carving_fit(rng, min_selected=3)
+        params = exact_targets(data, out, rep, tau2)
+        each = [take(params, k) for k in range(out.selected.size)]
+        broken = [each[0], replace(each[1], sigma_j2=0.0), *each[2:],
+                  replace(each[0], sigma_j2=math.nan)]
+        bad = [1, len(broken) - 1]
+        labels = [10 + k for k in range(len(broken))]
+        got = invert_pivot(stack(broken), alpha=0.1, target_labels=labels)
+        for k in bad:
+            assert isinstance(got[k], NumericalDegeneracyError)
+            assert str(got[k]) == "sigma_j2 must be positive"
+        good = [k for k in range(len(broken)) if k not in bad]
+        assert [outcome(got[k]) for k in good] == [
+            outcome(invert_pivot(broken[k], alpha=0.1)[0]) for k in good
+        ]
+        assert [got[k].target_label for k in good] == [labels[k] for k in good]
+        beta0 = np.array([b.beta_hat_j for b in broken])
+        assert np.isnan(exact_pivot(stack(broken), beta0)).tolist() == [
+            k in bad for k in range(len(broken))
+        ]
+        assert math.isnan(exact_pivot(replace(each[0], sigma_j2=-1.0), 0.0))
 
     def test_generic_matches_carving_closed_form(self):
         rng = np.random.default_rng(1)
@@ -346,6 +366,18 @@ def model_polyhedral_bounds(draw):
     return PolyhedralBounds(lower=lower, upper=upper, beta_hat=beta_hat, sd=sd)
 
 
+def exact_probit(record, x):
+    """``_exact_probit`` on a record broadcast against ``x``."""
+    _, flat, x = inference._broadcast(record, x, PivotParams)
+    return inference._exact_probit(flat, x)
+
+
+def polyhedral_probit(record, x):
+    """``_polyhedral_probit`` on a record broadcast against ``x``."""
+    _, flat, x = inference._broadcast(record, x, inference._polyhedral_line)
+    return inference._polyhedral_probit(flat, x)
+
+
 def assert_probit_matches(probit, pivot, record, x, scale):
     """``probit``'s h and slope at the abscissae ``x`` against ``pivot``:
     Phi(h) is the pivot, to 1e-10 (far out, a ratio of two masses whose logs
@@ -374,15 +406,13 @@ class TestProbitCompanions:
         drift = 1e3 * (1.0 + params.vartheta2 * params.sigma_j2)
         x = np.array([beta0_at(params, k) for k in (*shifts, -drift, drift)])
         scale = math.sqrt(params.sigma_j2) / params.lambda_j
-        assert_probit_matches(inference._exact_probit, exact_pivot, params, x, scale)
+        assert_probit_matches(exact_probit, exact_pivot, params, x, scale)
 
     @PROPERTY_SETTINGS
     @given(model_polyhedral_bounds(), st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=4))
     def test_polyhedral_probit_matches_the_pivot(self, bounds, shifts):
         x = bounds.beta_hat + bounds.sd * np.array([*shifts, -1e4, -1e3, 1e3, 1e4])
-        assert_probit_matches(
-            inference._polyhedral_probit, polyhedral_pivot, bounds, x, bounds.sd
-        )
+        assert_probit_matches(polyhedral_probit, polyhedral_pivot, bounds, x, bounds.sd)
 
     def test_exact_probit_slope_in_the_far_tail(self):
         """Without truncation the exact probit is the line ``(beta_hat -
@@ -397,7 +427,7 @@ class TestProbitCompanions:
         sd = math.sqrt(params.sigma_j2)
         k = np.array([300.0, 1000.0, 3000.0, -300.0, -1000.0, -3000.0])
         beta0 = (params.beta_hat_j - params.zeta_j - k * sd) / params.lambda_j
-        h, slope = inference._exact_probit(params, beta0)
+        h, slope = exact_probit(params, beta0)
         line = (params.beta_hat_j - params.lambda_j * beta0 - params.zeta_j) / sd
         assert (np.abs(h - line) <= 1e-10 * np.abs(line)).all()
         assert -params.lambda_j / sd == pytest.approx(-0.858116330321, rel=1e-12)
@@ -449,7 +479,7 @@ class TestProbitCompanions:
             (1000.0004586737086, -0.99999895935352418),
         ]
         record = stack([PolyhedralBounds(lo, up, bh, sd) for (lo, up, bh, sd), _ in cases])
-        h, slope = inference._polyhedral_probit(record, np.array([x for _, x in cases]))
+        h, slope = polyhedral_probit(record, np.array([x for _, x in cases]))
         want_h, want_slope = np.array(want).T
         assert (np.abs(h - want_h) <= 1e-12 * np.abs(want_h)).all()
         assert (np.abs(slope - want_slope) <= 1e-6 * np.abs(want_slope)).all()
@@ -478,7 +508,7 @@ class TestProbitCompanions:
             return real(c, d, a, b)
 
         monkeypatch.setattr(inference, "_log_cdf_weighted_integral", spy)
-        h, slope = inference._exact_probit(record, x)
+        h, slope = exact_probit(record, x)
         assert sum(sizes) == (x.size if regime == "log_space" else 0)
         if regime == "limit":
             below = x < record.beta_hat_j
@@ -487,7 +517,7 @@ class TestProbitCompanions:
             assert exact_pivot(record, x).tolist() == below.astype(float).tolist()
         else:
             assert np.isfinite(h).all() and (slope < 0).all()
-            assert_probit_matches(inference._exact_probit, exact_pivot, record, x, 1e-3)
+            assert_probit_matches(exact_probit, exact_pivot, record, x, 1e-3)
 
     def test_no_far_point_reads_the_wrong_limit(self):
         # far out the log-space rule's window can be narrower than rounding,
@@ -498,7 +528,7 @@ class TestProbitCompanions:
         shift = np.logspace(2, 307, 1500) * math.sqrt(FAR.sigma_j2) / FAR.lambda_j
         x = np.concatenate([center - shift, [-2.6982925160651452e19], center + shift])
         below = x < center
-        h, _ = inference._exact_probit(FAR, x)
+        h, _ = exact_probit(FAR, x)
         assert exact_pivot(FAR, x).tolist() == below.astype(float).tolist()
         assert (np.sign(h) == np.where(below, 1.0, -1.0)).all()
 

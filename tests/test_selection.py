@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from conftest import _cd_lasso
 
 from exactsi import selection
-from exactsi.errors import ConvergenceError, InconsistentOutcomeError, InvalidArgumentError
+from exactsi.errors import (
+    ConvergenceError,
+    InconsistentOutcomeError,
+    InvalidArgumentError,
+    InvalidSchemeError,
+)
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
@@ -88,6 +94,12 @@ class TestRandomization:
         a = sample_randomization(design_only(X), scheme.tau2, seed=42)
         b = sample_randomization(design_only(X), scheme.tau2, seed=42)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tau2", [-1.0, 0.0, math.nan])
+    def test_variance_must_be_positive(self, tau2):
+        X = np.random.default_rng(1).standard_normal((20, 4))
+        with pytest.raises(InvalidSchemeError, match="tau2 must be positive"):
+            sample_randomization(design_only(X), tau2, seed=0)
 
     def test_rank_deficient_gram_gets_jitter(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])

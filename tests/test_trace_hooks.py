@@ -77,3 +77,52 @@ def test_unread_import_is_found():
     source = "import numpy as np\nfrom math import pi, tau\nx = np.sqrt(pi)\n"
     assert unread_imports(source) == ["tau"]
     assert unread_imports(source + "__all__ = ['tau']\n") == []
+
+
+# The hooks that a small study and one ``infer`` call must reach: every
+# ``exactsi.study`` entry, and these outside it.
+REACHED_OUTSIDE_STUDY = {
+    ("exactsi.inference", "invert_monotone"),
+    ("exactsi.inference", "plug_in_sigma2"),
+    ("exactsi.inference", "solve_randomized_lasso"),
+    ("exactsi.cli", "read_csv_dataset"),
+}
+
+
+def test_trace_hooks_fire(monkeypatch, tmp_path):
+    """Each of these hooked names is still called through the namespace the
+    hook patches.  A stage that captured one at import (a default argument,
+    a module-level alias) would run unhooked, and its layer metric would
+    read 0 in every traced benchmark run without failing it."""
+    import numpy as np
+
+    from exactsi import cli, study
+
+    hooks = [
+        (module, attr) for module, attr, _ in load_patches()
+        if module == "exactsi.study" or (module, attr) in REACHED_OUTSIDE_STUDY
+    ]
+    assert REACHED_OUTSIDE_STUDY <= set(hooks)
+    calls = {f"{module}.{attr}": 0 for module, attr in hooks}
+    for module, attr in hooks:
+        owner = importlib.import_module(module)
+
+        def counted(*args, _real=getattr(owner, attr), _key=f"{module}.{attr}", **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    summary = study.run_study(
+        study.SimConfig(n=100, p=10, n_reps=3, methods=study.KNOWN_METHODS, seed=1)
+    )
+    assert all(m.n_used == 3 for m in summary.methods.values())
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((80, 6))
+    y = X[:, :2] @ [3.0, -3.0] + rng.standard_normal(80)
+    path = tmp_path / "small.csv"
+    np.savetxt(path, np.column_stack([y, X]), fmt="%.17g", delimiter=",",
+               header=",".join(["y"] + [f"x{j}" for j in range(6)]), comments="")
+    argv = ["infer", "--input", str(path), "--rho", "0.8", "--method", "exact",
+            "--method", "polyhedral", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert [name for name, count in calls.items() if not count] == []
