@@ -29,16 +29,10 @@ from .inference import (
     split_inference,
     uv_inference,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    integrate_weighted_gaussian,
-    invert_monotone,
-)
+from .numerics import invert_monotone
 from .selection import (
     Dataset,
     LinearEventRep,
-    RandomizationScheme,
     SelectionOutcome,
     lasso_event_rep,
     sample_randomization,
@@ -65,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Calibration",
     "ConditioningGeometry",
-    "DEFAULT_QUADRATURE",
     "Dataset",
     "ExactSIError",
     "Fit",
@@ -73,8 +66,6 @@ __all__ = [
     "LinearEventRep",
     "PivotParams",
     "PolyhedralBounds",
-    "QuadratureSpec",
-    "RandomizationScheme",
     "SelectionOutcome",
     "SimConfig",
     "StudySummary",
@@ -87,7 +78,6 @@ __all__ = [
     "fit_method",
     "generate_design",
     "generate_response",
-    "integrate_weighted_gaussian",
     "invert_monotone",
     "invert_pivot",
     "lasso_event_rep",

@@ -11,12 +11,14 @@ polyhedral (non-randomized) truncated Gaussian pivot, data splitting, and
 response-splitting with synthetic noise; the last two take z-intervals of
 the same least-squares targets (``build_target``).
 
-Both pivots' constants are records (``PivotParams``, ``PolyhedralBounds``)
-whose fields are floats for one target or arrays for several, built for all
-targets of a fit at once, by the last stage of ``build_target ->
-build_geometry -> pivot_params`` (exact) or ``build_target ->
-polyhedral_bounds`` (polyhedral).  Each pivot's kernel, its probit with
-the slope, runs elementwise on a flat record (``_broadcast``).  One
+Each pivot's constants have one form, a record (``PivotParams``,
+``PolyhedralBounds``) whose fields are floats for one target or arrays for
+several.  A fit's record is built for all its targets at once, by the last
+stage of ``build_target -> build_geometry -> pivot_params`` (exact) or
+``build_target -> polyhedral_bounds`` (polyhedral), and its row j is target
+j: a target that failed a check keeps its row, whose pivot is NaN.  Each
+pivot's kernel, its probit with the slope, reads such a record with flat
+fields as it is (``_broadcast`` forms one against ``beta0``).  One
 inversion routine (``_invert``) gives a fit's intervals for both pivots: it
 solves every endpoint of every target together by safeguarded Newton steps
 on the negated probit, from one kernel call at the seeds; each endpoint
@@ -79,8 +81,10 @@ class PivotParams:
 
     Each field is a float for one target, or an array whose entry i belongs
     to target i; ``exact_pivot`` evaluates every entry in one array call.
-    A target whose ``sigma_j2`` is NaN or not positive has a NaN pivot, and
-    ``invert_pivot`` fails it alone.
+    A target with a NaN constant, or whose ``sigma_j2`` is not positive, has
+    a NaN pivot, and ``invert_pivot`` fails it alone.  ``pivot_params``
+    gives a target that failed a check a NaN ``sigma_j2``, and so a NaN
+    ``lambda_j`` and ``zeta_j``, in its row.
 
     ``exact_pivot`` first reflects V so that the endpoint nearer its bulk is
     the lower one.  Its accuracy regimes:
@@ -139,9 +143,9 @@ def pivot_params(
     ``-Theta Q' Omega^{-1} core`` of ``core = -X'gamma + offset``; all cores
     and directions share one solve.  ``-X'gamma`` is ``-(X'y - X'c beta_hat
     / ||c||^2)``, which is ``-stat - Pj beta_hat``, with ``beta_hat`` the
-    target's estimate c'y, so nothing here has n rows.  Returns the
-    constants of the targets that built, one record, and each target's error
-    (else a nonpositive precision).
+    target's estimate c'y, so nothing here has n rows.  Returns one record
+    whose row j is target j's constants, and each target's error (else a
+    nonpositive precision); a target with an error has a NaN ``sigma_j2``.
     """
     if not sigma > 0:
         raise InvalidArgumentError("sigma must be positive")
@@ -160,16 +164,16 @@ def pivot_params(
         for j, e in enumerate(geom.errors)
     ]
     ok = np.array([e is None for e in errors], dtype=bool)
-    sigma_j2 = 1.0 / inv_s2[ok]
+    sigma_j2 = np.divide(1.0, inv_s2, out=np.full(ok.size, math.nan), where=ok)
     return PivotParams(
-        vartheta2=geom.vartheta2[ok],
+        vartheta2=geom.vartheta2,
         sigma_j2=sigma_j2,
-        lambda_j=sigma_j2 / (sigma**2 * norm2[ok]),
-        zeta_j=sigma_j2 * (lam_val - r_delta)[ok],
-        theta_intercept=r_delta[ok],
-        lower=geom.lower[ok],
-        upper=geom.upper[ok],
-        beta_hat_j=beta_hat[ok],
+        lambda_j=sigma_j2 / (sigma**2 * norm2),
+        zeta_j=sigma_j2 * (lam_val - r_delta),
+        theta_intercept=r_delta,
+        lower=geom.lower,
+        upper=geom.upper,
+        beta_hat_j=beta_hat,
     ), errors
 
 
@@ -338,15 +342,15 @@ def _columns(record) -> tuple:
     return tuple(getattr(record, name) for name in record.__dataclass_fields__)
 
 
-def _broadcast(record, beta0, flat):
+def _broadcast(record, beta0):
     """The broadcast shape of the fields of a constants ``record`` and of
-    ``beta0``, the flat record that ``flat`` forms from the raveled fields,
-    and the raveled ``beta0``: the form a kernel takes."""
+    ``beta0``, the record of the same type with the raveled fields, and the
+    raveled ``beta0``: the form a kernel takes."""
     arrays = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (beta0, *_columns(record)))
     )
     beta0, *columns = map(np.ravel, arrays)
-    return arrays[0].shape, flat(*columns), beta0
+    return arrays[0].shape, type(record)(*columns), beta0
 
 
 def _log_phi(x):
@@ -372,14 +376,16 @@ def _exact_tails(params: PivotParams, beta0):
     arrays of ``params`` and ``beta0``.
 
     Returns the pivot, the log of its smaller tail (of P(U <= u) and P(U > u)
-    given the truncation; -inf in the 0/1 limit), a mask that is set where
-    that tail is the lower one, the log truncation mass, the U partial of
-    that tail over the tail where the log-space rule gives it (NaN
-    elsewhere), and the standardized constants ``(u, a, b, r, s)`` after the
-    reflection of V, with ``du/dbeta0`` and ``da/dbeta0 = db/dbeta0``.
+    given the truncation; -inf in the 0/1 limit, NaN with the pivot where it
+    is undefined: u, a or b is NaN, or ``sigma_j2`` is not positive), a
+    mask that is set where that tail is the lower one, the log truncation
+    mass, the U partial of that tail over the tail where the log-space rule
+    gives it (NaN elsewhere), and the standardized constants ``(u, a, b, r,
+    s)`` after the reflection of V, with ``du/dbeta0`` and ``da/dbeta0 =
+    db/dbeta0``.
     """
     vt2, sj2, lam_j, zeta, icpt, lower, upper, beta_hat = _columns(params)
-    # a nonpositive sigma_j2 gives NaN or infinite constants here
+    # a NaN constant or a nonpositive sigma_j2 gives NaN or infinite constants here
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sd = np.sqrt(sj2)
         ts = np.sqrt(vt2) * sd
@@ -395,11 +401,13 @@ def _exact_tails(params: PivotParams, beta0):
         b = (upper - mean_y) / sd_y
         du = -lam_j / sd
         ab_slope = vt2 * lam_j / sd_y
+        undefined = np.isnan(u) | np.isnan(a) | np.isnan(b) | ~(sj2 > 0)
         # the log-space rule squares c; where that overflows, the pivot's
         # smaller tail underflows too
-        live = ~(np.isnan(a) | np.isnan(b)) & np.isfinite(c * c)
+        live = ~undefined & np.isfinite(c * c)
     out = np.where(beta0 > beta_hat, 0.0, 1.0)  # the 0/1 limit
-    log_small = np.full(out.shape, -math.inf)
+    out[undefined] = math.nan
+    log_small = np.where(undefined, math.nan, -math.inf)
     lower_side = out == 0.0
     log_mass = np.full(out.shape, math.nan)
     along = np.full(out.shape, math.nan)
@@ -462,13 +470,12 @@ def exact_pivot(params: PivotParams, beta0):
     else the log-space rule; see ``PivotParams``.  Where the standardized
     constants overflow or neither conditional tail has representable mass,
     the 0/1 limit is returned: 0 for ``beta0`` above the estimate, 1 below it.
-    A ``sigma_j2`` that is NaN or not positive gives NaN.
+    A NaN constant, or a ``sigma_j2`` that is not positive, gives NaN.
     """
-    shape, params, beta0 = _broadcast(params, beta0, PivotParams)
+    shape, params, beta0 = _broadcast(params, beta0)
     if not np.isfinite(beta0).all():
         raise InvalidArgumentError("beta0 must be finite")
     out = _exact_tails(params, beta0)[0]
-    out[~(params.sigma_j2 > 0)] = math.nan
     if not shape:
         return float(out[0])
     return out.reshape(shape)
@@ -486,7 +493,8 @@ def _exact_probit(params: PivotParams, beta0):
     the log-space regime too; ``_probit`` gives ``tail / phi(h)``.  Where the
     log-space rule gives the tail, its U partial over the tail is the rule's
     rate, not a difference of two logs of size ``u^2 / 2``.  In the 0/1
-    limit ``h`` is infinite and the slope NaN.
+    limit ``h`` is infinite and the slope NaN; where the pivot is undefined
+    both are NaN.
     """
     _, log_small, lower_side, log_mass, along, std, du, dab = _exact_tails(params, beta0)
     h, mills = _probit(log_small, lower_side)
@@ -548,7 +556,7 @@ def _results(
 
 
 def _invert(
-    probit, flat, columns, alpha: float, target_labels, seeds, scale, window=None
+    probit, record, alpha: float, target_labels, seeds, scale, window=None
 ) -> list[IntervalEstimate | ExactSIError]:
     """Level ``1 - alpha`` intervals of k targets from a pivot that decreases
     in beta0: the one inversion behind ``invert_pivot`` and
@@ -558,17 +566,19 @@ def _invert(
     ``alpha / 2`` (upper) exactly where ``-h`` is ``-z`` or ``+z``, ``z =
     Phi^{-1}(1 - alpha / 2)``.
 
-    ``probit(record, x)`` gives h and its slope on a flat record and
-    abscissae of one size; ``flat`` forms that record from ``columns``, flat
-    arrays over the targets.  ``seeds(z)`` gives each endpoint's start, the
-    lower endpoints in row 0, and ``scale`` each target's length for the
-    stopping rule: a step of ``numerics._STEP_TOL`` times it, or a quadratic
-    contraction.  One probit call evaluates every seed and, where given, both
-    ends of ``window`` (rows as in the seeds); its values and slopes at the
-    seeds are the first iteration.  An endpoint whose value there is NaN
-    fails without a search; one that lies beyond the window is clipped there
-    and not solved.  Entry i is target i's interval, or the error its own
-    endpoints met (see ``_results``).
+    ``probit(record, x)`` gives h and its slope on a record of flat fields
+    and abscissae of one size; ``record`` is such a record over the targets,
+    which this flattens once against every row of abscissae.  ``seeds(z)``
+    gives each endpoint's start, the lower endpoints in row 0, and ``scale``
+    each target's length for the stopping rule: a step of
+    ``numerics._STEP_TOL`` times it, or a quadratic contraction.  One probit
+    call evaluates every seed and, where given, both ends of ``window`` (rows
+    as in the seeds); its values and slopes at the seeds are the first
+    iteration.  An endpoint whose value there is NaN, such as either
+    endpoint of a target with a NaN constant, fails without a search; one
+    that lies beyond the window is clipped there and not solved.  Entry i is
+    target i's interval, or the error its own endpoints met (see
+    ``_results``).
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must be in (0, 1)")
@@ -576,7 +586,7 @@ def _invert(
     z = float(ndtri(levels[0]))
     k = scale.size
     ends = seeds(z) if window is None else np.concatenate([window, seeds(z)])
-    every = flat(*(np.concatenate([col] * ends.shape[0]) for col in columns))
+    every = type(record)(*(np.concatenate([col] * ends.shape[0]) for col in _columns(record)))
     h, slope = probit(every, ends.ravel())
     offset = h.size - 2 * k  # the seeds' first element in every
     value, slope = -h[offset:], -slope[offset:]
@@ -630,24 +640,23 @@ def invert_pivot(
     interval, or the error its own endpoints met: a ``NoRootError`` when an
     endpoint is not bracketed within ``BRACKET_EXPANSIONS`` steps, a
     ``NumericalDegeneracyError`` for a NaN pivot or a search that does not
-    converge.  A target whose ``sigma_j2`` is NaN or not positive is not
-    solved, and fails alone with a ``NumericalDegeneracyError``.
+    converge.  A target with a NaN constant is not solved and fails alone,
+    one whose ``sigma_j2`` is NaN or not positive with a
+    ``NumericalDegeneracyError`` that says so.
     """
-    columns = [np.atleast_1d(x).astype(float) for x in _columns(params)]
-    line = PivotParams(*columns)
-    good = line.sigma_j2 > 0
-    if not good.all():  # solve the others
-        labels = None if target_labels is None else np.asarray(target_labels)[good].tolist()
-        solved = iter(invert_pivot(PivotParams(*(col[good] for col in columns)), alpha, labels))
-        error = "sigma_j2 must be positive"
-        return [next(solved) if ok else NumericalDegeneracyError(error) for ok in good.tolist()]
-    sd = np.sqrt(line.sigma_j2)
+    line = PivotParams(*(np.atleast_1d(x).astype(float) for x in _columns(params)))
+    with np.errstate(invalid="ignore"):
+        sd = np.sqrt(line.sigma_j2)
     center = line.beta_hat_j - line.zeta_j
-    return _invert(
-        _exact_probit, PivotParams, columns, alpha, target_labels,
+    out = _invert(
+        _exact_probit, line, alpha, target_labels,
         lambda z: (center + _ENDPOINT_SIDES * (z * sd)) / line.lambda_j,
         sd / line.lambda_j,
     )
+    return [
+        result if good else NumericalDegeneracyError("sigma_j2 must be positive")
+        for result, good in zip(out, (line.sigma_j2 > 0).tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -656,7 +665,9 @@ class PolyhedralBounds:
 
     Given the selected set and signs, and the residual off the target contrast,
     the estimate ``beta_hat`` is Gaussian with standard deviation ``sd``
-    truncated to ``[lower, upper]``.  Fields are floats, or arrays over targets.
+    truncated to ``[lower, upper]``.  Fields are floats, or arrays over
+    targets.  A NaN constant gives a NaN pivot; ``polyhedral_bounds`` gives a
+    target that failed a check a NaN ``sd`` in its row.
     """
 
     lower: float | np.ndarray
@@ -688,9 +699,9 @@ def polyhedral_bounds(
     ``sqrt(max(G_II - diag(G_IE G_EE^{-1} G_EI), 0)) / lam`` (inactive), and
     ``||v|| = 1 / ||c||``.  The
     factor of ``G_EE`` is the dataset's (``Dataset.factor_columns``), which
-    ``build_target`` and the selected-model plug-in share.  Returns the
-    bounds of the targets that built, one record of arrays, and each
-    target's error.
+    ``build_target`` and the selected-model plug-in share.  Returns one
+    record of arrays whose row j is target j's bounds, and each target's
+    error; a target with an error has a NaN ``sd``.
     """
     E = np.asarray(selected, dtype=int)
     S = np.asarray(signs, dtype=float)
@@ -740,46 +751,14 @@ def polyhedral_bounds(
 
     errors = [error(j) for j in range(norm2.size)]
     ok = np.array([e is None for e in errors], dtype=bool)
-    return PolyhedralBounds(lower[ok], upper[ok], beta_hat[ok], sigma * np.sqrt(norm2[ok])), errors
+    return PolyhedralBounds(
+        lower, upper, beta_hat, np.where(ok, sigma * np.sqrt(norm2), math.nan)
+    ), errors
 
 
-@dataclass(slots=True)  # not frozen: an inversion builds one per evaluation
-class _PolyhedralLine:
-    """Polyhedral constants on flat arrays, with what every evaluation of
-    the pivot reads of them formed once: ``lower``, ``upper``, ``beta_hat``
-    and ``sd`` of each element; half the standardized widths, ``below =
-    (beta_hat - lower) / sd / 2`` and ``above = (upper - beta_hat) / sd /
-    2``, undefined where a constant is NaN (or the estimate infinite), whose
-    pivot is then NaN; and the mask ``inside`` of estimates strictly inside
-    their bounds.  An inversion forms it once, and ``invert_monotone``
-    carries its fields as ``args``."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    beta_hat: np.ndarray
-    sd: np.ndarray
-    below: np.ndarray
-    above: np.ndarray
-    inside: np.ndarray
-
-    def limit_log(self):
-        """The log tail of an element whose pivot is a 0/1 limit: -inf, or NaN
-        where a standardized width is undefined."""
-        return np.where(np.isnan(self.below + self.above), math.nan, -math.inf)
-
-
-def _polyhedral_line(lower, upper, beta_hat, sd) -> _PolyhedralLine:
-    """The ``_PolyhedralLine`` of flat arrays of bounds, estimates and sds."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        below, above = 0.5 * ((beta_hat - lower) / sd), 0.5 * ((upper - beta_hat) / sd)
-    return _PolyhedralLine(
-        lower, upper, beta_hat, sd, below, above, (lower < beta_hat) & (beta_hat < upper)
-    )
-
-
-def _polyhedral_tails(line: _PolyhedralLine, beta0):
+def _polyhedral_tails(bounds: PolyhedralBounds, beta0):
     """Everything ``polyhedral_pivot`` and ``_polyhedral_probit`` share, on
-    the flat arrays of ``line`` and ``beta0``; run under the caller's
+    the flat arrays of ``bounds`` and ``beta0``; run under the caller's
     ``np.errstate``, which ignores divide, invalid and over.
 
     With ``a, m, b`` the standardized ``lower, beta_hat, upper``, the line is
@@ -802,16 +781,21 @@ def _polyhedral_tails(line: _PolyhedralLine, beta0):
     Returns the logs of the masses of ``(p1, p2)``, ``(p2, p3)`` and ``(p1,
     p3)`` over ``Phi(p3)``; the reflection mask; the mask of the live
     elements, whose pivot is neither a 0/1 limit nor that of an estimate
-    outside its bounds, or None where all are live; a mask set where the
+    outside its bounds, and the log tail of the others, -inf, or NaN where
+    a standardized width is undefined (a NaN constant, or an infinite
+    estimate), both None where all are live; a mask set where the
     pivot's smaller tail is its lower one (elsewhere, where the limit is 0);
     and the slope in beta0 of the log of that tail over the truncation mass,
     negated where the tail is the upper one.  The slope of ``log mass(p,
     q)`` is ``dp/dbeta0`` times the rate ``(phi(q) - phi(p)) / mass(p, q)``.
     """
-    std = (np.array([line.lower, line.beta_hat, line.upper]) - beta0) / line.sd  # a, m, b
+    lower, upper, beta_hat, sd = _columns(bounds)
+    ends = np.array([lower, beta_hat, upper])
+    std = (ends - beta0) / sd  # a, m, b
     flip = std[0] > -std[2]
     p = np.where(flip, -std[::-1], std)
-    widths = np.array([line.below, line.above])  # halves, of (a, m) and (m, b)
+    # half the standardized widths of (a, m) and (m, b)
+    widths = 0.5 * ((ends[1:] - ends[:-1]) / sd)
     w = np.where(flip, widths[::-1], widths)
     log_cdf = log_ndtr(p)
     # log erfcx(-p_i / sqrt 2) for i = 1, 2, 3, then log erfcx(p_i / sqrt 2) for i = 2, 3
@@ -848,20 +832,22 @@ def _polyhedral_tails(line: _PolyhedralLine, beta0):
     # 0 where phi(p3) / Phi(p3) underflows, p1 <= -p3 lying as far out
     rate_whole = np.where(mills[1] > 0.0, rates[2], 0.0)
     first = logs[0] <= logs[1]  # (p1, p2) is the smaller piece
-    live = line.inside & (logs[2] > -math.inf)
+    inside = (lower < beta_hat) & (beta_hat < upper)
+    live = inside & (logs[2] > -math.inf)
     lower_side = first != flip
     if np.count_nonzero(live) == live.size:
-        live = None
+        live = limit_log = None
     else:
         # the 0/1 limit is 0 for an estimate on or below its lower bound, and
         # where the interval carries no mass, for beta0 above the estimate
         lower_side = np.where(live, lower_side, np.where(
-            line.inside, beta0 > line.beta_hat, line.beta_hat <= line.lower
+            inside, beta0 > beta_hat, beta_hat <= lower
         ))
+        limit_log = np.where(np.isnan(widths[0] + widths[1]), math.nan, -math.inf)
     # dp/dbeta0 is -1 / sd, or 1 / sd on the reflected line, and the smaller
     # tail is the lower one exactly where first and flip differ
-    slope = np.where(first, rate_whole - rates[0], rate_second - rate_whole) / line.sd
-    return logs, flip, live, lower_side, slope
+    slope = np.where(first, rate_whole - rates[0], rate_second - rate_whole) / sd
+    return logs, flip, live, limit_log, lower_side, slope
 
 
 def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
@@ -874,23 +860,23 @@ def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
     representable mass, the limit is returned: 0 for ``beta0`` above the
     estimate, 1 below it.  A NaN constant gives NaN.
     """
-    shape, line, beta0 = _broadcast(bounds, beta0, _polyhedral_line)
+    shape, bounds, beta0 = _broadcast(bounds, beta0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs, flip, live, lower_side, _ = _polyhedral_tails(line, beta0)
+        logs, flip, live, limit_log, lower_side, _ = _polyhedral_tails(bounds, beta0)
         pivot = np.minimum(np.exp(np.where(flip, logs[1], logs[0]) - logs[2]), 1.0)
     out = pivot
     if live is not None:
         limit = np.where(lower_side, 0.0, 1.0)
-        limit[np.isnan(line.limit_log())] = math.nan
+        limit[np.isnan(limit_log)] = math.nan
         out = np.where(live, pivot, limit)
     if not shape:
         return float(out[0])
     return out.reshape(shape)
 
 
-def _polyhedral_probit(line: _PolyhedralLine, beta0):
+def _polyhedral_probit(bounds: PolyhedralBounds, beta0):
     """The polyhedral pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and
-    its slope ``dh/dbeta0``, on the flat arrays of ``line`` and ``beta0``.
+    its slope ``dh/dbeta0``, on the flat arrays of ``bounds`` and ``beta0``.
 
     ``h`` comes from the log of the smaller tail, so it is finite far into
     both tails.  Its slope is ``+-tail / phi(h)`` (from ``_probit``) times
@@ -899,10 +885,10 @@ def _polyhedral_probit(line: _PolyhedralLine, beta0):
     constant gives NaN for both.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs, _, live, lower_side, slope = _polyhedral_tails(line, beta0)
+        logs, _, live, limit_log, lower_side, slope = _polyhedral_tails(bounds, beta0)
         log_small = np.minimum(logs[0], logs[1]) - logs[2]
         if live is not None:
-            log_small = np.where(live, log_small, line.limit_log())
+            log_small = np.where(live, log_small, limit_log)
         h, mills = _probit(log_small, lower_side)
         slope = mills * slope
     return h, np.where(np.isfinite(h), slope, math.nan)
@@ -936,7 +922,8 @@ def polyhedral_interval(
     or the error its own endpoints met (see ``_results``), such as the NaN
     pivot of a NaN constant.
     """
-    lower, upper, beta_hat, sd = (np.array(x, dtype=float, ndmin=1) for x in _columns(bounds))
+    bounds = PolyhedralBounds(*(np.array(x, dtype=float, ndmin=1) for x in _columns(bounds)))
+    lower, upper, beta_hat, sd = _columns(bounds)
     side = _ENDPOINT_SIDES
 
     def seeds(z):
@@ -947,8 +934,8 @@ def polyhedral_interval(
         return np.where(np.isfinite(tail) & (depth >= sd), tail, beta_hat + side * (z * sd))
 
     return _invert(
-        _polyhedral_probit, _polyhedral_line, (lower, upper, beta_hat, sd), alpha,
-        target_labels, seeds, sd, window=beta_hat + side * (POLYHEDRAL_CLIP_SDS * sd),
+        _polyhedral_probit, bounds, alpha, target_labels, seeds, sd,
+        window=beta_hat + side * (POLYHEDRAL_CLIP_SDS * sd),
     )
 
 

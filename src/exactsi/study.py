@@ -19,11 +19,13 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    subsample with penalty ``rho * lam``, and uv on ``y + w`` with penalty
    ``sqrt(1 + f) * lam``, both matched to the carving calibration.
 3. Every method's targets are the least-squares coefficients of
-   ``build_target``.  The returned ``Fit`` builds the constants of all its
-   targets once, by ``build_target -> build_geometry -> pivot_params``
-   (exact) or ``build_target -> polyhedral_bounds`` (polyhedral), one record
-   of arrays, from which callers take each target's interval or pivot value,
-   or the error that stopped that target, and apply their own error policy.
+   ``build_target``.  ``fit_method`` builds the constants of all the exact
+   or polyhedral targets once, by ``build_target -> build_geometry ->
+   pivot_params`` (exact) or ``build_target -> polyhedral_bounds``
+   (polyhedral): one record of arrays whose row j is target j, and each
+   target's error.  From the returned ``Fit`` callers take each target's
+   interval or pivot value, or the error that stopped that target, and
+   apply their own error policy.
    Split and uv return z-intervals whole: split from ``build_target`` and
    ``plug_in_sigma2`` on a dataset of its held-out rows and selected
    columns, uv from ``build_target`` on X'(y - w/f) at the known noise
@@ -360,71 +362,45 @@ class Fit:
     """One method's selection on one dataset, ready for per-target inference.
 
     ``selected`` lists the selected features.  For the exact and polyhedral
-    methods the first ``interval(j)`` or ``pivots(beta0)`` builds the
-    constants of every target once, together, by stages that each check and
-    factor what they use: ``build_target -> build_geometry -> pivot_params``
-    (exact) or ``build_target -> polyhedral_bounds`` (polyhedral).  One
-    batched inversion (``invert_pivot`` or ``polyhedral_interval``) gives
-    every interval; ``interval(j)`` returns entry j, or raises the error that
-    stopped target j.  A target keeps the error of the first check it fails;
-    an error raised by a stage that serves every target becomes the error of
-    each target still standing.  Split and uv intervals come whole from their
-    held-out fits.
+    methods ``constants`` is the record (``PivotParams`` or
+    ``PolyhedralBounds``) whose row j is target j's constants, None where
+    nothing was selected or a stage that serves every target failed, and
+    ``errors[j]`` is the error that stopped target j, or None.  One batched
+    inversion (``invert_pivot`` or ``polyhedral_interval``) of the whole
+    record gives every interval; ``interval(j)`` returns entry j, or raises
+    target j's error.  Split and uv intervals come whole from their
+    held-out fits, as ``estimates``.
     """
 
     method: str
     alpha: float
     selected: np.ndarray
-    data: Dataset | None = None
-    model: str = "selected"
     outcome: SelectionOutcome | None = None
-    rep: LinearEventRep | None = None
-    tau2: float = math.nan  # the randomization variance
-    sigma: float = math.nan  # post-selection noise sd
-    lam: float = math.nan
+    constants: PivotParams | PolyhedralBounds | None = None
+    errors: list[ExactSIError | None] = field(default_factory=list)
     estimates: list[IntervalEstimate] = field(default_factory=list)
 
-    @cached_property
-    def _constants(self) -> tuple[PivotParams | PolyhedralBounds | None, list]:
-        """The constants of the targets that built, and each target's error."""
-        errors: list = [None] * self.selected.size
-        try:
-            target = build_target(self.data, self.selected, self.model)
-            if self.method == "polyhedral":
-                return polyhedral_bounds(
-                    self.data, self.selected, self.outcome.signs, self.lam, target, self.sigma
-                )
-            geom = build_geometry(self.data, self.rep, self.tau2, target)
-            errors = geom.errors
-            return pivot_params(geom, target, sigma=self.sigma)
-        except ExactSIError as exc:
-            return None, [e or exc for e in errors]
-
     def _each_target(self, step) -> list:
-        """Entry j: target j's entry of ``step(constants, built)``, run once on
-        the targets that built, or the error that stopped target j."""
-        if not self.selected.size:
-            return []
-        constants, errors = self._constants
-        out, built = list(errors), [j for j, e in enumerate(errors) if e is None]
+        """Entry j: target j's error, else its entry of ``step(constants)``,
+        run once on the whole record."""
+        if self.constants is None:
+            return list(self.errors)
         try:
-            results = step(constants, built) if built else []
+            results = step(self.constants)
         except ExactSIError as exc:
-            results = [exc] * len(built)
-        for j, result in zip(built, results):
-            out[j] = result
-        return out
+            results = [exc] * self.selected.size
+        return [e or r for e, r in zip(self.errors, results)]
 
     @cached_property
     def _intervals(self) -> list[IntervalEstimate | ExactSIError]:
+        if self.method in ("split", "uv"):
+            return self.estimates
         invert = invert_pivot if self.method == "exact" else polyhedral_interval
-        return self._each_target(lambda constants, built: invert(
-            constants, self.alpha, [int(self.selected[j]) for j in built]
-        ))
+        return self._each_target(
+            lambda constants: invert(constants, self.alpha, self.selected.tolist())
+        )
 
     def interval(self, j: int) -> IntervalEstimate:
-        if self.method in ("split", "uv"):
-            return self.estimates[j]
         result = self._intervals[j]
         if isinstance(result, ExactSIError):
             raise result
@@ -434,7 +410,7 @@ class Fit:
         """Entry j: target j's pivot at ``beta0[j]``, or the error that stopped it."""
         pivot = exact_pivot if self.method == "exact" else polyhedral_pivot
         beta0 = np.asarray(beta0, dtype=float)
-        return self._each_target(lambda constants, built: pivot(constants, beta0[built]).tolist())
+        return self._each_target(lambda constants: pivot(constants, beta0).tolist())
 
 
 def _post_sigma(data: Dataset, cal: Calibration, model: str, E: np.ndarray) -> float:
@@ -451,39 +427,48 @@ def fit_method(
     """Run ``method``'s selection on ``data``; ``seed`` drives its randomness.
 
     ``alpha`` is checked here, before any selection, so a bad level fails the
-    whole call rather than each target.
+    whole call rather than each target.  For the exact and polyhedral
+    methods the constants of every target are built here, together, by
+    stages that each check and factor what they use: ``build_target ->
+    build_geometry -> pivot_params`` (exact) or ``build_target ->
+    polyhedral_bounds`` (polyhedral).  A target keeps the error of the first
+    check it fails; an error raised by a stage that serves every target
+    becomes the error of each target still standing.
     """
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must lie in (0, 1)")
+    if method in ("split", "uv"):
+        if method == "split":
+            # subsample penalty matched to the carving calibration
+            ests = split_inference(data, cal.rho, cal.rho * cal.lam, alpha, seed)
+        else:
+            # selection noise is inflated by (1+f): scale the penalty along
+            f = (1.0 - cal.rho) / cal.rho
+            ests = uv_inference(data, f, math.sqrt(1.0 + f) * cal.lam, alpha, cal.sigma2, seed)
+        E = np.array([e.target_label for e in ests], dtype=int)
+        return Fit(method, alpha, E, estimates=ests)
     if method == "exact":
         tau2, outcome, rep = randomized_selection(data, cal, seed)
-        E = outcome.selected
-        if E.size == 0:
-            return Fit(method, alpha, E)
-        return Fit(
-            method, alpha, E, data, model, outcome, rep, tau2,
-            sigma=_post_sigma(data, cal, model, E),
-        )
-    if method == "polyhedral":
+    elif method == "polyhedral":
         outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=0.0, w=np.zeros(data.p))
-        E = outcome.selected
-        if E.size == 0:
-            return Fit(method, alpha, E)
-        return Fit(
-            method, alpha, E, data, model, outcome,
-            sigma=_post_sigma(data, cal, model, E), lam=cal.lam,
-        )
-    if method == "split":
-        # subsample penalty matched to the carving calibration
-        ests = split_inference(data, cal.rho, cal.rho * cal.lam, alpha, seed)
-    elif method == "uv":
-        # selection noise is inflated by (1+f): scale the penalty along
-        f = (1.0 - cal.rho) / cal.rho
-        ests = uv_inference(data, f, math.sqrt(1.0 + f) * cal.lam, alpha, cal.sigma2, seed)
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    E = np.array([e.target_label for e in ests], dtype=int)
-    return Fit(method, alpha, E, estimates=ests)
+    E = outcome.selected
+    if E.size == 0:
+        return Fit(method, alpha, E)
+    sigma = _post_sigma(data, cal, model, E)
+    errors: list = [None] * E.size
+    try:
+        target = build_target(data, E, model)
+        if method == "polyhedral":
+            constants, errors = polyhedral_bounds(data, E, outcome.signs, cal.lam, target, sigma)
+        else:
+            geom = build_geometry(data, rep, tau2, target)
+            errors = geom.errors
+            constants, errors = pivot_params(geom, target, sigma=sigma)
+    except ExactSIError as exc:
+        return Fit(method, alpha, E, outcome, errors=[e or exc for e in errors])
+    return Fit(method, alpha, E, outcome, constants, errors)
 
 
 # Seed stream of each method's randomness within a replicate; the polyhedral

@@ -111,6 +111,21 @@ class TestPivotParams:
         ]
         assert math.isnan(exact_pivot(replace(each[0], sigma_j2=-1.0), 0.0))
 
+    @pytest.mark.parametrize("name", [
+        "beta_hat_j", "lambda_j", "zeta_j", "lower", "upper", "vartheta2", "theta_intercept",
+    ])
+    def test_nan_constant_fails_its_target_alone(self, name):
+        """A target with a NaN exact constant has a NaN pivot and fails alone
+        with a ``NumericalDegeneracyError``; the other target of its batch
+        keeps the endpoints it gets when solved alone, bit for bit."""
+        params = toy_params()
+        both = stack([params, replace(params, **{name: math.nan})])
+        got = invert_pivot(both, alpha=0.1, target_labels=[3, 4])
+        assert isinstance(got[1], NumericalDegeneracyError)
+        assert outcome(got[0]) == outcome(invert_pivot(params, alpha=0.1)[0])
+        assert got[0].target_label == 3
+        assert np.isnan(exact_pivot(both, 1.0)).tolist() == [False, True]
+
     def test_generic_matches_carving_closed_form(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -226,9 +241,8 @@ class TestExactPivot:
             data, cal, "exact", config.model, config.alpha, _seed_for(config.seed, 3, 2)
         )
         j = int(np.flatnonzero(fit.selected == 56)[0])
-        constants, errors = fit._constants
-        assert errors == [None] * fit.selected.size
-        params = take(constants, j)
+        assert fit.errors == [None] * fit.selected.size
+        params = take(fit.constants, j)
         est = fit.interval(j)
         assert oracle_pivot(params, est.lower) == pytest.approx(0.95, abs=1e-9)
         assert oracle_pivot(params, est.upper) == pytest.approx(0.05, abs=1e-9)
@@ -368,13 +382,13 @@ def model_polyhedral_bounds(draw):
 
 def exact_probit(record, x):
     """``_exact_probit`` on a record broadcast against ``x``."""
-    _, flat, x = inference._broadcast(record, x, PivotParams)
+    _, flat, x = inference._broadcast(record, x)
     return inference._exact_probit(flat, x)
 
 
 def polyhedral_probit(record, x):
     """``_polyhedral_probit`` on a record broadcast against ``x``."""
-    _, flat, x = inference._broadcast(record, x, inference._polyhedral_line)
+    _, flat, x = inference._broadcast(record, x)
     return inference._polyhedral_probit(flat, x)
 
 
@@ -638,8 +652,15 @@ class TestPolyhedral:
         rng = np.random.default_rng(8)
         data, out, lam = standard_lasso_fit(rng)
         target = build_target(data, out.selected, "selected")
-        _, errors = polyhedral_bounds(data, out.selected, -out.signs, lam, target, 1.0)
+        bounds, errors = polyhedral_bounds(data, out.selected, -out.signs, lam, target, 1.0)
         assert isinstance(errors[0], GeometryInconsistencyError)
+        # every target keeps its row, and a failed one has a NaN pivot
+        assert {np.shape(getattr(bounds, f.name)) for f in fields(bounds)} == {
+            (out.selected.size,)
+        }
+        assert np.isnan(polyhedral_pivot(bounds, target.estimate)).tolist() == [
+            e is not None for e in errors
+        ]
 
     def test_event_equivalence_brute_force(self):
         # target j's bounds: the plain lasso at y(t) = gamma_j + c_j t / ||c_j||^2

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -612,6 +613,44 @@ def test_duplicated_column_gives_exact_intervals(sigma):
         assert fit.selected.size
         for j in range(fit.selected.size):
             fit.interval(j)
+
+
+def test_failed_target_keeps_its_row(monkeypatch):
+    """A target that fails in ``pivot_params`` keeps its row of the fit's
+    constants, with a NaN pivot, and its own error; every other target's
+    interval is the one it gets in the clean fit, bit for bit."""
+    X = generate_design(300, 100, 0.5, 3)
+    y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, 4)
+    data = Dataset(y=y, X=X)
+    cal = calibrate(data, ("exact",), rho=0.8)
+    clean = fit_method(data, cal, "exact", "selected", 0.1, 0)
+    k = clean.selected.size
+    assert k >= 3 and clean.errors == [None] * k
+    real_params = study.pivot_params
+
+    def precision_lost(geom, target, sigma):
+        # target 1's combination gets an infinite conditional variance, so
+        # that its precision is not positive
+        vartheta2 = geom.vartheta2.copy()
+        vartheta2[1] = math.inf
+        return real_params(replace(geom, vartheta2=vartheta2), target, sigma=sigma)
+
+    monkeypatch.setattr(study, "pivot_params", precision_lost)
+    fit = fit_method(data, cal, "exact", "selected", 0.1, 0)
+    constants = fit.constants
+    assert {np.shape(getattr(constants, f.name)) for f in fields(constants)} == {(k,)}
+    assert [j for j, e in enumerate(fit.errors) if e] == [1]
+    assert str(fit.errors[1]).startswith("nonpositive precision")
+    pivots = inference.exact_pivot(constants, constants.beta_hat_j)
+    assert np.isnan(pivots).tolist() == [j == 1 for j in range(k)]
+    assert fit.pivots(constants.beta_hat_j)[1] is fit.errors[1]
+    with pytest.raises(NumericalDegeneracyError, match="nonpositive precision"):
+        fit.interval(1)
+    for j in [j for j in range(k) if j != 1]:
+        got, want = fit.interval(j), clean.interval(j)
+        assert (got.lower, got.upper, got.clipped, got.target_label) == (
+            want.lower, want.upper, want.clipped, want.target_label
+        )
 
 
 def test_calibrate_checks_method_options():

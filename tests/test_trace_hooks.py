@@ -33,6 +33,7 @@ def test_every_trace_hook_resolves():
 
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "exactsi"
+TESTS = Path(__file__).resolve().parent
 
 
 def unread_imports(source: str) -> list[str]:
@@ -60,15 +61,17 @@ def unread_imports(source: str) -> list[str]:
 
 
 def test_unread_imports_are_trace_hooks():
-    """Every name a package module imports is read there, listed in its
-    ``__all__``, or wrapped there by a trace hook: an import kept only for
-    the hooks goes when its hook does."""
+    """Every name a package or test module imports is read there, listed in
+    its ``__all__``, or wrapped there by a trace hook: an import kept only
+    for the hooks goes when its hook does."""
     hooked = {(module, attr.split(".")[0]) for module, attr, _ in load_patches()}
+    modules = [(f"exactsi.{path.stem}", path) for path in sorted(PACKAGE.glob("*.py"))]
+    modules += [(f"tests.{path.stem}", path) for path in sorted(TESTS.glob("*.py"))]
     stray = [
-        f"exactsi.{path.stem}: {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{module}: {name}"
+        for module, path in modules
         for name in unread_imports(path.read_text(encoding="utf-8"))
-        if (f"exactsi.{path.stem}", name) not in hooked
+        if (module, name) not in hooked
     ]
     assert not stray, f"imports neither read nor hooked: {stray}"
 
