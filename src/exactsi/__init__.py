@@ -3,7 +3,7 @@
 Randomized lasso selection, the exact pivot obtained by reducing the
 selection event to a bivariate truncated Gaussian, confidence intervals
 from pivot inversion, and one selection-to-interval pipeline
-(``calibrate``, ``fit_method``) shared by a Monte-Carlo study harness with
+(``calibrate``, ``fit_method``, ``infer``) shared by a Monte-Carlo study harness with
 polyhedral, data-splitting, and response-splitting baselines, the
 uniformity check, and the command line.
 """
@@ -49,6 +49,7 @@ from .study import (
     fit_method,
     generate_design,
     generate_response,
+    infer,
     run_study,
     true_projected_target,
     validate_pivot_uniformity,
@@ -78,6 +79,7 @@ __all__ = [
     "fit_method",
     "generate_design",
     "generate_response",
+    "infer",
     "invert_monotone",
     "invert_pivot",
     "lasso_event_rep",

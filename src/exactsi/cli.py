@@ -8,7 +8,8 @@ pipeline in ``exactsi.study``, which also checks that each requested method
 has the options it needs: the CLI parses arguments, calls the pipeline, and
 turns a failing target into an error row.  Outputs are UTF-8 JSON with keys in fixed
 order (strict RFC 8259: an undefined number is null) and RFC-4180 CSV (an
-empty cell); identical command and seed give byte-identical files.
+empty cell); identical command and seed give byte-identical files at the
+same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .study import (
     SimConfig,
     calibrate,
     fit_method,
+    infer,
     randomized_selection,
     run_study,
     validate_pivot_uniformity,
@@ -203,30 +205,24 @@ def _infer_rows(args, data: Dataset, names: list[str]) -> list[dict]:
     cal = calibrate(
         data, args.method, lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon
     )
+    fits = [fit_method(data, cal, m, args.model, args.alpha, args.seed) for m in args.method]
     rows: list[dict] = []
-
-    def add(label, est=None, error=""):
-        rows.append(
-            {
-                "method": method,
-                "feature": names[label],
-                "index": label,
-                "lower": est.lower if est else None,
-                "upper": est.upper if est else None,
-                "level": 1.0 - args.alpha,
-                "significant": int(not est.covers(0.0)) if est else -1,
-                "clipped": int(est.clipped) if est else 0,
-                "error": error,
-            }
-        )
-
-    for method in args.method:
-        fit = fit_method(data, cal, method, args.model, args.alpha, args.seed)
-        for j, label in enumerate(fit.selected.tolist()):
-            try:
-                add(label, fit.interval(j))
-            except ExactSIError as exc:
-                add(label, error=str(exc))
+    for fit, results in zip(fits, infer(fits)):
+        for label, est in zip(fit.selected.tolist(), results):
+            error = isinstance(est, ExactSIError)
+            rows.append(
+                {
+                    "method": fit.method,
+                    "feature": names[label],
+                    "index": label,
+                    "lower": None if error else est.lower,
+                    "upper": None if error else est.upper,
+                    "level": 1.0 - args.alpha,
+                    "significant": -1 if error else int(not est.covers(0.0)),
+                    "clipped": 0 if error else int(est.clipped),
+                    "error": str(est) if error else "",
+                }
+            )
     return rows
 
 
@@ -423,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim(p_sim)
     p_sim.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes, at most one per core and per 4 replicates; "
+        help="worker processes, at most one per core and per block of 32 replicates; "
         "pin BLAS to one thread per worker "
         "(OPENBLAS_NUM_THREADS=1), or each worker's BLAS threads compete "
         "with the others for the cores",

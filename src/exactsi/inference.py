@@ -19,10 +19,11 @@ stage of ``build_target -> build_geometry -> pivot_params`` (exact) or
 j: a target that failed a check keeps its row, whose pivot is NaN.  Each
 pivot's kernel, its probit with the slope, reads such a record with flat
 fields as it is (``_broadcast`` forms one against ``beta0``).  One
-inversion routine (``_invert``) gives a fit's intervals for both pivots: it
-solves every endpoint of every target together by safeguarded Newton steps
-on the negated probit, from one kernel call at the seeds; each endpoint
-ends with its own status, and each target keeps its own error.
+inversion routine (``_invert``) gives the intervals of a record, one fit's
+or many fits' rows concatenated, for both pivots: it solves every endpoint
+of every target together by safeguarded Newton steps on the negated probit,
+from one kernel call at the seeds; each endpoint ends with its own status,
+and each target keeps its own error.
 """
 
 from __future__ import annotations
@@ -575,8 +576,9 @@ def _invert(
     call evaluates every seed and, where given, both ends of ``window`` (rows
     as in the seeds); its values and slopes at the seeds are the first
     iteration.  An endpoint whose value there is NaN, such as either
-    endpoint of a target with a NaN constant, fails without a search; one
-    that lies beyond the window is clipped there and not solved.  Entry i is
+    endpoint of a target with a NaN constant, or whose seed or scale is not
+    finite or positive, fails without a search (``NAN_VALUE``); one that
+    lies beyond the window is clipped there and not solved.  Entry i is
     target i's interval, or the error its own endpoints met (see
     ``_results``).
     """
@@ -585,7 +587,8 @@ def _invert(
     levels = 1.0 - alpha / 2.0, alpha / 2.0  # of the lower, then the upper endpoints
     z = float(ndtri(levels[0]))
     k = scale.size
-    ends = seeds(z) if window is None else np.concatenate([window, seeds(z)])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ends = seeds(z) if window is None else np.concatenate([window, seeds(z)])
     every = type(record)(*(np.concatenate([col] * ends.shape[0]) for col in _columns(record)))
     h, slope = probit(every, ends.ravel())
     offset = h.size - 2 * k  # the seeds' first element in every
@@ -602,7 +605,9 @@ def _invert(
         upper_first, above = at[0] > z, at[1] < -z
         clipped = (~(upper_first | above) & (_ENDPOINT_SIDES * at < z)).ravel()
         roots = window.ravel()
-    nan = np.isnan(value) & ~clipped
+    scales = np.concatenate([scale, scale])
+    usable = np.isfinite(ends[-2:].ravel()) & (scales > 0.0) & (scales < math.inf)
+    nan = (np.isnan(value) | ~usable) & ~clipped
     solve = (~(clipped | nan)).nonzero()[0]
     seeded = offset + solve  # in every
 
@@ -615,7 +620,7 @@ def _invert(
         negated,
         np.where(solve < k, -z, z),
         ends.ravel()[seeded],
-        np.concatenate([scale, scale])[solve],
+        scales[solve],
         args=tuple(col[seeded] for col in _columns(every)),
         first=(value[solve], slope[solve]),
     )
@@ -645,13 +650,14 @@ def invert_pivot(
     ``NumericalDegeneracyError`` that says so.
     """
     line = PivotParams(*(np.atleast_1d(x).astype(float) for x in _columns(params)))
-    with np.errstate(invalid="ignore"):
+    # a tiny lambda_j overflows the seeds and scale, and _invert fails its target
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sd = np.sqrt(line.sigma_j2)
+        scale = sd / line.lambda_j
     center = line.beta_hat_j - line.zeta_j
     out = _invert(
         _exact_probit, line, alpha, target_labels,
-        lambda z: (center + _ENDPOINT_SIDES * (z * sd)) / line.lambda_j,
-        sd / line.lambda_j,
+        lambda z: (center + _ENDPOINT_SIDES * (z * sd)) / line.lambda_j, scale,
     )
     return [
         result if good else NumericalDegeneracyError("sigma_j2 must be positive")

@@ -23,13 +23,14 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    or polyhedral targets once, by ``build_target -> build_geometry ->
    pivot_params`` (exact) or ``build_target -> polyhedral_bounds``
    (polyhedral): one record of arrays whose row j is target j, and each
-   target's error.  From the returned ``Fit`` callers take each target's
-   interval or pivot value, or the error that stopped that target, and
-   apply their own error policy.
-   Split and uv return z-intervals whole: split from ``build_target`` and
-   ``plug_in_sigma2`` on a dataset of its held-out rows and selected
-   columns, uv from ``build_target`` on X'(y - w/f) at the known noise
-   variance times ``1 + 1/f``.
+   target's error.  Split and uv return z-intervals whole: split from
+   ``build_target`` and ``plug_in_sigma2`` on a dataset of its held-out
+   rows and selected columns, uv from ``build_target`` on X'(y - w/f) at
+   the known noise variance times ``1 + 1/f``.
+4. ``infer`` gives each target of a list of ``Fit`` records its interval,
+   or the error that stopped it, in one elementwise call per method and
+   level on the concatenated constants (``_per_target``, which also gives
+   the uniformity check its pivots); callers apply their own error policy.
 
 The study generates sparse Gaussian regressions on an AR(1)-correlated
 design, runs the exact randomized method next to the polyhedral,
@@ -49,7 +50,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .inference import (
     IntervalEstimate,
     PivotParams,
     PolyhedralBounds,
+    _columns,
     exact_pivot,
     invert_pivot,
     pivot_params,
@@ -365,11 +367,9 @@ class Fit:
     methods ``constants`` is the record (``PivotParams`` or
     ``PolyhedralBounds``) whose row j is target j's constants, None where
     nothing was selected or a stage that serves every target failed, and
-    ``errors[j]`` is the error that stopped target j, or None.  One batched
-    inversion (``invert_pivot`` or ``polyhedral_interval``) of the whole
-    record gives every interval; ``interval(j)`` returns entry j, or raises
-    target j's error.  Split and uv intervals come whole from their
-    held-out fits, as ``estimates``.
+    ``errors[j]`` is the error that stopped target j, or None.  Split and uv
+    intervals come whole from their held-out fits, as ``estimates``.  A fit
+    is data only: ``infer`` takes the intervals of a list of fits.
     """
 
     method: str
@@ -380,37 +380,46 @@ class Fit:
     errors: list[ExactSIError | None] = field(default_factory=list)
     estimates: list[IntervalEstimate] = field(default_factory=list)
 
-    def _each_target(self, step) -> list:
-        """Entry j: target j's error, else its entry of ``step(constants)``,
-        run once on the whole record."""
-        if self.constants is None:
-            return list(self.errors)
+
+def _per_target(fits: Sequence[Fit], beta0s: Sequence | None = None) -> list[list]:
+    """Entry i, j: target j of ``fits[i]``'s interval, or its pivot at
+    ``beta0s[i][j]`` where given, or the error that stopped it.  The fits'
+    records are concatenated per (method, alpha) for one call each, and its
+    results split back by row count.  A target's own error wins; an error
+    that the call raises is the error of every target in it."""
+    out = [list(fit.errors) for fit in fits]
+    groups: dict[tuple[str, float], list[int]] = {}
+    for i, fit in enumerate(fits):
+        if fit.constants is not None:
+            groups.setdefault((fit.method, fit.alpha), []).append(i)
+    for (method, alpha), members in groups.items():
+        columns = zip(*(_columns(fits[i].constants) for i in members))
+        record = type(fits[members[0]].constants)(*map(np.concatenate, columns))
         try:
-            results = step(self.constants)
+            if beta0s is None:
+                labels = [label for i in members for label in fits[i].selected.tolist()]
+                invert = invert_pivot if method == "exact" else polyhedral_interval
+                results = iter(invert(record, alpha, labels))
+            else:
+                beta0 = np.concatenate([beta0s[i] for i in members])
+                pivot = exact_pivot if method == "exact" else polyhedral_pivot
+                results = iter(pivot(record, beta0).tolist())
         except ExactSIError as exc:
-            results = [exc] * self.selected.size
-        return [e or r for e, r in zip(self.errors, results)]
+            results = repeat(exc)
+        for i in members:
+            out[i] = [e or r for e, r in zip(out[i], results)]
+    return out
 
-    @cached_property
-    def _intervals(self) -> list[IntervalEstimate | ExactSIError]:
-        if self.method in ("split", "uv"):
-            return self.estimates
-        invert = invert_pivot if self.method == "exact" else polyhedral_interval
-        return self._each_target(
-            lambda constants: invert(constants, self.alpha, self.selected.tolist())
-        )
 
-    def interval(self, j: int) -> IntervalEstimate:
-        result = self._intervals[j]
-        if isinstance(result, ExactSIError):
-            raise result
-        return result
-
-    def pivots(self, beta0) -> list[float | ExactSIError]:
-        """Entry j: target j's pivot at ``beta0[j]``, or the error that stopped it."""
-        pivot = exact_pivot if self.method == "exact" else polyhedral_pivot
-        beta0 = np.asarray(beta0, dtype=float)
-        return self._each_target(lambda constants: pivot(constants, beta0).tolist())
+def infer(fits: Sequence[Fit]) -> list[list[IntervalEstimate | ExactSIError]]:
+    """Entry i, j: target j of ``fits[i]``'s interval, or the error that
+    stopped it.  The exact or polyhedral fits of one level are inverted in
+    one ``invert_pivot`` or ``polyhedral_interval`` call on their
+    concatenated constants; split and uv fits give their ``estimates``."""
+    return [
+        fit.estimates if fit.method in ("split", "uv") else results
+        for fit, results in zip(fits, _per_target(fits))
+    ]
 
 
 def _post_sigma(data: Dataset, cal: Calibration, model: str, E: np.ndarray) -> float:
@@ -467,6 +476,7 @@ def fit_method(
             errors = geom.errors
             constants, errors = pivot_params(geom, target, sigma=sigma)
     except ExactSIError as exc:
+        exc = exc.with_traceback(None)  # the traceback would keep the dataset alive
         return Fit(method, alpha, E, outcome, errors=[e or exc for e in errors])
     return Fit(method, alpha, E, outcome, constants, errors)
 
@@ -476,38 +486,48 @@ def fit_method(
 _STREAMS = {"exact": 2, "split": 3, "uv": 4}
 
 
-def _run_replicate(
-    config: SimConfig, rep_idx: int
-) -> tuple[list[dict], dict[str, float | ExactSIError]]:
-    """All methods on one generated dataset.
-
-    Returns one row per interval, and each method's outcome: the F1 score of
-    its selection, or the error that failed it.
-    """
-    X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, rep_idx, 0))
-    support = support_indices(config.p, config.sparsity)
-    y, beta = generate_response(
-        X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 1)
-    )
-    data = Dataset(y=y, X=X, sigma=None)
+def _run_block(
+    config: SimConfig, reps: Sequence[int]
+) -> list[tuple[list[dict], dict[str, float | ExactSIError]]]:
+    """All methods on the datasets of replicates ``reps``, whose fits are
+    inverted together.  Per replicate: one row per interval, and each
+    method's outcome, the F1 score of its selection or the error that failed
+    it (its first failed target's, in j order)."""
     lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
-    # the study's randomized lasso has no ridge term, whatever the shape
-    cal = calibrate(data, config.methods, lam=lam, rho=config.rho, epsilon=0.0)
-    rows: list[dict] = []
-    outcomes: dict[str, float | ExactSIError] = {}
-    for method in config.methods:
-        seed = _seed_for(config.seed, rep_idx, _STREAMS[method]) if method in _STREAMS else 0
-        try:
-            fit = fit_method(data, cal, method, config.model, config.alpha, seed)
-            ints = [fit.interval(j) for j in range(fit.selected.size)]
-        except ExactSIError as exc:
-            # the traceback would keep the replicate's arrays alive
-            outcomes[method] = exc.with_traceback(None)
+    support = support_indices(config.p, config.sparsity)
+    # per replicate and method: its fit and truths, or the error that failed it
+    picked: list[tuple[int, str, Fit | ExactSIError, np.ndarray | None]] = []
+    for rep_idx in reps:
+        X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, rep_idx, 0))
+        y, beta = generate_response(
+            X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 1)
+        )
+        data = Dataset(y=y, X=X, sigma=None)
+        # the study's randomized lasso has no ridge term, whatever the shape
+        cal = calibrate(data, config.methods, lam=lam, rho=config.rho, epsilon=0.0)
+        for method in config.methods:
+            seed = _seed_for(config.seed, rep_idx, _STREAMS[method]) if method in _STREAMS else 0
+            try:
+                fit = fit_method(data, cal, method, config.model, config.alpha, seed)
+                # a fit with a failed target fails its method and needs no truths
+                truths = None if any(fit.errors) else true_projected_target(
+                    X, fit.selected, support, beta, config.model
+                )
+            except ExactSIError as exc:
+                # the traceback would keep the replicate's arrays alive
+                fit, truths = exc.with_traceback(None), None
+            picked.append((rep_idx, method, fit, truths))
+    intervals = iter(infer([fit for _, _, fit, _ in picked if isinstance(fit, Fit)]))
+    results: dict[int, tuple[list[dict], dict]] = {rep_idx: ([], {}) for rep_idx in reps}
+    for rep_idx, method, fit, truths in picked:
+        rows, outcomes = results[rep_idx]
+        ests = next(intervals) if isinstance(fit, Fit) else [fit]
+        failed = [e for e in ests if isinstance(e, ExactSIError)]
+        if failed:
+            outcomes[method] = failed[0].with_traceback(None)
             continue
-        E = fit.selected
-        f1 = outcomes[method] = f1_score(E, support)
-        truths = true_projected_target(X, E, support, beta, config.model)
-        for est, truth in zip(ints, truths):
+        f1 = outcomes[method] = f1_score(fit.selected, support)
+        for est, truth in zip(ests, truths.tolist()):
             rows.append(
                 {
                     "rep": rep_idx,
@@ -515,15 +535,15 @@ def _run_replicate(
                     "coordinate": int(est.target_label),
                     "lower": est.lower,
                     "upper": est.upper,
-                    "truth": float(truth),
-                    "covered": int(est.covers(float(truth))),
+                    "truth": truth,
+                    "covered": int(est.covers(truth)),
                     "length": est.length,
                     "f1": f1,
-                    "selected_size": int(E.size),
+                    "selected_size": fit.selected.size,
                     "clipped": int(est.clipped),  # internal, not a CSV column
                 }
             )
-    return rows, outcomes
+    return list(results.values())
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -534,7 +554,7 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), se
 
 
-_CHUNK = 4  # replicates a pool worker takes at a time
+_BLOCK = 32  # replicates whose fits are inverted together, a pool worker's unit
 
 
 def _cores() -> int:
@@ -549,33 +569,34 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
 
     Rows hold one row per interval; a replicate in which a method selected
     nothing or failed counts only in its summary, whose F1 averages over the
-    replicates that did not fail.
+    replicates that did not fail.  Each replicate is selected on its own,
+    and the fits of a block of ``_BLOCK`` replicates are inverted together.
 
     With ``workers > 1``, pin BLAS to one thread per worker (for OpenBLAS,
     ``OPENBLAS_NUM_THREADS=1``): otherwise each worker's multithreaded BLAS
-    competes with the others for the cores.  The pool starts all its
-    processes at once, so it gets no more of them than there are chunks of
-    ``_CHUNK`` replicates or cores this process may run on; with one, the
-    replicates run in this process.  Its workers are forked from a
-    ``forkserver`` process that has imported this module, never from this
-    process, in which BLAS may already run threads that a fork would leave
-    behind; as with ``spawn``, a script that asks for workers must guard
-    its entry point with ``if __name__ == "__main__"``.  Raises
-    ``InvalidArgumentError`` for ``workers < 1``.
+    competes with the others for the cores.  The pool maps blocks and starts
+    all its processes at once, so it gets no more of them than there are
+    blocks or cores this process may run on; with one, the blocks run in
+    this process.  Its workers are forked from a ``forkserver`` process that
+    has imported this module, never from this process, in which BLAS may
+    already run threads that a fork would leave behind; as with ``spawn``, a
+    script that asks for workers must guard its entry point with ``if
+    __name__ == "__main__"``.  Raises ``InvalidArgumentError`` for ``workers
+    < 1``.
     """
     if not workers >= 1:
         raise InvalidArgumentError("workers must be at least 1")
     reps = range(config.n_reps)
-    workers = min(workers, -(-config.n_reps // _CHUNK), _cores())
+    blocks = [reps[start : start + _BLOCK] for start in reps[::_BLOCK]]
+    workers = min(workers, len(blocks), _cores())
     if workers > 1:
         context = multiprocessing.get_context("forkserver")
         context.set_forkserver_preload([__name__])
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            results = list(
-                pool.map(_run_replicate, [config] * len(reps), reps, chunksize=_CHUNK)
-            )
+            done = list(pool.map(_run_block, [config] * len(blocks), blocks))
     else:
-        results = [_run_replicate(config, r) for r in reps]
+        done = [_run_block(config, reps) for reps in blocks]
+    results = [result for block in done for result in block]
 
     summaries: dict[str, MethodSummary] = {}
     for method in config.methods:
@@ -628,7 +649,8 @@ def pivots_at_truth(
     The design stays fixed across replicates (seed stream 10); response
     (stream 11) and randomization (stream 12) are redrawn, and the noise level
     is taken as known, with the randomization variance matched to a
-    ``round(rho * n)`` subsample, so that the pivot itself is isolated.
+    ``round(rho * n)`` subsample, so that the pivot itself is isolated.  The
+    pivots of a block of ``_BLOCK`` replicates are evaluated together.
     """
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 10))
     support = support_indices(config.p, config.sparsity)
@@ -636,23 +658,27 @@ def pivots_at_truth(
     tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
     lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
     methods = [m for m in config.methods if m in ("exact", "polyhedral")]
-    for rep_idx in range(config.n_reps):
-        y, beta = generate_response(
-            X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 11)
-        )
-        data = Dataset(y=y, X=X, sigma=sigma)
-        cal = calibrate(data, methods, lam=lam, tau2=tau2, epsilon=0.0)
-        for method in methods:
-            try:
-                fit = fit_method(
-                    data, cal, method, config.model, config.alpha,
-                    _seed_for(config.seed, rep_idx, 12),
-                )
-                truths = true_projected_target(X, fit.selected, support, beta, config.model)
-            except ExactSIError as exc:
-                yield method, None, [exc]
-                continue
-            yield method, fit, fit.pivots(truths)
+    for start in range(0, config.n_reps, _BLOCK):
+        picked = []  # per replicate and method: its fit and truths, or None and its error
+        for rep_idx in range(start, min(start + _BLOCK, config.n_reps)):
+            y, beta = generate_response(
+                X, support, config.signal_fraction, config.sigma2,
+                _seed_for(config.seed, rep_idx, 11),
+            )
+            data = Dataset(y=y, X=X, sigma=sigma)
+            cal = calibrate(data, methods, lam=lam, tau2=tau2, epsilon=0.0)
+            seed = _seed_for(config.seed, rep_idx, 12)
+            for method in methods:
+                try:
+                    fit = fit_method(data, cal, method, config.model, config.alpha, seed)
+                    truths = true_projected_target(X, fit.selected, support, beta, config.model)
+                except ExactSIError as exc:
+                    fit, truths = None, [exc]
+                picked.append((method, fit, truths))
+        fits = [fit for _, fit, _ in picked if fit is not None]
+        values = iter(_per_target(fits, [truths for _, fit, truths in picked if fit is not None]))
+        for method, fit, truths in picked:
+            yield method, fit, truths if fit is None else next(values)
 
 
 def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:

@@ -22,7 +22,7 @@ from exactsi.cli import (
 from exactsi.errors import ExactSIError, InvalidArgumentError, NumericalDegeneracyError
 from exactsi.study import (
     SimConfig,
-    _run_replicate,
+    _run_block,
     _seed_for,
     generate_design,
     generate_response,
@@ -468,7 +468,7 @@ def test_per_fit_failure_is_an_error_of_every_target(tmp_path, monkeypatch):
     assert report["methods"]["exact"]["mean_length"] is None
 
     cfg = SimConfig(n=60, p=12, sparsity=2, signal_fraction=2.0, n_reps=1, seed=7)
-    _, outcomes = _run_replicate(cfg, 0)
+    ((_, outcomes),) = _run_block(cfg, [0])
     assert isinstance(outcomes["exact"], ExactSIError)
     assert "ill-conditioned (scaled cond > 1e+00)" in str(outcomes["exact"])
 
@@ -745,7 +745,7 @@ def test_study_fails_a_method_on_its_first_failing_target(monkeypatch):
     order, whichever way the batch ran."""
     cfg = SimConfig(n=60, p=12, sparsity=2, signal_fraction=2.0, n_reps=1, seed=7,
                     methods=("exact",))
-    rows, outcomes = _run_replicate(cfg, 0)
+    ((rows, outcomes),) = _run_block(cfg, [0])
     assert len(rows) >= 3 and outcomes == {"exact": rows[0]["f1"]}
     real_params = study.pivot_params
 
@@ -759,7 +759,7 @@ def test_study_fails_a_method_on_its_first_failing_target(monkeypatch):
         return params, errors
 
     monkeypatch.setattr(study, "pivot_params", pivot_params)
-    _, outcomes = _run_replicate(cfg, 0)
+    ((_, outcomes),) = _run_block(cfg, [0])
     assert isinstance(outcomes["exact"], NumericalDegeneracyError)
     assert str(outcomes["exact"]) == "injected at target 1"
 

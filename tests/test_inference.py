@@ -126,6 +126,17 @@ class TestPivotParams:
         assert got[0].target_label == 3
         assert np.isnan(exact_pivot(both, 1.0)).tolist() == [False, True]
 
+    def test_overflowing_seed_fails_its_target_alone(self):
+        """A ``lambda_j`` so small that the seeds ``(beta_hat - zeta -+ z sd)
+        / lambda_j`` and the scale ``sd / lambda_j`` overflow fails its own
+        target, with no warning; the other target keeps its lone endpoints."""
+        params = toy_params()
+        both = stack([params, replace(params, lambda_j=1e-320)])
+        got = invert_pivot(both, alpha=0.1, target_labels=[3, 4])
+        assert isinstance(got[1], NumericalDegeneracyError)
+        assert outcome(got[0]) == outcome(invert_pivot(params, alpha=0.1)[0])
+        assert got[0].target_label == 3
+
     def test_generic_matches_carving_closed_form(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -243,7 +254,7 @@ class TestExactPivot:
         j = int(np.flatnonzero(fit.selected == 56)[0])
         assert fit.errors == [None] * fit.selected.size
         params = take(fit.constants, j)
-        est = fit.interval(j)
+        est = study.infer([fit])[0][j]
         assert oracle_pivot(params, est.lower) == pytest.approx(0.95, abs=1e-9)
         assert oracle_pivot(params, est.upper) == pytest.approx(0.05, abs=1e-9)
         assert est.lower == pytest.approx(-0.99109, abs=1e-5)
@@ -984,12 +995,13 @@ class TestBatchedInversion:
         assert math.isnan(polyhedral_pivot(broken[1], 0.2))
 
     def test_default_cell_evaluations_are_bounded(self, monkeypatch):
-        """20 default-cell polyhedral fits (seed 78) evaluate the pivot or its
-        probit at most 100 times in all, 5 per fit with the clip window's
-        evaluation: the window shares the seeds' call, and a quadratically
-        contracting Newton step is taken without a confirming call.  With
-        the window in a call of its own and every step confirmed they took
-        126."""
+        """20 default-cell polyhedral fits (seed 78) are inverted in one
+        ``polyhedral_interval`` call, which evaluates the pivot or its probit
+        at most 100 times, the bound of 5 per fit with the clip window's
+        evaluation when each fit was inverted alone: the window shares the
+        seeds' call, and a quadratically contracting Newton step is taken
+        without a confirming call.  With the window in a call of its own and
+        every step confirmed, the lone inversions took 126."""
         calls = []
         for name in ("_polyhedral_probit", "polyhedral_pivot"):
             real = getattr(inference, name)
@@ -1009,7 +1021,7 @@ class TestBatchedInversion:
         monkeypatch.setattr(study, "polyhedral_interval", interval)
         summary = study.run_study(SimConfig(seed=78, n_reps=20, methods=("polyhedral",)))
         assert summary.methods["polyhedral"].n_failed == 0
-        assert len(fits) == 20
+        assert len(fits) == 1 and fits[0].sd.size == len(summary.rows)
         assert len(calls) <= 100
 
     def test_empty_batch(self):

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import take
 
 from exactsi import conditioning, inference, numerics, selection, study
 from exactsi.cli import _summary_json
 from exactsi.errors import (
+    ExactSIError,
     InsufficientSampleError,
     InvalidArgumentError,
     NumericalDegeneracyError,
@@ -17,8 +17,10 @@ from exactsi.errors import (
 )
 from exactsi.selection import Dataset
 from exactsi.study import (
+    _BLOCK,
     SimConfig,
-    _run_replicate,
+    _per_target,
+    _run_block,
     _seed_for,
     calibrate,
     f1_score,
@@ -190,8 +192,8 @@ class TestRunStudy:
             ALL_EMPTY,
             # round(0.99 * 20) = n: the exact method fails in every replicate
             quick_config(n=20, p=5, rho=0.99, methods=("exact", "polyhedral")),
-            # more than one chunk of replicates, so that a pool of two runs
-            quick_config(n_reps=8, methods=("exact", "polyhedral")),
+            # more than one block of replicates, so that a pool of two runs
+            quick_config(n_reps=_BLOCK + 1, methods=("exact", "polyhedral")),
         ],
         ids=["default", "all_empty", "exact_fails", "two_chunks"],
     )
@@ -210,8 +212,8 @@ class TestRunStudy:
     @pytest.mark.parametrize(
         "workers, n_reps, cores, pool",
         [
-            (500, 2, 64, None),  # one chunk: no pool
-            (500, 9, 64, 3),  # three chunks of at most four replicates
+            (500, 2, 64, None),  # one block: no pool
+            (500, 9, 64, 3),  # three blocks of at most four replicates
             (500, 40, 2, 2),  # two cores
             (3, 40, 64, 3),  # as many as asked for
             (2, 1, 64, None),  # one replicate
@@ -219,9 +221,10 @@ class TestRunStudy:
     )
     def test_pool_is_capped_by_chunks_and_cores(self, monkeypatch, workers, n_reps, cores, pool):
         """A pool starts all its processes at once, so ``run_study`` asks for
-        no more than min(workers, chunks of replicates, cores).  The pool is
-        a recorder that maps in this process: no process is started.  Its
-        processes would be forked from a forkserver."""
+        no more than min(workers, blocks of replicates, cores).  The cases
+        count blocks of four replicates.  The pool is a recorder that maps in
+        this process: no process is started.  Its processes would be forked
+        from a forkserver."""
         sizes = []
 
         class RecordingPool:
@@ -235,10 +238,11 @@ class TestRunStudy:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables, chunksize=1):
+            def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
         monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(study, "_BLOCK", 4)
         monkeypatch.setattr(study, "_cores", lambda: cores)
         cfg = quick_config(n_reps=n_reps, methods=("polyhedral",))
         summary = run_study(cfg, workers=workers)
@@ -299,7 +303,7 @@ class TestRunStudy:
         # replicate 42 of this cell has polyhedral targets whose estimate sits
         # within ~1e-3 sd of a truncation bound, so that both interval
         # endpoints lie more than 50 sd beyond the estimate on one side
-        rows, outcomes = _run_replicate(SimConfig(seed=12345, methods=("polyhedral",)), 42)
+        ((rows, outcomes),) = _run_block(SimConfig(seed=12345, methods=("polyhedral",)), [42])
         assert outcomes == {"polyhedral": rows[0]["f1"]}
         assert all(r["lower"] < r["upper"] for r in rows)
         assert any(r["length"] > 100.0 and not r["clipped"] for r in rows)
@@ -374,12 +378,17 @@ class TestValidateUniformity:
         fits = []
 
         def flaky(*args, **kwargs):
-            # the first target of the third fit fails alone
+            # the first target of the third fit fails alone, and keeps its
+            # row with NaN constants, as pivot_params leaves a failed target
             params, errors = real_params(*args, **kwargs)
             fits.append(None)
             if len(fits) == 3:
                 errors = [NumericalDegeneracyError("injected"), *errors[1:]]
-                params = take(params, list(range(1, len(errors))))
+                first = np.arange(len(errors)) == 0
+                params = replace(params, **{
+                    name: np.where(first, math.nan, getattr(params, name))
+                    for name in ("sigma_j2", "lambda_j", "zeta_j")
+                })
             return params, errors
 
         monkeypatch.setattr(study, "pivot_params", flaky)
@@ -388,8 +397,11 @@ class TestValidateUniformity:
         assert (got.n_failed, got.failures) == (1, {"NumericalDegeneracyError": 1})
         assert got.n_pooled == clean.n_pooled - 1
 
-        # a pivot call that raises fails every target of its fit, and only those
+        # a pivot call that raises fails every target of its block, and only
+        # those: the third block.  Blocks of four replicates leave at least
+        # 200 pivots to pool
         monkeypatch.setattr(study, "pivot_params", real_params)
+        monkeypatch.setattr(study, "_BLOCK", 4)
         real_pivot = study.exact_pivot
         calls = []
 
@@ -401,11 +413,12 @@ class TestValidateUniformity:
 
         monkeypatch.setattr(study, "exact_pivot", broken)
         got = validate_pivot_uniformity(cfg)["exact"]
+        assert len(calls) == -(-cfg.n_reps // 4)
         assert got.n_failed == calls[2] >= 1
         assert got.n_pooled == clean.n_pooled - calls[2]
 
         # a fit that raises counts once, under its own class, beside the
-        # failed pivot call of the third fit
+        # failed pivot call of the third block
         real_fit = study.fit_method
         fits, broken_size = [], calls[2]
         calls.clear()
@@ -445,16 +458,27 @@ def test_study_and_validate_solve_without_ridge_on_wide_designs(monkeypatch):
 
         monkeypatch.setattr(study, name, record)
     cfg = quick_config(n=30, p=40, n_reps=2, methods=("exact", "polyhedral"))
-    _run_replicate(cfg, 0)
+    _run_block(cfg, [0])
     with pytest.raises(InsufficientSampleError):
         validate_pivot_uniformity(cfg)
     assert seen and set(seen) == {0.0}
 
 
+def intervals(fit):
+    """Every target's interval of ``fit``, by ``infer``; raises the error of
+    its first failed target."""
+    (results,) = study.infer([fit])
+    for result in results:
+        if isinstance(result, ExactSIError):
+            raise result
+    return results
+
+
 def test_one_factorization_per_fit(monkeypatch):
-    """Every target of a fit shares its factorizations and its solves: all
-    targets make as many condition checks, rank tests, Cholesky
-    factorizations and triangular solves as one does.  The selected Gram is
+    """Every target of a fit shares its factorizations and its solves, and
+    inverting them adds none: a fit with every interval taken makes as many
+    condition checks, rank tests, Cholesky factorizations and triangular
+    solves as the fit alone.  The selected Gram is
     factored once per fit, for the plug-in, the contrasts and (polyhedral)
     the polyhedron.  An exact fit does not factor Omega: it reads the
     dataset's factor of X'X, made once by ``calibrate``'s full-model
@@ -506,7 +530,7 @@ def test_one_factorization_per_fit(monkeypatch):
     ):
         monkeypatch.setattr(study, name, staged(name))
 
-    def factorizations(method, all_targets):
+    def factorizations(method, invert):
         # a new dataset each time, so that no factor is kept from the last fit
         data = Dataset(y=y, X=X)
         calls.clear()
@@ -519,8 +543,8 @@ def test_one_factorization_per_fit(monkeypatch):
         seed = _seed_for(config.seed, 0, 2)
         fit = fit_method(data, cal, method, config.model, config.alpha, seed)
         assert fit.selected.size >= 2
-        for j in range(fit.selected.size if all_targets else 1):
-            fit.interval(j)
+        if invert:
+            intervals(fit)
         return list(calls), fit.selected.size
 
     p_by_p = (config.p, config.p)
@@ -559,8 +583,7 @@ def test_one_rank_test_per_dataset(monkeypatch):
     for method in ("exact", "polyhedral"):
         fit = fit_method(data, cal, method, "full", 0.1, 5)
         assert fit.selected.size
-        for j in range(fit.selected.size):
-            fit.interval(j)
+        intervals(fit)
     assert shapes.count((100, 100)) == 1
     assert not data.gram.flags.writeable
 
@@ -592,8 +615,7 @@ def test_one_xty_per_dataset(monkeypatch):
     for method in ("polyhedral", "uv"):
         fit = fit_method(data, cal, method, "selected", 0.1, 5)
         assert fit.selected.size
-        for j in range(fit.selected.size):
-            fit.interval(j)
+        intervals(fit)
     assert _CountedResponse.partners.count((100, 300)) == 1
     assert not data.xty.flags.writeable
 
@@ -611,8 +633,7 @@ def test_duplicated_column_gives_exact_intervals(sigma):
         data = Dataset(y=y, X=X, sigma=sigma)
         fit = fit_method(data, calibrate(data, ("exact",), rho=0.8), "exact", "selected", 0.1, 0)
         assert fit.selected.size
-        for j in range(fit.selected.size):
-            fit.interval(j)
+        intervals(fit)
 
 
 def test_failed_target_keeps_its_row(monkeypatch):
@@ -643,14 +664,64 @@ def test_failed_target_keeps_its_row(monkeypatch):
     assert str(fit.errors[1]).startswith("nonpositive precision")
     pivots = inference.exact_pivot(constants, constants.beta_hat_j)
     assert np.isnan(pivots).tolist() == [j == 1 for j in range(k)]
-    assert fit.pivots(constants.beta_hat_j)[1] is fit.errors[1]
+    assert _per_target([fit], [constants.beta_hat_j])[0][1] is fit.errors[1]
+    (got_all,), (want_all,) = study.infer([fit]), study.infer([clean])
+    assert got_all[1] is fit.errors[1]
     with pytest.raises(NumericalDegeneracyError, match="nonpositive precision"):
-        fit.interval(1)
+        intervals(fit)
     for j in [j for j in range(k) if j != 1]:
-        got, want = fit.interval(j), clean.interval(j)
+        got, want = got_all[j], want_all[j]
         assert (got.lower, got.upper, got.clipped, got.target_label) == (
             want.lower, want.upper, want.clipped, want.target_label
         )
+
+
+def test_a_fit_in_a_block_gets_what_it_gets_alone():
+    """``infer`` and the pivots step on one block give each fit, bit for bit,
+    what it gets alone: endpoints, clip flags and labels, or each failed
+    target's error class and message.  The block mixes two datasets, two
+    levels, every method, an exact fit with one NaN constant row, one with
+    an error of its own on a row of good constants, a fit whose constants a
+    failed stage left None, and an empty fit."""
+    cfg = quick_config()
+    fits = []
+    for rep_idx in range(2):
+        X = generate_design(cfg.n, cfg.p, cfg.corr, _seed_for(cfg.seed, rep_idx, 0))
+        y, _ = generate_response(
+            X, support_indices(cfg.p, cfg.sparsity), cfg.signal_fraction, cfg.sigma2,
+            _seed_for(cfg.seed, rep_idx, 1),
+        )
+        data = Dataset(y=y, X=X)
+        cal = calibrate(data, cfg.methods, rho=cfg.rho, epsilon=0.0)
+        for method in cfg.methods:
+            for alpha in (0.1, 0.05):
+                fits.append(fit_method(data, cal, method, cfg.model, alpha, rep_idx + 5))
+    exact = next(f for f in fits if f.method == "exact" and f.selected.size >= 2)
+    lower = exact.constants.lower.copy()
+    lower[1] = math.nan
+    fits.append(replace(exact, constants=replace(exact.constants, lower=lower)))
+    own = [None, NumericalDegeneracyError("own"), *[None] * (exact.selected.size - 2)]
+    fits.append(replace(exact, errors=own))
+    failed = [SingularDesignError("injected")] * exact.selected.size
+    fits.append(replace(exact, constants=None, errors=failed))
+    fits.append(study.Fit("polyhedral", 0.1, np.zeros(0, dtype=int)))
+    assert {f.method for f in fits if f.selected.size} == set(cfg.methods)
+    assert not any(e for f in fits[:-4] for e in f.errors)
+
+    def reprs(results):  # exact floats, classes and messages
+        return [[repr(r) for r in each] for each in results]
+
+    block = reprs(study.infer(fits))
+    assert block == [reprs(study.infer([fit]))[0] for fit in fits]
+    assert block[-4][0].startswith("IntervalEstimate(")
+    assert block[-4][1].startswith("NumericalDegeneracyError(")
+    assert block[-3][0] == block[-4][0] and block[-3][1] == repr(own[1])
+    beta0s = [np.linspace(-1.0, 1.0, fit.selected.size) for fit in fits]
+    block = reprs(_per_target(fits, beta0s))
+    assert block == [reprs(_per_target([fit], [beta0]))[0] for fit, beta0 in zip(fits, beta0s)]
+    assert block[-4][1] == "nan" and block[-3][1] == repr(own[1])
+    assert block[-2] == [repr(failed[0])] * len(failed)
+    assert block[-1] == []
 
 
 def test_calibrate_checks_method_options():
