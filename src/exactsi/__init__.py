@@ -28,6 +28,7 @@ from .inference import (
     polyhedral_pivot,
     split_inference,
     uv_inference,
+    z_interval,
 )
 from .numerics import invert_monotone
 from .selection import (
@@ -96,4 +97,5 @@ __all__ = [
     "true_projected_target",
     "uv_inference",
     "validate_pivot_uniformity",
+    "z_interval",
 ]

@@ -205,9 +205,9 @@ def _infer_rows(args, data: Dataset, names: list[str]) -> list[dict]:
     cal = calibrate(
         data, args.method, lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon
     )
-    fits = [fit_method(data, cal, m, args.model, args.alpha, args.seed) for m in args.method]
+    fits = [fit_method(data, cal, m, args.model, args.seed) for m in args.method]
     rows: list[dict] = []
-    for fit, results in zip(fits, infer(fits)):
+    for fit, results in zip(fits, infer(fits, args.alpha)):
         for label, est in zip(fit.selected.tolist(), results):
             error = isinstance(est, ExactSIError)
             rows.append(

@@ -8,8 +8,9 @@ bivariate-normal orthant differences through Owen's T function, with a
 log-space Gauss-Legendre rule where the truncation mass or the pivot's
 smaller tail is too small for that (see ``PivotParams``).  Baselines: the
 polyhedral (non-randomized) truncated Gaussian pivot, data splitting, and
-response-splitting with synthetic noise; the last two take z-intervals of
-the same least-squares targets (``build_target``).
+response-splitting with synthetic noise; the last two give the same
+least-squares targets (``build_target``) untruncated, whose pivot is the z
+pivot (``z_interval``).
 
 Each pivot's constants have one form, a record (``PivotParams``,
 ``PolyhedralBounds``) whose fields are floats for one target or arrays for
@@ -43,7 +44,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import NAN_VALUE, ROOT, invert_monotone, root_error
+from .numerics import NAN_VALUE, NO_START, ROOT, invert_monotone, root_error
 from .numerics import cho_factor, cho_solve, line_interval, log_standard_mass
 from .selection import Dataset, solve_randomized_lasso
 
@@ -527,7 +528,7 @@ def _exact_probit(params: PivotParams, beta0):
 
 
 def _results(
-    roots, status, levels, target_labels, clipped, upper_first
+    roots, status, levels, target_labels, clipped=False, upper_first=False
 ) -> list[IntervalEstimate | ExactSIError]:
     """Entry i: target i's interval from its endpoint roots ``roots[:, i]``
     (lower, then upper), or the error that stopped it.
@@ -541,7 +542,7 @@ def _results(
     (lower, upper), (lower_status, upper_status) = roots.tolist(), status.tolist()
     k = len(lower)
     labels = [-1] * k if target_labels is None else list(target_labels)
-    clipped, upper_first = np.broadcast_to(clipped, k).tolist(), upper_first.tolist()
+    clipped, upper_first = (np.broadcast_to(x, k).tolist() for x in (clipped, upper_first))
     out: list[IntervalEstimate | ExactSIError] = []
     for i, label in enumerate(labels):
         if lower_status[i] != ROOT or upper_status[i] != ROOT:
@@ -577,8 +578,9 @@ def _invert(
     as in the seeds); its values and slopes at the seeds are the first
     iteration.  An endpoint whose value there is NaN, such as either
     endpoint of a target with a NaN constant, or whose seed or scale is not
-    finite or positive, fails without a search (``NAN_VALUE``); one that
-    lies beyond the window is clipped there and not solved.  Entry i is
+    finite or positive, fails without a search (``NAN_VALUE``, or
+    ``NO_START`` where the seed or scale overflowed); one that lies beyond
+    the window is clipped there and not solved.  Entry i is
     target i's interval, or the error its own endpoints met (see
     ``_results``).
     """
@@ -606,7 +608,8 @@ def _invert(
         clipped = (~(upper_first | above) & (_ENDPOINT_SIDES * at < z)).ravel()
         roots = window.ravel()
     scales = np.concatenate([scale, scale])
-    usable = np.isfinite(ends[-2:].ravel()) & (scales > 0.0) & (scales < math.inf)
+    starts = ends[-2:].ravel()
+    usable = np.isfinite(starts) & (scales > 0.0) & (scales < math.inf)
     nan = (np.isnan(value) | ~usable) & ~clipped
     solve = (~(clipped | nan)).nonzero()[0]
     seeded = offset + solve  # in every
@@ -615,7 +618,8 @@ def _invert(
         h, slope = probit(type(every)(*columns), x)  # every's fields, compacted
         return -h, -slope
 
-    status = np.where(nan, NAN_VALUE, ROOT)
+    overflow = np.isinf(starts) | np.isinf(scales)
+    status = np.where(nan, np.where(overflow, NO_START, NAN_VALUE), ROOT)
     roots[solve], status[solve] = invert_monotone(
         negated,
         np.where(solve < k, -z, z),
@@ -644,10 +648,10 @@ def invert_pivot(
     truncation, on the scale ``sd / lambda``.  Entry i is target i's
     interval, or the error its own endpoints met: a ``NoRootError`` when an
     endpoint is not bracketed within ``BRACKET_EXPANSIONS`` steps, a
-    ``NumericalDegeneracyError`` for a NaN pivot or a search that does not
-    converge.  A target with a NaN constant is not solved and fails alone,
-    one whose ``sigma_j2`` is NaN or not positive with a
-    ``NumericalDegeneracyError`` that says so.
+    ``NumericalDegeneracyError`` for a NaN pivot, a seed or scale that
+    overflows, or a search that does not converge.  A target with a NaN
+    constant is not solved and fails alone, one whose ``sigma_j2`` is NaN or
+    not positive with a ``NumericalDegeneracyError`` that says so.
     """
     line = PivotParams(*(np.atleast_1d(x).astype(float) for x in _columns(params)))
     # a tiny lambda_j overflows the seeds and scale, and _invert fails its target
@@ -673,7 +677,8 @@ class PolyhedralBounds:
     the estimate ``beta_hat`` is Gaussian with standard deviation ``sd``
     truncated to ``[lower, upper]``.  Fields are floats, or arrays over
     targets.  A NaN constant gives a NaN pivot; ``polyhedral_bounds`` gives a
-    target that failed a check a NaN ``sd`` in its row.
+    target that failed a check a NaN ``sd`` in its row.  Split and uv give
+    bounds of -inf and +inf: no truncation, and so the z pivot.
     """
 
     lower: float | np.ndarray
@@ -962,42 +967,33 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     df = n - cols.size
     if df < 1:
         raise SingularDesignError("no residual degrees of freedom for the plug-in")
-    if cols.size == 0:
-        return float(y @ y / df)
-    if model == "selected":
-        factor = data.factor_columns(cols, "plug-in design")
-    elif cols.size < data.p:  # its columns are independent by construction
-        factor = cho_factor(data.gram[np.ix_(cols, cols)])
-    else:
-        # every column is independent, so the Gram is the randomization base,
-        # factored once per dataset; where that Cholesky failed, this raises
-        factor = data.randomization_factor or cho_factor(data.gram)
-    design = data.column_major if cols.size == data.p else X[:, cols]
-    resid = y - design @ cho_solve(factor, data.xty[cols])
-    return float(resid @ resid / df)
-
-
-def _z_intervals(
-    target: TargetSpec, E: np.ndarray, variance: float, alpha: float
-) -> list[IntervalEstimate]:
-    """Level ``1 - alpha`` z-intervals ``c'v -+ z sqrt(variance ||c||^2)`` of
-    the least-squares targets of the selected columns ``E``, where ``variance``
-    is the noise variance of the response v that the estimates c'v read."""
-    half = float(ndtri(1.0 - alpha / 2.0)) * np.sqrt(variance * target.norm2)
-    ends = zip((target.estimate - half).tolist(), (target.estimate + half).tolist(), E.tolist())
-    return [IntervalEstimate(lower, upper, j) for lower, upper, j in ends]
+    resid = y
+    if cols.size:
+        try:
+            if model == "selected":
+                factor = data.factor_columns(cols, "plug-in design")
+            elif cols.size < data.p:
+                factor = cho_factor(data.gram[np.ix_(cols, cols)])
+            else:
+                # every column is independent, so the Gram is the randomization
+                # base, factored once per dataset
+                factor = data.randomization_factor or cho_factor(data.gram)
+        except np.linalg.LinAlgError:
+            # the rank test keeps every column, yet Cholesky fails
+            raise SingularDesignError("plug-in design is singular: Cholesky failed") from None
+        design = data.column_major if cols.size == data.p else X[:, cols]
+        resid = y - design @ cho_solve(factor, data.xty[cols])
+    with np.errstate(over="ignore"):  # calibrate rejects an infinite variance
+        return float(resid @ resid / df)
 
 
 def split_inference(
-    data: Dataset,
-    rho: float,
-    lam: float,
-    alpha: float,
-    seed: int,
-) -> list[IntervalEstimate]:
-    """Data splitting: lasso on a random ``round(rho * n)`` subsample, then
-    z-intervals from the least-squares targets (``build_target``) of the
-    held-out rows, with their plug-in noise estimate (``plug_in_sigma2``)."""
+    data: Dataset, rho: float, lam: float, seed: int
+) -> tuple[np.ndarray, PolyhedralBounds | None]:
+    """Data splitting: lasso on a random ``round(rho * n)`` subsample.
+    Returns the selected set and the untruncated bounds (None where it is
+    empty) of its least-squares targets (``build_target``) on the held-out
+    rows, at their plug-in noise estimate (``plug_in_sigma2``)."""
     if not 0 < rho < 1:
         raise InvalidArgumentError("rho must be in (0, 1)")
     n = data.n
@@ -1010,27 +1006,22 @@ def split_inference(
     out = solve_randomized_lasso(train_data, lam=lam, epsilon=0.0, w=np.zeros(data.p))
     E = out.selected
     if E.size == 0:
-        return []
+        return E, None
     # the held-out rows of the selected columns, which are its columns 0..|E|-1
     held_out = Dataset(y=data.y[test], X=data.X[np.ix_(test, E)], sigma=data.sigma)
     columns = np.arange(E.size)
     sigma2 = plug_in_sigma2(held_out, columns, "selected")
-    return _z_intervals(build_target(held_out, columns, "selected"), E, sigma2, alpha)
+    return E, _untruncated(build_target(held_out, columns, "selected"), sigma2)
 
 
 def uv_inference(
-    data: Dataset,
-    f: float,
-    lam: float,
-    alpha: float,
-    sigma2: float,
-    seed: int,
-) -> list[IntervalEstimate]:
+    data: Dataset, f: float, lam: float, sigma2: float, seed: int
+) -> tuple[np.ndarray, PolyhedralBounds | None]:
     """Response splitting: select on ``y + w`` with ``w ~ N(0, sigma2 f I)``,
-    infer from the independent ``y - w/f`` whose noise variance is
-    ``sigma2 (1 + 1/f)``; ``sigma2`` is the response noise variance.  The
-    least-squares targets (``build_target``) read ``X'(y - w/f)``, from the
-    X'w that the lasso reads."""
+    ``sigma2`` the response noise variance.  Returns the selected set and
+    the untruncated bounds (None where it is empty) of its least-squares
+    targets (``build_target``) on ``X'(y - w/f)``, from the X'w the lasso
+    reads, at the noise variance ``sigma2 (1 + 1/f)`` of ``y - w/f``."""
     if not f > 0:
         raise InvalidArgumentError("f must be positive")
     w = np.random.default_rng(seed).standard_normal(data.n) * math.sqrt(sigma2 * f)
@@ -1039,6 +1030,25 @@ def uv_inference(
     out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=xtw)
     E = out.selected
     if E.size == 0:
-        return []
+        return E, None
     target = build_target(data, E, "selected", xty=data.xty - xtw / f)
-    return _z_intervals(target, E, sigma2 * (1.0 + 1.0 / f), alpha)
+    return E, _untruncated(target, sigma2 * (1.0 + 1.0 / f))
+
+
+def _untruncated(target: TargetSpec, variance: float) -> PolyhedralBounds:
+    """The estimates c'v of ``target`` with no truncation, where ``variance``
+    is the noise variance of the response v."""
+    sd = np.sqrt(variance * target.norm2)
+    infinite = np.full(sd.size, math.inf)
+    return PolyhedralBounds(-infinite, infinite, target.estimate, sd)
+
+
+def z_interval(
+    bounds: PolyhedralBounds, alpha: float, target_labels: Sequence[int] | None = None
+) -> list[IntervalEstimate | ExactSIError]:
+    """Level ``1 - alpha`` intervals ``beta_hat -+ z sd``, ``z = Phi^{-1}(1 -
+    alpha / 2)``: the polyhedral pivot of untruncated ``bounds``, inverted in
+    closed form.  Entry i is target i's interval, or its error (see
+    ``_results``), such as that of a NaN or zero ``sd``."""
+    roots = bounds.beta_hat + _ENDPOINT_SIDES * (float(ndtri(1.0 - alpha / 2.0)) * bounds.sd)
+    return _results(roots, np.full(roots.shape, ROOT), None, target_labels)

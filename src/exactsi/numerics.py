@@ -70,8 +70,9 @@ _MAX_ITERATIONS = BRACKET_EXPANSIONS + 2 * int(
 _QUADRATIC_SAFETY = 1000.0
 # ``invert_monotone``'s status of an element: its root was found; no bracket
 # straddled the target within BRACKET_EXPANSIONS steps; g was NaN; the search
-# was still open after _MAX_ITERATIONS calls of g.
-ROOT, NO_BRACKET, NAN_VALUE, NO_CONVERGENCE = range(4)
+# was still open after _MAX_ITERATIONS calls of g.  NO_START is a caller's
+# status for an element it cannot pass: its seed or scale is not finite.
+ROOT, NO_BRACKET, NAN_VALUE, NO_CONVERGENCE, NO_START = range(5)
 # scales the shortfall target - g into the two rows of the bracket state
 _SIDES = np.array([[-1.0], [1.0]])
 
@@ -346,30 +347,23 @@ def invert_monotone(g, target, seed, scale, args=(), first=None):
                 )
                 if not usable:
                     trusted &= np.isfinite(newton * slope) & (slope > 0.0)
-            quadratic = call > 0 and _QUADRATIC_SAFETY * length**3 <= tol * prev_sq
             if trusted is None or np.count_nonzero(trusted) == trusted.size:
                 # every element takes a Newton step: no bisection, no blind step
-                step, newton_sq, nan = newton, length * length, None
-                done = stop = (length <= tol) | quadratic
-                if unbracketed:
-                    stop = done | (open_ & (outward >= BRACKET_EXPANSIONS))
-                    outward = outward + (open_ & (length >= last))
-                last, before = length, last
+                step, trusted = newton, True
             else:
                 bisect = 0.5 * neg + 0.5 * pos - x
                 step = np.where(trusted, newton, np.where(open_, np.sign(short) * reach, bisect))
                 step[short == 0.0] = 0.0
-                newton_sq = np.where(trusted, length * length, np.nan)
-                nan = np.isnan(short)
-                quadratic = quadratic & trusted
-                done = (np.abs(step) <= tol) | quadratic
-                stop = done | nan | (open_ & (outward >= BRACKET_EXPANSIONS))
-                # a Newton step shorter than the last one converges: it does
-                # not count against the steps an element may take without a
-                # bracket
-                outward = outward + (open_ & ~(trusted & (length < last)))
                 reach = np.where(trusted | ~open_, reach, 2.0 * reach)
-                last, before = np.abs(step), last
+            quadratic = (call > 0 and _QUADRATIC_SAFETY * length**3 <= tol * prev_sq) & trusted
+            newton_sq = np.where(trusted, length * length, np.nan)
+            nan = np.isnan(short)
+            done = (np.abs(step) <= tol) | quadratic
+            stop = done | nan | (open_ & (outward >= BRACKET_EXPANSIONS))
+            # a Newton step shorter than the last one converges: it does not
+            # count against the steps an element may take without a bracket
+            outward = outward + (open_ & ~(trusted & (length < last)))
+            last, before = np.abs(step), last
             x = x + step
             if np.count_nonzero(stop):
                 gone = stop.nonzero()[0]
@@ -378,8 +372,7 @@ def invert_monotone(g, target, seed, scale, args=(), first=None):
                 # roots of the elements that failed are unset below
                 roots[ended] = (x + np.where(quadratic, step**3 / prev_sq, 0.0))[gone]
                 code = np.where(done, ROOT, NO_BRACKET)
-                if nan is not None:
-                    code[nan] = NAN_VALUE
+                code[nan] = NAN_VALUE
                 status[ended] = code[gone]
                 keep = (~stop).nonzero()[0]
                 if not keep.size:
@@ -403,6 +396,10 @@ def root_error(status: int, target) -> ExactSIError | None:
         )
     if status == NAN_VALUE:
         return NumericalDegeneracyError("root finding met a NaN value of g")
+    if status == NO_START:
+        return NumericalDegeneracyError(
+            "root finding cannot start: the seed or the scale is not finite"
+        )
     if status == NO_CONVERGENCE:
         return NumericalDegeneracyError(
             f"root finding did not converge in {_MAX_ITERATIONS} steps"

@@ -37,6 +37,23 @@ from .numerics import cho_factor, factor_spd, independent_columns, scaled_rcond
 _AS_MAX_STEPS = 1_000
 
 
+# the cached statistics of a Dataset that read X alone
+_DESIGN_STATISTICS = (
+    "gram", "column_major", "independent_columns", "randomization_factor", "randomization_rcond"
+)
+
+
+def _finite(product, what: str) -> np.ndarray:
+    """``product()``, read-only; ``InvalidArgumentError`` naming ``what``
+    where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat = product()
+    if not np.isfinite(stat).all():
+        raise InvalidArgumentError(f"{what} is not finite: the data are too large")
+    stat.flags.writeable = False
+    return stat
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Regression data: response ``y``, fixed design ``X``, optional known noise sd.
@@ -47,7 +64,8 @@ class Dataset:
     and its scaled condition, and the factor of the Gram of each set of
     columns asked for (``factor_columns``) are formed once, on first use,
     for every stage that reads them; ``X`` and ``y`` must not change in
-    place."""
+    place.  ``with_response`` gives a dataset of another response on the
+    same X that shares them."""
 
     y: np.ndarray
     X: np.ndarray
@@ -67,8 +85,10 @@ class Dataset:
             raise InvalidArgumentError("need at least 1 feature")
         if not (np.isfinite(self.y).all() and np.isfinite(self.X).all()):
             raise InvalidArgumentError("data contains NaN or Inf")
-        if self.sigma is not None and not self.sigma > 0:
-            raise InvalidArgumentError("sigma must be positive when given")
+        if self.sigma is not None and not 0 < self.sigma < math.inf:
+            raise InvalidArgumentError(
+                f"sigma must be positive and finite when given, not {self.sigma!r}"
+            )
 
     @property
     def n(self) -> int:
@@ -78,11 +98,18 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
+    def with_response(self, y: np.ndarray) -> Dataset:
+        """The dataset of the response ``y`` on this X, with this noise sd.
+        It starts with the statistics of X formed here so far (all but
+        ``xty``) and shares the factors of ``factor_columns`` with this one."""
+        data = Dataset(y=y, X=self.X, sigma=self.sigma)
+        data.__dict__.update({k: v for k, v in vars(self).items() if k in _DESIGN_STATISTICS})
+        object.__setattr__(data, "_factors", self._factors)
+        return data
+
     @cached_property
     def gram(self) -> np.ndarray:
-        gram = self.X.T @ self.X
-        gram.flags.writeable = False
-        return gram
+        return _finite(lambda: self.X.T @ self.X, "X'X")
 
     @cached_property
     def column_major(self) -> np.ndarray:
@@ -97,9 +124,8 @@ class Dataset:
 
     @cached_property
     def xty(self) -> np.ndarray:
-        xty = self.column_major.T @ self.y  # one dot product per column
-        xty.flags.writeable = False
-        return xty
+        # one dot product per column
+        return _finite(lambda: self.column_major.T @ self.y, "X'y")
 
     @cached_property
     def independent_columns(self) -> np.ndarray:

@@ -5,32 +5,35 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
 ``infer``:
 
 1. ``calibrate`` checks that each method has the options it needs and
-   resolves the tuning constants of a dataset once: the noise variance
-   (known if given, else the full-model plug-in when n > p, else var(y)),
-   the penalty and the ridge term.  The plug-in fits the independent columns
-   of X, and the randomization covariance is jittered when X'X loses one;
-   both read the dataset's one Gram and rank test, and, when no column is
-   lost, its one Cholesky factor of the Gram.
-2. ``fit_method`` runs one method's selection.  For the exact method it
-   draws the randomization (its variance given, or matched to a subsample
-   split), solves the randomized lasso and builds the event
-   representation (``randomized_selection``); for the polyhedral baseline it
-   solves the plain lasso.  Split solves the lasso on a ``round(rho * n)``
-   subsample with penalty ``rho * lam``, and uv on ``y + w`` with penalty
-   ``sqrt(1 + f) * lam``, both matched to the carving calibration.
+   that each tuning value is finite, and resolves the tuning constants of a
+   dataset once: the noise variance (known if given, else the full-model
+   plug-in when n > p, else var(y)), the penalty and the ridge term.  The
+   plug-in fits the independent columns of X, and the randomization
+   covariance is jittered when X'X loses one; both read the dataset's one
+   Gram and rank test, and, when no column is lost, its one Cholesky factor
+   of the Gram.
+2. ``fit_method`` runs one method's selection, which no level enters.  For
+   the exact method it draws the randomization (its variance given, or
+   matched to a subsample split), solves the randomized lasso and builds
+   the event representation (``randomized_selection``); for the polyhedral
+   baseline it solves the plain lasso.  Split solves the lasso on a
+   ``round(rho * n)`` subsample with penalty ``rho * lam``, and uv on ``y +
+   w`` with penalty ``sqrt(1 + f) * lam``, both matched to the carving
+   calibration.
 3. Every method's targets are the least-squares coefficients of
-   ``build_target``.  ``fit_method`` builds the constants of all the exact
-   or polyhedral targets once, by ``build_target -> build_geometry ->
-   pivot_params`` (exact) or ``build_target -> polyhedral_bounds``
-   (polyhedral): one record of arrays whose row j is target j, and each
-   target's error.  Split and uv return z-intervals whole: split from
-   ``build_target`` and ``plug_in_sigma2`` on a dataset of its held-out
-   rows and selected columns, uv from ``build_target`` on X'(y - w/f) at
-   the known noise variance times ``1 + 1/f``.
-4. ``infer`` gives each target of a list of ``Fit`` records its interval,
-   or the error that stopped it, in one elementwise call per method and
-   level on the concatenated constants (``_per_target``, which also gives
-   the uniformity check its pivots); callers apply their own error policy.
+   ``build_target``.  ``fit_method`` builds the constants of all of a fit's
+   targets once, one record whose row j is target j, and each target's
+   error: by ``build_target -> build_geometry -> pivot_params`` (exact) or
+   ``build_target -> polyhedral_bounds`` (polyhedral), and as untruncated
+   ``PolyhedralBounds`` for split, from ``build_target`` and
+   ``plug_in_sigma2`` on a dataset of its held-out rows and selected
+   columns, and uv, from ``build_target`` on X'(y - w/f) at the known noise
+   variance times ``1 + 1/f``.
+4. ``infer(fits, alpha)`` gives each target of a list of ``Fit`` records
+   its level ``1 - alpha`` interval, or the error that stopped it, in one
+   elementwise call per method on the concatenated constants
+   (``_per_target``, which also gives the uniformity check its pivots);
+   callers apply their own error policy.
 
 The study generates sparse Gaussian regressions on an AR(1)-correlated
 design, runs the exact randomized method next to the polyhedral,
@@ -75,6 +78,7 @@ from .inference import (
     polyhedral_pivot,
     split_inference,
     uv_inference,
+    z_interval,
 )
 from .selection import (
     Dataset,
@@ -312,8 +316,14 @@ def calibrate(
     var(y); the plug-in fits the independent columns of X (a duplicated column
     is left out) with n - rank degrees of freedom, read from the dataset's
     one Gram and rank test.  The penalty defaults to ``theory_lambda`` at
-    that noise scale and the ridge term to ``default_epsilon``.
+    that noise scale and the ridge term to ``default_epsilon``.  A tuning
+    value that is not finite, and a resolved noise variance or penalty that
+    is not finite and positive, raise ``InvalidArgumentError`` naming it.
     """
+    tuning = {"--lambda": lam, "--rho": rho, "--tau2": tau2, "--epsilon": epsilon}
+    for flag, value in tuning.items():
+        if value is not None and not math.isfinite(value):
+            raise InvalidArgumentError(f"{flag} must be finite, not {value!r}")
     for method in methods:
         if methods.count(method) > 1:
             raise InvalidArgumentError(f"method {method!r} listed twice")
@@ -326,13 +336,21 @@ def calibrate(
             raise InvalidArgumentError(f"{method} inference needs --rho")
     known = data.sigma is not None
     if known:
-        sigma2 = data.sigma**2
+        try:
+            sigma2 = data.sigma**2
+        except OverflowError:  # a float power raises where numpy's gives inf
+            sigma2 = math.inf
     elif data.n > data.p:
         sigma2 = plug_in_sigma2(data, np.arange(data.p), "full")
     else:
-        sigma2 = float(np.var(data.y, ddof=1))
+        with np.errstate(over="ignore"):
+            sigma2 = float(np.var(data.y, ddof=1))
+    if not 0 < sigma2 < math.inf:
+        raise InvalidArgumentError(f"noise variance {sigma2!r} is not finite and positive")
     if lam is None:
         lam = theory_lambda(data, math.sqrt(sigma2))
+    if not 0 < lam < math.inf:
+        raise InvalidArgumentError(f"penalty {lam!r} is not finite and positive")
     if epsilon is None:
         epsilon = default_epsilon(data)
     return Calibration(
@@ -363,43 +381,45 @@ def randomized_selection(
 class Fit:
     """One method's selection on one dataset, ready for per-target inference.
 
-    ``selected`` lists the selected features.  For the exact and polyhedral
-    methods ``constants`` is the record (``PivotParams`` or
-    ``PolyhedralBounds``) whose row j is target j's constants, None where
-    nothing was selected or a stage that serves every target failed, and
-    ``errors[j]`` is the error that stopped target j, or None.  Split and uv
-    intervals come whole from their held-out fits, as ``estimates``.  A fit
-    is data only: ``infer`` takes the intervals of a list of fits.
+    ``selected`` lists the selected features and ``constants`` is the record
+    whose row j is target j's constants: ``PivotParams`` (exact) or
+    ``PolyhedralBounds`` (polyhedral, and untruncated for split and uv);
+    None where nothing was selected or a stage that serves every target
+    failed.  ``errors[j]`` is the error that stopped target j, or None.  A
+    fit is data only, and holds no level: ``infer`` takes the intervals of
+    a list of fits at a level.
     """
 
     method: str
-    alpha: float
     selected: np.ndarray
     outcome: SelectionOutcome | None = None
     constants: PivotParams | PolyhedralBounds | None = None
     errors: list[ExactSIError | None] = field(default_factory=list)
-    estimates: list[IntervalEstimate] = field(default_factory=list)
 
 
-def _per_target(fits: Sequence[Fit], beta0s: Sequence | None = None) -> list[list]:
-    """Entry i, j: target j of ``fits[i]``'s interval, or its pivot at
-    ``beta0s[i][j]`` where given, or the error that stopped it.  The fits'
-    records are concatenated per (method, alpha) for one call each, and its
-    results split back by row count.  A target's own error wins; an error
-    that the call raises is the error of every target in it."""
+def _per_target(
+    fits: Sequence[Fit], alpha: float | None = None, beta0s: Sequence | None = None
+) -> list[list]:
+    """Entry i, j: target j of ``fits[i]``'s level ``1 - alpha`` interval,
+    or its pivot at ``beta0s[i][j]`` where given, or the error that stopped
+    it.  The fits' records are concatenated per method for one call each,
+    and its results split back by row count.  A target's own error wins; an
+    error that the call raises is the error of every target in it.  Each
+    method's inversion is read from this module's names at the call: split
+    and uv take ``z_interval``, and their pivot is the polyhedral one."""
     out = [list(fit.errors) for fit in fits]
-    groups: dict[tuple[str, float], list[int]] = {}
+    groups: dict[str, list[int]] = {}
     for i, fit in enumerate(fits):
         if fit.constants is not None:
-            groups.setdefault((fit.method, fit.alpha), []).append(i)
-    for (method, alpha), members in groups.items():
+            groups.setdefault(fit.method, []).append(i)
+    for method, members in groups.items():
         columns = zip(*(_columns(fits[i].constants) for i in members))
         record = type(fits[members[0]].constants)(*map(np.concatenate, columns))
         try:
             if beta0s is None:
                 labels = [label for i in members for label in fits[i].selected.tolist()]
-                invert = invert_pivot if method == "exact" else polyhedral_interval
-                results = iter(invert(record, alpha, labels))
+                invert = {"exact": invert_pivot, "polyhedral": polyhedral_interval}
+                results = iter(invert.get(method, z_interval)(record, alpha, labels))
             else:
                 beta0 = np.concatenate([beta0s[i] for i in members])
                 pivot = exact_pivot if method == "exact" else polyhedral_pivot
@@ -411,15 +431,14 @@ def _per_target(fits: Sequence[Fit], beta0s: Sequence | None = None) -> list[lis
     return out
 
 
-def infer(fits: Sequence[Fit]) -> list[list[IntervalEstimate | ExactSIError]]:
-    """Entry i, j: target j of ``fits[i]``'s interval, or the error that
-    stopped it.  The exact or polyhedral fits of one level are inverted in
-    one ``invert_pivot`` or ``polyhedral_interval`` call on their
-    concatenated constants; split and uv fits give their ``estimates``."""
-    return [
-        fit.estimates if fit.method in ("split", "uv") else results
-        for fit, results in zip(fits, _per_target(fits))
-    ]
+def infer(fits: Sequence[Fit], alpha: float) -> list[list[IntervalEstimate | ExactSIError]]:
+    """Entry i, j: target j of ``fits[i]``'s level ``1 - alpha`` interval,
+    or the error that stopped it; ``alpha`` is checked before anything else.
+    Each method's fits are inverted in one call on their concatenated
+    constants (``_per_target``)."""
+    if not 0 < alpha < 1:
+        raise InvalidArgumentError("alpha must lie in (0, 1)")
+    return _per_target(fits, alpha)
 
 
 def _post_sigma(data: Dataset, cal: Calibration, model: str, E: np.ndarray) -> float:
@@ -430,32 +449,26 @@ def _post_sigma(data: Dataset, cal: Calibration, model: str, E: np.ndarray) -> f
     return math.sqrt(plug_in_sigma2(data, E, "selected"))
 
 
-def fit_method(
-    data: Dataset, cal: Calibration, method: str, model: str, alpha: float, seed: int
-) -> Fit:
-    """Run ``method``'s selection on ``data``; ``seed`` drives its randomness.
+def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: int) -> Fit:
+    """Run ``method``'s selection on ``data`` and build the constants of
+    every target it selects; ``seed`` drives its randomness.
 
-    ``alpha`` is checked here, before any selection, so a bad level fails the
-    whole call rather than each target.  For the exact and polyhedral
-    methods the constants of every target are built here, together, by
-    stages that each check and factor what they use: ``build_target ->
-    build_geometry -> pivot_params`` (exact) or ``build_target ->
-    polyhedral_bounds`` (polyhedral).  A target keeps the error of the first
-    check it fails; an error raised by a stage that serves every target
-    becomes the error of each target still standing.
+    The constants are built together, by stages that each check and factor
+    what they use: ``build_target -> build_geometry -> pivot_params``
+    (exact) or ``build_target -> polyhedral_bounds`` (polyhedral); split
+    and uv give the untruncated bounds of their estimates.  A target keeps
+    the error of the first check it fails; an error raised by a stage that
+    serves every target becomes the error of each target still standing.
     """
-    if not 0 < alpha < 1:
-        raise InvalidArgumentError("alpha must lie in (0, 1)")
     if method in ("split", "uv"):
         if method == "split":
             # subsample penalty matched to the carving calibration
-            ests = split_inference(data, cal.rho, cal.rho * cal.lam, alpha, seed)
+            E, constants = split_inference(data, cal.rho, cal.rho * cal.lam, seed)
         else:
             # selection noise is inflated by (1+f): scale the penalty along
             f = (1.0 - cal.rho) / cal.rho
-            ests = uv_inference(data, f, math.sqrt(1.0 + f) * cal.lam, alpha, cal.sigma2, seed)
-        E = np.array([e.target_label for e in ests], dtype=int)
-        return Fit(method, alpha, E, estimates=ests)
+            E, constants = uv_inference(data, f, math.sqrt(1.0 + f) * cal.lam, cal.sigma2, seed)
+        return Fit(method, E, constants=constants, errors=[None] * E.size)
     if method == "exact":
         tau2, outcome, rep = randomized_selection(data, cal, seed)
     elif method == "polyhedral":
@@ -464,7 +477,7 @@ def fit_method(
         raise InvalidArgumentError(f"unknown method {method!r}")
     E = outcome.selected
     if E.size == 0:
-        return Fit(method, alpha, E)
+        return Fit(method, E)
     sigma = _post_sigma(data, cal, model, E)
     errors: list = [None] * E.size
     try:
@@ -477,8 +490,8 @@ def fit_method(
             constants, errors = pivot_params(geom, target, sigma=sigma)
     except ExactSIError as exc:
         exc = exc.with_traceback(None)  # the traceback would keep the dataset alive
-        return Fit(method, alpha, E, outcome, errors=[e or exc for e in errors])
-    return Fit(method, alpha, E, outcome, constants, errors)
+        return Fit(method, E, outcome, errors=[e or exc for e in errors])
+    return Fit(method, E, outcome, constants, errors)
 
 
 # Seed stream of each method's randomness within a replicate; the polyhedral
@@ -508,7 +521,7 @@ def _run_block(
         for method in config.methods:
             seed = _seed_for(config.seed, rep_idx, _STREAMS[method]) if method in _STREAMS else 0
             try:
-                fit = fit_method(data, cal, method, config.model, config.alpha, seed)
+                fit = fit_method(data, cal, method, config.model, seed)
                 # a fit with a failed target fails its method and needs no truths
                 truths = None if any(fit.errors) else true_projected_target(
                     X, fit.selected, support, beta, config.model
@@ -517,7 +530,7 @@ def _run_block(
                 # the traceback would keep the replicate's arrays alive
                 fit, truths = exc.with_traceback(None), None
             picked.append((rep_idx, method, fit, truths))
-    intervals = iter(infer([fit for _, _, fit, _ in picked if isinstance(fit, Fit)]))
+    intervals = iter(infer([fit for _, _, fit, _ in picked if isinstance(fit, Fit)], config.alpha))
     results: dict[int, tuple[list[dict], dict]] = {rep_idx: ([], {}) for rep_idx in reps}
     for rep_idx, method, fit, truths in picked:
         rows, outcomes = results[rep_idx]
@@ -649,15 +662,19 @@ def pivots_at_truth(
     The design stays fixed across replicates (seed stream 10); response
     (stream 11) and randomization (stream 12) are redrawn, and the noise level
     is taken as known, with the randomization variance matched to a
-    ``round(rho * n)`` subsample, so that the pivot itself is isolated.  The
-    pivots of a block of ``_BLOCK`` replicates are evaluated together.
+    ``round(rho * n)`` subsample, so that the pivot itself is isolated.  So
+    the calibration reads X alone and runs once, and each replicate's
+    dataset takes the statistics of X from the last one's
+    (``Dataset.with_response``).  The pivots of a block of ``_BLOCK``
+    replicates are evaluated together.
     """
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 10))
     support = support_indices(config.p, config.sparsity)
-    sigma = math.sqrt(config.sigma2)
     tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
     lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
     methods = [m for m in config.methods if m in ("exact", "polyhedral")]
+    data = Dataset(y=np.zeros(config.n), X=X, sigma=math.sqrt(config.sigma2))
+    cal = calibrate(data, methods, lam=lam, tau2=tau2, epsilon=0.0)
     for start in range(0, config.n_reps, _BLOCK):
         picked = []  # per replicate and method: its fit and truths, or None and its error
         for rep_idx in range(start, min(start + _BLOCK, config.n_reps)):
@@ -665,18 +682,18 @@ def pivots_at_truth(
                 X, support, config.signal_fraction, config.sigma2,
                 _seed_for(config.seed, rep_idx, 11),
             )
-            data = Dataset(y=y, X=X, sigma=sigma)
-            cal = calibrate(data, methods, lam=lam, tau2=tau2, epsilon=0.0)
+            data = data.with_response(y)
             seed = _seed_for(config.seed, rep_idx, 12)
             for method in methods:
                 try:
-                    fit = fit_method(data, cal, method, config.model, config.alpha, seed)
+                    fit = fit_method(data, cal, method, config.model, seed)
                     truths = true_projected_target(X, fit.selected, support, beta, config.model)
                 except ExactSIError as exc:
                     fit, truths = None, [exc]
                 picked.append((method, fit, truths))
         fits = [fit for _, fit, _ in picked if fit is not None]
-        values = iter(_per_target(fits, [truths for _, fit, truths in picked if fit is not None]))
+        beta0s = [truths for _, fit, truths in picked if fit is not None]
+        values = iter(_per_target(fits, beta0s=beta0s))
         for method, fit, truths in picked:
             yield method, fit, truths if fit is None else next(values)
 

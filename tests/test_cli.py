@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -893,3 +894,79 @@ def test_column_units_do_not_decide_the_randomization_check(tmp_path):
     assert [r[:2] for r in large] == [r[:2] for r in small]
     for got, want in zip(large, small):
         assert got[2:] == pytest.approx(want[2:], rel=1e-9, abs=0)
+
+
+def _probe(tmp_path, capsys, argv):
+    """Run ``main(argv + --out)``; its exit code, its stderr lines, whether it
+    wrote anything, and the warnings it emitted."""
+    out = tmp_path / "probe"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
+    written = [p.name for p in tmp_path.iterdir() if p.name.startswith("probe")]
+    return code, capsys.readouterr().err.splitlines(), written, caught
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--rho", "0.8", "--lambda", "inf"), "--lambda must be finite, not inf"),
+    (("--rho", "0.8", "--sigma", "inf"), "sigma must be positive and finite when given, not inf"),
+    (("--tau2", "inf"), "--tau2 must be finite, not inf"),
+    (("--rho", "0.8", "--epsilon", "inf"), "--epsilon must be finite, not inf"),
+    (("--rho", "inf"), "--rho must be finite, not inf"),
+    (("--rho", "0.8", "--sigma", "1e200"), "noise variance inf is not finite and positive"),
+])
+def test_infinite_tuning_value_fails(tmp_path, capsys, extra, message):
+    """An infinite tuning value fails with one error line that names it, no
+    output and no warning.  Unchecked, ``--lambda``, ``--sigma`` or
+    ``--tau2`` at inf selected nothing and exited 0 with no interval and no
+    error; ``--epsilon inf`` met a misleading ``ConvergenceError``, and
+    ``--rho inf`` an ``OverflowError``.  A finite ``--sigma`` whose square
+    overflows fails the same way."""
+    path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(3), n=60, p=5)
+    for command in ("infer", "select"):
+        code, err, written, caught = _probe(
+            tmp_path, capsys, [command, "--input", str(path), *extra]
+        )
+        assert (code, err, written, caught) == (1, [f"error: {message}"], [], [])
+
+
+@pytest.mark.parametrize("column, message", [
+    (0, "noise variance inf is not finite and positive"),
+    (slice(1, None), "X'X is not finite: the data are too large"),
+])
+def test_overflowing_data_fail(tmp_path, capsys, column, message):
+    """A 40 x 3 CSV whose response, or whose features, lie around 1e160: the
+    plug-in noise variance, or X'X, overflows to inf.  Each fails with one
+    error line that names it, no output and no warning; unchecked, the first
+    selected nothing and exited 0, and the second met a misleading error,
+    both with a ``RuntimeWarning``."""
+    rng = np.random.default_rng(4)
+    table = rng.standard_normal((40, 4))
+    table[:, column] *= 1e160
+    path = tmp_path / "huge.csv"
+    write_csv(path, ["y", "x0", "x1", "x2"], table.tolist())
+    for command in ("infer", "select"):
+        code, err, written, caught = _probe(
+            tmp_path, capsys, [command, "--input", str(path), "--rho", "0.8"]
+        )
+        assert (code, err, written, caught) == (1, [f"error: {message}"], [], [])
+
+
+def test_gram_without_cholesky_factor_fails(tmp_path, capsys):
+    """A 40 x 3 CSV whose third column is the first plus 3.9e-9 N(0, 1)
+    noise: the rank test keeps every column, yet Cholesky of the Gram fails,
+    so the full-model plug-in raises ``SingularDesignError``, not numpy's
+    ``LinAlgError``."""
+    rng = np.random.default_rng(65)
+    X = rng.standard_normal((40, 3))
+    X[:, 2] = X[:, 0] + 3.9e-9 * rng.standard_normal(40)
+    path = tmp_path / "near.csv"
+    write_csv(path, ["y", "x0", "x1", "x2"], np.column_stack([rng.standard_normal(40), X]).tolist())
+    data, _ = read_csv_dataset(str(path))
+    assert data.independent_columns.size == 3 and data.randomization_factor is None
+    message = "error: plug-in design is singular: Cholesky failed"
+    for command in ("infer", "select"):
+        code, err, written, caught = _probe(
+            tmp_path, capsys, [command, "--input", str(path), "--rho", "0.8"]
+        )
+        assert (code, err, written, caught) == (1, [message], [], [])

@@ -129,11 +129,13 @@ class TestPivotParams:
     def test_overflowing_seed_fails_its_target_alone(self):
         """A ``lambda_j`` so small that the seeds ``(beta_hat - zeta -+ z sd)
         / lambda_j`` and the scale ``sd / lambda_j`` overflow fails its own
-        target, with no warning; the other target keeps its lone endpoints."""
+        target, with no warning and an error that says so; the other target
+        keeps its lone endpoints."""
         params = toy_params()
         both = stack([params, replace(params, lambda_j=1e-320)])
         got = invert_pivot(both, alpha=0.1, target_labels=[3, 4])
         assert isinstance(got[1], NumericalDegeneracyError)
+        assert str(got[1]) == "root finding cannot start: the seed or the scale is not finite"
         assert outcome(got[0]) == outcome(invert_pivot(params, alpha=0.1)[0])
         assert got[0].target_label == 3
 
@@ -248,13 +250,11 @@ class TestExactPivot:
         )
         data = Dataset(y=y, X=X)
         cal = calibrate(data, ("exact",), rho=config.rho, epsilon=0.0)
-        fit = fit_method(
-            data, cal, "exact", config.model, config.alpha, _seed_for(config.seed, 3, 2)
-        )
+        fit = fit_method(data, cal, "exact", config.model, _seed_for(config.seed, 3, 2))
         j = int(np.flatnonzero(fit.selected == 56)[0])
         assert fit.errors == [None] * fit.selected.size
         params = take(fit.constants, j)
-        est = study.infer([fit])[0][j]
+        est = study.infer([fit], config.alpha)[0][j]
         assert oracle_pivot(params, est.lower) == pytest.approx(0.95, abs=1e-9)
         assert oracle_pivot(params, est.upper) == pytest.approx(0.05, abs=1e-9)
         assert est.lower == pytest.approx(-0.99109, abs=1e-5)
@@ -1102,17 +1102,17 @@ class TestSplitInference:
         y = X @ beta + rng.standard_normal(80)
         data = Dataset(y=y, X=X, sigma=1.0)
         lam = 0.8 * math.sqrt(2 * math.log(10) * 64)
-        a = split_inference(data, rho=0.8, lam=lam, alpha=0.1, seed=3)
-        b = split_inference(data, rho=0.8, lam=lam, alpha=0.1, seed=3)
-        assert [e.target_label for e in a] == [e.target_label for e in b]
-        assert all(ea.lower == eb.lower and ea.upper == eb.upper for ea, eb in zip(a, b))
-        assert all(0 <= e.target_label < 10 for e in a)
+        (E, a), (F, b) = (split_inference(data, rho=0.8, lam=lam, seed=3) for _ in range(2))
+        assert E.tolist() == F.tolist() and repr(a) == repr(b)
+        assert a.beta_hat.shape == a.sd.shape == E.shape
+        assert all(0 <= j < 10 for j in E.tolist())
+        assert np.isneginf(a.lower).all() and np.isposinf(a.upper).all()
 
     def test_bad_rho(self):
         rng = np.random.default_rng(10)
         data = Dataset(y=rng.standard_normal(10), X=rng.standard_normal((10, 2)))
         with pytest.raises(InvalidArgumentError):
-            split_inference(data, rho=1.5, lam=1.0, alpha=0.1, seed=0)
+            split_inference(data, rho=1.5, lam=1.0, seed=0)
 
 
 class TestUVInference:
@@ -1133,10 +1133,11 @@ class TestUVInference:
         y = X @ beta + rng.standard_normal(90)
         data = Dataset(y=y, X=X, sigma=1.0)
         lam = math.sqrt(2 * math.log(8) * 90)
-        a = uv_inference(data, f=0.25, lam=lam, alpha=0.1, sigma2=1.0, seed=7)
-        b = uv_inference(data, f=0.25, lam=lam, alpha=0.1, sigma2=1.0, seed=7)
-        assert [e.target_label for e in a] == [e.target_label for e in b]
-        assert all(ea.lower == eb.lower and ea.upper == eb.upper for ea, eb in zip(a, b))
+        (E, a), (F, b) = (
+            uv_inference(data, f=0.25, lam=lam, sigma2=1.0, seed=7) for _ in range(2)
+        )
+        assert E.size and E.tolist() == F.tolist() and repr(a) == repr(b)
+        assert np.isneginf(a.lower).all() and np.isposinf(a.upper).all()
 
 
 class TestEqualColumns:
@@ -1172,7 +1173,7 @@ class TestEqualColumns:
         X[test, 1] = X[test, 0]
         data = Dataset(y=X @ np.array([3.0, 3.0]) + rng.standard_normal(40), X=X)
         with pytest.raises(SingularDesignError, match="is singular"):
-            split_inference(data, rho=0.5, lam=1.0, alpha=0.1, seed=0)
+            split_inference(data, rho=0.5, lam=1.0, seed=0)
 
 
 class TestPlugInSigma:

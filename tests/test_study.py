@@ -467,7 +467,7 @@ def test_study_and_validate_solve_without_ridge_on_wide_designs(monkeypatch):
 def intervals(fit):
     """Every target's interval of ``fit``, by ``infer``; raises the error of
     its first failed target."""
-    (results,) = study.infer([fit])
+    (results,) = study.infer([fit], 0.1)
     for result in results:
         if isinstance(result, ExactSIError):
             raise result
@@ -541,7 +541,7 @@ def test_one_factorization_per_fit(monkeypatch):
         ]
         calls.clear()
         seed = _seed_for(config.seed, 0, 2)
-        fit = fit_method(data, cal, method, config.model, config.alpha, seed)
+        fit = fit_method(data, cal, method, config.model, seed)
         assert fit.selected.size >= 2
         if invert:
             intervals(fit)
@@ -581,11 +581,49 @@ def test_one_rank_test_per_dataset(monkeypatch):
     data = Dataset(y=y, X=X)
     cal = calibrate(data, ("exact", "polyhedral"), rho=0.8, epsilon=0.0)
     for method in ("exact", "polyhedral"):
-        fit = fit_method(data, cal, method, "full", 0.1, 5)
+        fit = fit_method(data, cal, method, "full", 5)
         assert fit.selected.size
         intervals(fit)
     assert shapes.count((100, 100)) == 1
     assert not data.gram.flags.writeable
+
+
+def test_validate_forms_the_statistics_of_its_design_once(monkeypatch):
+    """The uniformity check's design is fixed and its noise known, so one
+    ``validate`` call calibrates once and runs the rank test once, however
+    many replicates it draws: each replicate's dataset shares the statistics
+    of X (``Dataset.with_response``)."""
+    shapes, calibrations = [], []
+    real_rank, real_calibrate = numerics.dpstrf, study.calibrate
+
+    def dpstrf(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return real_rank(mat, *args, **kwargs)
+
+    def calibrate_counted(*args, **kwargs):
+        calibrations.append(None)
+        return real_calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "dpstrf", dpstrf)
+    monkeypatch.setattr(study, "calibrate", calibrate_counted)
+    cfg = quick_config(n=80, p=10, sparsity=2, n_reps=90, methods=("exact",), signal_fraction=1.5)
+    assert validate_pivot_uniformity(cfg)["exact"].n_pooled >= 200
+    assert shapes == [(10, 10)] and len(calibrations) == 1
+
+
+def test_a_new_response_shares_the_statistics_of_x():
+    """``with_response`` keeps X, sigma and every statistic of X formed so
+    far, by identity, and forms X'y of its own response."""
+    rng = np.random.default_rng(5)
+    data = Dataset(y=rng.standard_normal(30), X=rng.standard_normal((30, 4)), sigma=1.5)
+    data.factor_columns(np.array([0, 2]), "selected design")
+    kept = [data.gram, data.column_major, data.independent_columns, data.randomization_factor]
+    y = rng.standard_normal(30)
+    other = data.with_response(y)
+    assert other.X is data.X and other.sigma == 1.5 and other._factors is data._factors
+    got = [other.gram, other.column_major, other.independent_columns, other.randomization_factor]
+    assert all(a is b for a, b in zip(got, kept))
+    assert other.xty.tolist() == Dataset(y=y, X=data.X).xty.tolist()
 
 
 class _CountedResponse(np.ndarray):
@@ -613,7 +651,7 @@ def test_one_xty_per_dataset(monkeypatch):
     object.__setattr__(data, "y", data.y.view(_CountedResponse))
     cal = calibrate(data, ("polyhedral", "uv"), rho=0.8, epsilon=0.0)
     for method in ("polyhedral", "uv"):
-        fit = fit_method(data, cal, method, "selected", 0.1, 5)
+        fit = fit_method(data, cal, method, "selected", 5)
         assert fit.selected.size
         intervals(fit)
     assert _CountedResponse.partners.count((100, 300)) == 1
@@ -631,7 +669,7 @@ def test_duplicated_column_gives_exact_intervals(sigma):
         X[:, 99] = X[:, 0]
         y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, seed + 1)
         data = Dataset(y=y, X=X, sigma=sigma)
-        fit = fit_method(data, calibrate(data, ("exact",), rho=0.8), "exact", "selected", 0.1, 0)
+        fit = fit_method(data, calibrate(data, ("exact",), rho=0.8), "exact", "selected", 0)
         assert fit.selected.size
         intervals(fit)
 
@@ -644,7 +682,7 @@ def test_failed_target_keeps_its_row(monkeypatch):
     y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, 4)
     data = Dataset(y=y, X=X)
     cal = calibrate(data, ("exact",), rho=0.8)
-    clean = fit_method(data, cal, "exact", "selected", 0.1, 0)
+    clean = fit_method(data, cal, "exact", "selected", 0)
     k = clean.selected.size
     assert k >= 3 and clean.errors == [None] * k
     real_params = study.pivot_params
@@ -657,15 +695,15 @@ def test_failed_target_keeps_its_row(monkeypatch):
         return real_params(replace(geom, vartheta2=vartheta2), target, sigma=sigma)
 
     monkeypatch.setattr(study, "pivot_params", precision_lost)
-    fit = fit_method(data, cal, "exact", "selected", 0.1, 0)
+    fit = fit_method(data, cal, "exact", "selected", 0)
     constants = fit.constants
     assert {np.shape(getattr(constants, f.name)) for f in fields(constants)} == {(k,)}
     assert [j for j, e in enumerate(fit.errors) if e] == [1]
     assert str(fit.errors[1]).startswith("nonpositive precision")
     pivots = inference.exact_pivot(constants, constants.beta_hat_j)
     assert np.isnan(pivots).tolist() == [j == 1 for j in range(k)]
-    assert _per_target([fit], [constants.beta_hat_j])[0][1] is fit.errors[1]
-    (got_all,), (want_all,) = study.infer([fit]), study.infer([clean])
+    assert _per_target([fit], beta0s=[constants.beta_hat_j])[0][1] is fit.errors[1]
+    (got_all,), (want_all,) = study.infer([fit], 0.1), study.infer([clean], 0.1)
     assert got_all[1] is fit.errors[1]
     with pytest.raises(NumericalDegeneracyError, match="nonpositive precision"):
         intervals(fit)
@@ -679,10 +717,10 @@ def test_failed_target_keeps_its_row(monkeypatch):
 def test_a_fit_in_a_block_gets_what_it_gets_alone():
     """``infer`` and the pivots step on one block give each fit, bit for bit,
     what it gets alone: endpoints, clip flags and labels, or each failed
-    target's error class and message.  The block mixes two datasets, two
-    levels, every method, an exact fit with one NaN constant row, one with
-    an error of its own on a row of good constants, a fit whose constants a
-    failed stage left None, and an empty fit."""
+    target's error class and message.  One list of fits serves two levels.
+    The block mixes two datasets, every method, an exact fit with one NaN
+    constant row, one with an error of its own on a row of good constants, a
+    fit whose constants a failed stage left None, and an empty fit."""
     cfg = quick_config()
     fits = []
     for rep_idx in range(2):
@@ -694,8 +732,7 @@ def test_a_fit_in_a_block_gets_what_it_gets_alone():
         data = Dataset(y=y, X=X)
         cal = calibrate(data, cfg.methods, rho=cfg.rho, epsilon=0.0)
         for method in cfg.methods:
-            for alpha in (0.1, 0.05):
-                fits.append(fit_method(data, cal, method, cfg.model, alpha, rep_idx + 5))
+            fits.append(fit_method(data, cal, method, cfg.model, rep_idx + 5))
     exact = next(f for f in fits if f.method == "exact" and f.selected.size >= 2)
     lower = exact.constants.lower.copy()
     lower[1] = math.nan
@@ -704,24 +741,63 @@ def test_a_fit_in_a_block_gets_what_it_gets_alone():
     fits.append(replace(exact, errors=own))
     failed = [SingularDesignError("injected")] * exact.selected.size
     fits.append(replace(exact, constants=None, errors=failed))
-    fits.append(study.Fit("polyhedral", 0.1, np.zeros(0, dtype=int)))
+    fits.append(study.Fit("polyhedral", np.zeros(0, dtype=int)))
     assert {f.method for f in fits if f.selected.size} == set(cfg.methods)
     assert not any(e for f in fits[:-4] for e in f.errors)
 
     def reprs(results):  # exact floats, classes and messages
         return [[repr(r) for r in each] for each in results]
 
-    block = reprs(study.infer(fits))
-    assert block == [reprs(study.infer([fit]))[0] for fit in fits]
-    assert block[-4][0].startswith("IntervalEstimate(")
-    assert block[-4][1].startswith("NumericalDegeneracyError(")
-    assert block[-3][0] == block[-4][0] and block[-3][1] == repr(own[1])
+    levels = {}
+    for alpha in (0.1, 0.05):
+        block = levels[alpha] = reprs(study.infer(fits, alpha))
+        assert block == [reprs(study.infer([fit], alpha))[0] for fit in fits]
+        assert block[-4][0].startswith("IntervalEstimate(")
+        assert block[-4][1].startswith("NumericalDegeneracyError(")
+        assert block[-3][0] == block[-4][0] and block[-3][1] == repr(own[1])
+    assert levels[0.1] != levels[0.05]
     beta0s = [np.linspace(-1.0, 1.0, fit.selected.size) for fit in fits]
-    block = reprs(_per_target(fits, beta0s))
-    assert block == [reprs(_per_target([fit], [beta0]))[0] for fit, beta0 in zip(fits, beta0s)]
+    block = reprs(_per_target(fits, beta0s=beta0s))
+    assert block == [
+        reprs(_per_target([fit], beta0s=[beta0]))[0] for fit, beta0 in zip(fits, beta0s)
+    ]
     assert block[-4][1] == "nan" and block[-3][1] == repr(own[1])
     assert block[-2] == [repr(failed[0])] * len(failed)
     assert block[-1] == []
+
+
+def test_a_degenerate_split_target_fails_alone():
+    """Split and uv fits carry untruncated bounds, inverted in closed form:
+    a split target whose sd is NaN, and one whose sd is 0, fail alone, and
+    every other target of the block keeps its z-interval ``beta_hat -+ z
+    sd``."""
+    cfg = quick_config(methods=("split", "uv"))
+    X = generate_design(cfg.n, cfg.p, cfg.corr, 2)
+    y, _ = generate_response(
+        X, support_indices(cfg.p, cfg.sparsity), cfg.signal_fraction, cfg.sigma2, 3
+    )
+    data = Dataset(y=y, X=X)
+    cal = calibrate(data, cfg.methods, rho=cfg.rho, epsilon=0.0)
+    split, uv = (fit_method(data, cal, method, cfg.model, 3) for method in cfg.methods)
+    assert split.selected.size >= 3 and uv.selected.size
+    assert split.outcome is None and np.isinf(split.constants.lower).all()
+    sd = split.constants.sd.copy()
+    sd[0], sd[2] = math.nan, 0.0
+    broken = replace(split, constants=replace(split.constants, sd=sd))
+    got = study.infer([broken, split, uv], 0.1)
+    z = 1.6448536269514722
+    for fit, results in zip((split, uv), got[1:]):
+        bounds = fit.constants
+        assert [(e.lower, e.upper, e.target_label) for e in results] == list(zip(
+            (bounds.beta_hat - z * bounds.sd).tolist(), (bounds.beta_hat + z * bounds.sd).tolist(),
+            fit.selected.tolist(),
+        ))
+    assert [isinstance(e, InvalidArgumentError) for e in got[0]] == [
+        j in (0, 2) for j in range(split.selected.size)
+    ]
+    assert [repr(e) for e in got[0][1:2] + got[0][3:]] == [
+        repr(e) for e in got[1][1:2] + got[1][3:]
+    ]
 
 
 def test_calibrate_checks_method_options():
