@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ExactSIError, InvalidArgumentError
+from .inference import check_level
 from .selection import Dataset, _kkt_residual
 from .study import (
     CSV_COLUMNS,
@@ -60,7 +61,7 @@ from .selection import (  # noqa: E402,F401
 
 
 def read_csv_dataset(
-    path: str, response: str = "y", standardize: bool = False, sigma: float | None = None
+    path: str, response: str = "y", standardize: bool = False
 ) -> tuple[Dataset, list[str]]:
     """Load a header-carrying numeric CSV; every non-response column is a feature.
 
@@ -86,7 +87,7 @@ def read_csv_dataset(
         scale = X.std(axis=0)
         scale[scale == 0] = 1.0
         X = X / scale
-    return Dataset(y=y, X=X, sigma=sigma), names
+    return Dataset(y=y, X=X), names
 
 
 def _parse_csv_fast(path: str, response: str):
@@ -172,9 +173,10 @@ def _write_csv(rows: list[dict], columns, path: str) -> None:
 
 
 def cmd_select(args) -> int:
-    data, names = read_csv_dataset(args.input, args.response, args.standardize, args.sigma)
+    data, names = read_csv_dataset(args.input, args.response, args.standardize)
     cal = calibrate(
-        data, ("exact",), lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon
+        data, ("exact",), lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon,
+        sigma=args.sigma,
     )
     tau2, outcome, _ = randomized_selection(data, cal, args.seed)
     b = np.zeros(data.p)
@@ -203,7 +205,8 @@ def cmd_select(args) -> int:
 
 def _infer_rows(args, data: Dataset, names: list[str]) -> list[dict]:
     cal = calibrate(
-        data, args.method, lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon
+        data, args.method, lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon,
+        sigma=args.sigma,
     )
     fits = [fit_method(data, cal, m, args.model, args.seed) for m in args.method]
     rows: list[dict] = []
@@ -240,7 +243,8 @@ INFER_COLUMNS = (
 
 
 def cmd_infer(args) -> int:
-    data, names = read_csv_dataset(args.input, args.response, args.standardize, args.sigma)
+    check_level(args.alpha)  # a bad level fails before the CSV is read
+    data, names = read_csv_dataset(args.input, args.response, args.standardize)
     rows = _infer_rows(args, data, names)
     per_method = {}
     for method in args.method:
@@ -355,6 +359,18 @@ def cmd_validate(args) -> int:
     return 0
 
 
+# notes that the --help of infer, simulate and validate prints
+_BLAS_NOTE = (
+    "Identical arguments and seed give byte-identical outputs only at a fixed"
+    " BLAS thread count (for OpenBLAS, OPENBLAS_NUM_THREADS): X'X, and so every"
+    " endpoint, may change in its last bits with the thread count."
+)
+_RIDGE_NOTE = (
+    "The study's randomized lasso has no ridge term (epsilon = 0) whatever the"
+    " shape, where infer adds a small one (default_epsilon) when p >= n."
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactsi",
@@ -362,15 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", required=True, help="CSV file with a header row")
-            p.add_argument("--response", default="y", help="response column name")
-            p.add_argument(
-                "--standardize", action="store_true", help="center and scale features"
-            )
-        p.add_argument("--model", choices=("full", "selected"), default="selected")
-        p.add_argument("--alpha", type=float, default=0.1)
+    def add_common(p):
+        p.add_argument("--input", required=True, help="CSV file with a header row")
+        p.add_argument("--response", default="y", help="response column name")
+        p.add_argument("--standardize", action="store_true", help="center and scale features")
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--rho", type=float, default=None, help="split proportion n1/n")
         p.add_argument("--tau2", type=float, default=None, help="randomization variance")
@@ -387,8 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_select)
     p_select.set_defaults(func=cmd_select)
 
-    p_infer = sub.add_parser("infer", help="selection plus confidence intervals")
+    p_infer = sub.add_parser(
+        "infer", help="selection plus confidence intervals", description=_BLAS_NOTE
+    )
     add_common(p_infer)
+    p_infer.add_argument("--model", choices=("full", "selected"), default="selected")
+    p_infer.add_argument("--alpha", type=float, default=0.1)
     p_infer.add_argument(
         "--method",
         action="append",
@@ -415,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", dest="methods", action="append", choices=KNOWN_METHODS)
         p.add_argument("--out", default=None)
 
-    p_sim = sub.add_parser("simulate", help="run a Monte-Carlo study")
+    p_sim = sub.add_parser(
+        "simulate", help="run a Monte-Carlo study", description=f"{_BLAS_NOTE} {_RIDGE_NOTE}"
+    )
     add_sim(p_sim)
     p_sim.add_argument(
         "--workers", type=int, default=1,
@@ -426,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_val = sub.add_parser("validate", help="pivot uniformity check")
+    p_val = sub.add_parser("validate", help="pivot uniformity check", description=_RIDGE_NOTE)
     add_sim(p_val)
     p_val.set_defaults(func=cmd_validate)
     return parser

@@ -24,13 +24,15 @@ inversion routine (``_invert``) gives the intervals of a record, one fit's
 or many fits' rows concatenated, for both pivots: it solves every endpoint
 of every target together by safeguarded Newton steps on the negated probit,
 from one kernel call at the seeds; each endpoint ends with its own status,
-and each target keeps its own error.
+and each target keeps its own error.  Every inversion (``invert_pivot``,
+``polyhedral_interval``, ``z_interval``) returns a list whose entry j is
+target j's ``IntervalEstimate`` or error, with no labels, and checks its
+level with ``check_level``, the one check of ``alpha``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +118,13 @@ class PivotParams:
 
 @dataclass(frozen=True)
 class IntervalEstimate:
-    """A two-sided confidence interval for one selected coordinate."""
+    """A two-sided confidence interval for one target, with ``clipped`` set
+    where an endpoint was cut at the polyhedral window.  It carries no label:
+    every inversion returns its intervals in the order of its targets, and
+    the caller pairs entry j with target j (``Fit.selected[j]``)."""
 
     lower: float
     upper: float
-    target_label: int
     clipped: bool = False
 
     def __post_init__(self):
@@ -527,8 +531,15 @@ def _exact_probit(params: PivotParams, beta0):
     return h, slope
 
 
+def check_level(alpha: float) -> None:
+    """Raise ``InvalidArgumentError`` unless the level ``alpha`` lies in (0, 1):
+    the one check of every stage that takes a level."""
+    if not 0 < alpha < 1:
+        raise InvalidArgumentError("alpha must lie in (0, 1)")
+
+
 def _results(
-    roots, status, levels, target_labels, clipped=False, upper_first=False
+    roots, status, levels, clipped=False, upper_first=False
 ) -> list[IntervalEstimate | ExactSIError]:
     """Entry i: target i's interval from its endpoint roots ``roots[:, i]``
     (lower, then upper), or the error that stopped it.
@@ -541,24 +552,23 @@ def _results(
     """
     (lower, upper), (lower_status, upper_status) = roots.tolist(), status.tolist()
     k = len(lower)
-    labels = [-1] * k if target_labels is None else list(target_labels)
     clipped, upper_first = (np.broadcast_to(x, k).tolist() for x in (clipped, upper_first))
     out: list[IntervalEstimate | ExactSIError] = []
-    for i, label in enumerate(labels):
+    for i in range(k):
         if lower_status[i] != ROOT or upper_status[i] != ROOT:
             ends = [(lower_status[i], levels[0]), (upper_status[i], levels[1])]
             failed = [end for end in (ends[::-1] if upper_first[i] else ends) if end[0] != ROOT]
             out.append(root_error(*failed[0]))
             continue
         try:
-            out.append(IntervalEstimate(lower[i], upper[i], label, clipped[i]))
+            out.append(IntervalEstimate(lower[i], upper[i], clipped[i]))
         except ExactSIError as exc:
             out.append(exc)
     return out
 
 
 def _invert(
-    probit, record, alpha: float, target_labels, seeds, scale, window=None
+    probit, record, alpha: float, seeds, scale, window=None
 ) -> list[IntervalEstimate | ExactSIError]:
     """Level ``1 - alpha`` intervals of k targets from a pivot that decreases
     in beta0: the one inversion behind ``invert_pivot`` and
@@ -584,8 +594,7 @@ def _invert(
     target i's interval, or the error its own endpoints met (see
     ``_results``).
     """
-    if not 0 < alpha < 1:
-        raise InvalidArgumentError("alpha must be in (0, 1)")
+    check_level(alpha)
     levels = 1.0 - alpha / 2.0, alpha / 2.0  # of the lower, then the upper endpoints
     z = float(ndtri(levels[0]))
     k = scale.size
@@ -629,14 +638,12 @@ def _invert(
         first=(value[solve], slope[solve]),
     )
     return _results(
-        roots.reshape(2, k), status.reshape(2, k), levels, target_labels,
+        roots.reshape(2, k), status.reshape(2, k), levels,
         clipped=clipped[:k] | clipped[k:], upper_first=upper_first,
     )
 
 
-def invert_pivot(
-    params: PivotParams, alpha: float, target_labels: Sequence[int] | None = None
-) -> list[IntervalEstimate | ExactSIError]:
+def invert_pivot(params: PivotParams, alpha: float) -> list[IntervalEstimate | ExactSIError]:
     """Level ``1 - alpha`` intervals from the exact pivots.
 
     Given the truncation, the estimate's law is an exponential family in
@@ -660,7 +667,7 @@ def invert_pivot(
         scale = sd / line.lambda_j
     center = line.beta_hat_j - line.zeta_j
     out = _invert(
-        _exact_probit, line, alpha, target_labels,
+        _exact_probit, line, alpha,
         lambda z: (center + _ENDPOINT_SIDES * (z * sd)) / line.lambda_j, scale,
     )
     return [
@@ -906,9 +913,7 @@ def _polyhedral_probit(bounds: PolyhedralBounds, beta0):
 
 
 def polyhedral_interval(
-    bounds: PolyhedralBounds,
-    alpha: float,
-    target_labels: Sequence[int] | None = None,
+    bounds: PolyhedralBounds, alpha: float
 ) -> list[IntervalEstimate | ExactSIError]:
     """Invert the polyhedral pivots of one or several targets; huge endpoints are clipped.
 
@@ -945,7 +950,7 @@ def polyhedral_interval(
         return np.where(np.isfinite(tail) & (depth >= sd), tail, beta_hat + side * (z * sd))
 
     return _invert(
-        _polyhedral_probit, bounds, alpha, target_labels, seeds, sd,
+        _polyhedral_probit, bounds, alpha, seeds, sd,
         window=beta_hat + side * (POLYHEDRAL_CLIP_SDS * sd),
     )
 
@@ -1002,13 +1007,13 @@ def split_inference(
         raise InvalidArgumentError(f"split size n1={n1} leaves no usable half")
     perm = np.random.default_rng(seed).permutation(n)
     train, test = perm[:n1], perm[n1:]
-    train_data = Dataset(y=data.y[train], X=data.X[train], sigma=data.sigma)
+    train_data = Dataset(y=data.y[train], X=data.X[train])
     out = solve_randomized_lasso(train_data, lam=lam, epsilon=0.0, w=np.zeros(data.p))
     E = out.selected
     if E.size == 0:
         return E, None
     # the held-out rows of the selected columns, which are its columns 0..|E|-1
-    held_out = Dataset(y=data.y[test], X=data.X[np.ix_(test, E)], sigma=data.sigma)
+    held_out = Dataset(y=data.y[test], X=data.X[np.ix_(test, E)])
     columns = np.arange(E.size)
     sigma2 = plug_in_sigma2(held_out, columns, "selected")
     return E, _untruncated(build_target(held_out, columns, "selected"), sigma2)
@@ -1043,12 +1048,12 @@ def _untruncated(target: TargetSpec, variance: float) -> PolyhedralBounds:
     return PolyhedralBounds(-infinite, infinite, target.estimate, sd)
 
 
-def z_interval(
-    bounds: PolyhedralBounds, alpha: float, target_labels: Sequence[int] | None = None
-) -> list[IntervalEstimate | ExactSIError]:
+def z_interval(bounds: PolyhedralBounds, alpha: float) -> list[IntervalEstimate | ExactSIError]:
     """Level ``1 - alpha`` intervals ``beta_hat -+ z sd``, ``z = Phi^{-1}(1 -
     alpha / 2)``: the polyhedral pivot of untruncated ``bounds``, inverted in
     closed form.  Entry i is target i's interval, or its error (see
-    ``_results``), such as that of a NaN or zero ``sd``."""
+    ``_results``), such as that of a NaN or zero ``sd``; ``alpha`` outside
+    (0, 1) raises ``InvalidArgumentError``."""
+    check_level(alpha)
     roots = bounds.beta_hat + _ENDPOINT_SIDES * (float(ndtri(1.0 - alpha / 2.0)) * bounds.sd)
-    return _results(roots, np.full(roots.shape, ROOT), None, target_labels)
+    return _results(roots, np.full(roots.shape, ROOT), None)

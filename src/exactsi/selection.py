@@ -56,7 +56,8 @@ def _finite(product, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Regression data: response ``y``, fixed design ``X``, optional known noise sd.
+    """Regression data: response ``y`` and fixed design ``X``.  A known noise
+    sd is not data: ``calibrate`` takes it.
 
     The sufficient statistics ``gram`` (X'X) and ``xty`` (X'y), both
     read-only, X in column-major order (``column_major``), the columns the
@@ -69,7 +70,6 @@ class Dataset:
 
     y: np.ndarray
     X: np.ndarray
-    sigma: float | None = None
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,10 +85,6 @@ class Dataset:
             raise InvalidArgumentError("need at least 1 feature")
         if not (np.isfinite(self.y).all() and np.isfinite(self.X).all()):
             raise InvalidArgumentError("data contains NaN or Inf")
-        if self.sigma is not None and not 0 < self.sigma < math.inf:
-            raise InvalidArgumentError(
-                f"sigma must be positive and finite when given, not {self.sigma!r}"
-            )
 
     @property
     def n(self) -> int:
@@ -99,10 +95,10 @@ class Dataset:
         return self.X.shape[1]
 
     def with_response(self, y: np.ndarray) -> Dataset:
-        """The dataset of the response ``y`` on this X, with this noise sd.
-        It starts with the statistics of X formed here so far (all but
-        ``xty``) and shares the factors of ``factor_columns`` with this one."""
-        data = Dataset(y=y, X=self.X, sigma=self.sigma)
+        """The dataset of the response ``y`` on this X.  It starts with the
+        statistics of X formed here so far (all but ``xty``) and shares the
+        factors of ``factor_columns`` with this one."""
+        data = Dataset(y=y, X=self.X)
         data.__dict__.update({k: v for k, v in vars(self).items() if k in _DESIGN_STATISTICS})
         object.__setattr__(data, "_factors", self._factors)
         return data

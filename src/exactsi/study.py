@@ -69,6 +69,7 @@ from .inference import (
     PivotParams,
     PolyhedralBounds,
     _columns,
+    check_level,
     exact_pivot,
     invert_pivot,
     pivot_params,
@@ -144,8 +145,7 @@ class SimConfig:
             raise InvalidArgumentError("corr must lie in (-1, 1)")
         if self.model not in ("full", "selected"):
             raise InvalidArgumentError(f"unknown model {self.model!r}")
-        if not 0 < self.alpha < 1:
-            raise InvalidArgumentError("alpha must lie in (0, 1)")
+        check_level(self.alpha)
         rule = self.lambda_rule
         if rule != "theory" and not (isinstance(rule, numbers.Real) and 0 < rule < math.inf):
             raise InvalidArgumentError(
@@ -307,19 +307,24 @@ def calibrate(
     rho: float | None = None,
     tau2: float | None = None,
     epsilon: float | None = None,
+    sigma: float | None = None,
 ) -> Calibration:
     """Check the options ``methods`` need and resolve the constants of ``data``.
 
-    An exact method needs exactly one of ``rho`` and ``tau2``; split and uv
-    need ``rho``; no method may be listed twice.  The noise variance is
-    ``data.sigma ** 2`` if set, else the full-model plug-in when n > p, else
-    var(y); the plug-in fits the independent columns of X (a duplicated column
-    is left out) with n - rank degrees of freedom, read from the dataset's
-    one Gram and rank test.  The penalty defaults to ``theory_lambda`` at
-    that noise scale and the ridge term to ``default_epsilon``.  A tuning
-    value that is not finite, and a resolved noise variance or penalty that
-    is not finite and positive, raise ``InvalidArgumentError`` naming it.
+    ``sigma`` is the known noise sd, if any; it is checked first, and must be
+    positive and finite when given.  An exact method needs exactly one of
+    ``rho`` and ``tau2``; split and uv need ``rho``; no method may be listed
+    twice.  The noise variance is ``sigma ** 2`` if given, else the
+    full-model plug-in when n > p, else var(y); the plug-in fits the
+    independent columns of X (a duplicated column is left out) with n - rank
+    degrees of freedom, read from the dataset's one Gram and rank test.  The
+    penalty defaults to ``theory_lambda`` at that noise scale and the ridge
+    term to ``default_epsilon``.  A tuning value that is not finite, and a
+    resolved noise variance or penalty that is not finite and positive,
+    raise ``InvalidArgumentError`` naming it.
     """
+    if sigma is not None and not 0 < sigma < math.inf:
+        raise InvalidArgumentError(f"sigma must be positive and finite when given, not {sigma!r}")
     tuning = {"--lambda": lam, "--rho": rho, "--tau2": tau2, "--epsilon": epsilon}
     for flag, value in tuning.items():
         if value is not None and not math.isfinite(value):
@@ -334,10 +339,10 @@ def calibrate(
                 raise InvalidArgumentError("--tau2 must be positive")
         elif method in ("split", "uv") and rho is None:
             raise InvalidArgumentError(f"{method} inference needs --rho")
-    known = data.sigma is not None
+    known = sigma is not None
     if known:
         try:
-            sigma2 = data.sigma**2
+            sigma2 = sigma**2
         except OverflowError:  # a float power raises where numpy's gives inf
             sigma2 = math.inf
     elif data.n > data.p:
@@ -400,13 +405,14 @@ class Fit:
 def _per_target(
     fits: Sequence[Fit], alpha: float | None = None, beta0s: Sequence | None = None
 ) -> list[list]:
-    """Entry i, j: target j of ``fits[i]``'s level ``1 - alpha`` interval,
-    or its pivot at ``beta0s[i][j]`` where given, or the error that stopped
-    it.  The fits' records are concatenated per method for one call each,
-    and its results split back by row count.  A target's own error wins; an
-    error that the call raises is the error of every target in it.  Each
-    method's inversion is read from this module's names at the call: split
-    and uv take ``z_interval``, and their pivot is the polyhedral one."""
+    """Entry i, j: target j of ``fits[i]`` (feature ``fits[i].selected[j]``):
+    its level ``1 - alpha`` interval, or its pivot at ``beta0s[i][j]`` where
+    given, or the error that stopped it.  The fits' records are concatenated
+    per method for one call each, and its results split back by row count.
+    A target's own error wins; an error that the call raises is the error of
+    every target in it.  Each method's inversion is read from this module's
+    names at the call: split and uv take ``z_interval``, and their pivot is
+    the polyhedral one."""
     out = [list(fit.errors) for fit in fits]
     groups: dict[str, list[int]] = {}
     for i, fit in enumerate(fits):
@@ -417,9 +423,8 @@ def _per_target(
         record = type(fits[members[0]].constants)(*map(np.concatenate, columns))
         try:
             if beta0s is None:
-                labels = [label for i in members for label in fits[i].selected.tolist()]
                 invert = {"exact": invert_pivot, "polyhedral": polyhedral_interval}
-                results = iter(invert.get(method, z_interval)(record, alpha, labels))
+                results = iter(invert.get(method, z_interval)(record, alpha))
             else:
                 beta0 = np.concatenate([beta0s[i] for i in members])
                 pivot = exact_pivot if method == "exact" else polyhedral_pivot
@@ -432,12 +437,11 @@ def _per_target(
 
 
 def infer(fits: Sequence[Fit], alpha: float) -> list[list[IntervalEstimate | ExactSIError]]:
-    """Entry i, j: target j of ``fits[i]``'s level ``1 - alpha`` interval,
-    or the error that stopped it; ``alpha`` is checked before anything else.
-    Each method's fits are inverted in one call on their concatenated
-    constants (``_per_target``)."""
-    if not 0 < alpha < 1:
-        raise InvalidArgumentError("alpha must lie in (0, 1)")
+    """Entry i, j: target j of ``fits[i]`` (feature ``fits[i].selected[j]``):
+    its level ``1 - alpha`` interval, or the error that stopped it; ``alpha``
+    is checked first (``check_level``).  Each method's fits are inverted in
+    one call on their concatenated constants (``_per_target``)."""
+    check_level(alpha)
     return _per_target(fits, alpha)
 
 
@@ -515,7 +519,7 @@ def _run_block(
         y, beta = generate_response(
             X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 1)
         )
-        data = Dataset(y=y, X=X, sigma=None)
+        data = Dataset(y=y, X=X)
         # the study's randomized lasso has no ridge term, whatever the shape
         cal = calibrate(data, config.methods, lam=lam, rho=config.rho, epsilon=0.0)
         for method in config.methods:
@@ -540,12 +544,12 @@ def _run_block(
             outcomes[method] = failed[0].with_traceback(None)
             continue
         f1 = outcomes[method] = f1_score(fit.selected, support)
-        for est, truth in zip(ests, truths.tolist()):
+        for coordinate, est, truth in zip(fit.selected.tolist(), ests, truths.tolist()):
             rows.append(
                 {
                     "rep": rep_idx,
                     "method": method,
-                    "coordinate": int(est.target_label),
+                    "coordinate": coordinate,
                     "lower": est.lower,
                     "upper": est.upper,
                     "truth": truth,
@@ -584,6 +588,9 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     nothing or failed counts only in its summary, whose F1 averages over the
     replicates that did not fail.  Each replicate is selected on its own,
     and the fits of a block of ``_BLOCK`` replicates are inverted together.
+    The exact method's randomized lasso has no ridge term here (``epsilon =
+    0``) whatever the shape, where ``exactsi infer`` takes
+    ``default_epsilon``, a small ridge, when p >= n.
 
     With ``workers > 1``, pin BLAS to one thread per worker (for OpenBLAS,
     ``OPENBLAS_NUM_THREADS=1``): otherwise each worker's multithreaded BLAS
@@ -673,8 +680,8 @@ def pivots_at_truth(
     tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
     lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
     methods = [m for m in config.methods if m in ("exact", "polyhedral")]
-    data = Dataset(y=np.zeros(config.n), X=X, sigma=math.sqrt(config.sigma2))
-    cal = calibrate(data, methods, lam=lam, tau2=tau2, epsilon=0.0)
+    data = Dataset(y=np.zeros(config.n), X=X)
+    cal = calibrate(data, methods, lam=lam, tau2=tau2, epsilon=0.0, sigma=math.sqrt(config.sigma2))
     for start in range(0, config.n_reps, _BLOCK):
         picked = []  # per replicate and method: its fit and truths, or None and its error
         for rep_idx in range(start, min(start + _BLOCK, config.n_reps)):
@@ -704,7 +711,9 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
     Requires the exact method; also reports the polyhedral pivot when listed.
     A target whose pivot raises is counted, under its exception class, and
     the rest of its replicate is still pooled; a fit that raises before any
-    target counts once.
+    target counts once.  As in ``run_study``, the randomized lasso has no
+    ridge term (``epsilon = 0``) whatever the shape, where ``exactsi infer``
+    takes ``default_epsilon`` when p >= n.
 
     ``kstest`` is imported here, not at module level: no other stage uses
     ``scipy.stats``, and importing it (with the ``scipy.optimize``,

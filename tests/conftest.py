@@ -34,9 +34,14 @@ _CD_TOL = 1e-10
 _KKT_TOL = 1e-9
 
 
+def toy_dataset():
+    """The two-row single-feature instance: X = [[1], [0]], y = (2, 0)."""
+    return Dataset(y=np.array([2.0, 0.0]), X=np.array([[1.0], [0.0]]))
+
+
 def toy_fit():
-    """The two-row single-feature instance with hand-checkable arithmetic."""
-    data = Dataset(y=np.array([2.0, 0.0]), X=np.array([[1.0], [0.0]]), sigma=1.0)
+    """The toy dataset's fit, with hand-checkable arithmetic."""
+    data = toy_dataset()
     out = solve_randomized_lasso(data, lam=1.0, epsilon=0.0, w=np.array([0.5]))
     rep = lasso_event_rep(data, out, lam=1.0, epsilon=0.0)
     return data, out, rep, 1.0  # the randomization variance tau2
@@ -47,7 +52,7 @@ def random_dataset(rng, n=40, p=8, sigma=1.0):
     beta = np.zeros(p)
     beta[: p // 3] = rng.uniform(1, 3, size=p // 3) * rng.choice([-1, 1], size=p // 3)
     y = X @ beta + sigma * rng.standard_normal(n)
-    return Dataset(y=y, X=X, sigma=sigma)
+    return Dataset(y=y, X=X)
 
 
 def carving_fit(rng, n=40, p=8, tau2=0.7, lam=None, min_selected=1):
@@ -58,7 +63,7 @@ def carving_fit(rng, n=40, p=8, tau2=0.7, lam=None, min_selected=1):
         k = max(1, p // 4)
         beta[rng.choice(p, size=k, replace=False)] = rng.uniform(1, 3, size=k)
         y = X @ beta + rng.standard_normal(n)
-        data = Dataset(y=y, X=X, sigma=1.0)
+        data = Dataset(y=y, X=X)
         w = sample_randomization(data, tau2, seed=int(rng.integers(1 << 30)))
         lam_use = lam if lam is not None else 1.2 * math.sqrt(2 * math.log(p) * n) / 2
         out = solve_randomized_lasso(data, lam=lam_use, epsilon=0.0, w=w)
@@ -328,7 +333,7 @@ def reference_invert_pivot(params, alpha):
 
     lower = reference_invert_monotone(pivot_at, 1.0 - alpha / 2.0, bracket)
     upper = reference_invert_monotone(pivot_at, alpha / 2.0, bracket)
-    return IntervalEstimate(lower=lower, upper=upper, target_label=-1)
+    return IntervalEstimate(lower=lower, upper=upper)
 
 
 def reference_polyhedral_interval(bounds, alpha):
@@ -362,11 +367,11 @@ def reference_polyhedral_interval(bounds, alpha):
             clipped = True
         else:
             upper = reference_invert_monotone(pivot_at, p_upper, above)
-    return IntervalEstimate(lower=lower, upper=upper, target_label=-1, clipped=clipped)
+    return IntervalEstimate(lower=lower, upper=upper, clipped=clipped)
 
 
 def reference_read_csv(
-    path: str, response: str = "y", standardize: bool = False, sigma: float | None = None
+    path: str, response: str = "y", standardize: bool = False
 ) -> tuple[Dataset, list[str]]:
     """Reference for ``cli.read_csv_dataset``: ``float()`` on every cell.
 
@@ -412,4 +417,4 @@ def reference_read_csv(
         scale = X.std(axis=0)
         scale[scale == 0] = 1.0
         X = X / scale
-    return Dataset(y=y, X=X, sigma=sigma), names
+    return Dataset(y=y, X=X), names

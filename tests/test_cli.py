@@ -302,6 +302,16 @@ class TestSelect:
             main(["select", "--input", str(path), "--rho", "0.8", "--tau2", "1.0"]) == 1
         )
 
+    @pytest.mark.parametrize("flag", [("--alpha", "0.1"), ("--model", "full")])
+    def test_level_and_model_are_not_options(self, tmp_path, capsys, flag):
+        """Selection reads no level and no target model: ``select`` rejects
+        ``--alpha`` and ``--model`` as unknown arguments."""
+        path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(3))
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--input", str(path), "--rho", "0.8", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
 
 class TestInfer:
     def run_infer(self, tmp_path, rng, alpha="0.1", extra=(), seed="5"):
@@ -371,6 +381,28 @@ class TestInfer:
         assert capsys.readouterr().err == "error: alpha must lie in (0, 1)\n"
         assert not (tmp_path / "inf.json").exists()
         assert not (tmp_path / "inf.csv").exists()
+
+    def test_bad_level_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """``--alpha 1.5`` fails before the CSV is read or any lasso solved."""
+        calls = {"read_csv_dataset": 0, "solve_randomized_lasso": 0}
+        for owner, name in ((cli, "read_csv_dataset"), (study, "solve_randomized_lasso")):
+
+            def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(7), n=60, p=6)
+        code = main(
+            [
+                "infer", "--input", str(path), "--rho", "0.8", "--alpha", "1.5",
+                "--method", "exact", "--method", "polyhedral", "--out", str(tmp_path / "inf"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: alpha must lie in (0, 1)\n"
+        assert calls == {"read_csv_dataset": 0, "solve_randomized_lasso": 0}
+        assert not (tmp_path / "inf.json").exists()
 
     def test_no_option_carries_over_to_the_next_call(self, tmp_path):
         """``main`` keeps one parser per process, and no call leaves an

@@ -43,6 +43,7 @@ from exactsi.inference import (
     polyhedral_pivot,
     split_inference,
     uv_inference,
+    z_interval,
 )
 from exactsi.selection import (
     Dataset,
@@ -95,8 +96,7 @@ class TestPivotParams:
         broken = [each[0], replace(each[1], sigma_j2=0.0), *each[2:],
                   replace(each[0], sigma_j2=math.nan)]
         bad = [1, len(broken) - 1]
-        labels = [10 + k for k in range(len(broken))]
-        got = invert_pivot(stack(broken), alpha=0.1, target_labels=labels)
+        got = invert_pivot(stack(broken), alpha=0.1)
         for k in bad:
             assert isinstance(got[k], NumericalDegeneracyError)
             assert str(got[k]) == "sigma_j2 must be positive"
@@ -104,7 +104,9 @@ class TestPivotParams:
         assert [outcome(got[k]) for k in good] == [
             outcome(invert_pivot(broken[k], alpha=0.1)[0]) for k in good
         ]
-        assert [got[k].target_label for k in good] == [labels[k] for k in good]
+        # entry k is target k: one entry per target, each good one the
+        # interval of its own target alone (above)
+        assert len(got) == len(broken)
         beta0 = np.array([b.beta_hat_j for b in broken])
         assert np.isnan(exact_pivot(stack(broken), beta0)).tolist() == [
             k in bad for k in range(len(broken))
@@ -120,10 +122,10 @@ class TestPivotParams:
         keeps the endpoints it gets when solved alone, bit for bit."""
         params = toy_params()
         both = stack([params, replace(params, **{name: math.nan})])
-        got = invert_pivot(both, alpha=0.1, target_labels=[3, 4])
+        got = invert_pivot(both, alpha=0.1)
         assert isinstance(got[1], NumericalDegeneracyError)
         assert outcome(got[0]) == outcome(invert_pivot(params, alpha=0.1)[0])
-        assert got[0].target_label == 3
+        assert len(got) == 2  # entry 0 is target 0
         assert np.isnan(exact_pivot(both, 1.0)).tolist() == [False, True]
 
     def test_overflowing_seed_fails_its_target_alone(self):
@@ -133,11 +135,11 @@ class TestPivotParams:
         keeps its lone endpoints."""
         params = toy_params()
         both = stack([params, replace(params, lambda_j=1e-320)])
-        got = invert_pivot(both, alpha=0.1, target_labels=[3, 4])
+        got = invert_pivot(both, alpha=0.1)
         assert isinstance(got[1], NumericalDegeneracyError)
         assert str(got[1]) == "root finding cannot start: the seed or the scale is not finite"
         assert outcome(got[0]) == outcome(invert_pivot(params, alpha=0.1)[0])
-        assert got[0].target_label == 3
+        assert len(got) == 2  # entry 0 is target 0
 
     def test_generic_matches_carving_closed_form(self):
         rng = np.random.default_rng(1)
@@ -167,7 +169,7 @@ class TestPivotParams:
         x /= np.linalg.norm(x)
         X = x[:, None]
         y = 3.0 * x + 0.2 * rng.standard_normal(12)
-        data = Dataset(y=y, X=X, sigma=1.0)
+        data = Dataset(y=y, X=X)
         tau2, eps = 0.8, 0.3
         w = np.array([0.25])
         out = solve_randomized_lasso(data, lam=0.5, epsilon=eps, w=w)
@@ -361,7 +363,7 @@ SATURATED = PivotParams(
 class TestSaturatedPivot:
     def test_inversion_expands_away_from_a_tie(self):
         assert exact_pivot(SATURATED, -0.158) == exact_pivot(SATURATED, 0.158) == 0.0
-        (est,) = invert_pivot(SATURATED, alpha=0.1, target_labels=[0])
+        (est,) = invert_pivot(SATURATED, alpha=0.1)
         assert isinstance(est, IntervalEstimate)
         assert -3.0 < est.lower < est.upper < -1.5
         assert oracle_pivot(SATURATED, est.lower) == pytest.approx(0.95, abs=1e-9)
@@ -620,7 +622,7 @@ def standard_lasso_fit(rng, n=60, p=10, lam=None, signal=2.5):
     beta = np.zeros(p)
     beta[:2] = signal
     y = X @ beta + rng.standard_normal(n)
-    data = Dataset(y=y, X=X, sigma=1.0)
+    data = Dataset(y=y, X=X)
     lam = lam if lam is not None else math.sqrt(2 * math.log(p) * n)
     out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=np.zeros(p))
     return data, out, lam
@@ -632,7 +634,7 @@ class TestPolyhedral:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(30)
         y = 2.0 * x + 0.3 * rng.standard_normal(30)
-        data = Dataset(y=y, X=x[:, None], sigma=1.0)
+        data = Dataset(y=y, X=x[:, None])
         lam = 3.0
         out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=np.zeros(1))
         assert out.selected.size == 1
@@ -652,7 +654,7 @@ class TestPolyhedral:
         rng = np.random.default_rng(7)
         data, out, lam = standard_lasso_fit(rng)
         bounds = take(polyhedral_targets(data, out, lam), 0)
-        (est,) = polyhedral_interval(bounds, alpha=0.1, target_labels=[0])
+        (est,) = polyhedral_interval(bounds, alpha=0.1)
         if not est.clipped:
             lo_p = polyhedral_pivot(bounds, est.lower)
             hi_p = polyhedral_pivot(bounds, est.upper)
@@ -865,10 +867,12 @@ class TestBatchedInversion:
         for _ in range(6):
             data, out, rep, _, tau2 = carving_fit(rng, min_selected=2)
             params = exact_targets(data, out, rep, tau2)
-            got = invert_pivot(params, 0.1, [int(e) for e in out.selected])
-            for k, (est, label) in enumerate(zip(got, out.selected)):
+            got = invert_pivot(params, 0.1)
+            # entry k is target k: one entry per selected feature, each
+            # agreeing with the reference on its own target's constants
+            assert len(got) == out.selected.size
+            for k, est in enumerate(got):
                 assert_agrees(est, reference_invert_pivot, take(params, k))
-                assert est.target_label == label
                 count += 1
         assert count >= 12
 
@@ -986,12 +990,12 @@ class TestBatchedInversion:
         ]
         broken = list(bounds)
         broken[1] = replace(bounds[1], **{field: math.nan})
-        got = polyhedral_interval(stack(broken), alpha=0.1, target_labels=[3, 5, 7, 9])
+        got = polyhedral_interval(stack(broken), alpha=0.1)
         assert isinstance(got[1], NumericalDegeneracyError)
         assert str(got[1]) == "root finding met a NaN value of g"
         alone = polyhedral_interval(stack([bounds[0], *bounds[2:]]), alpha=0.1)
         assert [outcome(got[k]) for k in (0, 2, 3)] == [outcome(e) for e in alone]
-        assert [got[k].target_label for k in (0, 2, 3)] == [3, 7, 9]
+        assert len(got) == 4  # entry k is target k
         assert math.isnan(polyhedral_pivot(broken[1], 0.2))
 
     def test_default_cell_evaluations_are_bounded(self, monkeypatch):
@@ -1100,7 +1104,7 @@ class TestSplitInference:
         beta = np.zeros(10)
         beta[:3] = 3.0
         y = X @ beta + rng.standard_normal(80)
-        data = Dataset(y=y, X=X, sigma=1.0)
+        data = Dataset(y=y, X=X)
         lam = 0.8 * math.sqrt(2 * math.log(10) * 64)
         (E, a), (F, b) = (split_inference(data, rho=0.8, lam=lam, seed=3) for _ in range(2))
         assert E.tolist() == F.tolist() and repr(a) == repr(b)
@@ -1131,7 +1135,7 @@ class TestUVInference:
         beta = np.zeros(8)
         beta[:2] = 4.0
         y = X @ beta + rng.standard_normal(90)
-        data = Dataset(y=y, X=X, sigma=1.0)
+        data = Dataset(y=y, X=X)
         lam = math.sqrt(2 * math.log(8) * 90)
         (E, a), (F, b) = (
             uv_inference(data, f=0.25, lam=lam, sigma2=1.0, seed=7) for _ in range(2)
@@ -1199,4 +1203,17 @@ class TestPlugInSigma:
 
     def test_interval_estimate_validation(self):
         with pytest.raises(InvalidArgumentError):
-            IntervalEstimate(lower=1.0, upper=0.0, target_label=0)
+            IntervalEstimate(lower=1.0, upper=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize("invert", [z_interval, polyhedral_interval, invert_pivot])
+def test_every_inversion_checks_its_level(invert, alpha):
+    """Each inversion rejects a level outside (0, 1) with the one message of
+    ``check_level``; unchecked, ``z_interval`` gave (-inf, inf) at 0 and an
+    endpoint-order error for every target at 1.5 or NaN."""
+    record = toy_params() if invert is invert_pivot else PolyhedralBounds(
+        lower=-math.inf, upper=math.inf, beta_hat=0.3, sd=2.0
+    )
+    with pytest.raises(InvalidArgumentError, match=r"^alpha must lie in \(0, 1\)$"):
+        invert(record, alpha)

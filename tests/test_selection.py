@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import _cd_lasso
+from conftest import _cd_lasso, random_dataset, toy_dataset
 
 from exactsi import selection
 from exactsi.errors import (
@@ -33,22 +33,9 @@ from exactsi.study import (
 )
 
 
-def toy_dataset():
-    # single effective feature: X = [[1],[0]], y = (2, 0)
-    return Dataset(y=np.array([2.0, 0.0]), X=np.array([[1.0], [0.0]]), sigma=1.0)
-
-
 def design_only(X):
     """A dataset around ``X`` for what reads only the design."""
     return Dataset(y=np.zeros(X.shape[0]), X=X)
-
-
-def random_dataset(rng, n=40, p=8, sigma=1.0):
-    X = rng.standard_normal((n, p))
-    beta = np.zeros(p)
-    beta[: p // 3] = rng.uniform(1, 3, size=p // 3) * rng.choice([-1, 1], size=p // 3)
-    y = X @ beta + sigma * rng.standard_normal(n)
-    return Dataset(y=y, X=X, sigma=sigma)
 
 
 class TestDataset:

@@ -612,15 +612,15 @@ def test_validate_forms_the_statistics_of_its_design_once(monkeypatch):
 
 
 def test_a_new_response_shares_the_statistics_of_x():
-    """``with_response`` keeps X, sigma and every statistic of X formed so
-    far, by identity, and forms X'y of its own response."""
+    """``with_response`` keeps X and every statistic of X formed so far, by
+    identity, and forms X'y of its own response."""
     rng = np.random.default_rng(5)
-    data = Dataset(y=rng.standard_normal(30), X=rng.standard_normal((30, 4)), sigma=1.5)
+    data = Dataset(y=rng.standard_normal(30), X=rng.standard_normal((30, 4)))
     data.factor_columns(np.array([0, 2]), "selected design")
     kept = [data.gram, data.column_major, data.independent_columns, data.randomization_factor]
     y = rng.standard_normal(30)
     other = data.with_response(y)
-    assert other.X is data.X and other.sigma == 1.5 and other._factors is data._factors
+    assert other.X is data.X and other._factors is data._factors
     got = [other.gram, other.column_major, other.independent_columns, other.randomization_factor]
     assert all(a is b for a, b in zip(got, kept))
     assert other.xty.tolist() == Dataset(y=y, X=data.X).xty.tolist()
@@ -668,8 +668,9 @@ def test_duplicated_column_gives_exact_intervals(sigma):
         X = generate_design(300, 100, 0.5, seed)
         X[:, 99] = X[:, 0]
         y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, seed + 1)
-        data = Dataset(y=y, X=X, sigma=sigma)
-        fit = fit_method(data, calibrate(data, ("exact",), rho=0.8), "exact", "selected", 0)
+        data = Dataset(y=y, X=X)
+        cal = calibrate(data, ("exact",), rho=0.8, sigma=sigma)
+        fit = fit_method(data, cal, "exact", "selected", 0)
         assert fit.selected.size
         intervals(fit)
 
@@ -707,11 +708,12 @@ def test_failed_target_keeps_its_row(monkeypatch):
     assert got_all[1] is fit.errors[1]
     with pytest.raises(NumericalDegeneracyError, match="nonpositive precision"):
         intervals(fit)
+    # entry j of each is target j, feature selected[j] of both fits
+    assert fit.selected.tolist() == clean.selected.tolist()
+    assert len(got_all) == len(want_all) == k
     for j in [j for j in range(k) if j != 1]:
         got, want = got_all[j], want_all[j]
-        assert (got.lower, got.upper, got.clipped, got.target_label) == (
-            want.lower, want.upper, want.clipped, want.target_label
-        )
+        assert (got.lower, got.upper, got.clipped) == (want.lower, want.upper, want.clipped)
 
 
 def test_a_fit_in_a_block_gets_what_it_gets_alone():
@@ -788,9 +790,10 @@ def test_a_degenerate_split_target_fails_alone():
     z = 1.6448536269514722
     for fit, results in zip((split, uv), got[1:]):
         bounds = fit.constants
-        assert [(e.lower, e.upper, e.target_label) for e in results] == list(zip(
+        # entry j is target j: row j of the bounds
+        assert len(results) == fit.selected.size
+        assert [(e.lower, e.upper) for e in results] == list(zip(
             (bounds.beta_hat - z * bounds.sd).tolist(), (bounds.beta_hat + z * bounds.sd).tolist(),
-            fit.selected.tolist(),
         ))
     assert [isinstance(e, InvalidArgumentError) for e in got[0]] == [
         j in (0, 2) for j in range(split.selected.size)

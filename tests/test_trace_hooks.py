@@ -1,5 +1,6 @@
 """The benchmark's trace hooks must name functions the package still has,
-and the package imports no name but what it reads or a hook wraps.
+the package imports no name but what it reads or a hook wraps, and no
+function of it takes a parameter that it does not read.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` in ``PATCHES``; an
 attribute that no longer exists fails every traced benchmark run.
@@ -80,6 +81,55 @@ def test_unread_import_is_found():
     source = "import numpy as np\nfrom math import pi, tau\nx = np.sqrt(pi)\n"
     assert unread_imports(source) == ["tau"]
     assert unread_imports(source + "__all__ = ['tau']\n") == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter of a function or lambda
+    that its body never reads (as a loaded name); a read in a nested
+    function counts."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        label = getattr(node, "name", "<lambda>")
+        unread += [f"{label}.{name}" for name in names if name not in read]
+    return unread
+
+
+# Parameters kept unread, each with its reason.
+UNREAD_PARAMETERS = {
+    # the benchmark's scorer (bench/workloads.py) passes it by position
+    ("exactsi.study", "true_projected_target.E_star"),
+}
+
+
+def test_every_parameter_is_read():
+    """No function of the package accepts a value it does not read: such a
+    parameter makes every caller compute and pass what nothing uses."""
+    unread = {
+        (f"exactsi.{path.stem}", name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in unread_parameters(path.read_text(encoding="utf-8"))
+    }
+    assert unread == UNREAD_PARAMETERS
+
+
+def test_unread_parameter_is_found():
+    source = (
+        "def f(a, b, *c, d=1, **e):\n    def g():\n        return a + d\n    b = 2\n"
+        "h = lambda x, y: x\n"
+    )
+    assert unread_parameters(source) == ["f.b", "f.c", "f.e", "<lambda>.y"]
 
 
 # The hooks that a small study and one ``infer`` call must reach: every
