@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_infer.set_defaults(func=cmd_infer)
 
-    def add_sim(p):
+    def add_sim(p, alpha_help):
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--p", type=int, default=None)
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-reps", dest="n_reps", type=int, default=None)
         p.add_argument("--rho", type=float, default=None)
         p.add_argument("--model", choices=("full", "selected"), default=None)
-        p.add_argument("--alpha", type=float, default=None)
+        p.add_argument("--alpha", type=float, default=None, help=alpha_help)
         p.add_argument("--lambda", dest="lambda_rule", metavar="LAM", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--method", dest="methods", action="append", choices=KNOWN_METHODS)
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate", help="run a Monte-Carlo study", description=f"{_BLAS_NOTE} {_RIDGE_NOTE}"
     )
-    add_sim(p_sim)
+    add_sim(p_sim, "miscoverage level of the intervals")
     p_sim.add_argument(
         "--workers", type=int, default=1,
         help="worker processes, at most one per core and per block of 32 replicates; "
@@ -444,7 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", help="pivot uniformity check", description=_RIDGE_NOTE)
-    add_sim(p_val)
+    add_sim(
+        p_val,
+        "checked, and echoed in the JSON's config only: the KS test pools"
+        " the pivots at the true targets and reads no level",
+    )
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -1007,13 +1007,12 @@ def split_inference(
         raise InvalidArgumentError(f"split size n1={n1} leaves no usable half")
     perm = np.random.default_rng(seed).permutation(n)
     train, test = perm[:n1], perm[n1:]
-    train_data = Dataset(y=data.y[train], X=data.X[train])
-    out = solve_randomized_lasso(train_data, lam=lam, epsilon=0.0, w=np.zeros(data.p))
+    out = solve_randomized_lasso(data.subset(train), lam=lam, epsilon=0.0, w=np.zeros(data.p))
     E = out.selected
     if E.size == 0:
         return E, None
     # the held-out rows of the selected columns, which are its columns 0..|E|-1
-    held_out = Dataset(y=data.y[test], X=data.X[np.ix_(test, E)])
+    held_out = data.subset(test, E)
     columns = np.arange(E.size)
     sigma2 = plug_in_sigma2(held_out, columns, "selected")
     return E, _untruncated(build_target(held_out, columns, "selected"), sigma2)

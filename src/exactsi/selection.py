@@ -103,6 +103,19 @@ class Dataset:
         object.__setattr__(data, "_factors", self._factors)
         return data
 
+    def subset(self, rows: np.ndarray, columns: np.ndarray | None = None) -> Dataset:
+        """The dataset of the rows ``rows`` of this one, and of its columns
+        ``columns`` (all by default), with X copied as ``X[rows]`` or
+        ``X[np.ix_(rows, columns)]``.  Its cells were checked here, so they
+        are not checked again; the caller keeps at least 2 rows and 1
+        column.  It shares no statistic with this one."""
+        data = object.__new__(Dataset)
+        X = self.X[rows] if columns is None else self.X[np.ix_(rows, columns)]
+        object.__setattr__(data, "y", self.y[rows])
+        object.__setattr__(data, "X", X)
+        object.__setattr__(data, "_factors", {})
+        return data
+
     @cached_property
     def gram(self) -> np.ndarray:
         return _finite(lambda: self.X.T @ self.X, "X'X")
@@ -159,15 +172,17 @@ class Dataset:
 
     def factor_columns(self, cols: np.ndarray, what: str) -> tuple:
         """``factor_spd`` of the Gram of the columns ``cols``, read from
-        ``gram`` and kept for the next stage that asks for the same columns.
+        ``gram`` (``gram`` itself where ``cols`` is every column in order)
+        and kept for the next stage that asks for the same columns.
         Where the check fails it raises ``SingularDesignError`` naming
         ``what``, and keeps nothing, so each stage reports its own failure."""
         cols = np.asarray(cols, dtype=int)
         key = cols.tobytes()
         if key not in self._factors:
-            self._factors[key] = factor_spd(
-                self.gram[np.ix_(cols, cols)], what, SingularDesignError
-            )
+            gram = self.gram
+            if cols.size != self.p or (cols != np.arange(self.p)).any():
+                gram = gram[np.ix_(cols, cols)]
+            self._factors[key] = factor_spd(gram, what, SingularDesignError)
         return self._factors[key]
 
 
@@ -266,14 +281,15 @@ def _kkt_residual(
     s: np.ndarray, c: np.ndarray, b: np.ndarray, lam: float, epsilon: float
 ) -> float:
     """Largest stationarity violation at ``b``, given ``s = X'X b``."""
-    active = b != 0
+    on, off = b.nonzero()[0], (b == 0).nonzero()[0]
     resid = 0.0
-    if active.any():
-        stat = s[active] - c[active] + epsilon * b[active] + lam * np.sign(b[active])
-        resid = float(np.max(np.abs(stat)))
-    if (~active).any():
-        slack = np.abs(c[~active] - s[~active]) - lam
-        resid = max(resid, float(max(np.max(slack), 0.0)))
+    if on.size:
+        b_on = b[on]
+        stat = s[on] - c[on] + epsilon * b_on + lam * np.sign(b_on)
+        resid = float(np.abs(stat).max())
+    if off.size:
+        slack = np.abs(c[off] - s[off]) - lam
+        resid = max(resid, float(max(slack.max(), 0.0)))
     return resid
 
 
@@ -315,9 +331,24 @@ def _active_set_lasso(
     certificate fails.  There, with epsilon = 0, ``_unbounded`` decides
     whether the objective is unbounded below (``InvalidArgumentError``);
     otherwise it raises ``ConvergenceError`` with the last KKT residual.
+
+    The active set A, in the order its coordinates entered, its signs theta
+    and ``c_A - lam theta`` are views of length-p arrays, and gram's columns
+    at A are the leading columns of one buffer: an entering coordinate
+    appends its column, and a line search or null-space step that drops
+    coordinates compacts the buffer, keeping their order.  The buffer starts
+    with room for 16 columns and doubles when full, so it never holds more
+    than 16 or twice the largest |A| reached.  ``H_AA`` is a row gather of
+    it, and the residual ``g`` one product with it.  The buffer is
+    column-major, the layout of the copy that ``gram[:, A]`` makes, because
+    BLAS sums ``gram[:, A] @ b_A`` in an order set by the layout: a
+    row-major buffer changes the last bits of g, and with them the path of
+    the search.  A pair (A, theta) is keyed by the bytes of a length-p
+    vector holding theta on A and 0 elsewhere.
     """
-    tol = 1e-11 * max(float(np.max(np.abs(c))), lam)
-    seen = set()  # the (A, theta) pairs solved so far
+    p = c.size
+    tol = 1e-11 * max(float(np.abs(c).max()), lam)
+    seen = set()  # the keys of the (A, theta) pairs solved so far
 
     def uncertified(why: str) -> ExactSIError:
         if epsilon == 0 and _unbounded(gram, c, lam):
@@ -328,35 +359,54 @@ def _active_set_lasso(
             residual=resid,
         )
 
-    b = np.zeros(c.size)
-    # the active coordinates and their signs, as lists that grow by append,
-    # and as the index arrays of the current restricted solve
-    active: list[int] = []
-    signs: list[float] = []
-    A, theta = np.zeros(0, dtype=int), np.zeros(0)
+    b = np.zeros(p)
     g = c.copy()  # c - X'X b, which is c - H b off the support
+    # A = index[:k], theta = sign[:k], c_A - lam theta = rhs[:k] and
+    # gram[:, A] = columns[:, :k]
+    index, sign, rhs, k = np.empty(p, dtype=int), np.empty(p), np.empty(p), 0
+    columns = np.empty((p, min(p, 16)), order="F")
+    pattern = np.zeros(p, dtype=np.int8)  # theta on A, 0 elsewhere
+
+    def compact(keep: np.ndarray, kept_signs: np.ndarray) -> int:
+        """Keep the coordinates ``keep`` of A, in order, with signs
+        ``kept_signs``; returns the new |A|."""
+        kept = index[:k][keep]
+        pattern[index[:k]] = 0
+        pattern[kept] = kept_signs
+        m = kept.size
+        index[:m], sign[:m], rhs[:m] = kept, kept_signs, c[kept] - lam * kept_signs
+        columns[:, :m] = columns[:, :k][:, keep]
+        return m
+
     steps = 0
     while True:
         slack = np.abs(g)
-        slack[A] = 0.0
-        j = int(np.argmax(slack))
+        slack[index[:k]] = 0.0
+        j = int(slack.argmax())
         if not slack[j] > lam + tol:
             break
-        active.append(j)
-        signs.append(float(np.sign(g[j])))
-        A, theta = np.array(active), np.array(signs)
-        while active:
+        if k == columns.shape[1]:
+            grown = np.empty((p, min(p, 2 * k)), order="F")
+            grown[:, :k] = columns[:, :k]
+            columns = grown
+        index[k], sign[k] = j, 1.0 if g[j] > 0 else -1.0
+        rhs[k] = c[j] - lam * sign[k]
+        columns[:, k] = gram[:, j]
+        pattern[j] = sign[k]
+        k += 1
+        while k:
+            A, theta = index[:k], sign[:k]
             steps += 1
             if steps > _AS_MAX_STEPS:
                 raise uncertified(f"more than {_AS_MAX_STEPS} restricted solves")
-            pair = frozenset(zip(active, signs))
-            if pair in seen:
+            key = pattern.tobytes()
+            if key in seen:
                 raise uncertified("repeated active set and signs")
-            seen.add(pair)
-            H_AA = gram[A[:, None], A]
+            seen.add(key)
+            H_AA = columns[A, :k]
             if epsilon:
-                H_AA = H_AA + epsilon * np.eye(A.size)
-            _, new, info = dposv(H_AA, c[A] - lam * theta)  # Cholesky solve
+                H_AA = H_AA + epsilon * np.eye(k)
+            _, new, info = dposv(H_AA, rhs[:k])  # Cholesky solve
             if info:
                 # H_AA is singular (more active columns than the rank, as
                 # with p > n and epsilon = 0).  As in LARS, step along the
@@ -365,8 +415,8 @@ def _active_set_lasso(
                 # first coordinate reaches zero, then drop that coordinate.
                 old = b[A]
                 evals, evecs = np.linalg.eigh(H_AA)
-                null = evecs[:, evals <= A.size * np.finfo(float).eps * evals[-1]]
-                z = null @ (null.T @ (c[A] - lam * theta - H_AA @ old))
+                null = evecs[:, evals <= k * np.finfo(float).eps * evals[-1]]
+                z = null @ (null.T @ (rhs[:k] - H_AA @ old))
                 if not z.any():
                     raise uncertified("singular restricted Gram with no null-space step")
                 shrinking = theta * z < 0
@@ -375,15 +425,15 @@ def _active_set_lasso(
                     # at rate z'(c_A - lam theta - H_AA old) = ||z||^2 along z.
                     raise InvalidArgumentError("lasso objective is unbounded below")
                 t = -old[shrinking] / z[shrinking]
-                k = int(np.argmin(t))
-                best = old + t[k] * z
-                best[np.flatnonzero(shrinking)[k]] = 0.0
+                i = int(np.argmin(t))
+                best = old + t[i] * z
+                best[np.flatnonzero(shrinking)[i]] = 0.0
                 b[A] = best
                 keep = best != 0
-                A, theta = A[keep], theta[keep]
-                active, signs = A.tolist(), theta.tolist()
+                k = compact(keep, theta[keep])
                 continue
-            if (np.sign(new) == theta).all():
+            agree = new * theta > 0
+            if np.count_nonzero(agree) == k:
                 b[A] = new
                 break
             # Discrete line search over the zero crossings of old -> new.  Up to
@@ -391,7 +441,7 @@ def _active_set_lasso(
             # is the restricted quadratic that decreases towards new, so the
             # best candidate lowers the objective.
             old = b[A]
-            cross = np.flatnonzero((np.sign(new) != theta) & (old != 0))
+            cross = np.flatnonzero(~agree & (old != 0))
             t = np.minimum(old[cross] / (old[cross] - new[cross]), 1.0)
             points = old + t[:, None] * (new - old)
             points[np.arange(cross.size), cross] = 0.0
@@ -404,9 +454,8 @@ def _active_set_lasso(
             best = points[int(np.argmin(objective))]
             b[A] = best
             keep = best != 0
-            A, theta = A[keep], np.sign(best[keep])
-            active, signs = A.tolist(), theta.tolist()
-        g = c - gram[:, A] @ b[A]
+            k = compact(keep, np.sign(best[keep]))
+        g = c - columns[:, :k] @ b[index[:k]]
     if _kkt_residual(gram @ b, c, b, lam, epsilon) > tol:
         raise uncertified("KKT certificate failed")
     return b, g
@@ -465,11 +514,13 @@ def solve_randomized_lasso(
     gram = data.gram
     diag = np.diag(gram)
     c = data.xty + w
-    if (diag + epsilon <= 0).any():
-        bad = int(np.argmin(diag + epsilon))
-        if abs(c[bad]) > lam:
+    zero_norm = diag + epsilon <= 0
+    if zero_norm.any():
+        # unbounded along the first zero-norm column whose |c_j| exceeds lam
+        unbounded = np.flatnonzero(zero_norm & (np.abs(c) > lam))
+        if unbounded.size:
             raise InvalidArgumentError(
-                f"column {bad} has zero norm and epsilon=0: objective unbounded"
+                f"column {unbounded[0]} has zero norm and epsilon=0: objective unbounded"
             )
     b, g = _active_set_lasso(gram, c, lam, epsilon)
     selected = np.flatnonzero(b)

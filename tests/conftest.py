@@ -4,11 +4,13 @@ from dataclasses import fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, logsumexp
 
 from exactsi.errors import (
     ConvergenceError,
+    ExactSIError,
     GeometryInconsistencyError,
     InvalidArgumentError,
     NoRootError,
@@ -21,8 +23,10 @@ from exactsi.inference import (
     polyhedral_pivot,
 )
 from exactsi.selection import (
+    _AS_MAX_STEPS,
     Dataset,
     _kkt_residual,
+    _unbounded,
     lasso_event_rep,
     sample_randomization,
     solve_randomized_lasso,
@@ -133,6 +137,128 @@ def _cd_lasso(gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float) -> np
                 residual=resid,
             )
     return b
+
+
+def reference_kkt_residual(
+    s: np.ndarray, c: np.ndarray, b: np.ndarray, lam: float, epsilon: float
+) -> float:
+    """``selection._kkt_residual`` as written on boolean masks, before it
+    took index arrays: the oracle of its value."""
+    active = b != 0
+    resid = 0.0
+    if active.any():
+        stat = s[active] - c[active] + epsilon * b[active] + lam * np.sign(b[active])
+        resid = float(np.max(np.abs(stat)))
+    if (~active).any():
+        slack = np.abs(c[~active] - s[~active]) - lam
+        resid = max(resid, float(max(np.max(slack), 0.0)))
+    return resid
+
+
+def reference_active_set_lasso(
+    gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The feature-sign search as it was written on Python lists, with the
+    active block of ``gram`` gathered again at every restricted solve: the
+    oracle of ``selection._active_set_lasso``, whose answer, errors and
+    restricted solves must match it bit for bit.  The body is a verbatim
+    copy but for its KKT residual (``reference_kkt_residual``).  ``dposv``
+    and ``_unbounded`` are this module's names, so a test counts this
+    copy's restricted solves apart from the search's."""
+    tol = 1e-11 * max(float(np.max(np.abs(c))), lam)
+    seen = set()  # the (A, theta) pairs solved so far
+
+    def uncertified(why: str) -> ExactSIError:
+        if epsilon == 0 and _unbounded(gram, c, lam):
+            return InvalidArgumentError("lasso objective is unbounded below")
+        resid = reference_kkt_residual(gram @ b, c, b, lam, epsilon)
+        return ConvergenceError(
+            f"active-set lasso: {why} (KKT residual {resid:.3e}, tolerance {tol:.3e})",
+            residual=resid,
+        )
+
+    b = np.zeros(c.size)
+    # the active coordinates and their signs, as lists that grow by append,
+    # and as the index arrays of the current restricted solve
+    active: list[int] = []
+    signs: list[float] = []
+    A, theta = np.zeros(0, dtype=int), np.zeros(0)
+    g = c.copy()  # c - X'X b, which is c - H b off the support
+    steps = 0
+    while True:
+        slack = np.abs(g)
+        slack[A] = 0.0
+        j = int(np.argmax(slack))
+        if not slack[j] > lam + tol:
+            break
+        active.append(j)
+        signs.append(float(np.sign(g[j])))
+        A, theta = np.array(active), np.array(signs)
+        while active:
+            steps += 1
+            if steps > _AS_MAX_STEPS:
+                raise uncertified(f"more than {_AS_MAX_STEPS} restricted solves")
+            pair = frozenset(zip(active, signs))
+            if pair in seen:
+                raise uncertified("repeated active set and signs")
+            seen.add(pair)
+            H_AA = gram[A[:, None], A]
+            if epsilon:
+                H_AA = H_AA + epsilon * np.eye(A.size)
+            _, new, info = dposv(H_AA, c[A] - lam * theta)  # Cholesky solve
+            if info:
+                # H_AA is singular (more active columns than the rank, as
+                # with p > n and epsilon = 0).  As in LARS, step along the
+                # part of the restricted residual in its null space: there
+                # the restricted objective falls linearly, so go until the
+                # first coordinate reaches zero, then drop that coordinate.
+                old = b[A]
+                evals, evecs = np.linalg.eigh(H_AA)
+                null = evecs[:, evals <= A.size * np.finfo(float).eps * evals[-1]]
+                z = null @ (null.T @ (c[A] - lam * theta - H_AA @ old))
+                if not z.any():
+                    raise uncertified("singular restricted Gram with no null-space step")
+                shrinking = theta * z < 0
+                if not shrinking.any():
+                    # H_AA z = 0 and theta'z = ||z||_1, so the objective falls
+                    # at rate z'(c_A - lam theta - H_AA old) = ||z||^2 along z.
+                    raise InvalidArgumentError("lasso objective is unbounded below")
+                t = -old[shrinking] / z[shrinking]
+                k = int(np.argmin(t))
+                best = old + t[k] * z
+                best[np.flatnonzero(shrinking)[k]] = 0.0
+                b[A] = best
+                keep = best != 0
+                A, theta = A[keep], theta[keep]
+                active, signs = A.tolist(), theta.tolist()
+                continue
+            if (np.sign(new) == theta).all():
+                b[A] = new
+                break
+            # Discrete line search over the zero crossings of old -> new.  Up to
+            # the first crossing the signs agree with theta, where the objective
+            # is the restricted quadratic that decreases towards new, so the
+            # best candidate lowers the objective.
+            old = b[A]
+            cross = np.flatnonzero((np.sign(new) != theta) & (old != 0))
+            t = np.minimum(old[cross] / (old[cross] - new[cross]), 1.0)
+            points = old + t[:, None] * (new - old)
+            points[np.arange(cross.size), cross] = 0.0
+            points = np.vstack([points, new])
+            objective = (
+                0.5 * np.einsum("ki,ij,kj->k", points, H_AA, points)
+                - points @ c[A]
+                + lam * np.abs(points).sum(axis=1)
+            )
+            best = points[int(np.argmin(objective))]
+            b[A] = best
+            keep = best != 0
+            A, theta = A[keep], np.sign(best[keep])
+            active, signs = A.tolist(), theta.tolist()
+        g = c - gram[:, A] @ b[A]
+    if reference_kkt_residual(gram @ b, c, b, lam, epsilon) > tol:
+        raise uncertified("KKT certificate failed")
+    return b, g
 
 
 def take(record, index):

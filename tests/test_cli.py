@@ -617,6 +617,23 @@ class TestSimulateValidate:
             "5ed60742f44011e2508413f67ecce528a4389baa80f8cb0365ba3ba8bad71bf7"
         )
 
+    def test_validate_reads_no_level(self, tmp_path, capsys):
+        """``validate --alpha`` changes nothing but its echo in ``config``:
+        the KS test pools pivots, not intervals.  Its help says so."""
+        argv = ["validate", "--n", "100", "--p", "20", "--n-reps", "30", "--rho", "0.8",
+                "--seed", "4"]
+        written = []
+        for alpha in ("0.1", "0.35"):
+            out = tmp_path / f"v{alpha}"
+            assert main(argv + ["--alpha", alpha, "--out", str(out)]) == 0
+            written.append(json.loads((tmp_path / f"v{alpha}.json").read_bytes()))
+        assert [w["config"].pop("alpha") for w in written] == [0.1, 0.35]
+        assert written[0] == written[1]
+        assert written[0]["reports"]["exact"]["n_pooled"] == 283
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        assert "reads no level" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_fewer_than_one_worker_is_an_error(self, tmp_path, capsys, workers):
         out = tmp_path / "s"

@@ -1,17 +1,29 @@
 import math
 import time
 
+import conftest
 import numpy as np
 import pytest
-from conftest import _cd_lasso, random_dataset, toy_dataset
+from conftest import (
+    _cd_lasso,
+    random_dataset,
+    reference_active_set_lasso,
+    reference_kkt_residual,
+    toy_dataset,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exactsi import selection
 from exactsi.errors import (
     ConvergenceError,
+    ExactSIError,
     InconsistentOutcomeError,
     InvalidArgumentError,
     InvalidSchemeError,
+    SingularDesignError,
 )
+from exactsi.numerics import factor_spd
 from exactsi.selection import (
     Dataset,
     RandomizationScheme,
@@ -46,6 +58,27 @@ class TestDataset:
             Dataset(y=np.array([1.0, np.nan]), X=np.ones((2, 1)))
         with pytest.raises(InvalidArgumentError):
             Dataset(y=np.zeros(3), X=np.ones((2, 1)))
+
+    def test_subset_is_the_dataset_of_its_cells(self):
+        """``subset`` gives the dataset the constructor gives on the same
+        cells, layout and statistics bit for bit, and factors the Gram of
+        all its columns as the Gram of those columns."""
+        X = generate_design(80, 12, 0.5, 3)
+        y, _ = generate_response(X, support_indices(12, 3), 0.75, 3.0, 4)
+        data = Dataset(y=y, X=X)
+        rows = np.random.default_rng(5).permutation(80)[:30]
+        cols = np.array([1, 4, 7])
+        pairs = [
+            (data.subset(rows), Dataset(y=y[rows], X=X[rows])),
+            (data.subset(rows, cols), Dataset(y=y[rows], X=X[np.ix_(rows, cols)])),
+        ]
+        for sub, ref in pairs:
+            assert sub.X.flags.f_contiguous == ref.X.flags.f_contiguous
+            for name in ("y", "X", "gram", "xty"):
+                assert getattr(sub, name).tobytes() == getattr(ref, name).tobytes()
+            every = np.arange(sub.p)
+            want = factor_spd(ref.gram[np.ix_(every, every)], "x", SingularDesignError)
+            assert sub.factor_columns(every, "x")[0].tobytes() == want[0].tobytes()
 
 
 class TestRandomization:
@@ -295,6 +328,20 @@ class TestRandomizedLasso:
             solve_randomized_lasso(Dataset(y=y, X=X), lam=lam, epsilon=0.0, w=w)
         assert time.perf_counter() - start < 0.1
 
+    def test_every_zero_norm_column_is_checked(self):
+        """Columns 1 and 4 are zero, so |c_j| = |w_j| there.  Column 1 is
+        bounded (0.1 <= lam) and column 4 is not: the error names column 4,
+        not the first zero-norm column alone."""
+        X = np.random.default_rng(6).standard_normal((30, 6))
+        X[:, [1, 4]] = 0.0
+        w = np.zeros(6)
+        w[1], w[4] = 0.1, 5.0
+        data = Dataset(y=np.zeros(30), X=X)
+        with pytest.raises(InvalidArgumentError, match="^column 4 has zero norm and epsilon=0"):
+            solve_randomized_lasso(data, 1.0, 0.0, w)
+        w[4] = 0.5  # every zero-norm column bounded: the search solves it
+        assert solve_randomized_lasso(data, 1.0, 0.0, w).selected.size == 0
+
     def test_duplicated_column_is_certified(self):
         """Two equal columns and w = 0: after one of them enters, the other's
         bound is met only up to rounding.  The search used to let it enter and
@@ -407,6 +454,113 @@ class TestUnboundedVerdict:
                 verdicts.append("unbounded")
                 assert selection._unbounded(gram, c, lam), case
         assert verdicts.count("certified") == 38 and verdicts.count("unbounded") == 42
+
+
+def oracle_problem(kind, seed):
+    """``(gram, c, lam, epsilon)`` of one search of ``kind``:
+
+    - ``default``: the default cell's exact solve (AR(0.9), 300 x 100, the
+      carving draw) for an even seed, its polyhedral solve (w = 0) for an
+      odd one;
+    - ``line_search``: that design at a quarter of the theory penalty, with
+      w_j ~ N(0, 0.75 (X'X)_jj), where restricted solves flip signs;
+    - ``null_space``: 20 x 60 Gaussian, no ridge, where restricted Grams go
+      singular;
+    - ``ridge``: AR(0.9) 60 x 150 with ``1e-4 mean(diag X'X)`` for an even
+      seed, 300 x 100 with a hundred times that for an odd one;
+    - ``grid``: a solve of the probe grid (duplicated columns, p > n, a
+      tenth of the theory penalty, many unbounded).
+    """
+    if kind == "grid":
+        data, w, lam = probe(*GRID[seed % len(GRID)])
+        return data.gram, data.xty + w, lam, 0.0
+    if kind == "null_space":
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((20, 60))
+        y = rng.standard_normal(20)
+        return X.T @ X, X.T @ y, rng.uniform(0.05, 2.0), 0.0
+    n, p = (60, 150) if kind == "ridge" and seed % 2 == 0 else (300, 100)
+    X = generate_design(n, p, 0.9, seed)
+    y, _ = generate_response(X, support_indices(p, 5), 0.75, 3.0, seed + 100)
+    data = Dataset(y=y, X=X)
+    if kind == "default":
+        cal = calibrate(data, ("exact", "polyhedral"), rho=0.8, epsilon=0.0)
+        w = np.zeros(p)
+        if seed % 2 == 0:
+            w = sample_randomization(data, tau2_from_split(cal.sigma2, n, 240), seed)
+        return data.gram, data.xty + w, cal.lam, 0.0
+    w = np.random.default_rng(seed).standard_normal(p) * np.sqrt(0.75 * np.diag(data.gram))
+    lam = theory_lambda(data, np.sqrt(3.0))
+    if kind == "line_search":
+        return data.gram, data.xty + w, 0.25 * lam, 0.0
+    eps = (1e-4 if p > n else 1e-2) * float(np.mean(np.diag(data.gram)))
+    return data.gram, data.xty + w, lam, eps
+
+
+def counted_search(search, owner, problem):
+    """``search``'s answer ``(b, g)``, or the class, message and residual of
+    its error, with the number of restricted solves it made through
+    ``owner.dposv``."""
+    calls = 0
+    real = owner.dposv
+
+    def dposv(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, "dposv", dposv)
+        try:
+            out = search(*problem)
+        except ExactSIError as exc:
+            out = (type(exc), str(exc), getattr(exc, "residual", None))
+    return out, calls
+
+
+class TestSearchOracle:
+    """The search against ``conftest.reference_active_set_lasso``, the same
+    search on Python lists, gathering gram's active block at every
+    restricted solve."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["default", "line_search", "null_space", "ridge", "grid"]),
+        st.integers(0, 10_000),
+    )
+    @example("line_search", 25)  # two line searches over sign changes
+    @example("null_space", 98)  # a singular restricted Gram, then a null-space step
+    @example("ridge", 24)  # p > n with a ridge and a line search
+    @example("ridge", 23)  # a tall design with a ridge
+    @example("grid", GRID.index((20, 60, 0.5, False, 1)))  # unbounded, at a repeated pair
+    @example("grid", GRID.index((100, 30, 0.5, True, 2)))  # unbounded, at the certificate
+    @example("grid", GRID.index((300, 100, 0.9, True, 0)))  # a duplicated column, certified
+    def test_same_bits_errors_and_solves(self, kind, seed):
+        """``(b, g)`` bit for bit, or the same error class, message and
+        residual, after the same number of restricted solves."""
+        problem = oracle_problem(kind, seed)
+        new, new_solves = counted_search(_active_set_lasso, selection, problem)
+        old, old_solves = counted_search(reference_active_set_lasso, conftest, problem)
+        assert new_solves == old_solves
+        if isinstance(old[0], type):
+            assert new == old
+        else:
+            assert not isinstance(new[0], type), new
+            assert [x.tobytes() for x in new] == [x.tobytes() for x in old]
+
+    @pytest.mark.parametrize("support", ["none", "some", "all"])
+    def test_kkt_residual_on_index_arrays(self, support):
+        """The residual's value on index arrays is the one on boolean masks."""
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((30, 12))
+        gram, c = X.T @ X, X.T @ rng.standard_normal(30)
+        for _ in range(20):
+            b = rng.standard_normal(12)
+            if support != "all":
+                b[rng.random(12) < (1.0 if support == "none" else 0.5)] = 0.0
+            for eps in (0.0, 0.3):
+                args = (gram @ b, c, b, 1.7, eps)
+                assert _kkt_residual(*args) == reference_kkt_residual(*args)
 
 
 class TestLassoEventRep:
