@@ -34,6 +34,7 @@ from .study import (
     KNOWN_METHODS,
     SimConfig,
     calibrate,
+    check_seed,
     fit_method,
     infer,
     randomized_selection,
@@ -173,6 +174,7 @@ def _write_csv(rows: list[dict], columns, path: str) -> None:
 
 
 def cmd_select(args) -> int:
+    check_seed(args.seed)  # a bad seed fails before the CSV is read
     data, names = read_csv_dataset(args.input, args.response, args.standardize)
     cal = calibrate(
         data, ("exact",), lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon,
@@ -243,7 +245,8 @@ INFER_COLUMNS = (
 
 
 def cmd_infer(args) -> int:
-    check_level(args.alpha)  # a bad level fails before the CSV is read
+    check_level(args.alpha)  # a bad level or seed fails before the CSV is read
+    check_seed(args.seed)
     data, names = read_csv_dataset(args.input, args.response, args.standardize)
     rows = _infer_rows(args, data, names)
     per_method = {}
@@ -465,10 +468,7 @@ def main(argv=None) -> int:
         args.method = ["exact"]
     try:
         return args.func(args)
-    except ExactSIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ExactSIError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

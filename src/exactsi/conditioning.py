@@ -6,18 +6,18 @@ reduce, once a complementary statistic is held fixed, to a single interval
 constraint on one linear combination of it.
 
 Both stages here run once per fit, for all targets together, ahead of
-``inference.pivot_params``.  ``build_target`` checks and factors the design
-Gram and keeps each target's statistics X'c, ||c||^2 and c'y, solved from
-the Gram and X'y with no n-row contrast, so neither it nor a later stage
-reads X or y.
-``build_geometry`` checks the randomization covariance ``Omega = tau2 B`` on
-the dataset's one factor of its base B, factors the free-block precision
+``inference.pivot_params``.  ``build_target`` keeps each target's statistics
+X'c, ||c||^2 and c'y, solved from the Gram and X'y with no n-row contrast,
+so neither it nor a later stage reads X or y.
+``build_geometry`` reads the randomization covariance ``Omega = tau2 B``
+through the dataset's factor of its base B, factors the free-block precision
 Q' Omega^{-1} Q, whose inverse is the free block's conditional covariance
 Theta, and takes each target's direction ``Pj = -X'c / ||c||^2``, ``rj =
 (Omega^{-1} Q)' Pj``, complementary statistic and interval, one column per
-target; a target that fails a check keeps its own error.  Every check is
-``numerics.factor_spd``, or its rule on a factor the dataset keeps.  No p x p
-Omega is formed: a solve with it is ``B^{-1} v / tau2``.
+target; a target that fails a check keeps its own error.  The dataset
+factors and checks every Gram block and the base (``Dataset.checked_factor``),
+by the rule of ``numerics.factor_spd``, which factors the precision.  No
+p x p Omega is formed: a solve with it is ``B^{-1} v / tau2``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from .numerics import check_conditioning, cho_solve, factor_spd, line_interval
+from .numerics import cho_solve, factor_spd, line_interval
 from .selection import Dataset, LinearEventRep
 
 
@@ -46,12 +46,6 @@ class TargetSpec:
     xtc: np.ndarray
     norm2: np.ndarray
     estimate: np.ndarray
-
-
-def _omega_solve(base_factor: tuple, tau2: float, v: np.ndarray):
-    """``Omega^{-1} v`` for ``Omega = tau2 B``, from the factor of B, which
-    ``cho_factor`` made from a finite matrix."""
-    return cho_solve(base_factor, v) / tau2
 
 
 @dataclass(frozen=True)
@@ -73,8 +67,8 @@ class ConditioningGeometry:
     errors: list[ExactSIError | None]
 
     def omega_solve(self, v: np.ndarray) -> np.ndarray:
-        """``Omega^{-1} v``."""
-        return _omega_solve(self.base_factor, self.tau2, v)
+        """``Omega^{-1} v`` for ``Omega = tau2 B``, from the factor of B."""
+        return cho_solve(self.base_factor, v) / self.tau2
 
 
 def build_target(
@@ -89,28 +83,22 @@ def build_target(
     and ``ginv = G_DD^{-1} e_j`` for target j, contrast j is ``X_D ginv``, so
     X'c is ``gram[:, D] ginv``, ||c||^2 is ginv's entry j and c'y is
     ``xty[D] ginv``: no n-row array is formed, and neither X nor y is read.
-    G_DD is checked by ``factor_spd``: for ``"selected"``, the dataset's
-    factor of its selected block (``Dataset.factor_columns``), for
-    ``"full"``, of its whole Gram, which is the dataset's factor of its
-    randomization base when every column is independent.  A Gram that fails
-    raises ``SingularDesignError``.  ``xty`` replaces the dataset's X'y where
-    the estimates read another response on the same design.
+    G_DD is the dataset's checked factor of the Gram block D
+    (``Dataset.checked_factor``); one that fails raises
+    ``SingularDesignError`` ("<model>-design Gram ...").  ``xty`` replaces
+    the dataset's X'y where the estimates read another response on the
+    same design.
     """
     if model not in ("selected", "full"):
         raise InvalidArgumentError(f"unknown model {model!r}")
     gram = data.gram
     xty = data.xty if xty is None else xty
     if model == "selected":
-        gram, xty, columns = gram[:, selected], xty[selected], np.arange(selected.size)
-        factor = data.factor_columns(selected, "selected-design Gram")
+        design, columns = selected, np.arange(selected.size)
+        gram, xty = gram[:, selected], xty[selected]
     else:
-        columns = selected
-        if data.independent_columns.size == gram.shape[0]:
-            # the Gram is then the randomization base, which the dataset factors
-            check_conditioning(data.randomization_rcond, "full-design Gram", SingularDesignError)
-            factor = data.randomization_factor
-        else:
-            factor = factor_spd(gram, "full-design Gram", SingularDesignError)
+        design, columns = np.arange(xty.size), selected
+    factor = data.checked_factor(design, f"{model}-design Gram", SingularDesignError)
     ginv = cho_solve(factor, np.eye(xty.size)[:, columns])
     return TargetSpec(
         xtc=gram @ ginv, norm2=ginv[columns, np.arange(columns.size)], estimate=xty @ ginv
@@ -124,19 +112,15 @@ def build_geometry(
 
     The randomization covariance is ``tau2`` times the base of ``data``
     (``Dataset.randomization_base``); every solve with it goes through the
-    dataset's factor of that base.  Its scaled condition
-    (``Dataset.randomization_rcond``) and the free-block precision are
-    checked by the rule of ``factor_spd``, and one that fails raises
-    ``NumericalDegeneracyError``.  Sign constraints whose coefficient on the
-    free combination vanishes must hold on their own; a violation there, or
-    an observed statistic outside the interval, signals an upstream
-    inconsistency rather than data.
+    dataset's checked factor of that base (``Dataset.checked_factor``).  The
+    base and the free-block precision are checked by the rule of
+    ``factor_spd``, and one that fails raises ``NumericalDegeneracyError``.
+    Sign constraints whose coefficient on the free combination vanishes must
+    hold on their own; a violation there, or an observed statistic outside
+    the interval, signals an upstream inconsistency rather than data.
     """
-    check_conditioning(
-        data.randomization_rcond, "randomization covariance", NumericalDegeneracyError
-    )
-    factor = data.randomization_factor
-    omega_inv_Q = _omega_solve(factor, tau2, rep.Q)
+    factor = data.checked_factor(None, "randomization covariance", NumericalDegeneracyError)
+    omega_inv_Q = cho_solve(factor, rep.Q) / tau2
     gram = rep.Q.T @ omega_inv_Q
     precision = factor_spd(
         gram, "conditional precision of the free block", NumericalDegeneracyError

@@ -47,7 +47,7 @@ from .errors import (
     SingularDesignError,
 )
 from .numerics import NAN_VALUE, NO_START, ROOT, invert_monotone, root_error
-from .numerics import cho_factor, cho_solve, line_interval, log_standard_mass
+from .numerics import cho_solve, line_interval, log_standard_mass
 from .selection import Dataset, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
@@ -716,14 +716,15 @@ def polyhedral_bounds(
     ||v||``, with the row norms ``sqrt(diag G_EE^{-1})`` (active) and
     ``sqrt(max(G_II - diag(G_IE G_EE^{-1} G_EI), 0)) / lam`` (inactive), and
     ``||v|| = 1 / ||c||``.  The
-    factor of ``G_EE`` is the dataset's (``Dataset.factor_columns``), which
-    ``build_target`` and the selected-model plug-in share.  Returns one
+    factor of ``G_EE`` and its verdict are the dataset's
+    (``Dataset.checked_factor``), which ``build_target`` and the
+    selected-model plug-in share.  Returns one
     record of arrays whose row j is target j's bounds, and each target's
     error; a target with an error has a NaN ``sd``.
     """
     E = np.asarray(selected, dtype=int)
     S = np.asarray(signs, dtype=float)
-    factor = data.factor_columns(E, "selected design")
+    factor = data.checked_factor(E, "selected design", SingularDesignError)
     off = np.ones(data.p, dtype=bool)
     off[E] = False
     inactive = np.flatnonzero(off)
@@ -958,10 +959,10 @@ def polyhedral_interval(
 def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     """Residual-based noise variance of least squares on the selected columns,
     or (full) on the independent columns of X, with n - rank degrees of
-    freedom.  The normal equations read the dataset's ``gram`` and ``xty``;
-    the selected Gram's factor is the dataset's (``Dataset.factor_columns``),
-    and so is the full Gram's where every column is independent
-    (``Dataset.randomization_factor``)."""
+    freedom.  The normal equations read the dataset's ``gram`` and ``xty``,
+    and its factor of the Gram block of those columns (``Dataset.factor``),
+    checked for the selected model; the full model's columns pass the rank
+    test, so it asks only that Cholesky succeed."""
     y, X, n = data.y, data.X, data.n
     if model == "full":
         cols = data.independent_columns
@@ -974,18 +975,11 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
         raise SingularDesignError("no residual degrees of freedom for the plug-in")
     resid = y
     if cols.size:
-        try:
-            if model == "selected":
-                factor = data.factor_columns(cols, "plug-in design")
-            elif cols.size < data.p:
-                factor = cho_factor(data.gram[np.ix_(cols, cols)])
-            else:
-                # every column is independent, so the Gram is the randomization
-                # base, factored once per dataset
-                factor = data.randomization_factor or cho_factor(data.gram)
-        except np.linalg.LinAlgError:
+        if model == "selected":
+            factor = data.checked_factor(cols, "plug-in design", SingularDesignError)
+        elif (factor := data.factor(cols)) is None:
             # the rank test keeps every column, yet Cholesky fails
-            raise SingularDesignError("plug-in design is singular: Cholesky failed") from None
+            raise SingularDesignError("plug-in design is singular: Cholesky failed")
         design = data.column_major if cols.size == data.p else X[:, cols]
         resid = y - design @ cho_solve(factor, data.xty[cols])
     with np.errstate(over="ignore"):  # calibrate rejects an infinite variance

@@ -3,8 +3,8 @@
 Log probabilities of standard Gaussians over intervals (with infinite
 endpoints allowed), elementwise; the slice of a polyhedron along a line; the
 rank test of a Gram matrix and the one check of every matrix the package
-factors (``factor_spd``, or ``scaled_rcond`` and ``check_conditioning`` on a
-factor made elsewhere); and the vectorized inversion of increasing
+factors (``factor_spd``, whose rule ``Dataset.checked_factor`` applies to the
+factors a dataset keeps); and the vectorized inversion of increasing
 functions.  The inversion runs one safeguarded Newton loop over all
 elements: each starts at its own seed, keeps a bracket from the signs of the
 values it has seen, bisects where a Newton step would leave that bracket or

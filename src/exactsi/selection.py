@@ -30,17 +30,10 @@ from .errors import (
     InconsistentOutcomeError,
     InvalidArgumentError,
     InvalidSchemeError,
-    SingularDesignError,
 )
-from .numerics import cho_factor, factor_spd, independent_columns, scaled_rcond
+from .numerics import check_conditioning, cho_factor, independent_columns, scaled_rcond
 
 _AS_MAX_STEPS = 1_000
-
-
-# the cached statistics of a Dataset that read X alone
-_DESIGN_STATISTICS = (
-    "gram", "column_major", "independent_columns", "randomization_factor", "randomization_rcond"
-)
 
 
 def _finite(product, what: str) -> np.ndarray:
@@ -54,27 +47,42 @@ def _finite(product, what: str) -> np.ndarray:
     return stat
 
 
+def _of_design(statistic):
+    """A property of X alone, formed by ``statistic`` on first use and kept
+    in the dataset's store, which every dataset on the same X shares."""
+    def shared(self):
+        if statistic.__name__ not in self._design:
+            self._design[statistic.__name__] = statistic(self)
+        return self._design[statistic.__name__]
+
+    return property(shared, doc=statistic.__doc__)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Regression data: response ``y`` and fixed design ``X``.  A known noise
     sd is not data: ``calibrate`` takes it.
 
-    The sufficient statistics ``gram`` (X'X) and ``xty`` (X'y), both
-    read-only, X in column-major order (``column_major``), the columns the
-    Gram's rank test keeps, the Cholesky factor of the randomization base
-    and its scaled condition, and the factor of the Gram of each set of
-    columns asked for (``factor_columns``) are formed once, on first use,
-    for every stage that reads them; ``X`` and ``y`` must not change in
-    place.  ``with_response`` gives a dataset of another response on the
-    same X that shares them."""
+    The statistics of X alone are formed once, on first use, in one store
+    that every dataset on the same X shares (``with_response``): the Gram
+    ``gram`` (X'X), ``column_major``, the columns the Gram's rank test keeps,
+    and the Cholesky factor (``factor``) and verdict (``checked_factor``) of
+    each Gram block, or the randomization base, that a stage asks for.
+    ``xty`` (X'y) is the dataset's own.  All are read-only; ``X`` and ``y``
+    must not change in place."""
 
     y: np.ndarray
     X: np.ndarray
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # statistic name, or key of a factored matrix (``_entry``) -> its value
+    _design: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
+        self._check(self.y, self.X)
+
+    def _check(self, *cells: np.ndarray) -> None:
+        """Check the shapes, and that the unchecked arrays ``cells`` are finite."""
         if self.y.ndim != 1 or self.X.ndim != 2:
             raise InvalidArgumentError("y must be a vector and X a matrix")
         if self.X.shape[0] != self.y.shape[0]:
@@ -83,7 +91,7 @@ class Dataset:
             raise InvalidArgumentError("need at least 2 observations")
         if self.p < 1:
             raise InvalidArgumentError("need at least 1 feature")
-        if not (np.isfinite(self.y).all() and np.isfinite(self.X).all()):
+        if not all(np.isfinite(cell).all() for cell in cells):
             raise InvalidArgumentError("data contains NaN or Inf")
 
     @property
@@ -95,32 +103,31 @@ class Dataset:
         return self.X.shape[1]
 
     def with_response(self, y: np.ndarray) -> Dataset:
-        """The dataset of the response ``y`` on this X.  It starts with the
-        statistics of X formed here so far (all but ``xty``) and shares the
-        factors of ``factor_columns`` with this one."""
-        data = Dataset(y=y, X=self.X)
-        data.__dict__.update({k: v for k, v in vars(self).items() if k in _DESIGN_STATISTICS})
-        object.__setattr__(data, "_factors", self._factors)
-        return data
+        """The dataset of the response ``y`` on this X, which shares this
+        one's store of the statistics of X; only the cells of ``y`` are checked."""
+        y = np.asarray(y, dtype=float)
+        return self._derive(y, self.X, y)
 
     def subset(self, rows: np.ndarray, columns: np.ndarray | None = None) -> Dataset:
         """The dataset of the rows ``rows`` of this one, and of its columns
-        ``columns`` (all by default), with X copied as ``X[rows]`` or
-        ``X[np.ix_(rows, columns)]``.  Its cells were checked here, so they
-        are not checked again; the caller keeps at least 2 rows and 1
-        column.  It shares no statistic with this one."""
-        data = object.__new__(Dataset)
+        ``columns`` (all by default), X copied as ``X[rows]`` or ``X[np.ix_(rows,
+        columns)]``, with a store of its own; its cells are not checked again."""
         X = self.X[rows] if columns is None else self.X[np.ix_(rows, columns)]
-        object.__setattr__(data, "y", self.y[rows])
-        object.__setattr__(data, "X", X)
-        object.__setattr__(data, "_factors", {})
+        return self._derive(self.y[rows], X)
+
+    def _derive(self, y: np.ndarray, X: np.ndarray, *unchecked: np.ndarray) -> Dataset:
+        """The dataset of ``y`` on ``X``, sharing this one's store where ``X``
+        is this X; of its cells, only the arrays ``unchecked`` are checked."""
+        data = object.__new__(Dataset)  # frozen: its fields are set in its __dict__
+        data.__dict__.update(y=y, X=X, _design=self._design if X is self.X else {})
+        data._check(*unchecked)
         return data
 
-    @cached_property
+    @_of_design
     def gram(self) -> np.ndarray:
         return _finite(lambda: self.X.T @ self.X, "X'X")
 
-    @cached_property
+    @_of_design
     def column_major(self) -> np.ndarray:
         """``X`` in column-major order, read-only.  It is the layout of the
         copy that ``X[:, cols]`` makes, and BLAS sums a product in an order
@@ -136,7 +143,7 @@ class Dataset:
         # one dot product per column
         return _finite(lambda: self.column_major.T @ self.y, "X'y")
 
-    @cached_property
+    @_of_design
     def independent_columns(self) -> np.ndarray:
         """``numerics.independent_columns`` of the Gram."""
         return independent_columns(self.gram)
@@ -151,39 +158,46 @@ class Dataset:
             gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
         return gram
 
-    @cached_property
-    def randomization_factor(self) -> tuple | None:
-        """``cho_factor`` of ``randomization_base`` (upper), or None where
-        Cholesky fails.  It is the one factor of a p x p matrix per dataset:
-        the randomization draw, the conditioning geometry, the exact pivot's
-        constants and, when every column is independent, the full-model
-        plug-in and contrasts read it, each with its own check."""
-        try:
-            return cho_factor(self.randomization_base())
-        except (np.linalg.LinAlgError, ValueError):
-            return None
+    def factor(self, cols: np.ndarray | None = None) -> tuple | None:
+        """The upper ``cho_factor`` of the Gram block ``cols``, or of
+        ``randomization_base`` for None, or None where Cholesky fails: one per
+        matrix for every dataset on this X, where the base is the Gram of all
+        columns when the rank test keeps every column."""
+        return self._entry(cols)[1]
 
-    @cached_property
-    def randomization_rcond(self) -> float:
-        """``numerics.scaled_rcond`` of the randomization base from its
-        factor, or 0 where there is none; formed only where it is checked."""
-        factor = self.randomization_factor
-        return 0.0 if factor is None else scaled_rcond(self.randomization_base(), factor)
+    def checked_factor(
+        self, cols: np.ndarray | None, what: str, error: type[ExactSIError]
+    ) -> tuple:
+        """``factor(cols)``, checked by the rule of ``numerics.factor_spd``:
+        ``error`` ("<what> is singular or ill-conditioned") where Cholesky
+        fails or the matrix's scaled condition is too large.  That condition is
+        formed at the first check and kept: each caller's error, one verdict."""
+        entry = self._entry(cols)
+        matrix, factor, rcond = entry
+        if rcond is None:
+            entry[2] = rcond = 0.0 if factor is None else scaled_rcond(matrix, factor)
+        check_conditioning(rcond, what, error)
+        return factor
 
-    def factor_columns(self, cols: np.ndarray, what: str) -> tuple:
-        """``factor_spd`` of the Gram of the columns ``cols``, read from
-        ``gram`` (``gram`` itself where ``cols`` is every column in order)
-        and kept for the next stage that asks for the same columns.
-        Where the check fails it raises ``SingularDesignError`` naming
-        ``what``, and keeps nothing, so each stage reports its own failure."""
-        cols = np.asarray(cols, dtype=int)
-        key = cols.tobytes()
-        if key not in self._factors:
-            gram = self.gram
-            if cols.size != self.p or (cols != np.arange(self.p)).any():
-                gram = gram[np.ix_(cols, cols)]
-            self._factors[key] = factor_spd(gram, what, SingularDesignError)
-        return self._factors[key]
+    def _entry(self, cols: np.ndarray | None) -> list:
+        """The store's ``[matrix, factor, rcond]`` of ``factor(cols)``, rcond None
+        until checked, keyed by the columns' bytes (None: the jittered base)."""
+        gram = self.gram
+        every = np.arange(gram.shape[0])
+        if cols is None and self.independent_columns.size == every.size:
+            cols = every  # the base is then the Gram itself
+        key = None if cols is None else np.asarray(cols, dtype=int).tobytes()
+        if key not in self._design:
+            if cols is None:
+                matrix = self.randomization_base()
+            else:
+                matrix = gram if key == every.tobytes() else gram[np.ix_(cols, cols)]
+            try:
+                factor = cho_factor(matrix)
+            except (np.linalg.LinAlgError, ValueError):
+                factor = None
+            self._design[key] = [matrix, factor, None]
+        return self._design[key]
 
 
 @dataclass
@@ -255,7 +269,7 @@ def sample_randomization(data: Dataset, tau2: float, seed: int) -> np.ndarray:
     if not tau2 > 0:
         raise InvalidSchemeError("tau2 must be positive")
     z = np.random.default_rng(seed).standard_normal(data.p)
-    factor = data.randomization_factor
+    factor = data.factor()
     if factor is None:
         raise InvalidSchemeError("randomization covariance is not PD")
     return math.sqrt(tau2) * dtrmv(factor[0], z, trans=1)

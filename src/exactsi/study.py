@@ -154,6 +154,7 @@ class SimConfig:
         bad = set(self.methods) - set(KNOWN_METHODS)
         if bad:
             raise InvalidArgumentError(f"unknown methods {sorted(bad)}")
+        check_seed(self.seed)
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
@@ -202,6 +203,12 @@ class UniformityReport:
 def _by_class(errors: list[ExactSIError]) -> dict[str, int]:
     """How many of ``errors`` each exception class has, by sorted class name."""
     return dict(sorted(Counter(type(e).__name__ for e in errors).items()))
+
+
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, which numpy's generators refuse."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
 
 
 def _seed_for(master: int, rep: int, stream: int) -> int:

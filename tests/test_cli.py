@@ -877,7 +877,7 @@ def test_infer_factors_the_gram_once(tmp_path, monkeypatch, model):
     def no_cholesky(*args, **kwargs):
         raise AssertionError("np.linalg.cholesky called")
 
-    for module in (numerics, selection, inference):
+    for module in (numerics, selection):
         monkeypatch.setattr(module, "cho_factor", counted(module.cho_factor))
     monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
     reps = []
@@ -1001,6 +1001,26 @@ def test_overflowing_data_fail(tmp_path, capsys, column, message):
         assert (code, err, written, caught) == (1, [f"error: {message}"], [], [])
 
 
+@pytest.mark.parametrize("command", ["select", "infer", "simulate", "validate"])
+def test_negative_seed_fails(tmp_path, capsys, monkeypatch, command):
+    """``--seed -1`` fails with one error line, no output and no warning;
+    ``select`` and ``infer`` fail before the CSV is read.  Unchecked, numpy's
+    generators raised a bare ``ValueError`` with a traceback."""
+    reads = []
+    real_read = cli.read_csv_dataset
+
+    def counted(*args, **kwargs):
+        reads.append(args)
+        return real_read(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_csv_dataset", counted)
+    path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(3), n=60, p=5)
+    data = ["--input", str(path), "--rho", "0.8"] if command in ("select", "infer") else []
+    code, err, written, caught = _probe(tmp_path, capsys, [command, *data, "--seed", "-1"])
+    message = "error: seed must be nonnegative, got -1"
+    assert (code, err, written, caught, reads) == (1, [message], [], [], [])
+
+
 def test_gram_without_cholesky_factor_fails(tmp_path, capsys):
     """A 40 x 3 CSV whose third column is the first plus 3.9e-9 N(0, 1)
     noise: the rank test keeps every column, yet Cholesky of the Gram fails,
@@ -1012,7 +1032,7 @@ def test_gram_without_cholesky_factor_fails(tmp_path, capsys):
     path = tmp_path / "near.csv"
     write_csv(path, ["y", "x0", "x1", "x2"], np.column_stack([rng.standard_normal(40), X]).tolist())
     data, _ = read_csv_dataset(str(path))
-    assert data.independent_columns.size == 3 and data.randomization_factor is None
+    assert data.independent_columns.size == 3 and data.factor() is None
     message = "error: plug-in design is singular: Cholesky failed"
     for command in ("infer", "select"):
         code, err, written, caught = _probe(

@@ -21,8 +21,10 @@ from exactsi.errors import (
     InconsistentOutcomeError,
     InvalidArgumentError,
     InvalidSchemeError,
+    NumericalDegeneracyError,
     SingularDesignError,
 )
+from exactsi import numerics
 from exactsi.numerics import factor_spd
 from exactsi.selection import (
     Dataset,
@@ -37,6 +39,7 @@ from exactsi.selection import (
 )
 from exactsi.study import (
     calibrate,
+    fit_method,
     generate_design,
     generate_response,
     randomized_selection,
@@ -78,7 +81,108 @@ class TestDataset:
                 assert getattr(sub, name).tobytes() == getattr(ref, name).tobytes()
             every = np.arange(sub.p)
             want = factor_spd(ref.gram[np.ix_(every, every)], "x", SingularDesignError)
-            assert sub.factor_columns(every, "x")[0].tobytes() == want[0].tobytes()
+            got = sub.checked_factor(every, "x", SingularDesignError)
+            assert got[0].tobytes() == want[0].tobytes()
+
+
+    def test_the_base_is_the_gram_where_every_column_is_kept(self):
+        """Where the rank test keeps every column, the randomization base is
+        the Gram of all columns: one factor serves both, and a dataset of
+        another response on the same X."""
+        X = generate_design(80, 12, 0.5, 3)
+        data = design_only(X)
+        every = np.arange(12)
+        assert data.independent_columns.size == 12
+        assert data.factor() is data.factor(every)
+        assert data.with_response(np.ones(80)).factor(every) is data.factor()
+        assert data.checked_factor(every, "x", SingularDesignError) is data.factor()
+
+    def test_the_jittered_base_has_its_own_entry(self, monkeypatch):
+        """A duplicated column makes the rank test drop one: the base is then
+        the jittered Gram, formed once and factored apart from the Gram of all
+        columns, which fails its check while the base passes."""
+        X = generate_design(80, 12, 0.5, 3)
+        X[:, 5] = X[:, 2]
+        data = design_only(X)
+        every = np.arange(12)
+        assert data.independent_columns.size == 11
+        bases = []
+        real_base = Dataset.randomization_base
+
+        def counted(self):
+            bases.append(real_base(self))
+            return bases[-1]
+
+        monkeypatch.setattr(Dataset, "randomization_base", counted)
+        base = data.factor()
+        assert base is not None and base is not data.factor(every)
+        assert data.checked_factor(None, "randomization covariance", InvalidSchemeError) is base
+        assert len(bases) == 1
+        assert base[0].tobytes() == numerics.cho_factor(bases[0])[0].tobytes()
+        with pytest.raises(SingularDesignError, match="^full-design Gram is singular"):
+            data.checked_factor(every, "full-design Gram", SingularDesignError)
+
+    @pytest.mark.parametrize("noise, conditions", [(1e-7, 1), (3.9e-9, 0)])
+    def test_a_failed_verdict_raises_each_callers_error(self, monkeypatch, noise, conditions):
+        """Column 2 is column 0 plus ``noise`` N(0, 1): at 1e-7 the Gram
+        factors but its scaled condition fails, at 3.9e-9 Cholesky fails and
+        no condition is formed.  The matrix is factored, and its condition
+        formed, at most once; every caller then raises its own message and
+        class from that one verdict."""
+        rng = np.random.default_rng(65)
+        X = rng.standard_normal((40, 3))
+        X[:, 2] = X[:, 0] + noise * rng.standard_normal(40)
+        data = design_only(X)
+        assert data.independent_columns.size == 3
+        calls = []
+        for name in ("cho_factor", "scaled_rcond"):
+
+            def counted(mat, *args, _real=getattr(selection, name), _name=name):
+                calls.append(_name)
+                return _real(mat, *args)
+
+            monkeypatch.setattr(selection, name, counted)
+        for cols in (None, np.arange(3)):
+            for what, error in (
+                ("randomization covariance", NumericalDegeneracyError),
+                ("full-design Gram", SingularDesignError),
+                ("plug-in design", InvalidSchemeError),
+            ):
+                with pytest.raises(ExactSIError) as caught:
+                    data.checked_factor(cols, what, error)
+                assert type(caught.value) is error
+                assert str(caught.value) == (
+                    f"{what} is singular or ill-conditioned (scaled cond > 1e+12)"
+                )
+        assert calls == ["cho_factor"] + ["scaled_rcond"] * conditions
+        assert (data.factor() is None) == (conditions == 0)
+
+    def test_a_replicate_forms_each_scaled_condition_once(self, monkeypatch):
+        """In a default-cell replicate, polyhedral, split and uv form the
+        scaled condition of each matrix they check at most once, and never
+        of the p x p Gram, which only the unchecked full-model plug-in
+        factors.  The exact method then checks the p x p base once."""
+        checked = []
+        for module in (selection, numerics):
+
+            def counted(mat, factor, _real=module.scaled_rcond):
+                checked.append((mat.shape, mat.tobytes()))
+                return _real(mat, factor)
+
+            monkeypatch.setattr(module, "scaled_rcond", counted)
+        p = 100
+        X = generate_design(300, p, 0.9, 5)
+        y, _ = generate_response(X, support_indices(p, 5), 0.75, 3.0, 6)
+        data = Dataset(y=y, X=X)
+        cal = calibrate(data, ("exact", "polyhedral", "split", "uv"), rho=0.8, epsilon=0.0)
+        for method in ("polyhedral", "split", "uv"):
+            assert fit_method(data, cal, method, "selected", 7).selected.size
+        assert checked and len(set(checked)) == len(checked)
+        assert all(shape != (p, p) for shape, _ in checked)
+        checked.clear()
+        assert fit_method(data, cal, "exact", "selected", 7).selected.size
+        assert len(set(checked)) == len(checked)
+        assert [shape for shape, _ in checked].count((p, p)) == 1
 
 
 class TestRandomization:

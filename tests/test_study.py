@@ -349,6 +349,8 @@ class TestRunStudy:
             quick_config(methods=("nope",))
         with pytest.raises(InvalidArgumentError):
             quick_config(n_reps=0)
+        with pytest.raises(InvalidArgumentError, match="^seed must be nonnegative, got -1$"):
+            quick_config(seed=-1)
 
     @pytest.mark.parametrize("rule", ["abc", "2.5", -1.0, 0, math.nan, math.inf, None])
     def test_lambda_rule_is_theory_or_a_positive_finite_number(self, rule):
@@ -612,18 +614,23 @@ def test_validate_forms_the_statistics_of_its_design_once(monkeypatch):
 
 
 def test_a_new_response_shares_the_statistics_of_x():
-    """``with_response`` keeps X and every statistic of X formed so far, by
-    identity, and forms X'y of its own response."""
+    """``with_response`` shares X and its store of the statistics of X, by
+    identity, whether formed before or after it; it checks the new response
+    only, and forms X'y of its own response."""
     rng = np.random.default_rng(5)
     data = Dataset(y=rng.standard_normal(30), X=rng.standard_normal((30, 4)))
-    data.factor_columns(np.array([0, 2]), "selected design")
-    kept = [data.gram, data.column_major, data.independent_columns, data.randomization_factor]
+    names = ("gram", "column_major", "independent_columns")
+    kept = [getattr(data, name) for name in names] + [data.factor()]
     y = rng.standard_normal(30)
     other = data.with_response(y)
-    assert other.X is data.X and other._factors is data._factors
-    got = [other.gram, other.column_major, other.independent_columns, other.randomization_factor]
+    assert other.X is data.X and other._design is data._design
+    got = [getattr(other, name) for name in names] + [other.factor()]
     assert all(a is b for a, b in zip(got, kept))
+    selected = np.array([0, 2])
+    assert other.factor(selected) is data.factor(selected)
     assert other.xty.tolist() == Dataset(y=y, X=data.X).xty.tolist()
+    with pytest.raises(InvalidArgumentError, match="^data contains NaN or Inf$"):
+        data.with_response(np.full(30, np.nan))
 
 
 class _CountedResponse(np.ndarray):

@@ -83,6 +83,53 @@ def test_unread_import_is_found():
     assert unread_imports(source + "__all__ = ['tau']\n") == []
 
 
+# The modules that may name each factor primitive.  ``selection`` owns every
+# factor of a Gram block or of the randomization base (``Dataset.factor`` and
+# ``checked_factor``); ``conditioning`` factors the free-block precision,
+# which is neither.
+FACTOR_PRIMITIVES = {
+    "cho_factor": {"numerics", "selection"},
+    "scaled_rcond": {"numerics", "selection"},
+    "check_conditioning": {"numerics", "selection"},
+    "factor_spd": {"numerics", "selection", "conditioning"},
+}
+
+
+def named(source: str) -> set[str]:
+    """Every identifier a module names: its names, attributes, imports and
+    definitions (not its strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname} - {None})
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_one_module_owns_the_gram_factors():
+    """No stage but the dataset factors or checks a Gram block: a later stage
+    that grew its own factor of a Gram would name one of these primitives."""
+    stray = sorted(
+        f"exactsi.{path.stem}: {name}"
+        for path in PACKAGE.glob("*.py")
+        for name in named(path.read_text(encoding="utf-8")) & FACTOR_PRIMITIVES.keys()
+        if path.stem not in FACTOR_PRIMITIVES[name]
+    )
+    assert not stray, f"factor primitives named outside their owners: {stray}"
+
+
+def test_named_identifiers_are_found():
+    source = (
+        "from m import a as b\nimport c\nx.d(e)\nclass F:\n    def g(self): 'h'\n"
+    )
+    assert named(source) == {"a", "b", "c", "x", "d", "e", "F", "g"}
+
+
 def unread_parameters(source: str) -> list[str]:
     """``function.parameter`` for each parameter of a function or lambda
     that its body never reads (as a loaded name); a read in a nested
