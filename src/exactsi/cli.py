@@ -391,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=None, help="ridge term")
         p.add_argument("--sigma", type=float, default=None, help=(
             "known noise sd; else var(y) if n <= p, else least squares on the"
-            " independent columns of X (a column that X'X loses, such as a"
-            " duplicate, is left out and jitters the randomization covariance)"
+            " independent columns of X (a duplicated column is left out)"
         ))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (or base name)")

@@ -110,11 +110,9 @@ def build_geometry(
 ) -> ConditioningGeometry:
     """Reduce ``signs * opt > 0`` to an interval on ``rj' opt`` at fixed complement.
 
-    The randomization covariance is ``tau2`` times the base of ``data``
-    (``Dataset.randomization_base``); every solve with it goes through the
-    dataset's checked factor of that base (``Dataset.checked_factor``).  The
-    base and the free-block precision are checked by the rule of
-    ``factor_spd``, and one that fails raises ``NumericalDegeneracyError``.
+    Omega is ``tau2 B``, B the base of ``data`` (``Dataset.randomization_base``);
+    every solve with it reads the dataset's factor of B.  B and the free-block
+    precision must pass the check of ``factor_spd``, else ``NumericalDegeneracyError``.
     Sign constraints whose coefficient on the free combination vanishes must
     hold on their own; a violation there, or an observed statistic outside
     the interval, signals an upstream inconsistency rather than data.

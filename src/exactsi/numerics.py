@@ -180,11 +180,14 @@ def scaled_rcond(mat: np.ndarray, factor: tuple) -> float:
     return float(dpocon(factor[0] * scale, norm)[0])
 
 
+def well_conditioned(rcond: float) -> bool:
+    """Whether the scaled condition ``1 / rcond`` is at most ``_MAX_SCALED_COND``."""
+    return rcond * _MAX_SCALED_COND >= 1.0
+
+
 def check_conditioning(rcond: float, what: str, error: type[ExactSIError]) -> None:
-    """Raise ``error`` ("<what> is singular or ill-conditioned") where the
-    scaled condition that ``rcond`` is the reciprocal of exceeds
-    ``_MAX_SCALED_COND``; a NaN or zero ``rcond`` fails."""
-    if not rcond * _MAX_SCALED_COND >= 1.0:
+    """Raise ``error`` ("<what> is singular or ill-conditioned") if not ``well_conditioned``."""
+    if not well_conditioned(rcond):
         raise error(
             f"{what} is singular or ill-conditioned (scaled cond > {_MAX_SCALED_COND:.0e})"
         )

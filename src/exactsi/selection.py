@@ -10,8 +10,7 @@ satisfied at the solution, z the full subgradient (S on E, the inactive
 subgradient off it), together with the selection event ``sign(o) = S``, in
 the order of the features.  Every piece is read from the dataset's
 sufficient statistics X'X and X'y, so nothing here has n rows.  The carving
-randomization ``tau2 B``, B the Gram (jittered where its rank test drops a
-column), is drawn from the dataset's one Cholesky factor of B.
+randomization is drawn from the factor of ``Dataset.randomization_base``.
 """
 
 from __future__ import annotations
@@ -31,9 +30,12 @@ from .errors import (
     InvalidArgumentError,
     InvalidSchemeError,
 )
-from .numerics import check_conditioning, cho_factor, independent_columns, scaled_rcond
+from .numerics import (
+    check_conditioning, cho_factor, independent_columns, scaled_rcond, well_conditioned
+)
 
 _AS_MAX_STEPS = 1_000
+_JITTER_COND = 1e8  # the scaled condition that ``Dataset.randomization_base`` aims at
 
 
 def _finite(product, what: str) -> np.ndarray:
@@ -56,6 +58,13 @@ def _of_design(statistic):
         return self._design[statistic.__name__]
 
     return property(shared, doc=statistic.__doc__)
+
+
+def _rcond(entry: list) -> float:
+    """The scaled rcond of a store entry ``[matrix, factor, rcond]``, formed once."""
+    if entry[2] is None:
+        entry[2] = 0.0 if entry[1] is None else scaled_rcond(entry[0], entry[1])
+    return entry[2]
 
 
 @dataclass(frozen=True)
@@ -149,49 +158,42 @@ class Dataset:
         return independent_columns(self.gram)
 
     def randomization_base(self) -> np.ndarray:
-        """The Gram, plus a diagonal jitter of ``1e-8 * tr(X'X)/p`` exactly
-        when its rank test (``independent_columns``) drops a column (p > n,
-        or a duplicated column), so that full-rank closed-form identities
-        stay exact.  The carving covariance is ``tau2`` times this matrix."""
-        gram, p = self.gram, self.p
-        if self.independent_columns.size < p:
-            gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
-        return gram
+        """B of the carving covariance ``tau2 B``, read-only: the Gram where it
+        passes its check (``checked_factor``), else the Gram plus ``delta d`` on
+        its diagonal, d the Gram's diagonal (1 for a zero column) and delta the
+        unit-free 1-norm of the Gram scaled to unit diagonal over ``_JITTER_COND``,
+        which bounds B's scaled condition (2-norm) by about ``_JITTER_COND``."""
+        return self._entry(None)[0]
 
     def factor(self, cols: np.ndarray | None = None) -> tuple | None:
         """The upper ``cho_factor`` of the Gram block ``cols``, or of
         ``randomization_base`` for None, or None where Cholesky fails: one per
-        matrix for every dataset on this X, where the base is the Gram of all
-        columns when the rank test keeps every column."""
+        matrix (B and the Gram share theirs) for every dataset on this X."""
         return self._entry(cols)[1]
 
     def checked_factor(
         self, cols: np.ndarray | None, what: str, error: type[ExactSIError]
     ) -> tuple:
-        """``factor(cols)``, checked by the rule of ``numerics.factor_spd``:
-        ``error`` ("<what> is singular or ill-conditioned") where Cholesky
-        fails or the matrix's scaled condition is too large.  That condition is
-        formed at the first check and kept: each caller's error, one verdict."""
-        entry = self._entry(cols)
-        matrix, factor, rcond = entry
-        if rcond is None:
-            entry[2] = rcond = 0.0 if factor is None else scaled_rcond(matrix, factor)
-        check_conditioning(rcond, what, error)
-        return factor
+        """``factor(cols)``, or ``error`` ("<what> is singular or ill-conditioned")
+        where it fails the rule of ``numerics.factor_spd``; one verdict per matrix."""
+        check_conditioning(_rcond(self._entry(cols)), what, error)
+        return self.factor(cols)
 
     def _entry(self, cols: np.ndarray | None) -> list:
-        """The store's ``[matrix, factor, rcond]`` of ``factor(cols)``, rcond None
-        until checked, keyed by the columns' bytes (None: the jittered base)."""
-        gram = self.gram
-        every = np.arange(gram.shape[0])
-        if cols is None and self.independent_columns.size == every.size:
-            cols = every  # the base is then the Gram itself
+        """The store's ``[matrix, factor, rcond]`` of ``factor(cols)``, keyed by the
+        columns' bytes, or None for B (the Gram's entry where that passes)."""
         key = None if cols is None else np.asarray(cols, dtype=int).tobytes()
         if key not in self._design:
-            if cols is None:
-                matrix = self.randomization_base()
-            else:
+            gram, every = self.gram, np.arange(self.p)
+            if cols is not None:
                 matrix = gram if key == every.tobytes() else gram[np.ix_(cols, cols)]
+            elif well_conditioned(_rcond(own := self._entry(every))):
+                return self._design.setdefault(None, own)
+            else:
+                d = np.where(np.diag(gram) > 0, np.diag(gram), 1.0)
+                delta = np.abs(gram / np.sqrt(np.outer(d, d))).sum(axis=0).max() / _JITTER_COND
+                matrix = gram + np.diag(delta * d)
+                matrix.flags.writeable = False
             try:
                 factor = cho_factor(matrix)
             except (np.linalg.LinAlgError, ValueError):
@@ -202,9 +204,9 @@ class Dataset:
 
 @dataclass
 class RandomizationScheme:
-    """Carving-calibrated Gaussian randomization covariance ``tau2 * X'X``,
-    with the jitter of ``Dataset.randomization_base``.  No pipeline stage
-    builds it: the draw works on tau2 and the dataset's factor of the base."""
+    """Carving-calibrated Gaussian randomization covariance ``tau2 B``, B the
+    dataset's ``randomization_base``.  No pipeline stage builds it: the draw
+    works on tau2 and the dataset's factor of the base."""
 
     tau2: float = 1.0
 

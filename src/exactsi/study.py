@@ -8,10 +8,8 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    that each tuning value is finite, and resolves the tuning constants of a
    dataset once: the noise variance (known if given, else the full-model
    plug-in when n > p, else var(y)), the penalty and the ridge term.  The
-   plug-in fits the independent columns of X, and the randomization
-   covariance is jittered when X'X loses one; both read the dataset's one
-   Gram and rank test, and, when no column is lost, its one Cholesky factor
-   of the Gram.
+   plug-in fits the independent columns of X, by the dataset's one Gram,
+   rank test and Cholesky factor of the Gram block of those columns.
 2. ``fit_method`` runs one method's selection, which no level enters.  For
    the exact method it draws the randomization (its variance given, or
    matched to a subsample split), solves the randomized lasso and builds

@@ -34,11 +34,15 @@ def test_pooled_pivots_pass_ks():
                   methods=("exact", "polyhedral")),
         # p > n: the randomization base is X'X jittered
         SimConfig(n=50, p=80, n_reps=400, seed=3, methods=("exact", "polyhedral")),
+        # a near-collinear design that passes the rank test but whose X'X
+        # fails its scaled-condition check: the base is X'X jittered
+        SimConfig(n=100, p=10, corr=1 - 1e-11, n_reps=400, seed=3,
+                  methods=("exact", "polyhedral")),
     ],
-    ids=["full_model", "jittered_base"],
+    ids=["full_model", "jittered_base", "ill_conditioned_base"],
 )
 def test_pooled_pivots_pass_ks_on_other_branches(config):
-    """Two branches that ``infer`` takes and the default cell does not;
+    """Three branches that ``infer`` takes and the default cell does not;
     ``validate`` pins the ridge term to 0, so the ridge is not tested."""
     reports = validate_pivot_uniformity(config)
     for method in config.methods:

@@ -1032,10 +1032,61 @@ def test_gram_without_cholesky_factor_fails(tmp_path, capsys):
     path = tmp_path / "near.csv"
     write_csv(path, ["y", "x0", "x1", "x2"], np.column_stack([rng.standard_normal(40), X]).tolist())
     data, _ = read_csv_dataset(str(path))
-    assert data.independent_columns.size == 3 and data.factor() is None
+    assert data.independent_columns.size == 3 and data.factor(np.arange(3)) is None
     message = "error: plug-in design is singular: Cholesky failed"
     for command in ("infer", "select"):
         code, err, written, caught = _probe(
             tmp_path, capsys, [command, "--input", str(path), "--rho", "0.8"]
         )
         assert (code, err, written, caught) == (1, [message], [], [])
+
+
+def _write_frame(path, y, X):
+    header = ",".join(["y"] + [f"x{j}" for j in range(X.shape[1])])
+    np.savetxt(path, np.column_stack([y, X]), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
+def test_ill_conditioned_gram_gets_exact_intervals(tmp_path):
+    """A 150 x 20 CSV whose column 3 is column 1 plus 1e-7 N(0, 1): the rank
+    test keeps every column, but the Gram fails its scaled-condition check,
+    so the randomization base is the jittered Gram and every exact target
+    gets its interval.  Keyed on the rank test, the base was the Gram, and
+    every exact row was the error "randomization covariance is singular or
+    ill-conditioned"."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((150, 20))
+    X[:, 3] = X[:, 1] + 1e-7 * rng.standard_normal(150)
+    y = X[:, :5].sum(axis=1) + rng.standard_normal(150)
+    path, out = tmp_path / "near.csv", tmp_path / "inf"
+    _write_frame(path, y, X)
+    assert read_csv_dataset(str(path))[0].independent_columns.size == 20
+    argv = ["infer", "--input", str(path), "--rho", "0.8", "--method", "exact", "--out", str(out)]
+    assert main(argv) == 0
+    rows = strict_json(tmp_path / "inf.json")["rows"]
+    assert rows and all(r["method"] == "exact" and not r["error"] for r in rows)
+    assert all(r["lower"] < r["upper"] for r in rows)
+
+
+def test_gram_without_cholesky_factor_draws_from_the_jittered_base(tmp_path, capsys):
+    """The 40 x 3 CSV of ``test_gram_without_cholesky_factor_fails`` with a
+    response that carries signal and a known noise sd: the Gram has no
+    Cholesky factor, so the randomization is drawn from the jittered base,
+    and ``infer`` with all four methods exits 0 and reports every method.
+    Before, the draw failed the whole run with "randomization covariance is
+    not PD"."""
+    rng = np.random.default_rng(65)
+    X = rng.standard_normal((40, 3))
+    X[:, 2] = X[:, 0] + 3.9e-9 * rng.standard_normal(40)
+    y = 2.0 * X[:, 1] + rng.standard_normal(40)
+    path = tmp_path / "near.csv"
+    _write_frame(path, y, X)
+    methods = ["exact", "polyhedral", "split", "uv"]
+    argv = ["infer", "--input", str(path), "--rho", "0.8", "--sigma", "2.0"]
+    for method in methods:
+        argv += ["--method", method]
+    code, err, written, caught = _probe(tmp_path, capsys, argv)
+    assert (code, err, caught) == (0, [], [])
+    report = strict_json(tmp_path / "probe.json")
+    assert list(report["methods"]) == methods
+    assert {r["method"] for r in report["rows"]} == set(methods)

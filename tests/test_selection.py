@@ -86,39 +86,41 @@ class TestDataset:
 
 
     def test_the_base_is_the_gram_where_every_column_is_kept(self):
-        """Where the rank test keeps every column, the randomization base is
-        the Gram of all columns: one factor serves both, and a dataset of
-        another response on the same X."""
+        """Where the Gram passes its own check, the randomization base is the
+        Gram of all columns: one factor and one verdict serve both, and a
+        dataset of another response on the same X."""
         X = generate_design(80, 12, 0.5, 3)
         data = design_only(X)
         every = np.arange(12)
-        assert data.independent_columns.size == 12
+        assert data.checked_factor(every, "x", SingularDesignError) is data.factor(every)
         assert data.factor() is data.factor(every)
+        assert data._entry(None) is data._entry(every)
+        assert data.randomization_base() is data.gram
         assert data.with_response(np.ones(80)).factor(every) is data.factor()
-        assert data.checked_factor(every, "x", SingularDesignError) is data.factor()
 
     def test_the_jittered_base_has_its_own_entry(self, monkeypatch):
-        """A duplicated column makes the rank test drop one: the base is then
-        the jittered Gram, formed once and factored apart from the Gram of all
+        """A duplicated column fails the Gram's check: the base is then the
+        jittered Gram, formed and factored once, apart from the Gram of all
         columns, which fails its check while the base passes."""
         X = generate_design(80, 12, 0.5, 3)
         X[:, 5] = X[:, 2]
         data = design_only(X)
         every = np.arange(12)
-        assert data.independent_columns.size == 11
-        bases = []
-        real_base = Dataset.randomization_base
+        factored = []
+        real_factor = selection.cho_factor
 
-        def counted(self):
-            bases.append(real_base(self))
-            return bases[-1]
+        def counted(mat):
+            factored.append(mat)
+            return real_factor(mat)
 
-        monkeypatch.setattr(Dataset, "randomization_base", counted)
+        monkeypatch.setattr(selection, "cho_factor", counted)
         base = data.factor()
         assert base is not None and base is not data.factor(every)
         assert data.checked_factor(None, "randomization covariance", InvalidSchemeError) is base
-        assert len(bases) == 1
-        assert base[0].tobytes() == numerics.cho_factor(bases[0])[0].tobytes()
+        assert data.randomization_base() is data.randomization_base() is factored[1]
+        assert len(factored) == 2 and factored[0] is data.gram
+        assert base[0].tobytes() == real_factor(data.randomization_base())[0].tobytes()
+        assert not data.randomization_base().flags.writeable
         with pytest.raises(SingularDesignError, match="^full-design Gram is singular"):
             data.checked_factor(every, "full-design Gram", SingularDesignError)
 
@@ -126,14 +128,14 @@ class TestDataset:
     def test_a_failed_verdict_raises_each_callers_error(self, monkeypatch, noise, conditions):
         """Column 2 is column 0 plus ``noise`` N(0, 1): at 1e-7 the Gram
         factors but its scaled condition fails, at 3.9e-9 Cholesky fails and
-        no condition is formed.  The matrix is factored, and its condition
+        no condition is formed.  The Gram is factored, and its condition
         formed, at most once; every caller then raises its own message and
-        class from that one verdict."""
+        class from that one verdict.  The base is the jittered Gram, which
+        is factored and checked once and passes for every caller."""
         rng = np.random.default_rng(65)
         X = rng.standard_normal((40, 3))
         X[:, 2] = X[:, 0] + noise * rng.standard_normal(40)
         data = design_only(X)
-        assert data.independent_columns.size == 3
         calls = []
         for name in ("cho_factor", "scaled_rcond"):
 
@@ -142,20 +144,56 @@ class TestDataset:
                 return _real(mat, *args)
 
             monkeypatch.setattr(selection, name, counted)
-        for cols in (None, np.arange(3)):
-            for what, error in (
-                ("randomization covariance", NumericalDegeneracyError),
-                ("full-design Gram", SingularDesignError),
-                ("plug-in design", InvalidSchemeError),
-            ):
-                with pytest.raises(ExactSIError) as caught:
-                    data.checked_factor(cols, what, error)
-                assert type(caught.value) is error
-                assert str(caught.value) == (
-                    f"{what} is singular or ill-conditioned (scaled cond > 1e+12)"
-                )
+        callers = (
+            ("randomization covariance", NumericalDegeneracyError),
+            ("full-design Gram", SingularDesignError),
+            ("plug-in design", InvalidSchemeError),
+        )
+        for what, error in callers:
+            with pytest.raises(ExactSIError) as caught:
+                data.checked_factor(np.arange(3), what, error)
+            assert type(caught.value) is error
+            assert str(caught.value) == (
+                f"{what} is singular or ill-conditioned (scaled cond > 1e+12)"
+            )
         assert calls == ["cho_factor"] + ["scaled_rcond"] * conditions
-        assert (data.factor() is None) == (conditions == 0)
+        for what, error in callers:
+            assert data.checked_factor(None, what, error) is data.factor()
+        assert calls[1 + conditions:] == ["cho_factor", "scaled_rcond"]
+        assert (data.factor(np.arange(3)) is None) == (conditions == 0)
+
+    @pytest.mark.parametrize(
+        "n, p, change",
+        [
+            (80, 12, "zero column"),
+            (80, 12, "duplicated column"),
+            (80, 12, "rescaled duplicate"),
+            (60, 100, None),
+            (30, 1000, None),
+        ],
+    )
+    def test_a_failed_gram_gets_a_well_conditioned_base(self, n, p, change):
+        """Where the Gram fails its check (a zero or duplicated column, p > n),
+        the jittered base passes, at a scaled condition below 1e9 that a
+        column's units do not move: column 5, a copy of column 2 rescaled by
+        1e6, gives the plain copy's condition."""
+        X = generate_design(n, p, 0.5, 3)
+        if change == "zero column":
+            X[:, 5] = 0.0
+        elif change is not None:
+            X[:, 5] = X[:, 2] * (1e6 if change == "rescaled duplicate" else 1.0)
+        data = design_only(X)
+        with pytest.raises(SingularDesignError):
+            data.checked_factor(np.arange(p), "x", SingularDesignError)
+        factor = data.checked_factor(None, "randomization covariance", InvalidSchemeError)
+        condition = 1 / numerics.scaled_rcond(data.randomization_base(), factor)
+        assert condition < 1e9
+        if change == "rescaled duplicate":
+            X[:, 5] = X[:, 2]
+            plain = design_only(X)
+            factor = plain.checked_factor(None, "x", SingularDesignError)
+            want = 1 / numerics.scaled_rcond(plain.randomization_base(), factor)
+            assert condition == pytest.approx(want, rel=1e-6)
 
     def test_a_replicate_forms_each_scaled_condition_once(self, monkeypatch):
         """In a default-cell replicate, polyhedral, split and uv form the

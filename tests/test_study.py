@@ -484,13 +484,14 @@ def test_one_factorization_per_fit(monkeypatch):
     factored once per fit, for the plug-in, the contrasts and (polyhedral)
     the polyhedron.  An exact fit does not factor Omega: it reads the
     dataset's factor of X'X, made once by ``calibrate``'s full-model
-    plug-in, and checks that factor's scaled condition once.  It factors
+    plug-in, and checks that factor's scaled condition once, at the draw,
+    where it decides that X'X is the randomization base.  It factors
     the free-block precision, and solves for the plug-in, the contrasts,
     Omega^{-1} Q, Theta, and the cores and directions of its pivot
     constants; a polyhedral fit solves for the plug-in, the contrasts and,
     in one call, its polyhedron.  Every check and factorization runs inside
-    the plug-in or one of the stages ``build_target``, ``build_geometry``
-    and ``pivot_params`` (exact) or ``polyhedral_bounds``."""
+    the plug-in, the draw or one of the stages ``build_target``,
+    ``build_geometry`` and ``pivot_params`` (exact) or ``polyhedral_bounds``."""
     config = SimConfig()
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 0))
     y, _ = generate_response(
@@ -528,7 +529,8 @@ def test_one_factorization_per_fit(monkeypatch):
     for module in (conditioning, inference):
         monkeypatch.setattr(module, "cho_solve", counted("cho_solve", module.cho_solve))
     for name in (
-        "plug_in_sigma2", "build_target", "build_geometry", "pivot_params", "polyhedral_bounds"
+        "plug_in_sigma2", "sample_randomization", "build_target", "build_geometry",
+        "pivot_params", "polyhedral_bounds",
     ):
         monkeypatch.setattr(study, name, staged(name))
 
@@ -558,7 +560,7 @@ def test_one_factorization_per_fit(monkeypatch):
         checked = [shape for name, shape, _ in every if name == "dpocon"]
         if method == "exact":
             assert factored == [(q, q), (q, q)]
-            assert checked == [(q, q), p_by_p, (q, q)]
+            assert checked == [p_by_p, (q, q), (q, q)]
         else:
             assert factored == checked == [(q, q)]
         assert "dpstrf" not in [name for name, _, _ in every]
@@ -592,25 +594,27 @@ def test_one_rank_test_per_dataset(monkeypatch):
 
 def test_validate_forms_the_statistics_of_its_design_once(monkeypatch):
     """The uniformity check's design is fixed and its noise known, so one
-    ``validate`` call calibrates once and runs the rank test once, however
-    many replicates it draws: each replicate's dataset shares the statistics
-    of X (``Dataset.with_response``)."""
-    shapes, calibrations = [], []
-    real_rank, real_calibrate = numerics.dpstrf, study.calibrate
+    ``validate`` call calibrates once, runs no rank test and factors the
+    p x p Gram, its randomization base, once, however many replicates it
+    draws: each replicate's dataset shares the statistics of X
+    (``Dataset.with_response``)."""
+    shapes, ranks, calibrations = [], [], []
+    real_factor, real_calibrate = selection.cho_factor, study.calibrate
 
-    def dpstrf(mat, *args, **kwargs):
+    def cho_factor(mat):
         shapes.append(mat.shape)
-        return real_rank(mat, *args, **kwargs)
+        return real_factor(mat)
 
     def calibrate_counted(*args, **kwargs):
         calibrations.append(None)
         return real_calibrate(*args, **kwargs)
 
-    monkeypatch.setattr(numerics, "dpstrf", dpstrf)
+    monkeypatch.setattr(selection, "cho_factor", cho_factor)
+    monkeypatch.setattr(numerics, "dpstrf", lambda *args: ranks.append(args))
     monkeypatch.setattr(study, "calibrate", calibrate_counted)
     cfg = quick_config(n=80, p=10, sparsity=2, n_reps=90, methods=("exact",), signal_fraction=1.5)
     assert validate_pivot_uniformity(cfg)["exact"].n_pooled >= 200
-    assert shapes == [(10, 10)] and len(calibrations) == 1
+    assert shapes.count((10, 10)) == 1 and ranks == [] and len(calibrations) == 1
 
 
 def test_a_new_response_shares_the_statistics_of_x():
