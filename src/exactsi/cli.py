@@ -6,10 +6,11 @@ requested methods), ``simulate`` (run a Monte-Carlo study from a config
 file), and ``validate`` (pivot-uniformity check).  All four go through the
 pipeline in ``exactsi.study``, which also checks that each requested method
 has the options it needs: the CLI parses arguments, calls the pipeline, and
-turns a failing target into an error row.  Outputs are UTF-8 JSON with keys in fixed
-order (strict RFC 8259: an undefined number is null) and RFC-4180 CSV (an
-empty cell); identical command and seed give byte-identical files at the
-same BLAS thread count.
+turns a failing target, or a fit that fails before any target, into an
+error row.  Outputs are UTF-8 JSON with keys in fixed order (strict RFC
+8259: an undefined number is null) and RFC-4180 CSV (an empty cell);
+identical command and seed give byte-identical files at the same BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -213,12 +214,13 @@ def _infer_rows(args, data: Dataset, names: list[str]) -> list[dict]:
     fits = [fit_method(data, cal, m, args.model, args.seed) for m in args.method]
     rows: list[dict] = []
     for fit, results in zip(fits, infer(fits, args.alpha)):
-        for label, est in zip(fit.selected.tolist(), results):
+        # a fit that failed before any target has no feature and one error
+        for label, est in zip(fit.selected.tolist() or [None], results):
             error = isinstance(est, ExactSIError)
             rows.append(
                 {
                     "method": fit.method,
-                    "feature": names[label],
+                    "feature": None if label is None else names[label],
                     "index": label,
                     "lower": None if error else est.lower,
                     "upper": None if error else est.upper,

@@ -17,7 +17,7 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    baseline it solves the plain lasso.  Split solves the lasso on a
    ``round(rho * n)`` subsample with penalty ``rho * lam``, and uv on ``y +
    w`` with penalty ``sqrt(1 + f) * lam``, both matched to the carving
-   calibration.
+   calibration.  A fit that fails before any target selects nothing.
 3. Every method's targets are the least-squares coefficients of
    ``build_target``.  ``fit_method`` builds the constants of all of a fit's
    targets once, one record whose row j is target j, and each target's
@@ -31,7 +31,7 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    its level ``1 - alpha`` interval, or the error that stopped it, in one
    elementwise call per method on the concatenated constants
    (``_per_target``, which also gives the uniformity check its pivots);
-   callers apply their own error policy.
+   a failed fit's one entry is its error, read as a failed target's is.
 
 The study generates sparse Gaussian regressions on an AR(1)-correlated
 design, runs the exact randomized method next to the polyhedral,
@@ -396,8 +396,9 @@ class Fit:
     ``PolyhedralBounds`` (polyhedral, and untruncated for split and uv);
     None where nothing was selected or a stage that serves every target
     failed.  ``errors[j]`` is the error that stopped target j, or None.  A
-    fit is data only, and holds no level: ``infer`` takes the intervals of
-    a list of fits at a level.
+    fit that failed before any target selected nothing, and its one entry of
+    ``errors`` is that error.  A fit is data only, and holds no level:
+    ``infer`` takes the intervals of a list of fits at a level.
     """
 
     method: str
@@ -468,38 +469,40 @@ def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: i
     and uv give the untruncated bounds of their estimates.  A target keeps
     the error of the first check it fails; an error raised by a stage that
     serves every target becomes the error of each target still standing.
+    An error raised before any target gives a fit that selected nothing,
+    with that error as its one entry of ``errors``; only an unknown
+    ``method`` raises (``InvalidArgumentError``), never the data.
     """
-    if method in ("split", "uv"):
+    if method not in KNOWN_METHODS:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    E, outcome, constants, errors = np.zeros(0, dtype=int), None, None, []
+    try:
         if method == "split":
             # subsample penalty matched to the carving calibration
             E, constants = split_inference(data, cal.rho, cal.rho * cal.lam, seed)
-        else:
+        elif method == "uv":
             # selection noise is inflated by (1+f): scale the penalty along
             f = (1.0 - cal.rho) / cal.rho
             E, constants = uv_inference(data, f, math.sqrt(1.0 + f) * cal.lam, cal.sigma2, seed)
-        return Fit(method, E, constants=constants, errors=[None] * E.size)
-    if method == "exact":
-        tau2, outcome, rep = randomized_selection(data, cal, seed)
-    elif method == "polyhedral":
-        outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=0.0, w=np.zeros(data.p))
-    else:
-        raise InvalidArgumentError(f"unknown method {method!r}")
-    E = outcome.selected
-    if E.size == 0:
-        return Fit(method, E)
-    sigma = _post_sigma(data, cal, model, E)
-    errors: list = [None] * E.size
-    try:
-        target = build_target(data, E, model)
-        if method == "polyhedral":
-            constants, errors = polyhedral_bounds(data, E, outcome.signs, cal.lam, target, sigma)
+        elif method == "exact":
+            tau2, outcome, rep = randomized_selection(data, cal, seed)
         else:
-            geom = build_geometry(data, rep, tau2, target)
-            errors = geom.errors
-            constants, errors = pivot_params(geom, target, sigma=sigma)
+            outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=0.0, w=np.zeros(data.p))
+        E = E if outcome is None else outcome.selected
+        errors = [None] * E.size
+        if outcome is not None and E.size:
+            sigma = _post_sigma(data, cal, model, E)
+            target = build_target(data, E, model)
+            if method == "polyhedral":
+                signs = outcome.signs
+                constants, errors = polyhedral_bounds(data, E, signs, cal.lam, target, sigma)
+            else:
+                geom = build_geometry(data, rep, tau2, target)
+                errors = geom.errors
+                constants, errors = pivot_params(geom, target, sigma=sigma)
     except ExactSIError as exc:
         exc = exc.with_traceback(None)  # the traceback would keep the dataset alive
-        return Fit(method, E, outcome, errors=[e or exc for e in errors])
+        return Fit(method, E, outcome, errors=[e or exc for e in errors] or [exc])
     return Fit(method, E, outcome, constants, errors)
 
 
@@ -508,17 +511,33 @@ def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: i
 _STREAMS = {"exact": 2, "split": 3, "uv": 4}
 
 
+def _fit_replicate(
+    data: Dataset, cal: Calibration, seeds: dict[str, int], model: str,
+    support: np.ndarray, beta: np.ndarray,
+) -> Iterator[tuple[Fit, np.ndarray | None]]:
+    """Each method of ``seeds`` fitted to one replicate's ``data`` at its
+    seed, and the true projected targets of its selection, or None where a
+    stage that serves every target failed.  A fit with constants passed
+    ``build_target``'s check of its selected block, so their solve cannot
+    fail."""
+    for method, seed in seeds.items():
+        fit = fit_method(data, cal, method, model, seed)
+        if fit.constants is None and fit.selected.size:
+            yield fit, None
+        else:
+            yield fit, true_projected_target(data.X, fit.selected, support, beta, model)
+
+
 def _run_block(
     config: SimConfig, reps: Sequence[int]
 ) -> list[tuple[list[dict], dict[str, float | ExactSIError]]]:
     """All methods on the datasets of replicates ``reps``, whose fits are
     inverted together.  Per replicate: one row per interval, and each
     method's outcome, the F1 score of its selection or the error that failed
-    it (its first failed target's, in j order)."""
+    it (its first failed target's, in j order, or its fit's)."""
     lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
     support = support_indices(config.p, config.sparsity)
-    # per replicate and method: its fit and truths, or the error that failed it
-    picked: list[tuple[int, str, Fit | ExactSIError, np.ndarray | None]] = []
+    picked: list[tuple[int, Fit, np.ndarray | None]] = []
     for rep_idx in reps:
         X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, rep_idx, 0))
         y, beta = generate_response(
@@ -527,33 +546,25 @@ def _run_block(
         data = Dataset(y=y, X=X)
         # the study's randomized lasso has no ridge term, whatever the shape
         cal = calibrate(data, config.methods, lam=lam, rho=config.rho, epsilon=0.0)
-        for method in config.methods:
-            seed = _seed_for(config.seed, rep_idx, _STREAMS[method]) if method in _STREAMS else 0
-            try:
-                fit = fit_method(data, cal, method, config.model, seed)
-                # a fit with a failed target fails its method and needs no truths
-                truths = None if any(fit.errors) else true_projected_target(
-                    X, fit.selected, support, beta, config.model
-                )
-            except ExactSIError as exc:
-                # the traceback would keep the replicate's arrays alive
-                fit, truths = exc.with_traceback(None), None
-            picked.append((rep_idx, method, fit, truths))
-    intervals = iter(infer([fit for _, _, fit, _ in picked if isinstance(fit, Fit)], config.alpha))
+        seeds = {m: _seed_for(config.seed, rep_idx, _STREAMS[m]) if m in _STREAMS else 0
+                 for m in config.methods}
+        fitted = _fit_replicate(data, cal, seeds, config.model, support, beta)
+        picked += [(rep_idx, fit, truths) for fit, truths in fitted]
+    intervals = infer([fit for _, fit, _ in picked], config.alpha)
     results: dict[int, tuple[list[dict], dict]] = {rep_idx: ([], {}) for rep_idx in reps}
-    for rep_idx, method, fit, truths in picked:
+    for (rep_idx, fit, truths), ests in zip(picked, intervals):
         rows, outcomes = results[rep_idx]
-        ests = next(intervals) if isinstance(fit, Fit) else [fit]
         failed = [e for e in ests if isinstance(e, ExactSIError)]
         if failed:
-            outcomes[method] = failed[0].with_traceback(None)
+            # the traceback would keep the replicate's arrays alive
+            outcomes[fit.method] = failed[0].with_traceback(None)
             continue
-        f1 = outcomes[method] = f1_score(fit.selected, support)
+        f1 = outcomes[fit.method] = f1_score(fit.selected, support)
         for coordinate, est, truth in zip(fit.selected.tolist(), ests, truths.tolist()):
             rows.append(
                 {
                     "rep": rep_idx,
-                    "method": method,
+                    "method": fit.method,
                     "coordinate": coordinate,
                     "lower": est.lower,
                     "upper": est.upper,
@@ -663,13 +674,11 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     return StudySummary(config=config, methods=summaries, rows=all_rows)
 
 
-def pivots_at_truth(
-    config: SimConfig,
-) -> Iterator[tuple[str, Fit | None, list[float | ExactSIError]]]:
+def pivots_at_truth(config: SimConfig) -> Iterator[tuple[Fit, list[float | ExactSIError]]]:
     """For each replicate, and each of the exact and polyhedral methods that
-    ``config`` lists: the method, its fit, and each target's pivot at its true
-    projected target, or the error that stopped that target.  A fit that
-    raises before any target is None, with that error as its one value.
+    ``config`` lists: its fit, and each target's pivot at its true projected
+    target, or the error that stopped that target.  A fit that failed before
+    any target selected nothing and has that error as its one value.
 
     The design stays fixed across replicates (seed stream 10); response
     (stream 11) and randomization (stream 12) are redrawn, and the noise level
@@ -688,26 +697,17 @@ def pivots_at_truth(
     data = Dataset(y=np.zeros(config.n), X=X)
     cal = calibrate(data, methods, lam=lam, tau2=tau2, epsilon=0.0, sigma=math.sqrt(config.sigma2))
     for start in range(0, config.n_reps, _BLOCK):
-        picked = []  # per replicate and method: its fit and truths, or None and its error
+        picked = []  # per replicate and method: its fit and truths
         for rep_idx in range(start, min(start + _BLOCK, config.n_reps)):
             y, beta = generate_response(
                 X, support, config.signal_fraction, config.sigma2,
                 _seed_for(config.seed, rep_idx, 11),
             )
             data = data.with_response(y)
-            seed = _seed_for(config.seed, rep_idx, 12)
-            for method in methods:
-                try:
-                    fit = fit_method(data, cal, method, config.model, seed)
-                    truths = true_projected_target(X, fit.selected, support, beta, config.model)
-                except ExactSIError as exc:
-                    fit, truths = None, [exc]
-                picked.append((method, fit, truths))
-        fits = [fit for _, fit, _ in picked if fit is not None]
-        beta0s = [truths for _, fit, truths in picked if fit is not None]
-        values = iter(_per_target(fits, beta0s=beta0s))
-        for method, fit, truths in picked:
-            yield method, fit, truths if fit is None else next(values)
+            seeds = dict.fromkeys(methods, _seed_for(config.seed, rep_idx, 12))
+            picked += _fit_replicate(data, cal, seeds, config.model, support, beta)
+        fits = [fit for fit, _ in picked]
+        yield from zip(fits, _per_target(fits, beta0s=[truths for _, truths in picked]))
 
 
 def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
@@ -715,7 +715,7 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
 
     Requires the exact method; also reports the polyhedral pivot when listed.
     A target whose pivot raises is counted, under its exception class, and
-    the rest of its replicate is still pooled; a fit that raises before any
+    the rest of its replicate is still pooled; a fit that fails before any
     target counts once.  As in ``run_study``, the randomized lasso has no
     ridge term (``epsilon = 0``) whatever the shape, where ``exactsi infer``
     takes ``default_epsilon`` when p >= n.
@@ -732,12 +732,9 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
     methods = [m for m in config.methods if m in ("exact", "polyhedral")]
     pooled: dict[str, list[float]] = {m: [] for m in methods}
     failed: dict[str, list[ExactSIError]] = {m: [] for m in methods}
-    for method, _, values in pivots_at_truth(config):
+    for fit, values in pivots_at_truth(config):
         for value in values:
-            if isinstance(value, ExactSIError):
-                failed[method].append(value)
-            else:
-                pooled[method].append(value)
+            (failed if isinstance(value, ExactSIError) else pooled)[fit.method].append(value)
     reports = {}
     for method, vals in pooled.items():
         if len(vals) < 200:

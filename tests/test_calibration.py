@@ -67,13 +67,13 @@ def test_pivots_uniform_given_each_selection_event(rho, methods):
     config = SimConfig(n=100, p=10, sparsity=2, n_reps=1500, seed=5, rho=rho,
                        methods=methods)
     groups = defaultdict(list)
-    for method, fit, values in pivots_at_truth(config):
-        if fit is None:
+    for fit, values in pivots_at_truth(config):
+        if not fit.selected.size and values:  # the fit failed before any target
             raise values[0]
         for j, value in enumerate(values):
             if not isinstance(value, ExactSIError):
                 event = (tuple(fit.selected.tolist()), tuple(fit.outcome.signs.tolist()))
-                groups[(method, *event, j)].append(value)
+                groups[(fit.method, *event, j)].append(value)
     tested = {key: kstest(vals, "uniform").pvalue
               for key, vals in groups.items() if len(vals) >= 200}
     for method in config.methods:

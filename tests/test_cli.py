@@ -22,6 +22,7 @@ from exactsi.cli import (
 )
 from exactsi.errors import ExactSIError, InvalidArgumentError, NumericalDegeneracyError
 from exactsi.study import (
+    KNOWN_METHODS,
     SimConfig,
     _run_block,
     _seed_for,
@@ -1090,3 +1091,56 @@ def test_gram_without_cholesky_factor_draws_from_the_jittered_base(tmp_path, cap
     report = strict_json(tmp_path / "probe.json")
     assert list(report["methods"]) == methods
     assert {r["method"] for r in report["rows"]} == set(methods)
+
+
+def _zero_frame():
+    return np.zeros(40), np.zeros((40, 3))
+
+
+def _six_rows():
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((6, 2))
+    return 3.0 * X[:, 0] + rng.standard_normal(6), X
+
+
+@pytest.mark.parametrize("frame, extra, methods, failed, message", [
+    # an all-zero design: the randomization base has no Cholesky factor
+    (_zero_frame, ("--lambda", "1"), KNOWN_METHODS, "exact",
+     "randomization covariance is not PD"),
+    # round(0.8 * 6) = 5 leaves one held-out row
+    (_six_rows, (), ("polyhedral", "split"), "split",
+     "split size n1=5 leaves no usable half"),
+], ids=["zero_40x3", "rows_6x2"])
+def test_failed_fit_is_one_error_row(tmp_path, capsys, frame, extra, methods, failed, message):
+    """A method that fails on the data before any target writes one error
+    row, with no feature, index or endpoints, and ``infer`` exits 0 with
+    every other method's rows as its own run writes them.  Before, both
+    files failed the whole run: exit 1, the message, and no rows."""
+    path = tmp_path / "data.csv"
+    _write_frame(path, *frame())
+    common = ["infer", "--input", str(path), "--rho", "0.8", "--sigma", "1", *extra]
+
+    def run(out, *listed):
+        argv = [*common, "--out", str(tmp_path / out)]
+        for method in listed:
+            argv += ["--method", method]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        return strict_json(tmp_path / f"{out}.json")
+
+    report = run("all", *methods)
+    assert list(report["methods"]) == list(methods)
+    assert [r for r in report["rows"] if r["method"] == failed] == [{
+        "method": failed, "feature": None, "index": None, "lower": None, "upper": None,
+        "level": 0.9, "significant": -1, "clipped": 0, "error": message,
+    }]
+    with open(tmp_path / "all.csv", newline="") as fh:
+        cells = [r for r in csv.DictReader(fh) if r["method"] == failed]
+    assert [(r["feature"], r["index"], r["lower"], r["upper"], r["significant"], r["error"])
+            for r in cells] == [("", "", "", "", "-1", message)]
+    assert report["methods"][failed]["errors"] == 1
+    for method in methods:
+        if method != failed:
+            alone = run(method, method)
+            assert [r for r in report["rows"] if r["method"] == method] == alone["rows"]
+            assert report["methods"][method] == alone["methods"][method]

@@ -309,21 +309,21 @@ class TestRunStudy:
         assert any(r["length"] > 100.0 and not r["clipped"] for r in rows)
 
     def test_failures_are_counted_by_class(self, monkeypatch):
-        # the polyhedral fit of replicate 0 fails with one class, those of
-        # replicates 1 and 2 with another, which sorts first
-        real = study.fit_method
+        # the polyhedral lasso of replicate 0 fails with one class, those of
+        # replicates 1 and 2 with another, which sorts first; split runs its
+        # lasso by its own name
+        real = study.solve_randomized_lasso
         raised = [SingularDesignError("injected"), NumericalDegeneracyError("injected"),
                   NumericalDegeneracyError("injected")]
         seen = []
 
-        def flaky(data, cal, method, *args):
-            if method == "polyhedral":
-                seen.append(method)
-                if len(seen) <= len(raised):
-                    raise raised[len(seen) - 1]
-            return real(data, cal, method, *args)
+        def flaky(*args, **kwargs):
+            seen.append(None)
+            if len(seen) <= len(raised):
+                raise raised[len(seen) - 1]
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(study, "fit_method", flaky)
+        monkeypatch.setattr(study, "solve_randomized_lasso", flaky)
         summary = run_study(quick_config(n_reps=4, methods=("polyhedral", "split")))
         poly, split = summary.methods["polyhedral"], summary.methods["split"]
         assert list(poly.failures.items()) == [
@@ -419,19 +419,19 @@ class TestValidateUniformity:
         assert got.n_failed == calls[2] >= 1
         assert got.n_pooled == clean.n_pooled - calls[2]
 
-        # a fit that raises counts once, under its own class, beside the
-        # failed pivot call of the third block
-        real_fit = study.fit_method
+        # a fit whose randomization draw fails counts once, under its own
+        # class, beside the failed pivot call of the third block
+        real_draw = study.sample_randomization
         fits, broken_size = [], calls[2]
         calls.clear()
 
-        def failing_fit(*args, **kwargs):
+        def failing_draw(*args, **kwargs):
             fits.append(None)
             if len(fits) == 5:
                 raise SingularDesignError("injected")
-            return real_fit(*args, **kwargs)
+            return real_draw(*args, **kwargs)
 
-        monkeypatch.setattr(study, "fit_method", failing_fit)
+        monkeypatch.setattr(study, "sample_randomization", failing_draw)
         got = validate_pivot_uniformity(cfg)["exact"]
         assert got.failures == {
             "NumericalDegeneracyError": broken_size, "SingularDesignError": 1,
@@ -725,6 +725,74 @@ def test_failed_target_keeps_its_row(monkeypatch):
     for j in [j for j in range(k) if j != 1]:
         got, want = got_all[j], want_all[j]
         assert (got.lower, got.upper, got.clipped) == (want.lower, want.upper, want.clipped)
+
+
+# A stage of each method that runs before any of its targets, as the
+# pipeline names it.
+BEFORE_TARGETS = {
+    "exact": "sample_randomization",
+    "polyhedral": "solve_randomized_lasso",
+    "split": "split_inference",
+    "uv": "uv_inference",
+}
+
+
+class TestFitMethodErrors:
+    """``fit_method`` returns a ``Fit`` whatever the data: an error raised
+    before any target is the one entry of ``errors`` of a fit that selected
+    nothing, and one raised after selection is the error of every target.
+    Either is stripped of its traceback, which would keep the dataset alive.
+    Only an unknown method, a fault of the caller, raises."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        X = generate_design(300, 100, 0.5, 3)
+        y, _ = generate_response(X, support_indices(100, 5), 0.75, 3.0, 4)
+        data = Dataset(y=y, X=X)
+        cal = calibrate(data, study.KNOWN_METHODS, rho=0.8)
+        clean = {m: fit_method(data, cal, m, "selected", 5) for m in study.KNOWN_METHODS}
+        assert all(fit.selected.size and not any(fit.errors) for fit in clean.values())
+        return data, cal, clean
+
+    @staticmethod
+    def raising(exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        return broken
+
+    @pytest.mark.parametrize("method", study.KNOWN_METHODS)
+    def test_failure_before_any_target(self, fitted, monkeypatch, method):
+        data, cal, _ = fitted
+        exc = SingularDesignError("injected")
+        monkeypatch.setattr(study, BEFORE_TARGETS[method], self.raising(exc))
+        fit = fit_method(data, cal, method, "selected", 5)
+        assert (fit.method, fit.selected.size, fit.constants) == (method, 0, None)
+        assert fit.errors == [exc] and exc.__traceback__ is None
+        assert study.infer([fit], 0.1) == [[exc]]
+
+    @pytest.mark.parametrize("method", study.KNOWN_METHODS)
+    def test_failure_after_selection(self, fitted, monkeypatch, method):
+        # split and uv take their noise level in their own stage, so they
+        # never reach the selected-model plug-in of ``_post_sigma``
+        data, cal, clean = fitted
+        exc = SingularDesignError("injected")
+        monkeypatch.setattr(study, "_post_sigma", self.raising(exc))
+        fit = fit_method(data, cal, method, "selected", 5)
+        want = clean[method]
+        assert fit.selected.tolist() == want.selected.tolist()
+        if method in ("split", "uv"):
+            assert fit.errors == want.errors
+            for name in (f.name for f in fields(want.constants)):
+                assert np.array_equal(getattr(fit.constants, name), getattr(want.constants, name))
+            return
+        assert fit.constants is None and exc.__traceback__ is None
+        assert len(fit.errors) == fit.selected.size and all(e is exc for e in fit.errors)
+
+    def test_unknown_method_raises(self, fitted):
+        data, cal, _ = fitted
+        with pytest.raises(InvalidArgumentError, match="^unknown method 'nope'$"):
+            fit_method(data, cal, "nope", "selected", 5)
 
 
 def test_a_fit_in_a_block_gets_what_it_gets_alone():

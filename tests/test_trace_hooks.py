@@ -11,6 +11,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from exactsi import errors
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -121,6 +123,54 @@ def test_one_module_owns_the_gram_factors():
         if path.stem not in FACTOR_PRIMITIVES[name]
     )
     assert not stray, f"factor primitives named outside their owners: {stray}"
+
+
+def except_clauses(source: str) -> list[tuple[str, set[str]]]:
+    """``(function, names)`` for each ``except`` clause of a module: the
+    innermost function around it (``<module>`` at the top level) and the
+    identifiers of the classes it catches (``BaseException`` if bare)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                caught = named(ast.unparse(child.type)) if child.type else {"BaseException"}
+                found.append((owner, caught))
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_error_policy_in_the_pipeline():
+    """Within ``exactsi.study`` only ``fit_method`` (an error that stops a
+    fit) and ``_per_target`` (one that stops an elementwise call) catch an
+    ``ExactSIError``: every caller reads the errors of its fits, so a third
+    error policy cannot grow back.  A clause counts if it names the class,
+    one of its bases or one of the package's error classes."""
+    catching = {cls.__name__ for cls in errors.ExactSIError.__mro__}
+    catching |= {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ExactSIError)
+    }
+    source = (PACKAGE / "study.py").read_text(encoding="utf-8")
+    owners = [owner for owner, caught in except_clauses(source) if caught & catching]
+    assert sorted(owners) == ["_per_target", "fit_method"]
+
+
+def test_except_clauses_are_found():
+    source = (
+        "try:\n    a()\nexcept:\n    pass\n"
+        "def f():\n    def g():\n        try:\n            b()\n"
+        "        except (m.E, F):\n            pass\n"
+        "    try:\n        c()\n    except G as exc:\n        pass\n"
+    )
+    assert except_clauses(source) == [
+        ("<module>", {"BaseException"}), ("g", {"m", "E", "F"}), ("f", {"G"}),
+    ]
 
 
 def test_named_identifiers_are_found():
