@@ -364,15 +364,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
-# notes that the --help of infer, simulate and validate prints
 _BLAS_NOTE = (
     "Identical arguments and seed give byte-identical outputs only at a fixed"
     " BLAS thread count (for OpenBLAS, OPENBLAS_NUM_THREADS): X'X, and so every"
     " endpoint, may change in its last bits with the thread count."
-)
-_RIDGE_NOTE = (
-    "The study's randomized lasso has no ridge term (epsilon = 0) whatever the"
-    " shape, where infer adds a small one (default_epsilon) when p >= n."
 )
 
 
@@ -434,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", dest="methods", action="append", choices=KNOWN_METHODS)
         p.add_argument("--out", default=None)
 
-    p_sim = sub.add_parser(
-        "simulate", help="run a Monte-Carlo study", description=f"{_BLAS_NOTE} {_RIDGE_NOTE}"
-    )
+    p_sim = sub.add_parser("simulate", help="run a Monte-Carlo study", description=_BLAS_NOTE)
     add_sim(p_sim, "miscoverage level of the intervals")
     p_sim.add_argument(
         "--workers", type=int, default=1,
@@ -447,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_val = sub.add_parser("validate", help="pivot uniformity check", description=_RIDGE_NOTE)
+    p_val = sub.add_parser("validate", help="pivot uniformity check")
     add_sim(
         p_val,
         "checked, and echoed in the JSON's config only: the KS test pools"

@@ -118,8 +118,9 @@ def build_geometry(
     the interval, signals an upstream inconsistency rather than data.
     """
     factor = data.checked_factor(None, "randomization covariance", NumericalDegeneracyError)
-    omega_inv_Q = cho_solve(factor, rep.Q) / tau2
-    gram = rep.Q.T @ omega_inv_Q
+    with np.errstate(over="ignore", invalid="ignore"):  # factor_spd rejects an inf
+        omega_inv_Q = cho_solve(factor, rep.Q) / tau2
+        gram = rep.Q.T @ omega_inv_Q
     precision = factor_spd(
         gram, "conditional precision of the free block", NumericalDegeneracyError
     )

@@ -532,10 +532,18 @@ def _exact_probit(params: PivotParams, beta0):
 
 
 def check_level(alpha: float) -> None:
-    """Raise ``InvalidArgumentError`` unless the level ``alpha`` lies in (0, 1):
-    the one check of every stage that takes a level."""
+    """Raise ``InvalidArgumentError`` unless ``alpha`` lies in (0, 1) and above
+    2**-53, where ``Phi^{-1}(1 - alpha / 2)`` is finite: the one level check."""
     if not 0 < alpha < 1:
         raise InvalidArgumentError("alpha must lie in (0, 1)")
+    if not alpha > 2.0**-53:  # Phi^{-1} of 1 is inf
+        raise InvalidArgumentError("alpha must exceed 2**-53, or 1 - alpha / 2 rounds to 1")
+
+
+def check_rho(rho: float) -> None:
+    """Raise ``InvalidArgumentError`` unless the split share ``rho`` lies in (0, 1)."""
+    if not 0 < rho < 1:
+        raise InvalidArgumentError("rho must lie in (0, 1)")
 
 
 def _results(
@@ -993,8 +1001,7 @@ def split_inference(
     Returns the selected set and the untruncated bounds (None where it is
     empty) of its least-squares targets (``build_target``) on the held-out
     rows, at their plug-in noise estimate (``plug_in_sigma2``)."""
-    if not 0 < rho < 1:
-        raise InvalidArgumentError("rho must be in (0, 1)")
+    check_rho(rho)
     n = data.n
     n1 = int(round(rho * n))
     if not 2 <= n1 <= n - 2:

@@ -213,20 +213,24 @@ def cho_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
     return dpotrs(factor[0], b, lower=0)[0]
 
 
+def try_cho_factor(mat: np.ndarray) -> tuple | None:
+    """``cho_factor`` of ``mat``, or None: the one verdict on a failed Cholesky."""
+    try:
+        return cho_factor(mat)
+    except (np.linalg.LinAlgError, ValueError):  # not positive definite, or not finite
+        return None
+
+
 def factor_spd(mat: np.ndarray, what: str, error: type[ExactSIError]) -> tuple:
     """``cho_factor`` of ``mat`` (its upper triangle), checked by the one
     rule for every matrix the package factors: ``error`` ("<what> is
-    singular or ill-conditioned") where Cholesky fails or where
+    singular or ill-conditioned") where ``try_cho_factor`` fails or where
     ``scaled_rcond`` puts the 1-norm condition of ``mat`` scaled to unit
     diagonal above ``_MAX_SCALED_COND``.  A Cholesky solve is as accurate as
     that scaled condition allows (van der Sluis 1969), so units cannot decide
     a verdict."""
-    try:
-        factor = cho_factor(mat)
-        rcond = scaled_rcond(mat, factor)
-    except np.linalg.LinAlgError:
-        factor, rcond = None, 0.0
-    check_conditioning(rcond, what, error)
+    factor = try_cho_factor(mat)
+    check_conditioning(0.0 if factor is None else scaled_rcond(mat, factor), what, error)
     return factor
 
 

@@ -31,7 +31,7 @@ from .errors import (
     InvalidSchemeError,
 )
 from .numerics import (
-    check_conditioning, cho_factor, independent_columns, scaled_rcond, well_conditioned
+    check_conditioning, independent_columns, scaled_rcond, try_cho_factor, well_conditioned
 )
 
 _AS_MAX_STEPS = 1_000
@@ -194,11 +194,7 @@ class Dataset:
                 delta = np.abs(gram / np.sqrt(np.outer(d, d))).sum(axis=0).max() / _JITTER_COND
                 matrix = gram + np.diag(delta * d)
                 matrix.flags.writeable = False
-            try:
-                factor = cho_factor(matrix)
-            except (np.linalg.LinAlgError, ValueError):
-                factor = None
-            self._design[key] = [matrix, factor, None]
+            self._design[key] = [matrix, try_cho_factor(matrix), None]
         return self._design[key]
 
 

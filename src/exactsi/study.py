@@ -68,6 +68,7 @@ from .inference import (
     PolyhedralBounds,
     _columns,
     check_level,
+    check_rho,
     exact_pivot,
     invert_pivot,
     pivot_params,
@@ -125,8 +126,7 @@ class SimConfig:
     alpha: float = 0.1
 
     def __post_init__(self):
-        if not 0 < self.rho < 1:
-            raise InvalidArgumentError("rho must lie in (0, 1)")
+        check_rho(self.rho)
         if self.n < 2:
             raise InvalidArgumentError("n must be at least 2")
         if self.n_reps < 1:
@@ -154,6 +154,10 @@ class SimConfig:
             raise InvalidArgumentError(f"unknown methods {sorted(bad)}")
         check_seed(self.seed)
         object.__setattr__(self, "methods", tuple(self.methods))
+
+    @property
+    def lam(self) -> float | None:  # the penalty ``calibrate`` takes, None for the theory rule
+        return None if self.lambda_rule == "theory" else float(self.lambda_rule)
 
 
 @dataclass
@@ -292,9 +296,9 @@ class Calibration:
 
     ``sigma2`` is the pre-selection noise variance and ``known_sigma`` says
     whether it was given rather than estimated; ``epsilon`` is the ridge term
-    of the randomized lasso.  The carving randomization variance is ``tau2``
-    if given, else ``randomized_selection`` matches it to selection on a
-    ``round(rho * n)`` subsample.
+    of the exact method's lasso for every command.  The carving randomization
+    variance is ``tau2`` if given, else ``randomized_selection`` matches it to
+    selection on a ``round(rho * n)`` subsample.
     """
 
     sigma2: float
@@ -324,9 +328,9 @@ def calibrate(
     independent columns of X (a duplicated column is left out) with n - rank
     degrees of freedom, read from the dataset's one Gram and rank test.  The
     penalty defaults to ``theory_lambda`` at that noise scale and the ridge
-    term to ``default_epsilon``.  A tuning value that is not finite, and a
-    resolved noise variance or penalty that is not finite and positive,
-    raise ``InvalidArgumentError`` naming it.
+    term to ``default_epsilon``.  A tuning value that is not finite, a rho
+    outside (0, 1), and a resolved noise variance or penalty that is not
+    finite and positive, raise ``InvalidArgumentError`` naming it.
     """
     if sigma is not None and not 0 < sigma < math.inf:
         raise InvalidArgumentError(f"sigma must be positive and finite when given, not {sigma!r}")
@@ -334,6 +338,8 @@ def calibrate(
     for flag, value in tuning.items():
         if value is not None and not math.isfinite(value):
             raise InvalidArgumentError(f"{flag} must be finite, not {value!r}")
+    if rho is not None:
+        check_rho(rho)
     for method in methods:
         if methods.count(method) > 1:
             raise InvalidArgumentError(f"method {method!r} listed twice")
@@ -535,7 +541,6 @@ def _run_block(
     inverted together.  Per replicate: one row per interval, and each
     method's outcome, the F1 score of its selection or the error that failed
     it (its first failed target's, in j order, or its fit's)."""
-    lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
     support = support_indices(config.p, config.sparsity)
     picked: list[tuple[int, Fit, np.ndarray | None]] = []
     for rep_idx in reps:
@@ -544,8 +549,7 @@ def _run_block(
             X, support, config.signal_fraction, config.sigma2, _seed_for(config.seed, rep_idx, 1)
         )
         data = Dataset(y=y, X=X)
-        # the study's randomized lasso has no ridge term, whatever the shape
-        cal = calibrate(data, config.methods, lam=lam, rho=config.rho, epsilon=0.0)
+        cal = calibrate(data, config.methods, lam=config.lam, rho=config.rho)
         seeds = {m: _seed_for(config.seed, rep_idx, _STREAMS[m]) if m in _STREAMS else 0
                  for m in config.methods}
         fitted = _fit_replicate(data, cal, seeds, config.model, support, beta)
@@ -604,9 +608,7 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     nothing or failed counts only in its summary, whose F1 averages over the
     replicates that did not fail.  Each replicate is selected on its own,
     and the fits of a block of ``_BLOCK`` replicates are inverted together.
-    The exact method's randomized lasso has no ridge term here (``epsilon =
-    0``) whatever the shape, where ``exactsi infer`` takes
-    ``default_epsilon``, a small ridge, when p >= n.
+    Each replicate is calibrated as the CLI's ``infer`` calibrates a dataset.
 
     With ``workers > 1``, pin BLAS to one thread per worker (for OpenBLAS,
     ``OPENBLAS_NUM_THREADS=1``): otherwise each worker's multithreaded BLAS
@@ -692,10 +694,9 @@ def pivots_at_truth(config: SimConfig) -> Iterator[tuple[Fit, list[float | Exact
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 10))
     support = support_indices(config.p, config.sparsity)
     tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
-    lam = None if config.lambda_rule == "theory" else float(config.lambda_rule)
     methods = [m for m in config.methods if m in ("exact", "polyhedral")]
     data = Dataset(y=np.zeros(config.n), X=X)
-    cal = calibrate(data, methods, lam=lam, tau2=tau2, epsilon=0.0, sigma=math.sqrt(config.sigma2))
+    cal = calibrate(data, methods, lam=config.lam, tau2=tau2, sigma=math.sqrt(config.sigma2))
     for start in range(0, config.n_reps, _BLOCK):
         picked = []  # per replicate and method: its fit and truths
         for rep_idx in range(start, min(start + _BLOCK, config.n_reps)):
@@ -716,9 +717,7 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
     Requires the exact method; also reports the polyhedral pivot when listed.
     A target whose pivot raises is counted, under its exception class, and
     the rest of its replicate is still pooled; a fit that fails before any
-    target counts once.  As in ``run_study``, the randomized lasso has no
-    ridge term (``epsilon = 0``) whatever the shape, where ``exactsi infer``
-    takes ``default_epsilon`` when p >= n.
+    target counts once.  The design is calibrated as by the CLI's ``infer``.
 
     ``kstest`` is imported here, not at module level: no other stage uses
     ``scipy.stats``, and importing it (with the ``scipy.optimize``,

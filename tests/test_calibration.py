@@ -32,18 +32,22 @@ def test_pooled_pivots_pass_ks():
         # full-model targets
         SimConfig(n=100, p=10, model="full", n_reps=400, seed=3,
                   methods=("exact", "polyhedral")),
-        # p > n: the randomization base is X'X jittered
+        # p > n: the randomization base is X'X jittered, and the exact
+        # method's lasso has infer's ridge term (default_epsilon)
         SimConfig(n=50, p=80, n_reps=400, seed=3, methods=("exact", "polyhedral")),
+        # n = p: the base is X'X, and the ridge term is on
+        SimConfig(n=60, p=60, n_reps=400, seed=3, methods=("exact", "polyhedral")),
         # a near-collinear design that passes the rank test but whose X'X
         # fails its scaled-condition check: the base is X'X jittered
         SimConfig(n=100, p=10, corr=1 - 1e-11, n_reps=400, seed=3,
                   methods=("exact", "polyhedral")),
     ],
-    ids=["full_model", "jittered_base", "ill_conditioned_base"],
+    ids=["full_model", "jittered_base", "n_equals_p", "ill_conditioned_base"],
 )
 def test_pooled_pivots_pass_ks_on_other_branches(config):
-    """Three branches that ``infer`` takes and the default cell does not;
-    ``validate`` pins the ridge term to 0, so the ridge is not tested."""
+    """Branches that ``infer`` takes and the default cell does not.
+    ``validate`` calibrates as ``infer`` does, so at p >= n its exact
+    lasso has the ridge term that ``infer`` would use."""
     reports = validate_pivot_uniformity(config)
     for method in config.methods:
         assert reports[method].n_pooled >= 200

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
-from exactsi import cli, inference, numerics, selection, study
+from exactsi import cli, inference, numerics, study
 from exactsi.cli import (
     build_parser,
     build_sim_config,
@@ -878,8 +878,8 @@ def test_infer_factors_the_gram_once(tmp_path, monkeypatch, model):
     def no_cholesky(*args, **kwargs):
         raise AssertionError("np.linalg.cholesky called")
 
-    for module in (numerics, selection):
-        monkeypatch.setattr(module, "cho_factor", counted(module.cho_factor))
+    # every Cholesky factorization, the dataset's through ``try_cho_factor``
+    monkeypatch.setattr(numerics, "cho_factor", counted(numerics.cho_factor))
     monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
     reps = []
     real_rep = study.lasso_event_rep
@@ -1000,6 +1000,65 @@ def test_overflowing_data_fail(tmp_path, capsys, column, message):
             tmp_path, capsys, [command, "--input", str(path), "--rho", "0.8"]
         )
         assert (code, err, written, caught) == (1, [f"error: {message}"], [], [])
+
+
+@pytest.mark.parametrize("extra", [("--rho", "0", "--method", "uv"), ("--rho", "1.5")])
+@pytest.mark.parametrize("command", ["infer", "select"])
+def test_rho_outside_unit_interval_fails(tmp_path, capsys, command, extra):
+    """``calibrate`` checks rho by the rule of ``SimConfig`` (``check_rho``):
+    one error line, no output and no warning.  Unchecked, ``infer --rho 0
+    --method uv`` raised a ``ZeroDivisionError`` with a traceback, and
+    ``--rho 1.5`` wrote an unrelated error for each method."""
+    if command == "select" and "--method" in extra:
+        extra = extra[:2]
+    path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(3), n=60, p=5)
+    code, err, written, caught = _probe(tmp_path, capsys, [command, "--input", str(path), *extra])
+    assert (code, err, written, caught) == (1, ["error: rho must lie in (0, 1)"], [], [])
+
+
+def test_ridge_whose_precision_overflows_fails_only_the_exact_fit(tmp_path, capsys):
+    """``--epsilon 1e300`` makes the free block's conditional precision
+    overflow: every exact target is an error row of ``factor_spd``'s check,
+    with no warning, and the rows of the other methods, whose lassos have no
+    ridge term, are those of a run at the default ridge (0 here, n > p).
+    Before, Cholesky's ``ValueError`` on the inf escaped with a traceback."""
+    path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(3), n=60, p=5)
+    methods = [arg for m in KNOWN_METHODS for arg in ("--method", m)]
+    runs = {}
+    for name, extra in (("huge", ["--epsilon", "1e300"]), ("default", [])):
+        argv = ["infer", "--input", str(path), "--rho", "0.8", *methods, *extra,
+                "--out", str(tmp_path / name)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        runs[name] = strict_json(tmp_path / f"{name}.json")["rows"]
+    exact = [r for r in runs["huge"] if r["method"] == "exact"]
+    assert exact and all(r["lower"] is None for r in exact)
+    assert {r["error"] for r in exact} == {
+        "conditional precision of the free block is singular or ill-conditioned"
+        " (scaled cond > 1e+12)"
+    }
+    assert [r for r in runs["huge"] if r["method"] != "exact"] == [
+        r for r in runs["default"] if r["method"] != "exact"
+    ]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_level_with_an_infinite_quantile_fails(tmp_path, capsys, command):
+    """``--alpha 1e-300 --method split``: ``1 - alpha / 2`` rounds to 1, so
+    ``check_level`` refuses it with one error line, no output and no
+    warning.  Unchecked, the split intervals were (-inf, inf) and the strict
+    JSON writer raised ``ValueError`` with a traceback."""
+    path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(3), n=60, p=5)
+    data = ["--input", str(path), "--rho", "0.8"] if command == "infer" else [
+        "--n", "60", "--p", "5", "--n-reps", "2"
+    ]
+    code, err, written, caught = _probe(
+        tmp_path, capsys, [command, *data, "--alpha", "1e-300", "--method", "split"]
+    )
+    message = "error: alpha must exceed 2**-53, or 1 - alpha / 2 rounds to 1"
+    assert (code, err, written, caught) == (1, [message], [], [])
 
 
 @pytest.mark.parametrize("command", ["select", "infer", "simulate", "validate"])

@@ -1217,3 +1217,26 @@ def test_every_inversion_checks_its_level(invert, alpha):
     )
     with pytest.raises(InvalidArgumentError, match=r"^alpha must lie in \(0, 1\)$"):
         invert(record, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-16, 2.0**-53])
+@pytest.mark.parametrize("invert", [z_interval, polyhedral_interval, invert_pivot])
+def test_every_inversion_rejects_a_level_with_an_infinite_quantile(invert, alpha):
+    """At or below 2**-53, ``1 - alpha / 2`` rounds to 1 and its normal
+    quantile is infinite.  Unchecked, split and uv intervals were (-inf,
+    inf), which the CLI's strict JSON writer then refused with a traceback;
+    exact endpoints could not start and polyhedral ones were clipped."""
+    record = toy_params() if invert is invert_pivot else PolyhedralBounds(
+        lower=-math.inf, upper=math.inf, beta_hat=0.3, sd=2.0
+    )
+    with pytest.raises(InvalidArgumentError, match=r"^alpha must exceed 2\*\*-53, or 1 - alpha / 2 rounds to 1$"):
+        invert(record, alpha)
+
+
+def test_smallest_level_gives_finite_intervals():
+    """Just above 2**-53 the quantile is finite, and so is every endpoint."""
+    alpha = 1.2e-16
+    assert 1.0 - alpha / 2.0 < 1.0
+    (est,) = z_interval(PolyhedralBounds(-math.inf, math.inf, 0.3, 2.0), alpha)
+    assert math.isfinite(est.lower) and math.isfinite(est.upper)
+    assert est.upper - 0.3 == pytest.approx(2.0 * float(ndtri(1.0 - alpha / 2.0)))

@@ -103,6 +103,17 @@ class TestIndependentColumns:
             with pytest.raises(error):
                 numerics.cho_factor(bad)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_matrix_that_is_not_finite_fails_its_callers_check(self, bad):
+        """``factor_spd`` and the dataset's factors share one verdict on a
+        failed Cholesky (``try_cho_factor``): a matrix that is not finite
+        raises the caller's error, where numpy's ``ValueError`` escaped."""
+        mat = np.diag([1.0, bad])
+        assert numerics.try_cho_factor(mat) is None
+        for error in (SingularDesignError, NumericalDegeneracyError):
+            with pytest.raises(error, match="^toy Gram is singular or ill-conditioned"):
+                factor_spd(mat, "toy Gram", error)
+
     def test_full_rank_factor_is_cho_factor(self):
         X = np.random.default_rng(3).standard_normal((40, 6))
         gram = X.T @ X

@@ -107,13 +107,13 @@ class TestDataset:
         data = design_only(X)
         every = np.arange(12)
         factored = []
-        real_factor = selection.cho_factor
+        real_factor = selection.try_cho_factor
 
         def counted(mat):
             factored.append(mat)
             return real_factor(mat)
 
-        monkeypatch.setattr(selection, "cho_factor", counted)
+        monkeypatch.setattr(selection, "try_cho_factor", counted)
         base = data.factor()
         assert base is not None and base is not data.factor(every)
         assert data.checked_factor(None, "randomization covariance", InvalidSchemeError) is base
@@ -137,7 +137,7 @@ class TestDataset:
         X[:, 2] = X[:, 0] + noise * rng.standard_normal(40)
         data = design_only(X)
         calls = []
-        for name in ("cho_factor", "scaled_rcond"):
+        for name in ("try_cho_factor", "scaled_rcond"):
 
             def counted(mat, *args, _real=getattr(selection, name), _name=name):
                 calls.append(_name)
@@ -156,10 +156,10 @@ class TestDataset:
             assert str(caught.value) == (
                 f"{what} is singular or ill-conditioned (scaled cond > 1e+12)"
             )
-        assert calls == ["cho_factor"] + ["scaled_rcond"] * conditions
+        assert calls == ["try_cho_factor"] + ["scaled_rcond"] * conditions
         for what, error in callers:
             assert data.checked_factor(None, what, error) is data.factor()
-        assert calls[1 + conditions:] == ["cho_factor", "scaled_rcond"]
+        assert calls[1 + conditions:] == ["try_cho_factor", "scaled_rcond"]
         assert (data.factor(np.arange(3)) is None) == (conditions == 0)
 
     @pytest.mark.parametrize(

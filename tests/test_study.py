@@ -15,7 +15,7 @@ from exactsi.errors import (
     NumericalDegeneracyError,
     SingularDesignError,
 )
-from exactsi.selection import Dataset
+from exactsi.selection import Dataset, default_epsilon
 from exactsi.study import (
     _BLOCK,
     SimConfig,
@@ -449,21 +449,34 @@ class TestValidateUniformity:
             validate_pivot_uniformity(cfg)
 
 
-def test_study_and_validate_solve_without_ridge_on_wide_designs(monkeypatch):
+def test_study_and_validate_take_the_ridge_of_infer_on_wide_designs(monkeypatch):
+    """On a 30 x 40 cell, every exact lasso solve and event representation
+    of the study and of the uniformity check reads the ridge that
+    ``calibrate`` gives ``infer``, ``default_epsilon`` of its dataset, which
+    is positive at p > n; the polyhedral lasso, whose w is zero, has none."""
     seen = []
     for name in ("solve_randomized_lasso", "lasso_event_rep"):
         real = getattr(study, name)
 
-        def record(*args, _real=real, **kwargs):
-            seen.append(kwargs["epsilon"])
-            return _real(*args, **kwargs)
+        def record(data, *args, _real=real, **kwargs):
+            exact = "w" not in kwargs or kwargs["w"].any()
+            seen.append((exact, kwargs["epsilon"], default_epsilon(data)))
+            return _real(data, *args, **kwargs)
 
         monkeypatch.setattr(study, name, record)
     cfg = quick_config(n=30, p=40, n_reps=2, methods=("exact", "polyhedral"))
+
+    def check(calls):
+        exact = [(eps, want) for is_exact, eps, want in calls if is_exact]
+        assert exact and all(eps == want > 0 for eps, want in exact)
+        assert {eps for is_exact, eps, _ in calls if not is_exact} == {0.0}
+
     _run_block(cfg, [0])
+    check(seen)
+    seen.clear()
     with pytest.raises(InsufficientSampleError):
         validate_pivot_uniformity(cfg)
-    assert seen and set(seen) == {0.0}
+    check(seen)
 
 
 def intervals(fit):
@@ -521,11 +534,10 @@ def test_one_factorization_per_fit(monkeypatch):
 
         return call
 
-    # the rank test, the condition check and the factorizations live in
-    # numerics, except the dataset's one factor of X'X
+    # the rank test, the condition check and every factorization live in
+    # numerics, the dataset's one factor of X'X too (``try_cho_factor``)
     for name in ("dpstrf", "dpocon", "cho_factor"):
         monkeypatch.setattr(numerics, name, counted(name, getattr(numerics, name)))
-    monkeypatch.setattr(selection, "cho_factor", counted("cho_factor", selection.cho_factor))
     for module in (conditioning, inference):
         monkeypatch.setattr(module, "cho_solve", counted("cho_solve", module.cho_solve))
     for name in (
@@ -599,9 +611,9 @@ def test_validate_forms_the_statistics_of_its_design_once(monkeypatch):
     draws: each replicate's dataset shares the statistics of X
     (``Dataset.with_response``)."""
     shapes, ranks, calibrations = [], [], []
-    real_factor, real_calibrate = selection.cho_factor, study.calibrate
+    real_factor, real_calibrate = selection.try_cho_factor, study.calibrate
 
-    def cho_factor(mat):
+    def counted_factor(mat):
         shapes.append(mat.shape)
         return real_factor(mat)
 
@@ -609,7 +621,7 @@ def test_validate_forms_the_statistics_of_its_design_once(monkeypatch):
         calibrations.append(None)
         return real_calibrate(*args, **kwargs)
 
-    monkeypatch.setattr(selection, "cho_factor", cho_factor)
+    monkeypatch.setattr(selection, "try_cho_factor", counted_factor)
     monkeypatch.setattr(numerics, "dpstrf", lambda *args: ranks.append(args))
     monkeypatch.setattr(study, "calibrate", calibrate_counted)
     cfg = quick_config(n=80, p=10, sparsity=2, n_reps=90, methods=("exact",), signal_fraction=1.5)

@@ -88,29 +88,34 @@ def test_unread_import_is_found():
 # The modules that may name each factor primitive.  ``selection`` owns every
 # factor of a Gram block or of the randomization base (``Dataset.factor`` and
 # ``checked_factor``); ``conditioning`` factors the free-block precision,
-# which is neither.
+# which is neither.  Only ``try_cho_factor`` decides that Cholesky failed.
 FACTOR_PRIMITIVES = {
-    "cho_factor": {"numerics", "selection"},
+    "cho_factor": {"numerics"},
+    "try_cho_factor": {"numerics", "selection"},
     "scaled_rcond": {"numerics", "selection"},
     "check_conditioning": {"numerics", "selection"},
     "factor_spd": {"numerics", "selection", "conditioning"},
 }
 
 
+def identifiers(node: ast.AST) -> set[str]:
+    """The identifiers one node names itself: a name, an attribute, an
+    import's names or a definition's name."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname} - {None}
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    return set()
+
+
 def named(source: str) -> set[str]:
     """Every identifier a module names: its names, attributes, imports and
     definitions (not its strings)."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.update({node.name, node.asname} - {None})
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-    return names
+    return set().union(*map(identifiers, ast.walk(ast.parse(source))))
 
 
 def test_one_module_owns_the_gram_factors():
@@ -125,24 +130,31 @@ def test_one_module_owns_the_gram_factors():
     assert not stray, f"factor primitives named outside their owners: {stray}"
 
 
-def except_clauses(source: str) -> list[tuple[str, set[str]]]:
-    """``(function, names)`` for each ``except`` clause of a module: the
-    innermost function around it (``<module>`` at the top level) and the
-    identifiers of the classes it catches (``BaseException`` if bare)."""
+def owned_nodes(source: str) -> list[tuple[str, ast.AST]]:
+    """``(function, node)`` for each node of a module, in source order: the
+    innermost function around it (``<module>`` at the top level; a
+    definition belongs to the function around it)."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.ExceptHandler):
-                caught = named(ast.unparse(child.type)) if child.type else {"BaseException"}
-                found.append((owner, caught))
-            visit(child, owner)
+            found.append((owner, child))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def except_clauses(source: str) -> list[tuple[str, set[str]]]:
+    """``(function, names)`` for each ``except`` clause of a module: the
+    innermost function around it and the identifiers of the classes it
+    catches (``BaseException`` if bare)."""
+    return [
+        (owner, named(ast.unparse(node.type)) if node.type else {"BaseException"})
+        for owner, node in owned_nodes(source)
+        if isinstance(node, ast.ExceptHandler)
+    ]
 
 
 def test_one_error_policy_in_the_pipeline():
@@ -171,6 +183,46 @@ def test_except_clauses_are_found():
     assert except_clauses(source) == [
         ("<module>", {"BaseException"}), ("g", {"m", "E", "F"}), ("f", {"G"}),
     ]
+
+
+def ridge_rules(source: str) -> tuple[list[str], set[str]]:
+    """The ``epsilon`` passed by each ``calibrate`` call of a module, as
+    source text, and the functions that name ``default_epsilon`` (imports
+    aside)."""
+    passed, owners = [], set()
+    for owner, node in owned_nodes(source):
+        if isinstance(node, ast.Call) and "calibrate" in identifiers(node.func):
+            passed += [ast.unparse(k.value) for k in node.keywords if k.arg == "epsilon"]
+        if "default_epsilon" in identifiers(node) and not isinstance(node, ast.alias):
+            owners.add(owner)
+    return passed, owners
+
+
+def test_one_rule_decides_the_ridge():
+    """``calibrate`` decides the ridge term of the exact method's lasso for
+    every command: no call of it in the package passes ``epsilon`` but the
+    user's own ``--epsilon``, and only ``selection`` (the definition) and
+    ``study.calibrate`` name ``default_epsilon``.  The study and the
+    uniformity check once passed ``epsilon=0.0``, and so checked a lasso
+    that ``infer`` never fits at p >= n."""
+    passed, owners = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls, names = ridge_rules(path.read_text(encoding="utf-8"))
+        passed += calls
+        owners |= {(path.stem, owner) for owner in names}
+    assert set(passed) == {"args.epsilon"}
+    assert owners == {("selection", "<module>"), ("study", "calibrate")}
+
+
+def test_ridge_rules_are_found():
+    source = (
+        "from m import default_epsilon\n"
+        "def default_epsilon():\n    pass\n"
+        "def f(args):\n    def g():\n        return m.default_epsilon(d)\n"
+        "    calibrate(d, epsilon=0.0)\n    study.calibrate(d, rho=1, epsilon=args.epsilon)\n"
+        "    calibrate_all(d, epsilon=1.0)\n"
+    )
+    assert ridge_rules(source) == (["0.0", "args.epsilon"], {"<module>", "g"})
 
 
 def test_named_identifiers_are_found():
