@@ -27,9 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .conditioning import MODELS
 from .errors import ExactSIError, InvalidArgumentError
 from .inference import check_level
-from .selection import Dataset, _kkt_residual
+from .selection import Dataset
 from .study import (
     CSV_COLUMNS,
     KNOWN_METHODS,
@@ -182,9 +183,6 @@ def cmd_select(args) -> int:
         sigma=args.sigma,
     )
     tau2, outcome, _ = randomized_selection(data, cal, args.seed)
-    b = np.zeros(data.p)
-    b[outcome.selected] = outcome.active_solution
-    c = data.xty + outcome.randomization
     report = {
         "command": "select",
         "input": args.input,
@@ -200,7 +198,7 @@ def cmd_select(args) -> int:
         "selected_indices": [int(j) for j in outcome.selected],
         "signs": [int(s) for s in outcome.signs],
         "active_solution": [float(v) for v in outcome.active_solution],
-        "kkt_residual": _kkt_residual(data.gram @ b, c, b, cal.lam, cal.epsilon),
+        "kkt_residual": outcome.kkt_residual,
     }
     _write_json(report, args.out)
     return 0
@@ -401,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "infer", help="selection plus confidence intervals", description=_BLAS_NOTE
     )
     add_common(p_infer)
-    p_infer.add_argument("--model", choices=("full", "selected"), default="selected")
+    p_infer.add_argument("--model", choices=MODELS, default="selected")
     p_infer.add_argument("--alpha", type=float, default=0.1)
     p_infer.add_argument(
         "--method",
@@ -422,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma2", type=float, default=None)
         p.add_argument("--n-reps", dest="n_reps", type=int, default=None)
         p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--model", choices=("full", "selected"), default=None)
+        p.add_argument("--model", choices=MODELS, default=None)
         p.add_argument("--alpha", type=float, default=None, help=alpha_help)
         p.add_argument("--lambda", dest="lambda_rule", metavar="LAM", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)

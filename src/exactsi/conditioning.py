@@ -36,6 +36,14 @@ from .errors import (
 from .numerics import cho_solve, factor_spd, line_interval
 from .selection import Dataset, LinearEventRep
 
+MODELS = ("full", "selected")  # the targets' models: see ``build_target``
+
+
+def check_model(model: str) -> None:
+    """Raise ``InvalidArgumentError`` unless ``model`` is one of ``MODELS``."""
+    if model not in MODELS:
+        raise InvalidArgumentError(f"unknown model {model!r}")
+
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -89,8 +97,7 @@ def build_target(
     the dataset's X'y where the estimates read another response on the
     same design.
     """
-    if model not in ("selected", "full"):
-        raise InvalidArgumentError(f"unknown model {model!r}")
+    check_model(model)
     gram = data.gram
     xty = data.xty if xty is None else xty
     if model == "selected":
@@ -114,8 +121,9 @@ def build_geometry(
     every solve with it reads the dataset's factor of B.  B and the free-block
     precision must pass the check of ``factor_spd``, else ``NumericalDegeneracyError``.
     Sign constraints whose coefficient on the free combination vanishes must
-    hold on their own; a violation there, or an observed statistic outside
-    the interval, signals an upstream inconsistency rather than data.
+    hold on their own; a violation there (numerical degeneracy if the
+    direction's length overflows), or an observed statistic outside the
+    interval, signals an upstream inconsistency rather than data.
     """
     factor = data.checked_factor(None, "randomization covariance", NumericalDegeneracyError)
     with np.errstate(over="ignore", invalid="ignore"):  # factor_spd rejects an inf
@@ -130,19 +138,22 @@ def build_geometry(
     theta_r = Theta @ rj
     vartheta2 = (rj * theta_r).sum(axis=0)
     no_variance = ~(vartheta2 > 0)
-    Qj = theta_r / np.where(no_variance, 1.0, vartheta2)
+    with np.errstate(over="ignore"):  # a length that overflows is judged in ``error``
+        Qj = theta_r / np.where(no_variance, 1.0, vartheta2)
+        zero = 1e-12 * np.linalg.norm(Qj, axis=0)
     O = rep.opt
     observed = O @ rj
     A_obs = O[:, None] - Qj * observed
     S = rep.signs[:, None]
     # the sign constraints -S o < 0, each row of unit norm, along o = A_obs + Qj t
-    zero = 1e-12 * np.linalg.norm(Qj, axis=0)
     lower, upper, violated = line_interval(-S * Qj, zero, S * A_obs)
 
     def error(j):  # the first check that target j fails, in this order
         lo, hi, obs = float(lower[j]), float(upper[j]), float(observed[j])
         if no_variance[j]:
             return NumericalDegeneracyError("target direction has no conditional variance")
+        if violated[j] and not zero[j] < np.inf:  # every row counted as orthogonal
+            return NumericalDegeneracyError("length of the target direction overflows")
         if violated[j]:
             return GeometryInconsistencyError(
                 "a constraint orthogonal to the target direction is violated"

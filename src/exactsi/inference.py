@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, owens_t
 
-from .conditioning import ConditioningGeometry, TargetSpec, build_target
+from .conditioning import ConditioningGeometry, TargetSpec, build_target, check_model
 from .errors import (
     ExactSIError,
     GeometryInconsistencyError,
@@ -972,12 +972,8 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     checked for the selected model; the full model's columns pass the rank
     test, so it asks only that Cholesky succeed."""
     y, X, n = data.y, data.X, data.n
-    if model == "full":
-        cols = data.independent_columns
-    elif model == "selected":
-        cols = np.asarray(E, dtype=int)
-    else:
-        raise InvalidArgumentError(f"unknown model {model!r}")
+    check_model(model)
+    cols = data.independent_columns if model == "full" else np.asarray(E, dtype=int)
     df = n - cols.size
     if df < 1:
         raise SingularDesignError("no residual degrees of freedom for the plug-in")

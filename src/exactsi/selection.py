@@ -207,8 +207,7 @@ class RandomizationScheme:
     tau2: float = 1.0
 
     def __post_init__(self):
-        if not self.tau2 > 0:
-            raise InvalidSchemeError("tau2 must be positive")
+        check_tau2(self.tau2)
 
     def covariance(self, data: Dataset) -> np.ndarray:
         return self.tau2 * data.randomization_base()
@@ -216,13 +215,14 @@ class RandomizationScheme:
 
 @dataclass
 class SelectionOutcome:
-    """Observed values at a randomized selection solution."""
+    """Observed values at a randomized selection solution, and its KKT residual."""
 
     selected: np.ndarray
     active_solution: np.ndarray
     signs: np.ndarray
     inactive_subgradient: np.ndarray
     randomization: np.ndarray
+    kkt_residual: float
 
 
 @dataclass
@@ -260,12 +260,17 @@ def _check_rep(rep: LinearEventRep, what: str) -> LinearEventRep:
     return rep
 
 
+def check_tau2(tau2: float) -> None:
+    """Raise ``InvalidSchemeError`` unless the randomization variance is positive."""
+    if not tau2 > 0:
+        raise InvalidSchemeError("tau2 must be positive")
+
+
 def sample_randomization(data: Dataset, tau2: float, seed: int) -> np.ndarray:
     """Draw one N(0, tau2 B) vector, B the dataset's randomization base, as
     ``sqrt(tau2) R'z`` from its factor ``B = R'R``; deterministic in
     ``seed``.  Raises ``InvalidSchemeError`` unless tau2 > 0 and B factors."""
-    if not tau2 > 0:
-        raise InvalidSchemeError("tau2 must be positive")
+    check_tau2(tau2)
     z = np.random.default_rng(seed).standard_normal(data.p)
     factor = data.factor()
     if factor is None:
@@ -280,6 +285,12 @@ def tau2_from_split(sigma2_hat: float, n: int, n1: int) -> float:
     if not sigma2_hat > 0:
         raise InvalidArgumentError("sigma2_hat must be positive")
     return sigma2_hat * (n - n1) / n1
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise ``InvalidArgumentError`` for a negative ridge term."""
+    if epsilon < 0:
+        raise InvalidArgumentError("epsilon must be nonnegative")
 
 
 def default_epsilon(data: Dataset) -> float:
@@ -325,11 +336,11 @@ def _unbounded(gram: np.ndarray, c: np.ndarray, lam: float) -> bool:
 
 def _active_set_lasso(
     gram: np.ndarray, c: np.ndarray, lam: float, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Feature-sign search on ``0.5 b'Hb - c'b + lam ||b||_1``, ``H = gram + eps I``.
 
-    Returns the solution b and ``g = c - gram b`` there, which is ``c - H b``
-    off the support.
+    Returns the solution b, ``g = c - gram b`` there, which is ``c - H b``
+    off the support, and the KKT residual that certified b.
 
     ``tol = 1e-11 * max(||c||_inf, lam)`` is both the margin an inactive
     coordinate must clear to enter and the bound the final KKT residual must
@@ -468,9 +479,9 @@ def _active_set_lasso(
             keep = best != 0
             k = compact(keep, np.sign(best[keep]))
         g = c - columns[:, :k] @ b[index[:k]]
-    if _kkt_residual(gram @ b, c, b, lam, epsilon) > tol:
+    if (resid := _kkt_residual(gram @ b, c, b, lam, epsilon)) > tol:
         raise uncertified("KKT certificate failed")
-    return b, g
+    return b, g, resid
 
 
 def solve_randomized_lasso(
@@ -503,8 +514,8 @@ def solve_randomized_lasso(
     ``H_AA``, as LARS does (Efron et al. 2004), until a coordinate reaches
     zero, and drops that coordinate.
 
-    The search is the only solver, and its answer is certified to a KKT
-    residual of ``1e-11 * max(||c||_inf, lam)`` (see ``_active_set_lasso``).
+    The search is the only solver; the outcome's ``kkt_residual`` is certified
+    to at most ``1e-11 * max(||c||_inf, lam)`` (see ``_active_set_lasso``).
     Raises ``InvalidArgumentError`` when the objective is unbounded below (a
     zero-norm column with epsilon = 0, a null-space direction of the active
     columns, or, where the search cannot certify its answer, the LP test of
@@ -518,8 +529,7 @@ def solve_randomized_lasso(
     """
     if not lam > 0:
         raise InvalidArgumentError("lam must be positive")
-    if epsilon < 0:
-        raise InvalidArgumentError("epsilon must be nonnegative")
+    check_epsilon(epsilon)
     w = np.asarray(w, dtype=float)
     if w.shape != (data.p,):
         raise InvalidArgumentError("w has the wrong length")
@@ -534,7 +544,7 @@ def solve_randomized_lasso(
             raise InvalidArgumentError(
                 f"column {unbounded[0]} has zero norm and epsilon=0: objective unbounded"
             )
-    b, g = _active_set_lasso(gram, c, lam, epsilon)
+    b, g, resid = _active_set_lasso(gram, c, lam, epsilon)
     selected = np.flatnonzero(b)
     active_sol = b[selected]
     return SelectionOutcome(
@@ -543,6 +553,7 @@ def solve_randomized_lasso(
         signs=np.sign(active_sol),
         inactive_subgradient=g[b == 0] / lam,
         randomization=w,
+        kkt_residual=resid,
     )
 
 

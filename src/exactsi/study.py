@@ -55,7 +55,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .conditioning import build_geometry, build_target
+from .conditioning import build_geometry, build_target, check_model
 from .errors import (
     ExactSIError,
     InsufficientSampleError,
@@ -84,6 +84,8 @@ from .selection import (
     Dataset,
     LinearEventRep,
     SelectionOutcome,
+    check_epsilon,
+    check_tau2,
     default_epsilon,
     lasso_event_rep,
     sample_randomization,
@@ -139,19 +141,15 @@ class SimConfig:
             raise InvalidArgumentError("signal_fraction must be nonnegative")
         if not 0 <= self.sparsity <= self.p:
             raise InvalidArgumentError("sparsity must lie in [0, p]")
-        if not abs(self.corr) < 1:
-            raise InvalidArgumentError("corr must lie in (-1, 1)")
-        if self.model not in ("full", "selected"):
-            raise InvalidArgumentError(f"unknown model {self.model!r}")
+        check_corr(self.corr)
+        check_model(self.model)
         check_level(self.alpha)
         rule = self.lambda_rule
         if rule != "theory" and not (isinstance(rule, numbers.Real) and 0 < rule < math.inf):
             raise InvalidArgumentError(
                 f"lambda_rule must be 'theory' or a positive finite number, not {rule!r}"
             )
-        bad = set(self.methods) - set(KNOWN_METHODS)
-        if bad:
-            raise InvalidArgumentError(f"unknown methods {sorted(bad)}")
+        check_methods(self.methods, self.rho, None)
         check_seed(self.seed)
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -213,6 +211,12 @@ def check_seed(seed: int) -> None:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
 
 
+def check_corr(corr: float) -> None:
+    """Reject an AR(1) correlation outside (-1, 1)."""
+    if not abs(corr) < 1:
+        raise InvalidArgumentError("corr must lie in (-1, 1)")
+
+
 def _seed_for(master: int, rep: int, stream: int) -> int:
     return int(np.random.SeedSequence([master, rep, stream]).generate_state(1)[0])
 
@@ -221,8 +225,7 @@ def generate_design(n: int, p: int, corr: float, seed: int) -> np.ndarray:
     """Rows i.i.d. N(0, Sigma) with Sigma_ij = corr^|i-j|, via the AR recursion
     ``x_j = corr x_{j-1} + sqrt(1 - corr^2) z_j`` over the features, run on
     contiguous feature rows; X is returned C-contiguous."""
-    if not abs(corr) < 1:
-        raise InvalidArgumentError("corr must lie in (-1, 1)")
+    check_corr(corr)
     features = np.random.default_rng(seed).standard_normal((n, p)).T.copy()
     features[1:] *= math.sqrt(1.0 - corr * corr)
     for j in range(1, p):
@@ -269,10 +272,9 @@ def true_projected_target(
     """Per-coordinate estimands of the selected set under the chosen model."""
     E = np.asarray(E, dtype=int)
     beta_star = np.asarray(beta_star, dtype=float)
+    check_model(model)
     if model == "full":
         return beta_star[E]
-    if model != "selected":
-        raise InvalidArgumentError(f"unknown model {model!r}")
     if E.size == 0:
         return np.zeros(0)
     XE = X[:, E]
@@ -309,6 +311,20 @@ class Calibration:
     tau2: float | None
 
 
+def check_methods(methods: Sequence[str], rho: float | None, tau2: float | None) -> None:
+    """Reject unknown or repeated ``methods``, and any without its options:
+    exact needs exactly one of ``rho`` and ``tau2``, split and uv ``rho``."""
+    for method in methods:
+        if method not in KNOWN_METHODS:
+            raise InvalidArgumentError(f"unknown method {method!r}")
+        if methods.count(method) > 1:
+            raise InvalidArgumentError(f"method {method!r} listed twice")
+        if method == "exact" and (tau2 is None) == (rho is None):
+            raise InvalidArgumentError("give exactly one of --rho or --tau2")
+        if method in ("split", "uv") and rho is None:
+            raise InvalidArgumentError(f"{method} inference needs --rho")
+
+
 def calibrate(
     data: Dataset,
     methods: Sequence[str],
@@ -320,17 +336,14 @@ def calibrate(
 ) -> Calibration:
     """Check the options ``methods`` need and resolve the constants of ``data``.
 
-    ``sigma`` is the known noise sd, if any; it is checked first, and must be
-    positive and finite when given.  An exact method needs exactly one of
-    ``rho`` and ``tau2``; split and uv need ``rho``; no method may be listed
-    twice.  The noise variance is ``sigma ** 2`` if given, else the
-    full-model plug-in when n > p, else var(y); the plug-in fits the
-    independent columns of X (a duplicated column is left out) with n - rank
-    degrees of freedom, read from the dataset's one Gram and rank test.  The
-    penalty defaults to ``theory_lambda`` at that noise scale and the ridge
-    term to ``default_epsilon``.  A tuning value that is not finite, a rho
-    outside (0, 1), and a resolved noise variance or penalty that is not
-    finite and positive, raise ``InvalidArgumentError`` naming it.
+    ``sigma``, the known noise sd if any, is checked first: positive and
+    finite.  The noise variance is ``sigma ** 2`` if given, else the
+    full-model plug-in when n > p (the independent columns of X, with
+    n - rank degrees of freedom), else var(y).  The penalty defaults to
+    ``theory_lambda`` at that noise scale and the ridge to ``default_epsilon``.
+    A tuning value that is not finite or fails ``check_rho``, ``check_tau2``,
+    ``check_methods`` or ``check_epsilon``, and a resolved noise variance or
+    penalty that is not finite and positive, raise ``InvalidArgumentError``.
     """
     if sigma is not None and not 0 < sigma < math.inf:
         raise InvalidArgumentError(f"sigma must be positive and finite when given, not {sigma!r}")
@@ -340,16 +353,9 @@ def calibrate(
             raise InvalidArgumentError(f"{flag} must be finite, not {value!r}")
     if rho is not None:
         check_rho(rho)
-    for method in methods:
-        if methods.count(method) > 1:
-            raise InvalidArgumentError(f"method {method!r} listed twice")
-        if method == "exact":
-            if (tau2 is None) == (rho is None):
-                raise InvalidArgumentError("give exactly one of --rho or --tau2")
-            if tau2 is not None and not tau2 > 0:
-                raise InvalidArgumentError("--tau2 must be positive")
-        elif method in ("split", "uv") and rho is None:
-            raise InvalidArgumentError(f"{method} inference needs --rho")
+    if tau2 is not None:
+        check_tau2(tau2)
+    check_methods(methods, rho, tau2)
     known = sigma is not None
     if known:
         try:
@@ -369,6 +375,7 @@ def calibrate(
         raise InvalidArgumentError(f"penalty {lam!r} is not finite and positive")
     if epsilon is None:
         epsilon = default_epsilon(data)
+    check_epsilon(epsilon)
     return Calibration(
         sigma2=sigma2, known_sigma=known, lam=lam, epsilon=epsilon, rho=rho, tau2=tau2
     )
@@ -469,18 +476,19 @@ def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: i
     """Run ``method``'s selection on ``data`` and build the constants of
     every target it selects; ``seed`` drives its randomness.
 
-    The constants are built together, by stages that each check and factor
-    what they use: ``build_target -> build_geometry -> pivot_params``
-    (exact) or ``build_target -> polyhedral_bounds`` (polyhedral); split
-    and uv give the untruncated bounds of their estimates.  A target keeps
-    the error of the first check it fails; an error raised by a stage that
-    serves every target becomes the error of each target still standing.
-    An error raised before any target gives a fit that selected nothing,
-    with that error as its one entry of ``errors``; only an unknown
-    ``method`` raises (``InvalidArgumentError``), never the data.
+    ``check_model``, ``check_seed`` and ``check_methods`` (against ``cal``)
+    reject a bad argument with ``InvalidArgumentError`` before any stage
+    runs; past them the data fail the fit, never the call.  The stages
+    (``build_target -> build_geometry -> pivot_params``, exact;
+    ``build_target -> polyhedral_bounds``, polyhedral; untruncated bounds,
+    split and uv) each check and factor what they use.  A target keeps the
+    error of the first check it fails; an error of a stage that serves every
+    target becomes each standing target's; one raised before any target
+    gives a fit that selected nothing, whose one entry of ``errors`` it is.
     """
-    if method not in KNOWN_METHODS:
-        raise InvalidArgumentError(f"unknown method {method!r}")
+    check_model(model)
+    check_seed(seed)
+    check_methods([method], cal.rho, cal.tau2)
     E, outcome, constants, errors = np.zeros(0, dtype=int), None, None, []
     try:
         if method == "split":
@@ -677,10 +685,10 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
 
 
 def pivots_at_truth(config: SimConfig) -> Iterator[tuple[Fit, list[float | ExactSIError]]]:
-    """For each replicate, and each of the exact and polyhedral methods that
-    ``config`` lists: its fit, and each target's pivot at its true projected
-    target, or the error that stopped that target.  A fit that failed before
-    any target selected nothing and has that error as its one value.
+    """For each replicate and method of ``config``, exact and optionally
+    polyhedral (else ``InvalidArgumentError``, before any fit): its fit, and
+    each target's pivot at its true projected target, or the error that
+    stopped it; a fit that failed before any target has that error alone.
 
     The design stays fixed across replicates (seed stream 10); response
     (stream 11) and randomization (stream 12) are redrawn, and the noise level
@@ -691,12 +699,15 @@ def pivots_at_truth(config: SimConfig) -> Iterator[tuple[Fit, list[float | Exact
     (``Dataset.with_response``).  The pivots of a block of ``_BLOCK``
     replicates are evaluated together.
     """
+    if "exact" not in config.methods:
+        raise InvalidArgumentError("uniformity validation requires the exact method")
+    if untested := sorted(set(config.methods) - {"exact", "polyhedral"}):
+        raise InvalidArgumentError(f"uniformity validation does not test {untested}")
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 10))
     support = support_indices(config.p, config.sparsity)
     tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
-    methods = [m for m in config.methods if m in ("exact", "polyhedral")]
     data = Dataset(y=np.zeros(config.n), X=X)
-    cal = calibrate(data, methods, lam=config.lam, tau2=tau2, sigma=math.sqrt(config.sigma2))
+    cal = calibrate(data, config.methods, lam=config.lam, tau2=tau2, sigma=math.sqrt(config.sigma2))
     for start in range(0, config.n_reps, _BLOCK):
         picked = []  # per replicate and method: its fit and truths
         for rep_idx in range(start, min(start + _BLOCK, config.n_reps)):
@@ -705,7 +716,7 @@ def pivots_at_truth(config: SimConfig) -> Iterator[tuple[Fit, list[float | Exact
                 _seed_for(config.seed, rep_idx, 11),
             )
             data = data.with_response(y)
-            seeds = dict.fromkeys(methods, _seed_for(config.seed, rep_idx, 12))
+            seeds = dict.fromkeys(config.methods, _seed_for(config.seed, rep_idx, 12))
             picked += _fit_replicate(data, cal, seeds, config.model, support, beta)
         fits = [fit for fit, _ in picked]
         yield from zip(fits, _per_target(fits, beta0s=[truths for _, truths in picked]))
@@ -714,7 +725,7 @@ def pivots_at_truth(config: SimConfig) -> Iterator[tuple[Fit, list[float | Exact
 def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
     """Pool the pivots of ``pivots_at_truth`` and test them against Unif(0,1).
 
-    Requires the exact method; also reports the polyhedral pivot when listed.
+    Requires the exact method and takes the polyhedral one (``pivots_at_truth``).
     A target whose pivot raises is counted, under its exception class, and
     the rest of its replicate is still pooled; a fit that fails before any
     target counts once.  The design is calibrated as by the CLI's ``infer``.
@@ -726,11 +737,8 @@ def validate_pivot_uniformity(config: SimConfig) -> dict[str, UniformityReport]:
     """
     from scipy.stats import kstest
 
-    if "exact" not in config.methods:
-        raise InvalidArgumentError("uniformity validation requires the exact method")
-    methods = [m for m in config.methods if m in ("exact", "polyhedral")]
-    pooled: dict[str, list[float]] = {m: [] for m in methods}
-    failed: dict[str, list[ExactSIError]] = {m: [] for m in methods}
+    pooled: dict[str, list[float]] = {m: [] for m in config.methods}
+    failed: dict[str, list[ExactSIError]] = {m: [] for m in config.methods}
     for fit, values in pivots_at_truth(config):
         for value in values:
             (failed if isinstance(value, ExactSIError) else pooled)[fit.method].append(value)

@@ -1016,6 +1016,36 @@ def test_rho_outside_unit_interval_fails(tmp_path, capsys, command, extra):
     assert (code, err, written, caught) == (1, ["error: rho must lie in (0, 1)"], [], [])
 
 
+@pytest.mark.parametrize("command", ["infer", "select"])
+def test_negative_ridge_fails_before_any_lasso(tmp_path, capsys, monkeypatch, command):
+    """``--epsilon -1`` fails ``calibrate`` by the lasso's own rule
+    (``check_epsilon``): one error line, no output, no warning and no lasso
+    solved.  Unchecked, ``infer`` exited 0 with an exact error row, while
+    ``select`` failed in its lasso with this message."""
+    solves = []
+    monkeypatch.setattr(study, "solve_randomized_lasso", lambda *args, **kwargs: solves.append(1))
+    path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(3), n=60, p=5)
+    argv = [command, "--input", str(path), "--rho", "0.8", "--epsilon", "-1"]
+    code, err, written, caught = _probe(tmp_path, capsys, argv)
+    assert (code, err, written, caught, solves) == (
+        1, ["error: epsilon must be nonnegative"], [], [], []
+    )
+
+
+def test_validate_rejects_a_method_it_does_not_test(tmp_path, capsys, monkeypatch):
+    """``validate --method exact --method split`` fails with one error line
+    before any fit.  Unchecked, it dropped split without a word and exited 0."""
+    fits = []
+    real = study.fit_method
+    monkeypatch.setattr(study, "fit_method", lambda *args: fits.append(1) or real(*args))
+    argv = ["validate", "--n", "60", "--p", "8", "--n-reps", "5",
+            "--method", "exact", "--method", "split"]
+    code, err, written, caught = _probe(tmp_path, capsys, argv)
+    assert (code, err, written, caught, fits) == (
+        1, ["error: uniformity validation does not test ['split']"], [], [], []
+    )
+
+
 def test_ridge_whose_precision_overflows_fails_only_the_exact_fit(tmp_path, capsys):
     """``--epsilon 1e300`` makes the free block's conditional precision
     overflow: every exact target is an error row of ``factor_spd``'s check,
@@ -1105,6 +1135,28 @@ def _write_frame(path, y, X):
     header = ",".join(["y"] + [f"x{j}" for j in range(X.shape[1])])
     np.savetxt(path, np.column_stack([y, X]), fmt="%.17g", delimiter=",",
                header=header, comments="")
+
+
+def test_extreme_randomization_variance_fails_as_numerical(tmp_path, capsys):
+    """``--tau2 1e300`` on a 60 x 5 AR(0.5) CSV: the length of three targets'
+    directions overflows, so every sign constraint counted as orthogonal to
+    them and one failed.  Those targets are ``NumericalDegeneracyError``
+    rows, not ``GeometryInconsistencyError``, with no ``RuntimeWarning``
+    (which the suite turns into an error); the other two keep their
+    intervals, bit for bit."""
+    X = generate_design(60, 5, 0.5, 1)
+    y, _ = generate_response(X, support_indices(5, 2), 0.75, 3.0, 2)
+    path = tmp_path / "d.csv"
+    _write_frame(path, y, X)
+    assert main(["infer", "--input", str(path), "--tau2", "1e300",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = strict_json(tmp_path / "o.json")["rows"]
+    overflow = "length of the target direction overflows"
+    assert [r["error"] for r in rows] == [overflow, "", "", overflow, overflow]
+    assert [(r["lower"], r["upper"]) for r in rows if not r["error"]] == [
+        (-1.0051782071461928, 0.12634974428817775), (-0.39425715524171534, 0.6551809625691194),
+    ]
 
 
 def test_ill_conditioned_gram_gets_exact_intervals(tmp_path):

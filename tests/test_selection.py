@@ -400,14 +400,14 @@ class TestRandomizedLasso:
         w = np.random.default_rng(seed).standard_normal(p) * np.sqrt(0.75 * np.diag(gram))
         c = data.xty + w
         lam = lam_scale * theory_lambda(data, np.sqrt(3.0))
-        fast, resid = _active_set_lasso(gram, c, lam, eps)
+        fast, resid, kkt = _active_set_lasso(gram, c, lam, eps)
         slow = _cd_lasso(gram, c, lam, eps)
         assert np.flatnonzero(fast).size >= 2
         assert np.max(np.abs(resid - (c - gram @ fast))) <= 1e-12 * np.max(np.abs(c))
         assert np.array_equal(np.flatnonzero(fast), np.flatnonzero(slow))
         assert np.array_equal(np.sign(fast), np.sign(slow))
         assert np.max(np.abs(fast - slow)) < 1e-8
-        assert _kkt_residual(gram @ fast, c, fast, lam, eps) <= 1e-10
+        assert kkt == _kkt_residual(gram @ fast, c, fast, lam, eps) <= 1e-10
         out = solve_randomized_lasso(data, lam=lam, epsilon=eps, w=w)
         assert np.array_equal(out.active_solution, fast[out.selected])
 
@@ -420,7 +420,7 @@ class TestRandomizedLasso:
         y = rng.standard_normal(20)
         lam = rng.uniform(0.05, 2.0)
         gram, c = X.T @ X, X.T @ y
-        fast, _ = _active_set_lasso(gram, c, lam, 0.0)
+        fast, _, _ = _active_set_lasso(gram, c, lam, 0.0)
         slow = _cd_lasso(gram, c, lam, 0.0)
         assert np.flatnonzero(fast).size >= 2
         assert np.array_equal(np.flatnonzero(fast), np.flatnonzero(slow))
@@ -494,7 +494,7 @@ class TestRandomizedLasso:
         y, _ = generate_response(X, support_indices(20, 5), 0.75, 3.0, 117)
         lam = theory_lambda(Dataset(y=y, X=X), np.sqrt(3.0))
         gram, c = X.T @ X, X.T @ y
-        fast, _ = _active_set_lasso(gram, c, lam, 0.0)
+        fast, _, _ = _active_set_lasso(gram, c, lam, 0.0)
         slow = _cd_lasso(gram, c, lam, 0.0)
 
         def objective(b):
@@ -640,7 +640,7 @@ def oracle_problem(kind, seed):
 
 
 def counted_search(search, owner, problem):
-    """``search``'s answer ``(b, g)``, or the class, message and residual of
+    """``search``'s answer, or the class, message and residual of
     its error, with the number of restricted solves it made through
     ``owner.dposv``."""
     calls = 0
@@ -678,8 +678,9 @@ class TestSearchOracle:
     @example("grid", GRID.index((100, 30, 0.5, True, 2)))  # unbounded, at the certificate
     @example("grid", GRID.index((300, 100, 0.9, True, 0)))  # a duplicated column, certified
     def test_same_bits_errors_and_solves(self, kind, seed):
-        """``(b, g)`` bit for bit, or the same error class, message and
-        residual, after the same number of restricted solves."""
+        """``(b, g)`` bit for bit, with the search's KKT residual the oracle's
+        at b, or the same error class, message and residual, after the same
+        number of restricted solves."""
         problem = oracle_problem(kind, seed)
         new, new_solves = counted_search(_active_set_lasso, selection, problem)
         old, old_solves = counted_search(reference_active_set_lasso, conftest, problem)
@@ -688,7 +689,10 @@ class TestSearchOracle:
             assert new == old
         else:
             assert not isinstance(new[0], type), new
-            assert [x.tobytes() for x in new] == [x.tobytes() for x in old]
+            *answer, resid = new
+            assert [x.tobytes() for x in answer] == [x.tobytes() for x in old]
+            gram, c, lam, epsilon = problem
+            assert resid == reference_kkt_residual(gram @ old[0], c, old[0], lam, epsilon)
 
     @pytest.mark.parametrize("support", ["none", "some", "all"])
     def test_kkt_residual_on_index_arrays(self, support):

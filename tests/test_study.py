@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -754,7 +755,7 @@ class TestFitMethodErrors:
     before any target is the one entry of ``errors`` of a fit that selected
     nothing, and one raised after selection is the error of every target.
     Either is stripped of its traceback, which would keep the dataset alive.
-    Only an unknown method, a fault of the caller, raises."""
+    Only a bad argument, a fault of the caller, raises, before any stage."""
 
     @pytest.fixture(scope="class")
     def fitted(self):
@@ -805,6 +806,43 @@ class TestFitMethodErrors:
         data, cal, _ = fitted
         with pytest.raises(InvalidArgumentError, match="^unknown method 'nope'$"):
             fit_method(data, cal, "nope", "selected", 5)
+
+    @pytest.mark.parametrize("method, model, seed, options, message", [
+        ("exact", "bogus", 1, {"rho": 0.8}, "unknown model 'bogus'"),
+        ("polyhedral", "bogus", 1, {}, "unknown model 'bogus'"),
+        ("exact", "selected", -1, {"rho": 0.8}, "seed must be nonnegative, got -1"),
+        ("split", "selected", 5, {"tau2": 1.0}, "split inference needs --rho"),
+        ("uv", "selected", 5, {"tau2": 1.0}, "uv inference needs --rho"),
+        ("exact", "selected", 5, {}, "give exactly one of --rho or --tau2"),
+    ])
+    def test_bad_argument_raises_before_any_stage(
+        self, fitted, monkeypatch, method, model, seed, options, message
+    ):
+        """Each argument rule of ``fit_method``'s entry, on a calibration
+        that lacks nothing but what the case names.  Unchecked, the unknown
+        model was every target's error, the negative seed escaped as numpy's
+        ``ValueError``, and split or uv on a tau2-only calibration met a
+        ``TypeError``."""
+        data = fitted[0]
+        cal = calibrate(data, ("polyhedral",), **options)
+        for stage in BEFORE_TARGETS.values():
+            monkeypatch.setattr(study, stage, self.raising(AssertionError(f"{stage} ran")))
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            fit_method(data, cal, method, model, seed)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SimConfig(model="bogus"), "unknown model 'bogus'"),
+    (lambda: SimConfig(corr=1.0), "corr must lie in (-1, 1)"),
+    (lambda: generate_design(10, 3, 1.0, 0), "corr must lie in (-1, 1)"),
+    (lambda: SimConfig(methods=("exact", "bogus")), "unknown method 'bogus'"),
+    (lambda: SimConfig(methods=("uv", "uv")), "method 'uv' listed twice"),
+])
+def test_bad_study_argument_message(make, message):
+    """``SimConfig`` and ``generate_design`` reject a bad argument by the
+    rule that ``fit_method`` and ``calibrate`` use, with its message."""
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_a_fit_in_a_block_gets_what_it_gets_alone():
@@ -901,7 +939,7 @@ def test_calibrate_checks_method_options():
         calibrate(data, ("exact",))
     with pytest.raises(InvalidArgumentError, match="exactly one of --rho or --tau2"):
         calibrate(data, ("exact",), rho=0.8, tau2=1.0)
-    with pytest.raises(InvalidArgumentError, match="--tau2 must be positive"):
+    with pytest.raises(InvalidArgumentError, match="^tau2 must be positive$"):
         calibrate(data, ("exact",), tau2=0.0)
     with pytest.raises(InvalidArgumentError, match="uv inference needs --rho"):
         calibrate(data, ("polyhedral", "uv"))

@@ -9,6 +9,7 @@ attribute that no longer exists fails every traced benchmark run.
 import ast
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 from exactsi import errors
@@ -223,6 +224,58 @@ def test_ridge_rules_are_found():
         "    calibrate_all(d, epsilon=1.0)\n"
     )
     assert ridge_rules(source) == (["0.0", "args.epsilon"], {"<module>", "g"})
+
+
+# The classes of an argument error, which the call that breaks a rule raises.
+ARGUMENT_ERRORS = {"InvalidArgumentError", "InvalidSchemeError"}
+
+
+def message_head(message: ast.expr) -> str:
+    """An error message's head: its text up to the first ", ", with each
+    formatted value as ``{}`` and a flag's leading ``--`` dropped."""
+    parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+    text = "".join(str(part.value) if isinstance(part, ast.Constant) else "{}" for part in parts)
+    return text.replace("--", "").split(", ")[0]
+
+
+def argument_error_heads(source: str) -> list[tuple[str, str]]:
+    """``(owner, head)`` for each argument error a module builds with a
+    message, in source order: the top-level function or class around the
+    call (``<module>`` at the top level) and the message's head."""
+    return [
+        (getattr(top, "name", "<module>"), message_head(node.args[0]))
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and identifiers(node.func) & ARGUMENT_ERRORS and node.args
+    ]
+
+
+def test_one_owner_per_argument_rule():
+    """No argument error's message head is built in two top-level functions
+    or classes of the package.  Each argument rule (an unknown model, the
+    corr domain, a method's options, the ridge sign, tau2 > 0, the methods
+    that the uniformity check tests) has one owner that every caller calls,
+    so two copies of a rule cannot drift apart."""
+    owners = defaultdict(set)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, head in argument_error_heads(path.read_text(encoding="utf-8")):
+            owners[head].add(f"exactsi.{path.stem}.{owner}")
+    shared = {head: sorted(names) for head, names in owners.items() if len(names) > 1}
+    assert not shared, f"argument rules built in more than one place: {shared}"
+
+
+def test_argument_error_heads_are_found():
+    source = (
+        "def f(x):\n    if x:\n        raise InvalidArgumentError(f'--x must be > 0, not {x!r}')\n"
+        "    def g():\n        return errors.InvalidSchemeError('tau2 must be positive')\n"
+        "class C:\n    def h(self, n):\n        raise InvalidArgumentError(f'{n} rows: 2 ok')\n"
+        "raise ValueError('other')\nInvalidArgumentError()\n"
+        "raise InvalidArgumentError('top, level')\n"
+    )
+    assert argument_error_heads(source) == [
+        ("f", "x must be > 0"), ("f", "tau2 must be positive"), ("C", "{} rows: 2 ok"),
+        ("<module>", "top"),
+    ]
 
 
 def test_named_identifiers_are_found():
