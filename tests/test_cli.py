@@ -1,9 +1,13 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1255,3 +1259,48 @@ def test_failed_fit_is_one_error_row(tmp_path, capsys, frame, extra, methods, fa
             alone = run(method, method)
             assert [r for r in report["rows"] if r["method"] == method] == alone["rows"]
             assert report["methods"][method] == alone["methods"][method]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# SHA-256 of the input CSV, then of ``infer``'s JSON and CSV for each model
+INFER_DIGESTS = {
+    (80, 30): [
+        "b8315b239d824d9a1ffe09893e6ed7f44ae4fec53f5c7ca7a2696da82b4f1a79",
+        "0ac866612c147ab8808f627f3962af79705636a5ff454abc0469c8c9854541cd",
+        "ec8d38083b4865845b2a6b3df5b2ab518ee0430fd20c54fc6ffa2424a88bcb35",
+        "6d11ff18dc1f795d6d263dce446298ddb16fdfb976fc45e77f662a75ac2b08b8",
+        "40146020612f700016abaae192f6b13c6cfc902c86f4645f101cbe745a6d95f5",
+    ],
+    (40, 60): [
+        "2cb2d84ebe7e18e5a59d4ea58e66ebbf58ab5e4ed5e70975d9f332cd881261a3",
+        "f298646afe4b4c306a764525cef982af82fdf9f5a37bbe6c3d4913a6cf5b3e7f",
+        "ded7d3350b33c203087d6a39fbad1ef2213b3596892b2980bf0bf94853bd8205",
+        "3349386412eba2628e4be2f0dc94c86db1fb091c5c6f03882bf27d0059327d14",
+        "526b3bc62f7cd5b0693f79a4d2d2b96966a0f51d96e3a179826851853fd361ba",
+    ],
+}
+
+
+@pytest.mark.parametrize("n, p", [(80, 30), (40, 60)])
+def test_infer_output_is_frozen(tmp_path, n, p):
+    """``infer`` with all four methods writes these bytes for both models on
+    an AR(0.5) CSV, taller or wider than square, at one BLAS thread: a
+    subprocess, since BLAS reads its thread count when it loads.  The input
+    path is relative, as the JSON echoes it."""
+    X = generate_design(n, p, 0.5, 3)
+    y, _ = generate_response(X, support_indices(p, 5), 0.75, 3.0, 4)
+    _write_frame(tmp_path / "d.csv", y, X)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    digests = [hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest()]
+    for model in ("selected", "full"):
+        argv = ["infer", "--input", "d.csv", "--rho", "0.8", "--seed", "3", "--model", model]
+        for method in KNOWN_METHODS:
+            argv += ["--method", method]
+        done = subprocess.run(
+            [sys.executable, "-m", "exactsi.cli", *argv, "--out", model],
+            cwd=tmp_path, env=env, capture_output=True, check=True,
+        )
+        assert done.stderr == b""
+        for ext in ("json", "csv"):
+            digests.append(hashlib.sha256((tmp_path / f"{model}.{ext}").read_bytes()).hexdigest())
+    assert digests == INFER_DIGESTS[n, p]
