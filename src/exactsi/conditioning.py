@@ -9,15 +9,16 @@ Both stages here run once per fit, for all targets together, ahead of
 ``inference.pivot_params``.  ``build_target`` keeps each target's statistics
 X'c, ||c||^2 and c'y, solved from the Gram and X'y with no n-row contrast,
 so neither it nor a later stage reads X or y.
-``build_geometry`` reads the randomization covariance ``Omega = tau2 B``
-through the dataset's factor of its base B, factors the free-block precision
-Q' Omega^{-1} Q, whose inverse is the free block's conditional covariance
-Theta, and takes each target's direction ``Pj = -X'c / ||c||^2``, ``rj =
-(Omega^{-1} Q)' Pj``, complementary statistic and interval, one column per
-target; a target that fails a check keeps its own error.  The dataset
-factors and checks every Gram block and the base (``Dataset.checked_factor``),
-by the rule of ``numerics.factor_spd``, which factors the precision.  No
-p x p Omega is formed: a solve with it is ``B^{-1} v / tau2``.
+``build_geometry``, the one stage that solves with the randomization
+covariance ``Omega = tau2 B``, reads the dataset's factor of its base B,
+factors the free-block precision Q' Omega^{-1} Q, whose inverse is the free
+block's conditional covariance Theta, and takes each target's direction
+``Pj = -X'c / ||c||^2``, ``rj = (Omega^{-1} Q)' Pj``, interval and
+conditional-mean pieces, so that the pivot adds only the noise; a target
+that fails a check keeps its own error.  The dataset factors and checks
+every Gram block and the base (``Dataset.checked_factor``), by the rule of
+``numerics.factor_spd``, which factors the precision: a solve with Omega is
+``B^{-1} v / tau2``, and no p x p Omega is formed.
 """
 
 from __future__ import annotations
@@ -58,25 +59,18 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class ConditioningGeometry:
-    """Interval reduction of the selection constraints of one fit: the
-    factor of Omega's base, ``tau2`` and Theta serve every target; column or
-    entry j of the other fields is target j's, and ``errors[j]`` the error
-    that stopped it."""
+    """Each target's share of one fit's selection event, entry j target j's:
+    the variance ``vartheta2`` of ``rj' opt`` given the complement, its
+    interval ``(lower, upper)`` and mean intercept ``theta_intercept``, the
+    estimate's ``mean_shift``, ``pj_quad = Pj' Omega^{-1} Pj`` and ``errors``."""
 
-    rep: LinearEventRep
-    base_factor: tuple
-    tau2: float
-    Theta: np.ndarray
-    Pj: np.ndarray
-    rj: np.ndarray
     vartheta2: np.ndarray
+    theta_intercept: np.ndarray
+    mean_shift: np.ndarray
+    pj_quad: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     errors: list[ExactSIError | None]
-
-    def omega_solve(self, v: np.ndarray) -> np.ndarray:
-        """``Omega^{-1} v`` for ``Omega = tau2 B``, from the factor of B."""
-        return cho_solve(self.base_factor, v) / self.tau2
 
 
 def build_target(
@@ -115,16 +109,21 @@ def build_target(
 def build_geometry(
     data: Dataset, rep: LinearEventRep, tau2: float, target: TargetSpec
 ) -> ConditioningGeometry:
-    """Reduce ``signs * opt > 0`` to an interval on ``rj' opt`` at fixed complement.
+    """Reduce ``signs * opt > 0`` to an interval on ``rj' opt`` at fixed
+    complement, and solve for the pieces of the conditional mean.
 
-    Omega is ``tau2 B``, B the base of ``data`` (``Dataset.randomization_base``);
-    every solve with it reads the dataset's factor of B.  B and the free-block
-    precision must pass the check of ``factor_spd``, else ``NumericalDegeneracyError``.
-    Sign constraints whose coefficient on the free combination vanishes must
-    hold on their own; a violation there (numerical degeneracy if the
-    direction's length overflows), or an observed statistic outside the
-    interval, signals an upstream inconsistency rather than data.
-    """
+    Omega is ``tau2 B``, B the base of ``data`` (``Dataset.randomization_base``),
+    and every solve with it reads the dataset's factor of B.  B or the
+    free-block precision failing the check of ``factor_spd``, and a Theta or
+    a direction that overflows, are ``NumericalDegeneracyError``.  A violated
+    constraint orthogonal to the direction, or an observed statistic outside
+    its interval, signals an upstream inconsistency rather than data.
+
+    With ``gamma`` the response off a target's contrast c, ``core = -X'gamma +
+    offset = offset - stat - Pj c'y`` gives the free block's conditional mean
+    the pieces ``-Pj' Omega^{-1} core`` (the mean shift) and ``delta = -Theta
+    Q' Omega^{-1} core`` (``rj' delta`` is the intercept): one solve serves
+    every core and direction, with no n rows."""
     factor = data.checked_factor(None, "randomization covariance", NumericalDegeneracyError)
     with np.errstate(over="ignore", invalid="ignore"):  # factor_spd rejects an inf
         omega_inv_Q = cho_solve(factor, rep.Q) / tau2
@@ -133,26 +132,36 @@ def build_geometry(
         gram, "conditional precision of the free block", NumericalDegeneracyError
     )
     Theta = cho_solve(precision, np.eye(gram.shape[0]))
+    if not np.isfinite(Theta).all():  # a precision of subnormal size passes its check
+        raise NumericalDegeneracyError("conditional covariance of the free block overflows")
     Pj = target.xtc / -target.norm2
     rj = omega_inv_Q.T @ Pj
     theta_r = Theta @ rj
     vartheta2 = (rj * theta_r).sum(axis=0)
     no_variance = ~(vartheta2 > 0)
-    with np.errstate(over="ignore"):  # a length that overflows is judged in ``error``
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged in ``error``
         Qj = theta_r / np.where(no_variance, 1.0, vartheta2)
         zero = 1e-12 * np.linalg.norm(Qj, axis=0)
-    O = rep.opt
+    finite = np.isfinite(Qj).all(axis=0)
+    # past about 1e154 a finite direction's squares overflow: scale by its largest entry
+    huge = finite & ~(zero < np.inf)
+    if huge.any():
+        top = np.abs(Qj[:, huge]).max(axis=0)
+        zero[huge] = 1e-12 * top * np.linalg.norm(Qj[:, huge] / top, axis=0)
+    O, S = rep.opt, rep.signs[:, None]
     observed = O @ rj
     A_obs = O[:, None] - Qj * observed
-    S = rep.signs[:, None]
     # the sign constraints -S o < 0, each row of unit norm, along o = A_obs + Qj t
     lower, upper, violated = line_interval(-S * Qj, zero, S * A_obs)
+    core = rep.offset[:, None] - rep.stat[:, None] - Pj * target.estimate
+    omega_inv_core, omega_inv_pj = np.hsplit(cho_solve(factor, np.hstack([core, Pj])) / tau2, 2)
+    delta = -(Theta @ (rep.Q.T @ omega_inv_core))
 
     def error(j):  # the first check that target j fails, in this order
         lo, hi, obs = float(lower[j]), float(upper[j]), float(observed[j])
         if no_variance[j]:
             return NumericalDegeneracyError("target direction has no conditional variance")
-        if violated[j] and not zero[j] < np.inf:  # every row counted as orthogonal
+        if not finite[j]:
             return NumericalDegeneracyError("length of the target direction overflows")
         if violated[j]:
             return GeometryInconsistencyError(
@@ -168,7 +177,7 @@ def build_geometry(
         return None
 
     return ConditioningGeometry(
-        rep=rep, base_factor=factor, tau2=tau2, Theta=Theta, Pj=Pj, rj=rj,
-        vartheta2=vartheta2, lower=lower, upper=upper,
-        errors=[error(j) for j in range(vartheta2.size)],
+        vartheta2=vartheta2, theta_intercept=(rj * delta).sum(axis=0),
+        mean_shift=-(Pj * omega_inv_core).sum(axis=0), pj_quad=(Pj * omega_inv_pj).sum(axis=0),
+        lower=lower, upper=upper, errors=[error(j) for j in range(vartheta2.size)],
     )

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .numerics import NAN_VALUE, NO_START, ROOT, invert_monotone, root_error
 from .numerics import cho_solve, line_interval, log_standard_mass
-from .selection import Dataset, solve_randomized_lasso
+from .selection import Dataset, check_noise_scale, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
 # (bench/spans.py, PATCHES) still wrap this name on this module; drop the
@@ -142,28 +142,13 @@ class IntervalEstimate:
 def pivot_params(
     geom: ConditioningGeometry, target: TargetSpec, sigma: float
 ) -> tuple[PivotParams, list[ExactSIError | None]]:
-    """Assemble the pivot constants of every target from a fit's geometry.
-
-    With ``gamma`` the response off a target's contrast c, the free block's
-    conditional mean has the affine pieces ``-Pj' Omega^{-1} core`` and
-    ``-Theta Q' Omega^{-1} core`` of ``core = -X'gamma + offset``; all cores
-    and directions share one solve.  ``-X'gamma`` is ``-(X'y - X'c beta_hat
-    / ||c||^2)``, which is ``-stat - Pj beta_hat``, with ``beta_hat`` the
-    target's estimate c'y, so nothing here has n rows.  Returns one record
-    whose row j is target j's constants, and each target's error (else a
-    nonpositive precision); a target with an error has a NaN ``sigma_j2``.
-    """
-    if not sigma > 0:
-        raise InvalidArgumentError("sigma must be positive")
-    rep, norm2, beta_hat = geom.rep, target.norm2, target.estimate
-    core = rep.offset[:, None] - rep.stat[:, None] - geom.Pj * beta_hat
-    solved = geom.omega_solve(np.hstack([core, geom.Pj]))
-    omega_inv_core, omega_inv_pj = np.hsplit(solved, 2)
-    lam_val = -(geom.Pj * omega_inv_core).sum(axis=0)
-    delta = -(geom.Theta @ (rep.Q.T @ omega_inv_core))
-    r_delta = (geom.rj * delta).sum(axis=0)
-    pj_quad = (geom.Pj * omega_inv_pj).sum(axis=0)
-    inv_s2 = 1.0 / (sigma**2 * norm2) + pj_quad - geom.vartheta2
+    """Add the noise sd ``sigma`` (``check_noise_scale``) to a fit's geometry:
+    the estimate's precision ``1 / (sigma^2 ||c||^2) + pj_quad - vartheta2``
+    gives ``sigma_j2``.  Returns one record whose row j is target j's
+    constants, and each target's error (else a nonpositive precision); a
+    target with an error has a NaN ``sigma_j2``."""
+    check_noise_scale(sigma, "sigma")
+    inv_s2 = 1.0 / (sigma**2 * target.norm2) + geom.pj_quad - geom.vartheta2
     errors = [
         e if e or inv_s2[j] > 0 else NumericalDegeneracyError(
             f"nonpositive precision {inv_s2[j]:.3e}: randomization solves lost accuracy")
@@ -174,12 +159,12 @@ def pivot_params(
     return PivotParams(
         vartheta2=geom.vartheta2,
         sigma_j2=sigma_j2,
-        lambda_j=sigma_j2 / (sigma**2 * norm2),
-        zeta_j=sigma_j2 * (lam_val - r_delta),
-        theta_intercept=r_delta,
+        lambda_j=sigma_j2 / (sigma**2 * target.norm2),
+        zeta_j=sigma_j2 * (geom.mean_shift - geom.theta_intercept),
+        theta_intercept=geom.theta_intercept,
         lower=geom.lower,
         upper=geom.upper,
-        beta_hat_j=beta_hat,
+        beta_hat_j=target.estimate,
     ), errors
 
 

@@ -278,12 +278,17 @@ def sample_randomization(data: Dataset, tau2: float, seed: int) -> np.ndarray:
     return math.sqrt(tau2) * dtrmv(factor[0], z, trans=1)
 
 
+def check_noise_scale(value: float, what: str) -> None:
+    """Raise ``InvalidArgumentError`` unless the noise scale ``what`` is finite and positive."""
+    if not 0 < value < math.inf:
+        raise InvalidArgumentError(f"{what} {value!r} is not finite and positive")
+
+
 def tau2_from_split(sigma2_hat: float, n: int, n1: int) -> float:
     """Randomization variance matching selection on an ``n1``-subsample."""
     if not 0 < n1 < n:
         raise InvalidArgumentError(f"need 0 < n1 < n, got n1={n1}, n={n}")
-    if not sigma2_hat > 0:
-        raise InvalidArgumentError("sigma2_hat must be positive")
+    check_noise_scale(sigma2_hat, "sigma2_hat")
     return sigma2_hat * (n - n1) / n1
 
 

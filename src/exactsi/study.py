@@ -21,7 +21,8 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
 3. Every method's targets are the least-squares coefficients of
    ``build_target``.  ``fit_method`` builds the constants of all of a fit's
    targets once, one record whose row j is target j, and each target's
-   error: by ``build_target -> build_geometry -> pivot_params`` (exact) or
+   error: by ``build_target -> build_geometry -> pivot_params`` (exact; the
+   geometry makes every randomization solve, the pivot adds the noise) or
    ``build_target -> polyhedral_bounds`` (polyhedral), and as untruncated
    ``PolyhedralBounds`` for split, from ``build_target`` and
    ``plug_in_sigma2`` on a dataset of its held-out rows and selected
@@ -85,6 +86,7 @@ from .selection import (
     LinearEventRep,
     SelectionOutcome,
     check_epsilon,
+    check_noise_scale,
     check_tau2,
     default_epsilon,
     lasso_event_rep,
@@ -135,10 +137,9 @@ class SimConfig:
             raise InvalidArgumentError("n_reps must be at least 1")
         if self.p < 1:
             raise InvalidArgumentError("p must be at least 1")
-        if not self.sigma2 > 0:
-            raise InvalidArgumentError("sigma2 must be positive")
-        if not self.signal_fraction >= 0:
-            raise InvalidArgumentError("signal_fraction must be nonnegative")
+        check_noise_scale(self.sigma2, "sigma2")
+        if not 0 <= self.signal_fraction < math.inf:
+            raise InvalidArgumentError("signal_fraction must be nonnegative and finite")
         if not 0 <= self.sparsity <= self.p:
             raise InvalidArgumentError("sparsity must lie in [0, p]")
         check_corr(self.corr)
@@ -345,8 +346,8 @@ def calibrate(
     ``check_methods`` or ``check_epsilon``, and a resolved noise variance or
     penalty that is not finite and positive, raise ``InvalidArgumentError``.
     """
-    if sigma is not None and not 0 < sigma < math.inf:
-        raise InvalidArgumentError(f"sigma must be positive and finite when given, not {sigma!r}")
+    if sigma is not None:
+        check_noise_scale(sigma, "sigma")
     tuning = {"--lambda": lam, "--rho": rho, "--tau2": tau2, "--epsilon": epsilon}
     for flag, value in tuning.items():
         if value is not None and not math.isfinite(value):
@@ -367,8 +368,7 @@ def calibrate(
     else:
         with np.errstate(over="ignore"):
             sigma2 = float(np.var(data.y, ddof=1))
-    if not 0 < sigma2 < math.inf:
-        raise InvalidArgumentError(f"noise variance {sigma2!r} is not finite and positive")
+    check_noise_scale(sigma2, "noise variance")
     if lam is None:
         lam = theory_lambda(data, math.sqrt(sigma2))
     if not 0 < lam < math.inf:

@@ -331,6 +331,22 @@ def explicit_contrasts(data, E, model):
     return design @ np.linalg.solve(design.T @ design, np.eye(design.shape[1])[:, columns])
 
 
+def carving_line(data, outcome, j, tau2):
+    """The line ``A + qj t`` along which the closed form slices selected
+    coordinate j's sign constraints for the carving covariance with no
+    ridge, and ``r_obs``, the t at which it meets the observed solution O.
+    With ``rj = -e_j / (tau2 ||c||^2)`` and ``Theta = tau2 G_EE^{-1}``, ``qj =
+    Theta rj / (rj' Theta rj)`` is ``-tau2 G_EE^{-1} e_j``, ``r_obs = rj'O``
+    and ``A = O - qj r_obs``.  Returns ``qj``, ``r_obs`` and ``A``."""
+    XE = data.X[:, outcome.selected]
+    gram_inv = cho_solve(cho_factor(XE.T @ XE), np.eye(outcome.selected.size))
+    contrast = XE @ gram_inv[:, j]
+    O = outcome.active_solution
+    qj = -tau2 * gram_inv[:, j]
+    r_obs = -O[j] / (tau2 * float(contrast @ contrast))
+    return qj, r_obs, O - qj * r_obs
+
+
 def carving_pivot_params(data, outcome, j, sigma, tau2, lam):
     """Closed-form pivot constants of selected coordinate j for the carving
     covariance with no ridge.
@@ -351,11 +367,8 @@ def carving_pivot_params(data, outcome, j, sigma, tau2, lam):
     sigma_j2 = sigma**2 * norm2
     theta_intercept = float(lam * (gram_inv @ outcome.signs)[j] / (tau2 * norm2))
 
-    # interval on rj'O with rj = -e_j/(tau2*norm2), Theta = tau2 * gram_inv
-    O = outcome.active_solution
-    qj = -tau2 * gram_inv[:, j]
-    r_obs = -O[j] / (tau2 * norm2)
-    A = O - qj * r_obs
+    # interval on rj'O along the line A + qj t
+    qj, r_obs, A = carving_line(data, outcome, j, tau2)
     lower, upper = -math.inf, math.inf
     for k in range(q):
         coef = -outcome.signs[k] * qj[k]

@@ -655,14 +655,24 @@ class TestSimulateValidate:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--sigma2", "-1"], "sigma2 must be positive"),
+            (["--sigma2", "-1"], "sigma2 -1.0 is not finite and positive"),
             (["--p", "0", "--sparsity", "0"], "p must be at least 1"),
-            (["--signal-fraction", "-1"], "signal_fraction must be nonnegative"),
+            (["--signal-fraction", "-1"], "signal_fraction must be nonnegative and finite"),
             (["--n", "-1"], "n must be at least 2"),
             (["--n", "1"], "n must be at least 2"),
+            (["--sigma2", "inf"], "sigma2 inf is not finite and positive"),
+            (["--signal-fraction", "inf"], "signal_fraction must be nonnegative and finite"),
         ],
     )
-    def test_bad_config_values_are_errors(self, tmp_path, capsys, flags, message):
+    def test_bad_config_values_are_errors(self, tmp_path, capsys, monkeypatch, flags, message):
+        """A bad value fails before any data are generated.  An infinite
+        ``sigma2`` or ``signal_fraction`` once failed only on the generated
+        data ("data contains NaN or Inf"), the second with a RuntimeWarning."""
+
+        def generate(*args):
+            raise AssertionError("data generated")
+
+        monkeypatch.setattr(study, "generate_design", generate)
         out = tmp_path / "s"
         assert main(["simulate", "--n-reps", "1", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -963,7 +973,7 @@ def _probe(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("extra, message", [
     (("--rho", "0.8", "--lambda", "inf"), "--lambda must be finite, not inf"),
-    (("--rho", "0.8", "--sigma", "inf"), "sigma must be positive and finite when given, not inf"),
+    (("--rho", "0.8", "--sigma", "inf"), "sigma inf is not finite and positive"),
     (("--tau2", "inf"), "--tau2 must be finite, not inf"),
     (("--rho", "0.8", "--epsilon", "inf"), "--epsilon must be finite, not inf"),
     (("--rho", "inf"), "--rho must be finite, not inf"),
@@ -1141,26 +1151,59 @@ def _write_frame(path, y, X):
                header=header, comments="")
 
 
+def _overflow_frame(design_seed, response_seed):
+    X = generate_design(60, 5, 0.5, design_seed)
+    return generate_response(X, support_indices(5, 2), 0.75, 3.0, response_seed)[0], X
+
+
 def test_extreme_randomization_variance_fails_as_numerical(tmp_path, capsys):
-    """``--tau2 1e300`` on a 60 x 5 AR(0.5) CSV: the length of three targets'
-    directions overflows, so every sign constraint counted as orthogonal to
-    them and one failed.  Those targets are ``NumericalDegeneracyError``
-    rows, not ``GeometryInconsistencyError``, with no ``RuntimeWarning``
-    (which the suite turns into an error); the other two keep their
-    intervals, bit for bit."""
-    X = generate_design(60, 5, 0.5, 1)
-    y, _ = generate_response(X, support_indices(5, 2), 0.75, 3.0, 2)
+    """``--tau2 1e305`` on a 60 x 5 AR(0.5) CSV whose features are scaled
+    by 1e-3: the free block's precision is subnormal, so its inverse, the
+    conditional covariance Theta, overflows.  Every exact target is a
+    ``NumericalDegeneracyError`` row that says so, with no
+    ``RuntimeWarning`` (which the suite turns into an error).  Before, every
+    target read "target direction has no conditional variance", after
+    "invalid value encountered in matmul" warnings."""
+    y, X = _overflow_frame(1, 2)
     path = tmp_path / "d.csv"
-    _write_frame(path, y, X)
-    assert main(["infer", "--input", str(path), "--tau2", "1e300",
+    _write_frame(path, y, 1e-3 * X)
+    assert main(["infer", "--input", str(path), "--tau2", "1e305", "--sigma", "1",
                  "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
     rows = strict_json(tmp_path / "o.json")["rows"]
-    overflow = "length of the target direction overflows"
-    assert [r["error"] for r in rows] == [overflow, "", "", overflow, overflow]
-    assert [(r["lower"], r["upper"]) for r in rows if not r["error"]] == [
-        (-1.0051782071461928, 0.12634974428817775), (-0.39425715524171534, 0.6551809625691194),
-    ]
+    assert [r["error"] for r in rows] == (
+        ["conditional covariance of the free block overflows"] * 5
+    )
+
+
+@pytest.mark.parametrize("design_seed, response_seed", [(3, 4), (1, 2)])
+def test_long_target_direction_keeps_its_truncation(
+    tmp_path, capsys, monkeypatch, design_seed, response_seed
+):
+    """``--tau2 1e300`` on a 60 x 5 AR(0.5) CSV: every target's direction
+    Qj is finite, about 2e298 at its largest entry, but its norm's squares
+    overflow.  Each target keeps a truncation, bounded on at least one side,
+    and its interval, with no error and no warning.  Before, targets whose
+    every sign constraint then counted as orthogonal either got the slice
+    (-inf, inf) or failed with "length of the target direction overflows"."""
+    geometries = []
+
+    def build_geometry(*args):
+        geometries.append(real(*args))
+        return geometries[-1]
+
+    real = study.build_geometry
+    monkeypatch.setattr(study, "build_geometry", build_geometry)
+    path = tmp_path / "d.csv"
+    _write_frame(path, *_overflow_frame(design_seed, response_seed))
+    assert main(["infer", "--input", str(path), "--tau2", "1e300",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    (geom,) = geometries
+    assert (np.isfinite(geom.lower) | np.isfinite(geom.upper)).all()
+    rows = strict_json(tmp_path / "o.json")["rows"]
+    assert len(rows) == 5
+    assert all(not r["error"] and r["lower"] < r["upper"] for r in rows)
 
 
 def test_ill_conditioned_gram_gets_exact_intervals(tmp_path):

@@ -1,33 +1,27 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import carving_fit, explicit_contrasts, toy_fit
+from conftest import carving_fit, carving_line, carving_pivot_params, explicit_contrasts, toy_fit
 
 from exactsi import numerics
-from exactsi.conditioning import build_geometry, build_target
+from exactsi.conditioning import ConditioningGeometry, build_geometry, build_target
 from exactsi.errors import (
     GeometryInconsistencyError,
     NumericalDegeneracyError,
     SingularDesignError,
 )
 from exactsi.selection import Dataset, solve_randomized_lasso
+from exactsi.study import calibrate, randomized_selection
+
+# the geometry's per-target vectors: every field but ``errors``
+FIELDS = [f.name for f in fields(ConditioningGeometry) if f.name != "errors"]
 
 
-def complement(g, rep):
-    """Every target's ``Qj = Theta rj / vartheta2`` and ``A_obs = opt - Qj
-    rj'opt``: the line ``A_obs + Qj t`` through the observed solution (at t
-    = rj'opt) along which the geometry slices the sign constraints."""
-    Qj = g.Theta @ g.rj / g.vartheta2
-    return Qj, rep.opt[:, None] - Qj * (rep.opt @ g.rj)
-
-
-def target_geometry(data, out, rep, tau2, j=0):
-    """The geometry of target j, as columns of the fit's build."""
-    t = build_target(data, out.selected, "selected")
-    g = build_geometry(data, rep, tau2, t)
-    Qj, A_obs = complement(g, rep)
-    return g.rj[:, j], Qj[:, j], A_obs[:, j], g.lower[j], g.upper[j]
+def fit_geometry(data, out, rep, tau2):
+    """The geometry of every target of a fit, as the fit builds it."""
+    return build_geometry(data, rep, tau2, build_target(data, out.selected, "selected"))
 
 
 def assert_statistics(data, t, contrast):
@@ -109,65 +103,73 @@ class TestBuildTarget:
 
 class TestBuildGeometry:
     def test_toy_hand_values(self):
+        """Toy: Pj = rj = Qj = -1, Theta = vartheta2 = 1, O = 1.5 and core =
+        1, so the mean shift, ``rj' delta`` and ``Pj' Omega^{-1} Pj`` are 1
+        and the sign cone O > 0 is ``rj'O < 0``; the closed form agrees."""
         data, out, rep, tau2 = toy_fit()
-        t = build_target(data, out.selected, "selected")
-        g = build_geometry(data, rep, tau2, t)
-        assert g.Theta[0, 0] == pytest.approx(1.0, abs=1e-10)
-        assert g.rj[0, 0] == pytest.approx(-1.0, abs=1e-10)
-        Qj, A_obs = complement(g, rep)
-        assert Qj[0, 0] == pytest.approx(-1.0, abs=1e-10)
-        assert A_obs[0, 0] == pytest.approx(0.0, abs=1e-12)
+        g = fit_geometry(data, out, rep, tau2)
         assert g.vartheta2[0] == pytest.approx(1.0, abs=1e-10)
+        assert g.theta_intercept[0] == pytest.approx(1.0, abs=1e-10)
+        assert g.mean_shift[0] == pytest.approx(1.0, abs=1e-10)
+        assert g.pj_quad[0] == pytest.approx(1.0, abs=1e-10)
         assert g.lower[0] == -math.inf
         assert g.upper[0] == pytest.approx(0.0, abs=1e-12)
-        assert g.lower[0] < float(g.rj[:, 0] @ rep.opt) < g.upper[0]
+        _, r_obs, _ = carving_line(data, out, 0, tau2)
+        assert g.lower[0] < r_obs < g.upper[0]
         assert g.errors == [None]
+        closed = carving_pivot_params(data, out, 0, 1.0, tau2, 1.0)
+        assert g.vartheta2[0] == pytest.approx(closed.vartheta2, abs=1e-10)
+        assert g.theta_intercept[0] == pytest.approx(closed.theta_intercept, abs=1e-10)
+        assert (g.lower[0], g.upper[0]) == pytest.approx((closed.lower, closed.upper), abs=1e-12)
 
     def test_single_feature_positive_sign_cone(self):
-        rj, _, _, lower, upper = target_geometry(*toy_fit())
-        # translate the interval on rj'O back to the O1 axis: strictly positive
-        assert rj[0] < 0
-        lo = upper / rj[0]
+        data, out, rep, tau2 = toy_fit()
+        g = fit_geometry(data, out, rep, tau2)
+        qj, _, A = carving_line(data, out, 0, tau2)
+        # translate the interval on rj'O back to the O1 axis, O1 = A + qj t:
+        # strictly positive
+        assert qj[0] < 0
+        lo = A[0] + qj[0] * g.upper[0]
         assert lo == pytest.approx(0.0, abs=1e-12)
-        assert lower == -math.inf  # O1 unbounded above
+        assert g.lower[0] == -math.inf  # O1 unbounded above
 
     def test_basic_identities(self):
+        """With no ridge, the estimate's law is the noise's: ``pj_quad`` is
+        ``vartheta2`` and the mean shift is the intercept (``lambda_j = 1``,
+        ``zeta_j = 0``), and the observed combination lies inside its
+        interval."""
         rng = np.random.default_rng(2)
         for _ in range(20):
             data, out, rep, _, tau2 = carving_fit(rng)
-            t = build_target(data, out.selected, "selected")
-            g = build_geometry(data, rep, tau2, t)
+            g = fit_geometry(data, out, rep, tau2)
             assert g.errors == [None] * out.selected.size
-            Qj, A_obs = complement(g, rep)
-            assert np.allclose((g.rj * Qj).sum(axis=0), 1.0, rtol=0, atol=1e-10)
-            assert np.all(
-                np.abs((g.rj * A_obs).sum(axis=0)) < 1e-8 * max(np.linalg.norm(rep.opt), 1.0)
-            )
-            observed = rep.opt @ g.rj
+            assert np.allclose(g.pj_quad, g.vartheta2, rtol=1e-10, atol=0)
+            scale = np.maximum(np.abs(g.theta_intercept), 1.0)
+            assert np.all(np.abs(g.mean_shift - g.theta_intercept) < 1e-10 * scale)
+            observed = [carving_line(data, out, j, tau2)[1] for j in range(out.selected.size)]
             assert np.all((g.lower < observed) & (observed < g.upper))
 
     def test_carving_closed_forms(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             data, out, rep, lam, tau2 = carving_fit(rng)
-            XE = data.X[:, out.selected]
-            theta_cf = tau2 * np.linalg.inv(XE.T @ XE)
-            t = build_target(data, out.selected, "selected")
-            g = build_geometry(data, rep, tau2, t)
-            theta, rj = g.Theta, g.rj
-            assert np.allclose(theta, theta_cf, rtol=1e-8, atol=1e-10)
+            g = fit_geometry(data, out, rep, tau2)
             for j in range(out.selected.size):
-                rj_cf = np.zeros(out.selected.size)
-                rj_cf[j] = -1.0 / (tau2 * t.norm2[j])
-                assert np.allclose(rj[:, j], rj_cf, rtol=1e-8, atol=1e-8 * abs(rj_cf[j]))
+                closed = carving_pivot_params(data, out, j, 1.0, tau2, lam)
+                for name in ("vartheta2", "theta_intercept", "lower", "upper"):
+                    got, want = getattr(g, name)[j], getattr(closed, name)
+                    assert np.allclose(got, want, rtol=1e-8, atol=1e-10), (name, got, want)
 
     def test_event_equivalence_brute_force(self):
+        """Along the closed form's line ``A + qj z``, the sign pattern holds
+        exactly on the geometry's interval of target j."""
         rng = np.random.default_rng(4)
         for _ in range(10):
             data, out, rep, _, tau2 = carving_fit(rng)
             j = int(rng.integers(out.selected.size))
-            rj, Qj, A_obs, lower, upper = target_geometry(data, out, rep, tau2, j)
-            observed = float(rj @ rep.opt)
+            g = fit_geometry(data, out, rep, tau2)
+            lower, upper = g.lower[j], g.upper[j]
+            Qj, observed, A_obs = carving_line(data, out, j, tau2)
             span = 4.0 * (abs(observed) + 1.0)
             zs = rng.uniform(observed - span, observed + span, size=1000)
             for z in zs:
@@ -188,15 +190,35 @@ class TestBuildGeometry:
 
 class TestAEta:
     def test_matches_geometry_complement(self):
-        # A_eta = O - Theta eta (eta'O) / (eta'Theta eta) at eta = rj
+        # A_eta = O - Theta eta (eta'O) / (eta'Theta eta) at eta = rj, from the
+        # closed forms Theta = tau2 G_EE^{-1} and rj = -e_j / (tau2 ||c||^2)
         rng = np.random.default_rng(6)
         data, out, rep, _, tau2 = carving_fit(rng, min_selected=2)
-        t = build_target(data, out.selected, "selected")
-        g = build_geometry(data, rep, tau2, t)
-        eta, theta = g.rj[:, 1], g.Theta
+        g = fit_geometry(data, out, rep, tau2)
+        XE = data.X[:, out.selected]
+        theta = tau2 * np.linalg.inv(XE.T @ XE)
+        eta = -np.eye(out.selected.size)[:, 1] / theta[1, 1]
         comp = rep.opt - (theta @ eta) * (eta @ rep.opt) / float(eta @ theta @ eta)
-        assert np.allclose(comp, complement(g, rep)[1][:, 1], atol=1e-10)
+        assert np.allclose(comp, carving_line(data, out, 1, tau2)[2], atol=1e-10)
         assert g.vartheta2[1] == pytest.approx(float(eta @ theta @ eta), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p", [(60, 20), (30, 60)])
+def test_one_entry_per_target(n, p):
+    """Every field but ``errors`` has one entry per target, at n > p and at
+    p > n, where the lasso's ridge and the jittered randomization base apply."""
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((n, p))
+    y = X[:, :4] @ np.array([3.0, -3.0, 2.5, 2.5]) + rng.standard_normal(n)
+    data = Dataset(y=y, X=X)
+    cal = calibrate(data, ("exact",), rho=0.8)
+    assert (cal.epsilon > 0, data.factor() is data.factor(np.arange(p))) == (p > n, p < n)
+    tau2, out, rep = randomized_selection(data, cal, 3)
+    k = out.selected.size
+    assert k >= 2
+    g = fit_geometry(data, out, rep, tau2)
+    assert {name: np.shape(getattr(g, name)) for name in FIELDS} == dict.fromkeys(FIELDS, (k,))
+    assert g.errors == [None] * k
 
 
 class TestFactorSpd:

@@ -131,6 +131,51 @@ def test_one_module_owns_the_gram_factors():
     assert not stray, f"factor primitives named outside their owners: {stray}"
 
 
+# Only these modules read the factor of the randomization base: ``selection``
+# draws from it and ``conditioning`` makes every solve with Omega.  The pivot
+# constants of ``inference`` read only the geometry's per-target vectors.
+BASE_FACTOR_OWNERS = {"selection", "conditioning"}
+OMEGA_NAMES = {"omega_solve", "base_factor", "Theta", "tau2"}
+
+
+def base_factor_calls(source: str) -> list[str]:
+    """The calls of a module that read the randomization base's factor:
+    ``factor`` or ``checked_factor`` with no columns or columns None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and identifiers(node.func) & {"factor", "checked_factor"}:
+            cols = [k.value for k in node.keywords if k.arg == "cols"] + node.args[:1]
+            if not cols or (isinstance(cols[0], ast.Constant) and cols[0].value is None):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_one_module_solves_with_omega():
+    """The randomization base's factor is read only where the draw and the
+    Omega solves are made, and ``inference`` names no Omega solve, factor of
+    the base, Theta or tau2: the pivot constants add the noise to what the
+    geometry hands on, so a second owner of Omega cannot grow back."""
+    stray = sorted(
+        f"exactsi.{path.stem}: {call}"
+        for path in PACKAGE.glob("*.py")
+        for call in base_factor_calls(path.read_text(encoding="utf-8"))
+        if path.stem not in BASE_FACTOR_OWNERS
+    )
+    assert not stray, f"the base's factor read outside its owners: {stray}"
+    inference = named((PACKAGE / "inference.py").read_text(encoding="utf-8"))
+    assert sorted(inference & OMEGA_NAMES) == []
+
+
+def test_base_factor_calls_are_found():
+    source = (
+        "a = data.factor()\nb = data.factor(cols)\nc = d.checked_factor(None, 'B', E)\n"
+        "e = d.checked_factor(E, 'G', E)\nf = factor(cols=None)\ng = cho_factor(m)\n"
+    )
+    assert base_factor_calls(source) == [
+        "data.factor()", "d.checked_factor(None, 'B', E)", "factor(cols=None)",
+    ]
+
+
 def owned_nodes(source: str) -> list[tuple[str, ast.AST]]:
     """``(function, node)`` for each node of a module, in source order: the
     innermost function around it (``<module>`` at the top level; a
