@@ -1321,10 +1321,24 @@ INFER_DIGESTS = {
         "3349386412eba2628e4be2f0dc94c86db1fb091c5c6f03882bf27d0059327d14",
         "526b3bc62f7cd5b0693f79a4d2d2b96966a0f51d96e3a179826851853fd361ba",
     ],
+    (300, 100): [
+        "d3c33bc0e898148d2c7129996a56d8067eb38b77b62b0fa576f357b15d5e878c",
+        "a6c1cccbf637932cf456220e94de33129c8ccbbcd104d7ae415bf83b77833a9e",
+        "f88dbb832d8f76aaaf923c2af0b3b57a8a1c2bfb93f611fc2a20f65f2cf1e6c5",
+        "29bf2d48a17fe1622f23913ba15d2b62933f5d23832e9181380fbf9f86b58982",
+        "cf4d603b89c62d2268b1a0b822f8fa7bd61ba6ed9bf0f3da027c1a42ead5f9e3",
+    ],
+    (600, 300): [
+        "696612958954cabcc2108f6c75f1126ccb6c9d75670647c18821ab577999c20f",
+        "d84e01dbd31b9fcf54b417e4a60a0f667ebe0f83edb221bb27ed7d5f95e87695",
+        "52bd6ede8152bcd8c4fad1088874b95cceaae813d909833f3c61097b2887b56d",
+        "4013ab8bb00b52f275c4b13c9a0683b7f96c83cadf91d72a1b9053ac63f248aa",
+        "5a9d63759e7d38173b9dcd99d1e40260780caaf5db50ffeeb984b99e67db16ce",
+    ],
 }
 
 
-@pytest.mark.parametrize("n, p", [(80, 30), (40, 60)])
+@pytest.mark.parametrize("n, p", [(80, 30), (40, 60), (300, 100), (600, 300)])
 def test_infer_output_is_frozen(tmp_path, n, p):
     """``infer`` with all four methods writes these bytes for both models on
     an AR(0.5) CSV, taller or wider than square, at one BLAS thread: a
