@@ -47,7 +47,7 @@ from .errors import (
     SingularDesignError,
 )
 from .numerics import NAN_VALUE, NO_START, ROOT, invert_monotone, root_error
-from .numerics import cho_solve, line_interval, log_standard_mass
+from .numerics import cho_solve, independent_columns, line_interval, log_standard_mass
 from .selection import Dataset, check_noise_scale, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
@@ -958,7 +958,7 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
     test, so it asks only that Cholesky succeed."""
     y, X, n = data.y, data.X, data.n
     check_model(model)
-    cols = data.independent_columns if model == "full" else np.asarray(E, dtype=int)
+    cols = independent_columns(data.gram) if model == "full" else np.asarray(E, dtype=int)
     df = n - cols.size
     if df < 1:
         raise SingularDesignError("no residual degrees of freedom for the plug-in")
@@ -969,8 +969,8 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
         elif (factor := data.factor(cols)) is None:
             # the rank test keeps every column, yet Cholesky fails
             raise SingularDesignError("plug-in design is singular: Cholesky failed")
-        design = data.column_major if cols.size == data.p else X[:, cols]
-        resid = y - design @ cho_solve(factor, data.xty[cols])
+        coef = cho_solve(factor, data.xty[cols])  # before X[:, cols]: one n-row copy at a time
+        resid = y - X[:, cols] @ coef
     with np.errstate(over="ignore"):  # calibrate rejects an infinite variance
         return float(resid @ resid / df)
 

@@ -30,9 +30,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidSchemeError,
 )
-from .numerics import (
-    check_conditioning, independent_columns, scaled_rcond, try_cho_factor, well_conditioned
-)
+from .numerics import check_conditioning, scaled_rcond, try_cho_factor, well_conditioned
 
 _AS_MAX_STEPS = 1_000
 _JITTER_COND = 1e8  # the scaled condition that ``Dataset.randomization_base`` aims at
@@ -49,17 +47,6 @@ def _finite(product, what: str) -> np.ndarray:
     return stat
 
 
-def _of_design(statistic):
-    """A property of X alone, formed by ``statistic`` on first use and kept
-    in the dataset's store, which every dataset on the same X shares."""
-    def shared(self):
-        if statistic.__name__ not in self._design:
-            self._design[statistic.__name__] = statistic(self)
-        return self._design[statistic.__name__]
-
-    return property(shared, doc=statistic.__doc__)
-
-
 def _rcond(entry: list) -> float:
     """The scaled rcond of a store entry ``[matrix, factor, rcond]``, formed once."""
     if entry[2] is None:
@@ -73,16 +60,16 @@ class Dataset:
     sd is not data: ``calibrate`` takes it.
 
     The statistics of X alone are formed once, on first use, in one store
-    that every dataset on the same X shares (``with_response``): the Gram
-    ``gram`` (X'X), ``column_major``, the columns the Gram's rank test keeps,
-    and the Cholesky factor (``factor``) and verdict (``checked_factor``) of
-    each Gram block, or the randomization base, that a stage asks for.
-    ``xty`` (X'y) is the dataset's own.  All are read-only; ``X`` and ``y``
-    must not change in place."""
+    that every dataset on the same X shares (``with_response``).  It keeps
+    only p x p matrices: the Gram ``gram`` (X'X), and the Cholesky factor
+    (``factor``) and verdict (``checked_factor``) of each Gram block, or the
+    randomization base, that a stage asks for.  ``xty`` (X'y) is the
+    dataset's own.  All are read-only; ``X`` and ``y`` must not change in
+    place."""
 
     y: np.ndarray
     X: np.ndarray
-    # statistic name, or key of a factored matrix (``_entry``) -> its value
+    # "gram", or key of a factored matrix (``_entry``) -> its value
     _design: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,30 +119,19 @@ class Dataset:
         data._check(*unchecked)
         return data
 
-    @_of_design
+    @property
     def gram(self) -> np.ndarray:
-        return _finite(lambda: self.X.T @ self.X, "X'X")
-
-    @_of_design
-    def column_major(self) -> np.ndarray:
-        """``X`` in column-major order, read-only.  It is the layout of the
-        copy that ``X[:, cols]`` makes, and BLAS sums a product in an order
-        set by the layout: X'y and the full-model plug-in's fit read it, so
-        that they, the noise estimate and every penalty scaled by it keep
-        the bits of the arithmetic on such a copy."""
-        column_major = np.asfortranarray(self.X)
-        column_major.flags.writeable = False
-        return column_major
+        if "gram" not in self._design:
+            self._design["gram"] = _finite(lambda: self.X.T @ self.X, "X'X")
+        return self._design["gram"]
 
     @cached_property
     def xty(self) -> np.ndarray:
-        # one dot product per column
-        return _finite(lambda: self.column_major.T @ self.y, "X'y")
-
-    @_of_design
-    def independent_columns(self) -> np.ndarray:
-        """``numerics.independent_columns`` of the Gram."""
-        return independent_columns(self.gram)
+        # One dot product per column of a transient column-major copy: that
+        # is the layout of the copy ``X[:, cols]`` makes, and BLAS sums in an
+        # order set by the layout, so X'y, the plug-in's fit on such a copy
+        # and every penalty scaled by its noise estimate keep the same bits.
+        return _finite(lambda: np.asfortranarray(self.X).T @ self.y, "X'y")
 
     def randomization_base(self) -> np.ndarray:
         """B of the carving covariance ``tau2 B``, read-only: the Gram where it

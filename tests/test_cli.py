@@ -1136,7 +1136,7 @@ def test_gram_without_cholesky_factor_fails(tmp_path, capsys):
     path = tmp_path / "near.csv"
     write_csv(path, ["y", "x0", "x1", "x2"], np.column_stack([rng.standard_normal(40), X]).tolist())
     data, _ = read_csv_dataset(str(path))
-    assert data.independent_columns.size == 3 and data.factor(np.arange(3)) is None
+    assert numerics.independent_columns(data.gram).size == 3 and data.factor(np.arange(3)) is None
     message = "error: plug-in design is singular: Cholesky failed"
     for command in ("infer", "select"):
         code, err, written, caught = _probe(
@@ -1219,7 +1219,7 @@ def test_ill_conditioned_gram_gets_exact_intervals(tmp_path):
     y = X[:, :5].sum(axis=1) + rng.standard_normal(150)
     path, out = tmp_path / "near.csv", tmp_path / "inf"
     _write_frame(path, y, X)
-    assert read_csv_dataset(str(path))[0].independent_columns.size == 20
+    assert numerics.independent_columns(read_csv_dataset(str(path))[0].gram).size == 20
     argv = ["infer", "--input", str(path), "--rho", "0.8", "--method", "exact", "--out", str(out)]
     assert main(argv) == 0
     rows = strict_json(tmp_path / "inf.json")["rows"]

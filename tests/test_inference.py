@@ -45,6 +45,7 @@ from exactsi.inference import (
     uv_inference,
     z_interval,
 )
+from exactsi.numerics import independent_columns
 from exactsi.selection import (
     Dataset,
     lasso_event_rep,
@@ -745,7 +746,7 @@ class TestPolyhedral:
         checked = 0
         for data, out, lam in fits:
             for model in ("selected", "full"):
-                if model == "full" and data.independent_columns.size < data.p:
+                if model == "full" and independent_columns(data.gram).size < data.p:
                     continue
                 target = build_target(data, out.selected, model)
                 bounds, errors = polyhedral_bounds(

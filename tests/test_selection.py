@@ -85,6 +85,35 @@ class TestDataset:
             assert got[0].tobytes() == want[0].tobytes()
 
 
+    @pytest.mark.parametrize("n, p", [(60, 20), (30, 60)])
+    def test_the_store_keeps_only_p_by_p_matrices(self, n, p):
+        """After ``calibrate`` and a fit of every method under both models,
+        the store that every dataset on X shares holds only square arrays
+        (the Gram, its blocks, the base and their factors), so no n-row copy
+        of X lives as long as the dataset, keyed by "gram", None (the base)
+        or the bytes of column indices."""
+        X = generate_design(n, p, 0.5, 3)
+        y, _ = generate_response(X, support_indices(p, 3), 0.75, 1.0, 4)
+        data = Dataset(y=y, X=X)
+        cal = calibrate(data, ("exact", "polyhedral", "split", "uv"), rho=0.8)
+        for method in ("exact", "polyhedral", "split", "uv"):
+            for model in ("selected", "full"):
+                assert fit_method(data, cal, method, model, seed=5).selected.size
+        arrays, todo = [], list(data._design.values())
+        while todo:
+            item = todo.pop()
+            if isinstance(item, np.ndarray):
+                arrays.append(item)
+            elif isinstance(item, (list, tuple)):
+                todo.extend(item)
+        assert arrays and all(a.ndim == 2 and a.shape[0] == a.shape[1] <= p for a in arrays)
+        for key in data._design:
+            if isinstance(key, bytes):
+                cols = np.frombuffer(key, dtype=int)
+                assert cols.size and ((0 <= cols) & (cols < p)).all()
+            else:
+                assert key in ("gram", None)
+
     def test_the_base_is_the_gram_where_every_column_is_kept(self):
         """Where the Gram passes its own check, the randomization base is the
         Gram of all columns: one factor and one verdict serve both, and a
