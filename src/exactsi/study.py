@@ -146,7 +146,9 @@ class SimConfig:
         check_model(self.model)
         check_level(self.alpha)
         rule = self.lambda_rule
-        if rule != "theory" and not (isinstance(rule, numbers.Real) and 0 < rule < math.inf):
+        if rule == "theory":
+            check_theory_rule(self.p)
+        elif not (isinstance(rule, numbers.Real) and 0 < rule < math.inf):
             raise InvalidArgumentError(
                 f"lambda_rule must be 'theory' or a positive finite number, not {rule!r}"
             )
@@ -286,6 +288,14 @@ def true_projected_target(
         raise SingularDesignError("selected design is rank deficient") from exc
 
 
+def check_theory_rule(p: int) -> None:
+    """Reject the theory penalty (``theory_lambda``) at p = 1, where it is 0."""
+    if p < 2:
+        raise InvalidArgumentError(
+            "theory penalty is 0 at p = 1 (sqrt(2 log p) = 0): give one with --lambda"
+        )
+
+
 def theory_lambda(data: Dataset, sigma_hat: float) -> float:
     """Penalty at the noise scale: sigma * sqrt(2 log p) * mean column norm,
     the norms read from the Gram's diagonal."""
@@ -343,7 +353,8 @@ def calibrate(
     n - rank degrees of freedom), else var(y).  The penalty defaults to
     ``theory_lambda`` at that noise scale and the ridge to ``default_epsilon``.
     A tuning value that is not finite or fails ``check_rho``, ``check_tau2``,
-    ``check_methods`` or ``check_epsilon``, and a resolved noise variance or
+    ``check_methods`` or ``check_epsilon``, no penalty at p = 1
+    (``check_theory_rule``, before any fit), and a resolved noise variance or
     penalty that is not finite and positive, raise ``InvalidArgumentError``.
     """
     if sigma is not None:
@@ -357,6 +368,8 @@ def calibrate(
     if tau2 is not None:
         check_tau2(tau2)
     check_methods(methods, rho, tau2)
+    if lam is None:
+        check_theory_rule(data.p)
     known = sigma is not None
     if known:
         try:

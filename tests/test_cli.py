@@ -994,6 +994,41 @@ def test_infinite_tuning_value_fails(tmp_path, capsys, extra, message):
         assert (code, err, written, caught) == (1, [f"error: {message}"], [], [])
 
 
+def one_feature_csv(path):
+    """A 40-row CSV of y = 2 x + N(0, 1)."""
+    x = np.random.default_rng(3).standard_normal((40, 1))
+    _write_frame(path, 2 * x[:, 0] + np.random.default_rng(4).standard_normal(40), x)
+    return path
+
+
+@pytest.mark.parametrize("command", ["infer", "select", "simulate", "validate"])
+def test_theory_penalty_at_one_feature_fails(tmp_path, capsys, monkeypatch, command):
+    """At p = 1 the theory penalty is 0: without ``--lambda`` each command
+    fails with one error line that names the cause and the flag, before any
+    fit or generated data.  Unchecked, ``infer`` and ``select`` on a
+    one-feature CSV exited 1 on "penalty 0.0 is not finite and positive",
+    as did every replicate of ``simulate --p 1``."""
+    for name in ("plug_in_sigma2", "generate_design"):
+        monkeypatch.setattr(study, name, lambda *args: pytest.fail(f"{name} ran"))
+    path = one_feature_csv(tmp_path / "d.csv")
+    data = ["--input", str(path)] if command in ("infer", "select") else ["--p", "1", "--sparsity", "1"]
+    code, err, written, caught = _probe(tmp_path, capsys, [command, *data, "--rho", "0.8"])
+    message = "error: theory penalty is 0 at p = 1 (sqrt(2 log p) = 0): give one with --lambda"
+    assert (code, err, written, caught) == (1, [message], [], [])
+
+
+def test_one_feature_with_a_penalty_gets_intervals(tmp_path):
+    """Given ``--lambda``, every method gives the one feature its interval."""
+    path = one_feature_csv(tmp_path / "d.csv")
+    argv = ["infer", "--input", str(path), "--rho", "0.8", "--lambda", "5", "--out", str(tmp_path / "o")]
+    for method in KNOWN_METHODS:
+        argv += ["--method", method]
+    assert main(argv) == 0
+    rows = strict_json(tmp_path / "o.json")["rows"]
+    assert [r["method"] for r in rows] == list(KNOWN_METHODS)
+    assert all(r["index"] == 0 and not r["error"] and r["lower"] < r["upper"] for r in rows)
+
+
 @pytest.mark.parametrize("column, message", [
     (0, "noise variance inf is not finite and positive"),
     (slice(1, None), "X'X is not finite: the data are too large"),

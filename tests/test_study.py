@@ -360,6 +360,24 @@ class TestRunStudy:
             quick_config(lambda_rule=rule)
         assert quick_config(lambda_rule=np.float64(2.5)).lambda_rule == 2.5
 
+    def test_theory_penalty_needs_two_features(self, monkeypatch):
+        """At p = 1 the theory penalty is 0, as sqrt(2 log p) is: ``SimConfig``
+        and ``calibrate`` reject it, the latter before its plug-in fit, with
+        a message that names the cause and ``--lambda``.  Unchecked, every
+        replicate and every ``calibrate`` failed on "penalty 0.0 is not
+        finite and positive".  A given penalty is accepted."""
+        message = "^theory penalty is 0 at p = 1 \\(sqrt\\(2 log p\\) = 0\\): give one with --lambda$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            quick_config(p=1, sparsity=1)
+        assert quick_config(p=1, sparsity=1, lambda_rule=5.0).lam == 5.0
+        rng = np.random.default_rng(1)
+        data = Dataset(y=rng.standard_normal(40), X=rng.standard_normal((40, 1)))
+        with monkeypatch.context() as patch:
+            patch.setattr(study, "plug_in_sigma2", lambda *args: pytest.fail("plug-in fit"))
+            with pytest.raises(InvalidArgumentError, match=message):
+                calibrate(data, ("exact",), rho=0.8)
+        assert calibrate(data, ("exact",), lam=5.0, rho=0.8).lam == 5.0
+
 
 class TestValidateUniformity:
     def test_structure_and_determinism(self):
