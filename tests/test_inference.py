@@ -1144,6 +1144,38 @@ class TestUVInference:
         assert E.size and E.tolist() == F.tolist() and repr(a) == repr(b)
         assert np.isneginf(a.lower).all() and np.isposinf(a.upper).all()
 
+    def test_the_exact_pivot_is_narrower_for_every_target(self):
+        """The abstract's claim, target by target: on the draw uv selects
+        with, ``omega = X'w`` at uv's penalty, carving with ``tau2 = sigma2
+        f`` selects the same set, and every exact interval is shorter than
+        uv's and no shorter than the naive one, ``sqrt(1 - rho)`` of uv's.
+        100 AR(0.5) 100 x 10 designs, sigma 1 known, rho 0.5, alpha 0.1."""
+        rho, alpha, sigma2 = 0.5, 0.1, 1.0
+        f = (1.0 - rho) / rho
+        ratios = []
+        for draw in range(100):
+            X = generate_design(100, 10, 0.5, draw)
+            y, _ = generate_response(X, support_indices(10, 3), 0.75, sigma2, 1000 + draw)
+            data = Dataset(y=y, X=X)
+            lam = math.sqrt(1.0 + f) * calibrate(data, ("uv",), rho=rho, sigma=1.0).lam
+            E, bounds = uv_inference(data, f, lam, sigma2, seed=draw)
+            # uv's own draw of w, so that carving randomizes by the same X'w
+            w = np.random.default_rng(draw).standard_normal(data.n) * math.sqrt(sigma2 * f)
+            out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=data.X.T @ w)
+            assert out.selected.tolist() == E.tolist()
+            if not E.size:
+                continue
+            rep = lasso_event_rep(data, out, lam=lam, epsilon=0.0)
+            target = build_target(data, E, "selected")
+            geom = build_geometry(data, rep, sigma2 * f, target)
+            params, errors = pivot_params(geom, target, sigma=1.0)
+            assert errors == [None] * E.size
+            for exact, uv in zip(invert_pivot(params, alpha), z_interval(bounds, alpha)):
+                ratios.append((exact.upper - exact.lower) / (uv.upper - uv.lower))
+        ratios = np.array(ratios)
+        assert ratios.size > 300
+        assert (math.sqrt(1.0 - rho) * (1.0 - 2e-14) <= ratios).all() and (ratios < 1.0).all()
+
 
 class TestEqualColumns:
     """Two equal columns make the Gram singular, although its Cholesky
