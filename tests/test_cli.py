@@ -1011,7 +1011,8 @@ def test_theory_penalty_at_one_feature_fails(tmp_path, capsys, monkeypatch, comm
     for name in ("plug_in_sigma2", "generate_design"):
         monkeypatch.setattr(study, name, lambda *args: pytest.fail(f"{name} ran"))
     path = one_feature_csv(tmp_path / "d.csv")
-    data = ["--input", str(path)] if command in ("infer", "select") else ["--p", "1", "--sparsity", "1"]
+    one = ["--p", "1", "--sparsity", "1"]
+    data = ["--input", str(path)] if command in ("infer", "select") else one
     code, err, written, caught = _probe(tmp_path, capsys, [command, *data, "--rho", "0.8"])
     message = "error: theory penalty is 0 at p = 1 (sqrt(2 log p) = 0): give one with --lambda"
     assert (code, err, written, caught) == (1, [message], [], [])
@@ -1020,7 +1021,8 @@ def test_theory_penalty_at_one_feature_fails(tmp_path, capsys, monkeypatch, comm
 def test_one_feature_with_a_penalty_gets_intervals(tmp_path):
     """Given ``--lambda``, every method gives the one feature its interval."""
     path = one_feature_csv(tmp_path / "d.csv")
-    argv = ["infer", "--input", str(path), "--rho", "0.8", "--lambda", "5", "--out", str(tmp_path / "o")]
+    argv = ["infer", "--input", str(path), "--rho", "0.8", "--lambda", "5"]
+    argv += ["--out", str(tmp_path / "o")]
     for method in KNOWN_METHODS:
         argv += ["--method", method]
     assert main(argv) == 0
