@@ -182,7 +182,7 @@ def cmd_select(args) -> int:
         data, ("exact",), lam=args.lam, rho=args.rho, tau2=args.tau2, epsilon=args.epsilon,
         sigma=args.sigma,
     )
-    tau2, outcome, _ = randomized_selection(data, cal, args.seed)
+    outcome, _ = randomized_selection(data, cal, args.seed)
     report = {
         "command": "select",
         "input": args.input,
@@ -190,7 +190,7 @@ def cmd_select(args) -> int:
         "p": data.p,
         "lambda": cal.lam,
         "epsilon": cal.epsilon,
-        "tau2": tau2,
+        "tau2": cal.tau2,
         "sigma2_hat": cal.sigma2,
         "seed": args.seed,
         "selected_count": int(outcome.selected.size),
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--standardize", action="store_true", help="center and scale features")
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--rho", type=float, default=None, help="split proportion n1/n")
-        p.add_argument("--tau2", type=float, default=None, help="randomization variance")
+        p.add_argument("--tau2", type=float, default=None, help="exact/uv randomization variance")
         p.add_argument("--epsilon", type=float, default=None, help="ridge term")
         p.add_argument("--sigma", type=float, default=None, help=(
             "known noise sd; else var(y) if n <= p, else least squares on the"

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .numerics import NAN_VALUE, NO_START, ROOT, invert_monotone, root_error
 from .numerics import cho_solve, independent_columns, line_interval, log_standard_mass
-from .selection import Dataset, check_noise_scale, solve_randomized_lasso
+from .selection import Dataset, check_noise_scale, check_tau2, solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
 # (bench/spans.py, PATCHES) still wrap this name on this module; drop the
@@ -976,12 +976,14 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
 
 
 def split_inference(
-    data: Dataset, rho: float, lam: float, seed: int
+    data: Dataset, rho: float, lam: float, model: str, seed: int
 ) -> tuple[np.ndarray, PolyhedralBounds | None]:
     """Data splitting: lasso on a random ``round(rho * n)`` subsample.
     Returns the selected set and the untruncated bounds (None where it is
-    empty) of its least-squares targets (``build_target``) on the held-out
-    rows, at their plug-in noise estimate (``plug_in_sigma2``)."""
+    empty) of its ``model`` targets (``build_target``) on the held-out
+    rows, at their plug-in noise estimate (``plug_in_sigma2``), both read
+    from the held-out rows of the selected columns, or of every column for
+    the full model."""
     check_rho(rho)
     n = data.n
     n1 = int(round(rho * n))
@@ -993,32 +995,35 @@ def split_inference(
     E = out.selected
     if E.size == 0:
         return E, None
-    # the held-out rows of the selected columns, which are its columns 0..|E|-1
-    held_out = data.subset(test, E)
-    columns = np.arange(E.size)
-    sigma2 = plug_in_sigma2(held_out, columns, "selected")
-    return E, _untruncated(build_target(held_out, columns, "selected"), sigma2)
+    if model == "selected":
+        # the held-out rows of the selected columns, which are its columns 0..|E|-1
+        held_out, columns = data.subset(test, E), np.arange(E.size)
+    else:
+        held_out, columns = data.subset(test), E
+    sigma2 = plug_in_sigma2(held_out, columns, model)
+    return E, _untruncated(build_target(held_out, columns, model), sigma2)
 
 
 def uv_inference(
-    data: Dataset, f: float, lam: float, sigma2: float, seed: int
+    data: Dataset, var_w: float, lam: float, sigma2: float, model: str, seed: int
 ) -> tuple[np.ndarray, PolyhedralBounds | None]:
-    """Response splitting: select on ``y + w`` with ``w ~ N(0, sigma2 f I)``,
-    ``sigma2`` the response noise variance.  Returns the selected set and
-    the untruncated bounds (None where it is empty) of its least-squares
-    targets (``build_target``) on ``X'(y - w/f)``, from the X'w the lasso
-    reads, at the noise variance ``sigma2 (1 + 1/f)`` of ``y - w/f``."""
-    if not f > 0:
-        raise InvalidArgumentError("f must be positive")
-    w = np.random.default_rng(seed).standard_normal(data.n) * math.sqrt(sigma2 * f)
+    """Response splitting: select on ``y + w``, ``w ~ N(0, var_w I)``, whose
+    X'w has the exact method's law at tau2 ``var_w`` (``check_tau2``) and base
+    X'X.  Returns the selected set and the untruncated bounds (None where it
+    is empty) of its ``model`` targets (``build_target``) on ``y - w r``, r =
+    ``sigma2 / var_w``, at its noise variance ``sigma2 (1 + r)``, ``sigma2``
+    that of y; ``y - w r`` is independent of ``y + w``."""
+    check_tau2(var_w)
+    w = np.random.default_rng(seed).standard_normal(data.n) * math.sqrt(var_w)
     # the lasso on y + w is the lasso on y perturbed linearly by X'w
     xtw = data.X.T @ w
     out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=xtw)
     E = out.selected
     if E.size == 0:
         return E, None
-    target = build_target(data, E, "selected", xty=data.xty - xtw / f)
-    return E, _untruncated(target, sigma2 * (1.0 + 1.0 / f))
+    ratio = sigma2 / var_w
+    target = build_target(data, E, model, xty=data.xty - xtw * ratio)
+    return E, _untruncated(target, sigma2 * (1.0 + ratio))
 
 
 def _untruncated(target: TargetSpec, variance: float) -> PolyhedralBounds:

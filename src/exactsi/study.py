@@ -11,13 +11,13 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    plug-in fits the independent columns of X, by the dataset's one Gram,
    rank test and Cholesky factor of the Gram block of those columns.
 2. ``fit_method`` runs one method's selection, which no level enters.  For
-   the exact method it draws the randomization (its variance given, or
-   matched to a subsample split), solves the randomized lasso and builds
-   the event representation (``randomized_selection``); for the polyhedral
-   baseline it solves the plain lasso.  Split solves the lasso on a
-   ``round(rho * n)`` subsample with penalty ``rho * lam``, and uv on ``y +
-   w`` with penalty ``sqrt(1 + f) * lam``, both matched to the carving
-   calibration.  A fit that fails before any target selects nothing.
+   the exact method it draws the randomization at ``calibrate``'s tau2,
+   solves the randomized lasso and builds the event representation
+   (``randomized_selection``); for the polyhedral baseline it solves the
+   plain lasso.  Split solves the lasso on a ``round(rho * n)`` subsample
+   with penalty ``rho * lam``, and uv on ``y + w``, ``w ~ N(0, tau2 I)``,
+   at the exact method's penalty and tau2: its lasso reads the exact
+   method's randomization law.  A fit that fails before any target selects nothing.
 3. Every method's targets are the least-squares coefficients of
    ``build_target``.  ``fit_method`` builds the constants of all of a fit's
    targets once, one record whose row j is target j, and each target's
@@ -25,9 +25,10 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    geometry makes every randomization solve, the pivot adds the noise) or
    ``build_target -> polyhedral_bounds`` (polyhedral), and as untruncated
    ``PolyhedralBounds`` for split, from ``build_target`` and
-   ``plug_in_sigma2`` on a dataset of its held-out rows and selected
-   columns, and uv, from ``build_target`` on X'(y - w/f) at the known noise
-   variance times ``1 + 1/f``.
+   ``plug_in_sigma2`` on a dataset of its held-out rows (and of its
+   selected columns under the selected model), and uv, from
+   ``build_target`` on ``X'(y - w sigma2 / tau2)`` at the noise variance
+   times ``1 + sigma2 / tau2``.
 4. ``infer(fits, alpha)`` gives each target of a list of ``Fit`` records
    its level ``1 - alpha`` interval, or the error that stopped it, in one
    elementwise call per method on the concatenated constants
@@ -153,6 +154,8 @@ class SimConfig:
                 f"lambda_rule must be 'theory' or a positive finite number, not {rule!r}"
             )
         check_methods(self.methods, self.rho, None)
+        if {"exact", "uv"} & set(self.methods):  # their tau2 needs 0 < round(rho n) < n
+            tau2_from_split(self.sigma2, self.n, int(round(self.rho * self.n)))
         check_seed(self.seed)
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -309,9 +312,9 @@ class Calibration:
 
     ``sigma2`` is the pre-selection noise variance and ``known_sigma`` says
     whether it was given rather than estimated; ``epsilon`` is the ridge term
-    of the exact method's lasso for every command.  The carving randomization
-    variance is ``tau2`` if given, else ``randomized_selection`` matches it to
-    selection on a ``round(rho * n)`` subsample.
+    of the exact method's lasso for every command.  ``tau2``, the randomization
+    variance that exact and uv share with ``lam``, is given or matched to
+    selection on a ``round(rho * n)`` subsample; None where neither runs.
     """
 
     sigma2: float
@@ -324,16 +327,16 @@ class Calibration:
 
 def check_methods(methods: Sequence[str], rho: float | None, tau2: float | None) -> None:
     """Reject unknown or repeated ``methods``, and any without its options:
-    exact needs exactly one of ``rho`` and ``tau2``, split and uv ``rho``."""
+    exact and uv need exactly one of ``rho`` and ``tau2``, split ``rho``."""
     for method in methods:
         if method not in KNOWN_METHODS:
             raise InvalidArgumentError(f"unknown method {method!r}")
         if methods.count(method) > 1:
             raise InvalidArgumentError(f"method {method!r} listed twice")
-        if method == "exact" and (tau2 is None) == (rho is None):
+        if method in ("exact", "uv") and (tau2 is None) == (rho is None):
             raise InvalidArgumentError("give exactly one of --rho or --tau2")
-        if method in ("split", "uv") and rho is None:
-            raise InvalidArgumentError(f"{method} inference needs --rho")
+        if method == "split" and rho is None:
+            raise InvalidArgumentError("split inference needs --rho")
 
 
 def calibrate(
@@ -351,11 +354,12 @@ def calibrate(
     finite.  The noise variance is ``sigma ** 2`` if given, else the
     full-model plug-in when n > p (the independent columns of X, with
     n - rank degrees of freedom), else var(y).  The penalty defaults to
-    ``theory_lambda`` at that noise scale and the ridge to ``default_epsilon``.
+    ``theory_lambda`` at that noise scale and the ridge to ``default_epsilon``,
+    and for exact and uv, tau2 to ``tau2_from_split`` at ``round(rho * n)``.
     A tuning value that is not finite or fails ``check_rho``, ``check_tau2``,
     ``check_methods`` or ``check_epsilon``, no penalty at p = 1
-    (``check_theory_rule``, before any fit), and a resolved noise variance or
-    penalty that is not finite and positive, raise ``InvalidArgumentError``.
+    (``check_theory_rule``, before any fit), and a resolved noise variance,
+    penalty or tau2 that fails its rule, raise ``InvalidArgumentError``.
     """
     if sigma is not None:
         check_noise_scale(sigma, "sigma")
@@ -389,6 +393,8 @@ def calibrate(
     if epsilon is None:
         epsilon = default_epsilon(data)
     check_epsilon(epsilon)
+    if tau2 is None and {"exact", "uv"} & set(methods):
+        tau2 = tau2_from_split(sigma2, data.n, int(round(rho * data.n)))
     return Calibration(
         sigma2=sigma2, known_sigma=known, lam=lam, epsilon=epsilon, rho=rho, tau2=tau2
     )
@@ -396,21 +402,17 @@ def calibrate(
 
 def randomized_selection(
     data: Dataset, cal: Calibration, seed: int
-) -> tuple[float, SelectionOutcome, LinearEventRep | None]:
-    """Carving-randomized lasso and its event representation (None if empty).
-
-    Returns tau2, the outcome and the representation.  The draw reads the
-    dataset's factor of the randomization base; no covariance is formed.
+) -> tuple[SelectionOutcome, LinearEventRep | None]:
+    """Carving-randomized lasso at ``cal.lam`` and ``cal.tau2``, and its event
+    representation (None if empty).  The draw reads the dataset's factor of
+    the randomization base; no covariance is formed.
     """
-    tau2 = cal.tau2
-    if tau2 is None:
-        tau2 = tau2_from_split(cal.sigma2, data.n, int(round(cal.rho * data.n)))
-    w = sample_randomization(data, tau2, seed=seed)
+    w = sample_randomization(data, cal.tau2, seed=seed)
     outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=cal.epsilon, w=w)
     rep = None
     if outcome.selected.size:
         rep = lasso_event_rep(data, outcome, lam=cal.lam, epsilon=cal.epsilon)
-    return tau2, outcome, rep
+    return outcome, rep
 
 
 @dataclass
@@ -501,18 +503,17 @@ def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: i
     """
     check_model(model)
     check_seed(seed)
-    check_methods([method], cal.rho, cal.tau2)
+    # exact and uv read the tau2 that calibrate resolved, split reads rho
+    check_methods([method], cal.rho if method == "split" else None, cal.tau2)
     E, outcome, constants, errors = np.zeros(0, dtype=int), None, None, []
     try:
         if method == "split":
             # subsample penalty matched to the carving calibration
-            E, constants = split_inference(data, cal.rho, cal.rho * cal.lam, seed)
+            E, constants = split_inference(data, cal.rho, cal.rho * cal.lam, model, seed)
         elif method == "uv":
-            # selection noise is inflated by (1+f): scale the penalty along
-            f = (1.0 - cal.rho) / cal.rho
-            E, constants = uv_inference(data, f, math.sqrt(1.0 + f) * cal.lam, cal.sigma2, seed)
+            E, constants = uv_inference(data, cal.tau2, cal.lam, cal.sigma2, model, seed)
         elif method == "exact":
-            tau2, outcome, rep = randomized_selection(data, cal, seed)
+            outcome, rep = randomized_selection(data, cal, seed)
         else:
             outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=0.0, w=np.zeros(data.p))
         E = E if outcome is None else outcome.selected
@@ -524,7 +525,7 @@ def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: i
                 signs = outcome.signs
                 constants, errors = polyhedral_bounds(data, E, signs, cal.lam, target, sigma)
             else:
-                geom = build_geometry(data, rep, tau2, target)
+                geom = build_geometry(data, rep, cal.tau2, target)
                 errors = geom.errors
                 constants, errors = pivot_params(geom, target, sigma=sigma)
     except ExactSIError as exc:

@@ -5,7 +5,8 @@ given each selection event, the intervals from inverting it must cover at
 1 - alpha within Monte-Carlo error, and they must be shorter than data
 splitting's at the matched split.  The polyhedral pivot must be uniform given
 each of its events, and its intervals must cover at least at 1 - alpha within
-Monte-Carlo error: clipping at 50 sd only widens them.
+Monte-Carlo error: clipping at 50 sd only widens them.  uv's intervals must
+cover at 1 - alpha within Monte-Carlo error, under either model.
 """
 
 from collections import defaultdict
@@ -84,6 +85,25 @@ def test_pivots_uniform_given_each_selection_event(rho, methods):
         pvalues = [pval for key, pval in tested.items() if key[0] == method]
         assert pvalues, f"no {method} event with 200 pivots"
         assert min(1.0, min(pvalues) * len(pvalues)) > 0.01
+
+
+@pytest.mark.parametrize("config, two_sided", [
+    (SimConfig(n_reps=300, methods=("uv",)), True),
+    # p > n: the noise variance is var(y), which holds the signal too
+    (SimConfig(n=50, p=80, n_reps=300, methods=("uv",)), False),
+    (SimConfig(n=300, p=100, sparsity=10, signal_fraction=0.03, seed=11, n_reps=300,
+               model="full", methods=("uv",)), True),
+], ids=["default", "p_greater_than_n", "full_model"])
+def test_uv_coverage_within_three_standard_errors(config, two_sided):
+    """uv's intervals, at the exact method's penalty and tau2, cover at 1 -
+    alpha within 3 SE, and at least at it where the noise variance is
+    var(y).  Before, uv gave selected-model intervals under the full model,
+    which covered 0.871 (SE 0.005) on the full-model cell."""
+    uv = run_study(config).methods["uv"]
+    assert uv.n_used >= 250
+    assert uv.coverage >= 1.0 - config.alpha - 3.0 * uv.coverage_se
+    if two_sided:
+        assert uv.coverage <= 1.0 - config.alpha + 3.0 * uv.coverage_se
 
 
 @pytest.mark.parametrize("rho, methods", LEVELS)

@@ -25,6 +25,7 @@ from exactsi.cli import (
     read_csv_dataset,
 )
 from exactsi.errors import ExactSIError, InvalidArgumentError, NumericalDegeneracyError
+from exactsi.selection import Dataset, solve_randomized_lasso
 from exactsi.study import (
     KNOWN_METHODS,
     SimConfig,
@@ -265,7 +266,7 @@ class TestSelect:
         assert (report["selected_count"] == 0) == (lam is not None)
         data, _ = read_csv_dataset(str(path))
         cal = study.calibrate(data, ("exact",), lam=report["lambda"], rho=0.8)
-        _, outcome, _ = study.randomized_selection(data, cal, 3)
+        outcome, _ = study.randomized_selection(data, cal, 3)
         c = data.X.T @ data.y + outcome.randomization
         assert 0.0 <= report["kkt_residual"] <= 1e-11 * max(np.abs(c).max(), cal.lam)
 
@@ -1067,6 +1068,45 @@ def test_rho_outside_unit_interval_fails(tmp_path, capsys, command, extra):
     assert (code, err, written, caught) == (1, ["error: rho must lie in (0, 1)"], [], [])
 
 
+@pytest.mark.parametrize("extra, code, err", [
+    (("--tau2", "1"), 0, []),
+    (("--rho", "0.8", "--tau2", "1"), 1, ["error: give exactly one of --rho or --tau2"]),
+], ids=["tau2", "rho_and_tau2"])
+def test_uv_takes_exactly_one_of_rho_and_tau2(tmp_path, capsys, extra, code, err):
+    """uv has the exact method's option rule: ``--tau2`` alone gives its
+    intervals, and ``--rho`` with ``--tau2`` is an argument error.  Before,
+    uv needed ``--rho``, and took it alongside ``--tau2``."""
+    path = make_regression_csv(tmp_path / "d.csv", np.random.default_rng(3), n=60, p=5)
+    got = _probe(tmp_path, capsys, ["infer", "--input", str(path), "--method", "uv", *extra])
+    assert got[:2] == (code, err) and not got[3]
+    if code:
+        assert got[2] == []
+    else:
+        rows = strict_json(tmp_path / "probe.json")["rows"]
+        assert rows and all(r["method"] == "uv" and not r["error"] for r in rows)
+
+
+def test_uv_selects_at_the_given_penalty(tmp_path, capsys):
+    """``infer --method uv --lambda 20`` selects what the lasso at 20 selects
+    on uv's draw ``w ~ N(0, tau2 I)``, at ``tau2 = sigma2 (n - n1) / n1 =
+    0.25``.  Before, uv ran at ``sqrt(1 + f) lam = sqrt(1.25) * 20``, which
+    selects two features fewer on this draw."""
+    X = generate_design(100, 20, 0.5, 3)
+    y, _ = generate_response(X, support_indices(20, 5), 0.75, 1.0, 4)
+    _write_frame(tmp_path / "d.csv", y, X)
+    argv = ["infer", "--input", str(tmp_path / "d.csv"), "--rho", "0.8", "--sigma", "1",
+            "--lambda", "20", "--method", "uv", "--seed", "5"]
+    assert _probe(tmp_path, capsys, argv)[:2] == (0, [])
+    got = [r["index"] for r in strict_json(tmp_path / "probe.json")["rows"]]
+    xtw = X.T @ (np.random.default_rng(5).standard_normal(100) * 0.5)
+    data = Dataset(y=y, X=X)
+
+    def selected(lam):
+        return solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=xtw).selected.tolist()
+
+    assert got == selected(20.0) != selected(20.0 * 1.25**0.5)
+
+
 @pytest.mark.parametrize("command", ["infer", "select"])
 def test_negative_ridge_fails_before_any_lasso(tmp_path, capsys, monkeypatch, command):
     """``--epsilon -1`` fails ``calibrate`` by the lasso's own rule
@@ -1346,31 +1386,31 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 INFER_DIGESTS = {
     (80, 30): [
         "b8315b239d824d9a1ffe09893e6ed7f44ae4fec53f5c7ca7a2696da82b4f1a79",
-        "0ac866612c147ab8808f627f3962af79705636a5ff454abc0469c8c9854541cd",
-        "ec8d38083b4865845b2a6b3df5b2ab518ee0430fd20c54fc6ffa2424a88bcb35",
-        "6d11ff18dc1f795d6d263dce446298ddb16fdfb976fc45e77f662a75ac2b08b8",
-        "40146020612f700016abaae192f6b13c6cfc902c86f4645f101cbe745a6d95f5",
+        "ce492317eef3b1ad88f71f653e29f533dd5f7bb96fc0c4a58e3043c9e4c300c5",
+        "0d9fbfcefef4127d7a3cb3b9b73cac835bded62c0e0b670272b86dc21238fe54",
+        "054a2698098d4ca9a018a9258bcdb822fbca1c734f9cb04d495bdc6e450bfdd4",
+        "4f6a96947fa24fb6f9119d37ed21c38f48d0682464d2f71f57f8ed8eaf849325",
     ],
     (40, 60): [
         "2cb2d84ebe7e18e5a59d4ea58e66ebbf58ab5e4ed5e70975d9f332cd881261a3",
-        "f298646afe4b4c306a764525cef982af82fdf9f5a37bbe6c3d4913a6cf5b3e7f",
-        "ded7d3350b33c203087d6a39fbad1ef2213b3596892b2980bf0bf94853bd8205",
-        "3349386412eba2628e4be2f0dc94c86db1fb091c5c6f03882bf27d0059327d14",
-        "526b3bc62f7cd5b0693f79a4d2d2b96966a0f51d96e3a179826851853fd361ba",
+        "eaee0f38d6cd97a70cd9434ae3e8419efc54eb7cebcfa9622310e11d28adf920",
+        "18678445f0eaeecb14f3f4bb50da9030592394cbf50e69058ae8ce2fd98e86f4",
+        "00108b3e156e62a1758687915a3e031a9fc1ddf7a2d88147af08db4a39ae9a4f",
+        "8ec1be29819b00bceff4dda19533365f08afbf0780359cf9b55c6804a4b676dd",
     ],
     (300, 100): [
         "d3c33bc0e898148d2c7129996a56d8067eb38b77b62b0fa576f357b15d5e878c",
-        "a6c1cccbf637932cf456220e94de33129c8ccbbcd104d7ae415bf83b77833a9e",
-        "f88dbb832d8f76aaaf923c2af0b3b57a8a1c2bfb93f611fc2a20f65f2cf1e6c5",
-        "29bf2d48a17fe1622f23913ba15d2b62933f5d23832e9181380fbf9f86b58982",
-        "cf4d603b89c62d2268b1a0b822f8fa7bd61ba6ed9bf0f3da027c1a42ead5f9e3",
+        "657e9aa9d23ed7d33865eb1225065f6ba0cb954fd0263f4b57f710b3a46ca720",
+        "5d9fb4cfa38d88d4a78f2feb9add3d0d4b8e91971123611fd45bab0c7f34bbb2",
+        "2c5c4a693fdf72f3afb3ddfbb7277808ee4a7bf280d055f2cff7f8917eee5f3b",
+        "bc1b5e7fc5706d7de6f88306d8526f8546d4ae9f2cb91c35dc59bb78db8f4a8c",
     ],
     (600, 300): [
         "696612958954cabcc2108f6c75f1126ccb6c9d75670647c18821ab577999c20f",
-        "d84e01dbd31b9fcf54b417e4a60a0f667ebe0f83edb221bb27ed7d5f95e87695",
-        "52bd6ede8152bcd8c4fad1088874b95cceaae813d909833f3c61097b2887b56d",
-        "4013ab8bb00b52f275c4b13c9a0683b7f96c83cadf91d72a1b9053ac63f248aa",
-        "5a9d63759e7d38173b9dcd99d1e40260780caaf5db50ffeeb984b99e67db16ce",
+        "abe526c878dc95e4e80f8c142a8cbcc3f705eaf24be7260c4c1181a6d2f7910c",
+        "5da4a626ea76b0fdc49593c770d63499fa5585e686c6f8f367f309f07f1851d5",
+        "2648e9c1629f1ceb7c447799d46589ca8702b5b20e3629523875f6d302905f58",
+        "504fd680ad3f6f099bcc528b68443161dbb7f84b597f918d7628ff61ff4aa211",
     ],
 }
 

@@ -213,10 +213,10 @@ def test_one_entry_per_target(n, p):
     data = Dataset(y=y, X=X)
     cal = calibrate(data, ("exact",), rho=0.8)
     assert (cal.epsilon > 0, data.factor() is data.factor(np.arange(p))) == (p > n, p < n)
-    tau2, out, rep = randomized_selection(data, cal, 3)
+    out, rep = randomized_selection(data, cal, 3)
     k = out.selected.size
     assert k >= 2
-    g = fit_geometry(data, out, rep, tau2)
+    g = fit_geometry(data, out, rep, cal.tau2)
     assert {name: np.shape(getattr(g, name)) for name in FIELDS} == dict.fromkeys(FIELDS, (k,))
     assert g.errors == [None] * k
 

@@ -1107,7 +1107,9 @@ class TestSplitInference:
         y = X @ beta + rng.standard_normal(80)
         data = Dataset(y=y, X=X)
         lam = 0.8 * math.sqrt(2 * math.log(10) * 64)
-        (E, a), (F, b) = (split_inference(data, rho=0.8, lam=lam, seed=3) for _ in range(2))
+        (E, a), (F, b) = (
+            split_inference(data, rho=0.8, lam=lam, model="selected", seed=3) for _ in range(2)
+        )
         assert E.tolist() == F.tolist() and repr(a) == repr(b)
         assert a.beta_hat.shape == a.sd.shape == E.shape
         assert all(0 <= j < 10 for j in E.tolist())
@@ -1117,7 +1119,37 @@ class TestSplitInference:
         rng = np.random.default_rng(10)
         data = Dataset(y=rng.standard_normal(10), X=rng.standard_normal((10, 2)))
         with pytest.raises(InvalidArgumentError):
-            split_inference(data, rho=1.5, lam=1.0, seed=0)
+            split_inference(data, rho=1.5, lam=1.0, model="selected", seed=0)
+
+
+def exact_over_uv_lengths(n, p, corr, rho, model, draws, alpha=0.1):
+    """Each target's exact interval length over uv's, on ``draws`` AR(corr)
+    n x p designs with three signals, sigma 1 known.  uv selects on its own
+    draw w at the penalty and tau2 that ``calibrate`` gives both methods;
+    the exact chain then randomizes by that draw, ``omega = X'w``, with
+    uv's lasso (no ridge), and must select the same set and give every
+    target its constants."""
+    ratios = []
+    for draw in range(draws):
+        X = generate_design(n, p, corr, draw)
+        y, _ = generate_response(X, support_indices(p, 3), 0.75, 1.0, 1000 + draw)
+        data = Dataset(y=y, X=X)
+        cal = calibrate(data, ("exact", "uv"), rho=rho, sigma=1.0)
+        E, bounds = uv_inference(data, cal.tau2, cal.lam, cal.sigma2, model, seed=draw)
+        # uv's own draw of w, so that carving randomizes by the same X'w
+        w = np.random.default_rng(draw).standard_normal(data.n) * math.sqrt(cal.tau2)
+        out = solve_randomized_lasso(data, lam=cal.lam, epsilon=0.0, w=data.X.T @ w)
+        assert out.selected.tolist() == E.tolist()
+        if not E.size:
+            continue
+        rep = lasso_event_rep(data, out, lam=cal.lam, epsilon=0.0)
+        target = build_target(data, E, model)
+        geom = build_geometry(data, rep, cal.tau2, target)
+        params, errors = pivot_params(geom, target, sigma=1.0)
+        assert errors == [None] * E.size
+        for exact, uv in zip(invert_pivot(params, alpha), z_interval(bounds, alpha)):
+            ratios.append((exact.upper - exact.lower) / (uv.upper - uv.lower))
+    return np.array(ratios)
 
 
 class TestUVInference:
@@ -1139,41 +1171,41 @@ class TestUVInference:
         data = Dataset(y=y, X=X)
         lam = math.sqrt(2 * math.log(8) * 90)
         (E, a), (F, b) = (
-            uv_inference(data, f=0.25, lam=lam, sigma2=1.0, seed=7) for _ in range(2)
+            uv_inference(data, var_w=0.25, lam=lam, sigma2=1.0, model="selected", seed=7)
+            for _ in range(2)
         )
         assert E.size and E.tolist() == F.tolist() and repr(a) == repr(b)
         assert np.isneginf(a.lower).all() and np.isposinf(a.upper).all()
 
     def test_the_exact_pivot_is_narrower_for_every_target(self):
-        """The abstract's claim, target by target: on the draw uv selects
-        with, ``omega = X'w`` at uv's penalty, carving with ``tau2 = sigma2
-        f`` selects the same set, and every exact interval is shorter than
-        uv's and no shorter than the naive one, ``sqrt(1 - rho)`` of uv's.
-        100 AR(0.5) 100 x 10 designs, sigma 1 known, rho 0.5, alpha 0.1."""
-        rho, alpha, sigma2 = 0.5, 0.1, 1.0
-        f = (1.0 - rho) / rho
-        ratios = []
-        for draw in range(100):
-            X = generate_design(100, 10, 0.5, draw)
-            y, _ = generate_response(X, support_indices(10, 3), 0.75, sigma2, 1000 + draw)
-            data = Dataset(y=y, X=X)
-            lam = math.sqrt(1.0 + f) * calibrate(data, ("uv",), rho=rho, sigma=1.0).lam
-            E, bounds = uv_inference(data, f, lam, sigma2, seed=draw)
-            # uv's own draw of w, so that carving randomizes by the same X'w
-            w = np.random.default_rng(draw).standard_normal(data.n) * math.sqrt(sigma2 * f)
-            out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=data.X.T @ w)
-            assert out.selected.tolist() == E.tolist()
-            if not E.size:
-                continue
-            rep = lasso_event_rep(data, out, lam=lam, epsilon=0.0)
-            target = build_target(data, E, "selected")
-            geom = build_geometry(data, rep, sigma2 * f, target)
-            params, errors = pivot_params(geom, target, sigma=1.0)
-            assert errors == [None] * E.size
-            for exact, uv in zip(invert_pivot(params, alpha), z_interval(bounds, alpha)):
-                ratios.append((exact.upper - exact.lower) / (uv.upper - uv.lower))
-        ratios = np.array(ratios)
+        """The abstract's claim, target by target (``exact_over_uv_lengths``):
+        every exact interval is shorter than uv's and no shorter than the
+        naive one, ``sqrt(1 - rho)`` of uv's.  100 AR(0.5) 100 x 10 designs,
+        sigma 1 known, rho 0.5, alpha 0.1."""
+        rho = 0.5
+        ratios = exact_over_uv_lengths(100, 10, 0.5, rho, "selected", draws=100)
         assert ratios.size > 300
+        assert (math.sqrt(1.0 - rho) * (1.0 - 2e-14) <= ratios).all() and (ratios < 1.0).all()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, p, corr, rho, model", [
+        (300, 100, 0.9, 0.8, "selected"),
+        (300, 100, 0.9, 0.95, "selected"),
+        (300, 100, 0.5, 0.5, "selected"),
+        (100, 10, 0.5, 0.5, "selected"),
+        (100, 10, 0.5, 0.8, "selected"),
+        (100, 10, 0.0, 0.95, "selected"),
+        # n <= p: the exact method's base is X'X jittered, so the shared draw
+        # X'w has its law only up to that jitter
+        (60, 60, 0.5, 0.8, "selected"),
+        (50, 80, 0.5, 0.8, "selected"),
+        (100, 10, 0.5, 0.8, "full"),
+    ])
+    def test_the_exact_pivot_is_narrower_on_every_cell(self, n, p, corr, rho, model):
+        """The per-target bounds of the tier-1 test on 200 draws of each
+        cell, taller and wider than square, and for full-model targets."""
+        ratios = exact_over_uv_lengths(n, p, corr, rho, model, draws=200)
+        assert ratios.size >= 500
         assert (math.sqrt(1.0 - rho) * (1.0 - 2e-14) <= ratios).all() and (ratios < 1.0).all()
 
 
@@ -1210,7 +1242,7 @@ class TestEqualColumns:
         X[test, 1] = X[test, 0]
         data = Dataset(y=X @ np.array([3.0, 3.0]) + rng.standard_normal(40), X=X)
         with pytest.raises(SingularDesignError, match="is singular"):
-            split_inference(data, rho=0.5, lam=1.0, seed=0)
+            split_inference(data, rho=0.5, lam=1.0, model="selected", seed=0)
 
 
 class TestPlugInSigma:

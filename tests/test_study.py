@@ -191,12 +191,12 @@ class TestRunStudy:
         [
             quick_config(),
             ALL_EMPTY,
-            # round(0.99 * 20) = n: the exact method fails in every replicate
-            quick_config(n=20, p=5, rho=0.99, methods=("exact", "polyhedral")),
+            # round(0.99 * 20) = n: split fails in every replicate
+            quick_config(n=20, p=5, rho=0.99, methods=("polyhedral", "split")),
             # more than one block of replicates, so that a pool of two runs
             quick_config(n_reps=_BLOCK + 1, methods=("exact", "polyhedral")),
         ],
-        ids=["default", "all_empty", "exact_fails", "two_chunks"],
+        ids=["default", "all_empty", "split_fails", "two_chunks"],
     )
     def test_reproducible_and_parallel_identical(self, cfg):
         a = run_study(cfg, workers=1)
@@ -336,11 +336,17 @@ class TestRunStudy:
         assert list(written["failures"].items()) == list(poly.failures.items())
         assert written["n_failed"] == 3
 
-    def test_unmatchable_split_fails_only_the_exact_method(self):
-        # round(0.99 * 20) = n leaves no held-out rows to match tau2 to
-        cfg = quick_config(n=20, p=5, rho=0.99, n_reps=2, methods=("exact", "polyhedral"))
+    def test_unmatchable_split_is_rejected_for_exact_and_uv(self):
+        """round(0.99 * 20) = n leaves no held-out rows to match tau2 to:
+        a study of exact or uv is rejected at construction, as ``calibrate``
+        rejects it.  Before, the exact method failed in every replicate.
+        Split fails only its own fits."""
+        for methods in (("exact", "polyhedral"), ("uv",)):
+            with pytest.raises(InvalidArgumentError, match="^need 0 < n1 < n, got n1=20, n=20$"):
+                quick_config(n=20, p=5, rho=0.99, n_reps=2, methods=methods)
+        cfg = quick_config(n=20, p=5, rho=0.99, n_reps=2, methods=("polyhedral", "split"))
         summary = run_study(cfg)
-        assert summary.methods["exact"].n_failed == 2
+        assert summary.methods["split"].n_failed == 2
         assert summary.methods["polyhedral"].n_failed == 0
 
     def test_config_validation(self):
@@ -831,8 +837,10 @@ class TestFitMethodErrors:
         ("polyhedral", "bogus", 1, {}, "unknown model 'bogus'"),
         ("exact", "selected", -1, {"rho": 0.8}, "seed must be nonnegative, got -1"),
         ("split", "selected", 5, {"tau2": 1.0}, "split inference needs --rho"),
-        ("uv", "selected", 5, {"tau2": 1.0}, "uv inference needs --rho"),
+        ("uv", "selected", 5, {}, "give exactly one of --rho or --tau2"),
         ("exact", "selected", 5, {}, "give exactly one of --rho or --tau2"),
+        # a calibration for neither randomized method resolves no tau2
+        ("uv", "selected", 5, {"rho": 0.8}, "give exactly one of --rho or --tau2"),
     ])
     def test_bad_argument_raises_before_any_stage(
         self, fitted, monkeypatch, method, model, seed, options, message
@@ -840,7 +848,7 @@ class TestFitMethodErrors:
         """Each argument rule of ``fit_method``'s entry, on a calibration
         that lacks nothing but what the case names.  Unchecked, the unknown
         model was every target's error, the negative seed escaped as numpy's
-        ``ValueError``, and split or uv on a tau2-only calibration met a
+        ``ValueError``, and split on a tau2-only calibration met a
         ``TypeError``."""
         data = fitted[0]
         cal = calibrate(data, ("polyhedral",), **options)
@@ -960,9 +968,80 @@ def test_calibrate_checks_method_options():
         calibrate(data, ("exact",), rho=0.8, tau2=1.0)
     with pytest.raises(InvalidArgumentError, match="^tau2 must be positive$"):
         calibrate(data, ("exact",), tau2=0.0)
-    with pytest.raises(InvalidArgumentError, match="uv inference needs --rho"):
+    with pytest.raises(InvalidArgumentError, match="exactly one of --rho or --tau2"):
         calibrate(data, ("polyhedral", "uv"))
+    with pytest.raises(InvalidArgumentError, match="exactly one of --rho or --tau2"):
+        calibrate(data, ("uv",), rho=0.8, tau2=1.0)
+    with pytest.raises(InvalidArgumentError, match="split inference needs --rho"):
+        calibrate(data, ("uv", "split"), tau2=1.0)
     assert calibrate(data, ("polyhedral",)).tau2 is None
+    assert calibrate(data, ("polyhedral", "split"), rho=0.8).tau2 is None
+    assert calibrate(data, ("uv",), tau2=2.0).tau2 == 2.0
+
+
+def test_randomized_methods_share_one_tau2():
+    """``calibrate`` resolves tau2 once, for exact and uv alike: by the
+    exact method's subsample rule at its noise variance and ``round(rho n)``."""
+    rng = np.random.default_rng(1)
+    data = Dataset(y=rng.standard_normal(30), X=rng.standard_normal((30, 4)))
+    cal = calibrate(data, ("uv",), rho=0.8)
+    assert cal.tau2 == selection.tau2_from_split(cal.sigma2, 30, 24)
+    assert calibrate(data, ("exact", "uv"), rho=0.8) == cal
+
+
+@pytest.mark.parametrize("rho, n1", [(0.01, 0), (0.99, 30)])
+def test_a_split_share_of_no_rows_fails_exact_and_uv(rho, n1):
+    """A ``round(rho n)`` of 0 or n rows matches no randomization variance:
+    where exact or uv runs, the call fails before any fit.  Before, tau2 was
+    resolved in the exact fit, which failed alone, and uv selected with a
+    variance ratio that ignored the rounding.  Split still fails only its
+    own fit."""
+    rng = np.random.default_rng(1)
+    data = Dataset(y=rng.standard_normal(30), X=rng.standard_normal((30, 4)))
+    for method in ("exact", "uv"):
+        with pytest.raises(InvalidArgumentError, match=f"^need 0 < n1 < n, got n1={n1}, n=30$"):
+            calibrate(data, (method, "split"), rho=rho)
+    fit = fit_method(data, calibrate(data, ("split",), rho=rho), "split", "selected", 0)
+    assert [str(e) for e in fit.errors] == [f"split size n1={n1} leaves no usable half"]
+
+
+def test_split_and_uv_target_the_full_model():
+    """Under ``model="full"`` split's and uv's constants are the full-model
+    statistics of ``build_target``: split's on its held-out rows with every
+    column, at their full-model plug-in noise, and uv's on ``y - w sigma2 /
+    tau2``.  Before, both gave selected-model constants under either model."""
+    X = generate_design(120, 10, 0.5, 3)
+    y, _ = generate_response(X, support_indices(10, 4), 0.75, 1.0, 4)
+    data = Dataset(y=y, X=X)
+    cal = calibrate(data, ("exact", "split", "uv"), rho=0.5)
+    split, uv = (fit_method(data, cal, m, "full", 5) for m in ("split", "uv"))
+    held_out = data.subset(np.random.default_rng(5).permutation(120)[60:])
+    xtw = X.T @ (np.random.default_rng(5).standard_normal(120) * math.sqrt(cal.tau2))
+    ratio = cal.sigma2 / cal.tau2
+    for fit, rows, xty, variance in (
+        (split, held_out, None, inference.plug_in_sigma2(held_out, split.selected, "full")),
+        (uv, data, data.xty - xtw * ratio, cal.sigma2 * (1.0 + ratio)),
+    ):
+        assert fit.selected.size >= 2 and fit.errors == [None] * fit.selected.size
+        target = conditioning.build_target(rows, fit.selected, "full", xty=xty)
+        np.testing.assert_allclose(fit.constants.beta_hat, target.estimate, rtol=1e-12)
+        np.testing.assert_allclose(fit.constants.sd, np.sqrt(variance * target.norm2), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, p, rho, lam", [(300, 100, 0.8, None), (30, 60, 0.5, 20.0)])
+def test_a_full_model_that_cannot_be_fitted_fails_split_and_uv(n, p, rho, lam):
+    """Split's held-out rows (60 at the default cell's 300 x 100, rho 0.8)
+    or the data (30 x 60) number no more than p: the full model cannot be
+    fitted, and the fit fails with ``SingularDesignError``, as the exact
+    method's does."""
+    X = generate_design(n, p, 0.5, 3)
+    y, _ = generate_response(X, support_indices(p, 4), 3.0, 1.0, 4)
+    data = Dataset(y=y, X=X)
+    cal = calibrate(data, ("exact", "split", "uv"), lam=lam, rho=rho)
+    methods = ("split",) if n > p else ("exact", "split", "uv")
+    for method in methods:
+        fit = fit_method(data, cal, method, "full", 5)
+        assert fit.errors and all(isinstance(e, SingularDesignError) for e in fit.errors)
 
 
 def test_theory_lambda_scale():
