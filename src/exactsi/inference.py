@@ -8,9 +8,10 @@ bivariate-normal orthant differences through Owen's T function, with a
 log-space Gauss-Legendre rule where the truncation mass or the pivot's
 smaller tail is too small for that (see ``PivotParams``).  Baselines: the
 polyhedral (non-randomized) truncated Gaussian pivot, data splitting, and
-response-splitting with synthetic noise; the last two give the same
-least-squares targets (``build_target``) untruncated, whose pivot is the z
-pivot (``z_interval``).
+response-splitting with synthetic noise.  Here the last two only select
+(``split_inference``, ``uv_inference``); ``exactsi.study`` builds their
+least-squares targets, which are untruncated (``untruncated_bounds``), so
+their pivot is the z pivot (``z_interval``).
 
 Each pivot's constants have one form, a record (``PivotParams``,
 ``PolyhedralBounds``) whose fields are floats for one target or arrays for
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, owens_t
 
-from .conditioning import ConditioningGeometry, TargetSpec, build_target, check_model
+from .conditioning import ConditioningGeometry, TargetSpec, check_model
 from .errors import (
     ExactSIError,
     GeometryInconsistencyError,
@@ -48,7 +49,8 @@ from .errors import (
 )
 from .numerics import NAN_VALUE, NO_START, ROOT, invert_monotone, root_error
 from .numerics import cho_solve, independent_columns, line_interval, log_standard_mass
-from .selection import Dataset, check_noise_scale, check_tau2, solve_randomized_lasso
+from .selection import Dataset, SelectionOutcome, check_noise_scale, check_tau2
+from .selection import solve_randomized_lasso
 
 # Not called here: the exact pivot is closed form.  The benchmark's trace hooks
 # (bench/spans.py, PATCHES) still wrap this name on this module; drop the
@@ -976,57 +978,38 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
 
 
 def split_inference(
-    data: Dataset, rho: float, lam: float, model: str, seed: int
-) -> tuple[np.ndarray, PolyhedralBounds | None]:
-    """Data splitting: lasso on a random ``round(rho * n)`` subsample.
-    Returns the selected set and the untruncated bounds (None where it is
-    empty) of its ``model`` targets (``build_target``) on the held-out
-    rows, at their plug-in noise estimate (``plug_in_sigma2``), both read
-    from the held-out rows of the selected columns, or of every column for
-    the full model."""
+    data: Dataset, rho: float, lam: float, seed: int
+) -> tuple[SelectionOutcome, np.ndarray]:
+    """Data splitting's selection: the lasso on a random ``round(rho * n)``
+    subsample.  Returns its outcome and the held-out rows, on which the
+    targets and their plug-in noise estimate are read."""
     check_rho(rho)
     n = data.n
     n1 = int(round(rho * n))
     if not 2 <= n1 <= n - 2:
         raise InvalidArgumentError(f"split size n1={n1} leaves no usable half")
     perm = np.random.default_rng(seed).permutation(n)
-    train, test = perm[:n1], perm[n1:]
-    out = solve_randomized_lasso(data.subset(train), lam=lam, epsilon=0.0, w=np.zeros(data.p))
-    E = out.selected
-    if E.size == 0:
-        return E, None
-    if model == "selected":
-        # the held-out rows of the selected columns, which are its columns 0..|E|-1
-        held_out, columns = data.subset(test, E), np.arange(E.size)
-    else:
-        held_out, columns = data.subset(test), E
-    sigma2 = plug_in_sigma2(held_out, columns, model)
-    return E, _untruncated(build_target(held_out, columns, model), sigma2)
+    train = data.subset(perm[:n1])
+    return solve_randomized_lasso(train, lam=lam, epsilon=0.0, w=np.zeros(data.p)), perm[n1:]
 
 
 def uv_inference(
-    data: Dataset, var_w: float, lam: float, sigma2: float, model: str, seed: int
-) -> tuple[np.ndarray, PolyhedralBounds | None]:
-    """Response splitting: select on ``y + w``, ``w ~ N(0, var_w I)``, whose
-    X'w has the exact method's law at tau2 ``var_w`` (``check_tau2``) and base
-    X'X.  Returns the selected set and the untruncated bounds (None where it
-    is empty) of its ``model`` targets (``build_target``) on ``y - w r``, r =
-    ``sigma2 / var_w``, at its noise variance ``sigma2 (1 + r)``, ``sigma2``
-    that of y; ``y - w r`` is independent of ``y + w``."""
+    data: Dataset, var_w: float, lam: float, seed: int
+) -> tuple[SelectionOutcome, np.ndarray]:
+    """Response splitting's selection: the lasso on ``y + w``, ``w ~ N(0,
+    var_w I)``, whose X'w has the exact method's law at tau2 ``var_w``
+    (``check_tau2``) and base X'X.  Returns its outcome and X'w: with r =
+    ``sigma2 / var_w``, ``sigma2`` the noise variance of y, ``y - w r`` is
+    independent of ``y + w`` and has variance ``sigma2 (1 + r)``, and its
+    X' is ``X'y - X'w r``."""
     check_tau2(var_w)
     w = np.random.default_rng(seed).standard_normal(data.n) * math.sqrt(var_w)
     # the lasso on y + w is the lasso on y perturbed linearly by X'w
     xtw = data.X.T @ w
-    out = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=xtw)
-    E = out.selected
-    if E.size == 0:
-        return E, None
-    ratio = sigma2 / var_w
-    target = build_target(data, E, model, xty=data.xty - xtw * ratio)
-    return E, _untruncated(target, sigma2 * (1.0 + ratio))
+    return solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=xtw), xtw
 
 
-def _untruncated(target: TargetSpec, variance: float) -> PolyhedralBounds:
+def untruncated_bounds(target: TargetSpec, variance: float) -> PolyhedralBounds:
     """The estimates c'v of ``target`` with no truncation, where ``variance``
     is the noise variance of the response v."""
     sd = np.sqrt(variance * target.norm2)

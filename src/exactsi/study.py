@@ -10,22 +10,23 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    plug-in when n > p, else var(y)), the penalty and the ridge term.  The
    plug-in fits the independent columns of X, by the dataset's one Gram,
    rank test and Cholesky factor of the Gram block of those columns.
-2. ``fit_method`` runs one method's selection, which no level enters.  For
-   the exact method it draws the randomization at ``calibrate``'s tau2,
-   solves the randomized lasso and builds the event representation
-   (``randomized_selection``); for the polyhedral baseline it solves the
-   plain lasso.  Split solves the lasso on a ``round(rho * n)`` subsample
-   with penalty ``rho * lam``, and uv on ``y + w``, ``w ~ N(0, tau2 I)``,
-   at the exact method's penalty and tau2: its lasso reads the exact
-   method's randomization law.  A fit that fails before any target selects nothing.
+2. ``fit_method`` runs one method's selection, which no level enters, to
+   a ``SelectionOutcome``.  For the exact method it draws the randomization
+   at ``calibrate``'s tau2, solves the randomized lasso and builds the
+   event representation (``randomized_selection``); for the polyhedral
+   baseline it solves the plain lasso.  Split solves the lasso on a
+   ``round(rho * n)`` subsample with penalty ``rho * lam``
+   (``split_inference``), and uv on ``y + w``, ``w ~ N(0, tau2 I)``, at the
+   exact method's penalty and tau2 (``uv_inference``): its lasso reads the
+   exact method's randomization law.  A fit that fails here selects nothing.
 3. Every method's targets are the least-squares coefficients of
-   ``build_target``.  ``fit_method`` builds the constants of all of a fit's
-   targets once, one record whose row j is target j, and each target's
-   error: by ``build_target -> build_geometry -> pivot_params`` (exact; the
-   geometry makes every randomization solve, the pivot adds the noise) or
-   ``build_target -> polyhedral_bounds`` (polyhedral), and as untruncated
-   ``PolyhedralBounds`` for split, from ``build_target`` and
-   ``plug_in_sigma2`` on a dataset of its held-out rows (and of its
+   ``build_target`` on ``E = outcome.selected``.  ``fit_method`` builds
+   the constants of all of a fit's targets once, one record whose row j is
+   target j, and each target's error: by ``build_target -> build_geometry
+   -> pivot_params`` (exact; the geometry makes every randomization solve,
+   the pivot adds the noise) or ``build_target -> polyhedral_bounds``
+   (polyhedral), and as ``untruncated_bounds`` for split, from
+   ``plug_in_sigma2`` and ``build_target`` on its held-out rows (of its
    selected columns under the selected model), and uv, from
    ``build_target`` on ``X'(y - w sigma2 / tau2)`` at the noise variance
    times ``1 + sigma2 / tau2``.
@@ -79,6 +80,7 @@ from .inference import (
     polyhedral_interval,
     polyhedral_pivot,
     split_inference,
+    untruncated_bounds,
     uv_inference,
     z_interval,
 )
@@ -419,14 +421,15 @@ def randomized_selection(
 class Fit:
     """One method's selection on one dataset, ready for per-target inference.
 
-    ``selected`` lists the selected features and ``constants`` is the record
-    whose row j is target j's constants: ``PivotParams`` (exact) or
-    ``PolyhedralBounds`` (polyhedral, and untruncated for split and uv);
-    None where nothing was selected or a stage that serves every target
-    failed.  ``errors[j]`` is the error that stopped target j, or None.  A
-    fit that failed before any target selected nothing, and its one entry of
-    ``errors`` is that error.  A fit is data only, and holds no level:
-    ``infer`` takes the intervals of a list of fits at a level.
+    ``outcome`` is the selection's, None where it failed; ``selected``
+    lists its features and ``constants`` is the record whose row j is
+    target j's constants: ``PivotParams`` (exact) or ``PolyhedralBounds``
+    (polyhedral, and untruncated for split and uv); None where nothing was
+    selected or a stage that serves every target failed.  ``errors[j]`` is
+    the error that stopped target j, or None.  A fit whose selection failed
+    selected nothing, and its one entry of ``errors`` is that error.  A fit
+    is data only, and holds no level: ``infer`` takes the intervals of a
+    list of fits at a level.
     """
 
     method: str
@@ -493,32 +496,45 @@ def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: i
 
     ``check_model``, ``check_seed`` and ``check_methods`` (against ``cal``)
     reject a bad argument with ``InvalidArgumentError`` before any stage
-    runs; past them the data fail the fit, never the call.  The stages
-    (``build_target -> build_geometry -> pivot_params``, exact;
-    ``build_target -> polyhedral_bounds``, polyhedral; untruncated bounds,
-    split and uv) each check and factor what they use.  A target keeps the
-    error of the first check it fails; an error of a stage that serves every
-    target becomes each standing target's; one raised before any target
-    gives a fit that selected nothing, whose one entry of ``errors`` it is.
+    runs, as does exact or uv on a ``cal`` that resolved no tau2; past them
+    the data fail the fit, never the call.  Every method selects, to a
+    ``SelectionOutcome``, then builds its targets on ``E = outcome.selected``
+    (module docstring, steps 2 and 3); each stage checks and factors what
+    it uses.  A target keeps the error of the first check it fails; an
+    error of a stage that serves every target becomes each standing
+    target's; one raised in selection gives a fit that selected nothing,
+    whose one entry of ``errors`` it is.
     """
     check_model(model)
     check_seed(seed)
+    if method in ("exact", "uv") and cal.tau2 is None and cal.rho is not None:
+        raise InvalidArgumentError(f"no tau2 was resolved for {method}: calibrate with it")
     # exact and uv read the tau2 that calibrate resolved, split reads rho
     check_methods([method], cal.rho if method == "split" else None, cal.tau2)
     E, outcome, constants, errors = np.zeros(0, dtype=int), None, None, []
     try:
         if method == "split":
             # subsample penalty matched to the carving calibration
-            E, constants = split_inference(data, cal.rho, cal.rho * cal.lam, model, seed)
+            outcome, held_out = split_inference(data, cal.rho, cal.rho * cal.lam, seed)
         elif method == "uv":
-            E, constants = uv_inference(data, cal.tau2, cal.lam, cal.sigma2, model, seed)
+            outcome, xtw = uv_inference(data, cal.tau2, cal.lam, seed)
         elif method == "exact":
             outcome, rep = randomized_selection(data, cal, seed)
         else:
             outcome = solve_randomized_lasso(data, lam=cal.lam, epsilon=0.0, w=np.zeros(data.p))
-        E = E if outcome is None else outcome.selected
+        E = outcome.selected
         errors = [None] * E.size
-        if outcome is not None and E.size:
+        if E.size and method == "split":
+            # the held-out rows of E, as its columns 0..|E|-1, or of every column
+            rows = data.subset(held_out, E if model == "selected" else None)
+            cols = np.arange(E.size) if model == "selected" else E
+            sigma2 = plug_in_sigma2(rows, cols, model)
+            constants = untruncated_bounds(build_target(rows, cols, model), sigma2)
+        elif E.size and method == "uv":
+            ratio = cal.sigma2 / cal.tau2
+            target = build_target(data, E, model, xty=data.xty - xtw * ratio)
+            constants = untruncated_bounds(target, cal.sigma2 * (1.0 + ratio))
+        elif E.size:
             sigma = _post_sigma(data, cal, model, E)
             target = build_target(data, E, model)
             if method == "polyhedral":

@@ -1388,29 +1388,29 @@ INFER_DIGESTS = {
         "b8315b239d824d9a1ffe09893e6ed7f44ae4fec53f5c7ca7a2696da82b4f1a79",
         "ce492317eef3b1ad88f71f653e29f533dd5f7bb96fc0c4a58e3043c9e4c300c5",
         "0d9fbfcefef4127d7a3cb3b9b73cac835bded62c0e0b670272b86dc21238fe54",
-        "054a2698098d4ca9a018a9258bcdb822fbca1c734f9cb04d495bdc6e450bfdd4",
-        "4f6a96947fa24fb6f9119d37ed21c38f48d0682464d2f71f57f8ed8eaf849325",
+        "27a365086dbed10409babb27a5320f13378d59b0dfe3ac72a99eca3b8367f4af",
+        "0e18ea0de51beb960a57892af0cb28c1501318014f21ab7124c50b1fe2e8091d",
     ],
     (40, 60): [
         "2cb2d84ebe7e18e5a59d4ea58e66ebbf58ab5e4ed5e70975d9f332cd881261a3",
         "eaee0f38d6cd97a70cd9434ae3e8419efc54eb7cebcfa9622310e11d28adf920",
         "18678445f0eaeecb14f3f4bb50da9030592394cbf50e69058ae8ce2fd98e86f4",
-        "00108b3e156e62a1758687915a3e031a9fc1ddf7a2d88147af08db4a39ae9a4f",
-        "8ec1be29819b00bceff4dda19533365f08afbf0780359cf9b55c6804a4b676dd",
+        "ff396a63ec0aaffb6e0784f504f07778e31665e550dfd36586b24c730692331b",
+        "f9550f8c1dad9fb3cd453e4150c772090a2fbafba70ba7889ec64309e6c3a529",
     ],
     (300, 100): [
         "d3c33bc0e898148d2c7129996a56d8067eb38b77b62b0fa576f357b15d5e878c",
         "657e9aa9d23ed7d33865eb1225065f6ba0cb954fd0263f4b57f710b3a46ca720",
         "5d9fb4cfa38d88d4a78f2feb9add3d0d4b8e91971123611fd45bab0c7f34bbb2",
-        "2c5c4a693fdf72f3afb3ddfbb7277808ee4a7bf280d055f2cff7f8917eee5f3b",
-        "bc1b5e7fc5706d7de6f88306d8526f8546d4ae9f2cb91c35dc59bb78db8f4a8c",
+        "03b4255285a3546c4eec5060e4b30ed7b6b986f8fbbce27497bc59163cd865f3",
+        "a882245729639b5004712763ca45df4e24b972d86cd0a9ee9983ce61111a354c",
     ],
     (600, 300): [
         "696612958954cabcc2108f6c75f1126ccb6c9d75670647c18821ab577999c20f",
         "abe526c878dc95e4e80f8c142a8cbcc3f705eaf24be7260c4c1181a6d2f7910c",
         "5da4a626ea76b0fdc49593c770d63499fa5585e686c6f8f367f309f07f1851d5",
-        "2648e9c1629f1ceb7c447799d46589ca8702b5b20e3629523875f6d302905f58",
-        "504fd680ad3f6f099bcc528b68443161dbb7f84b597f918d7628ff61ff4aa211",
+        "ad7d7bea4cf38c0860a12314c6f48c80c87e92e726332fec85644ebd4c40ec01",
+        "20a2bf4201ba0c47834f6e1bdf6ed229f7353a7b0ee39d2f68d9137b1c711e71",
     ],
 }
 

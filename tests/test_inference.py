@@ -1106,9 +1106,11 @@ class TestSplitInference:
         beta[:3] = 3.0
         y = X @ beta + rng.standard_normal(80)
         data = Dataset(y=y, X=X)
-        lam = 0.8 * math.sqrt(2 * math.log(10) * 64)
+        # split's penalty is rho times the calibrated one: 0.8 sqrt(2 log(10) 64)
+        cal = calibrate(data, ("split",), lam=math.sqrt(2 * math.log(10) * 64), rho=0.8)
         (E, a), (F, b) = (
-            split_inference(data, rho=0.8, lam=lam, model="selected", seed=3) for _ in range(2)
+            (fit.selected, fit.constants)
+            for fit in (fit_method(data, cal, "split", "selected", 3) for _ in range(2))
         )
         assert E.tolist() == F.tolist() and repr(a) == repr(b)
         assert a.beta_hat.shape == a.sd.shape == E.shape
@@ -1119,7 +1121,7 @@ class TestSplitInference:
         rng = np.random.default_rng(10)
         data = Dataset(y=rng.standard_normal(10), X=rng.standard_normal((10, 2)))
         with pytest.raises(InvalidArgumentError):
-            split_inference(data, rho=1.5, lam=1.0, model="selected", seed=0)
+            split_inference(data, rho=1.5, lam=1.0, seed=0)
 
 
 def exact_over_uv_lengths(n, p, corr, rho, model, draws, alpha=0.1):
@@ -1135,7 +1137,8 @@ def exact_over_uv_lengths(n, p, corr, rho, model, draws, alpha=0.1):
         y, _ = generate_response(X, support_indices(p, 3), 0.75, 1.0, 1000 + draw)
         data = Dataset(y=y, X=X)
         cal = calibrate(data, ("exact", "uv"), rho=rho, sigma=1.0)
-        E, bounds = uv_inference(data, cal.tau2, cal.lam, cal.sigma2, model, seed=draw)
+        uv = fit_method(data, cal, "uv", model, draw)
+        E, bounds = uv.selected, uv.constants
         # uv's own draw of w, so that carving randomizes by the same X'w
         w = np.random.default_rng(draw).standard_normal(data.n) * math.sqrt(cal.tau2)
         out = solve_randomized_lasso(data, lam=cal.lam, epsilon=0.0, w=data.X.T @ w)
@@ -1169,13 +1172,26 @@ class TestUVInference:
         beta[:2] = 4.0
         y = X @ beta + rng.standard_normal(90)
         data = Dataset(y=y, X=X)
-        lam = math.sqrt(2 * math.log(8) * 90)
+        cal = calibrate(data, ("uv",), lam=math.sqrt(2 * math.log(8) * 90), tau2=0.25, sigma=1.0)
         (E, a), (F, b) = (
-            uv_inference(data, var_w=0.25, lam=lam, sigma2=1.0, model="selected", seed=7)
-            for _ in range(2)
+            (fit.selected, fit.constants)
+            for fit in (fit_method(data, cal, "uv", "selected", 7) for _ in range(2))
         )
         assert E.size and E.tolist() == F.tolist() and repr(a) == repr(b)
         assert np.isneginf(a.lower).all() and np.isposinf(a.upper).all()
+
+    def test_selection_returns_its_draw(self):
+        """uv's selection is the lasso on ``y + w``, w its own draw, and it
+        returns X'w, from which ``fit_method`` builds the targets."""
+        rng = np.random.default_rng(12)
+        data = Dataset(y=rng.standard_normal(90), X=rng.standard_normal((90, 8)))
+        lam = math.sqrt(2 * math.log(8) * 90)
+        outcome, xtw = uv_inference(data, var_w=0.25, lam=lam, seed=7)
+        w = np.random.default_rng(7).standard_normal(90) * 0.5
+        assert np.array_equal(xtw, data.X.T @ w)
+        want = solve_randomized_lasso(data, lam=lam, epsilon=0.0, w=data.X.T @ w)
+        assert np.array_equal(outcome.active_solution, want.active_solution)
+        assert outcome.selected.tolist() == want.selected.tolist()
 
     def test_the_exact_pivot_is_narrower_for_every_target(self):
         """The abstract's claim, target by target (``exact_over_uv_lengths``):
@@ -1241,8 +1257,12 @@ class TestEqualColumns:
         test = np.random.default_rng(0).permutation(40)[20:]  # split's rows at seed 0
         X[test, 1] = X[test, 0]
         data = Dataset(y=X @ np.array([3.0, 3.0]) + rng.standard_normal(40), X=X)
-        with pytest.raises(SingularDesignError, match="is singular"):
-            split_inference(data, rho=0.5, lam=1.0, model="selected", seed=0)
+        cal = calibrate(data, ("split",), lam=2.0, rho=0.5)  # split's penalty is rho lam = 1
+        fit = fit_method(data, cal, "split", "selected", 0)
+        assert fit.selected.tolist() == [0, 1] and len(fit.errors) == 2
+        assert all(
+            isinstance(e, SingularDesignError) and "is singular" in str(e) for e in fit.errors
+        )
 
 
 class TestPlugInSigma:

@@ -92,7 +92,7 @@ class TestDataset:
         (the Gram, its blocks, the base and their factors), so no n-row copy
         of X lives as long as the dataset, keyed by "gram", None (the base)
         or the bytes of column indices.  At p > n split's and uv's full
-        model cannot be fitted, and those fits fail before they select."""
+        model cannot be fitted, and each of their selected targets fails."""
         X = generate_design(n, p, 0.5, 3)
         y, _ = generate_response(X, support_indices(p, 3), 0.75, 1.0, 4)
         data = Dataset(y=y, X=X)
@@ -101,7 +101,8 @@ class TestDataset:
             for model in ("selected", "full"):
                 fit = fit_method(data, cal, method, model, seed=5)
                 unfit = p > n and model == "full" and method in ("split", "uv")
-                assert fit.selected.size or (unfit and type(fit.errors[0]) is SingularDesignError)
+                assert fit.selected.size and len(fit.errors) == fit.selected.size
+                assert all(type(e) is SingularDesignError for e in fit.errors) or not unfit
         arrays, todo = [], list(data._design.values())
         while todo:
             item = todo.pop()

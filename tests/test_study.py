@@ -811,19 +811,13 @@ class TestFitMethodErrors:
 
     @pytest.mark.parametrize("method", study.KNOWN_METHODS)
     def test_failure_after_selection(self, fitted, monkeypatch, method):
-        # split and uv take their noise level in their own stage, so they
-        # never reach the selected-model plug-in of ``_post_sigma``
+        # every method builds its targets by ``build_target`` after selection
         data, cal, clean = fitted
         exc = SingularDesignError("injected")
-        monkeypatch.setattr(study, "_post_sigma", self.raising(exc))
+        monkeypatch.setattr(study, "build_target", self.raising(exc))
         fit = fit_method(data, cal, method, "selected", 5)
         want = clean[method]
         assert fit.selected.tolist() == want.selected.tolist()
-        if method in ("split", "uv"):
-            assert fit.errors == want.errors
-            for name in (f.name for f in fields(want.constants)):
-                assert np.array_equal(getattr(fit.constants, name), getattr(want.constants, name))
-            return
         assert fit.constants is None and exc.__traceback__ is None
         assert len(fit.errors) == fit.selected.size and all(e is exc for e in fit.errors)
 
@@ -840,7 +834,7 @@ class TestFitMethodErrors:
         ("uv", "selected", 5, {}, "give exactly one of --rho or --tau2"),
         ("exact", "selected", 5, {}, "give exactly one of --rho or --tau2"),
         # a calibration for neither randomized method resolves no tau2
-        ("uv", "selected", 5, {"rho": 0.8}, "give exactly one of --rho or --tau2"),
+        ("uv", "selected", 5, {"rho": 0.8}, "no tau2 was resolved for uv: calibrate with it"),
     ])
     def test_bad_argument_raises_before_any_stage(
         self, fitted, monkeypatch, method, model, seed, options, message
@@ -938,7 +932,8 @@ def test_a_degenerate_split_target_fails_alone():
     cal = calibrate(data, cfg.methods, rho=cfg.rho, epsilon=0.0)
     split, uv = (fit_method(data, cal, method, cfg.model, 3) for method in cfg.methods)
     assert split.selected.size >= 3 and uv.selected.size
-    assert split.outcome is None and np.isinf(split.constants.lower).all()
+    assert split.outcome.selected.tolist() == split.selected.tolist()
+    assert np.isinf(split.constants.lower).all()
     sd = split.constants.sd.copy()
     sd[0], sd[2] = math.nan, 0.0
     broken = replace(split, constants=replace(split.constants, sd=sd))
@@ -1032,8 +1027,9 @@ def test_split_and_uv_target_the_full_model():
 def test_a_full_model_that_cannot_be_fitted_fails_split_and_uv(n, p, rho, lam):
     """Split's held-out rows (60 at the default cell's 300 x 100, rho 0.8)
     or the data (30 x 60) number no more than p: the full model cannot be
-    fitted, and the fit fails with ``SingularDesignError``, as the exact
-    method's does."""
+    fitted, and each selected target fails with ``SingularDesignError``, as
+    the exact method's do.  Before, split and uv failed before any target
+    and dropped their selection."""
     X = generate_design(n, p, 0.5, 3)
     y, _ = generate_response(X, support_indices(p, 4), 3.0, 1.0, 4)
     data = Dataset(y=y, X=X)
@@ -1041,6 +1037,7 @@ def test_a_full_model_that_cannot_be_fitted_fails_split_and_uv(n, p, rho, lam):
     methods = ("split",) if n > p else ("exact", "split", "uv")
     for method in methods:
         fit = fit_method(data, cal, method, "full", 5)
+        assert fit.selected.size >= 1 and len(fit.errors) == fit.selected.size
         assert fit.errors and all(isinstance(e, SingularDesignError) for e in fit.errors)
 
 

@@ -379,11 +379,45 @@ def test_unread_parameter_is_found():
     assert unread_parameters(source) == ["f.b", "f.c", "f.e", "<lambda>.y"]
 
 
+# The stages of a fit's targets, which only ``exactsi.study`` calls: every
+# method selects first, and ``fit_method`` then builds its targets.
+TARGET_STAGES = {
+    "build_target", "build_geometry", "pivot_params", "polyhedral_bounds", "untruncated_bounds",
+}
+
+
+def called(source: str) -> set[str]:
+    """The names a module calls, directly or as an attribute."""
+    return {
+        name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        for name in identifiers(node.func)
+    }
+
+
+def test_only_the_pipeline_builds_targets():
+    """Inside the package only ``exactsi.study`` calls a target stage, so
+    every method's targets are built on one path after its selection.
+    Split and uv once built their targets inside their own selection."""
+    stray = sorted(
+        f"exactsi.{path.stem}: {name}"
+        for path in PACKAGE.glob("*.py")
+        for name in called(path.read_text(encoding="utf-8")) & TARGET_STAGES
+        if path.stem != "study"
+    )
+    assert not stray, f"target stages called outside exactsi.study: {stray}"
+
+
+def test_called_names_are_found():
+    source = "a(b)\nc.d(e.f)\ng = h\nk.m()(n)\n"
+    assert called(source) == {"a", "d", "m"}
+
+
 # The hooks that a small study and one ``infer`` call must reach: every
 # ``exactsi.study`` entry, and these outside it.
 REACHED_OUTSIDE_STUDY = {
     ("exactsi.inference", "invert_monotone"),
-    ("exactsi.inference", "plug_in_sigma2"),
     ("exactsi.inference", "solve_randomized_lasso"),
     ("exactsi.cli", "read_csv_dataset"),
 }
