@@ -224,7 +224,6 @@ def _infer_rows(args, data: Dataset, names: list[str]) -> list[dict]:
                     "upper": None if error else est.upper,
                     "level": 1.0 - args.alpha,
                     "significant": -1 if error else int(not est.covers(0.0)),
-                    "clipped": 0 if error else int(est.clipped),
                     "error": str(est) if error else "",
                 }
             )
@@ -239,7 +238,6 @@ INFER_COLUMNS = (
     "upper",
     "level",
     "significant",
-    "clipped",
     "error",
 )
 
@@ -385,8 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau2", type=float, default=None, help="exact/uv randomization variance")
         p.add_argument("--epsilon", type=float, default=None, help="ridge term")
         p.add_argument("--sigma", type=float, default=None, help=(
-            "known noise sd; else var(y) if n <= p, else least squares on the"
-            " independent columns of X (a duplicated column is left out)"
+            "known noise sd, for every method; else the penalty, tau2 and uv take"
+            " var(y) if n <= p, else least squares on the independent columns of X"
+            " (a duplicated column is left out); exact and polyhedral take least"
+            " squares on the selected columns under --model selected, and split on"
+            " its held-out rows"
         ))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (or base name)")

@@ -57,7 +57,6 @@ from .selection import solve_randomized_lasso
 # import once they no longer do.
 from .numerics import integrate_weighted_gaussian  # noqa: E402,F401
 
-POLYHEDRAL_CLIP_SDS = 50.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(0.5 * math.pi)
@@ -120,14 +119,12 @@ class PivotParams:
 
 @dataclass(frozen=True)
 class IntervalEstimate:
-    """A two-sided confidence interval for one target, with ``clipped`` set
-    where an endpoint was cut at the polyhedral window.  It carries no label:
+    """A two-sided confidence interval for one target.  It carries no label:
     every inversion returns its intervals in the order of its targets, and
     the caller pairs entry j with target j (``Fit.selected[j]``)."""
 
     lower: float
     upper: float
-    clipped: bool = False
 
     def __post_init__(self):
         if not self.lower < self.upper:
@@ -533,38 +530,35 @@ def check_rho(rho: float) -> None:
         raise InvalidArgumentError("rho must lie in (0, 1)")
 
 
-def _results(
-    roots, status, levels, clipped=False, upper_first=False
-) -> list[IntervalEstimate | ExactSIError]:
+def split_size(rho: float, n: int) -> int:
+    """The rows of a ``rho`` share of n, ``round(rho * n)``: data splitting's
+    subsample, and the one to which exact and uv match tau2."""
+    return int(round(rho * n))
+
+
+def _results(roots, status, levels) -> list[IntervalEstimate | ExactSIError]:
     """Entry i: target i's interval from its endpoint roots ``roots[:, i]``
     (lower, then upper), or the error that stopped it.
 
     ``status`` holds each endpoint's ``invert_monotone`` status and
     ``levels`` the pivot levels of the lower and upper endpoints.  A target
     whose endpoint failed gets that endpoint's ``root_error`` (a
-    ``NoRootError`` names its level), the upper endpoint's first where
-    ``upper_first`` is set.
+    ``NoRootError`` names its level), the lower endpoint's first.
     """
-    (lower, upper), (lower_status, upper_status) = roots.tolist(), status.tolist()
-    k = len(lower)
-    clipped, upper_first = (np.broadcast_to(x, k).tolist() for x in (clipped, upper_first))
     out: list[IntervalEstimate | ExactSIError] = []
-    for i in range(k):
-        if lower_status[i] != ROOT or upper_status[i] != ROOT:
-            ends = [(lower_status[i], levels[0]), (upper_status[i], levels[1])]
-            failed = [end for end in (ends[::-1] if upper_first[i] else ends) if end[0] != ROOT]
-            out.append(root_error(*failed[0]))
+    for lower, upper, *ends in zip(*roots.tolist(), *status.tolist()):
+        failed = [i for i, end in enumerate(ends) if end != ROOT]
+        if failed:
+            out.append(root_error(ends[failed[0]], levels[failed[0]]))
             continue
         try:
-            out.append(IntervalEstimate(lower[i], upper[i], clipped[i]))
+            out.append(IntervalEstimate(lower, upper))
         except ExactSIError as exc:
             out.append(exc)
     return out
 
 
-def _invert(
-    probit, record, alpha: float, seeds, scale, window=None
-) -> list[IntervalEstimate | ExactSIError]:
+def _invert(probit, record, alpha: float, seeds, scale) -> list[IntervalEstimate | ExactSIError]:
     """Level ``1 - alpha`` intervals of k targets from a pivot that decreases
     in beta0: the one inversion behind ``invert_pivot`` and
     ``polyhedral_interval``, which solves every endpoint of every target in
@@ -575,48 +569,29 @@ def _invert(
 
     ``probit(record, x)`` gives h and its slope on a record of flat fields
     and abscissae of one size; ``record`` is such a record over the targets,
-    which this flattens once against every row of abscissae.  ``seeds(z)``
-    gives each endpoint's start, the lower endpoints in row 0, and ``scale``
-    each target's length for the stopping rule: a step of
-    ``numerics._STEP_TOL`` times it, or a quadratic contraction.  One probit
-    call evaluates every seed and, where given, both ends of ``window`` (rows
-    as in the seeds); its values and slopes at the seeds are the first
-    iteration.  An endpoint whose value there is NaN, such as either
-    endpoint of a target with a NaN constant, or whose seed or scale is not
-    finite or positive, fails without a search (``NAN_VALUE``, or
-    ``NO_START`` where the seed or scale overflowed); one that lies beyond
-    the window is clipped there and not solved.  Entry i is
-    target i's interval, or the error its own endpoints met (see
-    ``_results``).
+    which this flattens once against both rows of seeds.  ``seeds(z)`` gives
+    each endpoint's start, the lower endpoints in row 0, and ``scale`` each
+    target's length for the stopping rule: a step of ``numerics._STEP_TOL``
+    times it, or a quadratic contraction.  One probit call evaluates every
+    seed, and its values and slopes there are the first iteration.  An
+    endpoint whose value there is NaN, such as either endpoint of a target
+    with a NaN constant, or whose seed or scale is not finite or positive,
+    fails without a search (``NAN_VALUE``, or ``NO_START`` where the seed or
+    scale overflowed).  Entry i is target i's interval, or the error its own
+    endpoints met (see ``_results``).
     """
     check_level(alpha)
     levels = 1.0 - alpha / 2.0, alpha / 2.0  # of the lower, then the upper endpoints
     z = float(ndtri(levels[0]))
     k = scale.size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ends = seeds(z) if window is None else np.concatenate([window, seeds(z)])
-    every = type(record)(*(np.concatenate([col] * ends.shape[0]) for col in _columns(record)))
-    h, slope = probit(every, ends.ravel())
-    offset = h.size - 2 * k  # the seeds' first element in every
-    value, slope = -h[offset:], -slope[offset:]
-    if window is None:
-        clipped, upper_first = np.zeros(2 * k, dtype=bool), np.zeros(k, dtype=bool)
-        roots = np.full(2 * k, math.nan)
-    else:
-        at = -h[:offset].reshape(2, k)
-        # both endpoints below the window, or both above it: neither is
-        # clipped; else an endpoint is clipped where -h at its end of the
-        # window falls short of its target, -z for the lower one and z for
-        # the upper
-        upper_first, above = at[0] > z, at[1] < -z
-        clipped = (~(upper_first | above) & (_ENDPOINT_SIDES * at < z)).ravel()
-        roots = window.ravel()
+        starts = seeds(z).ravel()
+    every = type(record)(*(np.concatenate([col, col]) for col in _columns(record)))
+    h, slope = probit(every, starts)
     scales = np.concatenate([scale, scale])
-    starts = ends[-2:].ravel()
     usable = np.isfinite(starts) & (scales > 0.0) & (scales < math.inf)
-    nan = (np.isnan(value) | ~usable) & ~clipped
-    solve = (~(clipped | nan)).nonzero()[0]
-    seeded = offset + solve  # in every
+    nan = np.isnan(h) | ~usable
+    solve = np.flatnonzero(~nan)
 
     def negated(x, *columns):
         h, slope = probit(type(every)(*columns), x)  # every's fields, compacted
@@ -624,18 +599,16 @@ def _invert(
 
     overflow = np.isinf(starts) | np.isinf(scales)
     status = np.where(nan, np.where(overflow, NO_START, NAN_VALUE), ROOT)
+    roots = np.full(2 * k, math.nan)
     roots[solve], status[solve] = invert_monotone(
         negated,
         np.where(solve < k, -z, z),
-        ends.ravel()[seeded],
+        starts[solve],
         scales[solve],
-        args=tuple(col[seeded] for col in _columns(every)),
-        first=(value[solve], slope[solve]),
+        args=tuple(col[solve] for col in _columns(every)),
+        first=(-h[solve], -slope[solve]),
     )
-    return _results(
-        roots.reshape(2, k), status.reshape(2, k), levels,
-        clipped=clipped[:k] | clipped[k:], upper_first=upper_first,
-    )
+    return _results(roots.reshape(2, k), status.reshape(2, k), levels)
 
 
 def invert_pivot(params: PivotParams, alpha: float) -> list[IntervalEstimate | ExactSIError]:
@@ -911,28 +884,26 @@ def _polyhedral_probit(bounds: PolyhedralBounds, beta0):
 def polyhedral_interval(
     bounds: PolyhedralBounds, alpha: float
 ) -> list[IntervalEstimate | ExactSIError]:
-    """Invert the polyhedral pivots of one or several targets; huge endpoints are clipped.
+    """Invert the polyhedral pivots of one or several targets.
 
-    Truncated-Gaussian intervals can be effectively infinite; an endpoint
-    beyond ``beta_hat +- 50 sd`` is clipped there and the estimate flagged.
-    When both endpoints lie beyond the same side of that window (the
-    estimate sits almost on a truncation bound), clipping one would put it
-    past the other, so both are returned unclipped.  The truncated Gaussian
-    is an exponential family in beta0 with natural parameter ``beta0 /
-    sd^2``, so by its monotone likelihood ratio the pivot decreases in
-    beta0, and ``_invert`` solves the endpoints on ``_polyhedral_probit`` on
-    the scale ``sd``, with the window's ends evaluated in the seeds' call.
-    Each starts at the root of the one-sided exponential tail law at its own
-    bound: far below ``lower`` the estimate is ``lower`` plus an exponential
-    of rate ``(lower - beta0) / sd^2``, whose upper ``alpha / 2`` tail
-    starts at ``beta_hat`` where ``beta0 = lower - sd^2 log(2 / alpha) /
-    (beta_hat - lower)``, and mirrored at ``upper``.  That law holds only
-    far beyond the bound, so the root is taken where it is finite and at
-    least one sd beyond its bound (an estimate within ``log(2 / alpha)`` sd
-    of the bound); elsewhere the seed is the full-line value ``beta_hat -+ z
-    sd`` (``z = Phi^{-1}(1 - alpha / 2)``).  Entry i is target i's interval,
-    or the error its own endpoints met (see ``_results``), such as the NaN
-    pivot of a NaN constant.
+    Every endpoint is reported where it lies, however far out: an estimate
+    near a truncation bound can put one or both endpoints thousands of sd
+    beyond it, and the expected length of these intervals is infinite
+    (Kivaranovic & Leeb, JASA 2021).  The truncated Gaussian is an
+    exponential family in beta0 with natural parameter ``beta0 / sd^2``, so
+    by its monotone likelihood ratio the pivot decreases in beta0, and
+    ``_invert`` solves the endpoints on ``_polyhedral_probit`` on the scale
+    ``sd``.  Each starts at the root of the one-sided exponential tail law
+    at its own bound: far below ``lower`` the estimate is ``lower`` plus an
+    exponential of rate ``(lower - beta0) / sd^2``, whose upper ``alpha /
+    2`` tail starts at ``beta_hat`` where ``beta0 = lower - sd^2 log(2 /
+    alpha) / (beta_hat - lower)``, and mirrored at ``upper``.  That law
+    holds only far beyond the bound, so the root is taken where it is finite
+    and at least one sd beyond its bound (an estimate within ``log(2 /
+    alpha)`` sd of the bound); elsewhere the seed is the full-line value
+    ``beta_hat -+ z sd`` (``z = Phi^{-1}(1 - alpha / 2)``).  Entry i is
+    target i's interval, or the error its own endpoints met (see
+    ``_results``), such as the NaN pivot of a NaN constant.
     """
     bounds = PolyhedralBounds(*(np.array(x, dtype=float, ndmin=1) for x in _columns(bounds)))
     lower, upper, beta_hat, sd = _columns(bounds)
@@ -945,10 +916,7 @@ def polyhedral_interval(
             tail = np.array([lower, upper]) + side * depth
         return np.where(np.isfinite(tail) & (depth >= sd), tail, beta_hat + side * (z * sd))
 
-    return _invert(
-        _polyhedral_probit, bounds, alpha, seeds, sd,
-        window=beta_hat + side * (POLYHEDRAL_CLIP_SDS * sd),
-    )
+    return _invert(_polyhedral_probit, bounds, alpha, seeds, sd)
 
 
 def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
@@ -980,12 +948,13 @@ def plug_in_sigma2(data: Dataset, E: np.ndarray, model: str) -> float:
 def split_inference(
     data: Dataset, rho: float, lam: float, seed: int
 ) -> tuple[SelectionOutcome, np.ndarray]:
-    """Data splitting's selection: the lasso on a random ``round(rho * n)``
-    subsample.  Returns its outcome and the held-out rows, on which the
-    targets and their plug-in noise estimate are read."""
+    """Data splitting's selection: the lasso on a random ``split_size(rho,
+    n)`` subsample.  Returns its outcome and the held-out rows, on which the
+    targets and, unless the noise is known, their plug-in noise estimate are
+    read."""
     check_rho(rho)
     n = data.n
-    n1 = int(round(rho * n))
+    n1 = split_size(rho, n)
     if not 2 <= n1 <= n - 2:
         raise InvalidArgumentError(f"split size n1={n1} leaves no usable half")
     perm = np.random.default_rng(seed).permutation(n)

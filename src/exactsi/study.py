@@ -26,10 +26,10 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    -> pivot_params`` (exact; the geometry makes every randomization solve,
    the pivot adds the noise) or ``build_target -> polyhedral_bounds``
    (polyhedral), and as ``untruncated_bounds`` for split, from
-   ``plug_in_sigma2`` and ``build_target`` on its held-out rows (of its
-   selected columns under the selected model), and uv, from
-   ``build_target`` on ``X'(y - w sigma2 / tau2)`` at the noise variance
-   times ``1 + sigma2 / tau2``.
+   ``build_target`` on its held-out rows (of its selected columns under the
+   selected model) at the known noise variance, else at ``plug_in_sigma2``
+   on those rows, and uv, from ``build_target`` on ``X'(y - w sigma2 /
+   tau2)`` at the noise variance times ``1 + sigma2 / tau2``.
 4. ``infer(fits, alpha)`` gives each target of a list of ``Fit`` records
    its level ``1 - alpha`` interval, or the error that stopped it, in one
    elementwise call per method on the concatenated constants
@@ -80,6 +80,7 @@ from .inference import (
     polyhedral_interval,
     polyhedral_pivot,
     split_inference,
+    split_size,
     untruncated_bounds,
     uv_inference,
     z_interval,
@@ -157,7 +158,7 @@ class SimConfig:
             )
         check_methods(self.methods, self.rho, None)
         if {"exact", "uv"} & set(self.methods):  # their tau2 needs 0 < round(rho n) < n
-            tau2_from_split(self.sigma2, self.n, int(round(self.rho * self.n)))
+            tau2_from_split(self.sigma2, self.n, split_size(self.rho, self.n))
         check_seed(self.seed)
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -183,7 +184,6 @@ class MethodSummary:
     length_se: float
     f1: float
     f1_se: float
-    clipped_rate: float
 
 
 @dataclass
@@ -396,7 +396,7 @@ def calibrate(
         epsilon = default_epsilon(data)
     check_epsilon(epsilon)
     if tau2 is None and {"exact", "uv"} & set(methods):
-        tau2 = tau2_from_split(sigma2, data.n, int(round(rho * data.n)))
+        tau2 = tau2_from_split(sigma2, data.n, split_size(rho, data.n))
     return Calibration(
         sigma2=sigma2, known_sigma=known, lam=lam, epsilon=epsilon, rho=rho, tau2=tau2
     )
@@ -528,7 +528,7 @@ def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: i
             # the held-out rows of E, as its columns 0..|E|-1, or of every column
             rows = data.subset(held_out, E if model == "selected" else None)
             cols = np.arange(E.size) if model == "selected" else E
-            sigma2 = plug_in_sigma2(rows, cols, model)
+            sigma2 = cal.sigma2 if cal.known_sigma else plug_in_sigma2(rows, cols, model)
             constants = untruncated_bounds(build_target(rows, cols, model), sigma2)
         elif E.size and method == "uv":
             ratio = cal.sigma2 / cal.tau2
@@ -615,7 +615,6 @@ def _run_block(
                     "length": est.length,
                     "f1": f1,
                     "selected_size": fit.selected.size,
-                    "clipped": int(est.clipped),  # internal, not a CSV column
                 }
             )
     return list(results.values())
@@ -677,7 +676,7 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
     summaries: dict[str, MethodSummary] = {}
     for method in config.methods:
         per_rep_cov, per_rep_len, per_rep_f1 = [], [], []
-        n_empty = clipped = total = 0
+        n_empty = 0
         errors = []
         for rows, outcomes in results:
             outcome = outcomes[method]
@@ -691,8 +690,6 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
                 continue
             per_rep_cov.append(float(np.mean([r["covered"] for r in mrows])))
             per_rep_len.append(float(np.mean([r["length"] for r in mrows])))
-            clipped += sum(r["clipped"] for r in mrows)
-            total += len(mrows)
         cov, cov_se = _mean_se(per_rep_cov)
         ln, ln_se = _mean_se(per_rep_len)
         f1m, f1_se = _mean_se(per_rep_f1)
@@ -708,7 +705,6 @@ def run_study(config: SimConfig, workers: int = 1) -> StudySummary:
             length_se=ln_se,
             f1=f1m,
             f1_se=f1_se,
-            clipped_rate=clipped / total if total else 0.0,
         )
     all_rows = [row for rows, _ in results for row in rows]
     return StudySummary(config=config, methods=summaries, rows=all_rows)
@@ -735,7 +731,7 @@ def pivots_at_truth(config: SimConfig) -> Iterator[tuple[Fit, list[float | Exact
         raise InvalidArgumentError(f"uniformity validation does not test {untested}")
     X = generate_design(config.n, config.p, config.corr, _seed_for(config.seed, 0, 10))
     support = support_indices(config.p, config.sparsity)
-    tau2 = tau2_from_split(config.sigma2, config.n, int(round(config.rho * config.n)))
+    tau2 = tau2_from_split(config.sigma2, config.n, split_size(config.rho, config.n))
     data = Dataset(y=np.zeros(config.n), X=X)
     cal = calibrate(data, config.methods, lam=config.lam, tau2=tau2, sigma=math.sqrt(config.sigma2))
     for start in range(0, config.n_reps, _BLOCK):

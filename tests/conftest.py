@@ -16,7 +16,6 @@ from exactsi.errors import (
     NoRootError,
 )
 from exactsi.inference import (
-    POLYHEDRAL_CLIP_SDS,
     IntervalEstimate,
     PivotParams,
     exact_pivot,
@@ -476,37 +475,16 @@ def reference_invert_pivot(params, alpha):
 
 
 def reference_polyhedral_interval(bounds, alpha):
-    """Scalar reference for one target of ``polyhedral_interval``, in its
-    four cases."""
-    beta_hat = bounds.beta_hat
-    p_lower, p_upper = 1.0 - alpha / 2.0, alpha / 2.0
+    """Scalar reference for one target of ``polyhedral_interval``: each
+    endpoint solved from a bracket of 5 sd on its side of the estimate."""
+    beta_hat, half = bounds.beta_hat, 5.0 * bounds.sd
 
     def pivot_at(b):
         return polyhedral_pivot(bounds, b)
 
-    clip_lo = beta_hat - POLYHEDRAL_CLIP_SDS * bounds.sd
-    clip_hi = beta_hat + POLYHEDRAL_CLIP_SDS * bounds.sd
-    below, above = (clip_lo, beta_hat), (beta_hat, clip_hi)
-    at_lo, at_hi = pivot_at(clip_lo), pivot_at(clip_hi)
-    clipped = False
-    if at_lo < p_upper:  # both endpoints below the window
-        upper = reference_invert_monotone(pivot_at, p_upper, above)
-        lower = reference_invert_monotone(pivot_at, p_lower, below)
-    elif at_hi > p_lower:  # both endpoints above the window
-        lower = reference_invert_monotone(pivot_at, p_lower, below)
-        upper = reference_invert_monotone(pivot_at, p_upper, above)
-    else:
-        if at_lo < p_lower:
-            lower = clip_lo
-            clipped = True
-        else:
-            lower = reference_invert_monotone(pivot_at, p_lower, below)
-        if at_hi > p_upper:
-            upper = clip_hi
-            clipped = True
-        else:
-            upper = reference_invert_monotone(pivot_at, p_upper, above)
-    return IntervalEstimate(lower=lower, upper=upper, clipped=clipped)
+    lower = reference_invert_monotone(pivot_at, 1.0 - alpha / 2.0, (beta_hat - half, beta_hat))
+    upper = reference_invert_monotone(pivot_at, alpha / 2.0, (beta_hat, beta_hat + half))
+    return IntervalEstimate(lower=lower, upper=upper)
 
 
 def reference_read_csv(

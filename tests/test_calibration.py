@@ -4,9 +4,10 @@ The exact pivot must be Unif(0, 1) at the true projected target, pooled and
 given each selection event, the intervals from inverting it must cover at
 1 - alpha within Monte-Carlo error, and they must be shorter than data
 splitting's at the matched split.  The polyhedral pivot must be uniform given
-each of its events, and its intervals must cover at least at 1 - alpha within
-Monte-Carlo error: clipping at 50 sd only widens them.  uv's intervals must
-cover at 1 - alpha within Monte-Carlo error, under either model.
+each of its events, and its intervals, reported unclipped however long, must
+cover at least at 1 - alpha within Monte-Carlo error (a one-sided gate: at an
+estimated noise level the pivot is exact only in the limit).  uv's intervals
+must cover at 1 - alpha within Monte-Carlo error, under either model.
 """
 
 from collections import defaultdict

@@ -1107,6 +1107,30 @@ def test_uv_selects_at_the_given_penalty(tmp_path, capsys):
     assert got == selected(20.0) != selected(20.0 * 1.25**0.5)
 
 
+def test_split_takes_the_known_noise(tmp_path, capsys):
+    """``infer --method split --sigma s`` at a fixed penalty selects the same
+    features at every s, and each interval is ``beta_hat -+ z s ||c||`` on
+    the held-out rows: doubling s doubles every length, to rounding, about
+    the same midpoint.  Before, split read the held-out plug-in even when
+    the noise was known, so no length moved with s."""
+    X = generate_design(100, 20, 0.5, 3)
+    y, _ = generate_response(X, support_indices(20, 5), 0.75, 1.0, 4)
+    _write_frame(tmp_path / "d.csv", y, X)
+
+    def rows_at(sigma):
+        argv = ["infer", "--input", str(tmp_path / "d.csv"), "--rho", "0.8", "--sigma", sigma,
+                "--lambda", "20", "--method", "split", "--seed", "5"]
+        assert _probe(tmp_path, capsys, argv)[:2] == (0, [])
+        return strict_json(tmp_path / "probe.json")["rows"]
+
+    one, two = rows_at("1"), rows_at("2")
+    assert [r["index"] for r in two] == [r["index"] for r in one]
+    assert len(one) >= 3 and not any(r["error"] for r in one + two)
+    for a, b in zip(one, two):
+        assert b["upper"] - b["lower"] == pytest.approx(2.0 * (a["upper"] - a["lower"]), rel=1e-12)
+        assert b["upper"] + b["lower"] == pytest.approx(a["upper"] + a["lower"], rel=1e-12)
+
+
 @pytest.mark.parametrize("command", ["infer", "select"])
 def test_negative_ridge_fails_before_any_lasso(tmp_path, capsys, monkeypatch, command):
     """``--epsilon -1`` fails ``calibrate`` by the lasso's own rule
@@ -1367,7 +1391,7 @@ def test_failed_fit_is_one_error_row(tmp_path, capsys, frame, extra, methods, fa
     assert list(report["methods"]) == list(methods)
     assert [r for r in report["rows"] if r["method"] == failed] == [{
         "method": failed, "feature": None, "index": None, "lower": None, "upper": None,
-        "level": 0.9, "significant": -1, "clipped": 0, "error": message,
+        "level": 0.9, "significant": -1, "error": message,
     }]
     with open(tmp_path / "all.csv", newline="") as fh:
         cells = [r for r in csv.DictReader(fh) if r["method"] == failed]
@@ -1386,31 +1410,31 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 INFER_DIGESTS = {
     (80, 30): [
         "b8315b239d824d9a1ffe09893e6ed7f44ae4fec53f5c7ca7a2696da82b4f1a79",
-        "ce492317eef3b1ad88f71f653e29f533dd5f7bb96fc0c4a58e3043c9e4c300c5",
-        "0d9fbfcefef4127d7a3cb3b9b73cac835bded62c0e0b670272b86dc21238fe54",
-        "27a365086dbed10409babb27a5320f13378d59b0dfe3ac72a99eca3b8367f4af",
-        "0e18ea0de51beb960a57892af0cb28c1501318014f21ab7124c50b1fe2e8091d",
+        "7a82ea4be7585719c886e92cff3c2eb84649470124a0e14eb7d5a4fd806d3d75",
+        "39e94f8af0cdabe1ec67d26315eb51bc2c59402916779e63dcedda8b145548e4",
+        "2aa3029aee645a1d6d5656700e94c97cfb71eb09f460158f93e45cabd5c1e52d",
+        "582c8dade5c82c68afcf013eb420fb5ab013ee392e731b5c3ebd06509d3a631a",
     ],
     (40, 60): [
         "2cb2d84ebe7e18e5a59d4ea58e66ebbf58ab5e4ed5e70975d9f332cd881261a3",
-        "eaee0f38d6cd97a70cd9434ae3e8419efc54eb7cebcfa9622310e11d28adf920",
-        "18678445f0eaeecb14f3f4bb50da9030592394cbf50e69058ae8ce2fd98e86f4",
-        "ff396a63ec0aaffb6e0784f504f07778e31665e550dfd36586b24c730692331b",
-        "f9550f8c1dad9fb3cd453e4150c772090a2fbafba70ba7889ec64309e6c3a529",
+        "56c5c6eb5e091542bb67e519be9816e498e49e412946427650ea1ec2fb53fbe7",
+        "bf294b643ae6b64c254935a782f8693c1fae3e7e8cb7cec206e99334613b86c8",
+        "28a6dbf7b96026a07f64c95e5fa02be14079c735c92fcc9029cc4552c0d4e61f",
+        "4de78075ea47804f4dae35d8f17e2740ae498692afdd8dca672948393213d45a",
     ],
     (300, 100): [
         "d3c33bc0e898148d2c7129996a56d8067eb38b77b62b0fa576f357b15d5e878c",
-        "657e9aa9d23ed7d33865eb1225065f6ba0cb954fd0263f4b57f710b3a46ca720",
-        "5d9fb4cfa38d88d4a78f2feb9add3d0d4b8e91971123611fd45bab0c7f34bbb2",
-        "03b4255285a3546c4eec5060e4b30ed7b6b986f8fbbce27497bc59163cd865f3",
-        "a882245729639b5004712763ca45df4e24b972d86cd0a9ee9983ce61111a354c",
+        "005a40a594b7475921d2181ffb75b88cb8df07d89053f9a3b17f760e6b873175",
+        "51c0047b203f84dc437ac7a58e19eedd18e88d17ce24a308bdcba3f3bfda3aab",
+        "1309a5ea6e9700816c6c5f2b07ff23e205f4834849ece13b57ad3106d0be13f9",
+        "dd5766f93a37e218282e7a1409264490fad52806f8abacaf3e824f31bd8f224d",
     ],
     (600, 300): [
         "696612958954cabcc2108f6c75f1126ccb6c9d75670647c18821ab577999c20f",
-        "abe526c878dc95e4e80f8c142a8cbcc3f705eaf24be7260c4c1181a6d2f7910c",
-        "5da4a626ea76b0fdc49593c770d63499fa5585e686c6f8f367f309f07f1851d5",
-        "ad7d7bea4cf38c0860a12314c6f48c80c87e92e726332fec85644ebd4c40ec01",
-        "20a2bf4201ba0c47834f6e1bdf6ed229f7353a7b0ee39d2f68d9137b1c711e71",
+        "c157d2d3aa2c08e92e1520fe91a7b05674a97070187af5e41bfe9ec4f25f43f0",
+        "1b3353c1271fa73cea54bcd421d2a72721f0fdf6a280f8fe5a7b3b9c6136577e",
+        "957458e6dec68c26c3214b4ac28928e75878e9f382d18244b105a3b8d9bfdbb4",
+        "99aef49418245c0f9072d734c45d8c356573cd6dd34dc938d6a43ae027bc632d",
     ],
 }
 

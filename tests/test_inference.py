@@ -581,8 +581,7 @@ class TestInvertPivot:
 
     def test_untruncated_targets_are_solved_at_their_seeds(self, monkeypatch):
         # without truncation the probit is linear and the seeds are its
-        # roots, so one probit call solves every endpoint; the polyhedral
-        # call also evaluates the clip window's two ends
+        # roots, so one probit call solves every endpoint
         calls = []
         for name in ("_exact_probit", "_polyhedral_probit"):
             real = getattr(inference, name)
@@ -602,7 +601,7 @@ class TestInvertPivot:
             PolyhedralBounds(lower=-math.inf, upper=math.inf, beta_hat=0.3, sd=2.0), alpha=0.1
         )
         assert est.lower == pytest.approx(0.3 - 2.0 * z, rel=1e-12)
-        assert calls == [2, 4]
+        assert calls == [2, 2]
 
     def test_endpoints_reproduce_tail_targets(self):
         params = toy_params()
@@ -656,11 +655,8 @@ class TestPolyhedral:
         data, out, lam = standard_lasso_fit(rng)
         bounds = take(polyhedral_targets(data, out, lam), 0)
         (est,) = polyhedral_interval(bounds, alpha=0.1)
-        if not est.clipped:
-            lo_p = polyhedral_pivot(bounds, est.lower)
-            hi_p = polyhedral_pivot(bounds, est.upper)
-            assert lo_p == pytest.approx(0.95, abs=1e-6)
-            assert hi_p == pytest.approx(0.05, abs=1e-6)
+        assert polyhedral_pivot(bounds, est.lower) == pytest.approx(0.95, abs=1e-6)
+        assert polyhedral_pivot(bounds, est.upper) == pytest.approx(0.05, abs=1e-6)
 
     def test_tampered_signs_detected(self):
         rng = np.random.default_rng(8)
@@ -766,18 +762,15 @@ class TestPolyhedral:
 
     def test_estimate_on_a_bound_gives_ordered_unclipped_interval(self):
         # beta_hat 1e-3 sd above its lower bound: both endpoints lie more than
-        # 50 sd below beta_hat, so clipping the lower one would put it above
-        # the upper one
+        # 50 sd below beta_hat
         bounds = PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0)
         (est,) = polyhedral_interval(bounds, alpha=0.1)
         assert est.lower < est.upper < bounds.beta_hat - 50.0
-        assert not est.clipped
         assert polyhedral_pivot(bounds, est.lower) == pytest.approx(0.95, abs=1e-6)
         assert polyhedral_pivot(bounds, est.upper) == pytest.approx(0.05, abs=1e-6)
         mirror = PolyhedralBounds(lower=-math.inf, upper=0.0, beta_hat=-1e-3, sd=1.0)
         (est,) = polyhedral_interval(mirror, alpha=0.1)
         assert mirror.beta_hat + 50.0 < est.lower < est.upper
-        assert not est.clipped
 
     @pytest.mark.parametrize(
         "bounds, want, most_calls",
@@ -809,8 +802,8 @@ class TestPolyhedral:
         the bound, where the law does not hold, so the full-line seeds stay.
         The endpoints are those the full-line seeds gave (frozen) to 1e-9
         relative, with at most ``most_calls`` evaluations of the pivot or its
-        probit, the clip window's included, where the full-line seeds took
-        86, 86 and 2 (the window in a call of its own)."""
+        probit, where the full-line seeds took 86, 86 and 2 (with the clip
+        window that the inversion once evaluated in a call of its own)."""
         calls = []
         for name in ("_polyhedral_probit", "polyhedral_pivot"):
             real = getattr(inference, name)
@@ -821,7 +814,6 @@ class TestPolyhedral:
 
             monkeypatch.setattr(inference, name, counted)
         (est,) = polyhedral_interval(bounds, alpha=0.1)
-        assert not est.clipped
         assert est.lower == pytest.approx(want[0], rel=1e-9)
         assert est.upper == pytest.approx(want[1], rel=1e-9)
         assert len(calls) <= most_calls
@@ -836,15 +828,15 @@ def polyhedral_targets(data, out, lam):
 
 
 def outcome(result):
-    """An interval's endpoints and flag, or a failure's class and message."""
+    """An interval's endpoints, or a failure's class and message."""
     if isinstance(result, Exception):
         return type(result).__name__, str(result)
-    return result.lower, result.upper, result.clipped
+    return result.lower, result.upper
 
 
 def assert_agrees(got, reference, constants):
     """The batched-inversion tolerance: each endpoint within 1e-9 max(1, |x|)
-    of the scalar reference's, the same clipping, or the same failure."""
+    of the scalar reference's, or the same failure."""
     try:
         want = outcome(reference(constants, 0.1))
     except ExactSIError as exc:
@@ -853,9 +845,8 @@ def assert_agrees(got, reference, constants):
     if isinstance(want[0], str) or isinstance(got[0], str):
         assert got == want
         return
-    for x, y in zip(got[:2], want[:2]):
+    for x, y in zip(got, want):
         assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
-    assert got[2] == want[2]
 
 
 class TestBatchedInversion:
@@ -904,26 +895,19 @@ class TestBatchedInversion:
         for est, p in zip(got, each):
             assert_agrees(est, reference_invert_pivot, p)
 
-    def test_polyhedral_clip_window_cases_in_one_batch(self):
-        bounds = [
-            # both endpoints more than 50 sd below the estimate: unclipped
-            PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=1e-3, sd=1.0),
-            # and its mirror image above
-            PolyhedralBounds(lower=-math.inf, upper=0.0, beta_hat=-1e-3, sd=1.0),
-            # the lower endpoint alone beyond the window: clipped there
-            PolyhedralBounds(lower=0.0, upper=math.inf, beta_hat=0.05, sd=1.0),
-            # an untruncated estimate: the z-interval
-            PolyhedralBounds(lower=-math.inf, upper=math.inf, beta_hat=0.3, sd=2.0),
-            # a two-sided truncation
-            PolyhedralBounds(lower=-1.0, upper=2.0, beta_hat=0.4, sd=0.7),
-        ]
-        got = polyhedral_interval(stack(bounds), alpha=0.1)
-        assert [est.clipped for est in got] == [False, False, True, False, False]
-        assert got[2].lower == 0.05 - 50.0
-        z = float(ndtri(0.95))
-        assert got[3].lower == pytest.approx(0.3 - 2.0 * z, abs=1e-9)
-        for est, b in zip(got, bounds):
-            assert_agrees(est, reference_polyhedral_interval, b)
+    @PROPERTY_SETTINGS
+    @given(st.lists(model_polyhedral_bounds(), min_size=1, max_size=4),
+           st.sampled_from([0.01, 0.1, 0.5]))
+    def test_polyhedral_endpoints_solve_the_pivot_however_far_out(self, each, alpha):
+        """Every endpoint of a batch is solved where it lies, out to ~1e4 sd
+        beyond the estimate: the pivot there is ``1 - alpha / 2`` (lower)
+        and ``alpha / 2`` (upper) to 1e-9.  The inversion once cut an
+        endpoint at 50 sd and flagged it, unsolved."""
+        got = polyhedral_interval(stack(each), alpha)
+        assert len(got) == len(each)
+        for est, bounds in zip(got, each):
+            assert polyhedral_pivot(bounds, est.lower) == pytest.approx(1.0 - alpha / 2.0, abs=1e-9)
+            assert polyhedral_pivot(bounds, est.upper) == pytest.approx(alpha / 2.0, abs=1e-9)
 
     @PROPERTY_SETTINGS
     @given(model_pivot_params())
@@ -1002,11 +986,11 @@ class TestBatchedInversion:
     def test_default_cell_evaluations_are_bounded(self, monkeypatch):
         """20 default-cell polyhedral fits (seed 78) are inverted in one
         ``polyhedral_interval`` call, which evaluates the pivot or its probit
-        at most 100 times, the bound of 5 per fit with the clip window's
-        evaluation when each fit was inverted alone: the window shares the
-        seeds' call, and a quadratically contracting Newton step is taken
-        without a confirming call.  With the window in a call of its own and
-        every step confirmed, the lone inversions took 126."""
+        at most 100 times, the bound of 5 per fit when each fit was inverted
+        alone: a quadratically contracting Newton step is taken without a
+        confirming call.  With every step confirmed, and the clip window
+        that the inversion once had in a call of its own, the lone
+        inversions took 126."""
         calls = []
         for name in ("_polyhedral_probit", "polyhedral_pivot"):
             real = getattr(inference, name)
@@ -1057,8 +1041,8 @@ class TestBatchedInversion:
 
     def test_no_abscissa_is_evaluated_twice(self, monkeypatch):
         # every (target constants, beta0) pair that reaches a pivot or its
-        # probit, over a batch with saturated, full-line, clipped and
-        # unclipped far endpoints, is evaluated once
+        # probit, over a batch with saturated, full-line and far endpoints,
+        # is evaluated once
         seen = []
 
         def record(name):

@@ -307,7 +307,7 @@ class TestRunStudy:
         ((rows, outcomes),) = _run_block(SimConfig(seed=12345, methods=("polyhedral",)), [42])
         assert outcomes == {"polyhedral": rows[0]["f1"]}
         assert all(r["lower"] < r["upper"] for r in rows)
-        assert any(r["length"] > 100.0 and not r["clipped"] for r in rows)
+        assert any(r["length"] > 100.0 for r in rows)
 
     def test_failures_are_counted_by_class(self, monkeypatch):
         # the polyhedral lasso of replicate 0 fails with one class, those of
@@ -762,7 +762,7 @@ def test_failed_target_keeps_its_row(monkeypatch):
     assert len(got_all) == len(want_all) == k
     for j in [j for j in range(k) if j != 1]:
         got, want = got_all[j], want_all[j]
-        assert (got.lower, got.upper, got.clipped) == (want.lower, want.upper, want.clipped)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
 
 
 # A stage of each method that runs before any of its targets, as the
@@ -868,7 +868,7 @@ def test_bad_study_argument_message(make, message):
 
 def test_a_fit_in_a_block_gets_what_it_gets_alone():
     """``infer`` and the pivots step on one block give each fit, bit for bit,
-    what it gets alone: endpoints, clip flags and labels, or each failed
+    what it gets alone: endpoints and labels, or each failed
     target's error class and message.  One list of fits serves two levels.
     The block mixes two datasets, every method, an exact fit with one NaN
     constant row, one with an error of its own on a row of good constants, a

@@ -309,6 +309,43 @@ def test_one_owner_per_argument_rule():
     assert not shared, f"argument rules built in more than one place: {shared}"
 
 
+def split_share_roundings(source: str) -> list[str]:
+    """The function around each call of a module that rounds a split share:
+    a ``round`` (or numpy ``round``, ``rint``, ``around``) whose arguments
+    name ``rho``."""
+    return [
+        owner
+        for owner, node in owned_nodes(source)
+        if isinstance(node, ast.Call)
+        and identifiers(node.func) & {"round", "rint", "around"}
+        and any("rho" in identifiers(sub) for arg in node.args for sub in ast.walk(arg))
+    ]
+
+
+def test_one_owner_rounds_the_split_share():
+    """Only ``inference.split_size`` turns a share ``rho`` of the rows into a
+    row count: the config check, the calibration's tau2, the uniformity
+    check's tau2 and data splitting's subsample all call it, so the rows
+    that tau2 is matched to cannot drift from those that split selects on.
+    Each of those four once rounded ``rho * n`` itself."""
+    owners = sorted(
+        f"exactsi.{path.stem}.{owner}"
+        for path in PACKAGE.glob("*.py")
+        for owner in split_share_roundings(path.read_text(encoding="utf-8"))
+    )
+    assert owners == ["exactsi.inference.split_size"]
+
+
+def test_split_share_roundings_are_found():
+    source = (
+        "def f(n, rho):\n    return int(round(rho * n))\n"
+        "class C:\n    def g(self):\n        return np.round(self.rho * self.n)\n"
+        "def h(cfg):\n    return round(cfg.p / 2), math.floor(cfg.rho)\n"
+        "k = np.rint(config.rho * 300)\n"
+    )
+    assert split_share_roundings(source) == ["f", "g", "<module>"]
+
+
 def test_argument_error_heads_are_found():
     source = (
         "def f(x):\n    if x:\n        raise InvalidArgumentError(f'--x must be > 0, not {x!r}')\n"
