@@ -1,8 +1,10 @@
 import csv
+import json
 import math
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq
@@ -30,6 +32,7 @@ from exactsi.selection import (
     sample_randomization,
     solve_randomized_lasso,
 )
+from exactsi.study import generate_design, generate_response, support_indices
 
 # Stopping rule of the reference lasso solver ``_cd_lasso``.
 _CD_MAX_SWEEPS = 50_000
@@ -535,3 +538,64 @@ def reference_read_csv(
         scale[scale == 0] = 1.0
         X = X / scale
     return Dataset(y=y, X=X), names
+
+
+def read_frozen(path, text):
+    """The JSON frozen in ``path``.  Where the file is missing, write ``text``
+    there and fail, so that deleting a frozen file and running its test once
+    re-freezes it, and the diff shows what moved."""
+    if not path.exists():
+        path.write_text(text, encoding="utf-8")
+        pytest.fail(f"wrote {path.name}: check its diff, then run again")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def write_frame(path, y, X):
+    """Write ``y`` and ``X`` as a ``%.17g`` CSV headed y, x0, x1, ..."""
+    header = ",".join(["y"] + [f"x{j}" for j in range(X.shape[1])])
+    np.savetxt(path, np.column_stack([y, X]), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
+def ar_frame(n, p):
+    """An AR(0.5) design (seed 3) with five signals (response seed 4)."""
+    X = generate_design(n, p, 0.5, 3)
+    return generate_response(X, support_indices(p, 5), 0.75, 3.0, 4)[0], X
+
+
+def duplicated_column_frame():
+    """``ar_frame(200, 30)`` with its last column a copy of its first:
+    X'X is singular, so it fails its check."""
+    y, X = ar_frame(200, 30)
+    X[:, 29] = X[:, 0]
+    return y, X
+
+
+def near_copy_frame():
+    """40 x 3, x2 = x0 + 3.9e-9 N(0, 1) and y = 2 x1 + N(0, 1): the rank
+    test keeps every column, yet X'X has no Cholesky factor."""
+    rng = np.random.default_rng(65)
+    X = rng.standard_normal((40, 3))
+    X[:, 2] = X[:, 0] + 3.9e-9 * rng.standard_normal(40)
+    return 2.0 * X[:, 1] + rng.standard_normal(40), X
+
+
+def ill_conditioned_frame():
+    """150 x 20, x3 = x1 + 1e-7 N(0, 1): the rank test keeps every column,
+    but X'X fails its scaled-condition check."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((150, 20))
+    X[:, 3] = X[:, 1] + 1e-7 * rng.standard_normal(150)
+    return X[:, :5].sum(axis=1) + rng.standard_normal(150), X
+
+
+def zero_frame():
+    """An all-zero 40 x 3 frame: the randomization base has no Cholesky factor."""
+    return np.zeros(40), np.zeros((40, 3))
+
+
+def six_rows():
+    """6 x 2: ``round(0.8 * 6) = 5`` leaves split one held-out row."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((6, 2))
+    return 3.0 * X[:, 0] + rng.standard_normal(6), X
