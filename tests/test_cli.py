@@ -1,17 +1,19 @@
 import csv
-import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 import warnings
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_read_csv
+from conftest import (
+    ill_conditioned_frame,
+    near_copy_frame,
+    reference_read_csv,
+    six_rows,
+    write_frame,
+    zero_frame,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
@@ -607,22 +609,6 @@ class TestSimulateValidate:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_validate_output_is_frozen(self, tmp_path):
-        """``validate`` writes these bytes: its KS p-value, from ``kstest``
-        (imported only inside ``validate_pivot_uniformity``), keeps its bits."""
-        out = tmp_path / "v"
-        argv = ["validate", "--n", "100", "--p", "20", "--n-reps", "30", "--rho", "0.8",
-                "--seed", "4", "--out", str(out)]
-        assert main(argv) == 0
-        written = (tmp_path / "v.json").read_bytes()
-        report = json.loads(written)["reports"]["exact"]
-        assert report["statistic"] == 0.05323023950353162
-        assert report["p_value"] == 0.3855393696574344
-        assert report["n_pooled"] == 283 and report["n_failed"] == 0
-        assert hashlib.sha256(written).hexdigest() == (
-            "5ed60742f44011e2508413f67ecce528a4389baa80f8cb0365ba3ba8bad71bf7"
-        )
-
     def test_validate_reads_no_level(self, tmp_path, capsys):
         """``validate --alpha`` changes nothing but its echo in ``config``:
         the KS test pools pivots, not intervals.  Its help says so."""
@@ -998,7 +984,7 @@ def test_infinite_tuning_value_fails(tmp_path, capsys, extra, message):
 def one_feature_csv(path):
     """A 40-row CSV of y = 2 x + N(0, 1)."""
     x = np.random.default_rng(3).standard_normal((40, 1))
-    _write_frame(path, 2 * x[:, 0] + np.random.default_rng(4).standard_normal(40), x)
+    write_frame(path, 2 * x[:, 0] + np.random.default_rng(4).standard_normal(40), x)
     return path
 
 
@@ -1093,7 +1079,7 @@ def test_uv_selects_at_the_given_penalty(tmp_path, capsys):
     selects two features fewer on this draw."""
     X = generate_design(100, 20, 0.5, 3)
     y, _ = generate_response(X, support_indices(20, 5), 0.75, 1.0, 4)
-    _write_frame(tmp_path / "d.csv", y, X)
+    write_frame(tmp_path / "d.csv", y, X)
     argv = ["infer", "--input", str(tmp_path / "d.csv"), "--rho", "0.8", "--sigma", "1",
             "--lambda", "20", "--method", "uv", "--seed", "5"]
     assert _probe(tmp_path, capsys, argv)[:2] == (0, [])
@@ -1115,7 +1101,7 @@ def test_split_takes_the_known_noise(tmp_path, capsys):
     the noise was known, so no length moved with s."""
     X = generate_design(100, 20, 0.5, 3)
     y, _ = generate_response(X, support_indices(20, 5), 0.75, 1.0, 4)
-    _write_frame(tmp_path / "d.csv", y, X)
+    write_frame(tmp_path / "d.csv", y, X)
 
     def rows_at(sigma):
         argv = ["infer", "--input", str(tmp_path / "d.csv"), "--rho", "0.8", "--sigma", sigma,
@@ -1246,12 +1232,6 @@ def test_gram_without_cholesky_factor_fails(tmp_path, capsys):
         assert (code, err, written, caught) == (1, [message], [], [])
 
 
-def _write_frame(path, y, X):
-    header = ",".join(["y"] + [f"x{j}" for j in range(X.shape[1])])
-    np.savetxt(path, np.column_stack([y, X]), fmt="%.17g", delimiter=",",
-               header=header, comments="")
-
-
 def _overflow_frame(design_seed, response_seed):
     X = generate_design(60, 5, 0.5, design_seed)
     return generate_response(X, support_indices(5, 2), 0.75, 3.0, response_seed)[0], X
@@ -1267,7 +1247,7 @@ def test_extreme_randomization_variance_fails_as_numerical(tmp_path, capsys):
     "invalid value encountered in matmul" warnings."""
     y, X = _overflow_frame(1, 2)
     path = tmp_path / "d.csv"
-    _write_frame(path, y, 1e-3 * X)
+    write_frame(path, y, 1e-3 * X)
     assert main(["infer", "--input", str(path), "--tau2", "1e305", "--sigma", "1",
                  "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
@@ -1296,7 +1276,7 @@ def test_long_target_direction_keeps_its_truncation(
     real = study.build_geometry
     monkeypatch.setattr(study, "build_geometry", build_geometry)
     path = tmp_path / "d.csv"
-    _write_frame(path, *_overflow_frame(design_seed, response_seed))
+    write_frame(path, *_overflow_frame(design_seed, response_seed))
     assert main(["infer", "--input", str(path), "--tau2", "1e300",
                  "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
@@ -1314,12 +1294,8 @@ def test_ill_conditioned_gram_gets_exact_intervals(tmp_path):
     gets its interval.  Keyed on the rank test, the base was the Gram, and
     every exact row was the error "randomization covariance is singular or
     ill-conditioned"."""
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((150, 20))
-    X[:, 3] = X[:, 1] + 1e-7 * rng.standard_normal(150)
-    y = X[:, :5].sum(axis=1) + rng.standard_normal(150)
     path, out = tmp_path / "near.csv", tmp_path / "inf"
-    _write_frame(path, y, X)
+    write_frame(path, *ill_conditioned_frame())
     assert numerics.independent_columns(read_csv_dataset(str(path))[0].gram).size == 20
     argv = ["infer", "--input", str(path), "--rho", "0.8", "--method", "exact", "--out", str(out)]
     assert main(argv) == 0
@@ -1335,12 +1311,8 @@ def test_gram_without_cholesky_factor_draws_from_the_jittered_base(tmp_path, cap
     and ``infer`` with all four methods exits 0 and reports every method.
     Before, the draw failed the whole run with "randomization covariance is
     not PD"."""
-    rng = np.random.default_rng(65)
-    X = rng.standard_normal((40, 3))
-    X[:, 2] = X[:, 0] + 3.9e-9 * rng.standard_normal(40)
-    y = 2.0 * X[:, 1] + rng.standard_normal(40)
     path = tmp_path / "near.csv"
-    _write_frame(path, y, X)
+    write_frame(path, *near_copy_frame())
     methods = ["exact", "polyhedral", "split", "uv"]
     argv = ["infer", "--input", str(path), "--rho", "0.8", "--sigma", "2.0"]
     for method in methods:
@@ -1352,22 +1324,12 @@ def test_gram_without_cholesky_factor_draws_from_the_jittered_base(tmp_path, cap
     assert {r["method"] for r in report["rows"]} == set(methods)
 
 
-def _zero_frame():
-    return np.zeros(40), np.zeros((40, 3))
-
-
-def _six_rows():
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((6, 2))
-    return 3.0 * X[:, 0] + rng.standard_normal(6), X
-
-
 @pytest.mark.parametrize("frame, extra, methods, failed, message", [
     # an all-zero design: the randomization base has no Cholesky factor
-    (_zero_frame, ("--lambda", "1"), KNOWN_METHODS, "exact",
+    (zero_frame, ("--lambda", "1"), KNOWN_METHODS, "exact",
      "randomization covariance is not PD"),
     # round(0.8 * 6) = 5 leaves one held-out row
-    (_six_rows, (), ("polyhedral", "split"), "split",
+    (six_rows, (), ("polyhedral", "split"), "split",
      "split size n1=5 leaves no usable half"),
 ], ids=["zero_40x3", "rows_6x2"])
 def test_failed_fit_is_one_error_row(tmp_path, capsys, frame, extra, methods, failed, message):
@@ -1376,7 +1338,7 @@ def test_failed_fit_is_one_error_row(tmp_path, capsys, frame, extra, methods, fa
     every other method's rows as its own run writes them.  Before, both
     files failed the whole run: exit 1, the message, and no rows."""
     path = tmp_path / "data.csv"
-    _write_frame(path, *frame())
+    write_frame(path, *frame())
     common = ["infer", "--input", str(path), "--rho", "0.8", "--sigma", "1", *extra]
 
     def run(out, *listed):
@@ -1404,61 +1366,3 @@ def test_failed_fit_is_one_error_row(tmp_path, capsys, frame, extra, methods, fa
             assert [r for r in report["rows"] if r["method"] == method] == alone["rows"]
             assert report["methods"][method] == alone["methods"][method]
 
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-# SHA-256 of the input CSV, then of ``infer``'s JSON and CSV for each model
-INFER_DIGESTS = {
-    (80, 30): [
-        "b8315b239d824d9a1ffe09893e6ed7f44ae4fec53f5c7ca7a2696da82b4f1a79",
-        "7a82ea4be7585719c886e92cff3c2eb84649470124a0e14eb7d5a4fd806d3d75",
-        "39e94f8af0cdabe1ec67d26315eb51bc2c59402916779e63dcedda8b145548e4",
-        "2aa3029aee645a1d6d5656700e94c97cfb71eb09f460158f93e45cabd5c1e52d",
-        "582c8dade5c82c68afcf013eb420fb5ab013ee392e731b5c3ebd06509d3a631a",
-    ],
-    (40, 60): [
-        "2cb2d84ebe7e18e5a59d4ea58e66ebbf58ab5e4ed5e70975d9f332cd881261a3",
-        "56c5c6eb5e091542bb67e519be9816e498e49e412946427650ea1ec2fb53fbe7",
-        "bf294b643ae6b64c254935a782f8693c1fae3e7e8cb7cec206e99334613b86c8",
-        "28a6dbf7b96026a07f64c95e5fa02be14079c735c92fcc9029cc4552c0d4e61f",
-        "4de78075ea47804f4dae35d8f17e2740ae498692afdd8dca672948393213d45a",
-    ],
-    (300, 100): [
-        "d3c33bc0e898148d2c7129996a56d8067eb38b77b62b0fa576f357b15d5e878c",
-        "005a40a594b7475921d2181ffb75b88cb8df07d89053f9a3b17f760e6b873175",
-        "51c0047b203f84dc437ac7a58e19eedd18e88d17ce24a308bdcba3f3bfda3aab",
-        "1309a5ea6e9700816c6c5f2b07ff23e205f4834849ece13b57ad3106d0be13f9",
-        "dd5766f93a37e218282e7a1409264490fad52806f8abacaf3e824f31bd8f224d",
-    ],
-    (600, 300): [
-        "696612958954cabcc2108f6c75f1126ccb6c9d75670647c18821ab577999c20f",
-        "c157d2d3aa2c08e92e1520fe91a7b05674a97070187af5e41bfe9ec4f25f43f0",
-        "1b3353c1271fa73cea54bcd421d2a72721f0fdf6a280f8fe5a7b3b9c6136577e",
-        "957458e6dec68c26c3214b4ac28928e75878e9f382d18244b105a3b8d9bfdbb4",
-        "99aef49418245c0f9072d734c45d8c356573cd6dd34dc938d6a43ae027bc632d",
-    ],
-}
-
-
-@pytest.mark.parametrize("n, p", [(80, 30), (40, 60), (300, 100), (600, 300)])
-def test_infer_output_is_frozen(tmp_path, n, p):
-    """``infer`` with all four methods writes these bytes for both models on
-    an AR(0.5) CSV, taller or wider than square, at one BLAS thread: a
-    subprocess, since BLAS reads its thread count when it loads.  The input
-    path is relative, as the JSON echoes it."""
-    X = generate_design(n, p, 0.5, 3)
-    y, _ = generate_response(X, support_indices(p, 5), 0.75, 3.0, 4)
-    _write_frame(tmp_path / "d.csv", y, X)
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
-    digests = [hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest()]
-    for model in ("selected", "full"):
-        argv = ["infer", "--input", "d.csv", "--rho", "0.8", "--seed", "3", "--model", model]
-        for method in KNOWN_METHODS:
-            argv += ["--method", method]
-        done = subprocess.run(
-            [sys.executable, "-m", "exactsi.cli", *argv, "--out", model],
-            cwd=tmp_path, env=env, capture_output=True, check=True,
-        )
-        assert done.stderr == b""
-        for ext in ("json", "csv"):
-            digests.append(hashlib.sha256((tmp_path / f"{model}.{ext}").read_bytes()).hexdigest())
-    assert digests == INFER_DIGESTS[n, p]

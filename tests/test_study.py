@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_frozen
 
 from exactsi import conditioning, inference, numerics, selection, study
 from exactsi.cli import _summary_json
@@ -274,28 +275,18 @@ class TestRunStudy:
         """Every method's rows at ``SimConfig(seed=12345, n_reps=20)`` agree
         with ``study_seed12345.json``: endpoints to 1e-9 max(1, |x|), and
         coordinates, covered flags, empty selections and failures by class
-        exactly.  The file was written, with one BLAS thread, by
-
-            import json
-            from exactsi.study import KNOWN_METHODS, SimConfig, run_study
-
-            summary = run_study(SimConfig(seed=12345, n_reps=20, methods=KNOWN_METHODS))
-            rows = [[r["rep"], r["method"], r["coordinate"], r["lower"], r["upper"],
-                     r["covered"]] for r in summary.rows]
-            with open("tests/study_seed12345.json", "w", encoding="utf-8") as fh:
-                fh.write('{"failures": %s,\\n' % json.dumps(
-                    {m: s.failures for m, s in summary.methods.items()}))
-                fh.write('"n_empty": %s,\\n' % json.dumps(
-                    {m: s.n_empty for m, s in summary.methods.items()}))
-                fh.write('"rows": [\\n%s\\n]}\\n' % ",\\n".join(json.dumps(r) for r in rows))
-        """
-        with open(Path(__file__).with_name("study_seed12345.json"), encoding="utf-8") as fh:
-            frozen = json.load(fh)
+        exactly.  Re-freeze it at one BLAS thread, as ``read_frozen`` says."""
         summary = run_study(SimConfig(seed=12345, n_reps=20, methods=study.KNOWN_METHODS))
-        assert {m: s.failures for m, s in summary.methods.items()} == frozen["failures"]
-        assert {m: s.n_empty for m, s in summary.methods.items()} == frozen["n_empty"]
+        failures = {m: s.failures for m, s in summary.methods.items()}
+        n_empty = {m: s.n_empty for m, s in summary.methods.items()}
         got = [[r["rep"], r["method"], r["coordinate"], r["lower"], r["upper"], r["covered"]]
                for r in summary.rows]
+        frozen = read_frozen(Path(__file__).with_name("study_seed12345.json"), (
+            '{"failures": %s,\n"n_empty": %s,\n"rows": [\n%s\n]}\n'
+            % (json.dumps(failures), json.dumps(n_empty), ",\n".join(map(json.dumps, got)))
+        ))
+        assert failures == frozen["failures"]
+        assert n_empty == frozen["n_empty"]
         assert [r[:3] + r[5:] for r in got] == [r[:3] + r[5:] for r in frozen["rows"]]
         ends, want = np.array([r[3:5] for r in got]), np.array([r[3:5] for r in frozen["rows"]])
         assert (np.abs(ends - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all()
