@@ -1,13 +1,11 @@
 """Every pinned ``exactsi`` run, byte for byte.
 
-Each entry of ``ENTRIES`` is one argv, run in a directory of its own that
-holds the entry's input, if any, as ``d.csv``.  ``frozen_outputs.json``
-keeps the SHA-256 of every file the directory then holds, the input
-included, and of stdout and stderr, and the exit code.  All entries run
-through ``cli.main`` in one subprocess at one BLAS thread: BLAS reads its
-thread count when it loads, and X'X changes in its last bits with it.  To
-re-freeze, delete the manifest and run this module: it writes the file and
-fails once.  Run as a script, the module is that subprocess.
+Each entry runs one argv through ``cli.main`` in a directory of its own,
+which holds the entry's input, if any, as ``d.csv``.  ``frozen_outputs.json``
+keeps the SHA-256 of every file the directory then holds, of stdout and of
+stderr, and the exit code.  All entries run in one subprocess, this module
+run as a script, at one BLAS thread: X'X changes in its last bits with the
+thread count.  To re-freeze, delete the manifest and run this module.
 """
 
 import contextlib
@@ -18,22 +16,16 @@ import os
 import platform
 import subprocess
 import sys
-import warnings
 from functools import partial
 from pathlib import Path
 
+import numpy
 import pytest
-from conftest import (
-    ar_frame,
-    duplicated_column_frame,
-    ill_conditioned_frame,
-    near_copy_frame,
-    read_frozen,
-    six_rows,
-    write_frame,
-    zero_frame,
-)
+import scipy
+from conftest import (ar_frame, duplicated_column_frame, ill_conditioned_frame, near_copy_frame,
+                      read_frozen, six_rows, write_frame, zero_frame)
 
+from exactsi.cli import main
 from exactsi.study import KNOWN_METHODS
 
 FOUR = [flag for method in KNOWN_METHODS for flag in ("--method", method)]
@@ -91,35 +83,22 @@ MANIFEST = Path(__file__).with_name("frozen_outputs.json")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def sha256(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 def run_entries(root):
-    """Run every entry in its directory under ``root`` through ``cli.main``,
-    and digest what it leaves: the subprocess's work."""
-    import numpy
-    import scipy
-
-    from exactsi.cli import main
-
+    """Run every entry in its directory under ``root``, and digest what it
+    leaves: the subprocess's work."""
     entries = {}
     for name, (_, argv) in ENTRIES.items():
         os.chdir(root / name)
         out, err = io.StringIO(), io.StringIO()
-        # a fresh warnings registry, so a run warns as it would in a process of its own
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's help and usage errors
                 code = exc.code
-        entries[name] = {
-            **{f.name: sha256(f.read_bytes()) for f in sorted(Path().iterdir())},
-            "stdout": sha256(out.getvalue().encode()),
-            "stderr": sha256(err.getvalue().encode()),
-            "exit": code,
-        }
+        files = {f.name: f.read_bytes() for f in sorted(Path().iterdir())}
+        files.update(stdout=out.getvalue().encode(), stderr=err.getvalue().encode())
+        entries[name] = {**{k: hashlib.sha256(v).hexdigest() for k, v in files.items()},
+                         "exit": code}
     versions = {"python": platform.python_version()}
     for mod in (numpy, scipy):
         blas = mod.__config__.CONFIG["Build Dependencies"]["blas"]
