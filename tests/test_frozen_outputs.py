@@ -31,8 +31,9 @@ from exactsi.study import KNOWN_METHODS
 FOUR = [flag for method in KNOWN_METHODS for flag in ("--method", method)]
 RUN = ["--input", "d.csv", "--rho", "0.8"]
 SELECT = ["select", *RUN, "--seed", "3"]
-SELECTED = ["infer", *RUN, "--seed", "3", *FOUR, "--out", "selected"]
-FULL = [*SELECTED[:-1], "full", "--model", "full"]
+INFER = ["infer", *RUN, "--seed", "3", *FOUR]
+SELECTED = [*INFER, "--out", "selected"]
+FULL = [*INFER, "--model", "full", "--out", "full"]
 AR = {shape: partial(ar_frame, *shape)
       for shape in [(80, 30), (40, 60), (300, 100), (600, 300), (60, 100)]}
 
