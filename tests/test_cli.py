@@ -1217,11 +1217,8 @@ def test_gram_without_cholesky_factor_fails(tmp_path, capsys):
     noise: the rank test keeps every column, yet Cholesky of the Gram fails,
     so the full-model plug-in raises ``SingularDesignError``, not numpy's
     ``LinAlgError``."""
-    rng = np.random.default_rng(65)
-    X = rng.standard_normal((40, 3))
-    X[:, 2] = X[:, 0] + 3.9e-9 * rng.standard_normal(40)
     path = tmp_path / "near.csv"
-    write_csv(path, ["y", "x0", "x1", "x2"], np.column_stack([rng.standard_normal(40), X]).tolist())
+    write_frame(path, *near_copy_frame())
     data, _ = read_csv_dataset(str(path))
     assert numerics.independent_columns(data.gram).size == 3 and data.factor(np.arange(3)) is None
     message = "error: plug-in design is singular: Cholesky failed"
@@ -1306,9 +1303,9 @@ def test_ill_conditioned_gram_gets_exact_intervals(tmp_path):
 
 def test_gram_without_cholesky_factor_draws_from_the_jittered_base(tmp_path, capsys):
     """The 40 x 3 CSV of ``test_gram_without_cholesky_factor_fails`` with a
-    response that carries signal and a known noise sd: the Gram has no
-    Cholesky factor, so the randomization is drawn from the jittered base,
-    and ``infer`` with all four methods exits 0 and reports every method.
+    known noise sd: the Gram has no Cholesky factor, so the randomization is
+    drawn from the jittered base, and ``infer`` with all four methods exits 0
+    and reports every method.
     Before, the draw failed the whole run with "randomization covariance is
     not PD"."""
     path = tmp_path / "near.csv"
