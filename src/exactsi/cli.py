@@ -361,9 +361,11 @@ def cmd_validate(args) -> int:
 
 
 _BLAS_NOTE = (
-    "Identical arguments and seed give byte-identical outputs only at a fixed"
-    " BLAS thread count (for OpenBLAS, OPENBLAS_NUM_THREADS): X'X, and so every"
-    " endpoint, may change in its last bits with the thread count."
+    "Identical arguments and seed give byte-identical outputs only on one"
+    " platform of BLAS thread count and kernel and numpy SIMD level, such as"
+    " OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell NPY_DISABLE_CPU_FEATURES="
+    "'X86_V4 AVX512_ICL AVX512_SPR', which any x86-64-v3 CPU runs: X'X, and so"
+    " every endpoint, may change in its last bits with each of them."
 )
 
 

@@ -1,8 +1,10 @@
 """Outputs at two BLAS thread counts.
 
 X'X, and so every endpoint, may change in its last bits with the number of
-threads BLAS runs, so outputs are byte-identical only at a fixed count
-(``simulate --help``).  What must not change is every decision: the same
+threads BLAS runs, as with the BLAS kernel and numpy's SIMD level, so
+outputs are byte-identical only on one platform (``simulate --help``).
+``test_frozen_outputs.py`` pins its runs to one that any x86-64-v3 CPU runs:
+one thread, OpenBLAS's Haswell kernel and numpy's loops below x86-64-v4.  What must not change is every decision: the same
 rows, selections and covered flags, with endpoints and lengths within
 ``1e-9 max(1, |x|)``.  A subprocess per setting is the only control of the
 thread count here, since BLAS reads it when it loads.

@@ -1,14 +1,17 @@
 """Every pinned ``exactsi`` run, byte for byte.
 
-Each entry runs one argv through ``cli.main`` in a directory of its own,
-which holds the entry's input, if any, as ``d.csv``.  ``frozen_outputs.json``
-keeps the SHA-256 of every file the directory then holds, of stdout and of
-stderr, and the exit code.  All entries run in one subprocess, this module
-run as a script, at one BLAS thread: X'X changes in its last bits with the
-thread count.  To re-freeze, delete the manifest and run this module.
+Each entry writes its input, if any, as ``d.csv`` in a directory of its own
+and runs one argv through ``cli.main`` there.  ``frozen_outputs.json`` keeps
+the SHA-256 of every file the directory then holds, of stdout and of stderr,
+and the exit code.  All entries run in one subprocess, this module run as a
+script, on one platform that any x86-64-v3 CPU (AVX2 and FMA) runs: one
+BLAS thread, OpenBLAS's Haswell kernel and numpy's loops below x86-64-v4.
+X'X, and X beta in the inputs, change in their last bits with each of them.
+To re-freeze, delete the manifest and run this module.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -22,6 +25,7 @@ from pathlib import Path
 import numpy
 import pytest
 import scipy
+from numpy._core._multiarray_umath import __cpu_features__
 from conftest import (ar_frame, duplicated_column_frame, ill_conditioned_frame, near_copy_frame,
                       read_frozen, six_rows, write_frame, zero_frame)
 
@@ -82,14 +86,30 @@ ENTRIES = {
 }
 MANIFEST = Path(__file__).with_name("frozen_outputs.json")
 SRC = Path(__file__).resolve().parents[1] / "src"
+PLATFORM = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell",
+            "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+# the symbol by which each module's bundled OpenBLAS names its kernel
+CORENAME = {numpy: "scipy_openblas_get_corename64_", scipy: "scipy_openblas_get_corename"}
+
+
+def openblas_kernel(mod):
+    """The kernel that ``mod``'s bundled OpenBLAS runs, None if it has none."""
+    for lib in Path(mod.__file__).parents[1].glob(f"{mod.__name__}.libs/libscipy_openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)), CORENAME[mod])
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def run_entries(root):
-    """Run every entry in its directory under ``root``, and digest what it
-    leaves: the subprocess's work."""
+    """Write every entry's input in its directory under ``root``, run the
+    entry there, and digest what it leaves: the subprocess's work."""
     entries = {}
-    for name, (_, argv) in ENTRIES.items():
+    for name, (frame, argv) in ENTRIES.items():
+        (root / name).mkdir()
         os.chdir(root / name)
+        if frame:
+            write_frame("d.csv", *frame())
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -103,20 +123,19 @@ def run_entries(root):
     versions = {"python": platform.python_version()}
     for mod in (numpy, scipy):
         blas = mod.__config__.CONFIG["Build Dependencies"]["blas"]
-        versions[mod.__name__] = f"{mod.__version__} with {blas['name']} {blas['version']}"
+        versions[mod.__name__] = (f"{mod.__version__} with {blas['name']} {blas['version']},"
+                                  f" kernel {openblas_kernel(mod)}")
+    versions["numpy X86_V4 loops"] = __cpu_features__["X86_V4"]
     return {"versions": versions, "entries": entries}
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("frozen")
-    for name, (frame, _) in ENTRIES.items():
-        (root / name).mkdir()
-        if frame:
-            write_frame(root / name / "d.csv", *frame())
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1", "COLUMNS": "80"}
-    done = subprocess.run([sys.executable, __file__, str(root)], env=env,
-                          capture_output=True, text=True)
+    env = {**os.environ, **PLATFORM, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    # numpy warns, at import, of a feature that it cannot disable on this CPU
+    done = subprocess.run([sys.executable, "-W", "ignore::ImportWarning", __file__, str(root)],
+                          env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
