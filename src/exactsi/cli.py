@@ -385,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau2", type=float, default=None, help="exact/uv randomization variance")
         p.add_argument("--epsilon", type=float, default=None, help="ridge term")
         p.add_argument("--sigma", type=float, default=None, help=(
-            "known noise sd, for every method; else the penalty, tau2 and uv take"
-            " var(y) if n <= p, else least squares on the independent columns of X"
-            " (a duplicated column is left out); exact and polyhedral take least"
-            " squares on the selected columns under --model selected, and split on"
-            " its held-out rows"
+            "known noise sd, for every method; else split takes least squares on"
+            " its held-out rows, every other method on the selected columns under"
+            " --model selected, and the penalty, tau2 and --model full take var(y)"
+            " if n <= p, else least squares on the independent columns of X (a"
+            " duplicated column is left out)"
         ))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (or base name)")

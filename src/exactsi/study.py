@@ -27,9 +27,9 @@ by ``run_study``, ``validate_pivot_uniformity`` and the CLI's ``select`` and
    the pivot adds the noise) or ``build_target -> polyhedral_bounds``
    (polyhedral), and as ``untruncated_bounds`` for split, from
    ``build_target`` on its held-out rows (of its selected columns under the
-   selected model) at the known noise variance, else at ``plug_in_sigma2``
-   on those rows, and uv, from ``build_target`` on ``X'(y - w sigma2 /
-   tau2)`` at the noise variance times ``1 + sigma2 / tau2``.
+   selected model), and uv, from ``build_target`` on ``X'(y - w s2 / tau2)``
+   at ``s2 (1 + s2 / tau2)``.  Unless it is known, two rules give the noise
+   variance s2: split's held-out rows, and ``_post_sigma2`` for the rest.
 4. ``infer(fits, alpha)`` gives each target of a list of ``Fit`` records
    its level ``1 - alpha`` interval, or the error that stopped it, in one
    elementwise call per method on the concatenated constants
@@ -482,12 +482,12 @@ def infer(fits: Sequence[Fit], alpha: float) -> list[list[IntervalEstimate | Exa
     return _per_target(fits, alpha)
 
 
-def _post_sigma(data: Dataset, cal: Calibration, model: str, E: np.ndarray) -> float:
-    """Noise sd for inference after selecting ``E``: the selected-model plug-in
-    unless the noise is known or the full model is the target."""
+def _post_sigma2(data: Dataset, cal: Calibration, model: str, E: np.ndarray) -> float:
+    """Noise variance of every method but split after selecting ``E``: the
+    selected-model plug-in unless the noise is known or the model is full."""
     if cal.known_sigma or model != "selected":
-        return math.sqrt(cal.sigma2)
-    return math.sqrt(plug_in_sigma2(data, E, "selected"))
+        return cal.sigma2
+    return plug_in_sigma2(data, E, "selected")
 
 
 def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: int) -> Fit:
@@ -531,11 +531,12 @@ def fit_method(data: Dataset, cal: Calibration, method: str, model: str, seed: i
             sigma2 = cal.sigma2 if cal.known_sigma else plug_in_sigma2(rows, cols, model)
             constants = untruncated_bounds(build_target(rows, cols, model), sigma2)
         elif E.size and method == "uv":
-            ratio = cal.sigma2 / cal.tau2
+            s2 = _post_sigma2(data, cal, model, E)
+            ratio = s2 / cal.tau2
             target = build_target(data, E, model, xty=data.xty - xtw * ratio)
-            constants = untruncated_bounds(target, cal.sigma2 * (1.0 + ratio))
+            constants = untruncated_bounds(target, s2 * (1.0 + ratio))
         elif E.size:
-            sigma = _post_sigma(data, cal, model, E)
+            sigma = math.sqrt(_post_sigma2(data, cal, model, E))
             target = build_target(data, E, model)
             if method == "polyhedral":
                 signs = outcome.signs

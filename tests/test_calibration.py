@@ -90,16 +90,17 @@ def test_pivots_uniform_given_each_selection_event(rho, methods):
 
 @pytest.mark.parametrize("config, two_sided", [
     (SimConfig(n_reps=300, methods=("uv",)), True),
-    # p > n: the noise variance is var(y), which holds the signal too
+    # p > n: tau2 and the penalty read var(y), which holds the signal too, and
+    # uv over-covers (0.969, SE 0.006, at this seed), so the gate is one-sided
     (SimConfig(n=50, p=80, n_reps=300, methods=("uv",)), False),
     (SimConfig(n=300, p=100, sparsity=10, signal_fraction=0.03, seed=11, n_reps=300,
                model="full", methods=("uv",)), True),
 ], ids=["default", "p_greater_than_n", "full_model"])
 def test_uv_coverage_within_three_standard_errors(config, two_sided):
     """uv's intervals, at the exact method's penalty and tau2, cover at 1 -
-    alpha within 3 SE, and at least at it where the noise variance is
-    var(y).  Before, uv gave selected-model intervals under the full model,
-    which covered 0.871 (SE 0.005) on the full-model cell."""
+    alpha within 3 SE, and at least at it where that tau2 reads var(y).
+    Before, uv gave selected-model intervals under the full model, which
+    covered 0.871 (SE 0.005) on the full-model cell."""
     uv = run_study(config).methods["uv"]
     assert uv.n_used >= 250
     assert uv.coverage >= 1.0 - config.alpha - 3.0 * uv.coverage_se

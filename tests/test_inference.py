@@ -1108,19 +1108,23 @@ class TestSplitInference:
             split_inference(data, rho=1.5, lam=1.0, seed=0)
 
 
-def exact_over_uv_lengths(n, p, corr, rho, model, draws, alpha=0.1):
-    """Each target's exact interval length over uv's, on ``draws`` AR(corr)
-    n x p designs with three signals, sigma 1 known.  uv selects on its own
-    draw w at the penalty and tau2 that ``calibrate`` gives both methods;
-    the exact chain then randomizes by that draw, ``omega = X'w``, with
-    uv's lasso (no ridge), and must select the same set and give every
-    target its constants."""
-    ratios = []
+def exact_over_uv_lengths(n, p, corr, rho, model, draws, sigma=1.0, alpha=0.1):
+    """Each target's exact interval length over uv's, and the naive ratio
+    ``sqrt(tau2 / (tau2 + s2))`` below it, on ``draws`` AR(corr) n x p
+    designs with three signals and noise sd 1, known if ``sigma`` is 1.0 and
+    unknown if it is None.  Both methods take the pipeline's noise variance
+    s2 (``_post_sigma2``), so the naive ratio is ``sqrt(1 - rho)`` at known
+    noise and per fit at unknown noise.  uv selects on its own draw w at the
+    penalty and tau2 that ``calibrate`` gives both methods; the exact chain
+    then randomizes by that draw, ``omega = X'w``, with uv's lasso (no
+    ridge), and must select the same set and give every target its
+    constants."""
+    ratios, naive = [], []
     for draw in range(draws):
         X = generate_design(n, p, corr, draw)
         y, _ = generate_response(X, support_indices(p, 3), 0.75, 1.0, 1000 + draw)
         data = Dataset(y=y, X=X)
-        cal = calibrate(data, ("exact", "uv"), rho=rho, sigma=1.0)
+        cal = calibrate(data, ("exact", "uv"), rho=rho, sigma=sigma)
         uv = fit_method(data, cal, "uv", model, draw)
         E, bounds = uv.selected, uv.constants
         # uv's own draw of w, so that carving randomizes by the same X'w
@@ -1132,11 +1136,13 @@ def exact_over_uv_lengths(n, p, corr, rho, model, draws, alpha=0.1):
         rep = lasso_event_rep(data, out, lam=cal.lam, epsilon=0.0)
         target = build_target(data, E, model)
         geom = build_geometry(data, rep, cal.tau2, target)
-        params, errors = pivot_params(geom, target, sigma=1.0)
+        s2 = study._post_sigma2(data, cal, model, E)
+        params, errors = pivot_params(geom, target, sigma=math.sqrt(s2))
         assert errors == [None] * E.size
         for exact, uv in zip(invert_pivot(params, alpha), z_interval(bounds, alpha)):
             ratios.append((exact.upper - exact.lower) / (uv.upper - uv.lower))
-    return np.array(ratios)
+            naive.append(math.sqrt(cal.tau2 / (cal.tau2 + s2)))
+    return np.array(ratios), np.array(naive)
 
 
 class TestUVInference:
@@ -1180,33 +1186,42 @@ class TestUVInference:
     def test_the_exact_pivot_is_narrower_for_every_target(self):
         """The abstract's claim, target by target (``exact_over_uv_lengths``):
         every exact interval is shorter than uv's and no shorter than the
-        naive one, ``sqrt(1 - rho)`` of uv's.  100 AR(0.5) 100 x 10 designs,
-        sigma 1 known, rho 0.5, alpha 0.1."""
+        naive one, ``sqrt(1 - rho)`` of uv's at known noise.  100 AR(0.5)
+        100 x 10 designs, rho 0.5, alpha 0.1, with sigma 1 known and unknown.
+        At unknown noise uv used to read another noise variance than exact,
+        and 3 of its intervals were shorter."""
         rho = 0.5
-        ratios = exact_over_uv_lengths(100, 10, 0.5, rho, "selected", draws=100)
-        assert ratios.size > 300
-        assert (math.sqrt(1.0 - rho) * (1.0 - 2e-14) <= ratios).all() and (ratios < 1.0).all()
+        for sigma in (1.0, None):
+            ratios, naive = exact_over_uv_lengths(100, 10, 0.5, rho, "selected", 100, sigma)
+            assert ratios.size > 300
+            assert (naive * (1.0 - 2e-14) <= ratios).all() and (ratios < 1.0).all()
+            # sqrt(1 - rho) at known noise, and per fit at unknown noise
+            assert (naive == math.sqrt(1.0 - rho)).all() == (sigma is not None)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("n, p, corr, rho, model", [
-        (300, 100, 0.9, 0.8, "selected"),
-        (300, 100, 0.9, 0.95, "selected"),
-        (300, 100, 0.5, 0.5, "selected"),
-        (100, 10, 0.5, 0.5, "selected"),
-        (100, 10, 0.5, 0.8, "selected"),
-        (100, 10, 0.0, 0.95, "selected"),
+    @pytest.mark.parametrize("n, p, corr, rho, model, sigma", [
+        (300, 100, 0.9, 0.8, "selected", 1.0),
+        (300, 100, 0.9, 0.95, "selected", 1.0),
+        (300, 100, 0.5, 0.5, "selected", 1.0),
+        (100, 10, 0.5, 0.5, "selected", 1.0),
+        (100, 10, 0.5, 0.8, "selected", 1.0),
+        (100, 10, 0.0, 0.95, "selected", 1.0),
         # n <= p: the exact method's base is X'X jittered, so the shared draw
         # X'w has its law only up to that jitter
-        (60, 60, 0.5, 0.8, "selected"),
-        (50, 80, 0.5, 0.8, "selected"),
-        (100, 10, 0.5, 0.8, "full"),
+        (60, 60, 0.5, 0.8, "selected", 1.0),
+        (50, 80, 0.5, 0.8, "selected", 1.0),
+        (100, 10, 0.5, 0.8, "full", 1.0),
+        # unknown noise: the naive ratio is per fit
+        (300, 100, 0.9, 0.8, "selected", None),
     ])
-    def test_the_exact_pivot_is_narrower_on_every_cell(self, n, p, corr, rho, model):
+    def test_the_exact_pivot_is_narrower_on_every_cell(self, n, p, corr, rho, model, sigma):
         """The per-target bounds of the tier-1 test on 200 draws of each
-        cell, taller and wider than square, and for full-model targets."""
-        ratios = exact_over_uv_lengths(n, p, corr, rho, model, draws=200)
+        cell, taller and wider than square, for full-model targets, and at
+        unknown noise."""
+        ratios, naive = exact_over_uv_lengths(n, p, corr, rho, model, 200, sigma)
         assert ratios.size >= 500
-        assert (math.sqrt(1.0 - rho) * (1.0 - 2e-14) <= ratios).all() and (ratios < 1.0).all()
+        bound = naive if sigma is None else math.sqrt(1.0 - rho)
+        assert (bound * (1.0 - 2e-14) <= ratios).all() and (ratios < 1.0).all()
 
 
 class TestEqualColumns:

@@ -1014,6 +1014,32 @@ def test_split_and_uv_target_the_full_model():
         np.testing.assert_allclose(fit.constants.sd, np.sqrt(variance * target.norm2), rtol=1e-12)
 
 
+@pytest.mark.parametrize("sigma, model", [(None, "selected"), (1.5, "selected"), (None, "full")],
+                         ids=["plug_in", "known", "full_model"])
+def test_uv_takes_the_noise_of_exact_and_polyhedral(sigma, model):
+    """uv's variance per unit of its target's norm2 is ``s2 (1 + s2 /
+    tau2)``, and its estimate reads ``X'(y - w s2 / tau2)``, with s2 the
+    noise variance of exact and polyhedral: the selected-model plug-in at
+    unknown noise, sigma**2 when it is known, and ``calibrate``'s under the
+    full model.  Before, uv read ``calibrate``'s under the selected model too."""
+    X = generate_design(120, 10, 0.5, 3)
+    y, _ = generate_response(X, support_indices(10, 4), 0.75, 1.0, 4)
+    data = Dataset(y=y, X=X)
+    cal = calibrate(data, ("exact", "uv"), rho=0.5, sigma=sigma)
+    uv = fit_method(data, cal, "uv", model, 5)
+    E = uv.selected
+    assert E.size >= 2 and uv.errors == [None] * E.size
+    s2 = {None: cal.sigma2, 1.5: 1.5**2}[sigma]
+    if sigma is None and model == "selected":
+        s2 = inference.plug_in_sigma2(data, E, "selected")
+        assert abs(s2 / cal.sigma2 - 1.0) > 1e-3
+    xtw = X.T @ (np.random.default_rng(5).standard_normal(120) * math.sqrt(cal.tau2))
+    target = conditioning.build_target(data, E, model, xty=data.xty - xtw * (s2 / cal.tau2))
+    np.testing.assert_allclose(uv.constants.sd**2 / target.norm2, s2 * (1.0 + s2 / cal.tau2),
+                               rtol=1e-12)
+    np.testing.assert_allclose(uv.constants.beta_hat, target.estimate, rtol=1e-12)
+
+
 @pytest.mark.parametrize("n, p, rho, lam", [(300, 100, 0.8, None), (30, 60, 0.5, 20.0)])
 def test_a_full_model_that_cannot_be_fitted_fails_split_and_uv(n, p, rho, lam):
     """Split's held-out rows (60 at the default cell's 300 x 100, rho 0.8)
