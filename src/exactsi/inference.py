@@ -19,13 +19,15 @@ several.  A fit's record is built for all its targets at once, by the last
 stage of ``build_target -> build_geometry -> pivot_params`` (exact) or
 ``build_target -> polyhedral_bounds`` (polyhedral), and its row j is target
 j: a target that failed a check keeps its row, whose pivot is NaN.  Each
-pivot's kernel, its probit with the slope, reads such a record with flat
-fields as it is (``_broadcast`` forms one against ``beta0``).  One
-inversion routine (``_invert``) gives the intervals of a record, one fit's
-or many fits' rows concatenated, for both pivots: it solves every endpoint
-of every target together by safeguarded Newton steps on the negated probit,
-from one kernel call at the seeds; each endpoint ends with its own status,
-and each target keeps its own error.  Every inversion (``invert_pivot``,
+pivot has one kernel, its probit ``h = Phi^{-1}(pivot)`` with the slope
+(``_exact_probit``, ``_polyhedral_probit``), which reads such a record with
+flat fields as it is (``_broadcast`` forms one against ``beta0``); the
+pivot is ``Phi(h)`` (``_pivot``).  One inversion routine (``_invert``)
+gives the intervals of a record, one fit's or many fits' rows
+concatenated, for both pivots: it solves every endpoint of every target
+together by safeguarded Newton steps on the negated probit, from one
+kernel call at the seeds; each endpoint ends with its own status, and
+each target keeps its own error.  Every inversion (``invert_pivot``,
 ``polyhedral_interval``, ``z_interval``) returns a list whose entry j is
 target j's ``IntervalEstimate`` or error, with no labels, and checks its
 level with ``check_level``, the one check of ``alpha``.
@@ -85,24 +87,25 @@ class PivotParams:
     bivariate-normal orthant differences (Owen's T).
 
     Each field is a float for one target, or an array whose entry i belongs
-    to target i; ``exact_pivot`` evaluates every entry in one array call.
+    to target i; the kernel evaluates every entry in one array call.
     A target with a NaN constant, or whose ``sigma_j2`` is not positive, has
     a NaN pivot, and ``invert_pivot`` fails it alone.  ``pivot_params``
     gives a target that failed a check a NaN ``sigma_j2``, and so a NaN
     ``lambda_j`` and ``zeta_j``, in its row.
 
-    ``exact_pivot`` first reflects V so that the endpoint nearer its bulk is
-    the lower one.  Its accuracy regimes:
+    The pivot is ``Phi(h)`` of the probit h of its one kernel,
+    ``_exact_probit``, which first reflects V so that the endpoint nearer
+    its bulk is the lower one.  Its accuracy regimes:
 
     * truncation mass P(a < V < b) >= 1e-5 and the smaller of the pivot and
       its complement >= 1e-4 of it: closed form, error ~1e-16 / mass;
     * otherwise: both conditional tails as log-space Gauss-Legendre integrals
       over V on a window fitted to each log-concave integrand, which keeps
       their relative accuracy (~1e-12) however small the mass;
-    * both tails below the smallest double: the 0/1 limit.
+    * both tails below the smallest double: the 0/1 limit, h infinite.
 
-    The pivot decreases in beta0, and ``invert_pivot`` solves on its negated
-    probit (``_exact_probit``).  Without truncation the probit is
+    The pivot decreases in beta0, and ``invert_pivot`` solves on the negated
+    probit.  Without truncation the probit is
     ``(beta_hat_j - lambda_j beta0 - zeta_j) / sigma_j``, linear in beta0,
     so each endpoint is seeded at that line's root.
     """
@@ -361,18 +364,45 @@ def _probit(log_small, lower_side):
     return h, _SQRT_PI_OVER_2 * erfcx(np.abs(h) / math.sqrt(2.0))
 
 
-def _exact_tails(params: PivotParams, beta0):
-    """Everything ``exact_pivot`` and ``_exact_probit`` share, on the flat
-    arrays of ``params`` and ``beta0``.
+def _pivot(kernel, record, beta0):
+    """``Phi(h)`` of the probit h that ``kernel`` gives for a constants
+    ``record`` broadcast against ``beta0``, the one form of both pivots: a
+    float for scalar constants at a scalar ``beta0``."""
+    shape, record, beta0 = _broadcast(record, beta0)
+    out = ndtr(kernel(record, beta0)[0])
+    return out.reshape(shape) if shape else float(out[0])
 
-    Returns the pivot, the log of its smaller tail (of P(U <= u) and P(U > u)
-    given the truncation; -inf in the 0/1 limit, NaN with the pivot where it
-    is undefined: u, a or b is NaN, or ``sigma_j2`` is not positive), a
-    mask that is set where that tail is the lower one, the log truncation
-    mass, the U partial of that tail over the tail where the log-space rule
-    gives it (NaN elsewhere), and the standardized constants ``(u, a, b, r,
-    s)`` after the reflection of V, with ``du/dbeta0`` and ``da/dbeta0 =
-    db/dbeta0``.
+
+def exact_pivot(params: PivotParams, beta0):
+    """The exact pivot at the hypothesized target values ``beta0``: ``Phi(h)``
+    of the probit h of its one kernel, ``_exact_probit``, on which the
+    inversion solves too.  The fields of ``params`` are one target's
+    constants, or arrays of several targets' that broadcast against
+    ``beta0``.  In the 0/1 limit the pivot is 0 for ``beta0`` above the
+    estimate and 1 below it; a NaN constant, or a ``sigma_j2`` that is not
+    positive, gives NaN."""
+    if not np.isfinite(beta0).all():
+        raise InvalidArgumentError("beta0 must be finite")
+    return _pivot(_exact_probit, params, beta0)
+
+
+def _exact_probit(params: PivotParams, beta0):
+    """The exact pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and its
+    slope ``dh/dbeta0``, on the flat arrays of ``params`` and ``beta0``.
+
+    ``h`` comes from the log of the pivot's smaller tail, of P(U <= u) and
+    P(U > u) given the truncation, in the regime that ``PivotParams`` names,
+    so it is finite far into both tails, and it is linear in beta0 without
+    truncation.  The slope is ``pivot' / phi(h)``: each partial of
+    the orthant difference is ``phi(x) Phi((y - r x) / s)``, u, a and b are
+    affine in beta0, and every term is formed in log space against the log
+    mass, so that it holds in the log-space regime too; ``_probit`` gives
+    ``tail / phi(h)``.  Where the log-space rule gives the tail, its U
+    partial over the tail is the rule's rate, not a difference of two logs
+    of size ``u^2 / 2``.  Where the standardized constants overflow or
+    neither conditional tail has representable mass (the 0/1 limit) ``h``
+    is infinite and the slope NaN; where the pivot is undefined (u, a or b
+    is NaN, or ``sigma_j2`` is not positive) both are NaN.
     """
     vt2, sj2, lam_j, zeta, icpt, lower, upper, beta_hat = _columns(params)
     # a NaN constant or a nonpositive sigma_j2 gives NaN or infinite constants here
@@ -390,23 +420,19 @@ def _exact_tails(params: PivotParams, beta0):
         a = (lower - mean_y) / sd_y
         b = (upper - mean_y) / sd_y
         du = -lam_j / sd
-        ab_slope = vt2 * lam_j / sd_y
+        dab = vt2 * lam_j / sd_y
         undefined = np.isnan(u) | np.isnan(a) | np.isnan(b) | ~(sj2 > 0)
         # the log-space rule squares c; where that overflows, the pivot's
         # smaller tail underflows too
         live = ~undefined & np.isfinite(c * c)
-    out = np.where(beta0 > beta_hat, 0.0, 1.0)  # the 0/1 limit
-    out[undefined] = math.nan
+    # the 0/1 limit, 0 for beta0 above the estimate, where nothing below replaces it
     log_small = np.where(undefined, math.nan, -math.inf)
-    lower_side = out == 0.0
-    log_mass = np.full(out.shape, math.nan)
-    along = np.full(out.shape, math.nan)
-    # reflect V so that the endpoint nearer its bulk is the lower one
+    lower_side = beta0 > beta_hat
+    log_mass, along = np.full((2, log_small.size), math.nan)
     flip = a < -b
     a, b, r = np.where(flip, -b, a), np.where(flip, -a, b), np.where(flip, -r, r)
-    ab_slope = np.where(flip, -ab_slope, ab_slope)
+    dab = np.where(flip, -dab, dab)
     mass = ndtr(-a) - ndtr(-b)
-    done = np.zeros(out.shape, dtype=bool)
     idx = np.flatnonzero(live & (mass >= _OWEN_MIN_MASS))
     if idx.size:
         # the orthants at both endpoints in one call
@@ -417,18 +443,16 @@ def _exact_tails(params: PivotParams, beta0):
         below = mi - above
         ok = np.minimum(above, below) >= _OWEN_MIN_TAIL * mi
         idx, below, above, mi = idx[ok], below[ok], above[ok], mi[ok]
-        out[idx] = np.clip(below / mi, 0.0, 1.0)
         log_mass[idx] = np.log(mi)
         log_small[idx] = np.log(np.minimum(below, above)) - log_mass[idx]
         lower_side[idx] = below <= above
-        done[idx] = True
-    idx = np.flatnonzero(live & ~done)
+    idx = np.flatnonzero(live & np.isnan(log_mass))  # not given by the closed form
     if idx.size:
         # P(U <= u | V = v) = Phi((u - r v) / s); both tails in one call
-        c, d = c[idx], -r[idx] / s[idx]
+        ci, di = c[idx], -r[idx] / s[idx]
         logs, rates = _log_cdf_weighted_integral(
-            np.concatenate([c, -c]),
-            np.concatenate([d, -d]),
+            np.concatenate([ci, -ci]),
+            np.concatenate([di, -di]),
             np.tile(a[idx], 2),
             np.tile(b[idx], 2),
         )
@@ -437,61 +461,18 @@ def _exact_tails(params: PivotParams, beta0):
         some = (log_below > -math.inf) | (log_above > -math.inf)
         idx, log_below, log_above = idx[some], log_below[some], log_above[some]
         rate_below, rate_above = rate_below[some], rate_above[some]
-        gap = -np.abs(log_above - log_below)
-        ratio = np.exp(gap)  # smaller tail over larger
-        small = ratio / (1.0 + ratio)
-        out[idx] = np.where(log_below <= log_above, small, 1.0 - small)
-        log_small[idx] = gap - np.log1p(ratio)
+        gap = -np.abs(log_above - log_below)  # log of the smaller tail over the larger
+        log_small[idx] = gap - np.log1p(np.exp(gap))
         lower_side[idx] = log_below <= log_above
         log_mass[idx] = np.logaddexp(log_below, log_above) - _LOG_SQRT_2PI
         # the U partial of either tail is phi(u) P(a < V < b | U = u), its
         # rate in c = u / s over s
         along[idx] = np.where(log_below <= log_above, rate_below, rate_above) / s[idx]
-    return out, log_small, lower_side, log_mass, along, (u, a, b, r, s), du, ab_slope
-
-
-def exact_pivot(params: PivotParams, beta0):
-    """Value of the exact pivot at the hypothesized target values ``beta0``.
-
-    The fields of ``params`` are one target's constants, or arrays of
-    several targets' constants that broadcast against ``beta0``; elementwise,
-    with a float for scalar constants at a scalar ``beta0``.  Closed form
-    through Owen's T where the truncation mass and the smaller tail allow it,
-    else the log-space rule; see ``PivotParams``.  Where the standardized
-    constants overflow or neither conditional tail has representable mass,
-    the 0/1 limit is returned: 0 for ``beta0`` above the estimate, 1 below it.
-    A NaN constant, or a ``sigma_j2`` that is not positive, gives NaN.
-    """
-    shape, params, beta0 = _broadcast(params, beta0)
-    if not np.isfinite(beta0).all():
-        raise InvalidArgumentError("beta0 must be finite")
-    out = _exact_tails(params, beta0)[0]
-    if not shape:
-        return float(out[0])
-    return out.reshape(shape)
-
-
-def _exact_probit(params: PivotParams, beta0):
-    """The exact pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and its
-    slope ``dh/dbeta0``, on the flat arrays of ``params`` and ``beta0``.
-
-    ``h`` comes from the log of the pivot's smaller tail, so it is finite far
-    into both tails, and it is linear in beta0 without truncation.  The slope
-    is ``pivot' / phi(h)``: each partial of the orthant difference is
-    ``phi(x) Phi((y - r x) / s)``, u, a and b are affine in beta0, and every
-    term is formed in log space against the log mass, so that it holds in
-    the log-space regime too; ``_probit`` gives ``tail / phi(h)``.  Where the
-    log-space rule gives the tail, its U partial over the tail is the rule's
-    rate, not a difference of two logs of size ``u^2 / 2``.  In the 0/1
-    limit ``h`` is infinite and the slope NaN; where the pivot is undefined
-    both are NaN.
-    """
-    _, log_small, lower_side, log_mass, along, std, du, dab = _exact_tails(params, beta0)
     h, mills = _probit(log_small, lower_side)
     slope = np.full(h.shape, math.nan)
-    idx = np.flatnonzero(np.isfinite(h) & (std[4] > 0))
+    idx = np.flatnonzero(np.isfinite(h) & (s > 0))
     if idx.size:
-        u, a, b, r, s = (x[idx] for x in std)
+        u, a, b, r, s = (x[idx] for x in (u, a, b, r, s))
         side = np.where(lower_side[idx], 1.0, -1.0)
         log_weight = -log_mass[idx] - log_small[idx]  # 1 / (mass tail)
         # far out a term may overflow, and the slope is then unusable
@@ -683,7 +664,11 @@ def polyhedral_bounds(
     ``beta_hat = c'y``.  A coefficient is zero below ``1e-12 ||row||
     ||v||``, with the row norms ``sqrt(diag G_EE^{-1})`` (active) and
     ``sqrt(max(G_II - diag(G_IE G_EE^{-1} G_EI), 0)) / lam`` (inactive), and
-    ``||v|| = 1 / ||c||``.  The
+    ``||v|| = 1 / ||c||``, or, if larger, below 1e-12 of the terms that it
+    cancels, ``(|u_I| + |G_IE| |G_EE^{-1} u_E|) / lam`` (inactive).  Such a
+    row is orthogonal to the line; with a slack that is 0 to 1e-12 of its
+    terms too, it is tight and fails the strict event, as the identically
+    zero row of an inactive copy of a selected column does.  The
     factor of ``G_EE`` and its verdict are the dataset's
     (``Dataset.checked_factor``), which ``build_target`` and the
     selected-model plug-in share.  Returns one
@@ -712,15 +697,25 @@ def polyhedral_bounds(
         across = (u[inactive] - G_EI.T @ ginv_u) / lam
         return np.vstack([-S[:, None] * ginv_u, across, -across])
 
+    abs_ie = np.abs(G_EI.T)
+
+    def sizes(u, ginv_u):  # the size of the terms that each inactive row cancels
+        across = (np.abs(u[inactive]) + abs_ie @ np.abs(ginv_u)) / lam
+        return np.vstack([np.zeros_like(ginv_u), across, across])
+
     base = G_EI.T @ ginv_s[:, 0]
     h = np.concatenate([-lam * S * ginv_s[:, 0], 1.0 - base, 1.0 + base])
+    base_size = 1.0 + abs_ie @ np.abs(ginv_s[:, 0])
+    h_size = np.concatenate([np.zeros(q), base_size, base_size])
     residual = np.diag(data.gram)[inactive] - (G_EI * ginv_ei).sum(axis=0)
     across_norm = np.sqrt(np.maximum(residual, 0.0)) / lam
     row_norm = np.concatenate([np.sqrt(np.diag(ginv)), across_norm, across_norm])
-    lower, upper, violated = line_interval(
-        rows(xtv, ginv_v), 1e-12 * row_norm[:, None] / np.sqrt(norm2),
-        h[:, None] - rows(xtgamma, ginv_gamma),
-    )
+    coefs, slack = rows(xtv, ginv_v), h[:, None] - rows(xtgamma, ginv_gamma)
+    zero = 1e-12 * np.maximum(row_norm[:, None] / np.sqrt(norm2), sizes(xtv, ginv_v))
+    lower, upper, violated = line_interval(coefs, zero, slack)
+    # an orthogonal row whose slack is 0 to rounding is tight: violated
+    tight = np.abs(slack) <= 1e-12 * (h_size[:, None] + sizes(xtgamma, ginv_gamma))
+    violated |= ((np.abs(coefs) <= zero) & tight).any(axis=0)
     width_scale = 1e-8 * np.maximum(1.0, np.abs(beta_hat))
     inside = (lower - width_scale <= beta_hat) & (beta_hat <= upper + width_scale)
 
@@ -743,10 +738,20 @@ def polyhedral_bounds(
     ), errors
 
 
-def _polyhedral_tails(bounds: PolyhedralBounds, beta0):
-    """Everything ``polyhedral_pivot`` and ``_polyhedral_probit`` share, on
-    the flat arrays of ``bounds`` and ``beta0``; run under the caller's
-    ``np.errstate``, which ignores divide, invalid and over.
+def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
+    """Truncated-Gaussian CDF of the estimate at its observed value, given
+    ``beta0``: ``Phi(h)`` of the probit h of its one kernel,
+    ``_polyhedral_probit``, on which the inversion solves too.  The fields
+    of ``bounds`` may be arrays of several targets' bounds, broadcast
+    against ``beta0``.  In the 0/1 limit the pivot is 0 for ``beta0`` above
+    the estimate and 1 below it; a NaN constant gives NaN.
+    """
+    return _pivot(_polyhedral_probit, bounds, beta0)
+
+
+def _polyhedral_probit(bounds: PolyhedralBounds, beta0):
+    """The polyhedral pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and
+    its slope ``dh/dbeta0``, on the flat arrays of ``bounds`` and ``beta0``.
 
     With ``a, m, b`` the standardized ``lower, beta_hat, upper``, the line is
     reflected where ``a > -b``, so that ``p1 < p2 < p3`` (``a, m, b`` or
@@ -759,125 +764,80 @@ def _polyhedral_tails(bounds: PolyhedralBounds, beta0):
     from ``(beta_hat - lower) / sd`` or ``(upper - beta_hat) / sd``;
     elsewhere as a difference of ``log_ndtr``.  A piece ``(p2, p3)`` in the
     right tail is ``Q(p2) - Q(p3)`` in the same form.  No log of size ``p^2
-    / 2`` then enters a difference, so the pivot holds however far beta0
-    lies from the truncation interval, and so does its slope, from the rate
-    of each piece below.  The slope's relative error is about ``eps x / w``
+    / 2`` then enters a difference, so h, from the log of the smaller of the
+    masses of ``(p1, p2)`` and ``(p2, p3)`` over that of ``(p1, p3)``, holds
+    however far beta0 lies from the truncation interval.  So does its slope,
+    ``+-tail / phi(h)`` (``_probit``) times the slope of that log, + where
+    the tail is the lower one, from the rate ``(phi(q) - phi(p)) / mass(p,
+    q)`` of each piece.  The slope's relative error is about ``eps x / w``
     at x sd from a piece of width w, where the rates of two pieces that
-    share an end nearly cancel.
-
-    Returns the logs of the masses of ``(p1, p2)``, ``(p2, p3)`` and ``(p1,
-    p3)`` over ``Phi(p3)``; the reflection mask; the mask of the live
-    elements, whose pivot is neither a 0/1 limit nor that of an estimate
-    outside its bounds, and the log tail of the others, -inf, or NaN where
-    a standardized width is undefined (a NaN constant, or an infinite
-    estimate), both None where all are live; a mask set where the
-    pivot's smaller tail is its lower one (elsewhere, where the limit is 0);
-    and the slope in beta0 of the log of that tail over the truncation mass,
-    negated where the tail is the upper one.  The slope of ``log mass(p,
-    q)`` is ``dp/dbeta0`` times the rate ``(phi(q) - phi(p)) / mass(p, q)``.
+    share an end nearly cancel.  In the 0/1 limit (an estimate outside its
+    bounds, or an interval with no mass) ``h`` is infinite and the slope
+    NaN; a NaN constant gives NaN for both.
     """
     lower, upper, beta_hat, sd = _columns(bounds)
-    ends = np.array([lower, beta_hat, upper])
-    std = (ends - beta0) / sd  # a, m, b
-    flip = std[0] > -std[2]
-    p = np.where(flip, -std[::-1], std)
-    # half the standardized widths of (a, m) and (m, b)
-    widths = 0.5 * ((ends[1:] - ends[:-1]) / sd)
-    w = np.where(flip, widths[::-1], widths)
-    log_cdf = log_ndtr(p)
-    # log erfcx(-p_i / sqrt 2) for i = 1, 2, 3, then log erfcx(p_i / sqrt 2) for i = 2, 3
-    log_ex = np.log(erfcx(p[_ERFCX_ROWS] / _ERFCX_SCALE))
-    half = w * (p[:2] + p[1:])  # log(phi(p1) / phi(p2)), log(phi(p2) / phi(p3))
-    gaps = np.where(
-        p[1:] <= 0.0, half + log_ex[:2] - log_ex[1:3], log_cdf[:2] - log_cdf[1:]
-    )
-    right_gap = log_ex[4] - log_ex[3] - half[1]  # log Phi(-p3) - log Phi(-p2)
-    # expm1 of the gaps over (p1, p2), (p2, p3) and (p1, p3), and of a
-    # right-tail (p2, p3), then of the log density ratios of the same pieces
-    # (the last negated) for the rates below.  The log of minus each of the
-    # first four, at most 0, is log(1 - exp(gap)) to an absolute error of
-    # eps, which is all a log mass needs
-    expm1s = np.expm1(np.array([
-        gaps[0], gaps[1], gaps[0] + gaps[1], right_gap,
-        half[0], half[1], half[0] + half[1], -half[1],
-    ]))
-    drops, rises = expm1s[:4], expm1s[4:]
-    ones = np.log(-np.fmin(drops, 0.0))
-    # the masses of (p1, p2), (p2, p3) and (p1, p3), each as a log over Phi(p3)
-    right = ones[3] + log_ex[3] - 0.5 * p[1] * p[1] - math.log(2.0) - log_cdf[2]
-    logs = gaps[1] + ones[0], np.where(p[1] > 0.0, right, ones[1]), ones[2]
-    # d log mass(p, q) / dp = (phi(q) - phi(p)) / mass(p, q).  Where phi(q)
-    # >= phi(p), that is phi(q) / Phi(q) times expm1 of log(phi(p) /
-    # phi(q)) over expm1 of log(Phi(p) / Phi(q)), which holds no log of
-    # size q^2 / 2; elsewhere (a piece (p2, p3) with p2 + p3 > 0) the same
-    # on the reflected piece.  phi / Phi at p2, p3, p3, then phi / Q at p2:
-    mills = np.exp(_LOG_SQRT_2_OVER_PI - log_ex[_MILLS_ROWS])
-    # the rates of (p1, p2), (p2, p3) and (p1, p3), then of a right-tail (p2,
-    # p3) negated
-    rates = mills * rises / drops
-    rate_second = np.where(p[1] + p[2] <= 0.0, rates[1], -rates[3])
-    # 0 where phi(p3) / Phi(p3) underflows, p1 <= -p3 lying as far out
-    rate_whole = np.where(mills[1] > 0.0, rates[2], 0.0)
-    first = logs[0] <= logs[1]  # (p1, p2) is the smaller piece
-    inside = (lower < beta_hat) & (beta_hat < upper)
-    live = inside & (logs[2] > -math.inf)
-    lower_side = first != flip
-    if np.count_nonzero(live) == live.size:
-        live = limit_log = None
-    else:
-        # the 0/1 limit is 0 for an estimate on or below its lower bound, and
-        # where the interval carries no mass, for beta0 above the estimate
-        lower_side = np.where(live, lower_side, np.where(
-            inside, beta0 > beta_hat, beta_hat <= lower
-        ))
-        limit_log = np.where(np.isnan(widths[0] + widths[1]), math.nan, -math.inf)
-    # dp/dbeta0 is -1 / sd, or 1 / sd on the reflected line, and the smaller
-    # tail is the lower one exactly where first and flip differ
-    slope = np.where(first, rate_whole - rates[0], rate_second - rate_whole) / sd
-    return logs, flip, live, limit_log, lower_side, slope
-
-
-def polyhedral_pivot(bounds: PolyhedralBounds, beta0):
-    """Truncated-Gaussian CDF of the estimate at its observed value, given ``beta0``.
-
-    Elementwise: the fields of ``bounds`` may be arrays of several targets'
-    bounds, broadcast against ``beta0``.  Accurate however far beta0 lies
-    from the truncation interval (see ``_polyhedral_tails``); where the
-    standardized bounds overflow, so that the interval carries no
-    representable mass, the limit is returned: 0 for ``beta0`` above the
-    estimate, 1 below it.  A NaN constant gives NaN.
-    """
-    shape, bounds, beta0 = _broadcast(bounds, beta0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs, flip, live, limit_log, lower_side, _ = _polyhedral_tails(bounds, beta0)
-        pivot = np.minimum(np.exp(np.where(flip, logs[1], logs[0]) - logs[2]), 1.0)
-    out = pivot
-    if live is not None:
-        limit = np.where(lower_side, 0.0, 1.0)
-        limit[np.isnan(limit_log)] = math.nan
-        out = np.where(live, pivot, limit)
-    if not shape:
-        return float(out[0])
-    return out.reshape(shape)
-
-
-def _polyhedral_probit(bounds: PolyhedralBounds, beta0):
-    """The polyhedral pivot's probit ``h = Phi^{-1}(pivot)`` at ``beta0`` and
-    its slope ``dh/dbeta0``, on the flat arrays of ``bounds`` and ``beta0``.
-
-    ``h`` comes from the log of the smaller tail, so it is finite far into
-    both tails.  Its slope is ``+-tail / phi(h)`` (from ``_probit``) times
-    the slope of that log (``_polyhedral_tails``), + where the tail is the
-    lower one.  In the 0/1 limit ``h`` is infinite and the slope NaN; a NaN
-    constant gives NaN for both.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs, _, live, limit_log, lower_side, slope = _polyhedral_tails(bounds, beta0)
+        ends = np.array([lower, beta_hat, upper])
+        std = (ends - beta0) / sd  # a, m, b
+        flip = std[0] > -std[2]
+        p = np.where(flip, -std[::-1], std)
+        # half the standardized widths of (a, m) and (m, b)
+        widths = 0.5 * ((ends[1:] - ends[:-1]) / sd)
+        w = np.where(flip, widths[::-1], widths)
+        log_cdf = log_ndtr(p)
+        # log erfcx(-p_i / sqrt 2) for i = 1, 2, 3, then log erfcx(p_i / sqrt 2) for i = 2, 3
+        log_ex = np.log(erfcx(p[_ERFCX_ROWS] / _ERFCX_SCALE))
+        half = w * (p[:2] + p[1:])  # log(phi(p1) / phi(p2)), log(phi(p2) / phi(p3))
+        gaps = np.where(
+            p[1:] <= 0.0, half + log_ex[:2] - log_ex[1:3], log_cdf[:2] - log_cdf[1:]
+        )
+        right_gap = log_ex[4] - log_ex[3] - half[1]  # log Phi(-p3) - log Phi(-p2)
+        # expm1 of the gaps over (p1, p2), (p2, p3) and (p1, p3), and of a
+        # right-tail (p2, p3), then of the log density ratios of the same pieces
+        # (the last negated) for the rates below.  The log of minus each of the
+        # first four, at most 0, is log(1 - exp(gap)) to an absolute error of
+        # eps, which is all a log mass needs
+        expm1s = np.expm1(np.array([
+            gaps[0], gaps[1], gaps[0] + gaps[1], right_gap,
+            half[0], half[1], half[0] + half[1], -half[1],
+        ]))
+        drops, rises = expm1s[:4], expm1s[4:]
+        ones = np.log(-np.fmin(drops, 0.0))
+        # the masses of (p1, p2), (p2, p3) and (p1, p3), each as a log over Phi(p3)
+        right = ones[3] + log_ex[3] - 0.5 * p[1] * p[1] - math.log(2.0) - log_cdf[2]
+        logs = gaps[1] + ones[0], np.where(p[1] > 0.0, right, ones[1]), ones[2]
+        # d log mass(p, q) / dp = (phi(q) - phi(p)) / mass(p, q).  Where phi(q)
+        # >= phi(p), that is phi(q) / Phi(q) times expm1 of log(phi(p) /
+        # phi(q)) over expm1 of log(Phi(p) / Phi(q)), which holds no log of
+        # size q^2 / 2; elsewhere (a piece (p2, p3) with p2 + p3 > 0) the same
+        # on the reflected piece.  phi / Phi at p2, p3, p3, then phi / Q at p2:
+        mills = np.exp(_LOG_SQRT_2_OVER_PI - log_ex[_MILLS_ROWS])
+        # the rates of (p1, p2), (p2, p3) and (p1, p3), then of a right-tail (p2,
+        # p3) negated
+        rates = mills * rises / drops
+        rate_second = np.where(p[1] + p[2] <= 0.0, rates[1], -rates[3])
+        # 0 where phi(p3) / Phi(p3) underflows, p1 <= -p3 lying as far out
+        rate_whole = np.where(mills[1] > 0.0, rates[2], 0.0)
+        first = logs[0] <= logs[1]  # (p1, p2) is the smaller piece
+        inside = (lower < beta_hat) & (beta_hat < upper)
+        live = inside & (logs[2] > -math.inf)
+        # the smaller tail is the lower one exactly where first and flip differ
+        lower_side = first != flip
         log_small = np.minimum(logs[0], logs[1]) - logs[2]
-        if live is not None:
-            log_small = np.where(live, log_small, limit_log)
-        h, mills = _probit(log_small, lower_side)
-        slope = mills * slope
+        if not live.all():
+            # the 0/1 limit is 0 for an estimate on or below its lower bound,
+            # and where the interval carries no mass, for beta0 above the
+            # estimate; NaN where a standardized width is undefined (a NaN
+            # constant, or an infinite estimate)
+            lower_side = np.where(live, lower_side, np.where(
+                inside, beta0 > beta_hat, beta_hat <= lower
+            ))
+            log_small = np.where(live, log_small, np.where(
+                np.isnan(widths[0] + widths[1]), math.nan, -math.inf
+            ))
+        h, factor = _probit(log_small, lower_side)  # factor: tail / phi(h)
+        # dp/dbeta0 is -1 / sd, or 1 / sd on the reflected line
+        slope = factor * (np.where(first, rate_whole - rates[0], rate_second - rate_whole) / sd)
     return h, np.where(np.isfinite(h), slope, math.nan)
 
 

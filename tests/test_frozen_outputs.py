@@ -26,8 +26,8 @@ import numpy
 import pytest
 import scipy
 from numpy._core._multiarray_umath import __cpu_features__
-from conftest import (ar_frame, duplicated_column_frame, ill_conditioned_frame, near_copy_frame,
-                      read_frozen, six_rows, write_frame, zero_frame)
+from conftest import (PLATFORM, ar_frame, duplicated_column_frame, ill_conditioned_frame,
+                      near_copy_frame, read_frozen, six_rows, write_frame, zero_frame)
 
 from exactsi.cli import main
 from exactsi.study import KNOWN_METHODS
@@ -86,8 +86,6 @@ ENTRIES = {
 }
 MANIFEST = Path(__file__).with_name("frozen_outputs.json")
 SRC = Path(__file__).resolve().parents[1] / "src"
-PLATFORM = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell",
-            "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 # the symbol by which each module's bundled OpenBLAS names its kernel
 CORENAME = {numpy: "scipy_openblas_get_corename64_", scipy: "scipy_openblas_get_corename"}
 

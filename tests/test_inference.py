@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     carving_fit,
     carving_pivot_params,
+    duplicated_column_frame,
     explicit_contrasts,
     explicit_polyhedral_bounds,
     oracle_pivot,
@@ -18,7 +19,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from exactsi.conditioning import TargetSpec, build_geometry, build_target
 from exactsi import inference, study
@@ -406,17 +407,32 @@ def polyhedral_probit(record, x):
     return inference._polyhedral_probit(flat, x)
 
 
-def assert_probit_matches(probit, pivot, record, x, scale):
-    """``probit``'s h and slope at the abscissae ``x`` against ``pivot``:
-    Phi(h) is the pivot, to 1e-10 (far out, a ratio of two masses whose logs
-    are ~1e5 carries that much rounding), log Phi(h) its log in the lower
-    tail, and the slope a central difference of h over 1e-4 of the record's
-    scale."""
+def exact_oracle(params, x):
+    """``oracle_pivot`` at each abscissa of ``x``, with its own constants."""
+    columns = np.broadcast_arrays(x, *(getattr(params, f.name) for f in fields(params)))
+    rows = zip(*(np.ravel(column).tolist() for column in columns))
+    return np.array([oracle_pivot(PivotParams(*row[1:]), row[0]) for row in rows])
+
+
+def polyhedral_oracle(bounds, x):
+    """The polyhedral pivot as the direct ratio ``(Phi(m) - Phi(a)) / (Phi(b)
+    - Phi(a))`` of the standardized bounds and estimate, within ~1e-13 where
+    the truncation mass is at least 1e-3 (its bulk), and NaN elsewhere."""
+    ends = (bounds.lower, bounds.beta_hat, bounds.upper)
+    a, m, b = ((np.asarray(end) - x) / bounds.sd for end in ends)
+    mass = ndtr(b) - ndtr(a)
+    with np.errstate(divide="ignore", invalid="ignore"):  # outside the bulk
+        return np.where(mass >= 1e-3, (ndtr(m) - ndtr(a)) / mass, math.nan)
+
+
+def assert_probit_matches(probit, oracle, record, x, scale):
+    """``probit``'s h and slope at the abscissae ``x``: Phi(h), which is the
+    pivot, against the independent ``oracle``'s pivot to 1e-9 where the
+    oracle gives one (not NaN), and the slope against a central difference
+    of h over 1e-4 of the record's scale."""
     h, slope = probit(record, x)
-    value = np.asarray(pivot(record, x))
-    assert np.abs(ndtr(h) - value).max() <= 1e-10
-    lower = np.isfinite(h) & (value <= 0.5) & (value >= np.finfo(float).smallest_normal)
-    assert np.abs(log_ndtr(h[lower]) - np.log(value[lower])).max(initial=0.0) <= 1e-9
+    want = oracle(record, x)
+    assert np.abs(ndtr(h) - want)[~np.isnan(want)].max(initial=0.0) <= 1e-9
     step = 1e-4 * scale
     ahead, behind = probit(record, x + step)[0], probit(record, x - step)[0]
     central = (ahead - behind) / (2.0 * step)
@@ -434,13 +450,13 @@ class TestProbitCompanions:
         drift = 1e3 * (1.0 + params.vartheta2 * params.sigma_j2)
         x = np.array([beta0_at(params, k) for k in (*shifts, -drift, drift)])
         scale = math.sqrt(params.sigma_j2) / params.lambda_j
-        assert_probit_matches(exact_probit, exact_pivot, params, x, scale)
+        assert_probit_matches(exact_probit, exact_oracle, params, x, scale)
 
     @PROPERTY_SETTINGS
     @given(model_polyhedral_bounds(), st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=4))
     def test_polyhedral_probit_matches_the_pivot(self, bounds, shifts):
         x = bounds.beta_hat + bounds.sd * np.array([*shifts, -1e4, -1e3, 1e3, 1e4])
-        assert_probit_matches(polyhedral_probit, polyhedral_pivot, bounds, x, bounds.sd)
+        assert_probit_matches(polyhedral_probit, polyhedral_oracle, bounds, x, bounds.sd)
 
     def test_exact_probit_slope_in_the_far_tail(self):
         """Without truncation the exact probit is the line ``(beta_hat -
@@ -545,7 +561,7 @@ class TestProbitCompanions:
             assert exact_pivot(record, x).tolist() == below.astype(float).tolist()
         else:
             assert np.isfinite(h).all() and (slope < 0).all()
-            assert_probit_matches(exact_probit, exact_pivot, record, x, 1e-3)
+            assert_probit_matches(exact_probit, exact_oracle, record, x, 1e-3)
 
     def test_no_far_point_reads_the_wrong_limit(self):
         # far out the log-space rule's window can be narrower than rounding,
@@ -1227,7 +1243,9 @@ class TestUVInference:
 class TestEqualColumns:
     """Two equal columns make the Gram singular, although its Cholesky
     factorization passes by rounding on this design; every least-squares
-    fit on them raises ``SingularDesignError``."""
+    fit on them raises ``SingularDesignError``.  How rounding factors the
+    singular Gram depends on the BLAS kernel, so the tests that read that
+    verdict run on the frozen outputs' platform (``pinned``)."""
 
     @staticmethod
     def data():
@@ -1237,6 +1255,7 @@ class TestEqualColumns:
         cho_factor(X.T @ X)  # passes: no rank information
         return Dataset(y=rng.standard_normal(30), X=X)
 
+    @pytest.mark.pinned
     def test_polyhedral_bounds(self):
         data = self.data()
         # contrasts the columns of X: their statistics X'X, diag(X'X) and X'y
@@ -1244,6 +1263,25 @@ class TestEqualColumns:
         with pytest.raises(SingularDesignError, match="selected design is singular"):
             polyhedral_bounds(data, np.array([0, 1]), np.array([1.0, 1.0]), 1.0, target, 1.0)
 
+    def test_inactive_copy_of_a_selected_column(self):
+        """``duplicated_column_frame``, x29 a copy of x0, at the ``infer
+        --rho 0.8`` calibration: the lasso selects one of the two, and the
+        other's two subgradient rows are identically zero, one with zero
+        slack, in exact arithmetic.  Every polyhedral target fails as the
+        event's violated constraint, whatever the BLAS kernel leaves in the
+        last bits of that row's coefficient (0 or 3e-16 at x0's target) and
+        slack (-2e-16 or 2e-15), where x0's target alone once failed and
+        only under some kernels."""
+        y, X = duplicated_column_frame()
+        data = Dataset(y=y, X=X)
+        fit = fit_method(data, calibrate(data, ("polyhedral",), rho=0.8), "polyhedral",
+                         "selected", 3)
+        assert len({0, 29} & set(fit.selected.tolist())) == 1 and fit.selected.size == 5
+        assert [str(e) for e in fit.errors] == [
+            "a constraint orthogonal to the target direction is violated"
+        ] * 5
+
+    @pytest.mark.pinned
     def test_selected_plug_in(self):
         with pytest.raises(SingularDesignError, match="plug-in design is singular"):
             plug_in_sigma2(self.data(), np.array([0, 1]), "selected")
